@@ -38,8 +38,8 @@ from .engine import (  # noqa: F401
     CompletionPolicy,
     EnumerationReport,
     PayoffTable,
-    Semantics,
     admissible_rows,
+    chosen_completions,
     derive_payoff_table,
     enumerate_profiles,
     rule_satisfied,

@@ -18,7 +18,6 @@ from . import fixtures, report as rp
 from .dsl import parse_game_spec, validate_game
 from .engine import (
     CompletionPolicy,
-    Semantics,
     admissible_rows,
     derive_payoff_table,
     rows_as_records,
@@ -36,9 +35,22 @@ from .equilibrium import (
     pure_nash,
     serialize_bimatrix,
 )
+from .model import GameError
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1
+
+# Report labels of the paper figures, keyed as in ``rp.PAPER_FIGURES``.
+FIGURE_LABELS = {
+    "action_profiles": "action profiles",
+    "row_space": "row space",
+    "admissible_rows": "admissible rows",
+    "max_global_utility": "max global utility",
+    "top_gu_rows": "rows at max global utility",
+    "pure_nash_member": "pure Nash equilibrium",
+    "table5_publish_ta_grant_ta":
+        "projected payoff at (Publish TA, Grant TA)",
+}
 
 
 class _CliError(Exception):
@@ -74,25 +86,20 @@ def _load_bimatrix(path: str) -> tuple[Bimatrix, str]:
         raise _CliError(f"{path}: {exc}", DIAG_ERROR)
 
 
-def _policy_from_args(args) -> CompletionPolicy:
-    kind = {"max-gu": "max-global-utility"}.get(args.policy, args.policy)
-    fixed_actions: list[tuple[str, str]] = []
-    fixed_outcomes: list[tuple[str, str]] = []
-    for item in args.fix or []:
+def _policy(args, game) -> CompletionPolicy:
+    """The completion policy named by --policy, with each --fix NAME=VALUE
+    resolved to a declared player action or variable value of ``game``."""
+    fixes = []
+    for item in args.fix:
         if "=" not in item:
             raise _CliError(f"--fix expects NAME=VALUE, got {item!r}",
                             USAGE_ERROR)
-        name, value = (s.strip() for s in item.split("=", 1))
-        fixed_actions.append((name, value))  # re-sorted once the game is known
-    return CompletionPolicy(kind, args.policy_player,
-                            tuple(fixed_actions), tuple(fixed_outcomes))
-
-
-def _resolve_fixed(policy: CompletionPolicy, game) -> CompletionPolicy:
-    if policy.kind != "fixed":
-        return policy
+        fixes.append([s.strip() for s in item.split("=", 1)])
+    kind = {"max-gu": "max-global-utility"}.get(args.policy, args.policy)
+    if kind != "fixed":
+        return CompletionPolicy(kind, args.policy_player)
     actions, outcomes = [], []
-    for name, value in policy.fixed_actions:
+    for name, value in fixes:
         player = game.player(name)
         if player is not None:
             canon = player.action(value)
@@ -121,6 +128,23 @@ def _emit(args, report: dict) -> None:
 
 def _is_bundled(digest: str, name: str) -> bool:
     return digest == fixtures.fixture_digest(name)
+
+
+def _paper_comparison(computed: dict) -> list[dict]:
+    """Paper-vs-computed entries for the figures keyed in ``computed``, in
+    its order."""
+    return [rp.comparison_entry(FIGURE_LABELS[k], rp.PAPER_FIGURES[k], v)
+            for k, v in computed.items()]
+
+
+def _enumeration_figures(enum) -> dict:
+    return {
+        "action_profiles": enum.action_profile_count,
+        "row_space": enum.row_space_count,
+        "admissible_rows": enum.admissible_count,
+        "max_global_utility": enum.max_global_utility,
+        "top_gu_rows": enum.max_global_utility_count,
+    }
 
 
 def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
@@ -172,54 +196,30 @@ def _cmd_validate(args) -> int:
     out["row_space"] = validated.row_space_count
     out["warnings"] = [str(w) for w in validated.warnings]
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = [
-            rp.comparison_entry("action profiles",
-                                rp.PAPER_FIGURES["action_profiles"],
-                                validated.action_profile_count),
-            rp.comparison_entry("row space",
-                                rp.PAPER_FIGURES["row_space"],
-                                validated.row_space_count),
-        ]
+        out["paper_comparison"] = _paper_comparison({
+            "action_profiles": validated.action_profile_count,
+            "row_space": validated.row_space_count,
+        })
     _emit(args, out)
     return 0
 
 
-def _enumeration_report(args, with_rows: bool):
+def _cmd_enumerate(args) -> int:
     validated, digest = _game_or_fail(args)
     game = validated.game
-    semantics = Semantics(binding=args.mode)
-    rows, enum = admissible_rows(game, semantics, workers=args.workers)
+    rows, enum = admissible_rows(game)
     out = rp.base_report({args.game: digest})
-    out["semantics"] = enum.semantics
+    out["semantics"] = args.mode
     out["action_profiles"] = enum.action_profile_count
     out["row_space"] = enum.row_space_count
     out["admissible_rows"] = enum.admissible_count
     out["max_global_utility"] = enum.max_global_utility
     out["max_global_utility_rows"] = enum.max_global_utility_count
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = [
-            rp.comparison_entry("action profiles",
-                                rp.PAPER_FIGURES["action_profiles"],
-                                enum.action_profile_count),
-            rp.comparison_entry("row space", rp.PAPER_FIGURES["row_space"],
-                                enum.row_space_count),
-            rp.comparison_entry("admissible rows",
-                                rp.PAPER_FIGURES["admissible_rows"],
-                                enum.admissible_count),
-            rp.comparison_entry("max global utility",
-                                rp.PAPER_FIGURES["max_global_utility"],
-                                enum.max_global_utility),
-            rp.comparison_entry("rows at max global utility",
-                                rp.PAPER_FIGURES["top_gu_rows"],
-                                enum.max_global_utility_count),
-        ]
-    if with_rows:
+        out["paper_comparison"] = _paper_comparison(
+            _enumeration_figures(enum))
+    if args.dump:
         out["rows"] = rows_as_records(game, rows)
-    return out, game, rows
-
-
-def _cmd_enumerate(args) -> int:
-    out, _, _ = _enumeration_report(args, with_rows=args.dump)
     _emit(args, out)
     return 0
 
@@ -227,19 +227,14 @@ def _cmd_enumerate(args) -> int:
 def _cmd_top(args) -> int:
     validated, digest = _game_or_fail(args)
     game = validated.game
-    semantics = Semantics(binding=args.mode)
-    best, rows = top_gu_rows(game, semantics, workers=args.workers)
+    best, rows = top_gu_rows(game)
     out = rp.base_report({args.game: digest})
     out["max_global_utility"] = best
     out["row_count"] = len(rows)
     out["rows"] = rows_as_records(game, rows)
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = [
-            rp.comparison_entry("max global utility",
-                                rp.PAPER_FIGURES["max_global_utility"], best),
-            rp.comparison_entry("rows at max global utility",
-                                rp.PAPER_FIGURES["top_gu_rows"], len(rows)),
-        ]
+        out["paper_comparison"] = _paper_comparison({
+            "max_global_utility": best, "top_gu_rows": len(rows)})
     _emit(args, out)
     return 0
 
@@ -264,8 +259,8 @@ def _payoff_records(game, table) -> list[dict]:
 def _cmd_payoffs(args) -> int:
     validated, digest = _game_or_fail(args)
     game = validated.game
-    policy = _resolve_fixed(_policy_from_args(args), game)
-    table = derive_payoff_table(game, Semantics(binding=args.mode), policy)
+    policy = _policy(args, game)
+    table = derive_payoff_table(game, policy)
     out = rp.base_report({args.game: digest})
     out["policy"] = policy.kind
     out["cells"] = _payoff_records(game, table)
@@ -276,9 +271,8 @@ def _cmd_payoffs(args) -> int:
 def _cmd_project(args) -> int:
     validated, digest = _game_or_fail(args)
     game = validated.game
-    policy = _resolve_fixed(_policy_from_args(args), game)
-    bm = project_bimatrix(game, Semantics(binding=args.mode), policy,
-                          args.row_player, args.col_player)
+    bm = project_bimatrix(game, _policy(args, game), args.row_player,
+                          args.col_player)
     if args.format == "bmx":
         text = serialize_bimatrix(bm)
         if args.output:
@@ -326,9 +320,8 @@ def _cmd_nash(args) -> int:
     else:
         validated, digest = _game_or_fail(args)
         out["inputs"] = {args.game: digest}
-        policy = _resolve_fixed(_policy_from_args(args), validated.game)
         table = derive_payoff_table(validated.game,
-                                    Semantics(binding=args.mode), policy)
+                                    _policy(args, validated.game))
         certs = pure_nash(table)
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
@@ -379,13 +372,12 @@ def _cmd_expected(args) -> int:
 def _cmd_reproduce(args) -> int:
     validated, game_digest = _game_or_fail(args)
     game = validated.game
-    semantics = Semantics(binding=args.mode)
-    rows, enum = admissible_rows(game, semantics, workers=args.workers)
+    _, enum = admissible_rows(game)
     bm5, bm5_digest = _load_bimatrix(args.bimatrix)
     certs = pure_nash(bm5.to_payoff_table())
     member = ("Publish OA", "Grant TA") in [c.pure_profile() for c in certs]
-    projected = project_bimatrix(game, semantics, CompletionPolicy(),
-                                 "Academics", "Editors")
+    projected = project_bimatrix(game, CompletionPolicy(), "Academics",
+                                 "Editors")
     i = projected.row_actions.index("Publish TA")
     j = projected.col_actions.index("Grant TA")
     cell = projected.payoffs[i][j]
@@ -393,45 +385,28 @@ def _cmd_reproduce(args) -> int:
                 if cell else "infeasible")
 
     computed = {
-        "action_profiles": enum.action_profile_count,
-        "row_space": enum.row_space_count,
-        "admissible_rows": enum.admissible_count,
-        "max_global_utility": enum.max_global_utility,
-        "top_gu_rows": enum.max_global_utility_count,
+        **_enumeration_figures(enum),
         "pure_nash_member": ("(Publish OA, Grant TA)" if member
                              else "not an equilibrium"),
         "table5_publish_ta_grant_ta": cell_str,
     }
-    claims = {
-        "action_profiles": "action profiles",
-        "row_space": "row space",
-        "admissible_rows": "admissible rows",
-        "max_global_utility": "max global utility",
-        "top_gu_rows": "rows at max global utility",
-        "pure_nash_member": "pure Nash equilibrium",
-        "table5_publish_ta_grant_ta":
-            "projected payoff at (Publish TA, Grant TA)",
-    }
     out = rp.base_report({args.game: game_digest, args.bimatrix: bm5_digest})
-    out["paper_comparison"] = [
-        rp.comparison_entry(claims[k], rp.PAPER_FIGURES[k], computed[k])
-        for k in claims
-    ]
-    drift = {k: (rp.GOLDEN_FIGURES[k], computed[k]) for k in claims
-             if computed[k] != rp.GOLDEN_FIGURES[k]}
+    out["paper_comparison"] = _paper_comparison(computed)
     out["golden_check"] = [
-        {"figure": claims[k], "golden": rp.GOLDEN_FIGURES[k],
-         "computed": computed[k],
-         "matches": computed[k] == rp.GOLDEN_FIGURES[k]}
-        for k in claims
+        {"figure": FIGURE_LABELS[k], "golden": rp.GOLDEN_FIGURES[k],
+         "computed": v, "matches": v == rp.GOLDEN_FIGURES[k]}
+        for k, v in computed.items()
     ]
-    out["status"] = "ok" if not drift else "drift-from-golden"
+    ok = all(c["matches"] for c in out["golden_check"])
+    out["status"] = "ok" if ok else "drift-from-golden"
     _emit(args, out)
-    return 0 if not drift else DIAG_ERROR
+    return 0 if ok else DIAG_ERROR
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+WORKERS_HELP = "accepted for compatibility; ignored"
 
 
 def _add_game_arg(p, required=True):
@@ -478,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "optional row dump")
     _add_game_arg(p)
     p.add_argument("--dump", action="store_true", help="include the rows")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("top", help="rows attaining the maximum global "
                        "utility")
     _add_game_arg(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_top)
 
@@ -537,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", default="oa.game")
     p.add_argument("--bimatrix", default="table5.bmx")
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_reproduce)
 
@@ -555,7 +530,7 @@ def run_cli(argv: list[str]) -> int:
     except _CliError as exc:
         print(f"oagame: {exc}", file=sys.stderr)
         return exc.status
-    except ValueError as exc:
+    except (GameError, ValueError) as exc:
         print(f"oagame: {exc}", file=sys.stderr)
         return DIAG_ERROR
 

@@ -360,7 +360,13 @@ _VALIAS_RE = re.compile(r"^(?P<alt>.+?)\s*->\s*(?P<canon>.+)$")
 
 
 def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
-    """Parse a full ``.game`` document, collecting all diagnostics."""
+    """Parse a full ``.game`` document, collecting all diagnostics.
+
+    ``mode`` is ``strict`` (rule atoms that do not resolve are errors) or
+    ``lenient`` (they are kept as inert atoms); any other value raises
+    ValueError."""
+    if mode not in (STRICT, LENIENT):
+        raise ValueError(f"unknown binding mode {mode!r}")
     errors: list[ParseError] = []
     name = ""
     players: list[PlayerDef] = []

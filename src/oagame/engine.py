@@ -11,7 +11,6 @@ naive re-check lives in the test tree and the two must agree set-wise.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .model import (
@@ -24,20 +23,6 @@ from .model import (
     agent_utility,
     global_utility,
 )
-
-IMPLICATION_FILTER = "implication-filter"
-
-
-@dataclass(frozen=True)
-class Semantics:
-    binding: str = "strict"  # strict | lenient (how the rules were resolved)
-    mode: str = IMPLICATION_FILTER
-
-    def __post_init__(self):
-        if self.binding not in ("strict", "lenient"):
-            raise ValueError(f"unknown binding {self.binding!r}")
-        if self.mode != IMPLICATION_FILTER:
-            raise ValueError(f"unknown semantics mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +53,6 @@ class EnumerationReport:
     admissible_count: int
     max_global_utility: int | None
     max_global_utility_count: int
-    semantics: str
 
 
 @dataclass(frozen=True)
@@ -161,32 +145,12 @@ def _profile_completions(game: GameSpec, profile: dict[str, str]):
             yield row
 
 
-def admissible_rows(
-    game: GameSpec,
-    semantics: Semantics = Semantics(),
-    workers: int = 1,
-) -> tuple[list[ScenarioRow], EnumerationReport]:
-    """All admissible rows in canonical order, plus the count report.
-
-    ``workers`` partitions the profile space into contiguous chunks; results
-    are merged back in order, so the output is identical for any count.
-    """
+def admissible_rows(game: GameSpec) -> tuple[list[ScenarioRow],
+                                            EnumerationReport]:
+    """All admissible rows in canonical order, plus the count report."""
     profiles = list(enumerate_profiles(game))
-
-    def chunk_rows(chunk):
-        out = []
-        for profile in chunk:
-            out.extend(_profile_completions(game, profile))
-        return out
-
-    if workers <= 1 or len(profiles) < 2:
-        rows = chunk_rows(profiles)
-    else:
-        size = (len(profiles) + workers - 1) // workers
-        chunks = [profiles[i:i + size] for i in range(0, len(profiles), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = [r for part in pool.map(chunk_rows, chunks) for r in part]
-
+    rows = [row for profile in profiles
+            for row in _profile_completions(game, profile)]
     row_space = len(profiles)
     for v in game.variables:
         row_space *= len(v.values)
@@ -197,70 +161,68 @@ def admissible_rows(
     else:
         max_gu, max_count = None, 0
     report = EnumerationReport(len(profiles), row_space, len(rows),
-                               max_gu, max_count, semantics.binding)
+                               max_gu, max_count)
     return rows, report
 
 
-def top_gu_rows(
-    game: GameSpec, semantics: Semantics = Semantics(), workers: int = 1
-) -> tuple[int | None, list[ScenarioRow]]:
+def top_gu_rows(game: GameSpec) -> tuple[int | None, list[ScenarioRow]]:
     """Maximum global utility over the admissible set and the rows attaining
     it, in canonical order.  (None, []) when the admissible set is empty."""
-    rows, report = admissible_rows(game, semantics, workers)
+    rows, report = admissible_rows(game)
     if not rows:
         return None, []
     best = report.max_global_utility
     return best, [r for r in rows if global_utility(game, r) == best]
 
 
-def _select_completion(
-    game: GameSpec,
-    candidates: list[ScenarioRow],
-    policy: CompletionPolicy,
-) -> ScenarioRow | None:
-    """Apply a completion policy to candidate rows (already canonical order)."""
-    if policy.kind == "fixed":
-        fixed_a = dict(policy.fixed_actions)
-        fixed_o = dict(policy.fixed_outcomes)
-        candidates = [
-            r for r in candidates
-            if all(r.actions.get(p) == a for p, a in fixed_a.items())
-            and all(r.outcomes.get(v) == x for v, x in fixed_o.items())
-        ]
-        return candidates[0] if candidates else None
-    if not candidates:
-        return None
+def chosen_completions(
+    game: GameSpec, policy: CompletionPolicy = CompletionPolicy()
+):
+    """The completion the policy picks for each action profile.
+
+    Yields ``(profile, row, key)`` in canonical profile order: ``row`` is the
+    first admissible completion with the greatest policy key, or None when
+    no completion qualifies (then ``key`` is None too).  Under the fixed
+    policy only completions matching the fragment qualify and every key is
+    0.  Picking over several profiles at once therefore means keeping the
+    first profile's row with the strictly greatest key.
+    """
     if policy.kind == "max-global-utility":
         key = lambda r: global_utility(game, r)
     elif policy.kind == "optimistic":
         key = lambda r: agent_utility(game, policy.player, r)
-    else:  # pessimistic
+    elif policy.kind == "pessimistic":
         key = lambda r: -agent_utility(game, policy.player, r)
-    best = max(key(r) for r in candidates)
-    for r in candidates:  # first in canonical order is the tie-break winner
-        if key(r) == best:
-            return r
-    return None
+    else:  # fixed
+        key = lambda r: 0
+    fixed = policy.kind == "fixed"
+    fixed_a = dict(policy.fixed_actions) if fixed else {}
+    fixed_o = dict(policy.fixed_outcomes) if fixed else {}
+    for profile in enumerate_profiles(game):
+        best, best_key = None, None
+        if all(profile.get(p) == a for p, a in fixed_a.items()):
+            for row in _profile_completions(game, profile):
+                if any(row.outcomes.get(v) != x for v, x in fixed_o.items()):
+                    continue
+                k = key(row)
+                if best is None or k > best_key:
+                    best, best_key = row, k
+        yield profile, best, best_key
 
 
 def derive_payoff_table(
     game: GameSpec,
-    semantics: Semantics = Semantics(),
     policy: CompletionPolicy = CompletionPolicy(),
 ) -> PayoffTable:
     """One utility vector per action profile under the completion policy;
     profiles without an admissible completion are marked infeasible."""
     players = game.player_names()
-    cells: dict[tuple[str, ...], tuple[int, ...] | None] = {}
-    for profile in enumerate_profiles(game):
-        candidates = list(_profile_completions(game, profile))
-        chosen = _select_completion(game, candidates, policy)
-        key = tuple(profile[p] for p in players)
-        if chosen is None:
-            cells[key] = None
-        else:
-            cells[key] = tuple(agent_utility(game, p, chosen)
-                               for p in players)
+    cells = {
+        tuple(profile[p] for p in players):
+            None if row is None
+            else tuple(agent_utility(game, p, row) for p in players)
+        for profile, row, _ in chosen_completions(game, policy)
+    }
     return PayoffTable(players, tuple(p.actions for p in game.players), cells)
 
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import CompletionPolicy, PayoffTable, Semantics, _profile_completions
+from .engine import CompletionPolicy, PayoffTable, chosen_completions
 from .model import GameSpec, agent_utility
 
 SUPPORT_LIMIT = 8  # support enumeration is exponential past this
@@ -170,35 +170,32 @@ def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
 
 def project_bimatrix(
     game: GameSpec,
-    semantics: Semantics,
     policy: CompletionPolicy,
     row_player: str,
     col_player: str,
 ) -> Bimatrix:
     """Two-player view: complete the other players and the outcome per the
-    policy for each action pair and record the pair's utilities."""
-    from .engine import _select_completion, enumerate_profiles
-
+    policy for each action pair and record the pair's utilities.  A pair's
+    completion is the first profile's pick with the greatest policy key,
+    which is the policy applied to all of the pair's completions at once."""
     rp = game.player(row_player)
     cp = game.player(col_player)
     if rp is None or cp is None or rp.name == cp.name:
         raise ValueError("projection needs two distinct declared players")
+    picks: dict[tuple[str, str], tuple] = {}  # action pair -> (key, row)
+    for profile, row, key in chosen_completions(game, policy):
+        pair = (profile[rp.name], profile[cp.name])
+        if row is not None and (pair not in picks or key > picks[pair][0]):
+            picks[pair] = (key, row)
     rows = []
     for ra in rp.actions:
-        row = []
+        cells = []
         for ca in cp.actions:
-            candidates = []
-            for profile in enumerate_profiles(game):
-                if profile[rp.name] != ra or profile[cp.name] != ca:
-                    continue
-                candidates.extend(_profile_completions(game, profile))
-            chosen = _select_completion(game, candidates, policy)
-            if chosen is None:
-                row.append(None)
-            else:
-                row.append((Fraction(agent_utility(game, rp.name, chosen)),
-                            Fraction(agent_utility(game, cp.name, chosen))))
-        rows.append(tuple(row))
+            _, chosen = picks.get((ra, ca), (None, None))
+            cells.append(None if chosen is None else
+                         (Fraction(agent_utility(game, rp.name, chosen)),
+                          Fraction(agent_utility(game, cp.name, chosen))))
+        rows.append(tuple(cells))
     return Bimatrix(rp.name, rp.actions, cp.name, cp.actions,
                     tuple(rows), provenance="projected-from-game")
 

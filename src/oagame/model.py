@@ -8,9 +8,8 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 ACTION = "action"
 OUTCOME = "outcome"
@@ -168,13 +167,6 @@ class ScenarioRow(NamedTuple):
     outcomes: Mapping[str, str]
 
 
-# Convenient aliases for documentation purposes: an action profile maps every
-# player name to one of its actions; an outcome assignment maps every variable
-# name to one of its values.
-ActionProfile = Mapping[str, str]
-OutcomeAssignment = Mapping[str, str]
-
-
 def value_of(var: OutcomeVarDef, value_name: str) -> int:
     """Integer score of ``value_name`` (or one of its aliases) for ``var``."""
     return var.score(value_name)
@@ -201,10 +193,3 @@ def max_global_utility_bound(game: GameSpec) -> int:
     """Upper bound on global utility: sum of per-variable maximum scores."""
     return sum(max(s for _, s in v.values) for v in game.variables)
 
-
-def enumerate_assignments(game: GameSpec) -> Iterator[dict[str, str]]:
-    """All total outcome assignments, variables and values in declared order."""
-    names = game.variable_names()
-    domains = [v.value_names() for v in game.variables]
-    for combo in itertools.product(*domains):
-        yield dict(zip(names, combo))

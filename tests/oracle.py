@@ -57,6 +57,45 @@ def brute_force_admissible(game: GameSpec) -> list[ScenarioRow]:
     return rows
 
 
+def _score(game: GameSpec, row: ScenarioRow, variables) -> int:
+    return sum(v.score(row.outcomes[v.name]) for v in game.variables
+               if v.name in variables)
+
+
+def brute_force_pick(game: GameSpec, policy, rows: list[ScenarioRow]):
+    """A completion policy applied to a pool of rows in canonical order:
+    keep the rows matching a fixed fragment, then take the first row with
+    the maximum score.  None when no row qualifies."""
+    if policy.kind == "fixed":
+        rows = [r for r in rows
+                if all(r.actions.get(p) == a for p, a in policy.fixed_actions)
+                and all(r.outcomes.get(v) == x
+                        for v, x in policy.fixed_outcomes)]
+        return rows[0] if rows else None
+    if policy.kind == "max-global-utility":
+        score = lambda r: _score(game, r, game.variable_names())
+    else:
+        terms = set(game.utility_for(policy.player).terms)
+        sign = 1 if policy.kind == "optimistic" else -1
+        score = lambda r: sign * _score(game, r, terms)
+    best = None
+    for r in rows:
+        if best is None or score(r) > score(best):
+            best = r
+    return best
+
+
+def brute_force_projection(game: GameSpec, policy, row: str, col: str):
+    """{(row action, col action): chosen row or None}, the policy applied to
+    every brute-force admissible row of each action pair at once."""
+    pools = {(ra, ca): [] for ra in game.player(row).actions
+             for ca in game.player(col).actions}
+    for r in brute_force_admissible(game):
+        pools[(r.actions[row], r.actions[col])].append(r)
+    return {pair: brute_force_pick(game, policy, rows)
+            for pair, rows in pools.items()}
+
+
 def row_key(row: ScenarioRow) -> tuple:
     return (tuple(sorted(row.actions.items())),
             tuple(sorted(row.outcomes.items())))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from oagame import (
     CompletionPolicy,
     MixedStrategy,
-    Semantics,
     admissible_rows,
     agent_utility,
     derive_payoff_table,
@@ -151,7 +150,7 @@ def test_criterion_8_certificate_soundness(oa_game, table5, table6):
         certs, _ = mixed_nash_2p(bm)
         all_certs.extend(certs)
         all_certs.extend(pure_nash(bm.to_payoff_table()))
-    table = derive_payoff_table(oa_game, Semantics(), CompletionPolicy())
+    table = derive_payoff_table(oa_game, CompletionPolicy())
     all_certs.extend(pure_nash(table))
     assert all_certs
     for cert in all_certs:

@@ -35,6 +35,22 @@ def test_validate_parse_errors(tmp_path, capsys):
     assert "resolution" in err
 
 
+def test_player_without_utility_is_a_diagnostic(tmp_path, capsys):
+    game = tmp_path / "noutil.game"
+    game.write_text('game "n"\nplayer A actions: "a1", "a2"\n'
+                    'variable V owner: A values: More=1, Less=0\n'
+                    'rule if A="a1" then V="More"\n')
+    assert run(capsys, "validate", "--game", str(game))[0] == 0
+    code, out, _ = run(capsys, "enumerate", "--game", str(game))
+    assert code == 0
+    assert "admissible_rows: 3" in out
+    for argv in (("payoffs",), ("enumerate", "--dump")):
+        code, out, err = run(capsys, *argv, "--game", str(game))
+        assert code == 1
+        assert out == ""
+        assert err == "oagame: no utility definition for player 'A'\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "definitely-not-a-command")[0] == 2
     assert run(capsys, "enumerate")[0] == 2  # --game is required

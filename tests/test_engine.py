@@ -1,22 +1,29 @@
+import itertools
 import random
 
 import pytest
 
 from oagame import (
     CompletionPolicy,
-    Semantics,
     admissible_rows,
     agent_utility,
     derive_payoff_table,
     enumerate_profiles,
     global_utility,
     parse_game_spec,
+    project_bimatrix,
     rule_satisfied,
     top_gu_rows,
 )
 from oagame.model import ScenarioRow
 
-from .oracle import brute_force_admissible, random_small_game, row_key
+from .oracle import (
+    brute_force_admissible,
+    brute_force_pick,
+    brute_force_projection,
+    random_small_game,
+    row_key,
+)
 
 TOY = """
 game "toy"
@@ -153,13 +160,6 @@ def test_adding_a_rule_never_enlarges_the_set():
         assert {row_key(r) for r in full} <= {row_key(r) for r in partial}
 
 
-def test_workers_do_not_change_output(oa_game):
-    rows1, rep1 = admissible_rows(oa_game, workers=1)
-    rows4, rep4 = admissible_rows(oa_game, workers=4)
-    assert rows1 == rows4
-    assert rep1 == rep4
-
-
 def test_top_gu_bundled(oa_game):
     best, rows = top_gu_rows(oa_game)
     assert best == 8
@@ -250,7 +250,7 @@ def test_fixed_policy_fully_specified_equals_direct_evaluation(oa_game):
         "fixed",
         fixed_actions=tuple(actions.items()),
         fixed_outcomes=tuple(outcomes.items()))
-    table = derive_payoff_table(oa_game, Semantics(), policy)
+    table = derive_payoff_table(oa_game, policy)
     row = ScenarioRow(actions, outcomes)
     key = tuple(actions[p] for p in table.players)
     assert table.payoff(key) == tuple(
@@ -261,10 +261,10 @@ def test_fixed_policy_fully_specified_equals_direct_evaluation(oa_game):
 
 
 def test_optimistic_vs_pessimistic(oa_game):
-    opt = derive_payoff_table(oa_game, Semantics(),
+    opt = derive_payoff_table(oa_game,
                               CompletionPolicy("optimistic",
                                                player="Editors"))
-    pes = derive_payoff_table(oa_game, Semantics(),
+    pes = derive_payoff_table(oa_game,
                               CompletionPolicy("pessimistic",
                                                player="Editors"))
     idx = oa_game.player_names().index("Editors")
@@ -283,8 +283,50 @@ def test_enumeration_is_deterministic(oa_game):
 
 def test_bad_semantics_rejected():
     with pytest.raises(ValueError):
-        Semantics(binding="fuzzy")
-    with pytest.raises(ValueError):
-        Semantics(mode="forward-chaining")
+        parse_game_spec(TOY, mode="fuzzy")
     with pytest.raises(ValueError):
         CompletionPolicy("optimistic")
+
+
+def _random_policies(game, rng):
+    p = rng.choice(game.players)
+    v = rng.choice(game.variables)
+    fixed_actions = (((p.name, rng.choice(p.actions)),)
+                     if rng.random() < 0.5 else ())
+    return [
+        CompletionPolicy(),
+        CompletionPolicy("optimistic", player=p.name),
+        CompletionPolicy("pessimistic", player=p.name),
+        CompletionPolicy("fixed", fixed_actions=fixed_actions,
+                         fixed_outcomes=((v.name, rng.choice(("More",
+                                                              "Less"))),)),
+    ]
+
+
+def test_payoffs_and_projection_match_pooled_oracle():
+    """Per-profile picks reduced by first strictly-greatest key equal the
+    policy applied to each cell's pooled completions."""
+    rng = random.Random(31)
+    for _ in range(80):
+        game = random_small_game(rng)
+        players = game.player_names()
+        rows = brute_force_admissible(game)
+        for policy in _random_policies(game, rng):
+            table = derive_payoff_table(game, policy)
+            for profile in table.profiles():
+                pool = [r for r in rows
+                        if tuple(r.actions[p] for p in players) == profile]
+                chosen = brute_force_pick(game, policy, pool)
+                assert table.payoff(profile) == (
+                    None if chosen is None else
+                    tuple(agent_utility(game, p, chosen) for p in players))
+            for row, col in itertools.permutations(players, 2):
+                bm = project_bimatrix(game, policy, row, col)
+                expected = brute_force_projection(game, policy, row, col)
+                for i, ra in enumerate(bm.row_actions):
+                    for j, ca in enumerate(bm.col_actions):
+                        chosen = expected[(ra, ca)]
+                        assert bm.payoffs[i][j] == (
+                            None if chosen is None else
+                            (agent_utility(game, row, chosen),
+                             agent_utility(game, col, chosen)))

@@ -8,7 +8,6 @@ from oagame import (
     CompletionPolicy,
     InfeasibleSliceError,
     MixedStrategy,
-    Semantics,
     best_responses,
     dominance_analysis,
     expected_utility,
@@ -93,8 +92,8 @@ def test_pure_nash_1x1():
 
 
 def test_projection_matches_hand_evaluation(oa_game):
-    bm = project_bimatrix(oa_game, Semantics(), CompletionPolicy(),
-                          "Academics", "Editors")
+    bm = project_bimatrix(oa_game, CompletionPolicy(), "Academics",
+                          "Editors")
     assert bm.provenance == "projected-from-game"
     cell = bm.payoffs[bm.row_actions.index("Publish OA")][
         bm.col_actions.index("Grant OA")]
@@ -118,14 +117,14 @@ def test_projection_identity_on_two_player_game():
     game = result.game
     policy = CompletionPolicy("fixed",
                               fixed_outcomes=(("V", "More"), ("W", "More")))
-    bm = project_bimatrix(game, Semantics(), policy, "R", "C")
+    bm = project_bimatrix(game, policy, "R", "C")
     assert all(cell == (1, 1) for row in bm.payoffs for cell in row)
 
 
 def test_projection_requires_distinct_players(oa_game):
     with pytest.raises(ValueError):
-        project_bimatrix(oa_game, Semantics(), CompletionPolicy(),
-                         "Academics", "Academics")
+        project_bimatrix(oa_game, CompletionPolicy(), "Academics",
+                         "Academics")
 
 
 # ---------------------------------------------------------------------------
