@@ -35,11 +35,13 @@ from .dsl import (  # noqa: F401
     validate_game,
 )
 from .engine import (  # noqa: F401
+    CompiledGame,
     CompletionPolicy,
     EnumerationReport,
     PayoffTable,
     admissible_rows,
     chosen_completions,
+    compile_game,
     derive_payoff_table,
     enumerate_profiles,
     rule_satisfied,

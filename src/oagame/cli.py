@@ -35,7 +35,7 @@ from .equilibrium import (
     pure_nash,
     serialize_bimatrix,
 )
-from .model import GameError
+from .model import GameError, NameResolutionError
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1
@@ -97,20 +97,30 @@ def _policy(args, game) -> CompletionPolicy:
         fixes.append([s.strip() for s in item.split("=", 1)])
     kind = {"max-gu": "max-global-utility"}.get(args.policy, args.policy)
     if kind != "fixed":
-        return CompletionPolicy(kind, args.policy_player)
+        player = args.policy_player
+        if kind in ("optimistic", "pessimistic") and player:
+            declared = game.player(player)
+            if declared is None:
+                raise _CliError(f"unknown player {player!r}", USAGE_ERROR)
+            player = declared.name
+        return CompletionPolicy(kind, player)
     actions, outcomes = [], []
     for name, value in fixes:
         player = game.player(name)
         if player is not None:
             canon = player.action(value)
             if canon is None:
-                raise _CliError(f"unknown action {value!r} for {name!r}",
+                raise _CliError(f"unknown value {value!r} for {name!r}",
                                 USAGE_ERROR)
             actions.append((player.name, canon))
             continue
         var = game.variable(name)
         if var is not None:
-            outcomes.append((var.name, var.canonical_value(value)))
+            try:
+                outcomes.append((var.name, var.canonical_value(value)))
+            except NameResolutionError:
+                raise _CliError(f"unknown value {value!r} for {name!r}",
+                                USAGE_ERROR)
             continue
         raise _CliError(f"--fix names unknown player or variable {name!r}",
                         USAGE_ERROR)

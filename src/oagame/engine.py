@@ -2,26 +2,41 @@
 
 A scenario row is admissible when it violates no rule, where a rule is read
 as a material implication (plus an optional otherwise-branch enforced exactly
-when the condition is false).  The engine prunes per-profile by propagating
-assignments forced by action-only conditions, then filters the remaining
-product space with the rules whose conditions test outcome variables.  The
-naive re-check lives in the test tree and the two must agree set-wise.
+when the condition is false).  ``rule_satisfied`` states that reading on
+name-keyed rows; the naive re-check lives in the test tree, and the engine
+must agree with both set-wise.
+
+The engine runs on the game's compiled form (``compile_game``), built once
+per ``GameSpec`` and kept on it.  Players, actions, variables and values
+become indices, each variable has a score tuple, and each rule atom is a
+``(player or variable index, action or value index)`` pair with inert atoms
+folded in: an inert condition atom never holds, so its rule can only apply
+its otherwise-branch, and an inert assignment atom is dropped.  For each
+action profile, the rules decided by the profile alone force variable
+values up front; the rules that test outcome variables are checked once per
+assignment of the variables they mention, and the candidates are filtered
+by the admissible assignments found.  Completions stream out as tuples of
+value indices and are never kept between calls.  Enumeration, top rows,
+policy picks (and through them payoff tables and projections) and row
+records all read that one stream; names come back only where a public
+function returns rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 
 from .model import (
     ACTION,
+    OUTCOME,
     Atom,
     GameSpec,
     NameResolutionError,
     Rule,
     ScenarioRow,
-    agent_utility,
-    global_utility,
 )
 
 
@@ -103,76 +118,261 @@ def rule_satisfied(rule: Rule, row: ScenarioRow) -> bool:
     return True
 
 
-def _profile_completions(game: GameSpec, profile: dict[str, str]):
-    """Admissible outcome assignments for one profile, canonical order.
+def _selector(pairs):
+    """(getter, wanted) such that ``getter(t) == wanted`` exactly when
+    ``t[i] == j`` for every ``(i, j)`` in ``pairs``."""
+    if not pairs:
+        return (lambda t: ()), ()
+    indices, wanted = zip(*pairs)
+    return itemgetter(*indices), wanted if len(pairs) > 1 else wanted[0]
+
+
+def _index(names) -> dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
+
+
+class CompiledGame:
+    """Index form of a ``GameSpec``; get it with ``compile_game``.
+
+    A profile is a tuple of action indices and a completion a tuple of value
+    indices, one per player or variable in declaration order.  Each rule is
+    ``(action test, outcome tests, consequence, otherwise)``: the action
+    test is a ``_selector`` of the condition's action pairs, or None when
+    the condition can never hold, and the rest are index pairs.
+    Utility terms are resolved the first time a player's utility is asked
+    for, so a player without a utility definition is an error only for
+    the consumers that need one.  The checks of outcome-testing rules are
+    kept per (active rules, forced values), at most one per profile.
+    """
+
+    def __init__(self, game: GameSpec):
+        self.game = game
+        self.players = game.player_names()
+        self.actions = tuple(p.actions for p in game.players)
+        self.variables = game.variable_names()
+        self.values = tuple(v.value_names() for v in game.variables)
+        self.scores = tuple(tuple(v.score(x) for x in v.value_names())
+                            for v in game.variables)
+        self._player_index = _index(self.players)
+        self._action_index = tuple(map(_index, self.actions))
+        self._variable_index = _index(self.variables)
+        self._value_index = tuple(map(_index, self.values))
+        self.ranges = tuple(range(len(v)) for v in self.values)
+        self.rules = tuple(self._rule(r) for r in game.rules)
+        # (deferred rule indices, forced values) -> _deferred_check(...)
+        self._deferred_checks: dict[tuple, tuple] = {}
+        self._terms: dict[str, tuple[int, ...]] = {}
+        self._weights: dict[str, tuple[tuple[int, ...], ...]] = {}
+
+    def _pair(self, kind: str, subject: str,
+              value: str) -> tuple[int, int] | None:
+        """(subject index, value index) of an action or outcome test, or
+        None when its names are not declared exactly (then it never holds)."""
+        if kind == ACTION:
+            i = self._player_index.get(subject)
+            index = self._action_index
+        else:
+            i = self._variable_index.get(subject)
+            index = self._value_index
+        j = None if i is None else index[i].get(value)
+        return None if j is None else (i, j)
+
+    def _assignments(self, rule: Rule, atoms: tuple[Atom, ...]):
+        pairs = []
+        for atom in atoms:
+            if atom.inert:
+                continue
+            pair = (None if atom.kind == ACTION
+                    else self._pair(OUTCOME, atom.subject, atom.value))
+            if pair is None:
+                raise NameResolutionError(
+                    f"assignment of rule {rule.source!r}",
+                    f"{atom.subject}={atom.value}")
+            pairs.append(pair)
+        return tuple(pairs)
+
+    def _rule(self, rule: Rule):
+        acts, tests = [], []
+        for atom in rule.condition:
+            pair = (None if atom.inert
+                    else self._pair(atom.kind, atom.subject, atom.value))
+            if pair is None:
+                acts = None
+                break
+            (acts if atom.kind == ACTION else tests).append(pair)
+        return (None if acts is None else _selector(acts), tuple(tests),
+                self._assignments(rule, rule.consequence),
+                self._assignments(rule, rule.otherwise))
+
+    def profiles(self):
+        """Every profile, in canonical order."""
+        return itertools.product(*(range(len(a)) for a in self.actions))
+
+    def action_names(self, profile) -> tuple[str, ...]:
+        return tuple(map(getitem, self.actions, profile))
+
+    def value_names(self, completion) -> tuple[str, ...]:
+        return tuple(map(getitem, self.values, completion))
+
+    def row(self, profile, completion) -> ScenarioRow:
+        return ScenarioRow(
+            dict(zip(self.players, self.action_names(profile))),
+            dict(zip(self.variables, self.value_names(completion))))
+
+    def global_utility(self, completion) -> int:
+        return sum(map(getitem, self.scores, completion))
+
+    def utility_terms(self, player: str) -> tuple[int, ...]:
+        """Variable indices of ``player``'s utility terms (``player`` may be
+        an alias), resolved on first use."""
+        terms = self._terms.get(player)
+        if terms is None:
+            resolved = []
+            for term in self.game.utility_for(player).terms:
+                var = self.game.variable(term)
+                if var is None:
+                    raise NameResolutionError(f"utility of {player!r}", term)
+                resolved.append(self._variable_index[var.name])
+            terms = self._terms[player] = tuple(resolved)
+        return terms
+
+    def utility(self, player: str, completion) -> int:
+        weights = self._weights.get(player)
+        if weights is None:
+            counts = [0] * len(self.variables)
+            for v in self.utility_terms(player):
+                counts[v] += 1
+            weights = self._weights[player] = tuple(
+                tuple(k * s for s in scores)
+                for k, scores in zip(counts, self.scores))
+        return sum(map(getitem, weights, completion))
+
+
+def compile_game(game: GameSpec) -> CompiledGame:
+    """The game's compiled form, built on first use and kept on the
+    (frozen) instance, like ``OutcomeVarDef``'s lookup tables."""
+    compiled = game.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = CompiledGame(game)
+        object.__setattr__(game, "_compiled", compiled)
+    return compiled
+
+
+def _holds(pairs, values) -> bool:
+    return all(values[i] == j for i, j in pairs)
+
+
+def _profile_completions(cg: CompiledGame, profile):
+    """Admissible completions of one profile, canonical order.
 
     Rules whose conditions are decided by the profile alone force variable
-    values up front; rules that test outcome variables are re-checked on each
-    candidate row.
+    values up front; rules that test outcome variables are checked on every
+    assignment of the variables they mention, and each candidate is kept
+    when its assignment of those variables passed.
     """
-    forced: dict[str, str] = {}
-    deferred: list[Rule] = []
-    for rule in game.rules:
-        if any(a.inert for a in rule.condition):
-            cond = False
-        else:
-            action_atoms = [a for a in rule.condition if a.kind == ACTION]
-            if not all(profile[a.subject] == a.value for a in action_atoms):
-                cond = False
-            elif any(a.kind != ACTION for a in rule.condition):
-                deferred.append(rule)
-                continue
-            else:
-                cond = True
-        if cond:
-            assigns = rule.consequence
-        elif rule.otherwise:
-            assigns = rule.otherwise
-        else:
+    forced = [None] * len(cg.values)
+    deferred = []
+    for r, (acts, tests, then, otherwise) in enumerate(cg.rules):
+        if acts is None or acts[0](profile) != acts[1]:
+            assigns = otherwise
+        elif tests:
+            deferred.append(r)
             continue
-        for a in assigns:
-            if a.inert:
-                continue
-            if forced.get(a.subject, a.value) != a.value:
+        else:
+            assigns = then
+        for v, x in assigns:
+            if forced[v] is None:
+                forced[v] = x
+            elif forced[v] != x:
                 return  # conflicting forced values: no admissible completion
-            forced[a.subject] = a.value
-    names = game.variable_names()
-    domains = [(forced[v.name],) if v.name in forced else v.value_names()
-               for v in game.variables]
-    for combo in itertools.product(*domains):
-        row = ScenarioRow(profile, dict(zip(names, combo)))
-        if all(rule_satisfied(r, row) for r in deferred):
-            yield row
+    domains = [r if f is None else (f,) for f, r in zip(forced, cg.ranges)]
+    if not deferred:
+        yield from itertools.product(*domains)
+        return
+    key = (tuple(deferred), tuple(forced))
+    check = cg._deferred_checks.get(key)
+    if check is None:
+        check = cg._deferred_checks[key] = _deferred_check(
+            [cg.rules[r][1:] for r in deferred], domains)
+    select, passing = check
+    yield from itertools.compress(
+        itertools.product(*domains),
+        map(passing.__contains__, map(select, itertools.product(*domains))))
+
+
+def _deferred_check(deferred, domains):
+    """(selector, passing set): the variables the deferred rules mention and
+    their assignments, over ``domains``, that satisfy every one of them."""
+    coupled = sorted({v for rule in deferred for pairs in rule
+                      for v, _ in pairs})
+    passing = set()
+    for sub in itertools.product(*(domains[v] for v in coupled)):
+        values = dict(zip(coupled, sub))
+        if all(_holds(then if _holds(tests, values) else otherwise, values)
+               for tests, then, otherwise in deferred):
+            passing.add(sub if len(coupled) > 1 else sub[0])
+    return itemgetter(*coupled), passing
 
 
 def admissible_rows(game: GameSpec) -> tuple[list[ScenarioRow],
                                             EnumerationReport]:
-    """All admissible rows in canonical order, plus the count report."""
-    profiles = list(enumerate_profiles(game))
-    rows = [row for profile in profiles
-            for row in _profile_completions(game, profile)]
-    row_space = len(profiles)
-    for v in game.variables:
-        row_space *= len(v.values)
-    if rows:
-        gus = [global_utility(game, r) for r in rows]
-        max_gu = max(gus)
-        max_count = sum(1 for g in gus if g == max_gu)
-    else:
-        max_gu, max_count = None, 0
-    report = EnumerationReport(len(profiles), row_space, len(rows),
-                               max_gu, max_count)
+    """All admissible rows in canonical order, plus the count report.
+
+    Rows with the same profile share one actions mapping and rows with the
+    same outcomes one outcomes mapping; treat them as read-only."""
+    cg = compile_game(game)
+    rows = []
+    named: dict[tuple, tuple[dict, int]] = {}  # completion -> outcomes, GU
+    best, best_count = None, 0
+    for profile in cg.profiles():
+        actions = None
+        for completion in _profile_completions(cg, profile):
+            hit = named.get(completion)
+            if hit is None:
+                hit = named[completion] = (
+                    dict(zip(cg.variables, cg.value_names(completion))),
+                    cg.global_utility(completion))
+            if actions is None:
+                actions = dict(zip(cg.players, cg.action_names(profile)))
+            rows.append(ScenarioRow(actions, hit[0]))
+            if best is None or hit[1] > best:
+                best, best_count = hit[1], 1
+            elif hit[1] == best:
+                best_count += 1
+    profile_count = math.prod(map(len, cg.actions))
+    report = EnumerationReport(profile_count,
+                               profile_count * math.prod(map(len, cg.values)),
+                               len(rows), best, best_count)
     return rows, report
 
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[ScenarioRow]]:
     """Maximum global utility over the admissible set and the rows attaining
     it, in canonical order.  (None, []) when the admissible set is empty."""
-    rows, report = admissible_rows(game)
-    if not rows:
-        return None, []
-    best = report.max_global_utility
-    return best, [r for r in rows if global_utility(game, r) == best]
+    cg = compile_game(game)
+    best, winners = None, []
+    for profile in cg.profiles():
+        for completion in _profile_completions(cg, profile):
+            gu = cg.global_utility(completion)
+            if best is None or gu > best:
+                best, winners = gu, [(profile, completion)]
+            elif gu == best:
+                winners.append((profile, completion))
+    return best, [cg.row(p, c) for p, c in winners]
+
+
+def _fixed_fragment(cg: CompiledGame, policy: CompletionPolicy):
+    """The fixed policy's (action pairs, value pairs), or None when it names
+    a player, variable, action or value not declared exactly, so that no
+    completion matches it."""
+    fragment = []
+    for kind, pairs in ((ACTION, policy.fixed_actions),
+                        (OUTCOME, policy.fixed_outcomes)):
+        resolved = [cg._pair(kind, s, x) for s, x in dict(pairs).items()]
+        if None in resolved:
+            return None
+        fragment.append(resolved)
+    return fragment
 
 
 def chosen_completions(
@@ -180,34 +380,41 @@ def chosen_completions(
 ):
     """The completion the policy picks for each action profile.
 
-    Yields ``(profile, row, key)`` in canonical profile order: ``row`` is the
-    first admissible completion with the greatest policy key, or None when
-    no completion qualifies (then ``key`` is None too).  Under the fixed
+    Yields ``(profile, completion, key)`` in canonical profile order, as
+    index tuples of ``compile_game(game)``: ``completion`` is the first
+    admissible completion with the greatest policy key, or None when no
+    completion qualifies (then ``key`` is None too).  Under the fixed
     policy only completions matching the fragment qualify and every key is
     0.  Picking over several profiles at once therefore means keeping the
-    first profile's row with the strictly greatest key.
+    first profile's completion with the strictly greatest key.
     """
-    if policy.kind == "max-global-utility":
-        key = lambda r: global_utility(game, r)
-    elif policy.kind == "optimistic":
-        key = lambda r: agent_utility(game, policy.player, r)
-    elif policy.kind == "pessimistic":
-        key = lambda r: -agent_utility(game, policy.player, r)
-    else:  # fixed
-        key = lambda r: 0
-    fixed = policy.kind == "fixed"
-    fixed_a = dict(policy.fixed_actions) if fixed else {}
-    fixed_o = dict(policy.fixed_outcomes) if fixed else {}
-    for profile in enumerate_profiles(game):
-        best, best_key = None, None
-        if all(profile.get(p) == a for p, a in fixed_a.items()):
-            for row in _profile_completions(game, profile):
-                if any(row.outcomes.get(v) != x for v, x in fixed_o.items()):
-                    continue
-                k = key(row)
-                if best is None or k > best_key:
-                    best, best_key = row, k
-        yield profile, best, best_key
+    cg = compile_game(game)
+    if policy.kind == "fixed":
+        fragment = _fixed_fragment(cg, policy)
+
+        def pick(profile):
+            if fragment is None or not _holds(fragment[0], profile):
+                return None
+            return next((c for c in _profile_completions(cg, profile)
+                         if _holds(fragment[1], c)), None)
+
+        key = lambda c: 0
+    else:
+        if policy.kind == "max-global-utility":
+            key = cg.global_utility
+        elif policy.kind == "optimistic":
+            key = lambda c: cg.utility(policy.player, c)
+        else:  # pessimistic
+            key = lambda c: -cg.utility(policy.player, c)
+
+        def pick(profile):
+            # max keeps the first of equal maxima.
+            return max(_profile_completions(cg, profile), key=key,
+                       default=None)
+
+    for profile in cg.profiles():
+        best = pick(profile)
+        yield profile, best, None if best is None else key(best)
 
 
 def derive_payoff_table(
@@ -216,40 +423,33 @@ def derive_payoff_table(
 ) -> PayoffTable:
     """One utility vector per action profile under the completion policy;
     profiles without an admissible completion are marked infeasible."""
-    players = game.player_names()
+    cg = compile_game(game)
     cells = {
-        tuple(profile[p] for p in players):
-            None if row is None
-            else tuple(agent_utility(game, p, row) for p in players)
-        for profile, row, _ in chosen_completions(game, policy)
+        cg.action_names(profile):
+            None if completion is None
+            else tuple(cg.utility(p, completion) for p in cg.players)
+        for profile, completion, _ in chosen_completions(game, policy)
     }
-    return PayoffTable(players, tuple(p.actions for p in game.players), cells)
+    return PayoffTable(cg.players, cg.actions, cells)
 
 
 def rows_as_records(game: GameSpec, rows: list[ScenarioRow]) -> list[dict]:
     """Row dump records: players, variables, GU, per-agent utilities."""
-    players = game.player_names()
-    variables = game.variables
-    # Resolve utility terms to variable objects once, not per row.
-    terms = {}
-    for p in players:
-        resolved = []
-        for t in game.utility_for(p).terms:
-            var = game.variable(t)
-            if var is None:
-                raise NameResolutionError(f"utility of {p!r}", t)
-            resolved.append(var)
-        terms[p] = tuple(resolved)
+    cg = compile_game(game)
+    players, names = cg.players, cg.variables
+    # Every player's utility is resolved, even for an empty dump.
+    terms = [cg.utility_terms(p) for p in players]
+    keys = (*players, *names, "GU", *(f"U_{p}" for p in players))
+    sums: dict[tuple[str, ...], tuple[int, ...]] = {}  # outcomes -> GU, U_p
     out = []
     for row in rows:
-        rec: dict = {}
-        for p in players:
-            rec[p] = row.actions[p]
-        for v in variables:
-            rec[v.name] = row.outcomes[v.name]
-        rec["GU"] = sum(v.score(row.outcomes[v.name]) for v in variables)
-        for p in players:
-            rec[f"U_{p}"] = sum(v.score(row.outcomes[v.name])
-                                for v in terms[p])
-        out.append(rec)
+        values = tuple(map(row.outcomes.__getitem__, names))
+        tail = sums.get(values)
+        if tail is None:
+            scores = [v.score(x) for v, x in zip(game.variables, values)]
+            tail = sums[values] = (
+                sum(scores),
+                *(sum(scores[i] for i in t) for t in terms))
+        out.append(dict(zip(
+            keys, (*map(row.actions.__getitem__, players), *values, *tail))))
     return out

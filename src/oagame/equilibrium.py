@@ -12,8 +12,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import CompletionPolicy, PayoffTable, chosen_completions
-from .model import GameSpec, agent_utility
+from .engine import (
+    CompletionPolicy,
+    PayoffTable,
+    chosen_completions,
+    compile_game,
+)
+from .model import GameSpec
 
 SUPPORT_LIMIT = 8  # support enumeration is exponential past this
 
@@ -182,19 +187,22 @@ def project_bimatrix(
     cp = game.player(col_player)
     if rp is None or cp is None or rp.name == cp.name:
         raise ValueError("projection needs two distinct declared players")
-    picks: dict[tuple[str, str], tuple] = {}  # action pair -> (key, row)
-    for profile, row, key in chosen_completions(game, policy):
-        pair = (profile[rp.name], profile[cp.name])
-        if row is not None and (pair not in picks or key > picks[pair][0]):
-            picks[pair] = (key, row)
+    cg = compile_game(game)
+    ri, ci = cg.players.index(rp.name), cg.players.index(cp.name)
+    picks: dict[tuple[int, int], tuple] = {}  # action pair -> (key, pick)
+    for profile, completion, key in chosen_completions(game, policy):
+        pair = (profile[ri], profile[ci])
+        if completion is not None and (pair not in picks
+                                       or key > picks[pair][0]):
+            picks[pair] = (key, completion)
     rows = []
-    for ra in rp.actions:
+    for i in range(len(rp.actions)):
         cells = []
-        for ca in cp.actions:
-            _, chosen = picks.get((ra, ca), (None, None))
+        for j in range(len(cp.actions)):
+            _, chosen = picks.get((i, j), (None, None))
             cells.append(None if chosen is None else
-                         (Fraction(agent_utility(game, rp.name, chosen)),
-                          Fraction(agent_utility(game, cp.name, chosen))))
+                         (Fraction(cg.utility(rp.name, chosen)),
+                          Fraction(cg.utility(cp.name, chosen))))
         rows.append(tuple(cells))
     return Bimatrix(rp.name, rp.actions, cp.name, cp.actions,
                     tuple(rows), provenance="projected-from-game")

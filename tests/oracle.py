@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from oagame.model import ACTION, Atom, GameSpec, OutcomeVarDef, PlayerDef, Rule, ScenarioRow, UtilityDef
+from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
+                          PlayerDef, Rule, ScenarioRow, UtilityDef)
 
 
 def _atom_true(atom, actions, outcomes):
@@ -75,7 +76,8 @@ def brute_force_pick(game: GameSpec, policy, rows: list[ScenarioRow]):
     if policy.kind == "max-global-utility":
         score = lambda r: _score(game, r, game.variable_names())
     else:
-        terms = set(game.utility_for(policy.player).terms)
+        terms = {game.variable(t).name
+                 for t in game.utility_for(policy.player).terms}
         sign = 1 if policy.kind == "optimistic" else -1
         score = lambda r: sign * _score(game, r, terms)
     best = None
@@ -136,3 +138,50 @@ def random_small_game(rng: random.Random) -> GameSpec:
                                        if v.owner == p.name))
                       for p in players)
     return GameSpec("random", players, variables, tuple(rules), utilities)
+
+
+def random_rich_game(rng: random.Random) -> GameSpec:
+    """A random game with what ``random_small_game`` never draws: player
+    and variable aliases, two- and three-valued variables with negative
+    scores and a value alias, utilities naming variables by alias, and
+    lenient-mode inert atoms in conditions, consequences and
+    otherwise-branches."""
+    players = tuple(
+        PlayerDef(f"P{i}", tuple(f"a{i}{j}"
+                                 for j in range(rng.randint(1, 3))),
+                  (f"Alias{i}",) if rng.random() < 0.7 else ())
+        for i in range(rng.randint(1, 3)))
+    variables = []
+    for i in range(rng.randint(1, 3)):
+        names = ("Hi", "Mid", "Lo")[:rng.randint(2, 3)]
+        variables.append(OutcomeVarDef(
+            f"V{i}", rng.choice(players).name,
+            tuple((n, rng.randint(-3, 3)) for n in names),
+            (f"Var {i}",), (("Top", names[0]),)))
+
+    def random_atom(with_actions):
+        roll = rng.random()
+        if roll < 0.2:  # what lenient mode keeps of an unresolved atom
+            if with_actions and roll < 0.07:
+                return Atom(ACTION, rng.choice(players).name, "bogus", True)
+            subject = rng.choice([v.name for v in variables] + ["Nowhere"])
+            return Atom(OUTCOME, subject, "Bogus", True)
+        if with_actions and roll < 0.6:
+            p = rng.choice(players)
+            return Atom(ACTION, p.name, rng.choice(p.actions))
+        v = rng.choice(variables)
+        return Atom(OUTCOME, v.name, rng.choice(v.value_names()))
+
+    def atoms(with_actions):
+        return tuple(random_atom(with_actions)
+                     for _ in range(rng.randint(1, 2)))
+
+    rules = tuple(
+        Rule(atoms(True), atoms(False),
+             atoms(False) if rng.random() < 0.4 else ())
+        for _ in range(rng.randint(0, 5)))
+    utilities = tuple(
+        UtilityDef(p.name, tuple(rng.choice((v.name, v.aliases[0]))
+                                 for v in variables if v.owner == p.name))
+        for p in players)
+    return GameSpec("rich", players, tuple(variables), rules, utilities)

@@ -51,6 +51,37 @@ def test_player_without_utility_is_a_diagnostic(tmp_path, capsys):
         assert err == "oagame: no utility definition for player 'A'\n"
 
 
+def test_policy_player_unknown_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "payoffs", "--game", "oa.game", "--policy",
+                         "optimistic", "--policy-player", "Nobody")
+    assert code == 2
+    assert out == ""
+    assert err == "oagame: unknown player 'Nobody'\n"
+
+
+def test_policy_player_alias_resolves_to_declared_name(tmp_path, capsys):
+    outputs = {run(capsys, "payoffs", "--game", "oa.game", "--policy",
+                   "pessimistic", "--policy-player", name)
+               for name in ("Editors", "Editor", "editor")}
+    assert len(outputs) == 1 and outputs.pop()[0] == 0
+    game = tmp_path / "alias.game"
+    game.write_text('game "a"\nplayer A alias Aye actions: "a1", "a2"\n'
+                    'variable V owner: A values: More=1, Less=0\n')
+    code, out, err = run(capsys, "payoffs", "--game", str(game), "--policy",
+                         "optimistic", "--policy-player", "aye")
+    assert code == 1
+    assert err == "oagame: no utility definition for player 'A'\n"
+
+
+def test_fix_with_unknown_value_is_a_usage_error(capsys):
+    for name in ("Income", "Editors"):
+        code, out, err = run(capsys, "payoffs", "--game", "oa.game",
+                             "--policy", "fixed", "--fix", f"{name}=Bogus")
+        assert code == 2
+        assert out == ""
+        assert err == f"oagame: unknown value 'Bogus' for '{name}'\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "definitely-not-a-command")[0] == 2
     assert run(capsys, "enumerate")[0] == 2  # --game is required

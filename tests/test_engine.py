@@ -5,8 +5,10 @@ import pytest
 
 from oagame import (
     CompletionPolicy,
+    MissingUtilityError,
     admissible_rows,
     agent_utility,
+    compile_game,
     derive_payoff_table,
     enumerate_profiles,
     global_utility,
@@ -14,6 +16,7 @@ from oagame import (
     project_bimatrix,
     rule_satisfied,
     top_gu_rows,
+    validate_game,
 )
 from oagame.model import ScenarioRow
 
@@ -21,6 +24,7 @@ from .oracle import (
     brute_force_admissible,
     brute_force_pick,
     brute_force_projection,
+    random_rich_game,
     random_small_game,
     row_key,
 )
@@ -330,3 +334,95 @@ def test_payoffs_and_projection_match_pooled_oracle():
                             None if chosen is None else
                             (agent_utility(game, row, chosen),
                              agent_utility(game, col, chosen)))
+
+
+def test_compiled_form_is_built_once_and_only_on_use():
+    game = _parse(TOY)
+    assert validate_game(game).ok
+    assert "_compiled" not in vars(game)  # parse and validate compile nothing
+    admissible_rows(game)
+    compiled = compile_game(game)
+    derive_payoff_table(game)
+    assert compile_game(game) is compiled
+
+
+def test_player_without_utility_enumerates_but_has_no_payoffs():
+    game = _parse('game "n"\nplayer A actions: "a1", "a2"\n'
+                  'variable V owner: A values: More=1, Less=0\n'
+                  'rule if A="a1" then V="More"\n')
+    rows, report = admissible_rows(game)
+    assert report.admissible_count == len(rows) == 3
+    assert top_gu_rows(game)[0] == 1
+    with pytest.raises(MissingUtilityError):
+        derive_payoff_table(game)
+
+
+def _rich_policies(game, rng):
+    """All four policies; the optimistic player is named by an alias when it
+    has one, and the fixed fragments include ones that match nothing."""
+    p = rng.choice(game.players)
+    v = rng.choice(game.variables)
+    fragments = [
+        ((p.name, rng.choice(p.actions)),), ((v.name, v.value_names()[-1]),),
+        ((p.name, p.actions[0]),), ((v.name, "Top"),),  # value alias
+        ((p.name, p.actions[0]),), (("Nobody", "x"),),  # absent name
+    ]
+    k = rng.randrange(0, len(fragments), 2)
+    return [
+        CompletionPolicy(),
+        CompletionPolicy("optimistic", player=(p.aliases or (p.name,))[0]),
+        CompletionPolicy("pessimistic", player=rng.choice(game.players).name),
+        CompletionPolicy("fixed", fixed_actions=fragments[k],
+                         fixed_outcomes=fragments[k + 1]),
+    ]
+
+
+def test_compiled_path_matches_oracle_on_rich_games():
+    """Aliases, three-valued variables with negative scores and inert atoms
+    in every rule part: rows, top rows, payoff tables and projections equal
+    the brute-force oracle, in canonical order."""
+    rng = random.Random(2024)
+    unmatched = 0
+    for _ in range(150):
+        game = random_rich_game(rng)
+        players = game.player_names()
+        oracle_rows = brute_force_admissible(game)
+        rows, report = admissible_rows(game)
+        assert [row_key(r) for r in rows] == \
+            [row_key(r) for r in oracle_rows], game
+        gus = [global_utility(game, r) for r in oracle_rows]
+        best = max(gus, default=None)
+        assert (report.max_global_utility, report.max_global_utility_count) \
+            == (best, gus.count(best))
+        top, top_rows = top_gu_rows(game)
+        assert top == best
+        assert [row_key(r) for r in top_rows] == [
+            row_key(r) for r, g in zip(oracle_rows, gus) if g == best]
+        for policy in _rich_policies(game, rng):
+            table = derive_payoff_table(game, policy)
+            for profile in table.profiles():
+                pool = [r for r in oracle_rows
+                        if tuple(r.actions[p] for p in players) == profile]
+                chosen = brute_force_pick(game, policy, pool)
+                assert table.payoff(profile) == (
+                    None if chosen is None else
+                    tuple(agent_utility(game, p, chosen) for p in players))
+            if policy.kind == "fixed" and (
+                    ("Nobody", "x") in policy.fixed_outcomes
+                    or any(x == "Top" for _, x in policy.fixed_outcomes)):
+                assert all(c is None for c in table.cells.values())
+                unmatched += 1
+            for row, col in itertools.permutations(game.players, 2):
+                bm = project_bimatrix(game, policy,
+                                      (row.aliases or (row.name,))[0],
+                                      col.name)
+                expected = brute_force_projection(game, policy, row.name,
+                                                  col.name)
+                for i, ra in enumerate(bm.row_actions):
+                    for j, ca in enumerate(bm.col_actions):
+                        chosen = expected[(ra, ca)]
+                        assert bm.payoffs[i][j] == (
+                            None if chosen is None else
+                            (agent_utility(game, row.name, chosen),
+                             agent_utility(game, col.name, chosen)))
+    assert unmatched > 20
