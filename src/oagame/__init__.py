@@ -17,9 +17,6 @@ from .model import (  # noqa: F401
     Rule,
     ScenarioRow,
     UtilityDef,
-    agent_utility,
-    global_utility,
-    value_of,
 )
 from .dsl import (  # noqa: F401
     Diagnostic,
@@ -43,8 +40,6 @@ from .engine import (  # noqa: F401
     chosen_completions,
     compile_game,
     derive_payoff_table,
-    enumerate_profiles,
-    rule_satisfied,
     top_gu_rows,
 )
 from .equilibrium import (  # noqa: F401

@@ -72,12 +72,6 @@ def _read_input(path: str) -> tuple[str, str]:
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_game(path: str, mode: str):
-    text, digest = _read_input(path)
-    result = parse_game_spec(text, mode=mode)
-    return result, digest
-
-
 def _load_bimatrix(path: str) -> tuple[Bimatrix, str]:
     text, digest = _read_input(path)
     try:
@@ -104,31 +98,36 @@ def _policy(args, game) -> CompletionPolicy:
                 raise _CliError(f"unknown player {player!r}", USAGE_ERROR)
             player = declared.name
         return CompletionPolicy(kind, player)
-    actions, outcomes = [], []
+    actions, outcomes = {}, {}  # canonical name -> canonical value
     for name, value in fixes:
         player = game.player(name)
         if player is not None:
-            canon = player.action(value)
-            if canon is None:
-                raise _CliError(f"unknown value {value!r} for {name!r}",
-                                USAGE_ERROR)
-            actions.append((player.name, canon))
-            continue
-        var = game.variable(name)
-        if var is not None:
+            fixed, subject, canon = actions, player.name, player.action(value)
+        elif (var := game.variable(name)) is not None:
+            fixed, subject = outcomes, var.name
             try:
-                outcomes.append((var.name, var.canonical_value(value)))
+                canon = var.canonical_value(value)
             except NameResolutionError:
-                raise _CliError(f"unknown value {value!r} for {name!r}",
-                                USAGE_ERROR)
-            continue
-        raise _CliError(f"--fix names unknown player or variable {name!r}",
-                        USAGE_ERROR)
-    return CompletionPolicy("fixed", None, tuple(actions), tuple(outcomes))
+                canon = None
+        else:
+            raise _CliError(f"--fix names unknown player or variable "
+                            f"{name!r}", USAGE_ERROR)
+        if canon is None:
+            raise _CliError(f"unknown value {value!r} for {name!r}",
+                            USAGE_ERROR)
+        if fixed.setdefault(subject, canon) != canon:
+            raise _CliError(f"--fix gives {subject!r} two values: "
+                            f"{fixed[subject]!r} and {canon!r}", USAGE_ERROR)
+    return CompletionPolicy("fixed", None, tuple(actions.items()),
+                            tuple(outcomes.items()))
 
 
 def _emit(args, report: dict) -> None:
-    text = rp.emit_report(report, args.format)
+    _write(args, rp.emit_report(report, args.format))
+
+
+def _write(args, text: str) -> None:
+    """Write ``text`` to --output, or to stdout when none is given."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -175,7 +174,8 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
 
 
 def _game_or_fail(args) -> tuple:
-    result, digest = _load_game(args.game, args.mode)
+    text, digest = _read_input(args.game)
+    result = parse_game_spec(text, mode=args.mode)
     if result.game is None:
         for err in result.errors:
             print(str(err), file=sys.stderr)
@@ -249,7 +249,7 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _payoff_records(game, table) -> list[dict]:
+def _payoff_records(table) -> list[dict]:
     records = []
     for profile in table.profiles():
         rec = dict(zip(table.players, profile))
@@ -273,7 +273,7 @@ def _cmd_payoffs(args) -> int:
     table = derive_payoff_table(game, policy)
     out = rp.base_report({args.game: digest})
     out["policy"] = policy.kind
-    out["cells"] = _payoff_records(game, table)
+    out["cells"] = _payoff_records(table)
     _emit(args, out)
     return 0
 
@@ -284,12 +284,7 @@ def _cmd_project(args) -> int:
     bm = project_bimatrix(game, _policy(args, game), args.row_player,
                           args.col_player)
     if args.format == "bmx":
-        text = serialize_bimatrix(bm)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, serialize_bimatrix(bm))
         return 0
     out = rp.base_report({args.game: digest})
     out["provenance"] = bm.provenance
@@ -347,7 +342,7 @@ def _cmd_mixed(args) -> int:
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
     if args.dominance:
-        result = dominance_analysis(bm, notion=args.dominance, iterate=True)
+        result = dominance_analysis(bm, notion=args.dominance)
         out["dominance_trace"] = [
             {"player": e.player, "eliminated": e.action,
              "dominator": e.dominator, "notion": e.notion}

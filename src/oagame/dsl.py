@@ -584,6 +584,27 @@ def validate_game(game: GameSpec) -> ValidatedGame:
                                        f"variable {vname!r} appears in "
                                        f"{count} utility definitions"))
 
+    # Rule atoms must name declared players, variables, actions and values
+    # exactly, as the engine looks them up; inert atoms are exempt.
+    actions = {p.name: p.actions for p in game.players}
+    values = {v.name: v.value_names() for v in game.variables}
+    for rule in game.rules:
+        for part, atoms in (("condition", rule.condition),
+                            ("consequence", rule.consequence),
+                            ("otherwise-branch", rule.otherwise)):
+            for atom in atoms:
+                if atom.inert:
+                    continue
+                if atom.kind == ACTION and part != "condition":
+                    errors.append(Diagnostic(
+                        "error", f"{part} of rule {rule.source!r} sets "
+                                 f"player {atom.subject!r}"))
+                elif atom.value not in (actions if atom.kind == ACTION
+                                        else values).get(atom.subject, ()):
+                    errors.append(Diagnostic(
+                        "error", f"{part} of rule {rule.source!r} names "
+                                 f"undeclared {atom.subject}={atom.value}"))
+
     for i, a in enumerate(game.rules):
         for b in game.rules[i + 1:]:
             if a.same_logic(b):

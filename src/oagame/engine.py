@@ -1,17 +1,19 @@
 """Scenario enumeration, rule semantics, completion policies, payoff tables.
 
-A scenario row is admissible when it violates no rule, where a rule is read
-as a material implication (plus an optional otherwise-branch enforced exactly
-when the condition is false).  ``rule_satisfied`` states that reading on
-name-keyed rows; the naive re-check lives in the test tree, and the engine
-must agree with both set-wise.
+A scenario row is admissible when it violates no rule.  A rule is a material
+implication: when every condition atom holds, every consequence atom must
+hold; when the condition fails and the rule has an otherwise-branch, every
+otherwise atom must hold.  An inert (unresolved, lenient-mode) atom never
+holds in a condition and is always satisfied as an assignment.  The naive
+re-check of that reading lives in ``tests/oracle.py``, and the engine must
+agree with it.
 
 The engine runs on the game's compiled form (``compile_game``), built once
 per ``GameSpec`` and kept on it.  Players, actions, variables and values
 become indices, each variable has a score tuple, and each rule atom is a
 ``(player or variable index, action or value index)`` pair with inert atoms
-folded in: an inert condition atom never holds, so its rule can only apply
-its otherwise-branch, and an inert assignment atom is dropped.  For each
+folded in, so a rule with an inert condition atom keeps only its
+otherwise-branch and inert assignment atoms are gone.  For each
 action profile, the rules decided by the profile alone force variable
 values up front; the rules that test outcome variables are checked once per
 assignment of the variables they mention, and the candidates are filtered
@@ -83,39 +85,6 @@ class PayoffTable:
 
     def payoff(self, profile: tuple[str, ...]) -> tuple[int, ...] | None:
         return self.cells[profile]
-
-
-def enumerate_profiles(game: GameSpec):
-    """All action profiles in lexicographic declaration order."""
-    names = game.player_names()
-    for combo in itertools.product(*(p.actions for p in game.players)):
-        yield dict(zip(names, combo))
-
-
-def _atom_holds(atom: Atom, row: ScenarioRow) -> bool:
-    if atom.kind == ACTION:
-        return row.actions.get(atom.subject) == atom.value
-    return row.outcomes.get(atom.subject) == atom.value
-
-
-def _condition_holds(atoms: tuple[Atom, ...], row: ScenarioRow) -> bool:
-    # An inert condition atom is never satisfiable.
-    return all(not a.inert and _atom_holds(a, row) for a in atoms)
-
-
-def _assignments_hold(atoms: tuple[Atom, ...], row: ScenarioRow) -> bool:
-    # An inert assignment atom counts as satisfied.
-    return all(a.inert or _atom_holds(a, row) for a in atoms)
-
-
-def rule_satisfied(rule: Rule, row: ScenarioRow) -> bool:
-    """Implication check: condition true => consequence holds; condition
-    false and an otherwise-branch present => the otherwise atoms hold."""
-    if _condition_holds(rule.condition, row):
-        return _assignments_hold(rule.consequence, row)
-    if rule.otherwise:
-        return _assignments_hold(rule.otherwise, row)
-    return True
 
 
 def _selector(pairs):
@@ -362,13 +331,14 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[ScenarioRow]]:
 
 
 def _fixed_fragment(cg: CompiledGame, policy: CompletionPolicy):
-    """The fixed policy's (action pairs, value pairs), or None when it names
-    a player, variable, action or value not declared exactly, so that no
-    completion matches it."""
+    """The fixed policy's (action pairs, value pairs), every pair kept, or
+    None when it names a player, variable, action or value not declared
+    exactly, so that no completion matches it.  A fragment giving one
+    subject two values matches nothing either."""
     fragment = []
     for kind, pairs in ((ACTION, policy.fixed_actions),
                         (OUTCOME, policy.fixed_outcomes)):
-        resolved = [cg._pair(kind, s, x) for s, x in dict(pairs).items()]
+        resolved = [cg._pair(kind, s, x) for s, x in pairs]
         if None in resolved:
             return None
         fragment.append(resolved)

@@ -251,13 +251,10 @@ def _dominates(
 
 
 def dominance_analysis(
-    bm: Bimatrix, notion: str = STRICT_DOM, iterate: bool = True
+    bm: Bimatrix, notion: str = STRICT_DOM
 ) -> DominanceResult:
-    """Eliminate dominated actions in canonical declaration order.
-
-    With ``iterate`` the elimination restarts after each removal until a
-    fixed point; otherwise a single pass over the original matrix is made.
-    """
+    """Eliminate dominated actions in canonical declaration order,
+    restarting after each removal until a fixed point."""
     if notion not in (STRICT_DOM, WEAK_DOM):
         raise ValueError(f"unknown dominance notion {notion!r}")
     if not bm.feasible():
@@ -284,11 +281,8 @@ def dominance_analysis(
                         return True
         return False
 
-    if iterate:
-        while find_elimination():
-            pass
-    else:
-        find_elimination()
+    while find_elimination():
+        pass
 
     surviving = Bimatrix(
         bm.row_player, tuple(names[0][i] for i in live[0]),

@@ -166,30 +166,3 @@ class ScenarioRow(NamedTuple):
     actions: Mapping[str, str]
     outcomes: Mapping[str, str]
 
-
-def value_of(var: OutcomeVarDef, value_name: str) -> int:
-    """Integer score of ``value_name`` (or one of its aliases) for ``var``."""
-    return var.score(value_name)
-
-
-def agent_utility(game: GameSpec, player: str, row: ScenarioRow) -> int:
-    """Sum of the player's utility terms evaluated at ``row``."""
-    udef = game.utility_for(player)
-    total = 0
-    for term in udef.terms:
-        var = game.variable(term)
-        if var is None:
-            raise NameResolutionError(f"utility of {player!r}", term)
-        total += var.score(row.outcomes[var.name])
-    return total
-
-
-def global_utility(game: GameSpec, row: ScenarioRow) -> int:
-    """Sum of every outcome variable's score at ``row``."""
-    return sum(v.score(row.outcomes[v.name]) for v in game.variables)
-
-
-def max_global_utility_bound(game: GameSpec) -> int:
-    """Upper bound on global utility: sum of per-variable maximum scores."""
-    return sum(max(s for _, s in v.values) for v in game.variables)
-

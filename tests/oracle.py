@@ -21,7 +21,7 @@ def _atom_true(atom, actions, outcomes):
     return mapping.get(atom.subject) == atom.value
 
 
-def _rule_ok(rule, actions, outcomes):
+def rule_ok(rule, actions, outcomes):
     cond = True
     for a in rule.condition:
         t = _atom_true(a, actions, outcomes)
@@ -53,14 +53,19 @@ def brute_force_admissible(game: GameSpec) -> list[ScenarioRow]:
         for vals in itertools.product(*(v.value_names()
                                         for v in game.variables)):
             outcomes = dict(zip(variables, vals))
-            if all(_rule_ok(r, actions, outcomes) for r in game.rules):
+            if all(rule_ok(r, actions, outcomes) for r in game.rules):
                 rows.append(ScenarioRow(actions, outcomes))
     return rows
 
 
-def _score(game: GameSpec, row: ScenarioRow, variables) -> int:
-    return sum(v.score(row.outcomes[v.name]) for v in game.variables
-               if v.name in variables)
+def utility(game: GameSpec, row: ScenarioRow, player=None) -> int:
+    """Global utility of ``row`` (every variable's score), or ``player``'s
+    utility (the scores of its terms, each named by name or alias)."""
+    if player is None:
+        variables = game.variables
+    else:
+        variables = [game.variable(t) for t in game.utility_for(player).terms]
+    return sum(v.score(row.outcomes[v.name]) for v in variables)
 
 
 def brute_force_pick(game: GameSpec, policy, rows: list[ScenarioRow]):
@@ -74,12 +79,10 @@ def brute_force_pick(game: GameSpec, policy, rows: list[ScenarioRow]):
                         for v, x in policy.fixed_outcomes)]
         return rows[0] if rows else None
     if policy.kind == "max-global-utility":
-        score = lambda r: _score(game, r, game.variable_names())
+        score = lambda r: utility(game, r)
     else:
-        terms = {game.variable(t).name
-                 for t in game.utility_for(policy.player).terms}
         sign = 1 if policy.kind == "optimistic" else -1
-        score = lambda r: sign * _score(game, r, terms)
+        score = lambda r: sign * utility(game, r, policy.player)
     best = None
     for r in rows:
         if best is None or score(r) > score(best):

@@ -15,12 +15,10 @@ from oagame import (
     CompletionPolicy,
     MixedStrategy,
     admissible_rows,
-    agent_utility,
     derive_payoff_table,
     dominance_analysis,
     expected_utility,
     fixtures,
-    global_utility,
     mixed_nash_2p,
     parse_game_spec,
     pure_nash,
@@ -28,9 +26,11 @@ from oagame import (
     validate_game,
 )
 from oagame.cli import run_cli
+from oagame.engine import rows_as_records
 from oagame.equilibrium import Bimatrix, _dominates
 
-from .oracle import brute_force_admissible, random_small_game, row_key
+from .oracle import (brute_force_admissible, random_small_game, row_key,
+                     utility)
 
 F = Fraction
 
@@ -64,7 +64,7 @@ def test_criterion_2_oracle_equivalence(oa_game, oa_oracle_rows):
 
 def test_criterion_3_recorded_oracle_counts(oa_game, oa_oracle_rows, capsys):
     assert len(oa_oracle_rows) == GOLDEN_ADMISSIBLE
-    assert max(global_utility(oa_game, r) for r in oa_oracle_rows) == \
+    assert max(utility(oa_game, r) for r in oa_oracle_rows) == \
         GOLDEN_MAX_GU
     _, report = admissible_rows(oa_game)
     assert report.admissible_count == GOLDEN_ADMISSIBLE
@@ -87,9 +87,9 @@ def test_criterion_3_recorded_oracle_counts(oa_game, oa_oracle_rows, capsys):
 def test_criterion_4_utility_identity(oa_game):
     rows, _ = admissible_rows(oa_game)
     players = oa_game.player_names()
-    for row in rows:
-        gu = global_utility(oa_game, row)
-        assert gu == sum(agent_utility(oa_game, p, row) for p in players)
+    for rec in rows_as_records(oa_game, rows):
+        gu = rec["GU"]
+        assert gu == sum(rec[f"U_{p}"] for p in players)
         assert 0 <= gu <= 8
     ok(4, "utility-identity")
 
@@ -107,7 +107,7 @@ def test_criterion_6_mixed_and_dominance_on_collapse(table6):
     cols = list(table6.col_actions)
     assert _dominates(table6, 1, cols.index("TA"), cols.index("OA"),
                       [0, 1], "strict")
-    result = dominance_analysis(table6, notion="weak", iterate=True)
+    result = dominance_analysis(table6, notion="weak")
     assert result.surviving.row_actions == ("Publish OA",)
     assert result.surviving.col_actions == ("TA",)
     certs, _ = mixed_nash_2p(table6)

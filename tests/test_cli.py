@@ -82,6 +82,26 @@ def test_fix_with_unknown_value_is_a_usage_error(capsys):
         assert err == f"oagame: unknown value 'Bogus' for '{name}'\n"
 
 
+def test_fix_giving_one_subject_two_values_is_a_usage_error(capsys):
+    for fixes, first, second in (
+            (("Income=More", "income=Less"), "More", "Less"),
+            (("Editors=Grant TA", "Editor=grant oa"), "Grant TA", "Grant OA")):
+        subject = fixes[0].split("=")[0]
+        code, out, err = run(capsys, "payoffs", "--game", "oa.game",
+                             "--policy", "fixed",
+                             *(f"--fix={f}" for f in fixes))
+        assert code == 2
+        assert out == ""
+        assert err == (f"oagame: --fix gives '{subject}' two values: "
+                       f"'{first}' and '{second}'\n")
+    # Naming one subject twice with the same value is the same fragment.
+    once = run(capsys, "payoffs", "--game", "oa.game", "--policy", "fixed",
+               "--fix", "Income=Less")
+    twice = run(capsys, "payoffs", "--game", "oa.game", "--policy", "fixed",
+                "--fix", "Income=Less", "--fix", "income=less")
+    assert once == twice and once[0] == 0
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "definitely-not-a-command")[0] == 2
     assert run(capsys, "enumerate")[0] == 2  # --game is required

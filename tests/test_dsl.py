@@ -1,6 +1,7 @@
 import random
 
 from oagame import (
+    compile_game,
     fixtures,
     game_from_dict,
     game_to_dict,
@@ -122,6 +123,52 @@ def test_validation_counts(oa_validated):
 def test_validation_duplicate_rule_warning(oa_validated):
     dup = [w for w in oa_validated.warnings if "duplicate rule" in w.message]
     assert len(dup) == 1
+
+
+def _mutated(game, rule, part, index, **change):
+    """``game`` through its structured form, with one rule atom changed."""
+    d = game_to_dict(game)
+    d["rules"][rule][part][index].update(change)
+    return game_from_dict(d)
+
+
+def test_validation_rejects_undeclared_rule_atoms(oa_game):
+    # Rule 1: if Academics=Publish TA and Editors=Grant TA
+    #         then Opportunity=Less and Visibility=Less.
+    for game, message in (
+            (_mutated(oa_game, 0, "consequence", 0, value="Bogus"),
+             "consequence of rule {!r} names undeclared Opportunity=Bogus"),
+            (_mutated(oa_game, 0, "condition", 0, subject="Bogus"),
+             "condition of rule {!r} names undeclared Bogus=Publish TA"),
+            (_mutated(oa_game, 0, "consequence", 0, kind=ACTION,
+                      subject="Academics", value="Publish TA"),
+             "consequence of rule {!r} sets player 'Academics'")):
+        validated = validate_game(game)
+        assert [d.message for d in validated.errors] == [
+            message.format(oa_game.rules[0].source)]
+        assert "_compiled" not in vars(game)  # validating compiles nothing
+    # Inert atoms are what lenient mode keeps of unresolved names: exempt.
+    assert validate_game(_mutated(oa_game, 0, "consequence", 0,
+                                  value="Bogus", inert=True)).ok
+
+
+def test_valid_game_compiles_after_any_one_atom_change(oa_game):
+    """Whatever one rule atom is changed to, a game that validates is one
+    the engine can compile."""
+    rejected = accepted = 0
+    for r, rule in enumerate(oa_game.rules):
+        for part in ("condition", "consequence", "otherwise"):
+            for i in range(len(getattr(rule, part))):
+                for change in ({"value": "Bogus"}, {"subject": "Bogus"},
+                               {"value": "more"}, {"inert": True},
+                               {"kind": ACTION}, {"kind": OUTCOME}):
+                    game = _mutated(oa_game, r, part, i, **change)
+                    if not validate_game(game).ok:
+                        rejected += 1
+                        continue
+                    accepted += 1
+                    compile_game(game)
+    assert rejected and accepted
 
 
 def test_round_trip_serialize_parse(oa_game):

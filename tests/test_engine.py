@@ -7,14 +7,10 @@ from oagame import (
     CompletionPolicy,
     MissingUtilityError,
     admissible_rows,
-    agent_utility,
     compile_game,
     derive_payoff_table,
-    enumerate_profiles,
-    global_utility,
     parse_game_spec,
     project_bimatrix,
-    rule_satisfied,
     top_gu_rows,
     validate_game,
 )
@@ -27,6 +23,8 @@ from .oracle import (
     random_rich_game,
     random_small_game,
     row_key,
+    rule_ok,
+    utility,
 )
 
 TOY = """
@@ -54,12 +52,12 @@ def _parse(text):
 
 
 def test_enumerate_profiles_count(oa_game):
-    assert sum(1 for _ in enumerate_profiles(oa_game)) == 432
+    assert sum(1 for _ in compile_game(oa_game).profiles()) == 432
 
 
 def test_enumerate_profiles_lexicographic_order():
-    game = _parse(TOY)
-    profiles = [(p["R"], p["C"]) for p in enumerate_profiles(game)]
+    cg = compile_game(_parse(TOY))
+    profiles = [cg.action_names(p) for p in cg.profiles()]
     assert profiles == [("r1", "c1"), ("r1", "c2"), ("r1", "c3"),
                         ("r2", "c1"), ("r2", "c2"), ("r2", "c3")]
 
@@ -67,7 +65,7 @@ def test_enumerate_profiles_lexicographic_order():
 def test_enumerate_single_profile():
     game = _parse('game "s"\nplayer A actions: "x"\n'
                   'variable V owner: A values: More=1, Less=0\n')
-    assert len(list(enumerate_profiles(game))) == 1
+    assert len(list(compile_game(game).profiles())) == 1
 
 
 def _oa_row(oa_game, actions, outcomes):
@@ -87,23 +85,21 @@ CURRENT = (
 def test_rule_satisfied_implication(oa_game):
     r1 = oa_game.rules[0]  # Publish TA + Grant TA pins Opportunity/Visibility
     actions, outcomes = CURRENT
-    assert rule_satisfied(r1, ScenarioRow(actions, outcomes))
+    assert rule_ok(r1, actions, outcomes)
     violated = dict(outcomes, Visibility="More")
-    assert not rule_satisfied(r1, ScenarioRow(actions, violated))
+    assert not rule_ok(r1, actions, violated)
     vacuous = dict(actions, Academics="Perish")
-    assert rule_satisfied(r1, ScenarioRow(vacuous, violated))
+    assert rule_ok(r1, vacuous, violated)
 
 
 def test_rule_satisfied_otherwise_branch(oa_game):
     r3 = oa_game.rules[2]  # Savings totally defined by Administrators
     actions, outcomes = CURRENT
-    assert rule_satisfied(r3, ScenarioRow(actions, outcomes))
-    assert not rule_satisfied(
-        r3, ScenarioRow(actions, dict(outcomes, Savings="More")))
+    assert rule_ok(r3, actions, outcomes)
+    assert not rule_ok(r3, actions, dict(outcomes, Savings="More"))
     oa_admin = dict(actions, Administrators="Support OA")
-    assert rule_satisfied(
-        r3, ScenarioRow(oa_admin, dict(outcomes, Savings="More")))
-    assert not rule_satisfied(r3, ScenarioRow(oa_admin, outcomes))
+    assert rule_ok(r3, oa_admin, dict(outcomes, Savings="More"))
+    assert not rule_ok(r3, oa_admin, outcomes)
 
 
 def test_no_rules_means_everything_admissible():
@@ -148,7 +144,8 @@ def test_engine_matches_oracle_on_random_games():
 def test_every_emitted_row_satisfies_every_rule(oa_game):
     rows, _ = admissible_rows(oa_game)
     for row in rows[::97]:  # stride keeps this quick; full check in oracle
-        assert all(rule_satisfied(r, row) for r in oa_game.rules)
+        assert all(rule_ok(r, row.actions, row.outcomes)
+                   for r in oa_game.rules)
 
 
 def test_adding_a_rule_never_enlarges_the_set():
@@ -258,7 +255,7 @@ def test_fixed_policy_fully_specified_equals_direct_evaluation(oa_game):
     row = ScenarioRow(actions, outcomes)
     key = tuple(actions[p] for p in table.players)
     assert table.payoff(key) == tuple(
-        agent_utility(oa_game, p, row) for p in table.players)
+        utility(oa_game, row, p) for p in table.players)
     # All other profiles have no completion matching the fragment.
     others = [p for p in table.profiles() if p != key]
     assert all(table.payoff(p) is None for p in others)
@@ -323,7 +320,7 @@ def test_payoffs_and_projection_match_pooled_oracle():
                 chosen = brute_force_pick(game, policy, pool)
                 assert table.payoff(profile) == (
                     None if chosen is None else
-                    tuple(agent_utility(game, p, chosen) for p in players))
+                    tuple(utility(game, chosen, p) for p in players))
             for row, col in itertools.permutations(players, 2):
                 bm = project_bimatrix(game, policy, row, col)
                 expected = brute_force_projection(game, policy, row, col)
@@ -332,8 +329,8 @@ def test_payoffs_and_projection_match_pooled_oracle():
                         chosen = expected[(ra, ca)]
                         assert bm.payoffs[i][j] == (
                             None if chosen is None else
-                            (agent_utility(game, row, chosen),
-                             agent_utility(game, col, chosen)))
+                            (utility(game, chosen, row),
+                             utility(game, chosen, col)))
 
 
 def test_compiled_form_is_built_once_and_only_on_use():
@@ -359,13 +356,18 @@ def test_player_without_utility_enumerates_but_has_no_payoffs():
 
 def _rich_policies(game, rng):
     """All four policies; the optimistic player is named by an alias when it
-    has one, and the fixed fragments include ones that match nothing."""
+    has one, and the fixed fragments include ones that match nothing and
+    ones that name a subject twice."""
     p = rng.choice(game.players)
     v = rng.choice(game.variables)
+    first, last = v.value_names()[0], v.value_names()[-1]
     fragments = [
-        ((p.name, rng.choice(p.actions)),), ((v.name, v.value_names()[-1]),),
+        ((p.name, rng.choice(p.actions)),), ((v.name, last),),
         ((p.name, p.actions[0]),), ((v.name, "Top"),),  # value alias
         ((p.name, p.actions[0]),), (("Nobody", "x"),),  # absent name
+        ((p.name, p.actions[0]), (p.name, p.actions[-1])),  # same subject
+        ((v.name, first), (v.name, first)),
+        ((p.name, rng.choice(p.actions)),), ((v.name, first), (v.name, last)),
     ]
     k = rng.randrange(0, len(fragments), 2)
     return [
@@ -390,7 +392,7 @@ def test_compiled_path_matches_oracle_on_rich_games():
         rows, report = admissible_rows(game)
         assert [row_key(r) for r in rows] == \
             [row_key(r) for r in oracle_rows], game
-        gus = [global_utility(game, r) for r in oracle_rows]
+        gus = [utility(game, r) for r in oracle_rows]
         best = max(gus, default=None)
         assert (report.max_global_utility, report.max_global_utility_count) \
             == (best, gus.count(best))
@@ -406,10 +408,12 @@ def test_compiled_path_matches_oracle_on_rich_games():
                 chosen = brute_force_pick(game, policy, pool)
                 assert table.payoff(profile) == (
                     None if chosen is None else
-                    tuple(agent_utility(game, p, chosen) for p in players))
+                    tuple(utility(game, chosen, p) for p in players))
             if policy.kind == "fixed" and (
                     ("Nobody", "x") in policy.fixed_outcomes
-                    or any(x == "Top" for _, x in policy.fixed_outcomes)):
+                    or any(x == "Top" for _, x in policy.fixed_outcomes)
+                    or len(dict(policy.fixed_outcomes))
+                    < len(set(policy.fixed_outcomes))):
                 assert all(c is None for c in table.cells.values())
                 unmatched += 1
             for row, col in itertools.permutations(game.players, 2):
@@ -423,6 +427,6 @@ def test_compiled_path_matches_oracle_on_rich_games():
                         chosen = expected[(ra, ca)]
                         assert bm.payoffs[i][j] == (
                             None if chosen is None else
-                            (agent_utility(game, row.name, chosen),
-                             agent_utility(game, col.name, chosen)))
+                            (utility(game, chosen, row.name),
+                             utility(game, chosen, col.name)))
     assert unmatched > 20

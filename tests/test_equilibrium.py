@@ -133,19 +133,18 @@ def test_projection_requires_distinct_players(oa_game):
 
 def test_table6_iterated_elimination(table6):
     # Editors' TA strictly dominates OA on its own.
-    strict = dominance_analysis(table6, notion="strict", iterate=False)
+    strict = dominance_analysis(table6, notion="strict")
     editor_elims = [e for e in strict.trace if e.player == "Editors"]
     assert editor_elims and editor_elims[0].action == "OA" \
         and editor_elims[0].dominator == "TA"
     # Weak iterated elimination collapses to the single OA/TA profile.
-    result = dominance_analysis(table6, notion="weak", iterate=True)
+    result = dominance_analysis(table6, notion="weak")
     assert result.surviving.row_actions == ("Publish OA",)
     assert result.surviving.col_actions == ("TA",)
 
 
 def test_matching_pennies_no_elimination():
-    result = dominance_analysis(MATCHING_PENNIES, notion="weak",
-                                iterate=True)
+    result = dominance_analysis(MATCHING_PENNIES, notion="weak")
     assert result.trace == ()
     assert result.surviving.row_actions == ("H", "T")
 
@@ -156,7 +155,7 @@ def test_identical_rows_weakly_dominate_but_not_strictly():
     from oagame.equilibrium import _dominates
     assert _dominates(bm, 0, 0, 1, [0, 1], "weak")
     assert _dominates(bm, 0, 1, 0, [0, 1], "weak")
-    result = dominance_analysis(bm, notion="strict", iterate=True)
+    result = dominance_analysis(bm, notion="strict")
     assert result.trace == ()
 
 
@@ -237,8 +236,8 @@ def test_scaling_payoffs_preserves_structure(table6):
         tuple(tuple((u * 7, v) for u, v in row) for row in table6.payoffs))
     assert {c.pure_profile() for c in pure_nash(scaled.to_payoff_table())} \
         == {c.pure_profile() for c in pure_nash(table6.to_payoff_table())}
-    base = dominance_analysis(table6, "weak", True)
-    after = dominance_analysis(scaled, "weak", True)
+    base = dominance_analysis(table6, "weak")
+    after = dominance_analysis(scaled, "weak")
     assert [(e.player, e.action) for e in base.trace] == \
         [(e.player, e.action) for e in after.trace]
 

@@ -6,11 +6,9 @@ from oagame import (
     MissingUtilityError,
     NameResolutionError,
     ScenarioRow,
-    agent_utility,
-    global_utility,
-    value_of,
+    compile_game,
 )
-from oagame.model import max_global_utility_bound
+from oagame.engine import rows_as_records
 
 # Action profiles and outcome assignments printed as the two reference
 # scenarios: the all-TA status quo and the all-OA ideal.
@@ -36,73 +34,76 @@ IDEAL_OUTCOMES = {
 }
 
 
+def _record(game, actions, outcomes):
+    """The row dump record (players, variables, GU, U_<player>) of one row."""
+    return rows_as_records(game, [ScenarioRow(actions, outcomes)])[0]
+
+
 def test_value_scores(oa_game):
     vis = oa_game.variable("Visibility")
-    assert value_of(vis, "More") == 1
-    assert value_of(vis, "Less") == 0
+    assert vis.score("More") == 1
+    assert vis.score("Less") == 0
 
 
 def test_value_alias_resolves_to_canonical_score(oa_game):
     opp = oa_game.variable("Opportunity")
-    assert value_of(opp, "Maximal") == 1
-    assert value_of(opp, "Minimal") == 0
+    assert opp.score("Maximal") == 1
+    assert opp.score("Minimal") == 0
     # Alias and canonical value always score the same.
     for alias, canon in opp.value_aliases:
-        assert value_of(opp, alias) == value_of(opp, canon)
+        assert opp.score(alias) == opp.score(canon)
 
 
 def test_unknown_value_raises_with_token(oa_game):
     vis = oa_game.variable("Visibility")
     with pytest.raises(NameResolutionError) as exc:
-        value_of(vis, "Medium")
+        vis.score("Medium")
     assert exc.value.token == "Medium"
 
 
 def test_agent_utilities_on_ideal_row(oa_game):
-    row = ScenarioRow(IDEAL_ACTIONS, IDEAL_OUTCOMES)
-    assert agent_utility(oa_game, "Academics", row) == 4
-    assert agent_utility(oa_game, "Editors", row) == 0
+    rec = _record(oa_game, IDEAL_ACTIONS, IDEAL_OUTCOMES)
+    assert rec["U_Academics"] == 4
+    assert rec["U_Editors"] == 0
 
 
 def test_agent_utilities_on_current_row(oa_game):
-    row = ScenarioRow(CURRENT_ACTIONS, CURRENT_OUTCOMES)
-    assert agent_utility(oa_game, "Academics", row) == 2
-    assert agent_utility(oa_game, "Editors", row) == 1
-    assert global_utility(oa_game, row) == 3
+    rec = _record(oa_game, CURRENT_ACTIONS, CURRENT_OUTCOMES)
+    assert rec["U_Academics"] == 2
+    assert rec["U_Editors"] == 1
+    assert rec["GU"] == 3
 
 
 def test_global_utility_extremes(oa_game):
     all_more = {v.name: v.value_names()[0] for v in oa_game.variables}
     all_less = {v.name: v.value_names()[1] for v in oa_game.variables}
-    assert global_utility(oa_game, ScenarioRow({}, all_more)) == 8
-    assert global_utility(oa_game, ScenarioRow({}, all_less)) == 0
-    assert max_global_utility_bound(oa_game) == 8
+    assert _record(oa_game, IDEAL_ACTIONS, all_more)["GU"] == 8
+    assert _record(oa_game, IDEAL_ACTIONS, all_less)["GU"] == 0
+    # No row scores higher: 8 is the sum of the per-variable maxima.
+    assert sum(map(max, compile_game(oa_game).scores)) == 8
 
 
 def test_missing_utility_definition(oa_game):
     with pytest.raises(MissingUtilityError):
-        agent_utility(oa_game, "Nobody",
-                      ScenarioRow(IDEAL_ACTIONS, IDEAL_OUTCOMES))
+        oa_game.utility_for("Nobody")
 
 
 def test_agent_utility_ignores_unrelated_variables(oa_game):
     # Academics' utility depends only on its four terms.
     base = dict(IDEAL_OUTCOMES)
-    expected = agent_utility(oa_game, "Academics",
-                             ScenarioRow(IDEAL_ACTIONS, base))
+    expected = _record(oa_game, IDEAL_ACTIONS, base)["U_Academics"]
     for combo in itertools.product(("More", "Less"), repeat=3):
         outcomes = dict(base)
         outcomes["Savings"], outcomes["Income"], outcomes["Quality Results"] \
             = combo
-        row = ScenarioRow(IDEAL_ACTIONS, outcomes)
-        assert agent_utility(oa_game, "Academics", row) == expected
+        assert _record(oa_game, IDEAL_ACTIONS,
+                       outcomes)["U_Academics"] == expected
 
 
 def test_global_equals_sum_of_agents(oa_game):
     for outcomes in ({v.name: "More" if i % 2 else "Less"
                       for i, v in enumerate(oa_game.variables)},
                      IDEAL_OUTCOMES, CURRENT_OUTCOMES):
-        row = ScenarioRow(IDEAL_ACTIONS, outcomes)
-        total = sum(agent_utility(oa_game, p, row)
-                    for p in oa_game.player_names())
-        assert global_utility(oa_game, row) == total
+        rec = _record(oa_game, IDEAL_ACTIONS, outcomes)
+        assert rec["GU"] == sum(rec[f"U_{p}"]
+                                for p in oa_game.player_names())
