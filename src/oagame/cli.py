@@ -80,9 +80,18 @@ def _load_bimatrix(path: str) -> tuple[Bimatrix, str]:
         raise _CliError(f"{path}: {exc}", DIAG_ERROR)
 
 
+def _declared_player(game, name: str) -> str:
+    """The declared name of player ``name`` (which may be an alias)."""
+    declared = game.player(name)
+    if declared is None:
+        raise _CliError(f"unknown player {name!r}", USAGE_ERROR)
+    return declared.name
+
+
 def _policy(args, game) -> CompletionPolicy:
     """The completion policy named by --policy, with each --fix NAME=VALUE
-    resolved to a declared player action or variable value of ``game``."""
+    resolved to a declared player action or variable value of ``game``;
+    an option the policy does not take is a usage error."""
     fixes = []
     for item in args.fix:
         if "=" not in item:
@@ -90,14 +99,19 @@ def _policy(args, game) -> CompletionPolicy:
                             USAGE_ERROR)
         fixes.append([s.strip() for s in item.split("=", 1)])
     kind = {"max-gu": "max-global-utility"}.get(args.policy, args.policy)
+    player = args.policy_player
+    if fixes and kind != "fixed":
+        raise _CliError(f"--policy {args.policy} takes no --fix", USAGE_ERROR)
+    if kind in ("optimistic", "pessimistic"):
+        if player is None:
+            raise _CliError(f"--policy {args.policy} needs --policy-player",
+                            USAGE_ERROR)
+        return CompletionPolicy(kind, _declared_player(game, player))
+    if player is not None:
+        raise _CliError(f"--policy {args.policy} takes no --policy-player",
+                        USAGE_ERROR)
     if kind != "fixed":
-        player = args.policy_player
-        if kind in ("optimistic", "pessimistic") and player:
-            declared = game.player(player)
-            if declared is None:
-                raise _CliError(f"unknown player {player!r}", USAGE_ERROR)
-            player = declared.name
-        return CompletionPolicy(kind, player)
+        return CompletionPolicy(kind)
     actions, outcomes = {}, {}  # canonical name -> canonical value
     for name, value in fixes:
         player = game.player(name)
@@ -252,16 +266,11 @@ def _cmd_top(args) -> int:
 def _payoff_records(table) -> list[dict]:
     records = []
     for profile in table.profiles():
-        rec = dict(zip(table.players, profile))
         cell = table.payoff(profile)
-        if cell is None:
-            rec["feasible"] = False
-            for p in table.players:
-                rec[f"U_{p}"] = ""
-        else:
-            rec["feasible"] = True
-            for p, u in zip(table.players, cell):
-                rec[f"U_{p}"] = u
+        rec = dict(zip(table.players, profile))
+        rec["feasible"] = cell is not None
+        for i, p in enumerate(table.players):
+            rec[f"U_{p}"] = "" if cell is None else cell[i]
         records.append(rec)
     return records
 
@@ -281,8 +290,13 @@ def _cmd_payoffs(args) -> int:
 def _cmd_project(args) -> int:
     validated, digest = _game_or_fail(args)
     game = validated.game
-    bm = project_bimatrix(game, _policy(args, game), args.row_player,
-                          args.col_player)
+    policy = _policy(args, game)
+    row, col = (_declared_player(game, name)
+                for name in (args.row_player, args.col_player))
+    if row == col:
+        raise _CliError(f"--row-player and --col-player both name {row!r}",
+                        USAGE_ERROR)
+    bm = project_bimatrix(game, policy, row, col)
     if args.format == "bmx":
         _write(args, serialize_bimatrix(bm))
         return 0

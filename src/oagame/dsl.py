@@ -371,7 +371,8 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     name = ""
     players: list[PlayerDef] = []
     variables: list[OutcomeVarDef] = []
-    utilities: list[UtilityDef] = []
+    variable_lines: list[int] = []
+    utilities: list[tuple[int, UtilityDef]] = []  # (line, declaration)
     rule_lines: list[tuple[int, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -450,6 +451,7 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
             variables.append(OutcomeVarDef(vname, m.group("owner"),
                                            tuple(values), aliases,
                                            tuple(valias)))
+            variable_lines.append(lineno)
         elif head == "utility":
             m = _UTILITY_RE.match(line)
             if not m:
@@ -458,7 +460,7 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
                 continue
             terms = tuple(t.strip() for t in m.group("terms").split("+")
                           if t.strip())
-            utilities.append(UtilityDef(m.group("player"), terms))
+            utilities.append((lineno, UtilityDef(m.group("player"), terms)))
         elif head == "rule":
             rule_lines.append((lineno, line.split(None, 1)[1]
                                if len(line.split(None, 1)) > 1 else ""))
@@ -469,34 +471,30 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     partial = GameSpec(name, tuple(players), tuple(variables), (), ())
 
     # Resolve declaration cross-references.
-    for var in variables:
+    for lineno, var in zip(variable_lines, variables):
         if partial.player(var.owner) is None:
-            errors.append(ParseError(_span(1), "resolution",
+            errors.append(ParseError(_span(lineno), "resolution",
                                      f"variable {var.name!r} owned by "
                                      f"undeclared player {var.owner!r}",
                                      var.owner))
     resolved_utils = []
-    for util in utilities:
+    for lineno, util in utilities:
         player = partial.player(util.player)
         if player is None:
-            errors.append(ParseError(_span(1), "resolution",
+            errors.append(ParseError(_span(lineno), "resolution",
                                      f"utility for undeclared player "
                                      f"{util.player!r}", util.player))
             continue
-        terms = []
-        ok = True
-        for term in util.terms:
-            var = partial.variable(term)
+        terms = [partial.variable(term) for term in util.terms]
+        for term, var in zip(util.terms, terms):
             if var is None:
-                errors.append(ParseError(_span(1), "resolution",
+                errors.append(ParseError(_span(lineno), "resolution",
                                          f"utility of {player.name!r} sums "
                                          f"undeclared variable {term!r}",
                                          term))
-                ok = False
-            else:
-                terms.append(var.name)
-        if ok:
-            resolved_utils.append(UtilityDef(player.name, tuple(terms)))
+        if None not in terms:
+            resolved_utils.append(UtilityDef(player.name,
+                                             tuple(v.name for v in terms)))
 
     rules = []
     for lineno, body in rule_lines:

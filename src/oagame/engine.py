@@ -20,8 +20,9 @@ assignment of the variables they mention, and the candidates are filtered
 by the admissible assignments found.  Completions stream out as tuples of
 value indices and are never kept between calls.  Enumeration, top rows,
 policy picks (and through them payoff tables and projections) and row
-records all read that one stream; names come back only where a public
-function returns rows.
+records all read that one stream.  A row is a ``(profile, completion)``
+pair of index tuples; names come back only in ``rows_as_records`` and
+``CompiledGame.row``.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class CompiledGame:
         self.actions = tuple(p.actions for p in game.players)
         self.variables = game.variable_names()
         self.values = tuple(v.value_names() for v in game.variables)
-        self.scores = tuple(tuple(v.score(x) for x in v.value_names())
+        self.scores = tuple(tuple(s for _, s in v.values)
                             for v in game.variables)
         self._player_index = _index(self.players)
         self._action_index = tuple(map(_index, self.actions))
@@ -130,7 +131,6 @@ class CompiledGame:
         self.rules = tuple(self._rule(r) for r in game.rules)
         # (deferred rule indices, forced values) -> _deferred_check(...)
         self._deferred_checks: dict[tuple, tuple] = {}
-        self._terms: dict[str, tuple[int, ...]] = {}
         self._weights: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def _pair(self, kind: str, subject: str,
@@ -191,30 +191,25 @@ class CompiledGame:
     def global_utility(self, completion) -> int:
         return sum(map(getitem, self.scores, completion))
 
-    def utility_terms(self, player: str) -> tuple[int, ...]:
-        """Variable indices of ``player``'s utility terms (``player`` may be
-        an alias), resolved on first use."""
-        terms = self._terms.get(player)
-        if terms is None:
-            resolved = []
+    def _utility_weights(self, player: str) -> tuple[tuple[int, ...], ...]:
+        """Per variable, what each value adds to ``player``'s utility (its
+        score times the utility terms naming the variable); ``player`` may
+        be an alias.  Resolved on first use."""
+        weights = self._weights.get(player)
+        if weights is None:
+            counts = [0] * len(self.variables)
             for term in self.game.utility_for(player).terms:
                 var = self.game.variable(term)
                 if var is None:
                     raise NameResolutionError(f"utility of {player!r}", term)
-                resolved.append(self._variable_index[var.name])
-            terms = self._terms[player] = tuple(resolved)
-        return terms
-
-    def utility(self, player: str, completion) -> int:
-        weights = self._weights.get(player)
-        if weights is None:
-            counts = [0] * len(self.variables)
-            for v in self.utility_terms(player):
-                counts[v] += 1
+                counts[self._variable_index[var.name]] += 1
             weights = self._weights[player] = tuple(
                 tuple(k * s for s in scores)
                 for k, scores in zip(counts, self.scores))
-        return sum(map(getitem, weights, completion))
+        return weights
+
+    def utility(self, player: str, completion) -> int:
+        return sum(map(getitem, self._utility_weights(player), completion))
 
 
 def compile_game(game: GameSpec) -> CompiledGame:
@@ -283,51 +278,45 @@ def _deferred_check(deferred, domains):
     return itemgetter(*coupled), passing
 
 
-def admissible_rows(game: GameSpec) -> tuple[list[ScenarioRow],
-                                            EnumerationReport]:
-    """All admissible rows in canonical order, plus the count report.
+def _top(cg: CompiledGame, rows) -> tuple[int | None, list[tuple]]:
+    """The maximum global utility over ``rows`` and the rows attaining it,
+    in their order; (None, []) when there are no rows."""
+    best, top = None, []
+    gus: dict[tuple, int] = {}  # completion -> GU, summed once
+    for row in rows:
+        gu = gus.get(row[1])
+        if gu is None:
+            gu = gus[row[1]] = cg.global_utility(row[1])
+        if best is None or gu > best:
+            best, top = gu, [row]
+        elif gu == best:
+            top.append(row)
+    return best, top
 
-    Rows with the same profile share one actions mapping and rows with the
-    same outcomes one outcomes mapping; treat them as read-only."""
+
+def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
+    """All admissible rows in canonical order, as ``(profile, completion)``
+    index pairs of ``compile_game(game)``, plus the count report.  Rows
+    with equal completions share one completion tuple."""
     cg = compile_game(game)
-    rows = []
-    named: dict[tuple, tuple[dict, int]] = {}  # completion -> outcomes, GU
-    best, best_count = None, 0
-    for profile in cg.profiles():
-        actions = None
-        for completion in _profile_completions(cg, profile):
-            hit = named.get(completion)
-            if hit is None:
-                hit = named[completion] = (
-                    dict(zip(cg.variables, cg.value_names(completion))),
-                    cg.global_utility(completion))
-            if actions is None:
-                actions = dict(zip(cg.players, cg.action_names(profile)))
-            rows.append(ScenarioRow(actions, hit[0]))
-            if best is None or hit[1] > best:
-                best, best_count = hit[1], 1
-            elif hit[1] == best:
-                best_count += 1
+    shared: dict[tuple, tuple] = {}
+    rows = [(p, shared.setdefault(c, c)) for p in cg.profiles()
+            for c in _profile_completions(cg, p)]
+    best, top = _top(cg, rows)
     profile_count = math.prod(map(len, cg.actions))
     report = EnumerationReport(profile_count,
                                profile_count * math.prod(map(len, cg.values)),
-                               len(rows), best, best_count)
+                               len(rows), best, len(top))
     return rows, report
 
 
-def top_gu_rows(game: GameSpec) -> tuple[int | None, list[ScenarioRow]]:
+def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     """Maximum global utility over the admissible set and the rows attaining
-    it, in canonical order.  (None, []) when the admissible set is empty."""
+    it, as ``(profile, completion)`` pairs in canonical order.  (None, [])
+    when the admissible set is empty."""
     cg = compile_game(game)
-    best, winners = None, []
-    for profile in cg.profiles():
-        for completion in _profile_completions(cg, profile):
-            gu = cg.global_utility(completion)
-            if best is None or gu > best:
-                best, winners = gu, [(profile, completion)]
-            elif gu == best:
-                winners.append((profile, completion))
-    return best, [cg.row(p, c) for p, c in winners]
+    return _top(cg, ((p, c) for p in cg.profiles()
+                     for c in _profile_completions(cg, p)))
 
 
 def _fixed_fragment(cg: CompiledGame, policy: CompletionPolicy):
@@ -403,23 +392,21 @@ def derive_payoff_table(
     return PayoffTable(cg.players, cg.actions, cells)
 
 
-def rows_as_records(game: GameSpec, rows: list[ScenarioRow]) -> list[dict]:
-    """Row dump records: players, variables, GU, per-agent utilities."""
+def rows_as_records(game: GameSpec, rows) -> list[dict]:
+    """Row dump records of ``(profile, completion)`` pairs: players,
+    variables, GU, per-agent utilities."""
     cg = compile_game(game)
-    players, names = cg.players, cg.variables
     # Every player's utility is resolved, even for an empty dump.
-    terms = [cg.utility_terms(p) for p in players]
-    keys = (*players, *names, "GU", *(f"U_{p}" for p in players))
-    sums: dict[tuple[str, ...], tuple[int, ...]] = {}  # outcomes -> GU, U_p
+    weights = [cg._utility_weights(p) for p in cg.players]
+    keys = (*cg.players, *cg.variables, "GU",
+            *(f"U_{p}" for p in cg.players))
+    tails: dict[tuple, tuple] = {}  # completion -> value names, GU, U_p
     out = []
-    for row in rows:
-        values = tuple(map(row.outcomes.__getitem__, names))
-        tail = sums.get(values)
+    for profile, completion in rows:
+        tail = tails.get(completion)
         if tail is None:
-            scores = [v.score(x) for v, x in zip(game.variables, values)]
-            tail = sums[values] = (
-                sum(scores),
-                *(sum(scores[i] for i in t) for t in terms))
-        out.append(dict(zip(
-            keys, (*map(row.actions.__getitem__, players), *values, *tail))))
+            tail = tails[completion] = (
+                *cg.value_names(completion), cg.global_utility(completion),
+                *[sum(map(getitem, w, completion)) for w in weights])
+        out.append(dict(zip(keys, (*cg.action_names(profile), *tail))))
     return out

@@ -15,6 +15,7 @@ from oagame import (
     CompletionPolicy,
     MixedStrategy,
     admissible_rows,
+    compile_game,
     derive_payoff_table,
     dominance_analysis,
     expected_utility,
@@ -50,13 +51,15 @@ def test_criterion_1_counting_exact(oa_validated):
 
 
 def test_criterion_2_oracle_equivalence(oa_game, oa_oracle_rows):
+    cg = compile_game(oa_game)
     engine_rows, _ = admissible_rows(oa_game)
-    assert {row_key(r) for r in engine_rows} == \
+    assert {row_key(cg.row(*r)) for r in engine_rows} == \
         {row_key(r) for r in oa_oracle_rows}
     rng = random.Random(20260823)
     for _ in range(100):
         game = random_small_game(rng)
-        engine_set = {row_key(r) for r in admissible_rows(game)[0]}
+        cg = compile_game(game)
+        engine_set = {row_key(cg.row(*r)) for r in admissible_rows(game)[0]}
         oracle_set = {row_key(r) for r in brute_force_admissible(game)}
         assert engine_set == oracle_set
     ok(2, "oracle-equivalence")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -100,6 +101,43 @@ def test_fix_giving_one_subject_two_values_is_a_usage_error(capsys):
     twice = run(capsys, "payoffs", "--game", "oa.game", "--policy", "fixed",
                 "--fix", "Income=Less", "--fix", "income=less")
     assert once == twice and once[0] == 0
+
+
+def test_fix_under_another_policy_is_a_usage_error(capsys):
+    for policy in (("max-gu",), ("optimistic", "--policy-player", "Editors"),
+                   ("pessimistic", "--policy-player", "Editors")):
+        code, out, err = run(capsys, "payoffs", "--game", "oa.game",
+                             "--policy", *policy, "--fix", "Income=Less")
+        assert (code, out) == (2, "")
+        assert err == f"oagame: --policy {policy[0]} takes no --fix\n"
+
+
+def test_policy_player_under_another_policy_is_a_usage_error(capsys):
+    for policy in ("max-gu", "fixed"):
+        code, out, err = run(capsys, "payoffs", "--game", "oa.game",
+                             "--policy", policy, "--policy-player", "Editors")
+        assert (code, out) == (2, "")
+        assert err == f"oagame: --policy {policy} takes no --policy-player\n"
+
+
+def test_player_policy_without_player_is_a_usage_error(capsys):
+    for policy in ("optimistic", "pessimistic"):
+        code, out, err = run(capsys, "payoffs", "--game", "oa.game",
+                             "--policy", policy)
+        assert (code, out) == (2, "")
+        assert err == f"oagame: --policy {policy} needs --policy-player\n"
+
+
+def test_project_needs_two_distinct_declared_players(capsys):
+    for row, col, message in (
+            ("Nobody", "Editors", "unknown player 'Nobody'"),
+            ("Academics", "Nobody", "unknown player 'Nobody'"),
+            ("Editor", "editors", "--row-player and --col-player both name "
+                                  "'Editors'")):
+        code, out, err = run(capsys, "project", "--game", "oa.game",
+                             "--row-player", row, "--col-player", col)
+        assert (code, out) == (2, "")
+        assert err == f"oagame: {message}\n"
 
 
 def test_usage_error_exit_2(capsys):
@@ -243,3 +281,26 @@ def test_fixture_digests_stable():
     # The bundled-fixture detection depends on content digests.
     for name in fixtures.BUNDLED:
         assert len(fixtures.fixture_digest(name)) == 64
+
+
+# sha256 of stdout, taken before rows became index pairs in the engine.
+GOLDEN_STDOUT = {
+    ("enumerate", "--game", "oa.game", "--dump", "--format", "json"):
+        "39826eb05d6c5fa02134d741efa9c01ea2984f84dbea1a4247654915d41a11b9",
+    ("enumerate", "--game", "oa.game", "--dump", "--format", "table"):
+        "e6507c748bef9fa29ca852ea31809e56240997862e2217481a3dec14af667491",
+    ("enumerate", "--game", "oa.game", "--dump", "--format", "delimited"):
+        "55401b571dedba7030942890df070cb54e92c94b43b52a40644a777d495649bd",
+    ("top", "--game", "oa.game", "--format", "json"):
+        "6843a91e265182eea3a08283934020c16706ea4d942019c97f3b19f5cb5217bb",
+    ("reproduce", "--format", "json"):
+        "568694f3b04e2c249ca14c36e4f6db074ac618a44ea8d0714d12968cce67dfb8",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_STDOUT))
+def test_golden_stdout_bytes(capsys, args):
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        GOLDEN_STDOUT[args]

@@ -43,6 +43,21 @@ def test_undeclared_owner_is_resolution_error():
                for e in result.errors)
 
 
+def test_cross_reference_errors_name_the_declaring_line():
+    text = ('game "g"\nplayer A actions: "x"\n'
+            'variable V owner: A values: More=1, Less=0\n'
+            '# the next three lines each name something undeclared\n'
+            'variable W owner: Z values: More=1, Less=0\n'
+            'utility Q = V\n'
+            'utility A = W2\n')
+    result = parse_game_spec(text)
+    assert result.game is None
+    assert [(e.span.line, e.kind, e.token) for e in result.errors] == [
+        (5, "resolution", "Z"), (6, "resolution", "Q"),
+        (7, "resolution", "W2")]
+    assert str(result.errors[0]).startswith("line 5:1: resolution: ")
+
+
 def test_rule_with_otherwise(oa_game):
     rule, errors = parse_rule(
         "if Administrators =`Support OA' then Savings=`More', "

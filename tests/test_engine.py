@@ -14,6 +14,7 @@ from oagame import (
     top_gu_rows,
     validate_game,
 )
+from oagame.engine import rows_as_records
 from oagame.model import ScenarioRow
 
 from .oracle import (
@@ -72,6 +73,12 @@ def _oa_row(oa_game, actions, outcomes):
     return ScenarioRow(actions, outcomes)
 
 
+def _named(game, rows):
+    """Engine rows (``(profile, completion)`` pairs) as ``ScenarioRow``s."""
+    cg = compile_game(game)
+    return [cg.row(*r) for r in rows]
+
+
 CURRENT = (
     {"Academics": "Publish TA", "Administrators": "Support TA",
      "Funders": "Demand publications", "Editors": "Grant TA",
@@ -114,7 +121,7 @@ def test_single_forced_variable_halves_the_space():
     rows, report = admissible_rows(game)
     assert report.row_space_count == 2
     assert report.admissible_count == 1
-    assert rows[0].outcomes["V"] == "More"
+    assert _named(game, rows)[0].outcomes["V"] == "More"
 
 
 def test_bundled_game_golden_counts(oa_game):
@@ -128,7 +135,8 @@ def test_bundled_game_golden_counts(oa_game):
 
 def test_engine_matches_oracle_on_bundled_game(oa_game, oa_oracle_rows):
     rows, _ = admissible_rows(oa_game)
-    assert {row_key(r) for r in rows} == {row_key(r) for r in oa_oracle_rows}
+    assert {row_key(r) for r in _named(oa_game, rows)} == \
+        {row_key(r) for r in oa_oracle_rows}
 
 
 def test_engine_matches_oracle_on_random_games():
@@ -137,13 +145,14 @@ def test_engine_matches_oracle_on_random_games():
         game = random_small_game(rng)
         rows, _ = admissible_rows(game)
         oracle_rows = brute_force_admissible(game)
-        assert {row_key(r) for r in rows} == \
+        assert {row_key(r) for r in _named(game, rows)} == \
             {row_key(r) for r in oracle_rows}, game
 
 
 def test_every_emitted_row_satisfies_every_rule(oa_game):
     rows, _ = admissible_rows(oa_game)
-    for row in rows[::97]:  # stride keeps this quick; full check in oracle
+    # stride keeps this quick; full check in oracle
+    for row in _named(oa_game, rows[::97]):
         assert all(rule_ok(r, row.actions, row.outcomes)
                    for r in oa_game.rules)
 
@@ -158,7 +167,8 @@ def test_adding_a_rule_never_enlarges_the_set():
                             game.rules[:-1], game.utilities)
         full, _ = admissible_rows(game)
         partial, _ = admissible_rows(weaker)
-        assert {row_key(r) for r in full} <= {row_key(r) for r in partial}
+        assert {row_key(r) for r in _named(game, full)} <= \
+            {row_key(r) for r in _named(weaker, partial)}
 
 
 def test_top_gu_bundled(oa_game):
@@ -170,7 +180,7 @@ def test_top_gu_bundled(oa_game):
               "Politicians": "Permit TA"}
     assert any(dict(r.actions) == target
                and all(v == "More" for v in r.outcomes.values())
-               for r in rows)
+               for r in _named(oa_game, rows))
 
 
 def test_top_gu_no_rules(oa_game):
@@ -390,7 +400,7 @@ def test_compiled_path_matches_oracle_on_rich_games():
         players = game.player_names()
         oracle_rows = brute_force_admissible(game)
         rows, report = admissible_rows(game)
-        assert [row_key(r) for r in rows] == \
+        assert [row_key(r) for r in _named(game, rows)] == \
             [row_key(r) for r in oracle_rows], game
         gus = [utility(game, r) for r in oracle_rows]
         best = max(gus, default=None)
@@ -398,7 +408,7 @@ def test_compiled_path_matches_oracle_on_rich_games():
             == (best, gus.count(best))
         top, top_rows = top_gu_rows(game)
         assert top == best
-        assert [row_key(r) for r in top_rows] == [
+        assert [row_key(r) for r in _named(game, top_rows)] == [
             row_key(r) for r, g in zip(oracle_rows, gus) if g == best]
         for policy in _rich_policies(game, rng):
             table = derive_payoff_table(game, policy)
@@ -430,3 +440,37 @@ def test_compiled_path_matches_oracle_on_rich_games():
                             (utility(game, chosen, row.name),
                              utility(game, chosen, col.name)))
     assert unmatched > 20
+
+
+def _oracle_record(game, row):
+    """A row dump record built from a brute-force row: names in declaration
+    order, then GU and each player's utility by ``oracle.utility``."""
+    players = game.player_names()
+    return [*((p, row.actions[p]) for p in players),
+            *((v, row.outcomes[v]) for v in game.variable_names()),
+            ("GU", utility(game, row)),
+            *((f"U_{p}", utility(game, row, p)) for p in players)]
+
+
+def test_records_match_oracle_on_rich_games():
+    """Row dump records of engine rows, from ``admissible_rows`` and from
+    ``top_gu_rows``, equal records built from the oracle's rows, key order
+    included; the games have alias utility terms and negative scores."""
+    rng = random.Random(77)
+    aliased = negative = 0
+    for _ in range(150):
+        game = random_rich_game(rng)
+        tail = len(game.players) + 1  # GU and U_<player>
+        expected = [_oracle_record(game, r)
+                    for r in brute_force_admissible(game)]
+        rows, _ = admissible_rows(game)
+        assert [list(rec.items()) for rec in rows_as_records(game, rows)] \
+            == expected, game
+        best, top = top_gu_rows(game)
+        assert [list(rec.items()) for rec in rows_as_records(game, top)] \
+            == [rec for rec in expected if rec[-tail][1] == best]
+        if expected:
+            aliased += any(t not in game.variable_names()
+                           for u in game.utilities for t in u.terms)
+            negative += any(v < 0 for rec in expected for _, v in rec[-tail:])
+    assert aliased > 20 and negative > 20

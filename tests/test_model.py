@@ -5,7 +5,6 @@ import pytest
 from oagame import (
     MissingUtilityError,
     NameResolutionError,
-    ScenarioRow,
     compile_game,
 )
 from oagame.engine import rows_as_records
@@ -35,8 +34,16 @@ IDEAL_OUTCOMES = {
 
 
 def _record(game, actions, outcomes):
-    """The row dump record (players, variables, GU, U_<player>) of one row."""
-    return rows_as_records(game, [ScenarioRow(actions, outcomes)])[0]
+    """The row dump record (players, variables, GU, U_<player>) of one row,
+    given by names (value aliases allowed)."""
+    cg = compile_game(game)
+    profile = tuple(a.index(actions[p]) for p, a in zip(cg.players,
+                                                        cg.actions))
+    completion = tuple(
+        vals.index(game.variable(v).canonical_value(outcomes[v]))
+        for v, vals in zip(cg.variables, cg.values))
+    assert cg.row(profile, completion).actions == actions
+    return rows_as_records(game, [(profile, completion)])[0]
 
 
 def test_value_scores(oa_game):
