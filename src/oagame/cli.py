@@ -98,17 +98,18 @@ def _policy(args, game) -> CompletionPolicy:
             raise _CliError(f"--fix expects NAME=VALUE, got {item!r}",
                             USAGE_ERROR)
         fixes.append([s.strip() for s in item.split("=", 1)])
-    kind = {"max-gu": "max-global-utility"}.get(args.policy, args.policy)
+    name = args.policy or "max-gu"
+    kind = {"max-gu": "max-global-utility"}.get(name, name)
     player = args.policy_player
     if fixes and kind != "fixed":
-        raise _CliError(f"--policy {args.policy} takes no --fix", USAGE_ERROR)
+        raise _CliError(f"--policy {name} takes no --fix", USAGE_ERROR)
     if kind in ("optimistic", "pessimistic"):
         if player is None:
-            raise _CliError(f"--policy {args.policy} needs --policy-player",
+            raise _CliError(f"--policy {name} needs --policy-player",
                             USAGE_ERROR)
         return CompletionPolicy(kind, _declared_player(game, player))
     if player is not None:
-        raise _CliError(f"--policy {args.policy} takes no --policy-player",
+        raise _CliError(f"--policy {name} takes no --policy-player",
                         USAGE_ERROR)
     if kind != "fixed":
         return CompletionPolicy(kind)
@@ -189,7 +190,7 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
 
 def _game_or_fail(args) -> tuple:
     text, digest = _read_input(args.game)
-    result = parse_game_spec(text, mode=args.mode)
+    result = parse_game_spec(text, mode=args.mode or "strict")
     if result.game is None:
         for err in result.errors:
             print(str(err), file=sys.stderr)
@@ -324,6 +325,10 @@ def _bimatrix_records(bm: Bimatrix) -> list[dict]:
 def _cmd_nash(args) -> int:
     out = rp.base_report({})
     if args.bimatrix:
+        for flag in ("mode", "policy", "policy_player", "fix"):
+            if getattr(args, flag):
+                raise _CliError(f"--bimatrix takes no "
+                                f"--{flag.replace('_', '-')}", USAGE_ERROR)
         bm, digest = _load_bimatrix(args.bimatrix)
         out["inputs"] = {args.bimatrix: digest}
         table = bm.to_payoff_table()
@@ -439,7 +444,7 @@ def _add_policy_args(p):
     p.add_argument("--policy",
                    choices=["max-gu", "max-global-utility", "optimistic",
                             "pessimistic", "fixed"],
-                   default="max-gu", help="completion policy")
+                   default=None, help="completion policy (default: max-gu)")
     p.add_argument("--policy-player", default=None,
                    help="player for optimistic/pessimistic policies")
     p.add_argument("--fix", action="append", default=[],
@@ -503,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--game")
     group.add_argument("--bimatrix", help="path to a .bmx file (bundled "
                        "names 'table5.bmx'/'table6.bmx' also resolve)")
-    p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
+    p.add_argument("--mode", choices=["strict", "lenient"], default=None,
+                   help="rule-binding mode for --game (default: strict)")
     _add_policy_args(p)
     _add_common(p)
     p.set_defaults(func=_cmd_nash)

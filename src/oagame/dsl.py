@@ -26,6 +26,7 @@ from .model import (
     OUTCOME,
     Atom,
     GameSpec,
+    NameResolutionError,
     OutcomeVarDef,
     PlayerDef,
     Rule,
@@ -69,11 +70,9 @@ class ParseError:
 class Diagnostic:
     severity: str  # error | warning
     message: str
-    span: SourceSpan | None = None
 
     def __str__(self) -> str:
-        loc = f"line {self.span.line}: " if self.span else ""
-        return f"{loc}{self.severity}: {self.message}"
+        return f"{self.severity}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -371,8 +370,10 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     name = ""
     players: list[PlayerDef] = []
     variables: list[OutcomeVarDef] = []
-    variable_lines: list[int] = []
-    utilities: list[tuple[int, UtilityDef]] = []  # (line, declaration)
+    utilities: list[UtilityDef] = []
+    # Declaring line of each player, variable and utility, by position.
+    lines: dict[str, list[int]] = {"player": [], "variable": [],
+                                   "utility": []}
     rule_lines: list[tuple[int, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -397,17 +398,8 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
                             _split_list(m.group("actions")))
             aliases = tuple(_unquote(a) for a in
                             _split_list(m.group("aliases") or ""))
-            pname = m.group("name")
-            if any(p.name == pname for p in players):
-                errors.append(ParseError(_span(lineno), "resolution",
-                                         f"duplicate player {pname!r}", pname))
-                continue
-            if not actions:
-                errors.append(ParseError(_span(lineno), "syntax",
-                                         f"player {pname!r} declares no "
-                                         f"actions", pname))
-                continue
-            players.append(PlayerDef(pname, actions, aliases))
+            players.append(PlayerDef(m.group("name"), actions, aliases))
+            lines["player"].append(lineno)
         elif head == "variable":
             m = _VARIABLE_RE.match(line)
             if not m:
@@ -441,17 +433,12 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
                                _unquote(am.group("canon"))))
             if bad:
                 continue
-            if any(v.name == vname for v in variables):
-                errors.append(ParseError(_span(lineno), "resolution",
-                                         f"duplicate variable {vname!r}",
-                                         vname))
-                continue
             aliases = tuple(_unquote(a) for a in
                             _split_list(m.group("aliases") or ""))
             variables.append(OutcomeVarDef(vname, m.group("owner"),
                                            tuple(values), aliases,
                                            tuple(valias)))
-            variable_lines.append(lineno)
+            lines["variable"].append(lineno)
         elif head == "utility":
             m = _UTILITY_RE.match(line)
             if not m:
@@ -460,7 +447,8 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
                 continue
             terms = tuple(t.strip() for t in m.group("terms").split("+")
                           if t.strip())
-            utilities.append((lineno, UtilityDef(m.group("player"), terms)))
+            utilities.append(UtilityDef(m.group("player"), terms))
+            lines["utility"].append(lineno)
         elif head == "rule":
             rule_lines.append((lineno, line.split(None, 1)[1]
                                if len(line.split(None, 1)) > 1 else ""))
@@ -468,33 +456,12 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
             errors.append(ParseError(_span(lineno), "syntax",
                                      f"unknown declaration {head!r}", head))
 
-    partial = GameSpec(name, tuple(players), tuple(variables), (), ())
-
-    # Resolve declaration cross-references.
-    for lineno, var in zip(variable_lines, variables):
-        if partial.player(var.owner) is None:
-            errors.append(ParseError(_span(lineno), "resolution",
-                                     f"variable {var.name!r} owned by "
-                                     f"undeclared player {var.owner!r}",
-                                     var.owner))
-    resolved_utils = []
-    for lineno, util in utilities:
-        player = partial.player(util.player)
-        if player is None:
-            errors.append(ParseError(_span(lineno), "resolution",
-                                     f"utility for undeclared player "
-                                     f"{util.player!r}", util.player))
-            continue
-        terms = [partial.variable(term) for term in util.terms]
-        for term, var in zip(util.terms, terms):
-            if var is None:
-                errors.append(ParseError(_span(lineno), "resolution",
-                                         f"utility of {player.name!r} sums "
-                                         f"undeclared variable {term!r}",
-                                         term))
-        if None not in terms:
-            resolved_utils.append(UtilityDef(player.name,
-                                             tuple(v.name for v in terms)))
+    partial = GameSpec(name, tuple(players), tuple(variables), (),
+                       tuple(utilities))
+    errors.extend(ParseError(_span(lines[kind][index]), "resolution",
+                             message, token)
+                  for (kind, index), message, token
+                  in _structural_errors(partial))
 
     rules = []
     for lineno, body in rule_lines:
@@ -502,79 +469,83 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
         errors.extend(errs)
         if rule is not None:
             rules.append(rule)
+    if errors:
+        return ParseResult(None, tuple(errors))
 
-    game = GameSpec(name, tuple(players), tuple(variables), tuple(rules),
-                    tuple(resolved_utils))
-    return ParseResult(game if not errors else None, tuple(errors))
+    utilities = [UtilityDef(partial.player(u.player).name,
+                            tuple(partial.variable(t).name for t in u.terms))
+                 for u in utilities]
+    return ParseResult(GameSpec(name, tuple(players), tuple(variables),
+                                tuple(rules), tuple(utilities)), ())
+
+
+def _structural_errors(game: GameSpec):
+    """Yield ``((kind, index), message, token)`` for each structural error of
+    ``game``'s declarations: ``kind`` is ``"player"``, ``"variable"`` or
+    ``"utility"`` and ``index`` the declaration's position among them."""
+    seen: set[str] = set()
+    for i, p in enumerate(game.players):
+        where = ("player", i)
+        for n in (p.name, *p.aliases):
+            if n.lower() in seen:
+                yield (where, f"player name or alias {n!r} declared more "
+                              f"than once", n)
+            seen.add(n.lower())
+        if not p.actions:
+            yield where, f"player {p.name!r} has no actions", p.name
+        if len({a.lower() for a in p.actions}) != len(p.actions):
+            yield where, f"player {p.name!r} has duplicate actions", p.name
+
+    seen = set()
+    for i, v in enumerate(game.variables):
+        where = ("variable", i)
+        for n in (v.name, *v.aliases):
+            if n.lower() in seen:
+                yield (where, f"variable name or alias {n!r} declared more "
+                              f"than once", n)
+            seen.add(n.lower())
+        if len(v.values) < 2:
+            yield (where, f"variable {v.name!r} needs at least two values",
+                   v.name)
+        names = {n.lower() for n, _ in v.values}
+        if len(names) != len(v.values):
+            yield (where, f"variable {v.name!r} has duplicate value names",
+                   v.name)
+        for alt, canon in v.value_aliases:
+            if alt.lower() in names:
+                yield (where, f"value alias {alt!r} of {v.name!r} shadows a "
+                              f"value", alt)
+            try:
+                v.canonical_value(canon)
+            except NameResolutionError:
+                yield (where, f"value alias {alt!r} of {v.name!r} targets "
+                              f"unknown value {canon!r}", canon)
+        if game.player(v.owner) is None:
+            yield (where, f"variable {v.name!r} owned by undeclared player "
+                          f"{v.owner!r}", v.owner)
+
+    for i, u in enumerate(game.utilities):
+        where = ("utility", i)
+        if game.player(u.player) is None:
+            yield (where, f"utility for undeclared player {u.player!r}",
+                   u.player)
+        for term in u.terms:
+            if game.variable(term) is None:
+                yield (where, f"utility of {u.player!r} sums undeclared "
+                              f"variable {term!r}", term)
 
 
 def validate_game(game: GameSpec) -> ValidatedGame:
     """Check structural invariants and compute the enumeration sizes."""
-    errors: list[Diagnostic] = []
+    errors = [Diagnostic("error", message)
+              for _, message, _ in _structural_errors(game)]
     warnings: list[Diagnostic] = []
-
-    seen_names: set[str] = set()
-    for p in game.players:
-        for n in (p.name, *p.aliases):
-            if n.lower() in seen_names:
-                errors.append(Diagnostic("error",
-                                         f"player name or alias {n!r} "
-                                         f"declared more than once"))
-            seen_names.add(n.lower())
-        if not p.actions:
-            errors.append(Diagnostic("error",
-                                     f"player {p.name!r} has no actions"))
-        if len({a.lower() for a in p.actions}) != len(p.actions):
-            errors.append(Diagnostic("error",
-                                     f"player {p.name!r} has duplicate "
-                                     f"actions"))
-
-    seen_vars: set[str] = set()
-    for v in game.variables:
-        for n in (v.name, *v.aliases):
-            if n.lower() in seen_vars:
-                errors.append(Diagnostic("error",
-                                         f"variable name or alias {n!r} "
-                                         f"declared more than once"))
-            seen_vars.add(n.lower())
-        if len(v.values) < 2:
-            errors.append(Diagnostic("error",
-                                     f"variable {v.name!r} needs at least "
-                                     f"two values"))
-        names = {n.lower() for n, _ in v.values}
-        if len(names) != len(v.values):
-            errors.append(Diagnostic("error",
-                                     f"variable {v.name!r} has duplicate "
-                                     f"value names"))
-        for alt, canon in v.value_aliases:
-            if alt.lower() in names:
-                errors.append(Diagnostic("error",
-                                         f"value alias {alt!r} of "
-                                         f"{v.name!r} shadows a value"))
-            try:
-                v.canonical_value(canon)
-            except Exception:
-                errors.append(Diagnostic("error",
-                                         f"value alias {alt!r} of {v.name!r} "
-                                         f"targets unknown value {canon!r}"))
-        if game.player(v.owner) is None:
-            errors.append(Diagnostic("error",
-                                     f"variable {v.name!r} owned by "
-                                     f"undeclared player {v.owner!r}"))
 
     coverage: dict[str, int] = {v.name: 0 for v in game.variables}
     for u in game.utilities:
-        if game.player(u.player) is None:
-            errors.append(Diagnostic("error",
-                                     f"utility for undeclared player "
-                                     f"{u.player!r}"))
         for term in u.terms:
             var = game.variable(term)
-            if var is None:
-                errors.append(Diagnostic("error",
-                                         f"utility of {u.player!r} sums "
-                                         f"undeclared variable {term!r}"))
-            else:
+            if var is not None:
                 coverage[var.name] += 1
     for vname, count in coverage.items():
         if count != 1:

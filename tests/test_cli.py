@@ -197,6 +197,45 @@ def test_nash_on_table5(capsys):
     assert ("Publish OA", "Grant TA") in profiles
 
 
+@pytest.mark.parametrize("extra", [
+    ("--mode", "strict"), ("--policy", "optimistic"),
+    ("--policy-player", "Editors"), ("--fix", "Income=Less")])
+def test_nash_bimatrix_rejects_game_options(capsys, extra):
+    code, out, err = run(capsys, "nash", "--bimatrix", "table5.bmx", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"oagame: --bimatrix takes no {extra[0]}\n"
+
+
+@pytest.mark.parametrize("cells, message", [
+    ("(1,2)", "expected 2 cells in line '(1,2)'"),
+    ("(1,2) (x,4)", "bad payoff in line '(1,2) (x,4)'"),
+])
+def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
+                                            message):
+    path = tmp_path / "bad.bmx"
+    path.write_text(f"rows: R: r1, r2\ncols: C: c1, c2\n{cells}\n"
+                    f"(5,6) (7,8)\n")
+    for argv in (("nash",), ("mixed",),
+                 ("expected", "--row-mix", "1,0", "--col-mix", "1,0")):
+        code, out, err = run(capsys, *argv, "--bimatrix", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"oagame: {path}: {message}")
+
+
+def test_structural_error_names_its_line(tmp_path, capsys):
+    path = tmp_path / "dup.game"
+    path.write_text('game "d"\nplayer A actions: "x", "X"\n'
+                    'variable V owner: A values: More=1, Less=0\n'
+                    'utility A = V\n')
+    code, out, err = run(capsys, "validate", "--game", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == ("line 2:1: resolution: player 'A' has duplicate actions\n"
+                   f"oagame: {path}: 1 parse error(s)\n")
+
+
 def test_mixed_on_table6(capsys):
     code, out, _ = run(capsys, "mixed", "--bimatrix", "table6.bmx",
                        "--dominance", "weak", "--format", "json")
@@ -295,6 +334,16 @@ GOLDEN_STDOUT = {
         "6843a91e265182eea3a08283934020c16706ea4d942019c97f3b19f5cb5217bb",
     ("reproduce", "--format", "json"):
         "568694f3b04e2c249ca14c36e4f6db074ac618a44ea8d0714d12968cce67dfb8",
+    # The next three were taken before parsing and validation shared one
+    # set of structural checks.
+    ("project", "--game", "oa.game", "--row-player", "Academics",
+     "--col-player", "Editors", "--format", "json"):
+        "afe21418aaf789d0e716472c83231aec09e3c932a905df5f3efae038c06a9a70",
+    ("project", "--game", "oa.game", "--row-player", "Academics",
+     "--col-player", "Editors", "--format", "table"):
+        "6b1acc754ea2a40431e95ee60702eea323b0639f85def06f9b1923d0a83a9e51",
+    ("nash", "--game", "oa.game", "--format", "json"):
+        "69d07f7941e6c795e9ad41569b2821a2441b0af8d57551fb6a3ae288717fd79c",
 }
 
 

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from oagame import (
+    Diagnostic,
     compile_game,
     fixtures,
     game_from_dict,
@@ -56,6 +59,71 @@ def test_cross_reference_errors_name_the_declaring_line():
         (5, "resolution", "Z"), (6, "resolution", "Q"),
         (7, "resolution", "W2")]
     assert str(result.errors[0]).startswith("line 5:1: resolution: ")
+
+
+STRUCTURE_BASE = [
+    'game "g"',
+    'player A alias Aye actions: "x", "y"',
+    'player B actions: "p", "q"',
+    'variable V alias Vee owner: A values: More=1, Less=0 valias Plus->More',
+    'variable W owner: B values: Hi=2, Lo=0',
+    'utility A = V',
+    'utility B = W',
+]
+
+
+# (declaring line, its new text, the declaration in the structured form and
+#  the same change to it, the one error it must give)
+STRUCTURE_CASES = [
+    (3, 'player B alias a actions: "p", "q"', ("players", 1),
+     {"aliases": ["a"]}, "player name or alias 'a' declared more than once"),
+    (3, 'player B actions: ,', ("players", 1), {"actions": []},
+     "player 'B' has no actions"),
+    (3, 'player B actions: "p", "P"', ("players", 1), {"actions": ["p", "P"]},
+     "player 'B' has duplicate actions"),
+    (5, 'variable W alias vee owner: B values: Hi=2, Lo=0', ("variables", 1),
+     {"aliases": ["vee"]},
+     "variable name or alias 'vee' declared more than once"),
+    (5, 'variable W owner: B values: Hi=2', ("variables", 1),
+     {"values": [{"name": "Hi", "score": 2}]},
+     "variable 'W' needs at least two values"),
+    (5, 'variable W owner: B values: Hi=2, hi=0', ("variables", 1),
+     {"values": [{"name": "Hi", "score": 2}, {"name": "hi", "score": 0}]},
+     "variable 'W' has duplicate value names"),
+    (4, 'variable V alias Vee owner: A values: More=1, Less=0 '
+        'valias less->More', ("variables", 0),
+     {"value_aliases": [{"alias": "less", "canonical": "More"}]},
+     "value alias 'less' of 'V' shadows a value"),
+    (4, 'variable V alias Vee owner: A values: More=1, Less=0 '
+        'valias Plus->Most', ("variables", 0),
+     {"value_aliases": [{"alias": "Plus", "canonical": "Most"}]},
+     "value alias 'Plus' of 'V' targets unknown value 'Most'"),
+    (5, 'variable W owner: C values: Hi=2, Lo=0', ("variables", 1),
+     {"owner": "C"}, "variable 'W' owned by undeclared player 'C'"),
+    (7, 'utility C = W', ("utilities", 1), {"player": "C"},
+     "utility for undeclared player 'C'"),
+    (7, 'utility B = X', ("utilities", 1), {"terms": ["X"]},
+     "utility of 'B' sums undeclared variable 'X'"),
+]
+
+
+@pytest.mark.parametrize("line, text, where, change, message",
+                         STRUCTURE_CASES, ids=[c[-1] for c in STRUCTURE_CASES])
+def test_structural_rule_is_checked_once_for_both_paths(line, text, where,
+                                                        change, message):
+    base = parse_game_spec("\n".join(STRUCTURE_BASE))
+    assert base.ok and validate_game(base.game).ok
+    lines = list(STRUCTURE_BASE)
+    lines[line - 1] = text
+    result = parse_game_spec("\n".join(lines))
+    assert result.game is None
+    assert [(e.span.line, e.kind, e.message) for e in result.errors] == [
+        (line, "resolution", message)]
+    d = game_to_dict(base.game)
+    section, index = where
+    d[section][index].update(change)
+    assert validate_game(game_from_dict(d)).errors == (
+        Diagnostic("error", message),)
 
 
 def test_rule_with_otherwise(oa_game):
