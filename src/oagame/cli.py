@@ -9,6 +9,7 @@ Output is deterministic: no timestamps, stable key order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -20,7 +21,7 @@ from .engine import (
     CompletionPolicy,
     admissible_rows,
     derive_payoff_table,
-    rows_as_records,
+    record_cells,
     top_gu_rows,
 )
 from .equilibrium import (
@@ -138,16 +139,24 @@ def _policy(args, game) -> CompletionPolicy:
 
 
 def _emit(args, report: dict) -> None:
-    _write(args, rp.emit_report(report, args.format))
+    with _output(args) as out:
+        rp.emit_report(report, args.format, out)
 
 
-def _write(args, text: str) -> None:
-    """Write ``text`` to --output, or to stdout when none is given."""
+@contextlib.contextmanager
+def _output(args):
+    """--output opened for writing, or stdout when none is given."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _row_dump(game, rows) -> rp.RowDump:
+    """The rows section of a report; every name and utility is resolved
+    here, before any output is written."""
+    return rp.RowDump(*record_cells(game, rows), rows)
 
 
 def _is_bundled(digest: str, name: str) -> bool:
@@ -179,7 +188,7 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
                         f"(one per action, in order)", USAGE_ERROR)
     try:
         probs = tuple(Fraction(p) for p in parts)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise _CliError(f"{flag}: probabilities must be rationals or "
                         f"decimals", USAGE_ERROR)
     try:
@@ -244,7 +253,7 @@ def _cmd_enumerate(args) -> int:
         out["paper_comparison"] = _paper_comparison(
             _enumeration_figures(enum))
     if args.dump:
-        out["rows"] = rows_as_records(game, rows)
+        out["rows"] = _row_dump(game, rows)
     _emit(args, out)
     return 0
 
@@ -256,7 +265,7 @@ def _cmd_top(args) -> int:
     out = rp.base_report({args.game: digest})
     out["max_global_utility"] = best
     out["row_count"] = len(rows)
-    out["rows"] = rows_as_records(game, rows)
+    out["rows"] = _row_dump(game, rows)
     if _is_bundled(digest, "oa.game"):
         out["paper_comparison"] = _paper_comparison({
             "max_global_utility": best, "top_gu_rows": len(rows)})
@@ -299,7 +308,8 @@ def _cmd_project(args) -> int:
                         USAGE_ERROR)
     bm = project_bimatrix(game, policy, row, col)
     if args.format == "bmx":
-        _write(args, serialize_bimatrix(bm))
+        with _output(args) as out:
+            out.write(serialize_bimatrix(bm))
         return 0
     out = rp.base_report({args.game: digest})
     out["provenance"] = bm.provenance

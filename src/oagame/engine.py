@@ -21,8 +21,11 @@ by the admissible assignments found.  Completions stream out as tuples of
 value indices and are never kept between calls.  Enumeration, top rows,
 policy picks (and through them payoff tables and projections) and row
 records all read that one stream.  A row is a ``(profile, completion)``
-pair of index tuples; names come back only in ``rows_as_records`` and
-``CompiledGame.row``.
+pair of index tuples; names come back only in ``record_cells`` and
+``CompiledGame.row``.  ``record_cells`` names each distinct profile and
+each distinct completion of a row list once, so a row dump is rendered
+from those cells without building one record per row; ``rows_as_records``
+expands them into per-row dicts.
 """
 
 from __future__ import annotations
@@ -392,21 +395,30 @@ def derive_payoff_table(
     return PayoffTable(cg.players, cg.actions, cells)
 
 
-def rows_as_records(game: GameSpec, rows) -> list[dict]:
-    """Row dump records of ``(profile, completion)`` pairs: players,
-    variables, GU, per-agent utilities."""
+def record_cells(game: GameSpec, rows) -> tuple[tuple[str, ...], dict, dict]:
+    """Row dump record keys and cells of ``(profile, completion)`` rows.
+
+    Returns ``(keys, heads, tails)``: ``heads`` maps each profile in
+    ``rows`` to its action names and ``tails`` maps each completion to its
+    value names, GU and per-player utilities, so that a row's record is
+    ``dict(zip(keys, heads[profile] + tails[completion]))``.  Every
+    player's utility is resolved, even when ``rows`` is empty.
+    """
     cg = compile_game(game)
-    # Every player's utility is resolved, even for an empty dump.
     weights = [cg._utility_weights(p) for p in cg.players]
     keys = (*cg.players, *cg.variables, "GU",
             *(f"U_{p}" for p in cg.players))
-    tails: dict[tuple, tuple] = {}  # completion -> value names, GU, U_p
-    out = []
-    for profile, completion in rows:
-        tail = tails.get(completion)
-        if tail is None:
-            tail = tails[completion] = (
-                *cg.value_names(completion), cg.global_utility(completion),
-                *[sum(map(getitem, w, completion)) for w in weights])
-        out.append(dict(zip(keys, (*cg.action_names(profile), *tail))))
-    return out
+    heads = {p: cg.action_names(p)
+             for p in dict.fromkeys(map(itemgetter(0), rows))}
+    tails = {c: (*cg.value_names(c), cg.global_utility(c),
+                 *[sum(map(getitem, w, c)) for w in weights])
+             for c in dict.fromkeys(map(itemgetter(1), rows))}
+    return keys, heads, tails
+
+
+def rows_as_records(game: GameSpec, rows) -> list[dict]:
+    """Row dump records of ``(profile, completion)`` pairs, one dict per
+    row: players, variables, GU, per-agent utilities.  The reference
+    expansion of ``record_cells``; the CLI renders the cells directly."""
+    keys, heads, tails = record_cells(game, rows)
+    return [dict(zip(keys, heads[p] + tails[c])) for p, c in rows]

@@ -471,7 +471,7 @@ def parse_bimatrix(text: str) -> Bimatrix:
         try:
             rows.append(tuple((_parse_number(u), _parse_number(v))
                               for u, v in cells))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise BimatrixFormatError(f"bad payoff in line {ln!r}: {exc}")
     return Bimatrix(row_player, row_actions, col_player, col_actions,
                     tuple(rows))

@@ -92,6 +92,53 @@ def comparison_entry(claim: str, paper, computed) -> dict:
 # Rendering
 
 
+# Rows of a ``RowDump`` rendered and written per chunk.
+CHUNK_ROWS = 2000
+
+
+class RowDump:
+    """A report's rows section kept as the cells of ``engine.record_cells``:
+    row ``(h, t)`` of ``rows`` has the record
+    ``dict(zip(keys, heads[h] + tails[t]))``.  The renderers render each
+    distinct head and tail once and write the rows a chunk at a time.
+    (A plain class: a dataclass costs every CLI start about a
+    millisecond.)"""
+
+    def __init__(self, keys: tuple[str, ...], heads: dict, tails: dict,
+                 rows: list):
+        self.keys, self.heads, self.tails, self.rows = keys, heads, tails, rows
+
+    def records(self) -> list[dict]:
+        return [dict(zip(self.keys, self.heads[h] + self.tails[t]))
+                for h, t in self.rows]
+
+    def key_split(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(head keys, tail keys); needs at least one row."""
+        n = len(next(iter(self.heads.values())))
+        return self.keys[:n], self.keys[n:]
+
+
+def _plain(value):
+    """``value``, except that a ``RowDump`` without rows, or whose keys
+    repeat (a player named like a variable, say), becomes its records."""
+    if isinstance(value, RowDump) and (
+            not value.rows or len(set(value.keys)) < len(value.keys)):
+        return value.records()
+    return value
+
+
+def _row_chunks(dump: RowDump, head_text, tail_text, sep: str):
+    """The rows of ``dump`` joined by ``sep``, ``CHUNK_ROWS`` rows per
+    chunk; row ``(h, t)`` is ``head_text(heads[h]) + tail_text(tails[t])``,
+    each text made once per distinct head or tail."""
+    heads = {h: head_text(cells) for h, cells in dump.heads.items()}
+    tails = {t: tail_text(cells) for t, cells in dump.tails.items()}
+    rows = dump.rows
+    for i in range(0, len(rows), CHUNK_ROWS):
+        yield (sep if i else "") + sep.join(
+            [heads[h] + tails[t] for h, t in rows[i:i + CHUNK_ROWS]])
+
+
 def _fixed_width_table(records: list[dict]) -> list[str]:
     headers = list(records[0].keys())
     cells = [[str(r.get(h, "")) for h in headers] for r in records]
@@ -105,44 +152,113 @@ def _fixed_width_table(records: list[dict]) -> list[str]:
     return lines
 
 
-def render_table(report: dict) -> str:
-    lines: list[str] = []
+def _table_dump(dump: RowDump):
+    """``_fixed_width_table`` of the dump's records, indented, with the
+    widths taken over the distinct heads and tails."""
+    head_keys, tail_keys = dump.key_split()
+
+    def widths(keys, cells):
+        return [max(len(k), *(len(str(c[i])) for c in cells))
+                for i, k in enumerate(keys)]
+
+    hw = widths(head_keys, dump.heads.values())
+    tw = widths(tail_keys, dump.tails.values())
+    header = "  ".join(k.ljust(w) for k, w in zip(dump.keys, hw + tw))
+    rule = "  ".join("-" * w for w in hw + tw)
+    yield f"  {header.rstrip()}\n  {rule}\n"
+    # Every tail ends in GU and the utilities, so stripping it strips the
+    # line.
+    yield from _row_chunks(
+        dump,
+        lambda cells: "  " + "".join(
+            str(c).ljust(w) + "  " for c, w in zip(cells, hw)),
+        lambda cells: "  ".join(
+            str(c).ljust(w) for c, w in zip(cells, tw)).rstrip(),
+        "\n")
+    yield "\n"
+
+
+def _table_chunks(report: dict):
     for key, value in report.items():
+        if isinstance(value, RowDump):
+            yield f"{key}:\n"
+            yield from _table_dump(value)
+            continue
         if isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{key}:")
+            lines = [f"{key}:"]
             lines.extend("  " + ln for ln in _fixed_width_table(value))
         elif isinstance(value, list):
-            lines.append(f"{key}: {', '.join(str(v) for v in value)}")
+            lines = [f"{key}: {', '.join(str(v) for v in value)}"]
         elif isinstance(value, dict):
-            lines.append(f"{key}:")
-            for k, v in value.items():
-                lines.append(f"  {k}: {v}")
+            lines = [f"{key}:"]
+            lines.extend(f"  {k}: {v}" for k, v in value.items())
         else:
-            lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+            lines = [f"{key}: {value}"]
+        yield "\n".join(lines) + "\n"
 
 
-def render_delimited(report: dict) -> str:
-    lines: list[str] = []
+def _delimited_chunks(report: dict):
     for key, value in report.items():
+        if isinstance(value, RowDump):
+            yield "\t".join(value.keys) + "\n"
+            yield from _row_chunks(
+                value, lambda cells: "".join(f"{c}\t" for c in cells),
+                lambda cells: "\t".join(map(str, cells)), "\n")
+            yield "\n"
+            continue
         if isinstance(value, list) and value and isinstance(value[0], dict):
             headers = list(value[0].keys())
-            lines.append("\t".join(headers))
-            for rec in value:
-                lines.append("\t".join(str(rec.get(h, "")) for h in headers))
+            lines = ["\t".join(headers)]
+            lines.extend("\t".join(str(rec.get(h, "")) for h in headers)
+                         for rec in value)
         elif isinstance(value, dict):
-            for k, v in value.items():
-                lines.append(f"{key}.{k}\t{v}")
+            lines = [f"{key}.{k}\t{v}" for k, v in value.items()]
         else:
-            lines.append(f"{key}\t{value}")
-    return "\n".join(lines) + "\n"
+            lines = [f"{key}\t{value}"]
+        if lines:
+            yield "\n".join(lines) + "\n"
 
 
-def emit_report(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    if fmt == "delimited":
-        return render_delimited(report)
-    if fmt == "table":
-        return render_table(report)
-    raise ValueError(f"unknown format {fmt!r}")
+def _json_cells(keys, cells) -> str:
+    """The ``"key": value`` lines of a flat record, as ``indent=2`` writes
+    them at row depth, by the C encoder."""
+    return json.dumps(dict(zip(keys, cells)),
+                      separators=(",\n      ", ": "))[1:-1]
+
+
+def _json_chunks(report: dict):
+    """``json.dumps(report, indent=2)``, one top-level item at a time."""
+    sep = "{\n"
+    for key, value in report.items():
+        if isinstance(value, RowDump):
+            head_keys, tail_keys = value.key_split()
+            yield f"{sep}  {json.dumps(key)}: [\n"
+            yield from _row_chunks(
+                value,
+                lambda cells: "    {\n      " + (
+                    _json_cells(head_keys, cells) + ",\n      "
+                    if head_keys else ""),
+                lambda cells: _json_cells(tail_keys, cells) + "\n    }",
+                ",\n")
+            yield "\n  ]"
+        else:
+            yield sep + json.dumps({key: value}, indent=2)[2:-2]
+        sep = ",\n"
+    yield "\n}\n" if report else "{}\n"
+
+
+_RENDERERS = {"table": _table_chunks, "delimited": _delimited_chunks,
+              "json": _json_chunks}
+
+
+def emit_report(report: dict, fmt: str, out=None) -> str | None:
+    """Render ``report`` in ``fmt``: returned as one string, or, given a
+    text stream ``out``, written to it chunk by chunk (``RowDump`` rows
+    ``CHUNK_ROWS`` at a time) and None returned."""
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    chunks = _RENDERERS[fmt]({k: _plain(v) for k, v in report.items()})
+    if out is None:
+        return "".join(chunks)
+    out.writelines(chunks)
+    return None

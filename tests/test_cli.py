@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oagame.cli import run_cli
 from oagame import fixtures
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -210,6 +216,7 @@ def test_nash_bimatrix_rejects_game_options(capsys, extra):
 @pytest.mark.parametrize("cells, message", [
     ("(1,2)", "expected 2 cells in line '(1,2)'"),
     ("(1,2) (x,4)", "bad payoff in line '(1,2) (x,4)'"),
+    ("(1/0,2) (3,4)", "bad payoff in line '(1/0,2) (3,4)'"),
 ])
 def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
                                             message):
@@ -222,6 +229,15 @@ def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
         assert code == 1
         assert out == ""
         assert err.startswith(f"oagame: {path}: {message}")
+
+
+@pytest.mark.parametrize("mix", ["1/0,1", "x,1"])
+def test_unreadable_mix_is_a_usage_error(capsys, mix):
+    code, out, err = run(capsys, "expected", "--bimatrix", "table5.bmx",
+                         "--row-mix", mix, "--col-mix", "1/4,1/4,1/4,1/4")
+    assert (code, out) == (2, "")
+    assert err == ("oagame: --row-mix: probabilities must be rationals or "
+                   "decimals\n")
 
 
 def test_structural_error_names_its_line(tmp_path, capsys):
@@ -344,12 +360,94 @@ GOLDEN_STDOUT = {
         "6b1acc754ea2a40431e95ee60702eea323b0639f85def06f9b1923d0a83a9e51",
     ("nash", "--game", "oa.game", "--format", "json"):
         "69d07f7941e6c795e9ad41569b2821a2441b0af8d57551fb6a3ae288717fd79c",
+    # The next five were taken before row dumps were rendered from the
+    # distinct profiles and completions of their rows.
+    ("top", "--game", "oa.game", "--format", "table"):
+        "b49657ba669ff55bca52e04440eb318a15b0185a79c31d0c8d0a6f151c0e34e6",
+    ("top", "--game", "oa.game", "--format", "delimited"):
+        "b30930ff879e8356a06309808f98d2509eade56224e396a19bdd92fd41676e04",
+    ("enumerate", "--game", "alias.game", "--dump", "--format", "json"):
+        "7f6d317ea6d2e060921ccd52531c27a59c580a66df1679e88bced8df48b69c30",
+    ("enumerate", "--game", "alias.game", "--dump", "--format", "table"):
+        "0e6135a6f29ca7462cbb4c682f6aa42adf4d10d696216a102d43e306cd62ea77",
+    ("enumerate", "--game", "alias.game", "--dump", "--format", "delimited"):
+        "dbda5e43c1d415f1698e1ea36ddbda5425501f53f7981be997f221b55913249a",
 }
+
+# A value alias, negative scores, a non-ASCII player and action name, and
+# last columns of unequal widths.
+ALIAS_GAME = """game "alias"
+player \u00c4rzte alias Doc actions: "Caf\u00e9", "Tee"
+player B actions: "b1", "b2", "b3"
+variable V owner: \u00c4rzte values: Hi=2, Lo=-1 valias Top->Hi
+variable W owner: B values: Yes=1, No=-3
+utility Doc = V
+utility B = W + V
+rule if Doc="Caf\u00e9" then V="Top"
+rule if B="b3" then W="No", otherwise W="Yes"
+"""
 
 
 @pytest.mark.parametrize("args", list(GOLDEN_STDOUT))
-def test_golden_stdout_bytes(capsys, args):
+def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
+    (tmp_path / "alias.game").write_text(ALIAS_GAME, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the report names its input path
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         GOLDEN_STDOUT[args]
+
+
+def test_empty_dump_bytes(tmp_path, capsys):
+    """Rules forcing V=Hi and V=Lo on every profile leave no rows."""
+    path = tmp_path / "empty.game"
+    path.write_text('game "e"\nplayer A actions: "a1", "a2"\n'
+                    'variable V owner: A values: Hi=1, Lo=0\n'
+                    'utility A = V\n'
+                    'rule if A="a1" then V="Hi", otherwise V="Hi"\n'
+                    'rule if A="a1" then V="Lo", otherwise V="Lo"\n')
+    for argv in (("enumerate", "--dump"), ("top",)):
+        for fmt, tail in (("table", "\nrows: \n"),
+                          ("delimited", "\nrows\t[]\n"),
+                          ("json", '\n  "rows": []\n}\n')):
+            code, out, _ = run(capsys, *argv, "--game", str(path),
+                               "--format", fmt)
+            assert code == 0
+            assert out.endswith(tail)
+
+
+def test_dump_to_output_file_matches_stdout(tmp_path, capsys):
+    for fmt in ("json", "table", "delimited"):
+        args = ("enumerate", "--game", "oa.game", "--dump", "--format", fmt)
+        path = tmp_path / f"dump.{fmt}"
+        code, out, _ = run(capsys, *args)
+        assert run(capsys, *args, "--output", str(path)) == (0, "", "")
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
+
+# Runs the command given as its arguments as a child process, output
+# discarded, and prints the child's peak RSS in KiB.  A child's ru_maxrss
+# starts from the RSS of the process that forked it, so each command is
+# spawned from this small helper rather than from the test process.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_dump_memory_stays_near_the_plain_run():
+    """The JSON row dump of oa.game is written in chunks, so its peak RSS
+    stays within 16 MiB of the run without --dump."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def peak_kib(*args):
+        cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+               "oagame.cli", "enumerate", "--game", "oa.game", *args]
+        return int(subprocess.run(cmd, env=env, capture_output=True,
+                                  check=True).stdout)
+
+    plain = peak_kib()
+    dump = peak_kib("--dump", "--format", "json")
+    assert dump - plain <= 16 * 1024, (plain, dump)
