@@ -145,9 +145,15 @@ def _emit(args, report: dict) -> None:
 
 @contextlib.contextmanager
 def _output(args):
-    """--output opened for writing, or stdout when none is given."""
+    """--output opened for writing, or stdout when none is given; a path
+    that cannot be opened is a usage error."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.output}: {exc.strerror}",
+                            USAGE_ERROR)
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -571,7 +577,15 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        status = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Python flushes stdout again at
+        # exit, so point it at devnull for that flush not to fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(DIAG_ERROR)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

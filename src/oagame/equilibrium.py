@@ -1,13 +1,15 @@
 """Best responses, pure Nash equilibria, bimatrix projection, dominance,
 support-enumeration mixed equilibria, and expected utilities.
 
-Mixed-strategy computations run over exact rationals (fractions.Fraction);
-decimals appear only at the reporting boundary.
+Mixed-strategy computations are exact: support enumeration solves its
+indifference systems over ints, and every reported figure is a
+fractions.Fraction; decimals appear only at the reporting boundary.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,106 +298,118 @@ def dominance_analysis(
 # Mixed equilibria via support enumeration
 
 
-def _solve_linear(matrix: list[list[Fraction]],
-                  rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over exact rationals; None when singular."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _integer_scaled(
+    matrix: list[list[Fraction]]
+) -> tuple[list[list[int]], int]:
+    """The matrix times the LCM of its denominators, as ints, and that
+    LCM.  Indifference mixes do not change under positive scaling; common
+    values scale with it."""
+    scale = math.lcm(*(x.denominator for row in matrix for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row]
+            for row in matrix], scale
+
+
+def _indifference(
+    payoffs: list[list[int]], support_own: tuple[int, ...],
+    support_opp: tuple[int, ...]
+) -> tuple[list[int], int, int] | None:
+    """Opponent mix over ``support_opp`` equalizing our payoff on
+    ``support_own``, by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Returns the numerators of the mix and of the common value over one
+    positive denominator, or None when the system is singular.  Each step
+    divides exactly by the previous pivot, so every entry stays an int and
+    the last pivot is the determinant up to sign (Bareiss 1968)."""
+    k = len(support_opp)
+    rows = [[payoffs[i][j] for j in support_opp] + [-1, 0]
+            for i in support_own]
+    rows.append([1] * k + [0, 1])
+    prev = 1
+    for col in range(k + 1):
+        pivot = next((r for r in range(col, k + 1) if rows[r][col]), None)
         if pivot is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-def _indifference_mix(
-    payoffs: list[list[Fraction]], support_own: tuple[int, ...],
-    support_opp: tuple[int, ...]
-) -> tuple[list[Fraction], Fraction] | None:
-    """Opponent mix over ``support_opp`` equalizing our payoff on
-    ``support_own``; returns (mix, common value) or None if singular."""
-    k = len(support_opp)
-    matrix = []
-    rhs = []
-    for i in support_own:
-        matrix.append([payoffs[i][j] for j in support_opp] + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    matrix.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
-    if len(matrix) != k + 1:
-        return None
-    solution = _solve_linear(matrix, rhs)
-    if solution is None:
-        return None
-    return solution[:k], solution[k]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(p * x - f * t) // prev for x, t in zip(row, top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    *mix, value = (sign * row[-1] for row in rows)
+    return mix, value, sign * prev
 
 
 def mixed_nash_2p(bm: Bimatrix) -> tuple[list[EquilibriumCertificate], bool]:
     """All equilibria found by equal-size support enumeration, plus a
-    degeneracy flag (singular indifference systems or off-support ties)."""
+    degeneracy flag (singular indifference systems or off-support ties).
+
+    Both players' payoffs are scaled to ints once; signs and off-support
+    deviations are tested on integer numerators, and ``Fraction``s are
+    built only for the equilibria found."""
     if not bm.feasible():
         raise ValueError("mixed analysis requires a fully feasible bimatrix")
     m, n = len(bm.row_actions), len(bm.col_actions)
     if m > SUPPORT_LIMIT or n > SUPPORT_LIMIT:
         raise ValueError(f"support enumeration limited to {SUPPORT_LIMIT} "
                          f"actions per side")
-    a = [[Fraction(bm.payoffs[i][j][0]) for j in range(n)] for i in range(m)]
-    b = [[Fraction(bm.payoffs[i][j][1]) for j in range(n)] for i in range(m)]
-    b_t = [[b[i][j] for i in range(m)] for j in range(n)]
+    a, scale_a = _integer_scaled(
+        [[Fraction(bm.payoffs[i][j][0]) for j in range(n)] for i in range(m)])
+    b_t, scale_b = _integer_scaled(
+        [[Fraction(bm.payoffs[i][j][1]) for i in range(m)] for j in range(n)])
 
     certs: list[EquilibriumCertificate] = []
     degenerate = False
     for k in range(1, min(m, n) + 1):
         for sup_r in itertools.combinations(range(m), k):
             for sup_c in itertools.combinations(range(n), k):
-                col_mix = _indifference_mix(a, sup_r, sup_c)
-                row_mix = _indifference_mix(b_t, sup_c, sup_r)
-                if col_mix is None or row_mix is None:
+                col_mix = _indifference(a, sup_r, sup_c)
+                if col_mix is None or 0 in col_mix[0]:
                     degenerate = True
                     continue
-                y, v_row = col_mix
-                x, v_col = row_mix
-                if any(p <= 0 for p in x) or any(p <= 0 for p in y):
-                    if any(p == 0 for p in x) or any(p == 0 for p in y):
-                        degenerate = True
+                y, v_row, den_y = col_mix
+                # A negative weight rules the pair out; the row system
+                # could only set the flag, so skip it once the flag is set.
+                if degenerate and min(y) < 0:
                     continue
-                # Off-support pure deviations must not be profitable.
-                row_alts = [sum(y[jj] * a[i][j]
-                                for jj, j in enumerate(sup_c))
+                row_mix = _indifference(b_t, sup_c, sup_r)
+                if row_mix is None or 0 in row_mix[0]:
+                    degenerate = True
+                    continue
+                x, v_col, den_x = row_mix
+                if min(y) < 0 or min(x) < 0:
+                    continue
+                # Off-support pure deviations must not be profitable; both
+                # sides of each comparison are over den * scale.
+                row_alts = [sum(w * a[i][j] for w, j in zip(y, sup_c))
                             for i in range(m)]
-                col_alts = [sum(x[ii] * b[i][j]
-                                for ii, i in enumerate(sup_r))
+                col_alts = [sum(w * b_t[j][i] for w, i in zip(x, sup_r))
                             for j in range(n)]
-                if any(row_alts[i] > v_row for i in range(m)
-                       if i not in sup_r):
+                off_r = [row_alts[i] - v_row for i in range(m)
+                         if i not in sup_r]
+                off_c = [col_alts[j] - v_col for j in range(n)
+                         if j not in sup_c]
+                if max(off_r, default=-1) > 0 or max(off_c, default=-1) > 0:
                     continue
-                if any(col_alts[j] > v_col for j in range(n)
-                       if j not in sup_c):
-                    continue
-                tie = (any(row_alts[i] == v_row for i in range(m)
-                           if i not in sup_r)
-                       or any(col_alts[j] == v_col for j in range(n)
-                              if j not in sup_c))
+                tie = 0 in off_r or 0 in off_c
                 degenerate = degenerate or tie
+                row_den, col_den = den_y * scale_a, den_x * scale_b
                 row_strategy = MixedStrategy(bm.row_player, tuple(
-                    (bm.row_actions[i], x[ii])
-                    for ii, i in enumerate(sup_r)))
+                    (bm.row_actions[i], Fraction(w, den_x))
+                    for i, w in zip(sup_r, x)))
                 col_strategy = MixedStrategy(bm.col_player, tuple(
-                    (bm.col_actions[j], y[jj])
-                    for jj, j in enumerate(sup_c)))
+                    (bm.col_actions[j], Fraction(w, den_y))
+                    for j, w in zip(sup_c, y)))
                 certs.append(EquilibriumCertificate(
                     "pure" if k == 1 else "mixed",
                     (row_strategy, col_strategy),
-                    (v_row, v_col),
-                    (tuple(zip(bm.row_actions, row_alts)),
-                     tuple(zip(bm.col_actions, col_alts))),
+                    (Fraction(v_row, row_den), Fraction(v_col, col_den)),
+                    (tuple((act, Fraction(u, row_den))
+                           for act, u in zip(bm.row_actions, row_alts)),
+                     tuple((act, Fraction(u, col_den))
+                           for act, u in zip(bm.col_actions, col_alts))),
                     degenerate=tie))
     return certs, degenerate
 

@@ -1,15 +1,23 @@
-"""Naive brute-force oracle for admissible-row enumeration.
+"""Naive brute-force oracles for admissible-row enumeration and for
+support-enumeration mixed equilibria.
 
-Plain nested loops over the full profile x assignment space, re-checking
-every rule with its own atom evaluation.  Deliberately independent of the
-engine's pruning path; the two must agree as sets.
+Rows: plain nested loops over the full profile x assignment space,
+re-checking every rule with its own atom evaluation.  Deliberately
+independent of the engine's pruning path; the two must agree as sets.
+
+Mixed equilibria: support enumeration with both indifference systems of
+every support pair solved by Gaussian elimination over ``Fraction``, the
+way ``mixed_nash_2p`` did before it solved them over integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
+from oagame.equilibrium import (SUPPORT_LIMIT, Bimatrix,
+                                EquilibriumCertificate, MixedStrategy)
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
                           PlayerDef, Rule, ScenarioRow, UtilityDef)
 
@@ -188,3 +196,109 @@ def random_rich_game(rng: random.Random) -> GameSpec:
                                  for v in variables if v.owner == p.name))
         for p in players)
     return GameSpec("rich", players, tuple(variables), rules, utilities)
+
+
+def _solve_linear(matrix: list[list[Fraction]],
+                  rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gaussian elimination over exact rationals; None when singular."""
+    n = len(matrix)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def _indifference_mix(
+    payoffs: list[list[Fraction]], support_own: tuple[int, ...],
+    support_opp: tuple[int, ...]
+) -> tuple[list[Fraction], Fraction] | None:
+    """Opponent mix over ``support_opp`` equalizing our payoff on
+    ``support_own``; returns (mix, common value) or None if singular."""
+    k = len(support_opp)
+    matrix = []
+    rhs = []
+    for i in support_own:
+        matrix.append([payoffs[i][j] for j in support_opp] + [Fraction(-1)])
+        rhs.append(Fraction(0))
+    matrix.append([Fraction(1)] * k + [Fraction(0)])
+    rhs.append(Fraction(1))
+    if len(matrix) != k + 1:
+        return None
+    solution = _solve_linear(matrix, rhs)
+    if solution is None:
+        return None
+    return solution[:k], solution[k]
+
+
+def support_enumeration(
+    bm: Bimatrix
+) -> tuple[list[EquilibriumCertificate], bool]:
+    """All equilibria found by equal-size support enumeration, plus a
+    degeneracy flag (singular indifference systems or off-support ties)."""
+    if not bm.feasible():
+        raise ValueError("mixed analysis requires a fully feasible bimatrix")
+    m, n = len(bm.row_actions), len(bm.col_actions)
+    if m > SUPPORT_LIMIT or n > SUPPORT_LIMIT:
+        raise ValueError(f"support enumeration limited to {SUPPORT_LIMIT} "
+                         f"actions per side")
+    a = [[Fraction(bm.payoffs[i][j][0]) for j in range(n)] for i in range(m)]
+    b = [[Fraction(bm.payoffs[i][j][1]) for j in range(n)] for i in range(m)]
+    b_t = [[b[i][j] for i in range(m)] for j in range(n)]
+
+    certs: list[EquilibriumCertificate] = []
+    degenerate = False
+    for k in range(1, min(m, n) + 1):
+        for sup_r in itertools.combinations(range(m), k):
+            for sup_c in itertools.combinations(range(n), k):
+                col_mix = _indifference_mix(a, sup_r, sup_c)
+                row_mix = _indifference_mix(b_t, sup_c, sup_r)
+                if col_mix is None or row_mix is None:
+                    degenerate = True
+                    continue
+                y, v_row = col_mix
+                x, v_col = row_mix
+                if any(p <= 0 for p in x) or any(p <= 0 for p in y):
+                    if any(p == 0 for p in x) or any(p == 0 for p in y):
+                        degenerate = True
+                    continue
+                # Off-support pure deviations must not be profitable.
+                row_alts = [sum(y[jj] * a[i][j]
+                                for jj, j in enumerate(sup_c))
+                            for i in range(m)]
+                col_alts = [sum(x[ii] * b[i][j]
+                                for ii, i in enumerate(sup_r))
+                            for j in range(n)]
+                if any(row_alts[i] > v_row for i in range(m)
+                       if i not in sup_r):
+                    continue
+                if any(col_alts[j] > v_col for j in range(n)
+                       if j not in sup_c):
+                    continue
+                tie = (any(row_alts[i] == v_row for i in range(m)
+                           if i not in sup_r)
+                       or any(col_alts[j] == v_col for j in range(n)
+                              if j not in sup_c))
+                degenerate = degenerate or tie
+                row_strategy = MixedStrategy(bm.row_player, tuple(
+                    (bm.row_actions[i], x[ii])
+                    for ii, i in enumerate(sup_r)))
+                col_strategy = MixedStrategy(bm.col_player, tuple(
+                    (bm.col_actions[j], y[jj])
+                    for jj, j in enumerate(sup_c)))
+                certs.append(EquilibriumCertificate(
+                    "pure" if k == 1 else "mixed",
+                    (row_strategy, col_strategy),
+                    (v_row, v_col),
+                    (tuple(zip(bm.row_actions, row_alts)),
+                     tuple(zip(bm.col_actions, col_alts))),
+                    degenerate=tie))
+    return certs, degenerate

@@ -146,6 +146,32 @@ def test_project_needs_two_distinct_declared_players(capsys):
         assert err == f"oagame: {message}\n"
 
 
+def test_output_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "nodir" / "x.txt"
+    code, out, err = run(capsys, "validate", "--game", "oa.game",
+                         "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"oagame: cannot write {path}: No such file or directory\n"
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """A reader that stops early (``| head -c 10``) closes the pipe while
+    the dump is still being written."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oagame.cli", "enumerate", "--game",
+         "oa.game", "--dump", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stdout.read(10) == b'{\n  "tool"'
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err, err.decode()
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "definitely-not-a-command")[0] == 2
     assert run(capsys, "enumerate")[0] == 2  # --game is required
@@ -372,6 +398,15 @@ GOLDEN_STDOUT = {
         "0e6135a6f29ca7462cbb4c682f6aa42adf4d10d696216a102d43e306cd62ea77",
     ("enumerate", "--game", "alias.game", "--dump", "--format", "delimited"):
         "dbda5e43c1d415f1698e1ea36ddbda5425501f53f7981be997f221b55913249a",
+    # The next three were taken before support enumeration solved its
+    # indifference systems over integers.
+    ("mixed", "--bimatrix", "table5.bmx", "--format", "json"):
+        "333e964e959ec8c8bed99044561fe7687303e6b6f641252a75b2d775ce5469cf",
+    ("mixed", "--bimatrix", "table6.bmx", "--dominance", "weak",
+     "--format", "json"):
+        "934fef61bfcda0485aadda837ddd29babd5ac8da4a565484c00c95ce669e9e4c",
+    ("mixed", "--bimatrix", "six.bmx", "--format", "json"):
+        "e58f43442ef58de14977a6c7a1852137d88d9b27215f376df8562718854b868d",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and
@@ -388,9 +423,23 @@ rule if B="b3" then W="No", otherwise W="Yes"
 """
 
 
+# Ties, negative and fractional payoffs: four pure and six mixed
+# equilibria, one of them degenerate.
+SIX_BMX = """rows: Row: r1, r2, r3, r4, r5, r6
+cols: Col: c1, c2, c3, c4, c5, c6
+(3,1) (0,2) (1/2,0) (2,-1) (1,1) (0,0)
+(0,2) (3,1) (1,1/3) (-1,2) (1,0) (2,1/2)
+(1,0) (1,1) (2,2) (0,-3/2) (1,1) (-2,0)
+(2,-1) (-1,0) (0,2) (5/2,5/2) (0,1) (1,1)
+(1,1) (1,0) (1,1) (0,1) (1,1) (1,0)
+(-1/3,0) (2,1/2) (-2,0) (1,1) (0,1) (3,3)
+"""
+
+
 @pytest.mark.parametrize("args", list(GOLDEN_STDOUT))
 def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
     (tmp_path / "alias.game").write_text(ALIAS_GAME, encoding="utf-8")
+    (tmp_path / "six.bmx").write_text(SIX_BMX, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # the report names its input path
     code, out, _ = run(capsys, *args)
     assert code == 0

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oagame import (
     Bimatrix,
@@ -17,6 +17,8 @@ from oagame import (
     pure_nash,
     serialize_bimatrix,
 )
+
+from .oracle import support_enumeration
 
 F = Fraction
 
@@ -227,6 +229,39 @@ def test_certificates_verify(table5, table6):
             assert cert.verify()
         for cert in pure_nash(bm.to_payoff_table()):
             assert cert.verify()
+
+
+# Payoff kinds for the differential test: integers and fractions with
+# either sign, and the values 0, 1, 2 only, so payoffs tie and most games
+# are degenerate.
+PAYOFF_KINDS = (
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(0, 2).map(F),
+)
+
+
+@st.composite
+def bimatrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    value = draw(st.sampled_from(PAYOFF_KINDS))
+    cell = st.tuples(value, value)
+    cells = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+    return bimatrix([f"r{i}" for i in range(m)],
+                    [f"c{j}" for j in range(n)], cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bimatrices())
+# Degenerate only because, on each pair of two-action supports, the Row
+# mix's system is singular; the Col mix solved first has a negative weight.
+@example(bimatrix(["r1", "r2", "r3"], ["c1", "c2"],
+                  [[(-3, 0), (-3, 3)], [(0, 0), (1, 3)], [(3, -3), (2, 0)]]))
+def test_mixed_nash_matches_support_enumeration_oracle(bm):
+    certs, degenerate = mixed_nash_2p(bm)
+    assert (certs, degenerate) == support_enumeration(bm)
+    assert all(cert.verify() for cert in certs)
 
 
 def test_scaling_payoffs_preserves_structure(table6):
