@@ -36,10 +36,12 @@ from .engine import (  # noqa: F401
     CompletionPolicy,
     EnumerationReport,
     PayoffTable,
+    RowBudgetError,
     admissible_rows,
     chosen_completions,
     compile_game,
     derive_payoff_table,
+    enumeration_report,
     top_gu_rows,
 )
 from .equilibrium import (  # noqa: F401

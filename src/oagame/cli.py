@@ -21,6 +21,7 @@ from .engine import (
     CompletionPolicy,
     admissible_rows,
     derive_payoff_table,
+    enumeration_report,
     record_cells,
     top_gu_rows,
 )
@@ -247,7 +248,10 @@ def _cmd_validate(args) -> int:
 def _cmd_enumerate(args) -> int:
     validated, digest = _game_or_fail(args)
     game = validated.game
-    rows, enum = admissible_rows(game)
+    if args.dump:
+        rows, enum = admissible_rows(game)
+    else:
+        enum = enumeration_report(game)
     out = rp.base_report({args.game: digest})
     out["semantics"] = args.mode
     out["action_profiles"] = enum.action_profile_count
@@ -412,7 +416,7 @@ def _cmd_expected(args) -> int:
 def _cmd_reproduce(args) -> int:
     validated, game_digest = _game_or_fail(args)
     game = validated.game
-    _, enum = admissible_rows(game)
+    enum = enumeration_report(game)
     bm5, bm5_digest = _load_bimatrix(args.bimatrix)
     certs = pure_nash(bm5.to_payoff_table())
     member = ("Publish OA", "Grant TA") in [c.pure_profile() for c in certs]

@@ -371,8 +371,9 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     players: list[PlayerDef] = []
     variables: list[OutcomeVarDef] = []
     utilities: list[UtilityDef] = []
-    # Declaring line of each player, variable and utility, by position.
-    lines: dict[str, list[int]] = {"player": [], "variable": [],
+    # Declaring line of the game (line 1 when it has none) and of each
+    # player, variable and utility, by position.
+    lines: dict[str, list[int]] = {"game": [1], "player": [], "variable": [],
                                    "utility": []}
     rule_lines: list[tuple[int, str]] = []
 
@@ -385,6 +386,7 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
             m = _GAME_RE.match(line)
             if m:
                 name = _unquote(m.group("name"))
+                lines["game"] = [lineno]
             else:
                 errors.append(ParseError(_span(lineno), "syntax",
                                          "malformed game line", line))
@@ -481,8 +483,11 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
 
 def _structural_errors(game: GameSpec):
     """Yield ``((kind, index), message, token)`` for each structural error of
-    ``game``'s declarations: ``kind`` is ``"player"``, ``"variable"`` or
-    ``"utility"`` and ``index`` the declaration's position among them."""
+    ``game``'s declarations: ``kind`` is ``"game"``, ``"player"``,
+    ``"variable"`` or ``"utility"`` and ``index`` the declaration's position
+    among them."""
+    if not game.players:
+        yield ("game", 0), "a game declares at least one player", ""
     seen: set[str] = set()
     for i, p in enumerate(game.players):
         where = ("player", i)

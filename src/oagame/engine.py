@@ -16,11 +16,15 @@ folded in, so a rule with an inert condition atom keeps only its
 otherwise-branch and inert assignment atoms are gone.  For each
 action profile, the rules decided by the profile alone force variable
 values up front; the rules that test outcome variables are checked once per
-assignment of the variables they mention, and the candidates are filtered
-by the admissible assignments found.  Completions stream out as tuples of
-value indices and are never kept between calls.  Enumeration, top rows,
-policy picks (and through them payoff tables and projections) and row
-records all read that one stream.  A row is a ``(profile, completion)``
+assignment of the variables they mention (the coupled block), and the
+candidates are filtered by the admissible assignments found.  Every other
+variable is free, independent of the rest, so a profile's admissible
+count, greatest global utility and completions attaining it follow in
+closed form: ``enumeration_report`` counts without building a row, and
+``top_gu_rows`` generates only the rows at the maximum.  Completions
+stream out as tuples of value indices and are never kept between calls.
+Row lists, policy picks (and through them payoff tables and projections)
+and row records all read that one stream.  A row is a ``(profile, completion)``
 pair of index tuples; names come back only in ``record_cells`` and
 ``CompiledGame.row``.  ``record_cells`` names each distinct profile and
 each distinct completion of a row list once, so a row dump is rendered
@@ -34,11 +38,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import getitem, itemgetter
+from typing import NamedTuple
 
 from .model import (
     ACTION,
     OUTCOME,
     Atom,
+    GameError,
     GameSpec,
     NameResolutionError,
     Rule,
@@ -114,8 +120,8 @@ class CompiledGame:
     the condition can never hold, and the rest are index pairs.
     Utility terms are resolved the first time a player's utility is asked
     for, so a player without a utility definition is an error only for
-    the consumers that need one.  The checks of outcome-testing rules are
-    kept per (active rules, forced values), at most one per profile.
+    the consumers that need one.  Profile blocks (``_Block``) are kept per
+    (deferred rules, forced values), at most one per profile.
     """
 
     def __init__(self, game: GameSpec):
@@ -132,8 +138,8 @@ class CompiledGame:
         self._value_index = tuple(map(_index, self.values))
         self.ranges = tuple(range(len(v)) for v in self.values)
         self.rules = tuple(self._rule(r) for r in game.rules)
-        # (deferred rule indices, forced values) -> _deferred_check(...)
-        self._deferred_checks: dict[tuple, tuple] = {}
+        # (deferred rule indices, forced values) -> _block(...)
+        self._blocks: dict[tuple, _Block] = {}
         self._weights: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def _pair(self, kind: str, subject: str,
@@ -229,14 +235,34 @@ def _holds(pairs, values) -> bool:
     return all(values[i] == j for i, j in pairs)
 
 
-def _profile_completions(cg: CompiledGame, profile):
-    """Admissible completions of one profile, canonical order.
+class RowBudgetError(GameError):
+    """A row list would hold more than ``ROW_BUDGET`` rows."""
 
+
+# The most rows ``admissible_rows`` or ``top_gu_rows`` builds; above it they
+# raise ``RowBudgetError`` before building any row.
+ROW_BUDGET = 10**6
+
+
+class _Block(NamedTuple):
+    """What every profile with the same (deferred rules, forced values)
+    shares.  The variables the deferred rules mention are coupled; the
+    others are free, each independent of the rest."""
+
+    domains: list  # per variable, its forced value or its range
+    select: object  # getter of the coupled values; None when none are
+    passing: set  # coupled assignments satisfying every deferred rule
+    argmax: set  # the passing ones of greatest GU
+    top: list  # ``domains`` with free variables cut to their top values
+    count: int  # admissible completions
+    best: int | None  # their greatest GU
+    at_best: int  # completions attaining it
+
+
+def _profile_block(cg: CompiledGame, profile) -> _Block | None:
+    """The block of one profile, or None when its forced values conflict.
     Rules whose conditions are decided by the profile alone force variable
-    values up front; rules that test outcome variables are checked on every
-    assignment of the variables they mention, and each candidate is kept
-    when its assignment of those variables passed.
-    """
+    values; rules that test outcome variables are deferred."""
     forced = [None] * len(cg.values)
     deferred = []
     for r, (acts, tests, then, otherwise) in enumerate(cg.rules):
@@ -251,75 +277,123 @@ def _profile_completions(cg: CompiledGame, profile):
             if forced[v] is None:
                 forced[v] = x
             elif forced[v] != x:
-                return  # conflicting forced values: no admissible completion
-    domains = [r if f is None else (f,) for f, r in zip(forced, cg.ranges)]
-    if not deferred:
-        yield from itertools.product(*domains)
-        return
+                return None
     key = (tuple(deferred), tuple(forced))
-    check = cg._deferred_checks.get(key)
-    if check is None:
-        check = cg._deferred_checks[key] = _deferred_check(
-            [cg.rules[r][1:] for r in deferred], domains)
-    select, passing = check
-    yield from itertools.compress(
-        itertools.product(*domains),
-        map(passing.__contains__, map(select, itertools.product(*domains))))
+    block = cg._blocks.get(key)
+    if block is None:
+        block = cg._blocks[key] = _block(cg, *key)
+    return block
 
 
-def _deferred_check(deferred, domains):
-    """(selector, passing set): the variables the deferred rules mention and
-    their assignments, over ``domains``, that satisfy every one of them."""
-    coupled = sorted({v for rule in deferred for pairs in rule
+def _block(cg: CompiledGame, deferred, forced) -> _Block:
+    """Checks every assignment of the coupled variables once against the
+    deferred rules, then counts in closed form: a completion is a passing
+    coupled assignment times any free values, so counts multiply and
+    greatest GUs add (bucket elimination with one bucket per variable)."""
+    domains = [r if f is None else (f,) for f, r in zip(forced, cg.ranges)]
+    rules = [cg.rules[r][1:] for r in deferred]
+    coupled = sorted({v for rule in rules for pairs in rule
                       for v, _ in pairs})
-    passing = set()
+    passing, argmax, best = set(), set(), None
     for sub in itertools.product(*(domains[v] for v in coupled)):
         values = dict(zip(coupled, sub))
         if all(_holds(then if _holds(tests, values) else otherwise, values)
-               for tests, then, otherwise in deferred):
-            passing.add(sub if len(coupled) > 1 else sub[0])
-    return itemgetter(*coupled), passing
+               for tests, then, otherwise in rules):
+            sub = sub if len(coupled) != 1 else sub[0]
+            passing.add(sub)
+            gu = sum(cg.scores[v][x] for v, x in values.items())
+            if best is None or gu > best:
+                best, argmax = gu, set()
+            if gu == best:
+                argmax.add(sub)
+    count, at_best, top = len(passing), len(argmax), list(domains)
+    for v in (v for v in range(len(domains)) if v not in coupled):
+        scores = [cg.scores[v][x] for x in domains[v]]
+        high = max(scores, default=None)
+        count *= len(scores)
+        at_best *= scores.count(high)
+        top[v] = [x for x, s in zip(domains[v], scores) if s == high]
+        best = None if None in (best, high) else best + high
+    return _Block(domains, itemgetter(*coupled) if coupled else None,
+                  passing, argmax, top, count, best, at_best)
 
 
-def _top(cg: CompiledGame, rows) -> tuple[int | None, list[tuple]]:
-    """The maximum global utility over ``rows`` and the rows attaining it,
-    in their order; (None, []) when there are no rows."""
-    best, top = None, []
-    gus: dict[tuple, int] = {}  # completion -> GU, summed once
-    for row in rows:
-        gu = gus.get(row[1])
-        if gu is None:
-            gu = gus[row[1]] = cg.global_utility(row[1])
-        if best is None or gu > best:
-            best, top = gu, [row]
-        elif gu == best:
-            top.append(row)
-    return best, top
+def _filtered(select, domains, keep):
+    """The completions over ``domains`` whose coupled values are in
+    ``keep`` (every one when nothing is coupled), canonical order."""
+    if select is None:
+        return itertools.product(*domains)
+    return itertools.compress(
+        itertools.product(*domains),
+        map(keep.__contains__, map(select, itertools.product(*domains))))
+
+
+def _profile_completions(cg: CompiledGame, profile):
+    """Admissible completions of one profile, canonical order."""
+    block = _profile_block(cg, profile)
+    if block is None:
+        return ()
+    return _filtered(block.select, block.domains, block.passing)
+
+
+def _census(cg: CompiledGame):
+    """``(profile, block)`` of each profile with an admissible completion,
+    canonical order."""
+    for profile in cg.profiles():
+        block = _profile_block(cg, profile)
+        if block is not None and block.count:
+            yield profile, block
+
+
+def _within_budget(count: int, what: str) -> None:
+    if count > ROW_BUDGET:
+        raise RowBudgetError(f"{count} {what} exceed the row budget of "
+                             f"{ROW_BUDGET}")
+
+
+def enumeration_report(game: GameSpec) -> EnumerationReport:
+    """The counts of the admissible set, summed over the profiles' blocks
+    without building a row."""
+    cg = compile_game(game)
+    count, best, at_best = 0, None, 0
+    for _, block in _census(cg):
+        count += block.count
+        if best is None or block.best > best:
+            best, at_best = block.best, 0
+        if block.best == best:
+            at_best += block.at_best
+    profile_count = math.prod(map(len, cg.actions))
+    return EnumerationReport(profile_count,
+                             profile_count * math.prod(map(len, cg.values)),
+                             count, best, at_best)
 
 
 def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
     """All admissible rows in canonical order, as ``(profile, completion)``
     index pairs of ``compile_game(game)``, plus the count report.  Rows
-    with equal completions share one completion tuple."""
-    cg = compile_game(game)
+    with equal completions share one completion tuple.  Raises
+    ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
+    report = enumeration_report(game)
+    _within_budget(report.admissible_count, "admissible rows")
     shared: dict[tuple, tuple] = {}
-    rows = [(p, shared.setdefault(c, c)) for p in cg.profiles()
-            for c in _profile_completions(cg, p)]
-    best, top = _top(cg, rows)
-    profile_count = math.prod(map(len, cg.actions))
-    report = EnumerationReport(profile_count,
-                               profile_count * math.prod(map(len, cg.values)),
-                               len(rows), best, len(top))
+    rows = [(p, shared.setdefault(c, c))
+            for p, b in _census(compile_game(game))
+            for c in _filtered(b.select, b.domains, b.passing)]
     return rows, report
 
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     """Maximum global utility over the admissible set and the rows attaining
     it, as ``(profile, completion)`` pairs in canonical order.  (None, [])
-    when the admissible set is empty."""
-    cg = compile_game(game)
-    return _top(cg, ((p, c) for p in cg.profiles()
-                     for c in _profile_completions(cg, p)))
+    when the admissible set is empty.  Raises ``RowBudgetError``, building
+    no row, when more than ``ROW_BUDGET`` rows attain it."""
+    report = enumeration_report(game)
+    best = report.max_global_utility
+    _within_budget(report.max_global_utility_count,
+                   "rows at max global utility")
+    return best, [(p, c) for p, b in _census(compile_game(game))
+                  if b.best == best
+                  for c in _filtered(b.select, b.top, b.argmax)]
 
 
 def _fixed_fragment(cg: CompiledGame, policy: CompletionPolicy):

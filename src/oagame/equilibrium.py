@@ -450,8 +450,11 @@ _HEADER_RE = re.compile(r"^(rows|cols):\s*(?P<player>[^:]+):\s*(?P<actions>.+)$"
 _CELL_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 
 
-def _parse_number(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _parse_cell(u: str, v: str) -> tuple[Fraction, Fraction] | None:
+    """A payoff pair, or None for the ``(-,-)`` of an infeasible cell."""
+    if u == v == "-":
+        return None
+    return Fraction(u), Fraction(v)
 
 
 def parse_bimatrix(text: str) -> Bimatrix:
@@ -483,8 +486,7 @@ def parse_bimatrix(text: str) -> Bimatrix:
             raise BimatrixFormatError(
                 f"expected {len(col_actions)} cells in line {ln!r}")
         try:
-            rows.append(tuple((_parse_number(u), _parse_number(v))
-                              for u, v in cells))
+            rows.append(tuple(_parse_cell(u, v) for u, v in cells))
         except (ValueError, ZeroDivisionError) as exc:
             raise BimatrixFormatError(f"bad payoff in line {ln!r}: {exc}")
     return Bimatrix(row_player, row_actions, col_player, col_actions,

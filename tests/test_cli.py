@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,7 @@ def test_nash_bimatrix_rejects_game_options(capsys, extra):
     ("(1,2)", "expected 2 cells in line '(1,2)'"),
     ("(1,2) (x,4)", "bad payoff in line '(1,2) (x,4)'"),
     ("(1/0,2) (3,4)", "bad payoff in line '(1/0,2) (3,4)'"),
+    ("(-,2) (3,4)", "bad payoff in line '(-,2) (3,4)'"),
 ])
 def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
                                             message):
@@ -255,6 +257,26 @@ def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
         assert code == 1
         assert out == ""
         assert err.startswith(f"oagame: {path}: {message}")
+
+
+def test_infeasible_bimatrix_cell_reads_back(tmp_path, capsys):
+    """A ``(-,-)`` cell, as ``project --format bmx`` writes it, is skipped
+    by ``nash`` and refused by the analyses that need every cell."""
+    path = tmp_path / "gap.bmx"
+    path.write_text("rows: R: r1, r2\ncols: C: c1, c2\n"
+                    "(-,-) (3,1)\n(2,2) (1,0)\n")
+    code, out, _ = run(capsys, "nash", "--bimatrix", str(path),
+                       "--format", "json")
+    assert code == 0
+    assert [[m["probabilities"] for m in e["strategies"]]
+            for e in json.loads(out)["equilibria"]] == [
+        [{"r1": 1}, {"c2": 1}], [{"r2": 1}, {"c1": 1}]]
+    for argv, what in ((("mixed",), "mixed analysis"),
+                       (("expected", "--row-mix", "1,0", "--col-mix", "1,0"),
+                        "expected utility")):
+        code, out, err = run(capsys, *argv, "--bimatrix", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"oagame: {what} requires a fully feasible bimatrix\n"
 
 
 @pytest.mark.parametrize("mix", ["1/0,1", "x,1"])
@@ -276,6 +298,16 @@ def test_structural_error_names_its_line(tmp_path, capsys):
     assert out == ""
     assert err == ("line 2:1: resolution: player 'A' has duplicate actions\n"
                    f"oagame: {path}: 1 parse error(s)\n")
+
+
+def test_game_without_players_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "empty.game"
+    path.write_text("")
+    for command in ("validate", "enumerate"):
+        code, out, err = run(capsys, command, "--game", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("line 1:1: resolution: a game declares at least one "
+                       f"player\noagame: {path}: 1 parse error(s)\n")
 
 
 def test_mixed_on_table6(capsys):
@@ -407,6 +439,26 @@ GOLDEN_STDOUT = {
         "934fef61bfcda0485aadda837ddd29babd5ac8da4a565484c00c95ce669e9e4c",
     ("mixed", "--bimatrix", "six.bmx", "--format", "json"):
         "e58f43442ef58de14977a6c7a1852137d88d9b27215f376df8562718854b868d",
+    # The next nine were taken before the counting commands read their
+    # figures off a census instead of a row list.
+    ("enumerate", "--game", "oa.game", "--format", "json"):
+        "8e0c718985e20c1ed795b798207c9cae19cddac54fbaf0378d86f7f3ede3da1b",
+    ("enumerate", "--game", "oa.game", "--format", "table"):
+        "268c2f6eb4dbbcbb8a17c4d15ae4b472838c2f4038c4f61e8004a65f9824c924",
+    ("enumerate", "--game", "oa.game", "--format", "delimited"):
+        "1e51383b9121b824aca3d03a391b6ae6de7322091fb5a6b2e3be38d0171c7830",
+    ("enumerate", "--game", "alias.game", "--format", "json"):
+        "8b71bf1584f84e1fb020c577cc01ce08f1bfa4a0ef26d63f81341e18338cd668",
+    ("enumerate", "--game", "alias.game", "--format", "table"):
+        "a7560fbd13d4f0c2c869224496218c25abc14a9518aa3d87c6c441be62d32da8",
+    ("enumerate", "--game", "alias.game", "--format", "delimited"):
+        "9986d9ad96d1feaeb0dc8c459a5bf831d8f6f66a9fd5a8458a46fd27f90a8519",
+    ("top", "--game", "alias.game", "--format", "json"):
+        "736c12fdb70ea27dbaf897c862fce13991d55e4fb50fb382873d5cfeb845cf4d",
+    ("top", "--game", "alias.game", "--format", "table"):
+        "2bcab542d093d478f364f0c6c6c453707f988ac9a6362b286ce6845750102736",
+    ("top", "--game", "alias.game", "--format", "delimited"):
+        "a0d5f20391cd90bd296890b4eaf6d34d26b07e8e4fed9b5aa6c69d27d2dd3e98",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and
@@ -500,3 +552,61 @@ def test_dump_memory_stays_near_the_plain_run():
     plain = peak_kib()
     dump = peak_kib("--dump", "--format", "json")
     assert dump - plain <= 16 * 1024, (plain, dump)
+
+
+def _wide_game(score: int) -> str:
+    """Four players of four actions and 22 two-valued variables, a row
+    space of 256 * 2**22 (over 10**9).  Four rules force one variable each
+    in every profile and two deferred rules couple four more, so tens of
+    millions of rows are admissible.  ``Hi`` scores ``score`` and ``Lo``
+    0: with ``score`` 0 every admissible row is at the max."""
+    lines = ['game "wide"']
+    lines += [f'player P{i} actions: ' + ", ".join(f'"a{j}"' for j in range(4))
+              for i in range(4)]
+    lines += [f"variable V{v} owner: P{v % 4} values: Hi={score}, Lo=0"
+              for v in range(22)]
+    lines += [f"utility P{i} = " + " + ".join(f"V{v}" for v in range(i, 22, 4))
+              for i in range(4)]
+    lines += [f'rule if P{i}="a{i}" then V{i}="Hi", otherwise V{i}="Lo"'
+              for i in range(4)]
+    lines += ['rule if V4="Hi" then V5="Lo"',
+              'rule if P1="a2" and V6="Lo" then V7="Hi"']
+    return "\n".join(lines) + "\n"
+
+
+def test_wide_game_counts_without_rows_and_dump_is_refused(tmp_path, capsys):
+    path = tmp_path / "wide.game"
+    path.write_text(_wide_game(1))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", "--game", str(path),
+                       "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["row_space"] == 256 * 2**22
+    # Per profile: 2**14 free completions, 3 of the 4 values of (V4, V5),
+    # and 3 of the 4 of (V6, V7) where P1 plays a2, else all 4.
+    count = report["admissible_rows"]
+    assert count == 2**14 * 3 * (64 * 3 + 192 * 4)
+    # Only (a0, a1, a2, a3) forces V0..V3 to Hi; there V6 and V7 are free
+    # too and V4, V5 have two best values.
+    assert (report["max_global_utility"],
+            report["max_global_utility_rows"]) == (21, 2)
+    code, out, err = run(capsys, "top", "--game", str(path), "--format",
+                         "json")
+    assert code == 0
+    assert json.loads(out)["row_count"] == 2
+    code, out, err = run(capsys, "enumerate", "--game", str(path), "--dump")
+    assert (code, out) == (1, "")
+    assert err == (f"oagame: {count} admissible rows exceed the row budget "
+                   f"of 1000000\n")
+
+
+def test_top_beyond_the_row_budget_is_refused(tmp_path, capsys):
+    path = tmp_path / "tied.game"
+    path.write_text(_wide_game(0))
+    code, out, err = run(capsys, "top", "--game", str(path))
+    assert (code, out) == (1, "")
+    count = 2**14 * 3 * (64 * 3 + 192 * 4)  # as in the test above
+    assert err == (f"oagame: {count} rows at max global utility exceed the "
+                   f"row budget of 1000000\n")

@@ -126,6 +126,22 @@ def test_structural_rule_is_checked_once_for_both_paths(line, text, where,
         Diagnostic("error", message),)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", 1), ("# nothing yet\n", 1),
+    ('\ngame "g"\nvariable V owner: A values: More=1, Less=0\n', 2),
+])
+def test_game_without_players_is_an_error(text, line):
+    message = "a game declares at least one player"
+    result = parse_game_spec(text)
+    assert result.game is None
+    assert (result.errors[0].span.line, result.errors[0].kind,
+            result.errors[0].message) == (line, "resolution", message)
+    d = game_to_dict(parse_game_spec(MINIMAL).game)
+    d["players"], d["variables"] = [], []
+    assert validate_game(game_from_dict(d)).errors == (
+        Diagnostic("error", message),)
+
+
 def test_rule_with_otherwise(oa_game):
     rule, errors = parse_rule(
         "if Administrators =`Support OA' then Savings=`More', "

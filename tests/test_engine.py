@@ -1,19 +1,25 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oagame import (
     CompletionPolicy,
+    EnumerationReport,
     MissingUtilityError,
+    RowBudgetError,
     admissible_rows,
     compile_game,
     derive_payoff_table,
+    enumeration_report,
     parse_game_spec,
     project_bimatrix,
     top_gu_rows,
     validate_game,
 )
+from oagame import engine
 from oagame.engine import rows_as_records
 from oagame.model import ScenarioRow
 
@@ -219,6 +225,40 @@ def test_top_gu_empty_admissible_set():
         'rule if A="x" then V="Less".\n')
     best, rows = top_gu_rows(game)
     assert best is None and rows == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_small_game, random_rich_game]),
+       st.integers(0, 2**32 - 1))
+def test_census_matches_oracle_and_row_lists(draw_game, seed):
+    """The census's counts equal a count over the oracle's rows, and the top
+    rows equal the max-GU rows of ``admissible_rows``, order included."""
+    game = draw_game(random.Random(seed))
+    gus = [utility(game, r) for r in brute_force_admissible(game)]
+    best = max(gus, default=None)
+    profiles = math.prod(len(p.actions) for p in game.players)
+    report = enumeration_report(game)
+    assert report == EnumerationReport(
+        profiles, profiles * math.prod(len(v.values) for v in game.variables),
+        len(gus), best, gus.count(best))
+    rows, rows_report = admissible_rows(game)
+    assert rows_report == report
+    cg = compile_game(game)
+    assert top_gu_rows(game) == (
+        best, [r for r in rows if cg.global_utility(r[1]) == best])
+
+
+def test_row_lists_refuse_more_rows_than_the_budget(oa_game, monkeypatch):
+    """The budget bounds the rows a list would hold: 17640 admissible and
+    30 at the max on ``oa.game``."""
+    monkeypatch.setattr(engine, "ROW_BUDGET", 17639)
+    with pytest.raises(RowBudgetError, match="^17640 admissible rows "):
+        admissible_rows(oa_game)
+    monkeypatch.setattr(engine, "ROW_BUDGET", 29)
+    with pytest.raises(RowBudgetError, match="^30 rows at max global "):
+        top_gu_rows(oa_game)
+    monkeypatch.setattr(engine, "ROW_BUDGET", 30)
+    assert len(top_gu_rows(oa_game)[1]) == 30
 
 
 def test_payoff_table_no_rules_all_more():

@@ -349,6 +349,16 @@ def test_bimatrix_round_trip(table5):
                              table5.payoffs, again.provenance)
 
 
+def test_bimatrix_round_trip_keeps_infeasible_cells():
+    bm = Bimatrix("R", ("r1", "r2"), "C", ("c1", "c2"),
+                  ((None, (F(3), F(-1, 2))), ((F(2), F(2)), None)))
+    text = serialize_bimatrix(bm)
+    assert "(-,-) (3,-1/2)" in text
+    again = parse_bimatrix(text)
+    assert again.payoffs == bm.payoffs
+    assert not again.feasible()
+
+
 def test_bimatrix_rejects_bad_shapes():
     from oagame.equilibrium import BimatrixFormatError
     with pytest.raises(BimatrixFormatError):
