@@ -2,7 +2,7 @@
 
 Subcommands: validate, enumerate, top, payoffs, project, nash, mixed,
 expected, reproduce.  Exit status 0 on success, 1 when diagnostics or a
-reproduce drift were reported, 2 on usage errors (including missing files).
+reproduce drift were reported, 2 on usage errors (including unreadable files).
 Output is deterministic: no timestamps, stable key order.
 """
 
@@ -65,8 +65,12 @@ def _read_input(path: str) -> tuple[str, str]:
     """Return (text, sha256).  Bundled fixture names resolve when the file
     does not exist on disk."""
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise _CliError(f"cannot read {path!r}: {exc.strerror}",
+                            USAGE_ERROR)
     elif os.path.basename(path) == path and path in fixtures.BUNDLED:
         text = fixtures.fixture_text(path)
     else:

@@ -19,17 +19,17 @@ values up front; the rules that test outcome variables are checked once per
 assignment of the variables they mention (the coupled block), and the
 candidates are filtered by the admissible assignments found.  Every other
 variable is free, independent of the rest, so a profile's admissible
-count, greatest global utility and completions attaining it follow in
-closed form: ``enumeration_report`` counts without building a row, and
-``top_gu_rows`` generates only the rows at the maximum.  Completions
-stream out as tuples of value indices and are never kept between calls.
-Row lists, policy picks (and through them payoff tables and projections)
-and row records all read that one stream.  A row is a ``(profile, completion)``
-pair of index tuples; names come back only in ``record_cells`` and
-``CompiledGame.row``.  ``record_cells`` names each distinct profile and
-each distinct completion of a row list once, so a row dump is rendered
-from those cells without building one record per row; ``rows_as_records``
-expands them into per-row dicts.
+count, and its greatest key and the completions attaining it for any key
+that sums per-value weights, follow in closed form: ``enumeration_report``
+counts without building a row, ``top_gu_rows`` generates only the rows at
+the greatest global utility, and policy picks (and through them payoff
+tables and projections) are the first completions of greatest key.
+Row lists stream out as tuples of value indices.  A row is a ``(profile,
+completion)`` pair of index tuples; names come back only in
+``record_cells`` and ``CompiledGame.row``.  ``record_cells`` names each
+distinct profile and each distinct completion of a row list once, so a
+row dump is rendered from those cells without building one record per
+row; ``rows_as_records`` expands them into per-row dicts.
 """
 
 from __future__ import annotations
@@ -250,13 +250,10 @@ class _Block(NamedTuple):
     others are free, each independent of the rest."""
 
     domains: list  # per variable, its forced value or its range
+    coupled: list  # the coupled variables, ascending
     select: object  # getter of the coupled values; None when none are
-    passing: set  # coupled assignments satisfying every deferred rule
-    argmax: set  # the passing ones of greatest GU
-    top: list  # ``domains`` with free variables cut to their top values
+    passing: dict  # ``select`` value -> values, of each passing assignment
     count: int  # admissible completions
-    best: int | None  # their greatest GU
-    at_best: int  # completions attaining it
 
 
 def _profile_block(cg: CompiledGame, profile) -> _Block | None:
@@ -287,35 +284,42 @@ def _profile_block(cg: CompiledGame, profile) -> _Block | None:
 
 def _block(cg: CompiledGame, deferred, forced) -> _Block:
     """Checks every assignment of the coupled variables once against the
-    deferred rules, then counts in closed form: a completion is a passing
-    coupled assignment times any free values, so counts multiply and
-    greatest GUs add (bucket elimination with one bucket per variable)."""
+    deferred rules; a completion is a passing one times any free values."""
     domains = [r if f is None else (f,) for f, r in zip(forced, cg.ranges)]
     rules = [cg.rules[r][1:] for r in deferred]
     coupled = sorted({v for rule in rules for pairs in rule
                       for v, _ in pairs})
-    passing, argmax, best = set(), set(), None
+    passing = {}
     for sub in itertools.product(*(domains[v] for v in coupled)):
         values = dict(zip(coupled, sub))
         if all(_holds(then if _holds(tests, values) else otherwise, values)
                for tests, then, otherwise in rules):
-            sub = sub if len(coupled) != 1 else sub[0]
-            passing.add(sub)
-            gu = sum(cg.scores[v][x] for v, x in values.items())
-            if best is None or gu > best:
-                best, argmax = gu, set()
-            if gu == best:
-                argmax.add(sub)
-    count, at_best, top = len(passing), len(argmax), list(domains)
-    for v in (v for v in range(len(domains)) if v not in coupled):
-        scores = [cg.scores[v][x] for x in domains[v]]
-        high = max(scores, default=None)
-        count *= len(scores)
-        at_best *= scores.count(high)
-        top[v] = [x for x, s in zip(domains[v], scores) if s == high]
-        best = None if None in (best, high) else best + high
-    return _Block(domains, itemgetter(*coupled) if coupled else None,
-                  passing, argmax, top, count, best, at_best)
+            passing[sub if len(coupled) != 1 else sub[0]] = sub
+    count = len(passing) * math.prod(
+        len(d) for v, d in enumerate(domains) if v not in coupled)
+    return _Block(domains, coupled,
+                  itemgetter(*coupled) if coupled else None, passing, count)
+
+
+def _optimum(block: _Block, weights):
+    """``(best, at_best, argmax, top)`` of the key adding ``weights[v][x]``
+    for value ``x`` of each variable ``v``: the greatest key over the
+    block's (one or more) completions, how many reach it, the ``passing``
+    keys that do, and ``domains`` with free variables cut to their values
+    of greatest weight; the free maxima add (bucket elimination)."""
+    gains = {k: sum(weights[v][x] for v, x in zip(block.coupled, sub))
+             for k, sub in block.passing.items()}
+    best = max(gains.values())
+    argmax = {k for k, gain in gains.items() if gain == best}
+    at_best, top = len(argmax), list(block.domains)
+    for v, domain in enumerate(block.domains):
+        if v not in block.coupled:
+            gains = [weights[v][x] for x in domain]
+            high = max(gains)
+            best += high
+            at_best *= gains.count(high)
+            top[v] = [x for x, gain in zip(domain, gains) if gain == high]
+    return best, at_best, argmax, top
 
 
 def _filtered(select, domains, keep):
@@ -328,21 +332,16 @@ def _filtered(select, domains, keep):
         map(keep.__contains__, map(select, itertools.product(*domains))))
 
 
-def _profile_completions(cg: CompiledGame, profile):
-    """Admissible completions of one profile, canonical order."""
-    block = _profile_block(cg, profile)
-    if block is None:
-        return ()
-    return _filtered(block.select, block.domains, block.passing)
-
-
-def _census(cg: CompiledGame):
-    """``(profile, block)`` of each profile with an admissible completion,
-    canonical order."""
+def _census(cg: CompiledGame, weights):
+    """``(profile, block, optimum)`` of each profile with an admissible
+    completion, canonical order; ``_optimum`` runs once per block."""
+    optima = {}
     for profile in cg.profiles():
         block = _profile_block(cg, profile)
         if block is not None and block.count:
-            yield profile, block
+            if id(block) not in optima:
+                optima[id(block)] = _optimum(block, weights)
+            yield profile, block, optima[id(block)]
 
 
 def _within_budget(count: int, what: str) -> None:
@@ -351,21 +350,25 @@ def _within_budget(count: int, what: str) -> None:
                              f"{ROW_BUDGET}")
 
 
-def enumeration_report(game: GameSpec) -> EnumerationReport:
-    """The counts of the admissible set, summed over the profiles' blocks
-    without building a row."""
-    cg = compile_game(game)
+def _report(cg: CompiledGame, census) -> EnumerationReport:
     count, best, at_best = 0, None, 0
-    for _, block in _census(cg):
+    for _, block, (high, at_high, _, _) in census:
         count += block.count
-        if best is None or block.best > best:
-            best, at_best = block.best, 0
-        if block.best == best:
-            at_best += block.at_best
+        if best is None or high > best:
+            best, at_best = high, 0
+        if high == best:
+            at_best += at_high
     profile_count = math.prod(map(len, cg.actions))
     return EnumerationReport(profile_count,
                              profile_count * math.prod(map(len, cg.values)),
                              count, best, at_best)
+
+
+def enumeration_report(game: GameSpec) -> EnumerationReport:
+    """The counts of the admissible set, summed over the profiles' blocks
+    without building a row."""
+    cg = compile_game(game)
+    return _report(cg, _census(cg, cg.scores))
 
 
 def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
@@ -375,9 +378,10 @@ def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
     ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
     report = enumeration_report(game)
     _within_budget(report.admissible_count, "admissible rows")
+    cg = compile_game(game)
     shared: dict[tuple, tuple] = {}
-    rows = [(p, shared.setdefault(c, c))
-            for p, b in _census(compile_game(game))
+    rows = [(p, shared.setdefault(c, c)) for p in cg.profiles()
+            if (b := _profile_block(cg, p)) is not None and b.count
             for c in _filtered(b.select, b.domains, b.passing)]
     return rows, report
 
@@ -387,28 +391,15 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     it, as ``(profile, completion)`` pairs in canonical order.  (None, [])
     when the admissible set is empty.  Raises ``RowBudgetError``, building
     no row, when more than ``ROW_BUDGET`` rows attain it."""
-    report = enumeration_report(game)
+    cg = compile_game(game)
+    census = list(_census(cg, cg.scores))
+    report = _report(cg, census)
     best = report.max_global_utility
     _within_budget(report.max_global_utility_count,
                    "rows at max global utility")
-    return best, [(p, c) for p, b in _census(compile_game(game))
-                  if b.best == best
-                  for c in _filtered(b.select, b.top, b.argmax)]
-
-
-def _fixed_fragment(cg: CompiledGame, policy: CompletionPolicy):
-    """The fixed policy's (action pairs, value pairs), every pair kept, or
-    None when it names a player, variable, action or value not declared
-    exactly, so that no completion matches it.  A fragment giving one
-    subject two values matches nothing either."""
-    fragment = []
-    for kind, pairs in ((ACTION, policy.fixed_actions),
-                        (OUTCOME, policy.fixed_outcomes)):
-        resolved = [cg._pair(kind, s, x) for s, x in pairs]
-        if None in resolved:
-            return None
-        fragment.append(resolved)
-    return fragment
+    return best, [(p, c) for p, b, (high, _, argmax, top) in census
+                  if high == best
+                  for c in _filtered(b.select, top, argmax)]
 
 
 def chosen_completions(
@@ -423,34 +414,39 @@ def chosen_completions(
     policy only completions matching the fragment qualify and every key is
     0.  Picking over several profiles at once therefore means keeping the
     first profile's completion with the strictly greatest key.
+
+    Each block's ``_optimum`` gives its pick.  Under the fixed policy a
+    value that a fixed outcome pair rules out weighs -1, so the matching
+    completions have key 0; naming anything undeclared matches nothing.
     """
     cg = compile_game(game)
+    acts, weights = (), None
     if policy.kind == "fixed":
-        fragment = _fixed_fragment(cg, policy)
-
-        def pick(profile):
-            if fragment is None or not _holds(fragment[0], profile):
-                return None
-            return next((c for c in _profile_completions(cg, profile)
-                         if _holds(fragment[1], c)), None)
-
-        key = lambda c: 0
-    else:
-        if policy.kind == "max-global-utility":
-            key = cg.global_utility
-        elif policy.kind == "optimistic":
-            key = lambda c: cg.utility(policy.player, c)
-        else:  # pessimistic
-            key = lambda c: -cg.utility(policy.player, c)
-
-        def pick(profile):
-            # max keeps the first of equal maxima.
-            return max(_profile_completions(cg, profile), key=key,
-                       default=None)
-
+        acts = [cg._pair(ACTION, s, x) for s, x in policy.fixed_actions]
+        outs = [cg._pair(OUTCOME, s, x) for s, x in policy.fixed_outcomes]
+        acts = None if None in acts + outs else acts
+        weights = tuple(tuple(-sum(w == v and y != x
+                                   for w, y in filter(None, outs))
+                              for x in r) for v, r in enumerate(cg.ranges))
+    picks = {}  # id(block) -> (completion, key)
     for profile in cg.profiles():
-        best = pick(profile)
-        yield profile, best, None if best is None else key(best)
+        block = (None if acts is None or not _holds(acts, profile)
+                 else _profile_block(cg, profile))
+        if block is None or not block.count:
+            yield profile, None, None
+            continue
+        if weights is None:  # no admissible row, no utility needed
+            weights = cg.scores if policy.kind == "max-global-utility" else [
+                [w if policy.kind == "optimistic" else -w for w in ws]
+                for ws in cg._utility_weights(policy.player)]
+        if id(block) not in picks:
+            best, _, argmax, top = _optimum(block, weights)
+            first = [domain[0] for domain in top]
+            for v, x in zip(block.coupled, block.passing[min(argmax)]):
+                first[v] = x
+            picks[id(block)] = ((None, None) if policy.kind == "fixed"
+                                and best else (tuple(first), best))
+        yield profile, *picks[id(block)]
 
 
 def derive_payoff_table(

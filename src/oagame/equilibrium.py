@@ -467,11 +467,17 @@ def parse_bimatrix(text: str) -> Bimatrix:
         m = _HEADER_RE.match(ln)
         if not m:
             raise BimatrixFormatError(f"malformed header line {ln!r}")
-        header[ln.split(":", 1)[0]] = (
-            m.group("player").strip(),
-            tuple(a.strip() for a in m.group("actions").split(",")))
+        player = m.group("player").strip()
+        actions = tuple(a.strip() for a in m.group("actions").split(","))
+        if not player or "" in actions or len(set(actions)) < len(actions):
+            raise BimatrixFormatError(f"header line {ln!r} needs a player "
+                                      f"and distinct, non-empty actions")
+        header[ln.split(":", 1)[0]] = (player, actions)
     if set(header) != {"rows", "cols"}:
         raise BimatrixFormatError("need one rows: and one cols: header")
+    if header["rows"][0] == header["cols"][0]:
+        raise BimatrixFormatError(f"rows: and cols: both name player "
+                                  f"{header['rows'][0]!r}")
     row_player, row_actions = header["rows"]
     col_player, col_actions = header["cols"]
     payoff_lines = lines[2:]

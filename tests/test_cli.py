@@ -259,6 +259,40 @@ def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
         assert err.startswith(f"oagame: {path}: {message}")
 
 
+@pytest.mark.parametrize("header, message", [
+    ("rows: R: r1, r2\ncols: R: c1, c2",
+     "rows: and cols: both name player 'R'"),
+    ("rows: R: r1, r1\ncols: C: c1, c2",
+     "header line 'rows: R: r1, r1' needs a player and distinct, non-empty "
+     "actions"),
+    ("rows: R: r1, r2\ncols: C: c1,,c2",
+     "header line 'cols: C: c1,,c2' needs a player and distinct, non-empty "
+     "actions"),
+    ("rows:  : r1, r2\ncols: C: c1, c2",
+     "header line 'rows:  : r1, r2' needs a player and distinct, non-empty "
+     "actions"),
+], ids=["same-player", "repeated-action", "empty-action", "empty-player"])
+def test_malformed_bimatrix_header_is_a_diagnostic(tmp_path, capsys, header,
+                                                   message):
+    """Repeated names would collapse into one key and give wrong answers
+    (or a traceback), so the header is refused instead."""
+    path = tmp_path / "bad.bmx"
+    path.write_text(f"{header}\n(1,2) (3,4)\n(5,6) (7,8)\n")
+    for argv in (("nash",), ("mixed",),
+                 ("expected", "--row-mix", "1,0", "--col-mix", "1,0")):
+        code, out, err = run(capsys, *argv, "--bimatrix", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"oagame: {path}: {message}\n"
+
+
+def test_directory_as_input_is_a_usage_error(tmp_path, capsys):
+    for argv in (("validate", "--game"), ("mixed", "--bimatrix")):
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == (f"oagame: cannot read {str(tmp_path)!r}: "
+                       f"Is a directory\n")
+
+
 def test_infeasible_bimatrix_cell_reads_back(tmp_path, capsys):
     """A ``(-,-)`` cell, as ``project --format bmx`` writes it, is skipped
     by ``nash`` and refused by the analyses that need every cell."""
@@ -459,6 +493,29 @@ GOLDEN_STDOUT = {
         "2bcab542d093d478f364f0c6c6c453707f988ac9a6362b286ce6845750102736",
     ("top", "--game", "alias.game", "--format", "delimited"):
         "a0d5f20391cd90bd296890b4eaf6d34d26b07e8e4fed9b5aa6c69d27d2dd3e98",
+    # The next seven were taken before policy picks read the profile
+    # block's optimum instead of scanning every completion.
+    ("payoffs", "--game", "oa.game", "--format", "json"):
+        "1f2446304bd2a14b12b873cea8d7fddda8cf8d64646b60a363dac479591613af",
+    ("payoffs", "--game", "oa.game", "--policy", "optimistic",
+     "--policy-player", "Editors", "--format", "json"):
+        "3e58473925813fbc9eb92a935dd3b89e440097d1dc77cd12c2d8eea6114066ed",
+    ("payoffs", "--game", "oa.game", "--policy", "pessimistic",
+     "--policy-player", "Editors", "--format", "json"):
+        "b1de17b9378cd3aafd8d448d9c18043f7cd1fb52ddf49a982fc2ff171c1021d9",
+    ("payoffs", "--game", "oa.game", "--policy", "fixed",
+     "--fix", "Editors=Grant OA", "--format", "json"):
+        "fa303a993ab8196e49d6f6ae04a7032f6234ef23b2972948288d021f4685ebbe",
+    ("payoffs", "--game", "oa.game", "--policy", "fixed",
+     "--fix", "Income=Less", "--fix", "Academics=Perish", "--format", "json"):
+        "2e305d8aa76a5cbf053ba4a67c7edb384d4ac0d79686613e8b0fdd37fe49f159",
+    ("payoffs", "--game", "alias.game", "--policy", "optimistic",
+     "--policy-player", "Doc", "--format", "json"):
+        "03c8b93415f8c9bf1cc31b6e7b83b7edde653305a880c0dd6f400141ae9ab8e7",
+    ("project", "--game", "oa.game", "--row-player", "Academics",
+     "--col-player", "Editors", "--policy", "pessimistic",
+     "--policy-player", "Editors", "--format", "json"):
+        "cbd24945de207603166159f6f13ee77f8511feb3f194b251ac72bb061bb5fed0",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and
@@ -610,3 +667,65 @@ def test_top_beyond_the_row_budget_is_refused(tmp_path, capsys):
     count = 2**14 * 3 * (64 * 3 + 192 * 4)  # as in the test above
     assert err == (f"oagame: {count} rows at max global utility exceed the "
                    f"row budget of 1000000\n")
+
+
+def _cli_json(cwd, *argv):
+    """stdout of ``python -m oagame.cli`` as JSON, in a child process that
+    is killed after 20 s so that a slow command fails instead of hanging."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagame.cli", *argv, "--format", "json"],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+def test_policy_commands_on_the_wide_game(tmp_path):
+    """Policy picks on a 1.07e9-row game read each profile's optimum and
+    never walk its tens of millions of admissible completions."""
+    (tmp_path / "wide.game").write_text(_wide_game(1))
+    game = ("--game", "wide.game")
+    first = _cli_json(tmp_path, "top", *game)["rows"][0]
+    players = [f"P{i}" for i in range(4)]
+    best = [first[f"U_{p}"] for p in players]
+    assert best == [6, 5, 5, 5]
+    # Pessimistic P0 sets P0's free variables (V4, V8, ..., V20) to Lo,
+    # which frees V5 to be Hi.
+    for policy, cell in ((("--policy", "max-gu"), best),
+                         (("--policy", "optimistic", "--policy-player", "P0"),
+                          best),
+                         (("--policy", "pessimistic", "--policy-player",
+                           "P0"), [1, 6, 5, 5]),
+                         (("--policy", "fixed", "--fix", "P0=a0",
+                           "--fix", "V4=Hi"), best)):
+        cells = {tuple(c[p] for p in players): c
+                 for c in _cli_json(tmp_path, "payoffs", *game,
+                                    *policy)["cells"]}
+        assert len(cells) == 256
+        at = cells[("a0", "a1", "a2", "a3")]
+        assert at["feasible"]
+        assert [at[f"U_{p}"] for p in players] == cell
+    matrix = _cli_json(tmp_path, "project", *game, "--row-player", "P0",
+                       "--col-player", "P1")["matrix"]
+    assert matrix[0]["a1"] == "(6,5)"
+    assert _cli_json(tmp_path, "nash", *game)["count"] >= 0
+
+
+def test_policy_player_without_utility_on_an_empty_game(tmp_path, capsys):
+    """With no admissible row the policy's utility is never needed, so a
+    player without a utility line still gets an all-infeasible table."""
+    path = tmp_path / "empty.game"
+    path.write_text('game "e"\nplayer A actions: "a1", "a2"\n'
+                    'player B actions: "b1"\n'
+                    'variable V owner: A values: Hi=1, Lo=0\n'
+                    'utility A = V\n'
+                    'rule if B="b1" then V="Hi", otherwise V="Hi"\n'
+                    'rule if B="b1" then V="Lo", otherwise V="Lo"\n')
+    for policy in ("optimistic", "pessimistic"):
+        code, out, err = run(capsys, "payoffs", "--game", str(path),
+                             "--policy", policy, "--policy-player", "B",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        cells = json.loads(out)["cells"]
+        assert len(cells) == 2
+        assert not any(c["feasible"] for c in cells)
