@@ -1,61 +1,49 @@
 """Workbench for declaratively specified publishing games: rule-constrained
 scenario enumeration, payoff derivation, and Nash equilibrium certification.
+
+Every public name is exported here and imported from its submodule on first
+access (PEP 562), so a program that uses only bimatrix analysis never loads
+the game parser or the enumeration engine.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .model import (  # noqa: F401
-    ACTION,
-    OUTCOME,
-    Atom,
-    GameError,
-    GameSpec,
-    MissingUtilityError,
-    NameResolutionError,
-    OutcomeVarDef,
-    PlayerDef,
-    Rule,
-    ScenarioRow,
-    UtilityDef,
-)
-from .dsl import (  # noqa: F401
-    Diagnostic,
-    ParseError,
-    ParseResult,
-    SourceSpan,
-    ValidatedGame,
-    game_from_dict,
-    game_to_dict,
-    parse_game_spec,
-    parse_rule,
-    serialize_game,
-    validate_game,
-)
-from .engine import (  # noqa: F401
-    CompiledGame,
-    CompletionPolicy,
-    EnumerationReport,
-    PayoffTable,
-    RowBudgetError,
-    admissible_rows,
-    chosen_completions,
-    compile_game,
-    derive_payoff_table,
-    enumeration_report,
-    top_gu_rows,
-)
-from .equilibrium import (  # noqa: F401
-    Bimatrix,
-    DominanceResult,
-    EquilibriumCertificate,
-    InfeasibleSliceError,
-    MixedStrategy,
-    best_responses,
-    dominance_analysis,
-    expected_utility,
-    mixed_nash_2p,
-    parse_bimatrix,
-    project_bimatrix,
-    pure_nash,
-    serialize_bimatrix,
-)
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys((
+        "ACTION", "OUTCOME", "Atom", "GameError", "GameSpec",
+        "MissingUtilityError", "NameResolutionError", "OutcomeVarDef",
+        "PayoffTable", "PlayerDef", "Rule", "ScenarioRow", "UtilityDef",
+    ), "model"),
+    **dict.fromkeys((
+        "Diagnostic", "ParseError", "ParseResult", "SourceSpan",
+        "ValidatedGame", "game_from_dict", "game_to_dict", "parse_game_spec",
+        "parse_rule", "serialize_game", "validate_game",
+    ), "dsl"),
+    **dict.fromkeys((
+        "CompiledGame", "CompletionPolicy", "EnumerationReport",
+        "RowBudgetError", "admissible_rows", "chosen_completions",
+        "compile_game", "derive_payoff_table", "enumeration_report",
+        "top_gu_rows",
+    ), "engine"),
+    **dict.fromkeys((
+        "Bimatrix", "DominanceResult", "EquilibriumCertificate",
+        "InfeasibleSliceError", "MixedStrategy", "best_responses",
+        "dominance_analysis", "expected_utility", "mixed_nash_2p",
+        "parse_bimatrix", "project_bimatrix", "pure_nash",
+        "serialize_bimatrix",
+    ), "equilibrium"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -14,30 +14,17 @@ import hashlib
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import fixtures, report as rp
-from .dsl import parse_game_spec, validate_game
-from .engine import (
-    CompletionPolicy,
-    admissible_rows,
-    derive_payoff_table,
-    enumeration_report,
-    record_cells,
-    top_gu_rows,
-)
-from .equilibrium import (
-    Bimatrix,
-    BimatrixFormatError,
-    MixedStrategy,
-    dominance_analysis,
-    expected_utility,
-    mixed_nash_2p,
-    parse_bimatrix,
-    project_bimatrix,
-    pure_nash,
-    serialize_bimatrix,
-)
 from .model import GameError, NameResolutionError
+
+# The game layers (dsl, engine) and the bimatrix layer (equilibrium) are
+# imported inside the commands that call them, so each command loads only
+# what it runs.
+if TYPE_CHECKING:
+    from .engine import CompletionPolicy
+    from .equilibrium import Bimatrix, MixedStrategy
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1
@@ -71,6 +58,9 @@ def _read_input(path: str) -> tuple[str, str]:
         except OSError as exc:
             raise _CliError(f"cannot read {path!r}: {exc.strerror}",
                             USAGE_ERROR)
+        except UnicodeDecodeError:
+            raise _CliError(f"cannot read {path!r}: not UTF-8 text",
+                            USAGE_ERROR)
     elif os.path.basename(path) == path and path in fixtures.BUNDLED:
         text = fixtures.fixture_text(path)
     else:
@@ -79,6 +69,7 @@ def _read_input(path: str) -> tuple[str, str]:
 
 
 def _load_bimatrix(path: str) -> tuple[Bimatrix, str]:
+    from .equilibrium import BimatrixFormatError, parse_bimatrix
     text, digest = _read_input(path)
     try:
         return parse_bimatrix(text), digest
@@ -98,6 +89,7 @@ def _policy(args, game) -> CompletionPolicy:
     """The completion policy named by --policy, with each --fix NAME=VALUE
     resolved to a declared player action or variable value of ``game``;
     an option the policy does not take is a usage error."""
+    from .engine import CompletionPolicy
     fixes = []
     for item in args.fix:
         if "=" not in item:
@@ -167,6 +159,7 @@ def _output(args):
 def _row_dump(game, rows) -> rp.RowDump:
     """The rows section of a report; every name and utility is resolved
     here, before any output is written."""
+    from .engine import record_cells
     return rp.RowDump(*record_cells(game, rows), rows)
 
 
@@ -193,6 +186,7 @@ def _enumeration_figures(enum) -> dict:
 
 def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
                   flag: str) -> MixedStrategy:
+    from .equilibrium import MixedStrategy
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != len(actions):
         raise _CliError(f"{flag} needs {len(actions)} probabilities "
@@ -209,6 +203,7 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
 
 
 def _game_or_fail(args) -> tuple:
+    from .dsl import parse_game_spec, validate_game
     text, digest = _read_input(args.game)
     result = parse_game_spec(text, mode=args.mode or "strict")
     if result.game is None:
@@ -250,6 +245,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .engine import admissible_rows, enumeration_report
     validated, digest = _game_or_fail(args)
     game = validated.game
     if args.dump:
@@ -273,6 +269,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_top(args) -> int:
+    from .engine import top_gu_rows
     validated, digest = _game_or_fail(args)
     game = validated.game
     best, rows = top_gu_rows(game)
@@ -300,6 +297,7 @@ def _payoff_records(table) -> list[dict]:
 
 
 def _cmd_payoffs(args) -> int:
+    from .engine import derive_payoff_table
     validated, digest = _game_or_fail(args)
     game = validated.game
     policy = _policy(args, game)
@@ -312,6 +310,7 @@ def _cmd_payoffs(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .equilibrium import project_bimatrix, serialize_bimatrix
     validated, digest = _game_or_fail(args)
     game = validated.game
     policy = _policy(args, game)
@@ -347,6 +346,7 @@ def _bimatrix_records(bm: Bimatrix) -> list[dict]:
 
 
 def _cmd_nash(args) -> int:
+    from .equilibrium import pure_nash
     out = rp.base_report({})
     if args.bimatrix:
         for flag in ("mode", "policy", "policy_player", "fix"):
@@ -366,6 +366,7 @@ def _cmd_nash(args) -> int:
                     "present", "present" if member else "absent"),
             ]
     else:
+        from .engine import derive_payoff_table
         validated, digest = _game_or_fail(args)
         out["inputs"] = {args.game: digest}
         table = derive_payoff_table(validated.game,
@@ -378,6 +379,7 @@ def _cmd_nash(args) -> int:
 
 
 def _cmd_mixed(args) -> int:
+    from .equilibrium import dominance_analysis, mixed_nash_2p
     bm, digest = _load_bimatrix(args.bimatrix)
     certs, degenerate = mixed_nash_2p(bm)
     out = rp.base_report({args.bimatrix: digest})
@@ -400,6 +402,7 @@ def _cmd_mixed(args) -> int:
 
 
 def _cmd_expected(args) -> int:
+    from .equilibrium import expected_utility
     bm, digest = _load_bimatrix(args.bimatrix)
     mix_row = _mix_from_arg(bm.row_player, bm.row_actions, args.row_mix,
                             "--row-mix")
@@ -418,6 +421,8 @@ def _cmd_expected(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .engine import CompletionPolicy, enumeration_report
+    from .equilibrium import project_bimatrix, pure_nash
     validated, game_digest = _game_or_fail(args)
     game = validated.game
     enum = enumeration_report(game)
@@ -476,13 +481,14 @@ def _add_policy_args(p):
                    help="fixed-policy fragment (repeatable)")
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=list(rp.FORMATS) + ["bmx"],
+def _add_common(p, formats=rp.FORMATS):
+    p.add_argument("--format", choices=formats,
                    default=os.environ.get("OAGAME_FORMAT", "table"),
                    help="output format (default from $OAGAME_FORMAT "
                         "or 'table')")
     p.add_argument("--output", "-o", default=None, help="output path "
                    "(default: stdout)")
+    p.set_defaults(formats=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row-player", required=True)
     p.add_argument("--col-player", required=True)
     _add_policy_args(p)
-    _add_common(p)
+    _add_common(p, rp.FORMATS + ("bmx",))
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("nash", help="pure Nash equilibria of a game table "
@@ -574,6 +580,11 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    if args.format not in args.formats:  # a default from $OAGAME_FORMAT
+        print(f"oagame: {args.command} takes no format {args.format!r} "
+              f"(from $OAGAME_FORMAT); choose from "
+              f"{', '.join(args.formats)}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
     except _CliError as exc:

@@ -47,6 +47,7 @@ from .model import (
     GameError,
     GameSpec,
     NameResolutionError,
+    PayoffTable,
     Rule,
     ScenarioRow,
 )
@@ -80,21 +81,6 @@ class EnumerationReport:
     admissible_count: int
     max_global_utility: int | None
     max_global_utility_count: int
-
-
-@dataclass(frozen=True)
-class PayoffTable:
-    """Per-action-profile utility vectors; None marks an infeasible cell."""
-
-    players: tuple[str, ...]
-    actions: tuple[tuple[str, ...], ...]
-    cells: dict[tuple[str, ...], tuple[int, ...] | None]
-
-    def profiles(self):
-        return itertools.product(*self.actions)
-
-    def payoff(self, profile: tuple[str, ...]) -> tuple[int, ...] | None:
-        return self.cells[profile]
 
 
 def _selector(pairs):

@@ -13,14 +13,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .engine import (
-    CompletionPolicy,
-    PayoffTable,
-    chosen_completions,
-    compile_game,
-)
-from .model import GameSpec
+from .model import GameSpec, PayoffTable
+
+if TYPE_CHECKING:
+    from .engine import CompletionPolicy
 
 SUPPORT_LIMIT = 8  # support enumeration is exponential past this
 
@@ -189,6 +187,7 @@ def project_bimatrix(
     cp = game.player(col_player)
     if rp is None or cp is None or rp.name == cp.name:
         raise ValueError("projection needs two distinct declared players")
+    from .engine import chosen_completions, compile_game
     cg = compile_game(game)
     ri, ci = cg.players.index(rp.name), cg.players.index(cp.name)
     picks: dict[tuple[int, int], tuple] = {}  # action pair -> (key, pick)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .dsl import ParseResult, parse_game_spec
-from .equilibrium import Bimatrix, parse_bimatrix
+if TYPE_CHECKING:
+    from .dsl import ParseResult
+    from .equilibrium import Bimatrix
 
 BUNDLED = ("oa.game", "table5.bmx", "table6.bmx")
 
@@ -22,8 +24,10 @@ def fixture_digest(name: str) -> str:
 
 
 def load_bundled_game() -> ParseResult:
+    from .dsl import parse_game_spec
     return parse_game_spec(fixture_text("oa.game"))
 
 
 def load_bundled_bimatrix(name: str = "table5.bmx") -> Bimatrix:
+    from .equilibrium import parse_bimatrix
     return parse_bimatrix(fixture_text(name))

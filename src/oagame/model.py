@@ -3,11 +3,14 @@
 A game is a set of players with finite action lists, a set of integer-scored
 outcome variables, implication rules linking actions to outcomes, and additive
 per-player utilities.  Everything here is immutable and all arithmetic is
-exact integer arithmetic.
+exact integer arithmetic.  ``PayoffTable`` lives here because both the
+engine, which derives one from a game, and the bimatrix layer, which builds
+one from a matrix, use it, and the bimatrix layer does not import the engine.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -166,3 +169,17 @@ class ScenarioRow(NamedTuple):
     actions: Mapping[str, str]
     outcomes: Mapping[str, str]
 
+
+@dataclass(frozen=True)
+class PayoffTable:
+    """Per-action-profile utility vectors; None marks an infeasible cell."""
+
+    players: tuple[str, ...]
+    actions: tuple[tuple[str, ...], ...]
+    cells: dict[tuple[str, ...], tuple[int, ...] | None]
+
+    def profiles(self):
+        return itertools.product(*self.actions)
+
+    def payoff(self, profile: tuple[str, ...]) -> tuple[int, ...] | None:
+        return self.cells[profile]

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .equilibrium import EquilibriumCertificate
+
+if TYPE_CHECKING:
+    from .equilibrium import EquilibriumCertificate
 
 # Figures as printed in the source material.
 PAPER_FIGURES = {

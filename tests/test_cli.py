@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import os
@@ -404,6 +405,41 @@ def test_env_var_sets_default_format(capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", "--game", "oa.game")
     assert code == 0
     json.loads(out)
+
+
+@pytest.mark.parametrize("env, argv", [
+    (None, ("validate", "--game", "oa.game", "--format", "bmx")),
+    ("bmx", ("validate", "--game", "oa.game")),
+    ("xyz", ("validate", "--game", "oa.game")),
+    ("bmx", ("mixed", "--bimatrix", "table6.bmx")),
+])
+def test_format_the_command_does_not_take_leaves_output_alone(
+        tmp_path, capsys, monkeypatch, env, argv):
+    """Only ``project`` writes ``bmx``; a format the command does not take,
+    given or from $OAGAME_FORMAT, is a usage error raised before --output
+    is opened."""
+    if env is not None:
+        monkeypatch.setenv("OAGAME_FORMAT", env)
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"kept\n")
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert (code, out) == (2, "")
+    fmt = env or "bmx"
+    assert f"'{fmt}'" in err
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
+    """The first 200 bytes of a gzip file (its header byte 0x8b is not
+    UTF-8) name the file instead of the codec's position."""
+    data = gzip.compress(fixtures.fixture_text("oa.game").encode(), mtime=0)
+    for argv, name in ((("validate", "--game"), "bin.game"),
+                       (("mixed", "--bimatrix"), "bin.bmx")):
+        path = tmp_path / name
+        path.write_bytes(data[:200])
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"oagame: cannot read {str(path)!r}: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("args", [

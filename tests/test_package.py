@@ -1,0 +1,98 @@
+"""The package's public names and the modules each CLI command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import oagame
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every name the package exported when it still imported all of its
+# submodules up front, by defining module.
+EXPORTED = {
+    "model": (
+        "ACTION", "OUTCOME", "Atom", "GameError", "GameSpec",
+        "MissingUtilityError", "NameResolutionError", "OutcomeVarDef",
+        "PlayerDef", "Rule", "ScenarioRow", "UtilityDef", "PayoffTable"),
+    "dsl": (
+        "Diagnostic", "ParseError", "ParseResult", "SourceSpan",
+        "ValidatedGame", "game_from_dict", "game_to_dict", "parse_game_spec",
+        "parse_rule", "serialize_game", "validate_game"),
+    "engine": (
+        "CompiledGame", "CompletionPolicy", "EnumerationReport",
+        "RowBudgetError", "admissible_rows", "chosen_completions",
+        "compile_game", "derive_payoff_table", "enumeration_report",
+        "top_gu_rows"),
+    "equilibrium": (
+        "Bimatrix", "DominanceResult", "EquilibriumCertificate",
+        "InfeasibleSliceError", "MixedStrategy", "best_responses",
+        "dominance_analysis", "expected_utility", "mixed_nash_2p",
+        "parse_bimatrix", "project_bimatrix", "pure_nash",
+        "serialize_bimatrix"),
+}
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in EXPORTED.items() for name in names])
+def test_exported_name_resolves_to_its_definition(module, name):
+    defining = importlib.import_module(f"oagame.{module}")
+    namespace = {}
+    exec(f"from oagame import {name}", namespace)
+    assert getattr(oagame, name) is getattr(defining, name)
+    assert namespace[name] is getattr(defining, name)
+    assert name in oagame.__all__
+
+
+def test_public_api_keeps_its_names():
+    import oagame.engine
+    assert sorted(oagame.__all__) == sorted(
+        name for names in EXPORTED.values() for name in names)
+    assert oagame.PayoffTable is oagame.engine.PayoffTable
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oagame.no_such_name
+
+
+# Runs the CLI on its arguments in a fresh interpreter, output discarded,
+# and prints the exit status and the package modules it loaded.
+_LOADED = """
+import contextlib, io, json, sys
+from oagame import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run_cli(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "oagame")]))
+"""
+
+# What every command loads: the CLI, its report writer, the bundled-fixture
+# lookup (and the ``oagame.data`` package it reads from) and the model types.
+FRONT = ["oagame", "oagame.cli", "oagame.data", "oagame.fixtures",
+         "oagame.model", "oagame.report"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("mixed", "--bimatrix", "table6.bmx"), ["equilibrium"]),
+    (("nash", "--bimatrix", "table5.bmx"), ["equilibrium"]),
+    (("expected", "--bimatrix", "table5.bmx", "--row-mix", "1,0",
+      "--col-mix", "1,0,0,0"), ["equilibrium"]),
+    (("validate", "--game", "oa.game"), ["dsl"]),
+    (("enumerate", "--game", "oa.game"), ["dsl", "engine"]),
+    (("enumerate", "--game", "oa.game", "--dump"), ["dsl", "engine"]),
+    (("top", "--game", "oa.game"), ["dsl", "engine"]),
+    (("payoffs", "--game", "oa.game"), ["dsl", "engine"]),
+    (("reproduce",), ["dsl", "engine", "equilibrium"]),
+], ids=["mixed", "nash-bimatrix", "expected", "validate", "enumerate",
+        "enumerate-dump", "top", "payoffs", "reproduce"])
+def test_command_loads_only_the_layers_it_runs(argv, layers):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60)
+    code, loaded = json.loads(proc.stdout)
+    assert (code, proc.stderr) == (0, "")
+    assert loaded == sorted(FRONT + [f"oagame.{m}" for m in layers])
