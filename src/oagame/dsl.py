@@ -19,7 +19,7 @@ malformed constructs become diagnostics, never exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     ACTION,
@@ -47,15 +47,13 @@ _QUOTE_CLOSERS = {
 }
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     col_start: int
     col_end: int
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     span: SourceSpan
     kind: str  # lex | syntax | resolution | domain-mismatch
     message: str
@@ -66,8 +64,7 @@ class ParseError:
                 f"{self.kind}: {self.message}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # error | warning
     message: str
 
@@ -75,8 +72,7 @@ class Diagnostic:
         return f"{self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     game: GameSpec | None
     errors: tuple[ParseError, ...]
 
@@ -85,8 +81,7 @@ class ParseResult:
         return self.game is not None and not self.errors
 
 
-@dataclass(frozen=True)
-class ValidatedGame:
+class ValidatedGame(NamedTuple):
     game: GameSpec
     action_profile_count: int
     row_space_count: int

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import getitem, itemgetter
 from typing import NamedTuple
 
@@ -53,20 +52,23 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class CompletionPolicy:
+class _PolicyFields(NamedTuple):
+    kind: str = "max-global-utility"  # | optimistic | pessimistic | fixed
+    player: str | None = None
+    fixed_actions: tuple[tuple[str, str], ...] = ()
+    fixed_outcomes: tuple[tuple[str, str], ...] = ()
+
+
+class CompletionPolicy(_PolicyFields):
     """How a set of admissible completions collapses to one payoff vector.
 
     Ties break lexicographically in declaration order (players then
     variables, action and value order as declared).
     """
 
-    kind: str = "max-global-utility"  # | optimistic | pessimistic | fixed
-    player: str | None = None
-    fixed_actions: tuple[tuple[str, str], ...] = ()
-    fixed_outcomes: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *fields, **named):
         if self.kind not in ("max-global-utility", "optimistic",
                              "pessimistic", "fixed"):
             raise ValueError(f"unknown completion policy {self.kind!r}")
@@ -74,8 +76,7 @@ class CompletionPolicy:
             raise ValueError(f"{self.kind} policy requires a player")
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     action_profile_count: int
     row_space_count: int
     admissible_count: int
@@ -208,12 +209,11 @@ class CompiledGame:
 
 
 def compile_game(game: GameSpec) -> CompiledGame:
-    """The game's compiled form, built on first use and kept on the
-    (frozen) instance, like ``OutcomeVarDef``'s lookup tables."""
+    """The game's compiled form, built on first use and kept in the
+    instance dict, like ``OutcomeVarDef``'s lookup tables."""
     compiled = game.__dict__.get("_compiled")
     if compiled is None:
-        compiled = CompiledGame(game)
-        object.__setattr__(game, "_compiled", compiled)
+        compiled = game._compiled = CompiledGame(game)
     return compiled
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import GameSpec, PayoffTable
 
@@ -31,8 +30,7 @@ class BimatrixFormatError(Exception):
     """Malformed bimatrix file."""
 
 
-@dataclass(frozen=True)
-class Bimatrix:
+class _BimatrixFields(NamedTuple):
     row_player: str
     row_actions: tuple[str, ...]
     col_player: str
@@ -40,7 +38,11 @@ class Bimatrix:
     payoffs: tuple[tuple[tuple[Fraction, Fraction] | None, ...], ...]
     provenance: str = "loaded-from-file"
 
-    def __post_init__(self):
+
+class Bimatrix(_BimatrixFields):
+    __slots__ = ()
+
+    def __init__(self, *fields, **named):
         if len(self.payoffs) != len(self.row_actions) or any(
                 len(r) != len(self.col_actions) for r in self.payoffs):
             raise BimatrixFormatError("payoff matrix shape does not match "
@@ -58,16 +60,19 @@ class Bimatrix:
                            (self.row_actions, self.col_actions), cells)
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class _MixFields(NamedTuple):
     player: str
     probs: tuple[tuple[str, Fraction], ...]
 
-    def __post_init__(self):
+
+class MixedStrategy(_MixFields):
+    __slots__ = ()
+
+    def __init__(self, *fields, **named):
         total = sum(p for _, p in self.probs)
         if any(p < 0 for _, p in self.probs):
             raise ValueError("negative probability")
-        if abs(total - 1) > Fraction(1, 10**9):
+        if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def prob(self, action: str) -> Fraction:
@@ -87,8 +92,7 @@ class MixedStrategy:
         return cls(player, ((action, Fraction(1)),))
 
 
-@dataclass(frozen=True)
-class EquilibriumCertificate:
+class EquilibriumCertificate(NamedTuple):
     """A (pure or mixed) equilibrium plus its re-checkable evidence.
 
     ``verification`` lists, per player, every pure action's expected utility
@@ -216,16 +220,14 @@ STRICT_DOM = "strict"
 WEAK_DOM = "weak"
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     player: str
     action: str
     dominator: str
     notion: str
 
 
-@dataclass(frozen=True)
-class DominanceResult:
+class DominanceResult(NamedTuple):
     trace: tuple[Elimination, ...]
     surviving: Bimatrix
 

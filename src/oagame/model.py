@@ -6,12 +6,13 @@ per-player utilities.  Everything here is immutable and all arithmetic is
 exact integer arithmetic.  ``PayoffTable`` lives here because both the
 engine, which derives one from a game, and the bimatrix layer, which builds
 one from a matrix, use it, and the bimatrix layer does not import the engine.
+The records are named tuples; one that does work when created is a subclass
+of its fields' ``NamedTuple``, whose body may not define ``__init__``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 ACTION = "action"
@@ -39,8 +40,7 @@ class MissingUtilityError(GameError):
         super().__init__(f"no utility definition for player {player!r}")
 
 
-@dataclass(frozen=True)
-class PlayerDef:
+class PlayerDef(NamedTuple):
     name: str
     actions: tuple[str, ...]
     aliases: tuple[str, ...] = ()
@@ -54,16 +54,18 @@ class PlayerDef:
         return None
 
 
-@dataclass(frozen=True)
-class OutcomeVarDef:
+class _OutcomeVarFields(NamedTuple):
     name: str
     owner: str
     values: tuple[tuple[str, int], ...]  # (value name, integer score), ordered
     aliases: tuple[str, ...] = ()
     value_aliases: tuple[tuple[str, str], ...] = ()  # alternate -> canonical
 
-    def __post_init__(self):
-        # Lookup tables (not dataclass fields, so equality/repr ignore them).
+
+class OutcomeVarDef(_OutcomeVarFields):
+    def __init__(self, *fields, **named):
+        # Lookup tables, kept in the instance dict rather than in fields, so
+        # equality, hashing and repr ignore them.
         canon = {v.lower(): v for v, _ in self.values}
         scores = {v.lower(): s for v, s in self.values}
         for alias, target in self.value_aliases:
@@ -71,8 +73,7 @@ class OutcomeVarDef:
             if t in canon:
                 canon[alias.strip().lower()] = canon[t]
                 scores[alias.strip().lower()] = scores[t]
-        object.__setattr__(self, "_canon", canon)
-        object.__setattr__(self, "_scores", scores)
+        self._canon, self._scores = canon, scores
 
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)
@@ -90,14 +91,12 @@ class OutcomeVarDef:
         return score
 
 
-@dataclass(frozen=True)
-class UtilityDef:
+class UtilityDef(NamedTuple):
     player: str
     terms: tuple[str, ...]  # canonical outcome-variable names, unit weights
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One ``subject = value`` test or assignment inside a rule.
 
     ``kind`` is ACTION (subject is a player, value an action) or OUTCOME
@@ -112,8 +111,7 @@ class Atom:
     inert: bool = False
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     condition: tuple[Atom, ...]
     consequence: tuple[Atom, ...]
     otherwise: tuple[Atom, ...] = ()
@@ -126,13 +124,17 @@ class Rule:
                 and self.otherwise == other.otherwise)
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class _GameFields(NamedTuple):
     name: str
     players: tuple[PlayerDef, ...]
     variables: tuple[OutcomeVarDef, ...]
     rules: tuple[Rule, ...]
     utilities: tuple[UtilityDef, ...]
+
+
+class GameSpec(_GameFields):
+    # No ``__slots__``: the instance dict holds ``engine.compile_game``'s
+    # compiled form.
 
     def player(self, name: str) -> PlayerDef | None:
         low = name.strip().lower()
@@ -170,8 +172,7 @@ class ScenarioRow(NamedTuple):
     outcomes: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class PayoffTable:
+class PayoffTable(NamedTuple):
     """Per-action-profile utility vectors; None marks an infeasible cell."""
 
     players: tuple[str, ...]

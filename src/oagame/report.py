@@ -104,8 +104,8 @@ class RowDump:
     row ``(h, t)`` of ``rows`` has the record
     ``dict(zip(keys, heads[h] + tails[t]))``.  The renderers render each
     distinct head and tail once and write the rows a chunk at a time.
-    (A plain class: a dataclass costs every CLI start about a
-    millisecond.)"""
+    (A plain class, not a named tuple: ``json`` would write a tuple as
+    the list of its four fields.)"""
 
     def __init__(self, keys: tuple[str, ...], heads: dict, tails: dict,
                  rows: list):

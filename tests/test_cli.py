@@ -323,6 +323,15 @@ def test_unreadable_mix_is_a_usage_error(capsys, mix):
                    "decimals\n")
 
 
+def test_mix_summing_near_one_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "expected", "--bimatrix", "table5.bmx",
+                         "--row-mix", "0.5,0.4999999999",
+                         "--col-mix", "1,0,0,0")
+    assert (code, out) == (2, "")
+    assert err == ("oagame: --row-mix: probabilities sum to "
+                   "9999999999/10000000000, not 1\n")
+
+
 def test_structural_error_names_its_line(tmp_path, capsys):
     path = tmp_path / "dup.game"
     path.write_text('game "d"\nplayer A actions: "x", "X"\n'

@@ -328,6 +328,12 @@ def test_mixture_validation():
         MixedStrategy("X", (("a", F(1, 2)), ("b", F(1, 4))))
     with pytest.raises(ValueError):
         MixedStrategy("X", (("a", F(-1, 2)), ("b", F(3, 2))))
+    # Exact: a sum off by a billionth either way is not a distribution.
+    for off, total in ((-1, "999999999"), (1, "1000000001")):
+        with pytest.raises(ValueError,
+                           match=f"sum to {total}/1000000000, not 1"):
+            MixedStrategy("X", (("a", F(1, 2)),
+                                ("b", F(1, 2) + F(off, 10**9))))
 
 
 def test_dimension_mismatch(table5):

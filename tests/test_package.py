@@ -59,15 +59,23 @@ def test_public_api_keeps_its_names():
 
 
 # Runs the CLI on its arguments in a fresh interpreter, output discarded,
-# and prints the exit status and the package modules it loaded.
+# and prints the exit status, the package modules it loaded and the
+# modules it added to those the interpreter had already loaded at start-up.
 _LOADED = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io, json
 from oagame import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run_cli(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "oagame")]))
+                               if m.split(".")[0] == "oagame"),
+                  sorted(set(sys.modules) - before)]))
 """
+
+# Standard-library modules no command needs: ``dataclasses`` alone costs
+# a few milliseconds at every start, most of it in ``inspect``.
+UNWANTED = {"dataclasses", "inspect"}
 
 # What every command loads: the CLI, its report writer, the bundled-fixture
 # lookup (and the ``oagame.data`` package it reads from) and the model types.
@@ -93,6 +101,7 @@ def test_command_loads_only_the_layers_it_runs(argv, layers):
         [sys.executable, "-c", _LOADED, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=60)
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, added = json.loads(proc.stdout)
     assert (code, proc.stderr) == (0, "")
     assert loaded == sorted(FRONT + [f"oagame.{m}" for m in layers])
+    assert UNWANTED.isdisjoint(added)
