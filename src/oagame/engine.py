@@ -67,6 +67,7 @@ class CompletionPolicy(_PolicyFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __init__(self, *fields, **named):
         if self.kind not in ("max-global-utility", "optimistic",

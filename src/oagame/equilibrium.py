@@ -41,6 +41,7 @@ class _BimatrixFields(NamedTuple):
 
 class Bimatrix(_BimatrixFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __init__(self, *fields, **named):
         if len(self.payoffs) != len(self.row_actions) or any(
@@ -67,12 +68,12 @@ class _MixFields(NamedTuple):
 
 class MixedStrategy(_MixFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __init__(self, *fields, **named):
-        total = sum(p for _, p in self.probs)
         if any(p < 0 for _, p in self.probs):
             raise ValueError("negative probability")
-        if total != 1:
+        if (total := sum(p for _, p in self.probs)) != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def prob(self, action: str) -> Fraction:
@@ -244,12 +245,8 @@ def _dominates(
     for j in live_opponent:
         ua = bm.payoffs[a][j][0] if side == 0 else bm.payoffs[j][a][1]
         ub = bm.payoffs[b][j][0] if side == 0 else bm.payoffs[j][b][1]
-        if notion == STRICT_DOM:
-            if ua <= ub:
-                return False
-        else:
-            if ua < ub:
-                return False
+        if ua < ub or (notion == STRICT_DOM and ua == ub):
+            return False
     return True
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from importlib import resources
+import os
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -16,7 +16,9 @@ BUNDLED = ("oa.game", "table5.bmx", "table6.bmx")
 def fixture_text(name: str) -> str:
     if name not in BUNDLED:
         raise KeyError(f"no bundled fixture {name!r}")
-    return (resources.files("oagame.data") / name).read_text(encoding="utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "data", name),
+              encoding="utf-8") as fh:
+        return fh.read()
 
 
 def fixture_digest(name: str) -> str:

@@ -2,12 +2,13 @@
 
 A game is a set of players with finite action lists, a set of integer-scored
 outcome variables, implication rules linking actions to outcomes, and additive
-per-player utilities.  Everything here is immutable and all arithmetic is
-exact integer arithmetic.  ``PayoffTable`` lives here because both the
-engine, which derives one from a game, and the bimatrix layer, which builds
-one from a matrix, use it, and the bimatrix layer does not import the engine.
-The records are named tuples; one that does work when created is a subclass
-of its fields' ``NamedTuple``, whose body may not define ``__init__``.
+per-player utilities.  All arithmetic is exact integer arithmetic.  The
+bimatrix layer, which builds a ``PayoffTable`` from a matrix, does not import
+the engine, which derives one from a game, so ``PayoffTable`` lives here.
+The records are immutable named tuples; one that does work when created is a
+subclass of its fields' ``NamedTuple`` whose ``__init__`` (and ``_make``, for
+``_replace``) does it.  ``OutcomeVarDef`` and ``GameSpec`` cache in an
+instance dict, which, unlike the fields, takes new attributes.
 """
 
 from __future__ import annotations
@@ -63,17 +64,18 @@ class _OutcomeVarFields(NamedTuple):
 
 
 class OutcomeVarDef(_OutcomeVarFields):
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def __init__(self, *fields, **named):
         # Lookup tables, kept in the instance dict rather than in fields, so
         # equality, hashing and repr ignore them.
-        canon = {v.lower(): v for v, _ in self.values}
-        scores = {v.lower(): s for v, s in self.values}
+        self._canon = canon = {v.lower(): v for v, _ in self.values}
+        self._scores = scores = {v.lower(): s for v, s in self.values}
         for alias, target in self.value_aliases:
             t = target.strip().lower()
             if t in canon:
                 canon[alias.strip().lower()] = canon[t]
                 scores[alias.strip().lower()] = scores[t]
-        self._canon, self._scores = canon, scores
 
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)

@@ -78,9 +78,9 @@ print(json.dumps([code, sorted(m for m in sys.modules
 UNWANTED = {"dataclasses", "inspect"}
 
 # What every command loads: the CLI, its report writer, the bundled-fixture
-# lookup (and the ``oagame.data`` package it reads from) and the model types.
-FRONT = ["oagame", "oagame.cli", "oagame.data", "oagame.fixtures",
-         "oagame.model", "oagame.report"]
+# lookup and the model types.
+FRONT = ["oagame", "oagame.cli", "oagame.fixtures", "oagame.model",
+         "oagame.report"]
 
 
 @pytest.mark.parametrize("argv, layers", [

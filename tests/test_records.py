@@ -26,6 +26,7 @@ from oagame.model import (
     OUTCOME,
     Atom,
     GameSpec,
+    NameResolutionError,
     OutcomeVarDef,
     PayoffTable,
     PlayerDef,
@@ -128,11 +129,28 @@ def test_record_construction_equality_and_immutability(cls, required,
      ValueError, "pessimistic policy requires a player"),
     (lambda: CompletionPolicy("optimistic", None),
      ValueError, "optimistic policy requires a player"),
+    (lambda: BIMATRIX._replace(col_actions=("y", "z")),
+     BimatrixFormatError, "payoff matrix shape does not match"),
+    (lambda: MIX._replace(probs=(("x", F(1, 2)),)),
+     ValueError, "probabilities sum to 1/2, not 1"),
+    (lambda: CompletionPolicy()._replace(kind="bogus"),
+     ValueError, "unknown completion policy 'bogus'"),
 ], ids=["bimatrix-rows", "bimatrix-cols", "mix-negative", "mix-sum",
-        "policy-kind", "policy-player-keyword", "policy-player"])
+        "policy-kind", "policy-player-keyword", "policy-player",
+        "bimatrix-replace", "mix-replace", "policy-replace"])
 def test_record_validation_still_fires(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+def test_replace_rebuilds_outcome_variable_lookups():
+    renamed = VARIABLE._replace(values=(("Low", 0), ("High", 2)),
+                                value_aliases=(("Up", "High"),))
+    assert renamed.score("up") == 2
+    assert renamed.canonical_value("low") == "Low"
+    assert VARIABLE.score("more") == 1
+    with pytest.raises(NameResolutionError):
+        renamed.score("More")
 
 
 @pytest.mark.parametrize("record, text", [
