@@ -24,8 +24,9 @@ that sums per-value weights, follow in closed form: ``enumeration_report``
 counts without building a row, ``top_gu_rows`` generates only the rows at
 the greatest global utility, and policy picks (and through them payoff
 tables and projections) are the first completions of greatest key.
-Row lists stream out as tuples of value indices.  A row is a ``(profile,
-completion)`` pair of index tuples; names come back only in
+Both row lists (``admissible_rows`` and ``top_gu_rows``) expand the census
+they read, enumerating each block's completions once.  A row is a
+``(profile, completion)`` pair of index tuples; names come back only in
 ``record_cells`` and ``CompiledGame.row``.  ``record_cells`` names each
 distinct profile and each distinct completion of a row list once, so a
 row dump is rendered from those cells without building one record per
@@ -358,35 +359,44 @@ def enumeration_report(game: GameSpec) -> EnumerationReport:
     return _report(cg, _census(cg, cg.scores))
 
 
+def _expand(entries) -> list[tuple]:
+    """The rows of ``(profile, block, domains, keep)`` entries, in order;
+    each block's ``_filtered`` completions are enumerated once."""
+    shared, done, rows = {}, {}, []  # done: id(block) -> its completions
+    for p, b, domains, keep in entries:
+        if id(b) not in done:
+            done[id(b)] = tuple(shared.setdefault(c, c)
+                                for c in _filtered(b.select, domains, keep))
+        rows += zip(itertools.repeat(p), done[id(b)])
+    return rows
+
+
 def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
     """All admissible rows in canonical order, as ``(profile, completion)``
-    index pairs of ``compile_game(game)``, plus the count report.  Rows
-    with equal completions share one completion tuple.  Raises
+    index pairs of ``compile_game(game)``, plus the count report.  The rows
+    expand the census: each block's completions are enumerated once, and
+    rows with equal completions share one completion tuple.  Raises
     ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
-    report = enumeration_report(game)
-    _within_budget(report.admissible_count, "admissible rows")
     cg = compile_game(game)
-    shared: dict[tuple, tuple] = {}
-    rows = [(p, shared.setdefault(c, c)) for p in cg.profiles()
-            if (b := _profile_block(cg, p)) is not None and b.count
-            for c in _filtered(b.select, b.domains, b.passing)]
-    return rows, report
+    census = list(_census(cg, cg.scores))
+    report = _report(cg, census)
+    _within_budget(report.admissible_count, "admissible rows")
+    return _expand((p, b, b.domains, b.passing) for p, b, _ in census), report
 
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     """Maximum global utility over the admissible set and the rows attaining
-    it, as ``(profile, completion)`` pairs in canonical order.  (None, [])
-    when the admissible set is empty.  Raises ``RowBudgetError``, building
-    no row, when more than ``ROW_BUDGET`` rows attain it."""
+    it, expanded from the census like ``admissible_rows``: ``(profile,
+    completion)`` pairs in canonical order, or (None, []) when the set is
+    empty.  Raises ``RowBudgetError``, building no row, above the budget."""
     cg = compile_game(game)
     census = list(_census(cg, cg.scores))
     report = _report(cg, census)
     best = report.max_global_utility
     _within_budget(report.max_global_utility_count,
                    "rows at max global utility")
-    return best, [(p, c) for p, b, (high, _, argmax, top) in census
-                  if high == best
-                  for c in _filtered(b.select, top, argmax)]
+    return best, _expand((p, b, top, argmax) for p, b, (high, _, argmax, top)
+                         in census if high == best)
 
 
 def chosen_completions(

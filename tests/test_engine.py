@@ -261,6 +261,37 @@ def test_row_lists_refuse_more_rows_than_the_budget(oa_game, monkeypatch):
     assert len(top_gu_rows(oa_game)[1]) == 30
 
 
+def test_row_lists_walk_the_profiles_once_and_each_block_once(
+        oa_game, monkeypatch):
+    """Both row lists expand the census: ``admissible_rows`` looks up the
+    432 profiles' blocks once and enumerates each of the 14 distinct blocks'
+    completions once, ``top_gu_rows`` each of the 2 blocks at the maximum
+    (30 profiles) once.  Rows with equal completions share one tuple."""
+    calls = {"_profile_block": 0, "_filtered": 0}
+
+    def counted(name):
+        inner = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(engine, name, wrapper)
+
+    counted("_profile_block")
+    counted("_filtered")
+    rows, _ = admissible_rows(oa_game)
+    assert len(rows) == 17640
+    assert calls == {"_profile_block": 432, "_filtered": 14}
+    assert len({id(c) for _, c in rows}) == len({c for _, c in rows}) == 160
+
+    cg = compile_game(oa_game)
+    census = list(engine._census(cg, cg.scores))
+    at_best = {id(b) for _, b, (high, *_) in census if high == 8}
+    calls["_filtered"] = 0
+    assert top_gu_rows(oa_game)[0] == 8
+    assert calls["_filtered"] <= len(at_best) == 2
+
+
 def test_payoff_table_no_rules_all_more():
     game = _parse(TOY)
     table = derive_payoff_table(game)
