@@ -203,7 +203,9 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
 
 
 def _game_or_fail(args) -> tuple:
-    from .dsl import parse_game_spec, validate_game
+    """The parsed game and the input's digest.  A game that parses also
+    validates, so only ``validate`` runs ``validate_game``."""
+    from .dsl import parse_game_spec
     text, digest = _read_input(args.game)
     result = parse_game_spec(text, mode=args.mode or "strict")
     if result.game is None:
@@ -211,12 +213,7 @@ def _game_or_fail(args) -> tuple:
             print(str(err), file=sys.stderr)
         raise _CliError(f"{args.game}: {len(result.errors)} parse "
                         f"error(s)", DIAG_ERROR)
-    validated = validate_game(result.game)
-    if not validated.ok:
-        for diag in validated.errors:
-            print(str(diag), file=sys.stderr)
-        raise _CliError(f"{args.game}: validation failed", DIAG_ERROR)
-    return validated, digest
+    return result.game, digest
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +221,13 @@ def _game_or_fail(args) -> tuple:
 
 
 def _cmd_validate(args) -> int:
-    validated, digest = _game_or_fail(args)
-    game = validated.game
+    from .dsl import validate_game
+    game, digest = _game_or_fail(args)
+    validated = validate_game(game)
+    if not validated.ok:
+        for diag in validated.errors:
+            print(str(diag), file=sys.stderr)
+        raise _CliError(f"{args.game}: validation failed", DIAG_ERROR)
     out = rp.base_report({args.game: digest})
     out["game"] = game.name
     out["players"] = list(game.player_names())
@@ -246,8 +248,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from .engine import admissible_rows, enumeration_report
-    validated, digest = _game_or_fail(args)
-    game = validated.game
+    game, digest = _game_or_fail(args)
     if args.dump:
         rows, enum = admissible_rows(game)
     else:
@@ -270,8 +271,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_top(args) -> int:
     from .engine import top_gu_rows
-    validated, digest = _game_or_fail(args)
-    game = validated.game
+    game, digest = _game_or_fail(args)
     best, rows = top_gu_rows(game)
     out = rp.base_report({args.game: digest})
     out["max_global_utility"] = best
@@ -285,21 +285,15 @@ def _cmd_top(args) -> int:
 
 
 def _payoff_records(table) -> list[dict]:
-    records = []
-    for profile in table.profiles():
-        cell = table.payoff(profile)
-        rec = dict(zip(table.players, profile))
-        rec["feasible"] = cell is not None
-        for i, p in enumerate(table.players):
-            rec[f"U_{p}"] = "" if cell is None else cell[i]
-        records.append(rec)
-    return records
+    keys = (*table.players, "feasible", *(f"U_{p}" for p in table.players))
+    blank = ("",) * len(table.players)
+    return [dict(zip(keys, (*profile, cell is not None, *(cell or blank))))
+            for profile, cell in zip(table.profiles(), table.cells)]
 
 
 def _cmd_payoffs(args) -> int:
     from .engine import derive_payoff_table
-    validated, digest = _game_or_fail(args)
-    game = validated.game
+    game, digest = _game_or_fail(args)
     policy = _policy(args, game)
     table = derive_payoff_table(game, policy)
     out = rp.base_report({args.game: digest})
@@ -311,8 +305,7 @@ def _cmd_payoffs(args) -> int:
 
 def _cmd_project(args) -> int:
     from .equilibrium import project_bimatrix, serialize_bimatrix
-    validated, digest = _game_or_fail(args)
-    game = validated.game
+    game, digest = _game_or_fail(args)
     policy = _policy(args, game)
     row, col = (_declared_player(game, name)
                 for name in (args.row_player, args.col_player))
@@ -356,22 +349,20 @@ def _cmd_nash(args) -> int:
         bm, digest = _load_bimatrix(args.bimatrix)
         out["inputs"] = {args.bimatrix: digest}
         table = bm.to_payoff_table()
-        certs = pure_nash(table)
-        if _is_bundled(digest, "table5.bmx"):
-            found = [c.pure_profile() for c in certs]
-            member = ("Publish OA", "Grant TA") in found
-            out["paper_comparison"] = [
-                rp.comparison_entry(
-                    "pure Nash equilibrium (Publish OA, Grant TA)",
-                    "present", "present" if member else "absent"),
-            ]
     else:
         from .engine import derive_payoff_table
-        validated, digest = _game_or_fail(args)
+        game, digest = _game_or_fail(args)
         out["inputs"] = {args.game: digest}
-        table = derive_payoff_table(validated.game,
-                                    _policy(args, validated.game))
-        certs = pure_nash(table)
+        table = derive_payoff_table(game, _policy(args, game))
+    certs = pure_nash(table)
+    if args.bimatrix and _is_bundled(digest, "table5.bmx"):
+        found = [c.pure_profile() for c in certs]
+        member = ("Publish OA", "Grant TA") in found
+        out["paper_comparison"] = [
+            rp.comparison_entry(
+                "pure Nash equilibrium (Publish OA, Grant TA)",
+                "present", "present" if member else "absent"),
+        ]
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
     _emit(args, out)
@@ -423,8 +414,7 @@ def _cmd_expected(args) -> int:
 def _cmd_reproduce(args) -> int:
     from .engine import CompletionPolicy, enumeration_report
     from .equilibrium import project_bimatrix, pure_nash
-    validated, game_digest = _game_or_fail(args)
-    game = validated.game
+    game, game_digest = _game_or_fail(args)
     enum = enumeration_report(game)
     bm5, bm5_digest = _load_bimatrix(args.bimatrix)
     certs = pure_nash(bm5.to_payoff_table())

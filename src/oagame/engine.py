@@ -450,15 +450,14 @@ def derive_payoff_table(
     game: GameSpec,
     policy: CompletionPolicy = CompletionPolicy(),
 ) -> PayoffTable:
-    """One utility vector per action profile under the completion policy;
-    profiles without an admissible completion are marked infeasible."""
+    """One utility vector per action profile under the completion policy,
+    in canonical profile order (``PayoffTable.profiles()``); profiles
+    without an admissible completion are marked infeasible."""
     cg = compile_game(game)
-    cells = {
-        cg.action_names(profile):
-            None if completion is None
-            else tuple(cg.utility(p, completion) for p in cg.players)
-        for profile, completion, _ in chosen_completions(game, policy)
-    }
+    cells = tuple(
+        None if completion is None
+        else tuple(cg.utility(p, completion) for p in cg.players)
+        for _, completion, _ in chosen_completions(game, policy))
     return PayoffTable(cg.players, cg.actions, cells)
 
 

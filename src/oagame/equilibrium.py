@@ -53,12 +53,9 @@ class Bimatrix(_BimatrixFields):
         return all(cell is not None for row in self.payoffs for cell in row)
 
     def to_payoff_table(self) -> PayoffTable:
-        cells = {}
-        for i, ra in enumerate(self.row_actions):
-            for j, ca in enumerate(self.col_actions):
-                cells[(ra, ca)] = self.payoffs[i][j]
         return PayoffTable((self.row_player, self.col_player),
-                           (self.row_actions, self.col_actions), cells)
+                           (self.row_actions, self.col_actions),
+                           tuple(itertools.chain.from_iterable(self.payoffs)))
 
 
 class _MixFields(NamedTuple):
@@ -123,54 +120,52 @@ class EquilibriumCertificate(NamedTuple):
 # Pure analysis on n-player payoff tables
 
 
+def _slice(table: PayoffTable, index: int, i: int) -> range:
+    """Positions in ``table.cells`` of the profiles that differ from the
+    one at ``index`` only in player ``i``'s action, in action order."""
+    stride = math.prod(map(len, table.actions[i + 1:]))
+    start = index - index // stride % len(table.actions[i]) * stride
+    return range(start, start + len(table.actions[i]) * stride, stride)
+
+
 def best_responses(
     table: PayoffTable, player: str, others: dict[str, str]
 ) -> tuple[str, ...]:
     """Argmax set of the player's actions with every other player fixed."""
-    idx = table.players.index(player)
-    utilities = {}
-    for action in table.actions[idx]:
-        profile = tuple(action if p == player else others[p]
-                        for p in table.players)
-        cell = table.payoff(profile)
-        if cell is not None:
-            utilities[action] = cell[idx]
+    i = table.players.index(player)
+    actions, cells = table.actions[i], table.cells
+    at = _slice(table, table._index(tuple(
+        actions[0] if p == player else others[p] for p in table.players)), i)
+    utilities = [cells[j][i] for j in at if cells[j] is not None]
     if not utilities:
         raise InfeasibleSliceError(
             f"no feasible response for {player!r} against {others!r}")
-    best = max(utilities.values())
-    return tuple(a for a in table.actions[idx] if utilities.get(a) == best)
+    best = max(utilities)
+    return tuple(a for a, j in zip(actions, at)
+                 if cells[j] is not None and cells[j][i] == best)
 
 
 def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
-    """All pure equilibria by brute force, in canonical profile order."""
-    certs = []
-    for profile in table.profiles():
-        cell = table.payoff(profile)
+    """All pure equilibria in canonical profile order: the feasible cells
+    that no feasible cell of any player's slice beats for that player.
+    Names and ``Fraction``s are built only for the equilibria."""
+    cells, certs = table.cells, []
+    for index, cell in enumerate(cells):
         if cell is None:
             continue
-        verification = []
-        is_eq = True
-        for idx, player in enumerate(table.players):
-            others = {p: a for p, a in zip(table.players, profile)
-                      if p != player}
-            record = []
-            for action in table.actions[idx]:
-                alt = tuple(action if p == player else others[p]
-                            for p in table.players)
-                alt_cell = table.payoff(alt)
-                if alt_cell is not None:
-                    record.append((action, Fraction(alt_cell[idx])))
-                    if alt_cell[idx] > cell[idx]:
-                        is_eq = False
-            verification.append(tuple(record))
-        if is_eq:
-            certs.append(EquilibriumCertificate(
-                "pure",
-                tuple(MixedStrategy.pure(p, a)
-                      for p, a in zip(table.players, profile)),
-                tuple(Fraction(u) for u in cell),
-                tuple(verification)))
+        slices = [_slice(table, index, i) for i in range(len(cell))]
+        if any(cells[j] is not None and cells[j][i] > cell[i]
+               for i, at in enumerate(slices) for j in at):
+            continue
+        sides = list(zip(table.players, table.actions, slices))
+        certs.append(EquilibriumCertificate(
+            "pure",
+            tuple(MixedStrategy.pure(p, actions[at.index(index)])
+                  for p, actions, at in sides),
+            tuple(map(Fraction, cell)),
+            tuple(tuple((a, Fraction(cells[j][i]))
+                        for a, j in zip(actions, at) if cells[j] is not None)
+                  for i, (_, actions, at) in enumerate(sides))))
     return certs
 
 

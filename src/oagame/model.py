@@ -5,6 +5,8 @@ outcome variables, implication rules linking actions to outcomes, and additive
 per-player utilities.  All arithmetic is exact integer arithmetic.  The
 bimatrix layer, which builds a ``PayoffTable`` from a matrix, does not import
 the engine, which derives one from a game, so ``PayoffTable`` lives here.
+Its cells are a tuple in canonical profile order; ``payoff`` looks one up
+by action names.
 The records are immutable named tuples; one that does work when created is a
 subclass of its fields' ``NamedTuple`` whose ``__init__`` (and ``_make``, for
 ``_replace``) does it.  ``OutcomeVarDef`` and ``GameSpec`` cache in an
@@ -175,14 +177,22 @@ class ScenarioRow(NamedTuple):
 
 
 class PayoffTable(NamedTuple):
-    """Per-action-profile utility vectors; None marks an infeasible cell."""
+    """Per-action-profile utility vectors in ``profiles()`` order, the last
+    player's action varying fastest; None marks an infeasible cell."""
 
     players: tuple[str, ...]
     actions: tuple[tuple[str, ...], ...]
-    cells: dict[tuple[str, ...], tuple[int, ...] | None]
+    cells: tuple[tuple[int, ...] | None, ...]
 
     def profiles(self):
         return itertools.product(*self.actions)
 
+    def _index(self, profile: tuple[str, ...]) -> int:
+        """Position in ``cells`` of a profile of action names."""
+        index = 0
+        for names, action in zip(self.actions, profile, strict=True):
+            index = index * len(names) + names.index(action)
+        return index
+
     def payoff(self, profile: tuple[str, ...]) -> tuple[int, ...] | None:
-        return self.cells[profile]
+        return self.cells[self._index(profile)]

@@ -1,9 +1,15 @@
-"""Naive brute-force oracles for admissible-row enumeration and for
-support-enumeration mixed equilibria.
+"""Naive brute-force oracles for admissible-row enumeration, for pure
+equilibria and best responses, and for support-enumeration mixed
+equilibria.
 
 Rows: plain nested loops over the full profile x assignment space,
 re-checking every rule with its own atom evaluation.  Deliberately
 independent of the engine's pruning path; the two must agree as sets.
+
+Pure equilibria and best responses: every unilateral deviation checked on
+action names, in a dict from each name profile to its cell, the way
+``pure_nash`` and ``best_responses`` worked before they read slices of the
+index-ordered cells.
 
 Mixed equilibria: support enumeration with both indifference systems of
 every support pair solved by Gaussian elimination over ``Fraction``, the
@@ -19,7 +25,8 @@ from fractions import Fraction
 from oagame.equilibrium import (SUPPORT_LIMIT, Bimatrix,
                                 EquilibriumCertificate, MixedStrategy)
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
-                          PlayerDef, Rule, ScenarioRow, UtilityDef)
+                          PayoffTable, PlayerDef, Rule, ScenarioRow,
+                          UtilityDef)
 
 
 def _atom_true(atom, actions, outcomes):
@@ -196,6 +203,54 @@ def random_rich_game(rng: random.Random) -> GameSpec:
                                  for v in variables if v.owner == p.name))
         for p in players)
     return GameSpec("rich", players, tuple(variables), rules, utilities)
+
+
+def _deviations(table: PayoffTable, cells: dict, profile, idx: int):
+    """``(action, cell)`` of each feasible profile that differs from
+    ``profile`` at most in player ``idx``'s action, in action order."""
+    for action in table.actions[idx]:
+        alt = profile[:idx] + (action,) + profile[idx + 1:]
+        if cells[alt] is not None:
+            yield action, cells[alt]
+
+
+def best_responses(table: PayoffTable, player: str,
+                   others: dict[str, str]) -> tuple[str, ...]:
+    """The player's argmax over the feasible cells of the slice, in action
+    order; () when every cell of the slice is infeasible."""
+    idx = table.players.index(player)
+    profile = tuple(None if p == player else others[p] for p in table.players)
+    cells = dict(zip(table.profiles(), table.cells))
+    utilities = [(a, cell[idx])
+                 for a, cell in _deviations(table, cells, profile, idx)]
+    best = max((u for _, u in utilities), default=None)
+    return tuple(a for a, u in utilities if u == best)
+
+
+def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
+    """Every feasible profile that no unilateral deviation to a feasible
+    cell improves for the deviating player, in canonical profile order."""
+    cells = dict(zip(table.profiles(), table.cells))
+    certs = []
+    for profile, cell in cells.items():
+        if cell is None:
+            continue
+        verification = []
+        is_eq = True
+        for idx in range(len(table.players)):
+            record = []
+            for action, alt in _deviations(table, cells, profile, idx):
+                record.append((action, Fraction(alt[idx])))
+                is_eq = is_eq and alt[idx] <= cell[idx]
+            verification.append(tuple(record))
+        if is_eq:
+            certs.append(EquilibriumCertificate(
+                "pure",
+                tuple(MixedStrategy.pure(p, a)
+                      for p, a in zip(table.players, profile)),
+                tuple(Fraction(u) for u in cell),
+                tuple(verification)))
+    return certs
 
 
 def _solve_linear(matrix: list[list[Fraction]],

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from oagame import (
     CompletionPolicy,
     InfeasibleSliceError,
     MixedStrategy,
+    PayoffTable,
     best_responses,
     dominance_analysis,
     expected_utility,
@@ -18,6 +20,7 @@ from oagame import (
     serialize_bimatrix,
 )
 
+from . import oracle
 from .oracle import support_enumeration
 
 F = Fraction
@@ -62,9 +65,8 @@ def test_best_response_ties(table5):
 
 
 def test_best_response_infeasible_slice():
-    bm = bimatrix(["a"], ["x"], [[(0, 0)]])
+    bm = Bimatrix("Row", ("a",), "Col", ("x",), ((None,),))
     table = bm.to_payoff_table()
-    table.cells[("a", "x")] = None
     with pytest.raises(InfeasibleSliceError):
         best_responses(table, "Row", {"Col": "x"})
 
@@ -87,6 +89,46 @@ def test_pure_nash_1x1():
     bm = bimatrix(["a"], ["x"], [[(0, 0)]])
     certs = pure_nash(bm.to_payoff_table())
     assert [c.pure_profile() for c in certs] == [("a", "x")]
+
+
+@st.composite
+def payoff_tables(draw):
+    """1 to 4 players with 2 to 4 actions each; payoffs 0 to 3, so they
+    tie, and about a quarter of the cells infeasible."""
+    n = draw(st.integers(1, 4))
+    actions = tuple(tuple(f"a{i}{k}" for k in range(draw(st.integers(2, 4))))
+                    for i in range(n))
+    payoff = st.tuples(*[st.integers(0, 3)] * n)
+    size = math.prod(map(len, actions))
+    cells = draw(st.lists(st.one_of(st.none(), payoff, payoff, payoff),
+                          min_size=size, max_size=size))
+    return PayoffTable(tuple(f"P{i}" for i in range(n)), actions,
+                       tuple(cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(payoff_tables())
+@example(PayoffTable(("P0", "P1"), (("a00", "a01"), ("a10", "a11")),
+                     ((1, 0), None, (0, 1), None)))
+def test_pure_nash_and_best_responses_match_the_name_oracle(table):
+    certs, expected = pure_nash(table), oracle.pure_nash(table)
+    assert certs == expected and repr(certs) == repr(expected)  # Fractions
+    for profile, cell in zip(table.profiles(), table.cells):
+        assert table.payoff(profile) == cell
+        others = dict(zip(table.players, profile))
+        for player in table.players:
+            argmax = oracle.best_responses(table, player, others)
+            if argmax:
+                assert best_responses(table, player, others) == argmax
+            else:
+                with pytest.raises(InfeasibleSliceError):
+                    best_responses(table, player, others)
+    if len(table.players) == 2:
+        payoffs = [table.cells[i:i + len(table.actions[1])]
+                   for i in range(0, len(table.cells), len(table.actions[1]))]
+        assert Bimatrix(table.players[0], table.actions[0], table.players[1],
+                        table.actions[1], tuple(payoffs)).to_payoff_table() \
+            == table
 
 
 # ---------------------------------------------------------------------------
