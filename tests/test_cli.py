@@ -344,6 +344,43 @@ def test_structural_error_names_its_line(tmp_path, capsys):
                    f"oagame: {path}: 1 parse error(s)\n")
 
 
+# Every declaration-line diagnostic, an unknown value as an alias target,
+# and an undeclared utility term left by a malformed variable line.
+DECLARATION_ERRORS = """game
+player A actions: "x", "y"
+player B
+player C alias "Doc, MD" actions: "p"
+variable V owner: A values: Hi=1, Lo, Mid=x valias Top, Up->Hi, Down
+variable W owner A
+variable X owner: A values: More=1, Less=0 valias Plus->Most
+utility A = V
+utility B V
+bogus declaration
+rule if A="x" then X="More".
+"""
+
+
+def test_every_declaration_diagnostic(tmp_path, monkeypatch, capsys):
+    (tmp_path / "decl.game").write_text(DECLARATION_ERRORS)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "validate", "--game", "decl.game")
+    assert (code, out) == (1, "")
+    assert err == (
+        "line 1:1: syntax: malformed game line\n"
+        "line 3:1: syntax: malformed player line\n"
+        "line 5:1: syntax: malformed value 'Lo' (expected Name=int)\n"
+        "line 5:1: syntax: malformed value 'Mid=x' (expected Name=int)\n"
+        "line 5:1: syntax: malformed value alias 'Top' (expected A->B)\n"
+        "line 5:1: syntax: malformed value alias 'Down' (expected A->B)\n"
+        "line 6:1: syntax: malformed variable line\n"
+        "line 9:1: syntax: malformed utility line\n"
+        "line 10:1: syntax: unknown declaration 'bogus'\n"
+        "line 7:1: resolution: value alias 'Plus' of 'X' targets unknown "
+        "value 'Most'\n"
+        "line 8:1: resolution: utility of 'A' sums undeclared variable 'V'\n"
+        "oagame: decl.game: 11 parse error(s)\n")
+
+
 def test_game_without_players_is_a_diagnostic(tmp_path, capsys):
     path = tmp_path / "empty.game"
     path.write_text("")
@@ -561,6 +598,18 @@ GOLDEN_STDOUT = {
      "--col-player", "Editors", "--policy", "pessimistic",
      "--policy-player", "Editors", "--format", "json"):
         "cbd24945de207603166159f6f13ee77f8511feb3f194b251ac72bb061bb5fed0",
+    # The next four were taken before name lookups, declaration lines and
+    # payoff-pair text were each written once.
+    ("validate", "--game", "oa.game", "--format", "json"):
+        "070dd6d9c30ca161358cd99ef163341b91754c0e8f21cb4e7870cf97551341ee",
+    ("validate", "--game", "alias.game", "--format", "json"):
+        "185e19d3c5e61184f1320f9aa023cb13de7a7e432fbe9784399edd7e9313a6d8",
+    ("project", "--game", "oa.game", "--row-player", "Academics",
+     "--col-player", "Editors", "--format", "bmx"):
+        "bebc52f6fa89adf90c5be2decfe7b7217aee1f8cc7491c64973dbc4f634b9b5a",
+    ("payoffs", "--game", "alias.game", "--policy", "fixed",
+     "--fix", "V=top", "--format", "json"):
+        "dba92946eab559f979d2db927ba5765758347626b5133b96cd6e525f65113f42",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and
