@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import fixtures, report as rp
-from .model import GameError, NameResolutionError
+from .model import GameError
 
 # The game layers (dsl, engine) and the bimatrix layer (equilibrium) are
 # imported inside the commands that call them, so each command loads only
@@ -28,6 +28,16 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1
+
+# The census fields that ``enumerate`` reports, each with its report key
+# and its key in ``rp.PAPER_FIGURES``.
+CENSUS_FIGURES = {
+    "action_profile_count": ("action_profiles", "action_profiles"),
+    "row_space_count": ("row_space", "row_space"),
+    "admissible_count": ("admissible_rows", "admissible_rows"),
+    "max_global_utility": ("max_global_utility", "max_global_utility"),
+    "max_global_utility_count": ("max_global_utility_rows", "top_gu_rows"),
+}
 
 # Report labels of the paper figures, keyed as in ``rp.PAPER_FIGURES``.
 FIGURE_LABELS = {
@@ -117,11 +127,7 @@ def _policy(args, game) -> CompletionPolicy:
         if player is not None:
             fixed, subject, canon = actions, player.name, player.action(value)
         elif (var := game.variable(name)) is not None:
-            fixed, subject = outcomes, var.name
-            try:
-                canon = var.canonical_value(value)
-            except NameResolutionError:
-                canon = None
+            fixed, subject, canon = outcomes, var.name, var.value(value)
         else:
             raise _CliError(f"--fix names unknown player or variable "
                             f"{name!r}", USAGE_ERROR)
@@ -174,14 +180,9 @@ def _paper_comparison(computed: dict) -> list[dict]:
             for k, v in computed.items()]
 
 
-def _enumeration_figures(enum) -> dict:
-    return {
-        "action_profiles": enum.action_profile_count,
-        "row_space": enum.row_space_count,
-        "admissible_rows": enum.admissible_count,
-        "max_global_utility": enum.max_global_utility,
-        "top_gu_rows": enum.max_global_utility_count,
-    }
+def _has_publish_oa_grant_ta(certs) -> bool:
+    """Is (Publish OA, Grant TA) among the pure equilibria ``certs``?"""
+    return ("Publish OA", "Grant TA") in [c.pure_profile() for c in certs]
 
 
 def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
@@ -238,10 +239,8 @@ def _cmd_validate(args) -> int:
     out["row_space"] = validated.row_space_count
     out["warnings"] = [str(w) for w in validated.warnings]
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = _paper_comparison({
-            "action_profiles": validated.action_profile_count,
-            "row_space": validated.row_space_count,
-        })
+        out["paper_comparison"] = _paper_comparison(
+            {key: out[key] for key in ("action_profiles", "row_space")})
     _emit(args, out)
     return 0
 
@@ -255,14 +254,12 @@ def _cmd_enumerate(args) -> int:
         enum = enumeration_report(game)
     out = rp.base_report({args.game: digest})
     out["semantics"] = args.mode
-    out["action_profiles"] = enum.action_profile_count
-    out["row_space"] = enum.row_space_count
-    out["admissible_rows"] = enum.admissible_count
-    out["max_global_utility"] = enum.max_global_utility
-    out["max_global_utility_rows"] = enum.max_global_utility_count
+    for field, (key, _) in CENSUS_FIGURES.items():
+        out[key] = getattr(enum, field)
     if _is_bundled(digest, "oa.game"):
         out["paper_comparison"] = _paper_comparison(
-            _enumeration_figures(enum))
+            {figure: getattr(enum, field)
+             for field, (_, figure) in CENSUS_FIGURES.items()})
     if args.dump:
         out["rows"] = _row_dump(game, rows)
     _emit(args, out)
@@ -327,15 +324,11 @@ def _cmd_project(args) -> int:
 
 
 def _bimatrix_records(bm: Bimatrix) -> list[dict]:
-    records = []
-    for i, ra in enumerate(bm.row_actions):
-        rec = {bm.row_player: ra}
-        for j, ca in enumerate(bm.col_actions):
-            cell = bm.payoffs[i][j]
-            rec[ca] = ("infeasible" if cell is None else
-                       f"({rp.number(cell[0])},{rp.number(cell[1])})")
-        records.append(rec)
-    return records
+    from .equilibrium import payoff_pair
+    return [{bm.row_player: ra,
+             **{ca: payoff_pair(cell) or "infeasible"
+                for ca, cell in zip(bm.col_actions, row)}}
+            for ra, row in zip(bm.row_actions, bm.payoffs)]
 
 
 def _cmd_nash(args) -> int:
@@ -356,12 +349,10 @@ def _cmd_nash(args) -> int:
         table = derive_payoff_table(game, _policy(args, game))
     certs = pure_nash(table)
     if args.bimatrix and _is_bundled(digest, "table5.bmx"):
-        found = [c.pure_profile() for c in certs]
-        member = ("Publish OA", "Grant TA") in found
         out["paper_comparison"] = [
             rp.comparison_entry(
-                "pure Nash equilibrium (Publish OA, Grant TA)",
-                "present", "present" if member else "absent"),
+                "pure Nash equilibrium (Publish OA, Grant TA)", "present",
+                "present" if _has_publish_oa_grant_ta(certs) else "absent"),
         ]
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
@@ -413,23 +404,22 @@ def _cmd_expected(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     from .engine import CompletionPolicy, enumeration_report
-    from .equilibrium import project_bimatrix, pure_nash
+    from .equilibrium import payoff_pair, project_bimatrix, pure_nash
     game, game_digest = _game_or_fail(args)
     enum = enumeration_report(game)
     bm5, bm5_digest = _load_bimatrix(args.bimatrix)
     certs = pure_nash(bm5.to_payoff_table())
-    member = ("Publish OA", "Grant TA") in [c.pure_profile() for c in certs]
     projected = project_bimatrix(game, CompletionPolicy(), "Academics",
                                  "Editors")
     i = projected.row_actions.index("Publish TA")
     j = projected.col_actions.index("Grant TA")
-    cell = projected.payoffs[i][j]
-    cell_str = (f"({rp.number(cell[0])},{rp.number(cell[1])})"
-                if cell else "infeasible")
+    cell_str = payoff_pair(projected.payoffs[i][j]) or "infeasible"
 
     computed = {
-        **_enumeration_figures(enum),
-        "pure_nash_member": ("(Publish OA, Grant TA)" if member
+        **{figure: getattr(enum, field)
+           for field, (_, figure) in CENSUS_FIGURES.items()},
+        "pure_nash_member": ("(Publish OA, Grant TA)"
+                             if _has_publish_oa_grant_ta(certs)
                              else "not an equilibrium"),
         "table5_publish_ta_grant_ta": cell_str,
     }
@@ -452,8 +442,8 @@ def _cmd_reproduce(args) -> int:
 WORKERS_HELP = "accepted for compatibility; ignored"
 
 
-def _add_game_arg(p, required=True):
-    p.add_argument("--game", required=required, help="path to a .game file "
+def _add_game_arg(p):
+    p.add_argument("--game", required=True, help="path to a .game file "
                    "(the bundled name 'oa.game' also resolves)")
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict",
                    help="rule-binding mode (default: strict)")

@@ -26,7 +26,6 @@ from .model import (
     OUTCOME,
     Atom,
     GameSpec,
-    NameResolutionError,
     OutcomeVarDef,
     PlayerDef,
     Rule,
@@ -247,36 +246,28 @@ def _resolve_atom(
     if m and game.player(m.group(1)) is not None:
         phrase = m.group(2).strip()
     player = game.player(phrase)
+    if player is not None and role == "assignment":
+        return None, ParseError(
+            _span(line), "resolution",
+            f"rule assignments must set outcome variables, not player "
+            f"{player.name!r}", phrase)
     if player is not None:
-        if role == "assignment":
-            return None, ParseError(
-                _span(line), "resolution",
-                f"rule assignments must set outcome variables, not player "
-                f"{player.name!r}", phrase)
-        action = player.action(value)
-        if action is None:
-            if mode == LENIENT:
-                return Atom(ACTION, player.name, value, inert=True), None
-            return None, ParseError(
-                _span(line), "resolution",
-                f"unknown action {value!r} for player {player.name!r}", value)
-        return Atom(ACTION, player.name, action), None
-    var = game.variable(phrase)
-    if var is not None:
-        try:
-            canon = var.canonical_value(value)
-        except Exception:
-            if mode == LENIENT:
-                return Atom(OUTCOME, var.name, value, inert=True), None
-            return None, ParseError(
-                _span(line), "domain-mismatch",
-                f"value {value!r} is not in the domain of variable "
-                f"{var.name!r}", value)
-        return Atom(OUTCOME, var.name, canon), None
+        kind, subject, canon = ACTION, player.name, player.action(value)
+        error = ("resolution", f"unknown action {value!r} for player "
+                               f"{player.name!r}", value)
+    elif (var := game.variable(phrase)) is not None:
+        kind, subject, canon = OUTCOME, var.name, var.value(value)
+        error = ("domain-mismatch", f"value {value!r} is not in the domain "
+                                    f"of variable {var.name!r}", value)
+    else:
+        kind, subject, canon = OUTCOME, phrase, None
+        error = ("resolution", f"unknown player or variable {phrase!r}",
+                 phrase)
+    if canon is not None:
+        return Atom(kind, subject, canon), None
     if mode == LENIENT:
-        return Atom(OUTCOME, phrase, value, inert=True), None
-    return None, ParseError(_span(line), "resolution",
-                            f"unknown player or variable {phrase!r}", phrase)
+        return Atom(kind, subject, value, inert=True), None
+    return None, ParseError(_span(line), *error)
 
 
 def parse_rule(
@@ -349,8 +340,35 @@ _VARIABLE_RE = re.compile(
     r"(?:\s+valias\s+(?P<valias>.+))?$")
 _UTILITY_RE = re.compile(r"^utility\s+(?P<player>\S+)\s*=\s*(?P<terms>.+)$")
 _GAME_RE = re.compile(r"^game\s+(?P<name>.+)$")
+# The pattern of each declaration line, by its first word.
+_DECLARATIONS = {"game": _GAME_RE, "player": _PLAYER_RE,
+                 "variable": _VARIABLE_RE, "utility": _UTILITY_RE}
 _VALUE_PAIR_RE = re.compile(r"^(?P<name>.+?)\s*=\s*(?P<score>-?\d+)$")
 _VALIAS_RE = re.compile(r"^(?P<alt>.+?)\s*->\s*(?P<canon>.+)$")
+
+
+def _names(text: str | None) -> tuple[str, ...]:
+    """The unquoted items of the list ``text``."""
+    return tuple(_unquote(a) for a in _split_list(text or ""))
+
+
+def _list_items(text: str | None, pattern: re.Pattern, what: str,
+                form: str, lineno: int,
+                errors: list[ParseError]) -> list[tuple] | None:
+    """The unquoted groups of each item of the list ``text``, or None when
+    ``pattern`` does not match some item; each such item adds an error
+    naming it a malformed ``what`` and giving the expected ``form``."""
+    items, ok = [], True
+    for item in _split_list(text or ""):
+        m = pattern.match(item)
+        if m is None:
+            errors.append(ParseError(
+                _span(lineno), "syntax",
+                f"malformed {what} {item!r} (expected {form})", item))
+            ok = False
+        else:
+            items.append(tuple(_unquote(g) for g in m.groups()))
+    return items if ok else None
 
 
 def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
@@ -377,81 +395,42 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
         if not line:
             continue
         head = line.split(None, 1)[0].lower()
+        if head == "rule":
+            rule_lines.append((lineno, line[len(head):].strip()))
+            continue
+        if head not in _DECLARATIONS:
+            errors.append(ParseError(_span(lineno), "syntax",
+                                     f"unknown declaration {head!r}", head))
+            continue
+        m = _DECLARATIONS[head].match(line)
+        if m is None:
+            errors.append(ParseError(_span(lineno), "syntax",
+                                     f"malformed {head} line", line))
+            continue
         if head == "game":
-            m = _GAME_RE.match(line)
-            if m:
-                name = _unquote(m.group("name"))
-                lines["game"] = [lineno]
-            else:
-                errors.append(ParseError(_span(lineno), "syntax",
-                                         "malformed game line", line))
-        elif head == "player":
-            m = _PLAYER_RE.match(line)
-            if not m:
-                errors.append(ParseError(_span(lineno), "syntax",
-                                         "malformed player line", line))
-                continue
-            actions = tuple(_unquote(a) for a in
-                            _split_list(m.group("actions")))
-            aliases = tuple(_unquote(a) for a in
-                            _split_list(m.group("aliases") or ""))
-            players.append(PlayerDef(m.group("name"), actions, aliases))
-            lines["player"].append(lineno)
+            name = _unquote(m.group("name"))
+            lines["game"] = [lineno]
+            continue
+        if head == "player":
+            players.append(PlayerDef(m.group("name"),
+                                     _names(m.group("actions")),
+                                     _names(m.group("aliases"))))
         elif head == "variable":
-            m = _VARIABLE_RE.match(line)
-            if not m:
-                errors.append(ParseError(_span(lineno), "syntax",
-                                         "malformed variable line", line))
+            values = _list_items(m.group("values"), _VALUE_PAIR_RE, "value",
+                                 "Name=int", lineno, errors)
+            valias = _list_items(m.group("valias"), _VALIAS_RE,
+                                 "value alias", "A->B", lineno, errors)
+            if values is None or valias is None:
                 continue
-            vname = re.sub(r"\s+", " ", m.group("name").strip())
-            values = []
-            bad = False
-            for item in _split_list(m.group("values")):
-                vm = _VALUE_PAIR_RE.match(item)
-                if not vm:
-                    errors.append(ParseError(
-                        _span(lineno), "syntax",
-                        f"malformed value {item!r} (expected Name=int)", item))
-                    bad = True
-                    continue
-                values.append((_unquote(vm.group("name")),
-                               int(vm.group("score"))))
-            valias = []
-            for item in _split_list(m.group("valias") or ""):
-                am = _VALIAS_RE.match(item)
-                if not am:
-                    errors.append(ParseError(
-                        _span(lineno), "syntax",
-                        f"malformed value alias {item!r} (expected A->B)",
-                        item))
-                    bad = True
-                    continue
-                valias.append((_unquote(am.group("alt")),
-                               _unquote(am.group("canon"))))
-            if bad:
-                continue
-            aliases = tuple(_unquote(a) for a in
-                            _split_list(m.group("aliases") or ""))
-            variables.append(OutcomeVarDef(vname, m.group("owner"),
-                                           tuple(values), aliases,
-                                           tuple(valias)))
-            lines["variable"].append(lineno)
-        elif head == "utility":
-            m = _UTILITY_RE.match(line)
-            if not m:
-                errors.append(ParseError(_span(lineno), "syntax",
-                                         "malformed utility line", line))
-                continue
+            variables.append(OutcomeVarDef(
+                re.sub(r"\s+", " ", m.group("name").strip()),
+                m.group("owner"), tuple((n, int(s)) for n, s in values),
+                _names(m.group("aliases")), tuple(valias)))
+        else:
             terms = tuple(t.strip() for t in m.group("terms").split("+")
                           if t.strip())
             utilities.append(UtilityDef(m.group("player"), terms))
-            lines["utility"].append(lineno)
-        elif head == "rule":
-            rule_lines.append((lineno, line.split(None, 1)[1]
-                               if len(line.split(None, 1)) > 1 else ""))
-        else:
-            errors.append(ParseError(_span(lineno), "syntax",
-                                     f"unknown declaration {head!r}", head))
+        lines[head].append(lineno)
 
     partial = GameSpec(name, tuple(players), tuple(variables), (),
                        tuple(utilities))
@@ -515,9 +494,7 @@ def _structural_errors(game: GameSpec):
             if alt.lower() in names:
                 yield (where, f"value alias {alt!r} of {v.name!r} shadows a "
                               f"value", alt)
-            try:
-                v.canonical_value(canon)
-            except NameResolutionError:
+            if v.value(canon) is None:
                 yield (where, f"value alias {alt!r} of {v.name!r} targets "
                               f"unknown value {canon!r}", canon)
         if game.player(v.owner) is None:

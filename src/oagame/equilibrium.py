@@ -492,8 +492,10 @@ def parse_bimatrix(text: str) -> Bimatrix:
                     tuple(rows))
 
 
-def _format_number(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x}"
+def payoff_pair(cell: tuple[Fraction, Fraction] | None) -> str | None:
+    """The exact ``(u,v)`` text of a payoff cell, or None when it is
+    infeasible."""
+    return None if cell is None else "(%s,%s)" % cell
 
 
 def serialize_bimatrix(bm: Bimatrix) -> str:
@@ -502,12 +504,5 @@ def serialize_bimatrix(bm: Bimatrix) -> str:
         f"cols: {bm.col_player}: {','.join(bm.col_actions)}",
     ]
     for row in bm.payoffs:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("(-,-)")
-            else:
-                cells.append(f"({_format_number(cell[0])},"
-                             f"{_format_number(cell[1])})")
-        lines.append(" ".join(cells))
+        lines.append(" ".join(payoff_pair(cell) or "(-,-)" for cell in row))
     return "\n".join(lines) + "\n"

@@ -69,30 +69,34 @@ class OutcomeVarDef(_OutcomeVarFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __init__(self, *fields, **named):
-        # Lookup tables, kept in the instance dict rather than in fields, so
-        # equality, hashing and repr ignore them.
-        self._canon = canon = {v.lower(): v for v, _ in self.values}
-        self._scores = scores = {v.lower(): s for v, s in self.values}
+        # The lookup table, kept in the instance dict rather than in fields,
+        # so equality, hashing and repr ignore it: each lower-cased value
+        # name and value alias maps to its (canonical value, score) entry.
+        self._entries = entries = {v.lower(): (v, s) for v, s in self.values}
         for alias, target in self.value_aliases:
             t = target.strip().lower()
-            if t in canon:
-                canon[alias.strip().lower()] = canon[t]
-                scores[alias.strip().lower()] = scores[t]
+            if t in entries:
+                entries[alias.strip().lower()] = entries[t]
 
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)
 
-    def canonical_value(self, name: str) -> str:
-        canon = self._canon.get(name.strip().lower())
-        if canon is None:
+    def value(self, name: str) -> str | None:
+        """Canonical value for ``name`` (a value or value alias),
+        case-insensitive, or None."""
+        return self._entries.get(name.strip().lower(), (None,))[0]
+
+    def _entry(self, name: str) -> tuple[str, int]:
+        entry = self._entries.get(name.strip().lower())
+        if entry is None:
             raise NameResolutionError(f"variable {self.name!r}", name)
-        return canon
+        return entry
+
+    def canonical_value(self, name: str) -> str:
+        return self._entry(name)[0]
 
     def score(self, name: str) -> int:
-        score = self._scores.get(name.strip().lower())
-        if score is None:
-            raise NameResolutionError(f"variable {self.name!r}", name)
-        return score
+        return self._entry(name)[1]
 
 
 class UtilityDef(NamedTuple):
@@ -141,18 +145,10 @@ class GameSpec(_GameFields):
     # compiled form.
 
     def player(self, name: str) -> PlayerDef | None:
-        low = name.strip().lower()
-        for p in self.players:
-            if p.name.lower() == low or any(a.lower() == low for a in p.aliases):
-                return p
-        return None
+        return _named(self.players, name)
 
     def variable(self, name: str) -> OutcomeVarDef | None:
-        low = name.strip().lower()
-        for v in self.variables:
-            if v.name.lower() == low or any(a.lower() == low for a in v.aliases):
-                return v
-        return None
+        return _named(self.variables, name)
 
     def utility_for(self, player: str) -> UtilityDef:
         p = self.player(player)
@@ -167,6 +163,15 @@ class GameSpec(_GameFields):
 
     def variable_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
+
+
+def _named(decls, name: str):
+    """The one of ``decls`` named or aliased ``name``, any case, or None."""
+    low = name.strip().lower()
+    for d in decls:
+        if d.name.lower() == low or any(a.lower() == low for a in d.aliases):
+            return d
+    return None
 
 
 class ScenarioRow(NamedTuple):
