@@ -462,6 +462,9 @@ def _structural_errors(game: GameSpec):
     among them."""
     if not game.players:
         yield ("game", 0), "a game declares at least one player", ""
+    # A rule atom binds a name to a player before a variable, and a row
+    # dump has one column per player, per variable, GU and U_<player>.
+    columns = {"GU", *(f"U_{p.name}" for p in game.players)}
     seen: set[str] = set()
     for i, p in enumerate(game.players):
         where = ("player", i)
@@ -474,6 +477,9 @@ def _structural_errors(game: GameSpec):
             yield where, f"player {p.name!r} has no actions", p.name
         if len({a.lower() for a in p.actions}) != len(p.actions):
             yield where, f"player {p.name!r} has duplicate actions", p.name
+        if p.name in columns:
+            yield (where, f"player {p.name!r} has the name of a row-dump "
+                          f"column", p.name)
 
     seen = set()
     for i, v in enumerate(game.variables):
@@ -482,7 +488,13 @@ def _structural_errors(game: GameSpec):
             if n.lower() in seen:
                 yield (where, f"variable name or alias {n!r} declared more "
                               f"than once", n)
+            elif game.player(n) is not None:
+                yield (where, f"variable name or alias {n!r} is also a "
+                              f"player name or alias", n)
             seen.add(n.lower())
+        if v.name in columns:
+            yield (where, f"variable {v.name!r} has the name of a row-dump "
+                          f"column", v.name)
         if len(v.values) < 2:
             yield (where, f"variable {v.name!r} needs at least two values",
                    v.name)
@@ -576,19 +588,26 @@ def _quote(s: str) -> str:
     return f'"{s}"'
 
 
+def _item(s: str) -> str:
+    """A list item as ``.game`` text: quoted when it holds a comma."""
+    return _quote(s) if "," in s else s
+
+
 def serialize_game(game: GameSpec) -> str:
     """Canonical ``.game`` text; reparsing yields a structurally equal game."""
     lines = [f"game {_quote(game.name)}"]
     for p in game.players:
-        alias = f" alias {', '.join(p.aliases)}" if p.aliases else ""
+        alias = (f" alias {', '.join(map(_item, p.aliases))}" if p.aliases
+                 else "")
         acts = ", ".join(_quote(a) for a in p.actions)
         lines.append(f"player {p.name}{alias} actions: {acts}")
     for v in game.variables:
-        alias = f" alias {', '.join(v.aliases)}" if v.aliases else ""
-        vals = ", ".join(f"{n}={s}" for n, s in v.values)
+        alias = (f" alias {', '.join(map(_item, v.aliases))}" if v.aliases
+                 else "")
+        vals = ", ".join(f"{_item(n)}={s}" for n, s in v.values)
         valias = ""
         if v.value_aliases:
-            valias = " valias " + ", ".join(f"{a}->{c}"
+            valias = " valias " + ", ".join(f"{_item(a)}->{_item(c)}"
                                             for a, c in v.value_aliases)
         lines.append(f"variable {v.name}{alias} owner: {v.owner} "
                      f"values: {vals}{valias}")

@@ -212,7 +212,7 @@ class CompiledGame:
 
 def compile_game(game: GameSpec) -> CompiledGame:
     """The game's compiled form, built on first use and kept in the
-    instance dict, like ``OutcomeVarDef``'s lookup tables."""
+    instance dict, like ``OutcomeVarDef``'s lookup table."""
     compiled = game.__dict__.get("_compiled")
     if compiled is None:
         compiled = game._compiled = CompiledGame(game)

@@ -68,6 +68,8 @@ class MixedStrategy(_MixFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __init__(self, *fields, **named):
+        if len({a for a, _ in self.probs}) != len(self.probs):
+            raise ValueError("an action is given more than one probability")
         if any(p < 0 for _, p in self.probs):
             raise ValueError("negative probability")
         if (total := sum(p for _, p in self.probs)) != 1:

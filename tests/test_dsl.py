@@ -104,6 +104,21 @@ STRUCTURE_CASES = [
      "utility for undeclared player 'C'"),
     (7, 'utility B = X', ("utilities", 1), {"terms": ["X"]},
      "utility of 'B' sums undeclared variable 'X'"),
+    # Names that would bind a rule atom to the wrong declaration or repeat
+    # a row-dump column.
+    (5, 'variable W alias aye owner: B values: Hi=2, Lo=0', ("variables", 1),
+     {"aliases": ["aye"]},
+     "variable name or alias 'aye' is also a player name or alias"),
+    (5, 'variable b alias W owner: B values: Hi=2, Lo=0', ("variables", 1),
+     {"name": "b", "aliases": ["W"]},
+     "variable name or alias 'b' is also a player name or alias"),
+    (2, 'player GU alias A actions: "x", "y"', ("players", 0),
+     {"name": "GU", "aliases": ["A"]},
+     "player 'GU' has the name of a row-dump column"),
+    (4, 'variable U_B alias V owner: A values: More=1, Less=0 '
+        'valias Plus->More', ("variables", 0),
+     {"name": "U_B", "aliases": ["V"]},
+     "variable 'U_B' has the name of a row-dump column"),
 ]
 
 
@@ -281,6 +296,22 @@ def test_round_trip_serialize_parse(oa_game):
     assert len(g.rules) == len(oa_game.rules)
     for a, b in zip(g.rules, oa_game.rules):
         assert a.same_logic(b)
+
+
+def test_round_trip_quotes_items_holding_a_comma():
+    game = parse_game_spec(
+        'game "g"\nplayer A alias "Doc, MD", Aye actions: "x", "y"\n'
+        'variable V alias "Vee, too" owner: A values: "Hi, there"=1, Lo=0 '
+        'valias "Top, hat"->"Hi, there", Up->"Hi, there"\n'
+        'utility A = V\n').game
+    assert game.players[0].aliases == ("Doc, MD", "Aye")
+    assert game.variables[0].values == (("Hi, there", 1), ("Lo", 0))
+    assert game.variables[0].canonical_value("top, HAT") == "Hi, there"
+    text = serialize_game(game)
+    assert ('alias "Doc, MD", Aye actions:' in text
+            and 'values: "Hi, there"=1, Lo=0 valias "Top, hat"->"Hi, there"'
+            in text)
+    assert parse_game_spec(text).game == game
 
 
 def test_structured_object_round_trip(oa_game):

@@ -376,6 +376,11 @@ def test_mixture_validation():
                            match=f"sum to {total}/1000000000, not 1"):
             MixedStrategy("X", (("a", F(1, 2)),
                                 ("b", F(1, 2) + F(off, 10**9))))
+    # A repeated action would make expected_utility read only its first
+    # weight.
+    with pytest.raises(ValueError, match="more than one probability"):
+        MixedStrategy("Academics", (("Publish TA", F(1, 2)),
+                                    ("Publish TA", F(1, 2))))
 
 
 def test_dimension_mismatch(table5):

@@ -61,6 +61,14 @@ def test_value_alias_resolves_to_canonical_score(oa_game):
         assert opp.score(alias) == opp.score(canon)
 
 
+def test_value_lookup_answers_none_for_an_unknown_name(oa_game):
+    opp = oa_game.variable("Opportunity")
+    for alias, canon in opp.value_aliases:
+        assert opp.value(alias) == opp.value(f" {alias.upper()} ") == canon
+    assert opp.value("more") == "More"
+    assert opp.value("Medium") is None
+
+
 def test_unknown_value_raises_with_token(oa_game):
     vis = oa_game.variable("Visibility")
     with pytest.raises(NameResolutionError) as exc:

@@ -3,7 +3,7 @@
 import io
 import random
 
-from oagame import admissible_rows, parse_game_spec, top_gu_rows
+from oagame import admissible_rows, game_from_dict, top_gu_rows
 from oagame import report as rp
 from oagame.engine import record_cells, rows_as_records
 
@@ -11,16 +11,22 @@ from .oracle import random_rich_game
 
 # Player V shares its name with variable V, and player GU with the GU
 # column: a record keeps such a key once, at its first position, with its
-# last value.
-COLLIDING = """
-game "collide"
-player V actions: "v1", "v2"
-player GU actions: "g"
-variable V owner: V values: Hi=1, Lo=-2
-variable W owner: GU values: Yes=3, No=0
-utility V = V
-utility GU = W
-"""
+# last value.  Parsing and validation refuse such names, so the game is
+# built from its structured form.
+COLLIDING = game_from_dict({
+    "name": "collide",
+    "players": [{"name": "V", "actions": ["v1", "v2"]},
+                {"name": "GU", "actions": ["g"]}],
+    "variables": [
+        {"name": "V", "owner": "V",
+         "values": [{"name": "Hi", "score": 1}, {"name": "Lo", "score": -2}]},
+        {"name": "W", "owner": "GU",
+         "values": [{"name": "Yes", "score": 3}, {"name": "No", "score": 0}]},
+    ],
+    "utilities": [{"player": "V", "terms": ["V"]},
+                  {"player": "GU", "terms": ["W"]}],
+    "rules": [],
+})
 
 
 def _reports(game, rows, head: dict, tail: dict):
@@ -67,6 +73,5 @@ def test_streamed_dump_matches_records_on_rich_games(monkeypatch):
 
 
 def test_streamed_dump_matches_records_with_repeated_keys():
-    game = parse_game_spec(COLLIDING).game
-    assert _check(game) == 8
+    assert _check(COLLIDING) == 8
 
