@@ -462,8 +462,7 @@ def _structural_errors(game: GameSpec):
     among them."""
     if not game.players:
         yield ("game", 0), "a game declares at least one player", ""
-    # A rule atom binds a name to a player before a variable, and a row
-    # dump has one column per player, per variable, GU and U_<player>.
+    # A row dump has one column per player, per variable, GU and U_<player>.
     columns = {"GU", *(f"U_{p.name}" for p in game.players)}
     seen: set[str] = set()
     for i, p in enumerate(game.players):
@@ -489,6 +488,7 @@ def _structural_errors(game: GameSpec):
                 yield (where, f"variable name or alias {n!r} declared more "
                               f"than once", n)
             elif game.player(n) is not None:
+                # A rule atom would bind the name to the player.
                 yield (where, f"variable name or alias {n!r} is also a "
                               f"player name or alias", n)
             seen.add(n.lower())

@@ -84,7 +84,8 @@ class OutcomeVarDef(_OutcomeVarFields):
     def value(self, name: str) -> str | None:
         """Canonical value for ``name`` (a value or value alias),
         case-insensitive, or None."""
-        return self._entries.get(name.strip().lower(), (None,))[0]
+        entry = self._entries.get(name.strip().lower())
+        return None if entry is None else entry[0]
 
     def _entry(self, name: str) -> tuple[str, int]:
         entry = self._entries.get(name.strip().lower())
