@@ -29,16 +29,6 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 DIAG_ERROR = 1
 
-# The census fields that ``enumerate`` reports, each with its report key
-# and its key in ``rp.PAPER_FIGURES``.
-CENSUS_FIGURES = {
-    "action_profile_count": ("action_profiles", "action_profiles"),
-    "row_space_count": ("row_space", "row_space"),
-    "admissible_count": ("admissible_rows", "admissible_rows"),
-    "max_global_utility": ("max_global_utility", "max_global_utility"),
-    "max_global_utility_count": ("max_global_utility_rows", "top_gu_rows"),
-}
-
 # Report labels of the paper figures, keyed as in ``rp.PAPER_FIGURES``.
 FIGURE_LABELS = {
     "action_profiles": "action profiles",
@@ -127,7 +117,8 @@ def _policy(args, game) -> CompletionPolicy:
         if player is not None:
             fixed, subject, canon = actions, player.name, player.action(value)
         elif (var := game.variable(name)) is not None:
-            fixed, subject, canon = outcomes, var.name, var.value(value)
+            fixed, subject = outcomes, var.name
+            canon = var.canonical_value(value)
         else:
             raise _CliError(f"--fix names unknown player or variable "
                             f"{name!r}", USAGE_ERROR)
@@ -178,6 +169,17 @@ def _paper_comparison(computed: dict) -> list[dict]:
     its order."""
     return [rp.comparison_entry(FIGURE_LABELS[k], rp.PAPER_FIGURES[k], v)
             for k, v in computed.items()]
+
+
+def _census_figures(enum) -> dict:
+    """The census figures of ``enum``, keyed as in ``rp.PAPER_FIGURES``."""
+    return {
+        "action_profiles": enum.action_profile_count,
+        "row_space": enum.row_space_count,
+        "admissible_rows": enum.admissible_count,
+        "max_global_utility": enum.max_global_utility,
+        "top_gu_rows": enum.max_global_utility_count,
+    }
 
 
 def _has_publish_oa_grant_ta(certs) -> bool:
@@ -239,8 +241,10 @@ def _cmd_validate(args) -> int:
     out["row_space"] = validated.row_space_count
     out["warnings"] = [str(w) for w in validated.warnings]
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = _paper_comparison(
-            {key: out[key] for key in ("action_profiles", "row_space")})
+        out["paper_comparison"] = _paper_comparison({
+            "action_profiles": validated.action_profile_count,
+            "row_space": validated.row_space_count,
+        })
     _emit(args, out)
     return 0
 
@@ -254,12 +258,11 @@ def _cmd_enumerate(args) -> int:
         enum = enumeration_report(game)
     out = rp.base_report({args.game: digest})
     out["semantics"] = args.mode
-    for field, (key, _) in CENSUS_FIGURES.items():
-        out[key] = getattr(enum, field)
+    figures = _census_figures(enum)
+    out.update(figures)
+    out["max_global_utility_rows"] = out.pop("top_gu_rows")
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = _paper_comparison(
-            {figure: getattr(enum, field)
-             for field, (_, figure) in CENSUS_FIGURES.items()})
+        out["paper_comparison"] = _paper_comparison(figures)
     if args.dump:
         out["rows"] = _row_dump(game, rows)
     _emit(args, out)
@@ -416,8 +419,7 @@ def _cmd_reproduce(args) -> int:
     cell_str = payoff_pair(projected.payoffs[i][j]) or "infeasible"
 
     computed = {
-        **{figure: getattr(enum, field)
-           for field, (_, figure) in CENSUS_FIGURES.items()},
+        **_census_figures(enum),
         "pure_nash_member": ("(Publish OA, Grant TA)"
                              if _has_publish_oa_grant_ta(certs)
                              else "not an equilibrium"),

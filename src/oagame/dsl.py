@@ -251,23 +251,28 @@ def _resolve_atom(
             _span(line), "resolution",
             f"rule assignments must set outcome variables, not player "
             f"{player.name!r}", phrase)
+    # Each branch names its error kind, message template and token; the
+    # message is only formatted for an atom that fails in strict mode.
     if player is not None:
         kind, subject, canon = ACTION, player.name, player.action(value)
-        error = ("resolution", f"unknown action {value!r} for player "
-                               f"{player.name!r}", value)
+        error = ("resolution", "unknown action {value!r} for player "
+                               "{subject!r}", value)
     elif (var := game.variable(phrase)) is not None:
-        kind, subject, canon = OUTCOME, var.name, var.value(value)
-        error = ("domain-mismatch", f"value {value!r} is not in the domain "
-                                    f"of variable {var.name!r}", value)
+        kind, subject, canon = OUTCOME, var.name, var.canonical_value(value)
+        error = ("domain-mismatch", "value {value!r} is not in the domain of "
+                                    "variable {subject!r}", value)
     else:
         kind, subject, canon = OUTCOME, phrase, None
-        error = ("resolution", f"unknown player or variable {phrase!r}",
+        error = ("resolution", "unknown player or variable {subject!r}",
                  phrase)
     if canon is not None:
         return Atom(kind, subject, canon), None
     if mode == LENIENT:
         return Atom(kind, subject, value, inert=True), None
-    return None, ParseError(_span(line), *error)
+    error_kind, template, token = error
+    return None, ParseError(_span(line), error_kind,
+                            template.format(value=value, subject=subject),
+                            token)
 
 
 def parse_rule(
@@ -462,8 +467,12 @@ def _structural_errors(game: GameSpec):
     among them."""
     if not game.players:
         yield ("game", 0), "a game declares at least one player", ""
-    # A row dump has one column per player, per variable, GU and U_<player>.
-    columns = {"GU", *(f"U_{p.name}" for p in game.players)}
+    # A row dump has one column per record key.  A name declared twice is
+    # reported as such; a key repeated more often than it is declared is a
+    # name that is also GU or U_<player>, whose column would lose a value.
+    keys = game.record_keys()
+    names = (*game.player_names(), *game.variable_names())
+    repeated = {k for k in keys if keys.count(k) > names.count(k) > 0}
     seen: set[str] = set()
     for i, p in enumerate(game.players):
         where = ("player", i)
@@ -476,7 +485,7 @@ def _structural_errors(game: GameSpec):
             yield where, f"player {p.name!r} has no actions", p.name
         if len({a.lower() for a in p.actions}) != len(p.actions):
             yield where, f"player {p.name!r} has duplicate actions", p.name
-        if p.name in columns:
+        if p.name in repeated:
             yield (where, f"player {p.name!r} has the name of a row-dump "
                           f"column", p.name)
 
@@ -492,7 +501,7 @@ def _structural_errors(game: GameSpec):
                 yield (where, f"variable name or alias {n!r} is also a "
                               f"player name or alias", n)
             seen.add(n.lower())
-        if v.name in columns:
+        if v.name in repeated:
             yield (where, f"variable {v.name!r} has the name of a row-dump "
                           f"column", v.name)
         if len(v.values) < 2:
@@ -506,7 +515,7 @@ def _structural_errors(game: GameSpec):
             if alt.lower() in names:
                 yield (where, f"value alias {alt!r} of {v.name!r} shadows a "
                               f"value", alt)
-            if v.value(canon) is None:
+            if v.canonical_value(canon) is None:
                 yield (where, f"value alias {alt!r} of {v.name!r} targets "
                               f"unknown value {canon!r}", canon)
         if game.player(v.owner) is None:

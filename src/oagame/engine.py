@@ -472,8 +472,7 @@ def record_cells(game: GameSpec, rows) -> tuple[tuple[str, ...], dict, dict]:
     """
     cg = compile_game(game)
     weights = [cg._utility_weights(p) for p in cg.players]
-    keys = (*cg.players, *cg.variables, "GU",
-            *(f"U_{p}" for p in cg.players))
+    keys = game.record_keys()
     heads = {p: cg.action_names(p)
              for p in dict.fromkeys(map(itemgetter(0), rows))}
     tails = {c: (*cg.value_names(c), cg.global_utility(c),

@@ -81,23 +81,17 @@ class OutcomeVarDef(_OutcomeVarFields):
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)
 
-    def value(self, name: str) -> str | None:
+    def canonical_value(self, name: str) -> str | None:
         """Canonical value for ``name`` (a value or value alias),
         case-insensitive, or None."""
         entry = self._entries.get(name.strip().lower())
         return None if entry is None else entry[0]
 
-    def _entry(self, name: str) -> tuple[str, int]:
+    def score(self, name: str) -> int:
         entry = self._entries.get(name.strip().lower())
         if entry is None:
             raise NameResolutionError(f"variable {self.name!r}", name)
-        return entry
-
-    def canonical_value(self, name: str) -> str:
-        return self._entry(name)[0]
-
-    def score(self, name: str) -> int:
-        return self._entry(name)[1]
+        return entry[1]
 
 
 class UtilityDef(NamedTuple):
@@ -164,6 +158,13 @@ class GameSpec(_GameFields):
 
     def variable_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
+
+    def record_keys(self) -> tuple[str, ...]:
+        """A row dump record's keys: each player's action, each variable's
+        value, GU, then each player's utility as ``U_<player>``."""
+        players = self.player_names()
+        return (*players, *self.variable_names(), "GU",
+                *(f"U_{p}" for p in players))
 
 
 def _named(decls, name: str):

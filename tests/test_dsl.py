@@ -112,9 +112,15 @@ STRUCTURE_CASES = [
     (5, 'variable b alias W owner: B values: Hi=2, Lo=0', ("variables", 1),
      {"name": "b", "aliases": ["W"]},
      "variable name or alias 'b' is also a player name or alias"),
+    (5, 'variable A alias W owner: B values: Hi=2, Lo=0', ("variables", 1),
+     {"name": "A", "aliases": ["W"]},
+     "variable name or alias 'A' is also a player name or alias"),
     (2, 'player GU alias A actions: "x", "y"', ("players", 0),
      {"name": "GU", "aliases": ["A"]},
      "player 'GU' has the name of a row-dump column"),
+    (2, 'player U_B alias A actions: "x", "y"', ("players", 0),
+     {"name": "U_B", "aliases": ["A"]},
+     "player 'U_B' has the name of a row-dump column"),
     (4, 'variable U_B alias V owner: A values: More=1, Less=0 '
         'valias Plus->More', ("variables", 0),
      {"name": "U_B", "aliases": ["V"]},

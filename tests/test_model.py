@@ -64,9 +64,10 @@ def test_value_alias_resolves_to_canonical_score(oa_game):
 def test_value_lookup_answers_none_for_an_unknown_name(oa_game):
     opp = oa_game.variable("Opportunity")
     for alias, canon in opp.value_aliases:
-        assert opp.value(alias) == opp.value(f" {alias.upper()} ") == canon
-    assert opp.value("more") == "More"
-    assert opp.value("Medium") is None
+        assert opp.canonical_value(alias) == canon
+        assert opp.canonical_value(f" {alias.upper()} ") == canon
+    assert opp.canonical_value("more") == "More"
+    assert opp.canonical_value("Medium") is None
 
 
 def test_unknown_value_raises_with_token(oa_game):
