@@ -15,12 +15,12 @@ _EXPORTS = {
     **dict.fromkeys((
         "ACTION", "OUTCOME", "Atom", "GameError", "GameSpec",
         "MissingUtilityError", "NameResolutionError", "OutcomeVarDef",
-        "PayoffTable", "PlayerDef", "Rule", "ScenarioRow", "UtilityDef",
+        "PayoffTable", "PlayerDef", "Rule", "UtilityDef",
     ), "model"),
     **dict.fromkeys((
         "Diagnostic", "ParseError", "ParseResult", "SourceSpan",
-        "ValidatedGame", "game_from_dict", "game_to_dict", "parse_game_spec",
-        "parse_rule", "serialize_game", "validate_game",
+        "ValidatedGame", "parse_game_spec", "parse_rule", "serialize_game",
+        "validate_game",
     ), "dsl"),
     **dict.fromkeys((
         "CompiledGame", "CompletionPolicy", "EnumerationReport",

@@ -284,9 +284,8 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _payoff_records(table) -> list[dict]:
-    keys = (*table.players, "feasible", *(f"U_{p}" for p in table.players))
-    blank = ("",) * len(table.players)
+def _payoff_records(game, table) -> list[dict]:
+    keys, blank = game.payoff_keys(), ("",) * len(table.players)
     return [dict(zip(keys, (*profile, cell is not None, *(cell or blank))))
             for profile, cell in zip(table.profiles(), table.cells)]
 
@@ -298,7 +297,7 @@ def _cmd_payoffs(args) -> int:
     table = derive_payoff_table(game, policy)
     out = rp.base_report({args.game: digest})
     out["policy"] = policy.kind
-    out["cells"] = _payoff_records(table)
+    out["cells"] = _payoff_records(game, table)
     _emit(args, out)
     return 0
 
@@ -314,8 +313,9 @@ def _cmd_project(args) -> int:
                         USAGE_ERROR)
     bm = project_bimatrix(game, policy, row, col)
     if args.format == "bmx":
+        text = serialize_bimatrix(bm)  # a name it refuses writes no file
         with _output(args) as out:
-            out.write(serialize_bimatrix(bm))
+            out.write(text)
         return 0
     out = rp.base_report({args.game: digest})
     out["provenance"] = bm.provenance
@@ -441,9 +441,6 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-WORKERS_HELP = "accepted for compatibility; ignored"
-
-
 def _add_game_arg(p):
     p.add_argument("--game", required=True, help="path to a .game file "
                    "(the bundled name 'oa.game' also resolves)")
@@ -489,14 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "optional row dump")
     _add_game_arg(p)
     p.add_argument("--dump", action="store_true", help="include the rows")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("top", help="rows attaining the maximum global "
                        "utility")
     _add_game_arg(p)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_top)
 
@@ -549,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", default="oa.game")
     p.add_argument("--bimatrix", default="table5.bmx")
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_reproduce)
 

@@ -467,12 +467,14 @@ def _structural_errors(game: GameSpec):
     among them."""
     if not game.players:
         yield ("game", 0), "a game declares at least one player", ""
-    # A row dump has one column per record key.  A name declared twice is
-    # reported as such; a key repeated more often than it is declared is a
-    # name that is also GU or U_<player>, whose column would lose a value.
-    keys = game.record_keys()
+    # A row dump and a payoffs cell have one column per record key.  A name
+    # declared twice is reported as such; a key repeated more often than it
+    # is declared is a name that is also GU, feasible or U_<player>, whose
+    # column would lose a value.  Each maps to the report it would break.
     names = (*game.player_names(), *game.variable_names())
-    repeated = {k for k in keys if keys.count(k) > names.count(k) > 0}
+    repeated = {k: what for what, keys in (("payoffs", game.payoff_keys()),
+                                           ("row-dump", game.record_keys()))
+                for k in keys if keys.count(k) > names.count(k) > 0}
     seen: set[str] = set()
     for i, p in enumerate(game.players):
         where = ("player", i)
@@ -486,8 +488,8 @@ def _structural_errors(game: GameSpec):
         if len({a.lower() for a in p.actions}) != len(p.actions):
             yield where, f"player {p.name!r} has duplicate actions", p.name
         if p.name in repeated:
-            yield (where, f"player {p.name!r} has the name of a row-dump "
-                          f"column", p.name)
+            yield (where, f"player {p.name!r} has the name of a "
+                          f"{repeated[p.name]} column", p.name)
 
     seen = set()
     for i, v in enumerate(game.variables):
@@ -502,8 +504,8 @@ def _structural_errors(game: GameSpec):
                               f"player name or alias", n)
             seen.add(n.lower())
         if v.name in repeated:
-            yield (where, f"variable {v.name!r} has the name of a row-dump "
-                          f"column", v.name)
+            yield (where, f"variable {v.name!r} has the name of a "
+                          f"{repeated[v.name]} column", v.name)
         if len(v.values) < 2:
             yield (where, f"variable {v.name!r} needs at least two values",
                    v.name)
@@ -603,7 +605,9 @@ def _item(s: str) -> str:
 
 
 def serialize_game(game: GameSpec) -> str:
-    """Canonical ``.game`` text; reparsing yields a structurally equal game."""
+    """Canonical ``.game`` text; reparsing yields a structurally equal game.
+    Raises ValueError for a name holding ``#``, which would start a
+    comment."""
     lines = [f"game {_quote(game.name)}"]
     for p in game.players:
         alias = (f" alias {', '.join(map(_item, p.aliases))}" if p.aliases
@@ -624,6 +628,10 @@ def serialize_game(game: GameSpec) -> str:
         lines.append(f"utility {u.player} = {' + '.join(u.terms)}")
     for r in game.rules:
         lines.append("rule " + serialize_rule(r))
+    for line in lines:
+        if "#" in line:
+            raise ValueError(f"cannot write {line!r} as .game text: a name "
+                             f"holds '#', which starts a comment")
     return "\n".join(lines) + "\n"
 
 
@@ -637,65 +645,3 @@ def serialize_rule(rule: Rule) -> str:
         text += f" otherwise {atoms(rule.otherwise)}"
     return text + "."
 
-
-def game_to_dict(game: GameSpec) -> dict:
-    """Structured-object form of a game; accepted back by game_from_dict."""
-    return {
-        "name": game.name,
-        "players": [
-            {"name": p.name, "actions": list(p.actions),
-             "aliases": list(p.aliases)}
-            for p in game.players
-        ],
-        "variables": [
-            {"name": v.name, "owner": v.owner,
-             "values": [{"name": n, "score": s} for n, s in v.values],
-             "aliases": list(v.aliases),
-             "value_aliases": [{"alias": a, "canonical": c}
-                               for a, c in v.value_aliases]}
-            for v in game.variables
-        ],
-        "utilities": [
-            {"player": u.player, "terms": list(u.terms)}
-            for u in game.utilities
-        ],
-        "rules": [
-            {"condition": [_atom_to_dict(a) for a in r.condition],
-             "consequence": [_atom_to_dict(a) for a in r.consequence],
-             "otherwise": [_atom_to_dict(a) for a in r.otherwise],
-             "source": r.source}
-            for r in game.rules
-        ],
-    }
-
-
-def _atom_to_dict(atom: Atom) -> dict:
-    return {"kind": atom.kind, "subject": atom.subject,
-            "value": atom.value, "inert": atom.inert}
-
-
-def _atom_from_dict(d: dict) -> Atom:
-    return Atom(d["kind"], d["subject"], d["value"], d.get("inert", False))
-
-
-def game_from_dict(d: dict) -> GameSpec:
-    return GameSpec(
-        d.get("name", ""),
-        tuple(PlayerDef(p["name"], tuple(p["actions"]),
-                        tuple(p.get("aliases", ())))
-              for p in d["players"]),
-        tuple(OutcomeVarDef(v["name"], v["owner"],
-                            tuple((x["name"], x["score"])
-                                  for x in v["values"]),
-                            tuple(v.get("aliases", ())),
-                            tuple((x["alias"], x["canonical"])
-                                  for x in v.get("value_aliases", ())))
-              for v in d["variables"]),
-        tuple(Rule(tuple(_atom_from_dict(a) for a in r["condition"]),
-                   tuple(_atom_from_dict(a) for a in r["consequence"]),
-                   tuple(_atom_from_dict(a) for a in r.get("otherwise", ())),
-                   r.get("source", ""))
-              for r in d["rules"]),
-        tuple(UtilityDef(u["player"], tuple(u["terms"]))
-              for u in d["utilities"]),
-    )

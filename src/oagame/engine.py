@@ -27,10 +27,10 @@ tables and projections) are the first completions of greatest key.
 Both row lists (``admissible_rows`` and ``top_gu_rows``) expand the census
 they read, enumerating each block's completions once.  A row is a
 ``(profile, completion)`` pair of index tuples; names come back only in
-``record_cells`` and ``CompiledGame.row``.  ``record_cells`` names each
-distinct profile and each distinct completion of a row list once, so a
-row dump is rendered from those cells without building one record per
-row; ``rows_as_records`` expands them into per-row dicts.
+``record_cells``, which names each distinct profile and each distinct
+completion of a row list once, so a row dump is rendered from those cells
+without building one record per row; ``rows_as_records`` expands them into
+per-row dicts.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .model import (
     NameResolutionError,
     PayoffTable,
     Rule,
-    ScenarioRow,
 )
 
 
@@ -180,11 +179,6 @@ class CompiledGame:
 
     def value_names(self, completion) -> tuple[str, ...]:
         return tuple(map(getitem, self.values, completion))
-
-    def row(self, profile, completion) -> ScenarioRow:
-        return ScenarioRow(
-            dict(zip(self.players, self.action_names(profile))),
-            dict(zip(self.variables, self.value_names(completion))))
 
     def global_utility(self, completion) -> int:
         return sum(map(getitem, self.scores, completion))

@@ -122,12 +122,19 @@ class EquilibriumCertificate(NamedTuple):
 # Pure analysis on n-player payoff tables
 
 
-def _slice(table: PayoffTable, index: int, i: int) -> range:
+def _strides(table: PayoffTable) -> list[tuple[int, int]]:
+    """Per player, ``(action count, stride)``: profiles that differ only in
+    that player's action lie ``stride`` apart in ``table.cells``."""
+    counts = [len(actions) for actions in table.actions]
+    return [(n, math.prod(counts[i + 1:])) for i, n in enumerate(counts)]
+
+
+def _slice(index: int, count: int, stride: int) -> range:
     """Positions in ``table.cells`` of the profiles that differ from the
-    one at ``index`` only in player ``i``'s action, in action order."""
-    stride = math.prod(map(len, table.actions[i + 1:]))
-    start = index - index // stride % len(table.actions[i]) * stride
-    return range(start, start + len(table.actions[i]) * stride, stride)
+    one at ``index`` only in the action of the player with ``count``
+    actions and ``stride`` (from ``_strides``), in action order."""
+    start = index - index // stride % count * stride
+    return range(start, start + count * stride, stride)
 
 
 def best_responses(
@@ -136,8 +143,9 @@ def best_responses(
     """Argmax set of the player's actions with every other player fixed."""
     i = table.players.index(player)
     actions, cells = table.actions[i], table.cells
-    at = _slice(table, table._index(tuple(
-        actions[0] if p == player else others[p] for p in table.players)), i)
+    at = _slice(table._index(tuple(
+        actions[0] if p == player else others[p] for p in table.players)),
+        *_strides(table)[i])
     utilities = [cells[j][i] for j in at if cells[j] is not None]
     if not utilities:
         raise InfeasibleSliceError(
@@ -151,11 +159,11 @@ def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
     """All pure equilibria in canonical profile order: the feasible cells
     that no feasible cell of any player's slice beats for that player.
     Names and ``Fraction``s are built only for the equilibria."""
-    cells, certs = table.cells, []
+    cells, certs, strides = table.cells, [], _strides(table)
     for index, cell in enumerate(cells):
         if cell is None:
             continue
-        slices = [_slice(table, index, i) for i in range(len(cell))]
+        slices = [_slice(index, *side) for side in strides]
         if any(cells[j] is not None and cells[j][i] > cell[i]
                for i, at in enumerate(slices) for j in at):
             continue
@@ -500,11 +508,30 @@ def payoff_pair(cell: tuple[Fraction, Fraction] | None) -> str | None:
     return None if cell is None else "(%s,%s)" % cell
 
 
+def _header(side: str, player: str, actions: tuple[str, ...]) -> str:
+    """A ``rows:`` or ``cols:`` line; ValueError for names that
+    ``parse_bimatrix`` would not read back as written: an empty name, a
+    name with outer whitespace or a line break, a ``:`` in the player, a
+    comma in an action, or no or repeated actions."""
+    names = (player, *actions)
+    if (not actions or len(set(actions)) < len(actions) or ":" in player
+            or "," in "".join(actions)
+            or any(n != n.strip() or len(n.splitlines()) != 1
+                   for n in names)):
+        raise ValueError(f"cannot write {side}: header of player "
+                         f"{player!r} with actions {list(actions)!r} so "
+                         f"that it reads back")
+    return f"{side}: {player}: {','.join(actions)}"
+
+
 def serialize_bimatrix(bm: Bimatrix) -> str:
-    lines = [
-        f"rows: {bm.row_player}: {','.join(bm.row_actions)}",
-        f"cols: {bm.col_player}: {','.join(bm.col_actions)}",
-    ]
+    """``.bmx`` text that ``parse_bimatrix`` reads back as ``bm`` (up to
+    provenance); ValueError for names it cannot write so."""
+    if bm.row_player == bm.col_player:
+        raise ValueError(f"rows: and cols: both name player "
+                         f"{bm.row_player!r}")
+    lines = [_header("rows", bm.row_player, bm.row_actions),
+             _header("cols", bm.col_player, bm.col_actions)]
     for row in bm.payoffs:
         lines.append(" ".join(payoff_pair(cell) or "(-,-)" for cell in row))
     return "\n".join(lines) + "\n"

@@ -4,11 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .dsl import ParseResult
-    from .equilibrium import Bimatrix
 
 BUNDLED = ("oa.game", "table5.bmx", "table6.bmx")
 
@@ -23,13 +18,3 @@ def fixture_text(name: str) -> str:
 
 def fixture_digest(name: str) -> str:
     return hashlib.sha256(fixture_text(name).encode("utf-8")).hexdigest()
-
-
-def load_bundled_game() -> ParseResult:
-    from .dsl import parse_game_spec
-    return parse_game_spec(fixture_text("oa.game"))
-
-
-def load_bundled_bimatrix(name: str = "table5.bmx") -> Bimatrix:
-    from .equilibrium import parse_bimatrix
-    return parse_bimatrix(fixture_text(name))

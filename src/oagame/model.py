@@ -16,7 +16,7 @@ instance dict, which, unlike the fields, takes new attributes.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 ACTION = "action"
 OUTCOME = "outcome"
@@ -71,8 +71,8 @@ class OutcomeVarDef(_OutcomeVarFields):
     def __init__(self, *fields, **named):
         # The lookup table, kept in the instance dict rather than in fields,
         # so equality, hashing and repr ignore it: each lower-cased value
-        # name and value alias maps to its (canonical value, score) entry.
-        self._entries = entries = {v.lower(): (v, s) for v, s in self.values}
+        # name and value alias maps to its canonical value.
+        self._entries = entries = {v.lower(): v for v, _ in self.values}
         for alias, target in self.value_aliases:
             t = target.strip().lower()
             if t in entries:
@@ -84,14 +84,7 @@ class OutcomeVarDef(_OutcomeVarFields):
     def canonical_value(self, name: str) -> str | None:
         """Canonical value for ``name`` (a value or value alias),
         case-insensitive, or None."""
-        entry = self._entries.get(name.strip().lower())
-        return None if entry is None else entry[0]
-
-    def score(self, name: str) -> int:
-        entry = self._entries.get(name.strip().lower())
-        if entry is None:
-            raise NameResolutionError(f"variable {self.name!r}", name)
-        return entry[1]
+        return self._entries.get(name.strip().lower())
 
 
 class UtilityDef(NamedTuple):
@@ -166,6 +159,12 @@ class GameSpec(_GameFields):
         return (*players, *self.variable_names(), "GU",
                 *(f"U_{p}" for p in players))
 
+    def payoff_keys(self) -> tuple[str, ...]:
+        """A ``payoffs`` cell record's keys: each player's action,
+        feasible, then each player's utility as ``U_<player>``."""
+        players = self.player_names()
+        return (*players, "feasible", *(f"U_{p}" for p in players))
+
 
 def _named(decls, name: str):
     """The one of ``decls`` named or aliased ``name``, any case, or None."""
@@ -174,13 +173,6 @@ def _named(decls, name: str):
         if d.name.lower() == low or any(a.lower() == low for a in d.aliases):
             return d
     return None
-
-
-class ScenarioRow(NamedTuple):
-    """One action profile joined with one total outcome assignment."""
-
-    actions: Mapping[str, str]
-    outcomes: Mapping[str, str]
 
 
 class PayoffTable(NamedTuple):

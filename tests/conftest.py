@@ -1,13 +1,13 @@
 import pytest
 
-from oagame import fixtures, validate_game
+from oagame import fixtures, parse_bimatrix, parse_game_spec, validate_game
 
 from .oracle import brute_force_admissible
 
 
 @pytest.fixture(scope="session")
 def oa_game():
-    result = fixtures.load_bundled_game()
+    result = parse_game_spec(fixtures.fixture_text("oa.game"))
     assert result.ok, [str(e) for e in result.errors]
     return result.game
 
@@ -25,9 +25,9 @@ def oa_validated(oa_game):
 
 @pytest.fixture(scope="session")
 def table5():
-    return fixtures.load_bundled_bimatrix("table5.bmx")
+    return parse_bimatrix(fixtures.fixture_text("table5.bmx"))
 
 
 @pytest.fixture(scope="session")
 def table6():
-    return fixtures.load_bundled_bimatrix("table6.bmx")
+    return parse_bimatrix(fixtures.fixture_text("table6.bmx"))

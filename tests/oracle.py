@@ -5,6 +5,8 @@ equilibria.
 Rows: plain nested loops over the full profile x assignment space,
 re-checking every rule with its own atom evaluation.  Deliberately
 independent of the engine's pruning path; the two must agree as sets.
+A row here is a ``ScenarioRow`` of names, and ``named_row`` names an
+engine row for the comparison.
 
 Pure equilibria and best responses: every unilateral deviation checked on
 action names, in a dict from each name profile to its cell, the way
@@ -18,15 +20,31 @@ way ``mixed_nash_2p`` did before it solved them over integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from oagame.equilibrium import (SUPPORT_LIMIT, Bimatrix,
                                 EquilibriumCertificate, MixedStrategy)
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
-                          PayoffTable, PlayerDef, Rule, ScenarioRow,
-                          UtilityDef)
+                          PayoffTable, PlayerDef, Rule, UtilityDef)
+
+
+class ScenarioRow(NamedTuple):
+    """One action profile joined with one total outcome assignment, each a
+    dict from declared name to declared action or value."""
+
+    actions: dict[str, str]
+    outcomes: dict[str, str]
+
+
+def named_row(cg, profile, completion) -> ScenarioRow:
+    """The engine row ``(profile, completion)`` of the compiled game ``cg``
+    by name."""
+    return ScenarioRow(dict(zip(cg.players, cg.action_names(profile))),
+                       dict(zip(cg.variables, cg.value_names(completion))))
 
 
 def _atom_true(atom, actions, outcomes):
@@ -73,6 +91,12 @@ def brute_force_admissible(game: GameSpec) -> list[ScenarioRow]:
     return rows
 
 
+@functools.cache
+def _scores(variable: OutcomeVarDef) -> dict[str, int]:
+    """Each declared value of ``variable`` -> its score."""
+    return dict(variable.values)
+
+
 def utility(game: GameSpec, row: ScenarioRow, player=None) -> int:
     """Global utility of ``row`` (every variable's score), or ``player``'s
     utility (the scores of its terms, each named by name or alias)."""
@@ -80,7 +104,7 @@ def utility(game: GameSpec, row: ScenarioRow, player=None) -> int:
         variables = game.variables
     else:
         variables = [game.variable(t) for t in game.utility_for(player).terms]
-    return sum(v.score(row.outcomes[v.name]) for v in variables)
+    return sum(_scores(v)[row.outcomes[v.name]] for v in variables)
 
 
 def brute_force_pick(game: GameSpec, policy, rows: list[ScenarioRow]):

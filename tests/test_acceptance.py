@@ -30,8 +30,8 @@ from oagame.cli import run_cli
 from oagame.engine import rows_as_records
 from oagame.equilibrium import Bimatrix, _dominates
 
-from .oracle import (brute_force_admissible, random_small_game, row_key,
-                     utility)
+from .oracle import (brute_force_admissible, named_row, random_small_game,
+                     row_key, utility)
 
 F = Fraction
 
@@ -53,13 +53,14 @@ def test_criterion_1_counting_exact(oa_validated):
 def test_criterion_2_oracle_equivalence(oa_game, oa_oracle_rows):
     cg = compile_game(oa_game)
     engine_rows, _ = admissible_rows(oa_game)
-    assert {row_key(cg.row(*r)) for r in engine_rows} == \
+    assert {row_key(named_row(cg, *r)) for r in engine_rows} == \
         {row_key(r) for r in oa_oracle_rows}
     rng = random.Random(20260823)
     for _ in range(100):
         game = random_small_game(rng)
         cg = compile_game(game)
-        engine_set = {row_key(cg.row(*r)) for r in admissible_rows(game)[0]}
+        engine_set = {row_key(named_row(cg, *r))
+                      for r in admissible_rows(game)[0]}
         oracle_set = {row_key(r) for r in brute_force_admissible(game)}
         assert engine_set == oracle_set
     ok(2, "oracle-equivalence")
@@ -196,17 +197,13 @@ def test_criterion_9_parser_robustness(oa_game):
 
 
 def test_criterion_10_determinism(capsys):
-    for argv, worker_counts in (
-        (["enumerate", "--game", "oa.game", "--dump",
-          "--format", "delimited"], ("1", "4")),
-        (["nash", "--bimatrix", "table5.bmx", "--format", "json"], ()),
+    for argv in (
+        ["enumerate", "--game", "oa.game", "--dump", "--format", "delimited"],
+        ["nash", "--bimatrix", "table5.bmx", "--format", "json"],
     ):
         outputs = set()
         for _ in range(2):
             assert run_cli(list(argv)) == 0
-            outputs.add(capsys.readouterr().out)
-        for workers in worker_counts:
-            assert run_cli(list(argv) + ["--workers", workers]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
     ok(10, "determinism")

@@ -422,6 +422,23 @@ def test_project_bmx_output(tmp_path, capsys):
     assert bm.payoffs[0][0] == (2, 1)  # (Publish TA, Grant TA)
 
 
+def test_project_bmx_refuses_a_header_that_does_not_read_back(tmp_path,
+                                                               capsys):
+    game = tmp_path / "comma.game"
+    game.write_text('game "g"\nplayer R actions: "a", "b"\n'
+                    'player C actions: "x, y", "z"\n'
+                    'variable V owner: R values: Hi=1, Lo=0\n'
+                    'variable W owner: C values: Hi=1, Lo=0\n'
+                    'utility R = V\nutility C = W\n')
+    out_path = tmp_path / "projected.bmx"
+    code, out, err = run(capsys, "project", "--game", str(game),
+                         "--row-player", "R", "--col-player", "C",
+                         "--format", "bmx", "--output", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("oagame: cannot write cols: header of player 'C'")
+    assert not out_path.exists()
+
+
 def test_payoffs_table(capsys):
     code, out, _ = run(capsys, "payoffs", "--game", "oa.game",
                        "--format", "json")
@@ -498,12 +515,11 @@ def test_byte_identical_across_runs_and_workers(capsys, args):
         code, out, _ = run(capsys, *args)
         assert code == 0
         outputs.add(out)
-    if args[0] == "enumerate":
-        for workers in ("1", "4"):
-            code, out, _ = run(capsys, *args, "--workers", workers)
-            assert code == 0
-            outputs.add(out)
     assert len(outputs) == 1
+    # There is no --workers option: enumeration runs in one thread.
+    code, out, err = run(capsys, *args, "--workers", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --workers 1" in err
 
 
 def test_fixture_digests_stable():

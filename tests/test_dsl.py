@@ -6,8 +6,6 @@ from oagame import (
     Diagnostic,
     compile_game,
     fixtures,
-    game_from_dict,
-    game_to_dict,
     parse_game_spec,
     parse_rule,
     serialize_game,
@@ -72,60 +70,71 @@ STRUCTURE_BASE = [
 ]
 
 
-# (declaring line, its new text, the declaration in the structured form and
-#  the same change to it, the one error it must give)
+# (declaring line, its new text, the declaration's section of ``GameSpec``
+#  and position in it, the same change to its fields, the one error it must
+#  give)
 STRUCTURE_CASES = [
     (3, 'player B alias a actions: "p", "q"', ("players", 1),
-     {"aliases": ["a"]}, "player name or alias 'a' declared more than once"),
-    (3, 'player B actions: ,', ("players", 1), {"actions": []},
+     {"aliases": ("a",)}, "player name or alias 'a' declared more than once"),
+    (3, 'player B actions: ,', ("players", 1), {"actions": ()},
      "player 'B' has no actions"),
-    (3, 'player B actions: "p", "P"', ("players", 1), {"actions": ["p", "P"]},
+    (3, 'player B actions: "p", "P"', ("players", 1), {"actions": ("p", "P")},
      "player 'B' has duplicate actions"),
     (5, 'variable W alias vee owner: B values: Hi=2, Lo=0', ("variables", 1),
-     {"aliases": ["vee"]},
+     {"aliases": ("vee",)},
      "variable name or alias 'vee' declared more than once"),
     (5, 'variable W owner: B values: Hi=2', ("variables", 1),
-     {"values": [{"name": "Hi", "score": 2}]},
-     "variable 'W' needs at least two values"),
+     {"values": (("Hi", 2),)}, "variable 'W' needs at least two values"),
     (5, 'variable W owner: B values: Hi=2, hi=0', ("variables", 1),
-     {"values": [{"name": "Hi", "score": 2}, {"name": "hi", "score": 0}]},
+     {"values": (("Hi", 2), ("hi", 0))},
      "variable 'W' has duplicate value names"),
     (4, 'variable V alias Vee owner: A values: More=1, Less=0 '
         'valias less->More', ("variables", 0),
-     {"value_aliases": [{"alias": "less", "canonical": "More"}]},
+     {"value_aliases": (("less", "More"),)},
      "value alias 'less' of 'V' shadows a value"),
     (4, 'variable V alias Vee owner: A values: More=1, Less=0 '
         'valias Plus->Most', ("variables", 0),
-     {"value_aliases": [{"alias": "Plus", "canonical": "Most"}]},
+     {"value_aliases": (("Plus", "Most"),)},
      "value alias 'Plus' of 'V' targets unknown value 'Most'"),
     (5, 'variable W owner: C values: Hi=2, Lo=0', ("variables", 1),
      {"owner": "C"}, "variable 'W' owned by undeclared player 'C'"),
     (7, 'utility C = W', ("utilities", 1), {"player": "C"},
      "utility for undeclared player 'C'"),
-    (7, 'utility B = X', ("utilities", 1), {"terms": ["X"]},
+    (7, 'utility B = X', ("utilities", 1), {"terms": ("X",)},
      "utility of 'B' sums undeclared variable 'X'"),
     # Names that would bind a rule atom to the wrong declaration or repeat
-    # a row-dump column.
+    # a row-dump or payoffs column.
     (5, 'variable W alias aye owner: B values: Hi=2, Lo=0', ("variables", 1),
-     {"aliases": ["aye"]},
+     {"aliases": ("aye",)},
      "variable name or alias 'aye' is also a player name or alias"),
     (5, 'variable b alias W owner: B values: Hi=2, Lo=0', ("variables", 1),
-     {"name": "b", "aliases": ["W"]},
+     {"name": "b", "aliases": ("W",)},
      "variable name or alias 'b' is also a player name or alias"),
     (5, 'variable A alias W owner: B values: Hi=2, Lo=0', ("variables", 1),
-     {"name": "A", "aliases": ["W"]},
+     {"name": "A", "aliases": ("W",)},
      "variable name or alias 'A' is also a player name or alias"),
     (2, 'player GU alias A actions: "x", "y"', ("players", 0),
-     {"name": "GU", "aliases": ["A"]},
+     {"name": "GU", "aliases": ("A",)},
      "player 'GU' has the name of a row-dump column"),
     (2, 'player U_B alias A actions: "x", "y"', ("players", 0),
-     {"name": "U_B", "aliases": ["A"]},
+     {"name": "U_B", "aliases": ("A",)},
      "player 'U_B' has the name of a row-dump column"),
     (4, 'variable U_B alias V owner: A values: More=1, Less=0 '
         'valias Plus->More', ("variables", 0),
-     {"name": "U_B", "aliases": ["V"]},
+     {"name": "U_B", "aliases": ("V",)},
      "variable 'U_B' has the name of a row-dump column"),
+    (2, 'player feasible alias A actions: "x", "y"', ("players", 0),
+     {"name": "feasible", "aliases": ("A",)},
+     "player 'feasible' has the name of a payoffs column"),
 ]
+
+
+def _replaced(game, section, index, **change):
+    """``game`` with the ``index``-th declaration of ``section`` (a field of
+    ``GameSpec``) given the field values ``change``."""
+    decls = list(getattr(game, section))
+    decls[index] = decls[index]._replace(**change)
+    return game._replace(**{section: tuple(decls)})
 
 
 @pytest.mark.parametrize("line, text, where, change, message",
@@ -140,10 +149,7 @@ def test_structural_rule_is_checked_once_for_both_paths(line, text, where,
     assert result.game is None
     assert [(e.span.line, e.kind, e.message) for e in result.errors] == [
         (line, "resolution", message)]
-    d = game_to_dict(base.game)
-    section, index = where
-    d[section][index].update(change)
-    assert validate_game(game_from_dict(d)).errors == (
+    assert validate_game(_replaced(base.game, *where, **change)).errors == (
         Diagnostic("error", message),)
 
 
@@ -157,10 +163,8 @@ def test_game_without_players_is_an_error(text, line):
     assert result.game is None
     assert (result.errors[0].span.line, result.errors[0].kind,
             result.errors[0].message) == (line, "resolution", message)
-    d = game_to_dict(parse_game_spec(MINIMAL).game)
-    d["players"], d["variables"] = [], []
-    assert validate_game(game_from_dict(d)).errors == (
-        Diagnostic("error", message),)
+    game = parse_game_spec(MINIMAL).game._replace(players=(), variables=())
+    assert validate_game(game).errors == (Diagnostic("error", message),)
 
 
 def test_rule_with_otherwise(oa_game):
@@ -246,10 +250,10 @@ def test_validation_duplicate_rule_warning(oa_validated):
 
 
 def _mutated(game, rule, part, index, **change):
-    """``game`` through its structured form, with one rule atom changed."""
-    d = game_to_dict(game)
-    d["rules"][rule][part][index].update(change)
-    return game_from_dict(d)
+    """``game`` with the fields ``change`` of one rule atom replaced."""
+    atoms = list(getattr(game.rules[rule], part))
+    atoms[index] = atoms[index]._replace(**change)
+    return _replaced(game, "rules", rule, **{part: tuple(atoms)})
 
 
 def test_validation_rejects_undeclared_rule_atoms(oa_game):
@@ -320,8 +324,13 @@ def test_round_trip_quotes_items_holding_a_comma():
     assert parse_game_spec(text).game == game
 
 
-def test_structured_object_round_trip(oa_game):
-    assert game_from_dict(game_to_dict(oa_game)) == oa_game
+def test_serialize_refuses_a_name_holding_a_comment_sign():
+    # Written as is, the '#' would cut the line, and the text would reparse
+    # as a player with the single action '"Publish'.
+    game = _replaced(parse_game_spec(MINIMAL).game, "players", 0,
+                     actions=("Publish #TA", "OA"))
+    with pytest.raises(ValueError, match="a name holds '#'"):
+        serialize_game(game)
 
 
 def test_alias_resolution_idempotent(oa_game):

@@ -21,12 +21,13 @@ from oagame import (
 )
 from oagame import engine
 from oagame.engine import rows_as_records
-from oagame.model import ScenarioRow
 
 from .oracle import (
+    ScenarioRow,
     brute_force_admissible,
     brute_force_pick,
     brute_force_projection,
+    named_row,
     random_rich_game,
     random_small_game,
     row_key,
@@ -75,14 +76,10 @@ def test_enumerate_single_profile():
     assert len(list(compile_game(game).profiles())) == 1
 
 
-def _oa_row(oa_game, actions, outcomes):
-    return ScenarioRow(actions, outcomes)
-
-
 def _named(game, rows):
     """Engine rows (``(profile, completion)`` pairs) as ``ScenarioRow``s."""
     cg = compile_game(game)
-    return [cg.row(*r) for r in rows]
+    return [named_row(cg, *r) for r in rows]
 
 
 CURRENT = (

@@ -412,6 +412,34 @@ def test_bimatrix_round_trip_keeps_infeasible_cells():
     assert not again.feasible()
 
 
+# Names drawn from what a .bmx header is made of: its separators, the
+# comment and cell characters, quotes and whitespace with a line break.
+BMX_NAMES = st.text(alphabet=" ,:#()-/'\"\t\nab", max_size=4)
+
+
+@st.composite
+def named_bimatrices(draw):
+    rows = draw(st.lists(BMX_NAMES, max_size=3))
+    cols = draw(st.lists(BMX_NAMES, max_size=3))
+    cell = st.none() | st.tuples(PAYOFF_KINDS[1], PAYOFF_KINDS[1])
+    return Bimatrix(draw(BMX_NAMES), tuple(rows), draw(BMX_NAMES),
+                    tuple(cols),
+                    tuple(tuple(draw(cell) for _ in cols) for _ in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_bimatrices())
+@example(bimatrix(["a"], ["x, y", "z"], [[(1, 1), (0, 1)]], "R", "C"))
+def test_bimatrix_writer_refuses_or_reads_back(bm):
+    """The writer raises ValueError, or its text parses back to ``bm`` in
+    every field but provenance."""
+    try:
+        text = serialize_bimatrix(bm)
+    except ValueError:
+        return
+    assert parse_bimatrix(text)._replace(provenance=bm.provenance) == bm
+
+
 def test_bimatrix_rejects_bad_shapes():
     from oagame.equilibrium import BimatrixFormatError
     with pytest.raises(BimatrixFormatError):

@@ -4,10 +4,11 @@ import pytest
 
 from oagame import (
     MissingUtilityError,
-    NameResolutionError,
     compile_game,
 )
 from oagame.engine import rows_as_records
+
+from .oracle import named_row
 
 # Action profiles and outcome assignments printed as the two reference
 # scenarios: the all-TA status quo and the all-OA ideal.
@@ -42,23 +43,22 @@ def _record(game, actions, outcomes):
     completion = tuple(
         vals.index(game.variable(v).canonical_value(outcomes[v]))
         for v, vals in zip(cg.variables, cg.values))
-    assert cg.row(profile, completion).actions == actions
+    assert named_row(cg, profile, completion).actions == actions
     return rows_as_records(game, [(profile, completion)])[0]
 
 
 def test_value_scores(oa_game):
-    vis = oa_game.variable("Visibility")
-    assert vis.score("More") == 1
-    assert vis.score("Less") == 0
+    assert oa_game.variable("Visibility").values == (("More", 1), ("Less", 0))
 
 
 def test_value_alias_resolves_to_canonical_score(oa_game):
     opp = oa_game.variable("Opportunity")
-    assert opp.score("Maximal") == 1
-    assert opp.score("Minimal") == 0
+    scores = dict(opp.values)
+    assert scores[opp.canonical_value("Maximal")] == 1
+    assert scores[opp.canonical_value("Minimal")] == 0
     # Alias and canonical value always score the same.
     for alias, canon in opp.value_aliases:
-        assert opp.score(alias) == opp.score(canon)
+        assert scores[opp.canonical_value(alias)] == scores[canon]
 
 
 def test_value_lookup_answers_none_for_an_unknown_name(oa_game):
@@ -68,13 +68,6 @@ def test_value_lookup_answers_none_for_an_unknown_name(oa_game):
         assert opp.canonical_value(f" {alias.upper()} ") == canon
     assert opp.canonical_value("more") == "More"
     assert opp.canonical_value("Medium") is None
-
-
-def test_unknown_value_raises_with_token(oa_game):
-    vis = oa_game.variable("Visibility")
-    with pytest.raises(NameResolutionError) as exc:
-        vis.score("Medium")
-    assert exc.value.token == "Medium"
 
 
 def test_agent_utilities_on_ideal_row(oa_game):

@@ -13,17 +13,16 @@ import oagame
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every name the package exported when it still imported all of its
-# submodules up front, by defining module.
+# Every name the package exports, by defining module.
 EXPORTED = {
     "model": (
         "ACTION", "OUTCOME", "Atom", "GameError", "GameSpec",
         "MissingUtilityError", "NameResolutionError", "OutcomeVarDef",
-        "PlayerDef", "Rule", "ScenarioRow", "UtilityDef", "PayoffTable"),
+        "PlayerDef", "Rule", "UtilityDef", "PayoffTable"),
     "dsl": (
         "Diagnostic", "ParseError", "ParseResult", "SourceSpan",
-        "ValidatedGame", "game_from_dict", "game_to_dict", "parse_game_spec",
-        "parse_rule", "serialize_game", "validate_game"),
+        "ValidatedGame", "parse_game_spec", "parse_rule", "serialize_game",
+        "validate_game"),
     "engine": (
         "CompiledGame", "CompletionPolicy", "EnumerationReport",
         "RowBudgetError", "admissible_rows", "chosen_completions",

@@ -26,7 +26,6 @@ from oagame.model import (
     OUTCOME,
     Atom,
     GameSpec,
-    NameResolutionError,
     OutcomeVarDef,
     PayoffTable,
     PlayerDef,
@@ -139,11 +138,10 @@ def test_record_validation_still_fires(make, error, message):
 def test_replace_rebuilds_outcome_variable_lookups():
     renamed = VARIABLE._replace(values=(("Low", 0), ("High", 2)),
                                 value_aliases=(("Up", "High"),))
-    assert renamed.score("up") == 2
+    assert renamed.canonical_value("up") == "High"
     assert renamed.canonical_value("low") == "Low"
-    assert VARIABLE.score("more") == 1
-    with pytest.raises(NameResolutionError):
-        renamed.score("More")
+    assert VARIABLE.canonical_value("more") == "More"
+    assert renamed.canonical_value("More") is None
 
 
 @pytest.mark.parametrize("record, text", [

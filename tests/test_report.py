@@ -3,7 +3,8 @@
 import io
 import random
 
-from oagame import admissible_rows, game_from_dict, top_gu_rows
+from oagame import (GameSpec, OutcomeVarDef, PlayerDef, UtilityDef,
+                    admissible_rows, top_gu_rows)
 from oagame import report as rp
 from oagame.engine import record_cells, rows_as_records
 
@@ -12,21 +13,14 @@ from .oracle import random_rich_game
 # Player V shares its name with variable V, and player GU with the GU
 # column: a record keeps such a key once, at its first position, with its
 # last value.  Parsing and validation refuse such names, so the game is
-# built from its structured form.
-COLLIDING = game_from_dict({
-    "name": "collide",
-    "players": [{"name": "V", "actions": ["v1", "v2"]},
-                {"name": "GU", "actions": ["g"]}],
-    "variables": [
-        {"name": "V", "owner": "V",
-         "values": [{"name": "Hi", "score": 1}, {"name": "Lo", "score": -2}]},
-        {"name": "W", "owner": "GU",
-         "values": [{"name": "Yes", "score": 3}, {"name": "No", "score": 0}]},
-    ],
-    "utilities": [{"player": "V", "terms": ["V"]},
-                  {"player": "GU", "terms": ["W"]}],
-    "rules": [],
-})
+# built with the constructors.
+COLLIDING = GameSpec(
+    "collide",
+    (PlayerDef("V", ("v1", "v2")), PlayerDef("GU", ("g",))),
+    (OutcomeVarDef("V", "V", (("Hi", 1), ("Lo", -2))),
+     OutcomeVarDef("W", "GU", (("Yes", 3), ("No", 0)))),
+    (),
+    (UtilityDef("V", ("V",)), UtilityDef("GU", ("W",))))
 
 
 def _reports(game, rows, head: dict, tail: dict):
