@@ -328,6 +328,9 @@ def _cmd_project(args) -> int:
 
 def _bimatrix_records(bm: Bimatrix) -> list[dict]:
     from .equilibrium import payoff_pair
+    if bm.row_player in bm.col_actions:  # that key holds the row action
+        raise ValueError(f"cannot write the matrix records: column action "
+                         f"{bm.row_player!r} is also the row player's name")
     return [{bm.row_player: ra,
              **{ca: payoff_pair(cell) or "infeasible"
                 for ca, cell in zip(bm.col_actions, row)}}
@@ -372,14 +375,14 @@ def _cmd_mixed(args) -> int:
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
     if args.dominance:
-        result = dominance_analysis(bm, notion=args.dominance)
+        result = dominance_analysis(bm.to_payoff_table(), args.dominance)
         out["dominance_trace"] = [
             {"player": e.player, "eliminated": e.action,
              "dominator": e.dominator, "notion": e.notion}
             for e in result.trace
         ]
-        out["surviving_rows"] = list(result.surviving.row_actions)
-        out["surviving_cols"] = list(result.surviving.col_actions)
+        out["surviving_rows"], out["surviving_cols"] = map(
+            list, result.surviving)
     if _is_bundled(digest, "table6.bmx"):
         out["note"] = rp.TABLE6_EU_NOTE
     _emit(args, out)

@@ -604,10 +604,25 @@ def _item(s: str) -> str:
     return _quote(s) if "," in s else s
 
 
+_UNWRITABLE = {"#": "starts a comment", '"': "ends a quoted name"}
+
+
+def _strings(value) -> list[str]:
+    """Every string in nested tuples of strings, numbers and flags."""
+    if isinstance(value, str):
+        return [value]
+    return [] if isinstance(value, int) else [
+        s for item in value for s in _strings(item)]
+
+
 def serialize_game(game: GameSpec) -> str:
     """Canonical ``.game`` text; reparsing yields a structurally equal game.
-    Raises ValueError for a name holding ``#``, which would start a
-    comment."""
+    Raises ValueError for a name holding ``#`` or ``"``."""
+    for name in _strings((game.name, game.players, game.variables,
+                          [rule[:3] for rule in game.rules], game.utilities)):
+        for sign in _UNWRITABLE.keys() & set(name):
+            raise ValueError(f"cannot write {name!r} as .game text: a name "
+                             f"holds {sign!r}, which {_UNWRITABLE[sign]}")
     lines = [f"game {_quote(game.name)}"]
     for p in game.players:
         alias = (f" alias {', '.join(map(_item, p.aliases))}" if p.aliases
@@ -628,10 +643,6 @@ def serialize_game(game: GameSpec) -> str:
         lines.append(f"utility {u.player} = {' + '.join(u.terms)}")
     for r in game.rules:
         lines.append("rule " + serialize_rule(r))
-    for line in lines:
-        if "#" in line:
-            raise ValueError(f"cannot write {line!r} as .game text: a name "
-                             f"holds '#', which starts a comment")
     return "\n".join(lines) + "\n"
 
 

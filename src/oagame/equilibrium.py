@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -222,8 +223,7 @@ def project_bimatrix(
 # ---------------------------------------------------------------------------
 # Dominance
 
-STRICT_DOM = "strict"
-WEAK_DOM = "weak"
+_BEATS = {"strict": operator.gt, "weak": operator.ge}  # payoff tests by notion
 
 
 class Elimination(NamedTuple):
@@ -235,66 +235,51 @@ class Elimination(NamedTuple):
 
 class DominanceResult(NamedTuple):
     trace: tuple[Elimination, ...]
-    surviving: Bimatrix
+    surviving: tuple[tuple[str, ...], ...]  # live actions, per player
 
 
-def _dominates(
-    bm: Bimatrix, side: int, a: int, b: int,
-    live_opponent: list[int], notion: str
-) -> bool:
-    """Does the side's action ``a`` dominate ``b`` over live opponent actions?
-
-    strict: strictly better everywhere; weak: at least as good everywhere
-    (so identical actions weakly dominate each other).
-    """
-    for j in live_opponent:
-        ua = bm.payoffs[a][j][0] if side == 0 else bm.payoffs[j][a][1]
-        ub = bm.payoffs[b][j][0] if side == 0 else bm.payoffs[j][b][1]
-        if ua < ub or (notion == STRICT_DOM and ua == ub):
-            return False
-    return True
+def _eliminations(table: PayoffTable, live: list[list[int]], notion: str):
+    """``(player, b, a)`` index triples where live ``a`` dominates live
+    ``b`` over the others' live profiles, in canonical order."""
+    beats, cells, strides = _BEATS[notion], table.cells, _strides(table)
+    for i, (_, stride) in enumerate(strides):
+        offsets = [0]  # positions of the others' live profiles
+        for j, (_, other) in enumerate(strides):
+            if j != i:
+                offsets = [o + k * other for o in offsets for k in live[j]]
+        for b in live[i]:
+            for a in live[i]:
+                if a != b and all(
+                        (ub := cells[b * stride + o]) is None
+                        or (ua := cells[a * stride + o]) is not None
+                        and beats(ua[i], ub[i]) for o in offsets):
+                    yield i, b, a
 
 
 def dominance_analysis(
-    bm: Bimatrix, notion: str = STRICT_DOM
+    table: PayoffTable, notion: str = "strict"
 ) -> DominanceResult:
-    """Eliminate dominated actions in canonical declaration order,
-    restarting after each removal until a fixed point."""
-    if notion not in (STRICT_DOM, WEAK_DOM):
+    """Iterated elimination of dominated actions for any number of players.
+
+    ``a`` dominates ``b`` when, against each live profile of the others
+    where ``b``'s cell is feasible, ``a``'s is feasible too and pays more
+    (strict) or no less (weak); so identical actions weakly dominate each
+    other.  Each pass removes the first dominated action in canonical
+    order (players, then the dominated action, then its dominator, each
+    in declaration order) and restarts.  Weak elimination depends on that
+    order; strict does not."""
+    if notion not in _BEATS:
         raise ValueError(f"unknown dominance notion {notion!r}")
-    if not bm.feasible():
-        raise ValueError("dominance analysis requires a fully feasible "
-                         "bimatrix")
-    live = [list(range(len(bm.row_actions))),
-            list(range(len(bm.col_actions)))]
-    names = [bm.row_actions, bm.col_actions]
-    players = [bm.row_player, bm.col_player]
-    trace: list[Elimination] = []
-
-    def find_elimination() -> bool:
-        for side in (0, 1):
-            opp = live[1 - side]
-            for b in list(live[side]):
-                for a in live[side]:
-                    if a == b or len(live[side]) == 1:
-                        continue
-                    if _dominates(bm, side, a, b, opp, notion):
-                        trace.append(Elimination(players[side],
-                                                 names[side][b],
-                                                 names[side][a], notion))
-                        live[side].remove(b)
-                        return True
-        return False
-
-    while find_elimination():
-        pass
-
-    surviving = Bimatrix(
-        bm.row_player, tuple(names[0][i] for i in live[0]),
-        bm.col_player, tuple(names[1][j] for j in live[1]),
-        tuple(tuple(bm.payoffs[i][j] for j in live[1]) for i in live[0]),
-        provenance=bm.provenance)
-    return DominanceResult(tuple(trace), surviving)
+    live = [list(range(len(names))) for names in table.actions]
+    trace = []
+    while found := next(_eliminations(table, live, notion), None):
+        i, b, a = found
+        names = table.actions[i]
+        trace.append(Elimination(table.players[i], names[b], names[a], notion))
+        live[i].remove(b)
+    return DominanceResult(tuple(trace), tuple(
+        tuple(names[k] for k in kept)
+        for names, kept in zip(table.actions, live)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Naive brute-force oracles for admissible-row enumeration, for pure
-equilibria and best responses, and for support-enumeration mixed
-equilibria.
+equilibria and best responses, for iterated dominance, and for
+support-enumeration mixed equilibria.
 
 Rows: plain nested loops over the full profile x assignment space,
 re-checking every rule with its own atom evaluation.  Deliberately
@@ -12,6 +12,9 @@ Pure equilibria and best responses: every unilateral deviation checked on
 action names, in a dict from each name profile to its cell, the way
 ``pure_nash`` and ``best_responses`` worked before they read slices of the
 index-ordered cells.
+
+Iterated dominance: every live profile of the others enumerated by name
+and its cells read with ``PayoffTable.payoff``, with no strides.
 
 Mixed equilibria: support enumeration with both indifference systems of
 every support pair solved by Gaussian elimination over ``Fraction``, the
@@ -26,8 +29,9 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from oagame.equilibrium import (SUPPORT_LIMIT, Bimatrix,
-                                EquilibriumCertificate, MixedStrategy)
+from oagame.equilibrium import (SUPPORT_LIMIT, Bimatrix, DominanceResult,
+                                Elimination, EquilibriumCertificate,
+                                MixedStrategy)
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
                           PayoffTable, PlayerDef, Rule, UtilityDef)
 
@@ -275,6 +279,39 @@ def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
                 tuple(Fraction(u) for u in cell),
                 tuple(verification)))
     return certs
+
+
+def _dominates(table: PayoffTable, live: list[list[str]], idx: int,
+               a: str, b: str, notion: str) -> bool:
+    """Does action ``a`` beat ``b`` for player ``idx`` wherever ``b``'s
+    cell is feasible, over the others' live actions?"""
+    for profile in itertools.product(*live):
+        if profile[idx] != b:
+            continue
+        ub = table.payoff(profile)
+        if ub is None:
+            continue
+        ua = table.payoff(profile[:idx] + (a,) + profile[idx + 1:])
+        if ua is None or ua[idx] < ub[idx] or (
+                notion == "strict" and ua[idx] == ub[idx]):
+            return False
+    return True
+
+
+def dominance_analysis(table: PayoffTable, notion: str) -> DominanceResult:
+    """Remove the first dominated action, by player, then dominated action,
+    then dominator, in declaration order; start over until none is left."""
+    live = [list(actions) for actions in table.actions]
+    trace = []
+    while True:
+        found = [(idx, b, a) for idx in range(len(live))
+                 for b in live[idx] for a in live[idx]
+                 if a != b and _dominates(table, live, idx, a, b, notion)]
+        if not found:
+            return DominanceResult(tuple(trace), tuple(map(tuple, live)))
+        idx, b, a = found[0]
+        trace.append(Elimination(table.players[idx], b, a, notion))
+        live[idx].remove(b)
 
 
 def _solve_linear(matrix: list[list[Fraction]],

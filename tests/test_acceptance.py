@@ -28,7 +28,7 @@ from oagame import (
 )
 from oagame.cli import run_cli
 from oagame.engine import rows_as_records
-from oagame.equilibrium import Bimatrix, _dominates
+from oagame.equilibrium import Bimatrix, Elimination
 
 from .oracle import (brute_force_admissible, named_row, random_small_game,
                      row_key, utility)
@@ -108,12 +108,12 @@ def test_criterion_5_equilibrium_on_printed_bimatrix(table5):
 
 
 def test_criterion_6_mixed_and_dominance_on_collapse(table6):
-    cols = list(table6.col_actions)
-    assert _dominates(table6, 1, cols.index("TA"), cols.index("OA"),
-                      [0, 1], "strict")
-    result = dominance_analysis(table6, notion="weak")
-    assert result.surviving.row_actions == ("Publish OA",)
-    assert result.surviving.col_actions == ("TA",)
+    table = table6.to_payoff_table()
+    # The first removal is judged against both Academics rows.
+    assert dominance_analysis(table, notion="strict").trace[0] == \
+        Elimination("Editors", "OA", "TA", "strict")
+    result = dominance_analysis(table, notion="weak")
+    assert result.surviving == (("Publish OA",), ("TA",))
     certs, _ = mixed_nash_2p(table6)
     for cert in certs:
         editors = next(s for s in cert.strategies if s.player == "Editors")

@@ -439,6 +439,23 @@ def test_project_bmx_refuses_a_header_that_does_not_read_back(tmp_path,
     assert not out_path.exists()
 
 
+def test_project_refuses_a_column_action_named_like_the_row_player(
+        tmp_path, capsys):
+    # Each record is keyed by the row player's name and each column action,
+    # so the column action 'R' would overwrite the row action.
+    game = tmp_path / "clash.game"
+    game.write_text('game "g"\nplayer R actions: "a", "b"\n'
+                    'player C actions: "R", "z"\n'
+                    'variable V owner: R values: Hi=1, Lo=0\n'
+                    'utility R = V\nutility C = V\n')
+    code, out, err = run(capsys, "project", "--game", str(game),
+                         "--row-player", "R", "--col-player", "C",
+                         "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("oagame: cannot write the matrix records: column "
+                          "action 'R' is also the row player's name")
+
+
 def test_payoffs_table(capsys):
     code, out, _ = run(capsys, "payoffs", "--game", "oa.game",
                        "--format", "json")
@@ -626,6 +643,23 @@ GOLDEN_STDOUT = {
     ("payoffs", "--game", "alias.game", "--policy", "fixed",
      "--fix", "V=top", "--format", "json"):
         "dba92946eab559f979d2db927ba5765758347626b5133b96cd6e525f65113f42",
+    # The next five were taken before dominance read the payoff table by
+    # stride.
+    ("mixed", "--bimatrix", "table5.bmx", "--dominance", "strict",
+     "--format", "json"):
+        "e28d95a4616af1bfdb27bd2b4cb0eb4335f85118f5ad97f984b1efcb4e6ffc79",
+    ("mixed", "--bimatrix", "table6.bmx", "--dominance", "strict",
+     "--format", "json"):
+        "6b8581ee74b9e09fecc5965d1752e3c0c0849a44e131047aaf6c4d69c62b8ac2",
+    ("mixed", "--bimatrix", "six.bmx", "--dominance", "strict",
+     "--format", "json"):
+        "1cf7660ec6be5df40f600df94110f589cfefd01127ee6c1da6d140eb25106e7e",
+    ("mixed", "--bimatrix", "table5.bmx", "--dominance", "weak",
+     "--format", "json"):
+        "5c0ef1991a8862b1f462a4d6a3f53c9e60fc08146aa516c38a833e6de196841f",
+    ("mixed", "--bimatrix", "six.bmx", "--dominance", "weak",
+     "--format", "json"):
+        "1cf7660ec6be5df40f600df94110f589cfefd01127ee6c1da6d140eb25106e7e",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and

@@ -333,6 +333,15 @@ def test_serialize_refuses_a_name_holding_a_comment_sign():
         serialize_game(game)
 
 
+def test_serialize_refuses_a_name_holding_a_double_quote():
+    # Written as is, the text would reparse as one player with the single
+    # action 'a"b", "c'.
+    game = _replaced(parse_game_spec(MINIMAL).game, "players", 0,
+                     actions=('a"b', "c"))
+    with pytest.raises(ValueError, match="a name holds '\"'"):
+        serialize_game(game)
+
+
 def test_alias_resolution_idempotent(oa_game):
     for p in oa_game.players:
         assert oa_game.player(p.name).name == p.name

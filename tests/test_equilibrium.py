@@ -11,6 +11,7 @@ from oagame import (
     MixedStrategy,
     PayoffTable,
     best_responses,
+    derive_payoff_table,
     dominance_analysis,
     expected_utility,
     mixed_nash_2p,
@@ -19,6 +20,7 @@ from oagame import (
     pure_nash,
     serialize_bimatrix,
 )
+from oagame.equilibrium import Elimination, _eliminations
 
 from . import oracle
 from .oracle import support_enumeration
@@ -177,30 +179,71 @@ def test_projection_requires_distinct_players(oa_game):
 
 def test_table6_iterated_elimination(table6):
     # Editors' TA strictly dominates OA on its own.
-    strict = dominance_analysis(table6, notion="strict")
+    table = table6.to_payoff_table()
+    strict = dominance_analysis(table, notion="strict")
     editor_elims = [e for e in strict.trace if e.player == "Editors"]
     assert editor_elims and editor_elims[0].action == "OA" \
         and editor_elims[0].dominator == "TA"
     # Weak iterated elimination collapses to the single OA/TA profile.
-    result = dominance_analysis(table6, notion="weak")
-    assert result.surviving.row_actions == ("Publish OA",)
-    assert result.surviving.col_actions == ("TA",)
+    result = dominance_analysis(table, notion="weak")
+    assert result.surviving == (("Publish OA",), ("TA",))
 
 
 def test_matching_pennies_no_elimination():
-    result = dominance_analysis(MATCHING_PENNIES, notion="weak")
+    result = dominance_analysis(MATCHING_PENNIES.to_payoff_table(),
+                                notion="weak")
     assert result.trace == ()
-    assert result.surviving.row_actions == ("H", "T")
+    assert result.surviving == (("H", "T"), ("H", "T"))
 
 
 def test_identical_rows_weakly_dominate_but_not_strictly():
-    bm = bimatrix(["a", "b"], ["x", "y"],
-                  [[(1, 0), (2, 0)], [(1, 0), (2, 0)]])
-    from oagame.equilibrium import _dominates
-    assert _dominates(bm, 0, 0, 1, [0, 1], "weak")
-    assert _dominates(bm, 0, 1, 0, [0, 1], "weak")
-    result = dominance_analysis(bm, notion="strict")
-    assert result.trace == ()
+    # Each row weakly dominates the other: whichever comes first goes.
+    for first, second in (("a", "b"), ("b", "a")):
+        table = bimatrix([first, second], ["x", "y"],
+                         [[(1, 0), (2, 0)], [(1, 0), (2, 0)]]
+                         ).to_payoff_table()
+        assert dominance_analysis(table, notion="weak").trace[0] == \
+            Elimination("Row", first, second, "weak")
+        assert dominance_analysis(table, notion="strict").trace == ()
+
+
+def test_dominance_needs_a_feasible_cell_only_where_the_dominated_is():
+    # Column a10 beats a11 wherever a11 is feasible; a11 cannot beat a10
+    # where a10 is feasible and a11 is not.  Then a00 beats a01 against a10.
+    table = PayoffTable(("P0", "P1"), (("a00", "a01"), ("a10", "a11")),
+                        ((1, 0), None, (0, 0), (5, 0)))
+    assert dominance_analysis(table, "weak") == (
+        (Elimination("P1", "a11", "a10", "weak"),
+         Elimination("P0", "a01", "a00", "weak")),
+        (("a00",), ("a10",)))
+    assert dominance_analysis(table, "strict") == ((), table.actions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payoff_tables())
+def test_dominance_matches_the_name_oracle(table):
+    for notion in ("strict", "weak"):
+        assert dominance_analysis(table, notion) == \
+            oracle.dominance_analysis(table, notion)
+
+
+@pytest.mark.parametrize("policy", [
+    CompletionPolicy(), CompletionPolicy("optimistic", "Editors"),
+    CompletionPolicy("pessimistic", "Editors")],
+    ids=["max-gu", "optimistic", "pessimistic"])
+def test_grant_ta_weakly_dominates_both_oa_actions_in_one_step(oa_game,
+                                                              policy):
+    table = derive_payoff_table(oa_game, policy)
+    editors = table.players.index("Editors")
+    live = [list(range(len(actions))) for actions in table.actions]
+    names = table.actions[editors]
+    first_pass = {(names[b], names[a])
+                  for i, b, a in _eliminations(table, live, "weak")
+                  if i == editors}
+    assert {("Grant OA", "Grant TA"),
+            ("Grant OA with embargoes", "Grant TA")} <= first_pass
+    if policy.kind == "pessimistic":
+        assert ("Grant big deals", "Grant TA") not in first_pass
 
 
 def test_strictly_dominated_action_in_no_equilibrium(table6):
@@ -313,8 +356,8 @@ def test_scaling_payoffs_preserves_structure(table6):
         tuple(tuple((u * 7, v) for u, v in row) for row in table6.payoffs))
     assert {c.pure_profile() for c in pure_nash(scaled.to_payoff_table())} \
         == {c.pure_profile() for c in pure_nash(table6.to_payoff_table())}
-    base = dominance_analysis(table6, "weak")
-    after = dominance_analysis(scaled, "weak")
+    base = dominance_analysis(table6.to_payoff_table(), "weak")
+    after = dominance_analysis(scaled.to_payoff_table(), "weak")
     assert [(e.player, e.action) for e in base.trace] == \
         [(e.player, e.action) for e in after.trace]
 

@@ -87,7 +87,8 @@ RECORDS = [
      {"degenerate": False}),
     (Elimination, {"player": "A", "action": "x", "dominator": "y",
                    "notion": "strict"}, {}),
-    (DominanceResult, {"trace": (ELIMINATION,), "surviving": BIMATRIX}, {}),
+    (DominanceResult, {"trace": (ELIMINATION,),
+                       "surviving": (("y",), ("z", "w"))}, {}),
 ]
 
 
