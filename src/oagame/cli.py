@@ -29,18 +29,6 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 DIAG_ERROR = 1
 
-# Report labels of the paper figures, keyed as in ``rp.PAPER_FIGURES``.
-FIGURE_LABELS = {
-    "action_profiles": "action profiles",
-    "row_space": "row space",
-    "admissible_rows": "admissible rows",
-    "max_global_utility": "max global utility",
-    "top_gu_rows": "rows at max global utility",
-    "pure_nash_member": "pure Nash equilibrium",
-    "table5_publish_ta_grant_ta":
-        "projected payoff at (Publish TA, Grant TA)",
-}
-
 
 class _CliError(Exception):
     def __init__(self, message: str, status: int):
@@ -164,15 +152,8 @@ def _is_bundled(digest: str, name: str) -> bool:
     return digest == fixtures.fixture_digest(name)
 
 
-def _paper_comparison(computed: dict) -> list[dict]:
-    """Paper-vs-computed entries for the figures keyed in ``computed``, in
-    its order."""
-    return [rp.comparison_entry(FIGURE_LABELS[k], rp.PAPER_FIGURES[k], v)
-            for k, v in computed.items()]
-
-
 def _census_figures(enum) -> dict:
-    """The census figures of ``enum``, keyed as in ``rp.PAPER_FIGURES``."""
+    """The census figures of ``enum``, keyed as in ``rp.FIGURES``."""
     return {
         "action_profiles": enum.action_profile_count,
         "row_space": enum.row_space_count,
@@ -241,7 +222,7 @@ def _cmd_validate(args) -> int:
     out["row_space"] = validated.row_space_count
     out["warnings"] = [str(w) for w in validated.warnings]
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = _paper_comparison({
+        out["paper_comparison"] = rp.paper_comparison({
             "action_profiles": validated.action_profile_count,
             "row_space": validated.row_space_count,
         })
@@ -262,7 +243,7 @@ def _cmd_enumerate(args) -> int:
     out.update(figures)
     out["max_global_utility_rows"] = out.pop("top_gu_rows")
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = _paper_comparison(figures)
+        out["paper_comparison"] = rp.paper_comparison(figures)
     if args.dump:
         out["rows"] = _row_dump(game, rows)
     _emit(args, out)
@@ -278,7 +259,7 @@ def _cmd_top(args) -> int:
     out["row_count"] = len(rows)
     out["rows"] = _row_dump(game, rows)
     if _is_bundled(digest, "oa.game"):
-        out["paper_comparison"] = _paper_comparison({
+        out["paper_comparison"] = rp.paper_comparison({
             "max_global_utility": best, "top_gu_rows": len(rows)})
     _emit(args, out)
     return 0
@@ -355,11 +336,9 @@ def _cmd_nash(args) -> int:
         table = derive_payoff_table(game, _policy(args, game))
     certs = pure_nash(table)
     if args.bimatrix and _is_bundled(digest, "table5.bmx"):
-        out["paper_comparison"] = [
-            rp.comparison_entry(
-                "pure Nash equilibrium (Publish OA, Grant TA)", "present",
-                "present" if _has_publish_oa_grant_ta(certs) else "absent"),
-        ]
+        out["paper_comparison"] = rp.paper_comparison({
+            "table5_publish_oa_grant_ta":
+                "present" if _has_publish_oa_grant_ta(certs) else "absent"})
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
     _emit(args, out)
@@ -417,24 +396,21 @@ def _cmd_reproduce(args) -> int:
     certs = pure_nash(bm5.to_payoff_table())
     projected = project_bimatrix(game, CompletionPolicy(), "Academics",
                                  "Editors")
-    i = projected.row_actions.index("Publish TA")
-    j = projected.col_actions.index("Grant TA")
-    cell_str = payoff_pair(projected.payoffs[i][j]) or "infeasible"
+    cells = {(ra, ca): payoff_pair(cell) or "infeasible"
+             for ra, row in zip(projected.row_actions, projected.payoffs)
+             for ca, cell in zip(projected.col_actions, row)}
 
     computed = {
         **_census_figures(enum),
         "pure_nash_member": ("(Publish OA, Grant TA)"
                              if _has_publish_oa_grant_ta(certs)
                              else "not an equilibrium"),
-        "table5_publish_ta_grant_ta": cell_str,
+        "table5_publish_ta_grant_ta":
+            cells.get(("Publish TA", "Grant TA"), "absent"),
     }
     out = rp.base_report({args.game: game_digest, args.bimatrix: bm5_digest})
-    out["paper_comparison"] = _paper_comparison(computed)
-    out["golden_check"] = [
-        {"figure": FIGURE_LABELS[k], "golden": rp.GOLDEN_FIGURES[k],
-         "computed": v, "matches": v == rp.GOLDEN_FIGURES[k]}
-        for k, v in computed.items()
-    ]
+    out["paper_comparison"] = rp.paper_comparison(computed)
+    out["golden_check"] = rp.golden_check(computed)
     ok = all(c["matches"] for c in out["golden_check"])
     out["status"] = "ok" if ok else "drift-from-golden"
     _emit(args, out)

@@ -600,11 +600,15 @@ def _quote(s: str) -> str:
 
 
 def _item(s: str) -> str:
-    """A list item as ``.game`` text: quoted when it holds a comma."""
-    return _quote(s) if "," in s else s
+    """A list item as ``.game`` text: quoted when it holds a comma or outer
+    whitespace, which the list reader splits at or strips."""
+    return _quote(s) if "," in s or s != s.strip() else s
 
 
-_UNWRITABLE = {"#": "starts a comment", '"': "ends a quoted name"}
+# Each line break is one at which ``str.splitlines`` splits.
+_UNWRITABLE = {"#": "starts a comment", '"': "ends a quoted name",
+               **dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
+                               "ends the line")}
 
 
 def _strings(value) -> list[str]:
@@ -617,12 +621,18 @@ def _strings(value) -> list[str]:
 
 def serialize_game(game: GameSpec) -> str:
     """Canonical ``.game`` text; reparsing yields a structurally equal game.
-    Raises ValueError for a name holding ``#`` or ``"``."""
+    Raises ValueError for a name holding ``#``, ``"`` or a line break, and
+    for an unquoted name that reads back with other whitespace."""
     for name in _strings((game.name, game.players, game.variables,
                           [rule[:3] for rule in game.rules], game.utilities)):
         for sign in _UNWRITABLE.keys() & set(name):
             raise ValueError(f"cannot write {name!r} as .game text: a name "
                              f"holds {sign!r}, which {_UNWRITABLE[sign]}")
+    unquoted = [p.name for p in game.players if p.name.split() != [p.name]]
+    for name in unquoted + [v.name for v in game.variables
+                            if " ".join(v.name.split()) != v.name]:
+        raise ValueError(f"cannot write {name!r} as .game text: unquoted, "
+                         f"it reads back with other whitespace")
     lines = [f"game {_quote(game.name)}"]
     for p in game.players:
         alias = (f" alias {', '.join(map(_item, p.aliases))}" if p.aliases

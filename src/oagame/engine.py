@@ -462,11 +462,15 @@ def record_cells(game: GameSpec, rows) -> tuple[tuple[str, ...], dict, dict]:
     ``rows`` to its action names and ``tails`` maps each completion to its
     value names, GU and per-player utilities, so that a row's record is
     ``dict(zip(keys, heads[profile] + tails[completion]))``.  Every
-    player's utility is resolved, even when ``rows`` is empty.
+    player's utility is resolved, even when ``rows`` is empty.  Raises
+    ValueError when a key repeats, which parsing and validation refuse.
     """
+    keys = game.record_keys()
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"cannot write the row records of game "
+                         f"{game.name!r}: their keys {list(keys)!r} repeat")
     cg = compile_game(game)
     weights = [cg._utility_weights(p) for p in cg.players]
-    keys = game.record_keys()
     heads = {p: cg.action_names(p)
              for p in dict.fromkeys(map(itemgetter(0), rows))}
     tails = {c: (*cg.value_names(c), cg.global_utility(c),

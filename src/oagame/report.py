@@ -19,29 +19,23 @@ from . import __version__
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumCertificate
 
-# Figures as printed in the source material.
-PAPER_FIGURES = {
-    "action_profiles": 432,
-    "row_space": 110592,
-    "admissible_rows": 3136,
-    "max_global_utility": 7,
-    "top_gu_rows": 26,
-    "pure_nash_member": "(Publish OA, Grant TA)",
-    "table5_publish_ta_grant_ta": "(3,1)",
-}
-
-# Recorded oracle values for the bundled game under strict semantics and the
-# max-global-utility completion policy.  The reproduce run fails when the
-# computed values drift from these, never when they differ from the published
-# figures above.
-GOLDEN_FIGURES = {
-    "action_profiles": 432,
-    "row_space": 110592,
-    "admissible_rows": 17640,
-    "max_global_utility": 8,
-    "top_gu_rows": 30,
-    "pure_nash_member": "(Publish OA, Grant TA)",
-    "table5_publish_ta_grant_ta": "(2,1)",
+# Each figure the reports compare: its label, its value as printed in the
+# source material, and its golden value, recorded for the bundled fixtures
+# under strict semantics and the max-global-utility completion policy.  The
+# reproduce run fails when a computed value drifts from its golden value,
+# never when it differs from the printed one.
+FIGURES = {
+    "action_profiles": ("action profiles", 432, 432),
+    "row_space": ("row space", 110592, 110592),
+    "admissible_rows": ("admissible rows", 3136, 17640),
+    "max_global_utility": ("max global utility", 7, 8),
+    "top_gu_rows": ("rows at max global utility", 26, 30),
+    "pure_nash_member": ("pure Nash equilibrium", "(Publish OA, Grant TA)",
+                         "(Publish OA, Grant TA)"),
+    "table5_publish_ta_grant_ta": (
+        "projected payoff at (Publish TA, Grant TA)", "(3,1)", "(2,1)"),
+    "table5_publish_oa_grant_ta": (
+        "pure Nash equilibrium (Publish OA, Grant TA)", "present", "present"),
 }
 
 TABLE6_EU_NOTE = (
@@ -86,9 +80,18 @@ def certificate_to_obj(cert: EquilibriumCertificate) -> dict:
     }
 
 
-def comparison_entry(claim: str, paper, computed) -> dict:
-    return {"claim": claim, "paper": paper, "computed": computed,
-            "matches": paper == computed}
+def paper_comparison(computed: dict) -> list[dict]:
+    """Printed-vs-computed entries for the ``FIGURES`` keyed in
+    ``computed``, in its order."""
+    return [{"claim": FIGURES[k][0], "paper": FIGURES[k][1], "computed": v,
+             "matches": v == FIGURES[k][1]} for k, v in computed.items()]
+
+
+def golden_check(computed: dict) -> list[dict]:
+    """Golden-vs-computed entries for the ``FIGURES`` keyed in
+    ``computed``, in its order."""
+    return [{"figure": FIGURES[k][0], "golden": FIGURES[k][2], "computed": v,
+             "matches": v == FIGURES[k][2]} for k, v in computed.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +114,6 @@ class RowDump:
                  rows: list):
         self.keys, self.heads, self.tails, self.rows = keys, heads, tails, rows
 
-    def records(self) -> list[dict]:
-        return [dict(zip(self.keys, self.heads[h] + self.tails[t]))
-                for h, t in self.rows]
-
     def key_split(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """(head keys, tail keys); needs at least one row."""
         n = len(next(iter(self.heads.values())))
@@ -122,12 +121,20 @@ class RowDump:
 
 
 def _plain(value):
-    """``value``, except that a ``RowDump`` without rows, or whose keys
-    repeat (a player named like a variable, say), becomes its records."""
-    if isinstance(value, RowDump) and (
-            not value.rows or len(set(value.keys)) < len(value.keys)):
-        return value.records()
-    return value
+    """``value``, except that a ``RowDump`` without rows becomes ``[]``."""
+    return [] if isinstance(value, RowDump) and not value.rows else value
+
+
+def _as_dump(value):
+    """``value``, except that a non-empty list of records becomes a
+    ``RowDump`` with no head cells, keyed as its first record."""
+    if not (isinstance(value, list) and value and isinstance(value[0], dict)):
+        return value
+    keys = tuple(value[0])
+    return RowDump(keys, {0: ()},
+                   {i: tuple(r.get(k, "") for k in keys)
+                    for i, r in enumerate(value)},
+                   [(0, i) for i in range(len(value))])
 
 
 def _row_chunks(dump: RowDump, head_text, tail_text, sep: str):
@@ -142,22 +149,9 @@ def _row_chunks(dump: RowDump, head_text, tail_text, sep: str):
             [heads[h] + tails[t] for h, t in rows[i:i + CHUNK_ROWS]])
 
 
-def _fixed_width_table(records: list[dict]) -> list[str]:
-    headers = list(records[0].keys())
-    cells = [[str(r.get(h, "")) for h in headers] for r in records]
-    widths = [max(len(h), *(len(row[i]) for row in cells))
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w)
-                               for c, w in zip(row, widths)).rstrip())
-    return lines
-
-
 def _table_dump(dump: RowDump):
-    """``_fixed_width_table`` of the dump's records, indented, with the
-    widths taken over the distinct heads and tails."""
+    """The dump as an indented fixed-width table, with the widths taken
+    over the distinct heads and tails."""
     head_keys, tail_keys = dump.key_split()
 
     def widths(keys, cells):
@@ -169,8 +163,8 @@ def _table_dump(dump: RowDump):
     header = "  ".join(k.ljust(w) for k, w in zip(dump.keys, hw + tw))
     rule = "  ".join("-" * w for w in hw + tw)
     yield f"  {header.rstrip()}\n  {rule}\n"
-    # Every tail ends in GU and the utilities, so stripping it strips the
-    # line.
+    # Stripping the tail strips the line: a row's tail ends in GU and the
+    # utilities, and a record's head is the indent alone.
     yield from _row_chunks(
         dump,
         lambda cells: "  " + "".join(
@@ -183,14 +177,12 @@ def _table_dump(dump: RowDump):
 
 def _table_chunks(report: dict):
     for key, value in report.items():
+        value = _as_dump(value)
         if isinstance(value, RowDump):
             yield f"{key}:\n"
             yield from _table_dump(value)
             continue
-        if isinstance(value, list) and value and isinstance(value[0], dict):
-            lines = [f"{key}:"]
-            lines.extend("  " + ln for ln in _fixed_width_table(value))
-        elif isinstance(value, list):
+        if isinstance(value, list):
             lines = [f"{key}: {', '.join(str(v) for v in value)}"]
         elif isinstance(value, dict):
             lines = [f"{key}:"]
@@ -202,6 +194,7 @@ def _table_chunks(report: dict):
 
 def _delimited_chunks(report: dict):
     for key, value in report.items():
+        value = _as_dump(value)
         if isinstance(value, RowDump):
             yield "\t".join(value.keys) + "\n"
             yield from _row_chunks(
@@ -209,12 +202,7 @@ def _delimited_chunks(report: dict):
                 lambda cells: "\t".join(map(str, cells)), "\n")
             yield "\n"
             continue
-        if isinstance(value, list) and value and isinstance(value[0], dict):
-            headers = list(value[0].keys())
-            lines = ["\t".join(headers)]
-            lines.extend("\t".join(str(rec.get(h, "")) for h in headers)
-                         for rec in value)
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             lines = [f"{key}.{k}\t{v}" for k, v in value.items()]
         else:
             lines = [f"{key}\t{value}"]

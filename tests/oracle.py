@@ -19,6 +19,10 @@ and its cells read with ``PayoffTable.payoff``, with no strides.
 Mixed equilibria: support enumeration with both indifference systems of
 every support pair solved by Gaussian elimination over ``Fraction``, the
 way ``mixed_nash_2p`` did before it solved them over integers.
+
+Report writers: the table and delimited layouts of a report of plain
+values, each list of records written record by record, the way
+``emit_report`` wrote them before it rendered such a list as a row dump.
 """
 
 from __future__ import annotations
@@ -418,3 +422,57 @@ def support_enumeration(
                      tuple(zip(bm.col_actions, col_alts))),
                     degenerate=tie))
     return certs, degenerate
+
+
+def _fixed_width_table(records: list[dict]) -> list[str]:
+    headers = list(records[0].keys())
+    cells = [[str(r.get(h, "")) for h in headers] for r in records]
+    widths = [max(len(h), *(len(row[i]) for row in cells))
+              for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
+        lines.append("  ".join(c.ljust(w)
+                               for c, w in zip(row, widths)).rstrip())
+    return lines
+
+
+def _is_records(value) -> bool:
+    return isinstance(value, list) and bool(value) and isinstance(
+        value[0], dict)
+
+
+def table_report(report: dict) -> str:
+    """``report`` in the fixed-width table layout."""
+    out = []
+    for key, value in report.items():
+        if _is_records(value):
+            lines = [f"{key}:"]
+            lines.extend("  " + ln for ln in _fixed_width_table(value))
+        elif isinstance(value, list):
+            lines = [f"{key}: {', '.join(str(v) for v in value)}"]
+        elif isinstance(value, dict):
+            lines = [f"{key}:"]
+            lines.extend(f"  {k}: {v}" for k, v in value.items())
+        else:
+            lines = [f"{key}: {value}"]
+        out.append("\n".join(lines) + "\n")
+    return "".join(out)
+
+
+def delimited_report(report: dict) -> str:
+    """``report`` in the tab-separated layout."""
+    out = []
+    for key, value in report.items():
+        if _is_records(value):
+            headers = list(value[0].keys())
+            lines = ["\t".join(headers)]
+            lines.extend("\t".join(str(rec.get(h, "")) for h in headers)
+                         for rec in value)
+        elif isinstance(value, dict):
+            lines = [f"{key}.{k}\t{v}" for k, v in value.items()]
+        else:
+            lines = [f"{key}\t{value}"]
+        if lines:
+            out.append("\n".join(lines) + "\n")
+    return "".join(out)

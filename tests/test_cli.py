@@ -480,6 +480,43 @@ def test_reproduce_comparison_block(capsys):
     assert report["status"] == "ok"
 
 
+def _reproduce_edited(tmp_path, capsys, edit) -> tuple[dict, dict]:
+    """(report, {figure: computed} of each golden mismatch) of a reproduce
+    run, which must drift, on the bundled game as ``edit`` changes it."""
+    path = tmp_path / "edited.game"
+    path.write_text(edit(fixtures.fixture_text("oa.game")), encoding="utf-8")
+    code, out, err = run(capsys, "reproduce", "--game", str(path),
+                         "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["status"] == "drift-from-golden"
+    assert len(report["paper_comparison"]) == 7
+    return report, {e["figure"]: e["computed"]
+                    for e in report["golden_check"] if not e["matches"]}
+
+
+def test_reproduce_reports_a_missing_projected_cell_as_absent(tmp_path,
+                                                              capsys):
+    report, drift = _reproduce_edited(
+        tmp_path, capsys, lambda text: text.replace("Publish TA", "Publish"))
+    label = "projected payoff at (Publish TA, Grant TA)"
+    assert drift == {label: "absent"}
+    assert [e["computed"] for e in report["paper_comparison"]
+            if e["claim"] == label] == ["absent"]
+
+
+def test_reproduce_drifts_without_the_first_rule(tmp_path, capsys):
+    def drop_first_rule(text):
+        lines = text.splitlines(keepends=True)
+        assert lines[29].startswith("rule if Academics=`Publish TA'")
+        return "".join(lines[:29] + lines[30:])
+
+    _, drift = _reproduce_edited(tmp_path, capsys, drop_first_rule)
+    assert drift == {"admissible rows": 18864,
+                     "rows at max global utility": 36,
+                     "projected payoff at (Publish TA, Grant TA)": "(4,1)"}
+
+
 def test_env_var_sets_default_format(capsys, monkeypatch):
     monkeypatch.setenv("OAGAME_FORMAT", "json")
     code, out, _ = run(capsys, "validate", "--game", "oa.game")
@@ -660,6 +697,31 @@ GOLDEN_STDOUT = {
     ("mixed", "--bimatrix", "six.bmx", "--dominance", "weak",
      "--format", "json"):
         "1cf7660ec6be5df40f600df94110f589cfefd01127ee6c1da6d140eb25106e7e",
+    # The next ten were taken before each report layout and each paper
+    # figure was written once.
+    ("reproduce", "--format", "table"):
+        "686eb0c12a86e0556e5b92288562c84ef090c0aad6bb3bca81ef74a6b5b4cd8a",
+    ("reproduce", "--format", "delimited"):
+        "d37caa0298163f1311be10f49c24733c66b41c8f18bfdaaaba3b9be19beb4721",
+    ("nash", "--bimatrix", "table5.bmx", "--format", "json"):
+        "745857f2137e86e1e6075640267683288cb8a36b5c85405795f8ad3cc8b34828",
+    ("nash", "--bimatrix", "table5.bmx", "--format", "table"):
+        "a023ccfbdcbba5dafddc1e2eeb7ca54f1d9cfe806a0918068da38d9c3532d124",
+    ("validate", "--game", "oa.game", "--format", "table"):
+        "445ecb6c93797c3b5a8e54e1b7e36a6899b0ea7c048401339b8fb440b6e6d623",
+    ("payoffs", "--game", "oa.game", "--format", "table"):
+        "ef0494b53f94b4db3fba29153a6a7daab44b558312cfac23e3b35c2b2c8c97ab",
+    ("payoffs", "--game", "oa.game", "--format", "delimited"):
+        "8473cfd86fb755b591c0eece7d911477bc6744e6525b2fb74027f60e64b9c369",
+    ("mixed", "--bimatrix", "six.bmx", "--dominance", "weak",
+     "--format", "table"):
+        "628c7685d698114d72cab2a9380513f64575bee0f0cb4f2647d6d76ed9b19d59",
+    ("mixed", "--bimatrix", "six.bmx", "--dominance", "weak",
+     "--format", "delimited"):
+        "26abff7016ad821c80810495c85e0697e3b48adc99ce17d83d44ba26dff89559",
+    ("project", "--game", "oa.game", "--row-player", "Academics",
+     "--col-player", "Editors", "--format", "delimited"):
+        "5d970e62f9f77d231b1b551cc6eb77998401ef30d31523a90bc11199043b079a",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and

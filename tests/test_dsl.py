@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -339,6 +340,51 @@ def test_serialize_refuses_a_name_holding_a_double_quote():
     game = _replaced(parse_game_spec(MINIMAL).game, "players", 0,
                      actions=('a"b', "c"))
     with pytest.raises(ValueError, match="a name holds '\"'"):
+        serialize_game(game)
+
+
+@pytest.mark.parametrize("section, change", [
+    ("players", {"aliases": (" x", "y ")}),
+    ("variables", {"values": ((" Hi", 1), ("Lo ", 0))}),
+    ("players", {"actions": (" a", "b ")}),  # quoted already
+])
+def test_serialize_quotes_items_with_outer_whitespace(section, change):
+    # Written bare, the list reader would strip the items: the text would
+    # reparse with ok=True as a game with aliases 'x', 'y' or values 'Hi',
+    # 'Lo'.
+    game = _replaced(parse_game_spec(MINIMAL).game, section, 0, **change)
+    reparsed = parse_game_spec(serialize_game(game))
+    assert reparsed.ok and reparsed.game == game
+
+
+def test_serialize_refuses_a_name_holding_a_line_break():
+    # Each line break would start a new declaration: the text would reparse
+    # with ok=True as a game with a second player Z, or with a player A
+    # whose last action is '"a' and a second player B.
+    game = parse_game_spec(MINIMAL).game
+    for name, bad in (
+            ("g\nplayer Z actions: z", game._replace(
+                name="g\nplayer Z actions: z")),
+            ("a\nplayer B actions: b", _replaced(
+                game, "players", 0, actions=("x", "a\nplayer B actions: b")))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot write {name!r} as .game text: a name holds '\\n', "
+                "which ends the line")):
+            serialize_game(bad)
+
+
+@pytest.mark.parametrize("section, name", [
+    ("variables", " V"), ("variables", "V  W"), ("players", " A"),
+    ("players", "A alias B"),
+])
+def test_serialize_refuses_an_unquoted_name_that_reads_back_changed(section,
+                                                                    name):
+    # The variable would reparse as 'V' or 'V W', the player as 'A' or as
+    # 'A' with the alias 'B'.
+    game = _replaced(parse_game_spec(MINIMAL).game, section, 0, name=name)
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot write {name!r} as .game text: unquoted, it reads back "
+            "with other whitespace")):
         serialize_game(game)
 
 

@@ -1,19 +1,29 @@
-"""The streamed row dump renderer against rendering of per-row records."""
+"""The report writers against the oracle writers of plain records, and the
+streamed row dump against rendering of per-row records."""
 
 import io
 import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from oagame import (GameSpec, OutcomeVarDef, PlayerDef, UtilityDef,
                     admissible_rows, top_gu_rows)
 from oagame import report as rp
 from oagame.engine import record_cells, rows_as_records
 
-from .oracle import random_rich_game
+from .oracle import delimited_report, random_rich_game, table_report
+
+# The reference writer of each format: the oracle's for the two that render
+# a list of records as a row dump, and the JSON writer's own list path.
+REFERENCE = {"table": table_report, "delimited": delimited_report,
+             "json": lambda report: rp.emit_report(report, "json")}
 
 # Player V shares its name with variable V, and player GU with the GU
-# column: a record keeps such a key once, at its first position, with its
-# last value.  Parsing and validation refuse such names, so the game is
-# built with the constructors.
+# column, so a row's record would repeat those keys.  Parsing and
+# validation refuse such names, so the game is built with the
+# constructors.
 COLLIDING = GameSpec(
     "collide",
     (PlayerDef("V", ("v1", "v2")), PlayerDef("GU", ("g",))),
@@ -35,7 +45,7 @@ def _assert_same_bytes(streamed: dict, reference: dict) -> None:
     for fmt in rp.FORMATS:
         out = io.StringIO()
         assert rp.emit_report(streamed, fmt, out) is None
-        expected = rp.emit_report(reference, fmt)
+        expected = REFERENCE[fmt](reference)
         assert out.getvalue() == expected, fmt
         assert rp.emit_report(streamed, fmt) == expected, fmt
 
@@ -53,7 +63,7 @@ def _check(game) -> int:
     # As for the bundled game, a block follows the rows.
     _assert_same_bytes(*_reports(
         game, top, {"max_global_utility": best, "row_count": len(top)},
-        {"paper_comparison": [rp.comparison_entry("x", 1, len(top))]}))
+        {"paper_comparison": rp.paper_comparison({"top_gu_rows": len(top)})}))
     return len(rows)
 
 
@@ -66,6 +76,32 @@ def test_streamed_dump_matches_records_on_rich_games(monkeypatch):
     assert sum(n > 3 for n in sizes) >= 50
 
 
-def test_streamed_dump_matches_records_with_repeated_keys():
-    assert _check(COLLIDING) == 8
+def test_record_cells_refuses_repeated_keys():
+    rows, _ = admissible_rows(COLLIDING)
+    assert len(rows) == 8
+    with pytest.raises(ValueError, match="repeat"):
+        record_cells(COLLIDING, rows)
 
+
+_KEYS = st.sampled_from(["a", "b", "GU", "Ärzte", "café", ""]) | \
+    st.text(max_size=4)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-99, 999) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(_KEYS, _VALUES, max_size=4), min_size=1,
+                max_size=7),
+       st.dictionaries(_KEYS, _VALUES, max_size=2))
+def test_record_lists_match_the_oracle_writers(records, scalars):
+    """Records whose keys differ from the first record's, nested values,
+    None, booleans and non-ASCII text, between other report items."""
+    report = {"head": 1, "records": records, "tail": scalars}
+    with mock.patch.object(rp, "CHUNK_ROWS", 2):
+        for fmt in ("table", "delimited"):
+            out = io.StringIO()
+            rp.emit_report(report, fmt, out)
+            assert out.getvalue() == REFERENCE[fmt](report), fmt
