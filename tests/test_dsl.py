@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -12,7 +13,10 @@ from oagame import (
     serialize_game,
     validate_game,
 )
+from oagame.dsl import LENIENT
 from oagame.model import ACTION, OUTCOME
+
+from .oracle import random_rich_game, random_small_game
 
 MINIMAL = """
 game "g"
@@ -307,6 +311,30 @@ def test_round_trip_serialize_parse(oa_game):
     assert len(g.rules) == len(oa_game.rules)
     for a, b in zip(g.rules, oa_game.rules):
         assert a.same_logic(b)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_serialized_game_bytes(oa_game):
+    """The writer's bytes, pinned: the bundled game, and each random oracle
+    game (seeds 0-299, both generators) that it writes and that reads
+    back."""
+    assert _sha256(serialize_game(oa_game)) == (
+        "f5b93a7ed4093d4712440e6b729ab8e063e9987b4e7c9f688d3708bb30f77569")
+    texts = []
+    for seed in range(300):
+        for make in (random_small_game, random_rich_game):
+            try:
+                text = serialize_game(make(random.Random(seed)))
+            except ValueError:
+                continue
+            if parse_game_spec(text, LENIENT).ok:
+                texts.append(text)
+    assert len(texts) == 312
+    assert _sha256("".join(texts)) == (
+        "80e49385aa9b9338c592928a67d4cbfc75b5320b163128b5a3f7838cd9cddc0a")
 
 
 def test_round_trip_quotes_items_holding_a_comma():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from oagame import (
     derive_payoff_table,
     dominance_analysis,
     expected_utility,
+    fixtures,
     mixed_nash_2p,
     parse_bimatrix,
     project_bimatrix,
@@ -24,6 +26,7 @@ from oagame.equilibrium import Elimination, _eliminations
 
 from . import oracle
 from .oracle import support_enumeration
+from .test_cli import SIX_BMX
 
 F = Fraction
 
@@ -435,6 +438,22 @@ def test_dimension_mismatch(table5):
 
 # ---------------------------------------------------------------------------
 # Bimatrix file format
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("table5.bmx",
+     "ed47bedd9f02f3910a3a74c2e4bfcaa359c1135980df36169e531a41395f6c76"),
+    ("table6.bmx",
+     "2e5543e0a8463673a8a0e884c6b64ec0f7d83234f7ad7abc4030869ecf2dbcfc"),
+    ("six.bmx",
+     "1108231d97fb67b57b16ce57e69ca6df007ed15ca7105414b26eb4356fe4118d"),
+])
+def test_serialized_bimatrix_bytes(name, digest):
+    """The writer's bytes, pinned, for each bundled table and the CLI
+    tests' six-by-six matrix."""
+    text = SIX_BMX if name == "six.bmx" else fixtures.fixture_text(name)
+    written = serialize_bimatrix(parse_bimatrix(text))
+    assert hashlib.sha256(written.encode("utf-8")).hexdigest() == digest
 
 
 def test_bimatrix_round_trip(table5):
