@@ -394,11 +394,15 @@ def _cmd_reproduce(args) -> int:
     enum = enumeration_report(game)
     bm5, bm5_digest = _load_bimatrix(args.bimatrix)
     certs = pure_nash(bm5.to_payoff_table())
-    projected = project_bimatrix(game, CompletionPolicy(), "Academics",
-                                 "Editors")
-    cells = {(ra, ca): payoff_pair(cell) or "infeasible"
-             for ra, row in zip(projected.row_actions, projected.payoffs)
-             for ca, cell in zip(projected.col_actions, row)}
+    try:
+        projected = project_bimatrix(game, CompletionPolicy(), "Academics",
+                                     "Editors")
+    except ValueError:  # without both players, Table 5's cell is absent
+        cells = {}
+    else:
+        cells = {(ra, ca): payoff_pair(cell) or "infeasible"
+                 for ra, row in zip(projected.row_actions, projected.payoffs)
+                 for ca, cell in zip(projected.col_actions, row)}
 
     computed = {
         **_census_figures(enum),

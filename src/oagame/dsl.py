@@ -30,6 +30,7 @@ from .model import (
     PlayerDef,
     Rule,
     UtilityDef,
+    name_key,
 )
 
 STRICT = "strict"
@@ -453,11 +454,17 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     if errors:
         return ParseResult(None, tuple(errors))
 
-    utilities = [UtilityDef(partial.player(u.player).name,
-                            tuple(partial.variable(t).name for t in u.terms))
-                 for u in utilities]
-    return ParseResult(GameSpec(name, tuple(players), tuple(variables),
-                                tuple(rules), tuple(utilities)), ())
+    return ParseResult(_canonical(partial._replace(rules=tuple(rules))), ())
+
+
+def _canonical(game: GameSpec) -> GameSpec:
+    """``game`` with each utility naming its player and variables by their
+    declared names; a name that declares nothing is kept."""
+    return game._replace(utilities=tuple(
+        UtilityDef(getattr(game.player(u.player), "name", u.player),
+                   tuple(getattr(game.variable(t), "name", t)
+                         for t in u.terms))
+        for u in game.utilities))
 
 
 def _structural_errors(game: GameSpec):
@@ -479,13 +486,13 @@ def _structural_errors(game: GameSpec):
     for i, p in enumerate(game.players):
         where = ("player", i)
         for n in (p.name, *p.aliases):
-            if n.lower() in seen:
+            if name_key(n) in seen:
                 yield (where, f"player name or alias {n!r} declared more "
                               f"than once", n)
-            seen.add(n.lower())
+            seen.add(name_key(n))
         if not p.actions:
             yield where, f"player {p.name!r} has no actions", p.name
-        if len({a.lower() for a in p.actions}) != len(p.actions):
+        if len(set(map(name_key, p.actions))) != len(p.actions):
             yield where, f"player {p.name!r} has duplicate actions", p.name
         if p.name in repeated:
             yield (where, f"player {p.name!r} has the name of a "
@@ -495,26 +502,26 @@ def _structural_errors(game: GameSpec):
     for i, v in enumerate(game.variables):
         where = ("variable", i)
         for n in (v.name, *v.aliases):
-            if n.lower() in seen:
+            if name_key(n) in seen:
                 yield (where, f"variable name or alias {n!r} declared more "
                               f"than once", n)
             elif game.player(n) is not None:
                 # A rule atom would bind the name to the player.
                 yield (where, f"variable name or alias {n!r} is also a "
                               f"player name or alias", n)
-            seen.add(n.lower())
+            seen.add(name_key(n))
         if v.name in repeated:
             yield (where, f"variable {v.name!r} has the name of a "
                           f"{repeated[v.name]} column", v.name)
         if len(v.values) < 2:
             yield (where, f"variable {v.name!r} needs at least two values",
                    v.name)
-        names = {n.lower() for n, _ in v.values}
+        names = set(map(name_key, v.value_names()))
         if len(names) != len(v.values):
             yield (where, f"variable {v.name!r} has duplicate value names",
                    v.name)
         for alt, canon in v.value_aliases:
-            if alt.lower() in names:
+            if name_key(alt) in names:
                 yield (where, f"value alias {alt!r} of {v.name!r} shadows a "
                               f"value", alt)
             if v.canonical_value(canon) is None:
@@ -605,34 +612,9 @@ def _item(s: str) -> str:
     return _quote(s) if "," in s or s != s.strip() else s
 
 
-# Each line break is one at which ``str.splitlines`` splits.
-_UNWRITABLE = {"#": "starts a comment", '"': "ends a quoted name",
-               **dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
-                               "ends the line")}
-
-
-def _strings(value) -> list[str]:
-    """Every string in nested tuples of strings, numbers and flags."""
-    if isinstance(value, str):
-        return [value]
-    return [] if isinstance(value, int) else [
-        s for item in value for s in _strings(item)]
-
-
 def serialize_game(game: GameSpec) -> str:
-    """Canonical ``.game`` text; reparsing yields a structurally equal game.
-    Raises ValueError for a name holding ``#``, ``"`` or a line break, and
-    for an unquoted name that reads back with other whitespace."""
-    for name in _strings((game.name, game.players, game.variables,
-                          [rule[:3] for rule in game.rules], game.utilities)):
-        for sign in _UNWRITABLE.keys() & set(name):
-            raise ValueError(f"cannot write {name!r} as .game text: a name "
-                             f"holds {sign!r}, which {_UNWRITABLE[sign]}")
-    unquoted = [p.name for p in game.players if p.name.split() != [p.name]]
-    for name in unquoted + [v.name for v in game.variables
-                            if " ".join(v.name.split()) != v.name]:
-        raise ValueError(f"cannot write {name!r} as .game text: unquoted, "
-                         f"it reads back with other whitespace")
+    """Canonical ``.game`` text that reads back as ``game``, rule sources
+    and utilities' aliases aside; ValueError when it would not."""
     lines = [f"game {_quote(game.name)}"]
     for p in game.players:
         alias = (f" alias {', '.join(map(_item, p.aliases))}" if p.aliases
@@ -653,7 +635,17 @@ def serialize_game(game: GameSpec) -> str:
         lines.append(f"utility {u.player} = {' + '.join(u.terms)}")
     for r in game.rules:
         lines.append("rule " + serialize_rule(r))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    back = parse_game_spec(text, LENIENT)
+
+    def logic(g):  # what the text must keep: all but rule sources
+        return _canonical(g)._replace(rules=[r[:3] for r in g.rules])
+    if back.ok and logic(back.game) == logic(game):
+        return text
+    reason = (str(back.errors[0]) if back.errors
+              else "the text would read back as a different game")
+    raise ValueError(f"cannot write game {game.name!r} as .game text: "
+                     f"{reason}")
 
 
 def serialize_rule(rule: Rule) -> str:

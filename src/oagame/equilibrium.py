@@ -493,30 +493,19 @@ def payoff_pair(cell: tuple[Fraction, Fraction] | None) -> str | None:
     return None if cell is None else "(%s,%s)" % cell
 
 
-def _header(side: str, player: str, actions: tuple[str, ...]) -> str:
-    """A ``rows:`` or ``cols:`` line; ValueError for names that
-    ``parse_bimatrix`` would not read back as written: an empty name, a
-    name with outer whitespace or a line break, a ``:`` in the player, a
-    comma in an action, or no or repeated actions."""
-    names = (player, *actions)
-    if (not actions or len(set(actions)) < len(actions) or ":" in player
-            or "," in "".join(actions)
-            or any(n != n.strip() or len(n.splitlines()) != 1
-                   for n in names)):
-        raise ValueError(f"cannot write {side}: header of player "
-                         f"{player!r} with actions {list(actions)!r} so "
-                         f"that it reads back")
-    return f"{side}: {player}: {','.join(actions)}"
-
-
 def serialize_bimatrix(bm: Bimatrix) -> str:
     """``.bmx`` text that ``parse_bimatrix`` reads back as ``bm`` (up to
-    provenance); ValueError for names it cannot write so."""
-    if bm.row_player == bm.col_player:
-        raise ValueError(f"rows: and cols: both name player "
-                         f"{bm.row_player!r}")
-    lines = [_header("rows", bm.row_player, bm.row_actions),
-             _header("cols", bm.col_player, bm.col_actions)]
+    provenance); ValueError when it would not."""
+    lines = [f"rows: {bm.row_player}: {','.join(bm.row_actions)}",
+             f"cols: {bm.col_player}: {','.join(bm.col_actions)}"]
     for row in bm.payoffs:
         lines.append(" ".join(payoff_pair(cell) or "(-,-)" for cell in row))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        if parse_bimatrix(text)[:5] == bm[:5]:
+            return text
+        reason = "the text would read back as a different bimatrix"
+    except BimatrixFormatError as exc:
+        reason = str(exc)
+    raise ValueError(f"cannot write the bimatrix of {bm.row_player!r} and "
+                     f"{bm.col_player!r} as .bmx text: {reason}")

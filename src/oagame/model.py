@@ -49,10 +49,10 @@ class PlayerDef(NamedTuple):
     aliases: tuple[str, ...] = ()
 
     def action(self, name: str) -> str | None:
-        """Canonical action name for ``name``, case-insensitive, or None."""
-        low = name.strip().lower()
+        """Canonical action name for ``name``, by ``name_key``, or None."""
+        low = name_key(name)
         for a in self.actions:
-            if a.lower() == low:
+            if name_key(a) == low:
                 return a
         return None
 
@@ -70,21 +70,20 @@ class OutcomeVarDef(_OutcomeVarFields):
 
     def __init__(self, *fields, **named):
         # The lookup table, kept in the instance dict rather than in fields,
-        # so equality, hashing and repr ignore it: each lower-cased value
-        # name and value alias maps to its canonical value.
-        self._entries = entries = {v.lower(): v for v, _ in self.values}
+        # so equality, hashing and repr ignore it: each value name and
+        # value alias, by ``name_key``, maps to its canonical value.
+        self._entries = entries = {name_key(v): v for v, _ in self.values}
         for alias, target in self.value_aliases:
-            t = target.strip().lower()
-            if t in entries:
-                entries[alias.strip().lower()] = entries[t]
+            if name_key(target) in entries:
+                entries[name_key(alias)] = entries[name_key(target)]
 
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)
 
     def canonical_value(self, name: str) -> str | None:
-        """Canonical value for ``name`` (a value or value alias),
-        case-insensitive, or None."""
-        return self._entries.get(name.strip().lower())
+        """Canonical value for ``name`` (a value or value alias), by
+        ``name_key``, or None."""
+        return self._entries.get(name_key(name))
 
 
 class UtilityDef(NamedTuple):
@@ -166,11 +165,17 @@ class GameSpec(_GameFields):
         return (*players, "feasible", *(f"U_{p}" for p in players))
 
 
+def name_key(name: str) -> str:
+    """What a name is looked up by: outer whitespace and case aside."""
+    return name.strip().lower()
+
+
 def _named(decls, name: str):
-    """The one of ``decls`` named or aliased ``name``, any case, or None."""
-    low = name.strip().lower()
+    """The one of ``decls`` named or aliased ``name``, by ``name_key``, or
+    None."""
+    low = name_key(name)
     for d in decls:
-        if d.name.lower() == low or any(a.lower() == low for a in d.aliases):
+        if any(name_key(n) == low for n in (d.name, *d.aliases)):
             return d
     return None
 

@@ -435,7 +435,8 @@ def test_project_bmx_refuses_a_header_that_does_not_read_back(tmp_path,
                          "--row-player", "R", "--col-player", "C",
                          "--format", "bmx", "--output", str(out_path))
     assert (code, out) == (1, "")
-    assert err.startswith("oagame: cannot write cols: header of player 'C'")
+    assert err.startswith("oagame: cannot write the bimatrix of 'R' and 'C' "
+                          "as .bmx text: expected 3 cells in line ")
     assert not out_path.exists()
 
 
@@ -503,6 +504,16 @@ def test_reproduce_reports_a_missing_projected_cell_as_absent(tmp_path,
     assert drift == {label: "absent"}
     assert [e["computed"] for e in report["paper_comparison"]
             if e["claim"] == label] == ["absent"]
+
+
+def test_reproduce_reports_the_cell_absent_without_academics(tmp_path,
+                                                             capsys):
+    # With no player Academics there is nothing to project.
+    report, drift = _reproduce_edited(
+        tmp_path, capsys, lambda text: text.replace("Academics", "Scholars"))
+    label = "projected payoff at (Publish TA, Grant TA)"
+    assert drift == {label: "absent"}
+    assert report["paper_comparison"][-1]["computed"] == "absent"
 
 
 def test_reproduce_drifts_without_the_first_rule(tmp_path, capsys):

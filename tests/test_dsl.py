@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oagame import (
     Diagnostic,
@@ -14,7 +15,16 @@ from oagame import (
     validate_game,
 )
 from oagame.dsl import LENIENT
-from oagame.model import ACTION, OUTCOME
+from oagame.model import (
+    ACTION,
+    OUTCOME,
+    Atom,
+    GameSpec,
+    OutcomeVarDef,
+    PlayerDef,
+    Rule,
+    UtilityDef,
+)
 
 from .oracle import random_rich_game, random_small_game
 
@@ -353,12 +363,16 @@ def test_round_trip_quotes_items_holding_a_comma():
     assert parse_game_spec(text).game == game
 
 
+DIFFERENT_GAME = ("cannot write game 'g' as .game text: the text would read "
+                  "back as a different game")
+
+
 def test_serialize_refuses_a_name_holding_a_comment_sign():
     # Written as is, the '#' would cut the line, and the text would reparse
     # as a player with the single action '"Publish'.
     game = _replaced(parse_game_spec(MINIMAL).game, "players", 0,
                      actions=("Publish #TA", "OA"))
-    with pytest.raises(ValueError, match="a name holds '#'"):
+    with pytest.raises(ValueError, match=re.escape(DIFFERENT_GAME)):
         serialize_game(game)
 
 
@@ -367,7 +381,7 @@ def test_serialize_refuses_a_name_holding_a_double_quote():
     # action 'a"b", "c'.
     game = _replaced(parse_game_spec(MINIMAL).game, "players", 0,
                      actions=('a"b', "c"))
-    with pytest.raises(ValueError, match="a name holds '\"'"):
+    with pytest.raises(ValueError, match=re.escape(DIFFERENT_GAME)):
         serialize_game(game)
 
 
@@ -393,11 +407,11 @@ def test_serialize_refuses_a_name_holding_a_line_break():
     for name, bad in (
             ("g\nplayer Z actions: z", game._replace(
                 name="g\nplayer Z actions: z")),
-            ("a\nplayer B actions: b", _replaced(
+            ("g", _replaced(
                 game, "players", 0, actions=("x", "a\nplayer B actions: b")))):
         with pytest.raises(ValueError, match=re.escape(
-                f"cannot write {name!r} as .game text: a name holds '\\n', "
-                "which ends the line")):
+                f"cannot write game {name!r} as .game text: the text would "
+                "read back as a different game")):
             serialize_game(bad)
 
 
@@ -410,10 +424,128 @@ def test_serialize_refuses_an_unquoted_name_that_reads_back_changed(section,
     # The variable would reparse as 'V' or 'V W', the player as 'A' or as
     # 'A' with the alias 'B'.
     game = _replaced(parse_game_spec(MINIMAL).game, section, 0, name=name)
-    with pytest.raises(ValueError, match=re.escape(
-            f"cannot write {name!r} as .game text: unquoted, it reads back "
-            "with other whitespace")):
+    with pytest.raises(ValueError, match=re.escape(DIFFERENT_GAME)):
         serialize_game(game)
+
+
+def _read_back(text):
+    """The game ``text`` reads back as, rule sources aside."""
+    result = parse_game_spec(text, LENIENT)
+    assert result.ok, [str(e) for e in result.errors]
+    return _logic(result.game)
+
+
+def _logic(game):
+    return game._replace(rules=[r[:3] for r in game.rules])
+
+
+# What a drawn name may start or end with: list and value separators,
+# every quote glyph the reader strips, the comment sign, possessives and
+# outer spaces; half the affixes are empty.
+AFFIXES = st.just("") | st.lists(st.sampled_from(
+    [",", '"', "'", "`", "\u2018", "\u2019", "\u201c", "\u201d", "#", "->",
+     "=", ":", "'s", " "]), min_size=1, max_size=2).map("".join)
+
+
+@st.composite
+def named_games(draw):
+    """A one-player, one-variable game with a rule that names the player,
+    an action, the variable and a value; each name is a distinct word
+    with drawn affixes."""
+    def name(word):
+        return draw(AFFIXES) + word + draw(AFFIXES)
+
+    actions = (name("a0"), name("a1"))
+    player = PlayerDef(name("P"), actions, (name("pa"),))
+    values = (name("hi"), name("lo"))
+    variable = OutcomeVarDef(name("V"), player.name,
+                             ((values[0], 1), (values[1], 0)), (name("va"),),
+                             ((name("top"), values[0]),))
+    rule = Rule((Atom(ACTION, player.name, actions[0]),),
+                (Atom(OUTCOME, variable.name, values[1]),))
+    return GameSpec(name("g"), (player,), (variable,), (rule,),
+                    (UtilityDef(player.name, (variable.name,)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_games())
+@example(GameSpec("g", (PlayerDef("A", ("a, b", " c"), ("x ", "it's")),),
+                  (OutcomeVarDef("V", "A", (("Hi, :", 1), ("Lo", 0)),
+                                 ("Vee",), (("=top", "Hi, :"),)),),
+                  (Rule((Atom(ACTION, "A", " c"),),
+                        (Atom(OUTCOME, "V", "Lo"),)),),
+                  (UtilityDef("A", ("V",)),)))
+def test_game_writer_refuses_or_reads_back(game):
+    """The writer raises ValueError, or its text reads back as ``game``."""
+    try:
+        text = serialize_game(game)
+    except ValueError:
+        return
+    assert _read_back(text) == _logic(game)
+
+
+# Each of these wrote text that read back, with ok=True, as another game.
+@pytest.mark.parametrize("section, change", [
+    ("variables", {"values": (("'x'", 1), ("Lo", 0))}),
+    ("variables", {"values": (("`x'", 1), ("Lo", 0))}),
+    ("players", {"aliases": ("\u2018z\u2019",)}),
+])
+def test_serialize_refuses_a_name_whose_quotes_would_be_read(section, change):
+    game = _replaced(parse_game_spec(MINIMAL).game, section, 0, **change)
+    with pytest.raises(ValueError, match=re.escape(DIFFERENT_GAME)):
+        serialize_game(game)
+
+
+def test_serialize_refuses_a_possessive_variable_name_in_a_rule():
+    # The rule's atom A's V=Hi would read back as the inert atom V=Hi.
+    game = parse_game_spec(
+        'game "g"\nplayer A actions: "x"\n'
+        "variable A's V owner: A values: Hi=1, Lo=0\n"
+        "utility A = A's V\n").game
+    game = game._replace(rules=(Rule((Atom(ACTION, "A", "x"),),
+                                     (Atom(OUTCOME, "A's V", "Hi"),)),))
+    with pytest.raises(ValueError, match=re.escape(DIFFERENT_GAME)):
+        serialize_game(game)
+
+
+@pytest.mark.parametrize("terms, reason", [
+    ((), "line 4:1: syntax: malformed utility line"),  # 'utility A = '
+    (("V + V",), "the text would read back as a different game"),
+])
+def test_serialize_refuses_a_utility_that_does_not_read_back(terms, reason):
+    game = parse_game_spec(MINIMAL).game._replace(
+        utilities=(UtilityDef("A", terms),))
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot write game 'g' as .game text: {reason}")):
+        serialize_game(game)
+
+
+def test_serialize_writes_a_game_name_holding_a_double_quote():
+    game = parse_game_spec(MINIMAL).game._replace(name='say "hi"')
+    assert _read_back(serialize_game(game)) == _logic(game)
+
+
+OUTER_SPACES = ('game "g"\nplayer A actions: " a", "b"\n'
+                'variable V owner: A values: " Hi"=1, Lo=0 valias Top->" Hi"\n'
+                'utility A = V\n')
+
+
+@pytest.mark.parametrize("rule, atom", [
+    ('rule if A="b" then V=" Hi".', Atom(OUTCOME, "V", " Hi")),
+    ('rule if A=" a" then V="Lo".', Atom(ACTION, "A", " a")),
+    ('rule if A="b" then V="top".', Atom(OUTCOME, "V", " Hi")),
+])
+def test_names_with_outer_spaces_can_be_named(rule, atom):
+    result = parse_game_spec(OUTER_SPACES + rule + "\n")
+    assert result.ok, [str(e) for e in result.errors]
+    (parsed,) = result.game.rules
+    assert atom in parsed.condition + parsed.consequence
+
+
+def test_a_game_with_outer_spaced_names_round_trips():
+    game = parse_game_spec(OUTER_SPACES + 'rule if A=" a" then V="Top".\n'
+                           'rule if A="b" then V=" Hi".\n').game
+    assert _read_back(serialize_game(game)) == _logic(game)
 
 
 def test_alias_resolution_idempotent(oa_game):
