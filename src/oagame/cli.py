@@ -13,15 +13,16 @@ import contextlib
 import hashlib
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import fixtures, report as rp
 from .model import GameError
 
-# The game layers (dsl, engine) and the bimatrix layer (equilibrium) are
-# imported inside the commands that call them, so each command loads only
-# what it runs.
+# Each command loads and builds only what it runs.  The game layers (dsl,
+# engine) and the bimatrix layer (equilibrium) are imported inside the
+# commands that call them; ``run_cli`` builds the parser of the invoked
+# subcommand alone; table and delimited output never load ``json``, and the
+# game commands never load ``fractions``.
 if TYPE_CHECKING:
     from .engine import CompletionPolicy
     from .equilibrium import Bimatrix, MixedStrategy
@@ -170,6 +171,8 @@ def _has_publish_oa_grant_ta(certs) -> bool:
 
 def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
                   flag: str) -> MixedStrategy:
+    from fractions import Fraction
+
     from .equilibrium import MixedStrategy
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != len(actions):
@@ -453,47 +456,32 @@ def _add_common(p, formats=rp.FORMATS):
     p.set_defaults(formats=formats)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oagame",
-        description="Declarative stakeholder-game workbench: scenario "
-                    "enumeration, payoff derivation, equilibrium analysis.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and validate a game file")
+def _game_args(p):
     _add_game_arg(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("enumerate", help="admissible-row counts and "
-                       "optional row dump")
+
+def _enumerate_args(p):
     _add_game_arg(p)
     p.add_argument("--dump", action="store_true", help="include the rows")
     _add_common(p)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("top", help="rows attaining the maximum global "
-                       "utility")
-    _add_game_arg(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_top)
 
-    p = sub.add_parser("payoffs", help="derive the full payoff table")
+def _payoffs_args(p):
     _add_game_arg(p)
     _add_policy_args(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_payoffs)
 
-    p = sub.add_parser("project", help="project a two-player bimatrix")
+
+def _project_args(p):
     _add_game_arg(p)
     p.add_argument("--row-player", required=True)
     p.add_argument("--col-player", required=True)
     _add_policy_args(p)
     _add_common(p, rp.FORMATS + ("bmx",))
-    p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("nash", help="pure Nash equilibria of a game table "
-                       "or a bimatrix file")
+
+def _nash_args(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--game")
     group.add_argument("--bimatrix", help="path to a .bmx file (bundled "
@@ -502,39 +490,81 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rule-binding mode for --game (default: strict)")
     _add_policy_args(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_nash)
 
-    p = sub.add_parser("mixed", help="all 2-player equilibria by support "
-                       "enumeration")
+
+def _mixed_args(p):
     p.add_argument("--bimatrix", required=True)
     p.add_argument("--dominance", choices=["strict", "weak"], default=None,
                    help="also run iterated dominance elimination")
     _add_common(p)
-    p.set_defaults(func=_cmd_mixed)
 
-    p = sub.add_parser("expected", help="expected utilities under given "
-                       "mixtures")
+
+def _expected_args(p):
     p.add_argument("--bimatrix", required=True)
     p.add_argument("--row-mix", required=True,
                    help="comma-separated probabilities, row actions in "
                         "order")
     p.add_argument("--col-mix", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_expected)
 
-    p = sub.add_parser("reproduce", help="full pipeline on the bundled "
-                       "fixtures with a paper-vs-computed comparison")
+
+def _reproduce_args(p):
     p.add_argument("--game", default="oa.game")
     p.add_argument("--bimatrix", default="table5.bmx")
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
     _add_common(p)
-    p.set_defaults(func=_cmd_reproduce)
 
+
+# Subcommand -> (help, the function adding its arguments, the command).
+_SUBCOMMANDS = {
+    "validate": ("parse and validate a game file", _game_args,
+                 _cmd_validate),
+    "enumerate": ("admissible-row counts and optional row dump",
+                  _enumerate_args, _cmd_enumerate),
+    "top": ("rows attaining the maximum global utility", _game_args,
+            _cmd_top),
+    "payoffs": ("derive the full payoff table", _payoffs_args,
+                _cmd_payoffs),
+    "project": ("project a two-player bimatrix", _project_args,
+                _cmd_project),
+    "nash": ("pure Nash equilibria of a game table or a bimatrix file",
+             _nash_args, _cmd_nash),
+    "mixed": ("all 2-player equilibria by support enumeration", _mixed_args,
+              _cmd_mixed),
+    "expected": ("expected utilities under given mixtures", _expected_args,
+                 _cmd_expected),
+    "reproduce": ("full pipeline on the bundled fixtures with a "
+                  "paper-vs-computed comparison", _reproduce_args,
+                  _cmd_reproduce),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, when ``command`` names one, of
+    that one alone; its usage line lists all of them either way."""
+    parser = argparse.ArgumentParser(
+        prog="oagame",
+        description="Declarative stakeholder-game workbench: scenario "
+                    "enumeration, payoff derivation, equilibrium analysis.")
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # argparse's usage lists the choices built, so one built alone gets all
+    # nine as its metavar.  The full parser has none: a metavar would also
+    # replace the name "command" in its errors.
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        help_text, add_args, func = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = build_parser()
+    # Only the named subcommand's parser is built; a first argument that
+    # names none (no arguments, -h, an unknown command) gets all of them.
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

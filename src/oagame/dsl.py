@@ -98,9 +98,11 @@ def _span(line: int, start: int = 1, end: int | None = None) -> SourceSpan:
 
 
 def _strip_comment(line: str) -> str:
-    # '#' never appears inside the quoted strings we accept, so a plain cut
-    # is safe and keeps the lexer simple.
+    """``line`` up to its first '#' outside double quotes, by the quote rule
+    of ``_split_list``: a '#' after an odd number of '"' is quoted."""
     idx = line.find("#")
+    while idx >= 0 and line.count('"', 0, idx) % 2:
+        idx = line.find("#", idx + 1)
     return line if idx < 0 else line[:idx]
 
 
@@ -640,7 +642,10 @@ def serialize_game(game: GameSpec) -> str:
 
     def logic(g):  # what the text must keep: all but rule sources
         return _canonical(g)._replace(rules=[r[:3] for r in g.rules])
-    if back.ok and logic(back.game) == logic(game):
+    # A quoted '#' reads back here, but a reader that cuts each line at its
+    # first '#', as earlier versions of this one did, would read another
+    # game; so a name holding '#' is still refused.
+    if back.ok and logic(back.game) == logic(game) and "#" not in text:
         return text
     reason = (str(back.errors[0]) if back.errors
               else "the text would read back as a different game")

@@ -10,8 +10,6 @@ either.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -50,9 +48,11 @@ FORMATS = ("table", "delimited", "json")
 
 
 def number(x) -> int | str:
-    """JSON-native scalar for an exact number: int when integral, else 'a/b'."""
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else str(f)
+    """JSON-native scalar for an exact number (an int or a ``Fraction``):
+    int when integral, else 'a/b'."""
+    if x.denominator == 1:
+        return x.numerator
+    return f"{x.numerator}/{x.denominator}"
 
 
 def base_report(inputs: dict[str, str]) -> dict:
@@ -213,12 +213,14 @@ def _delimited_chunks(report: dict):
 def _json_cells(keys, cells) -> str:
     """The ``"key": value`` lines of a flat record, as ``indent=2`` writes
     them at row depth, by the C encoder."""
+    import json
     return json.dumps(dict(zip(keys, cells)),
                       separators=(",\n      ", ": "))[1:-1]
 
 
 def _json_chunks(report: dict):
     """``json.dumps(report, indent=2)``, one top-level item at a time."""
+    import json
     sep = "{\n"
     for key, value in report.items():
         if isinstance(value, RowDump):

@@ -773,6 +773,71 @@ def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
         GOLDEN_STDOUT[args]
 
 
+# The command shapes the benchmark's workloads run (perfbench/workloads.py)
+# that GOLDEN_STDOUT does not hold, then usage errors and help requests.
+PARSER_CORPUS = [
+    *GOLDEN_STDOUT,
+    ("validate", "--game", "count0.game"),
+    ("enumerate", "--game", "count0.game"),
+    ("top", "--game", "count0.game"),
+    ("enumerate", "--game", "dump.game", "--dump", "--format", "json"),
+    ("payoffs", "--game", "oa.game"),
+    ("payoffs", "--game", "oa.game", "--policy", "pessimistic",
+     "--policy-player", "Administrators"),
+    ("payoffs", "--game", "oa.game", "--policy", "fixed", "--fix",
+     "Funders=Demand OA publications"),
+    ("project", "--game", "oa.game", "--row-player", "Funders",
+     "--col-player", "Administrators", "--format", "delimited"),
+    ("nash", "--bimatrix", "bm0.bmx", "--format", "json"),
+    ("mixed", "--bimatrix", "bm0.bmx", "--dominance", "weak", "--format",
+     "json"),
+    ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/5,4/5",
+     "--col-mix", "1/8,7/8"),
+    ("reproduce",),
+    (), ("bogus",), ("--help",), ("-h", "validate"),
+    *((name, "--help") for name in ("validate", "enumerate", "top",
+                                     "payoffs", "project", "nash", "mixed",
+                                     "expected", "reproduce")),
+    ("enumerate",),
+    ("enumerate", "--game", "oa.game", "--bogus"),
+    ("mixed", "--bimatrix", "table6.bmx", "--dominance", "maybe"),
+    ("nash", "--game", "x", "--bimatrix", "y"),
+]
+
+
+def _parsed(capsys, parser, argv):
+    """(the namespace's fields or the exit code, stdout, stderr)."""
+    try:
+        result = vars(parser.parse_args(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("env", [None, "bmx"])
+def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys,
+                                                      env):
+    """``run_cli`` builds only the parser of the subcommand its first
+    argument names.  Each argv parses with it as with all nine built:
+    the same fields, or the same exit code, stdout and stderr.  The
+    default format comes from $OAGAME_FORMAT, and argparse does not check
+    it against the choices (``run_cli`` does, after parsing)."""
+    from oagame import cli
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at this width
+    if env is not None:
+        monkeypatch.setenv("OAGAME_FORMAT", env)
+    for argv in PARSER_CORPUS:
+        lean = cli.build_parser(argv[0] if argv else None)
+        assert _parsed(capsys, lean, argv) == \
+            _parsed(capsys, cli.build_parser(), argv), argv
+    # The oracle names the subcommand argument "command" in its errors.
+    assert _parsed(capsys, cli.build_parser(), ())[2].endswith(
+        "the following arguments are required: command\n")
+    assert "argument command: invalid choice: 'bogus'" in _parsed(
+        capsys, cli.build_parser(), ("bogus",))[2]
+
+
 def test_empty_dump_bytes(tmp_path, capsys):
     """Rules forcing V=Hi and V=Lo on every profile leave no rows."""
     path = tmp_path / "empty.game"

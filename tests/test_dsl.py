@@ -367,9 +367,29 @@ DIFFERENT_GAME = ("cannot write game 'g' as .game text: the text would read "
                   "back as a different game")
 
 
+@pytest.mark.parametrize("actions_text", [
+    '"Publish #TA", "OA"',
+    '"Publish #TA", "OA"  # a "quoted" note',
+    '"Publish #TA", "OA"# note with " one quote',
+])
+def test_a_comment_sign_inside_double_quotes_is_part_of_the_name(
+        actions_text):
+    result = parse_game_spec(f'game "g"\nplayer A actions: {actions_text}\n')
+    assert result.ok, [str(e) for e in result.errors]
+    assert result.game.players[0].actions == ("Publish #TA", "OA")
+
+
+def test_a_comment_after_a_quoted_name_is_stripped():
+    result = parse_game_spec('game "g"  # the name\n'
+                             'player A actions: "Publish", "OA" # note\n')
+    assert result.ok, [str(e) for e in result.errors]
+    assert result.game.name == "g"
+    assert result.game.players[0].actions == ("Publish", "OA")
+
+
 def test_serialize_refuses_a_name_holding_a_comment_sign():
-    # Written as is, the '#' would cut the line, and the text would reparse
-    # as a player with the single action '"Publish'.
+    # Earlier readers cut the line at the '#', and read the text as a
+    # player with the single action '"Publish'.
     game = _replaced(parse_game_spec(MINIMAL).game, "players", 0,
                      actions=("Publish #TA", "OA"))
     with pytest.raises(ValueError, match=re.escape(DIFFERENT_GAME)):

@@ -1,7 +1,7 @@
 """The package's public names and the modules each CLI command loads."""
 
+import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -60,21 +60,28 @@ def test_public_api_keeps_its_names():
 # Runs the CLI on its arguments in a fresh interpreter, output discarded,
 # and prints the exit status, the package modules it loaded and the
 # modules it added to those the interpreter had already loaded at start-up.
+# It prints by ``repr``, so that it loads no module the CLI might.
 _LOADED = """
 import sys
 before = set(sys.modules)
-import contextlib, io, json
+import contextlib, io
 from oagame import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run_cli(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "oagame"),
-                  sorted(set(sys.modules) - before)]))
+print(repr([code, sorted(m for m in sys.modules
+                         if m.split(".")[0] == "oagame"),
+            sorted(set(sys.modules) - before)]))
 """
 
 # Standard-library modules no command needs: ``dataclasses`` alone costs
 # a few milliseconds at every start, most of it in ``inspect``.
 UNWANTED = {"dataclasses", "inspect"}
+
+# Modules only some output needs: ``json`` for JSON output, and
+# ``fractions`` (with ``decimal``) for exact numbers, which no command of
+# the game alone builds.
+JSON = {"json"}
+EXACT = {"fractions", "decimal"}
 
 # What every command loads: the CLI, its report writer, the bundled-fixture
 # lookup and the model types.
@@ -82,25 +89,30 @@ FRONT = ["oagame", "oagame.cli", "oagame.fixtures", "oagame.model",
          "oagame.report"]
 
 
-@pytest.mark.parametrize("argv, layers", [
-    (("mixed", "--bimatrix", "table6.bmx"), ["equilibrium"]),
-    (("nash", "--bimatrix", "table5.bmx"), ["equilibrium"]),
-    (("expected", "--bimatrix", "table5.bmx", "--row-mix", "1,0",
-      "--col-mix", "1,0,0,0"), ["equilibrium"]),
-    (("validate", "--game", "oa.game"), ["dsl"]),
-    (("enumerate", "--game", "oa.game"), ["dsl", "engine"]),
-    (("enumerate", "--game", "oa.game", "--dump"), ["dsl", "engine"]),
-    (("top", "--game", "oa.game"), ["dsl", "engine"]),
-    (("payoffs", "--game", "oa.game"), ["dsl", "engine"]),
-    (("reproduce",), ["dsl", "engine", "equilibrium"]),
-], ids=["mixed", "nash-bimatrix", "expected", "validate", "enumerate",
-        "enumerate-dump", "top", "payoffs", "reproduce"])
-def test_command_loads_only_the_layers_it_runs(argv, layers):
+# Each command in its default table format unless named otherwise: the
+# package layers it loads, and the standard-library modules it must not.
+@pytest.mark.parametrize("argv, layers, unloaded", [
+    (("mixed", "--bimatrix", "table6.bmx"), ["equilibrium"], JSON),
+    (("mixed", "--bimatrix", "table6.bmx", "--format", "json"),
+     ["equilibrium"], set()),
+    (("nash", "--bimatrix", "table5.bmx"), ["equilibrium"], JSON),
+    (("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/2,1/2",
+      "--col-mix", "1/3,2/3"), ["equilibrium"], JSON),
+    (("validate", "--game", "oa.game"), ["dsl"], JSON | EXACT),
+    (("enumerate", "--game", "oa.game"), ["dsl", "engine"], JSON | EXACT),
+    (("enumerate", "--game", "oa.game", "--dump"), ["dsl", "engine"],
+     JSON | EXACT),
+    (("top", "--game", "oa.game"), ["dsl", "engine"], JSON | EXACT),
+    (("payoffs", "--game", "oa.game"), ["dsl", "engine"], JSON | EXACT),
+    (("reproduce",), ["dsl", "engine", "equilibrium"], JSON),
+], ids=["mixed", "mixed-json", "nash-bimatrix", "expected", "validate",
+        "enumerate", "enumerate-dump", "top", "payoffs", "reproduce"])
+def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=60)
-    code, loaded, added = json.loads(proc.stdout)
+    code, loaded, added = ast.literal_eval(proc.stdout)
     assert (code, proc.stderr) == (0, "")
     assert loaded == sorted(FRONT + [f"oagame.{m}" for m in layers])
-    assert UNWANTED.isdisjoint(added)
+    assert (UNWANTED | unloaded).isdisjoint(added)
