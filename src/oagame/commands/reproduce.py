@@ -1,0 +1,42 @@
+"""``oagame reproduce``: the full pipeline on the bundled fixtures, with
+the paper-vs-computed comparison and the golden check."""
+
+from __future__ import annotations
+
+from .. import report as rp
+from . import DIAG_ERROR, _emit, _has_publish_oa_grant_ta, _load_bimatrix
+from ._game import _census_figures, _game_or_fail
+
+
+def run(args) -> int:
+    from ..engine import CompletionPolicy, enumeration_report
+    from ..equilibrium import payoff_pair, project_bimatrix, pure_nash
+    game, game_digest = _game_or_fail(args)
+    enum = enumeration_report(game)
+    bm5, bm5_digest = _load_bimatrix(args.bimatrix)
+    certs = pure_nash(bm5.to_payoff_table())
+    try:
+        projected = project_bimatrix(game, CompletionPolicy(), "Academics",
+                                     "Editors")
+    except ValueError:  # without both players, Table 5's cell is absent
+        cells = {}
+    else:
+        cells = {(ra, ca): payoff_pair(cell) or "infeasible"
+                 for ra, row in zip(projected.row_actions, projected.payoffs)
+                 for ca, cell in zip(projected.col_actions, row)}
+
+    computed = {
+        **_census_figures(enum),
+        "pure_nash_member": ("(Publish OA, Grant TA)"
+                             if _has_publish_oa_grant_ta(certs)
+                             else "not an equilibrium"),
+        "table5_publish_ta_grant_ta":
+            cells.get(("Publish TA", "Grant TA"), "absent"),
+    }
+    out = rp.base_report({args.game: game_digest, args.bimatrix: bm5_digest})
+    out["paper_comparison"] = rp.paper_comparison(computed)
+    out["golden_check"] = rp.golden_check(computed)
+    ok = all(c["matches"] for c in out["golden_check"])
+    out["status"] = "ok" if ok else "drift-from-golden"
+    _emit(args, out)
+    return 0 if ok else DIAG_ERROR

@@ -22,7 +22,8 @@ from oagame import (
     pure_nash,
     serialize_bimatrix,
 )
-from oagame.equilibrium import Elimination, _eliminations
+from oagame._support import _eliminations
+from oagame.equilibrium import Elimination
 
 from . import oracle
 from .oracle import support_enumeration

@@ -83,36 +83,175 @@ UNWANTED = {"dataclasses", "inspect"}
 JSON = {"json"}
 EXACT = {"fractions", "decimal"}
 
-# What every command loads: the CLI, its report writer, the bundled-fixture
-# lookup and the model types.
-FRONT = ["oagame", "oagame.cli", "oagame.fixtures", "oagame.model",
-         "oagame.report"]
+# What every command loads: the CLI, the handlers' shared helpers, its
+# report writer, the bundled-fixture lookup and the model types.
+FRONT = ["oagame", "oagame.cli", "oagame.commands", "oagame.fixtures",
+         "oagame.model", "oagame.report"]
+
+# What every command that reads a game loads beyond its own handler: the
+# game commands' helpers and the parser.  ``_support`` holds the solvers
+# only ``mixed`` runs.
+GAME = ["commands._game", "dsl"]
+SOLVERS = ["equilibrium", "_support"]
+TABLE6_MIX = ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/2,1/2",
+              "--col-mix", "1/3,2/3")
 
 
-# Each command in its default table format unless named otherwise: the
-# package layers it loads, and the standard-library modules it must not.
-@pytest.mark.parametrize("argv, layers, unloaded", [
-    (("mixed", "--bimatrix", "table6.bmx"), ["equilibrium"], JSON),
-    (("mixed", "--bimatrix", "table6.bmx", "--format", "json"),
-     ["equilibrium"], set()),
-    (("nash", "--bimatrix", "table5.bmx"), ["equilibrium"], JSON),
-    (("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/2,1/2",
-      "--col-mix", "1/3,2/3"), ["equilibrium"], JSON),
-    (("validate", "--game", "oa.game"), ["dsl"], JSON | EXACT),
-    (("enumerate", "--game", "oa.game"), ["dsl", "engine"], JSON | EXACT),
-    (("enumerate", "--game", "oa.game", "--dump"), ["dsl", "engine"],
-     JSON | EXACT),
-    (("top", "--game", "oa.game"), ["dsl", "engine"], JSON | EXACT),
-    (("payoffs", "--game", "oa.game"), ["dsl", "engine"], JSON | EXACT),
-    (("reproduce",), ["dsl", "engine", "equilibrium"], JSON),
-], ids=["mixed", "mixed-json", "nash-bimatrix", "expected", "validate",
-        "enumerate", "enumerate-dump", "top", "payoffs", "reproduce"])
-def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
+def _run_loaded(*argv):
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=60)
     code, loaded, added = ast.literal_eval(proc.stdout)
-    assert (code, proc.stderr) == (0, "")
-    assert loaded == sorted(FRONT + [f"oagame.{m}" for m in layers])
+    return code, proc.stderr, loaded, added
+
+
+# Each command in its default table format unless named otherwise: the
+# package modules it loads beyond ``FRONT`` and its own handler module, and
+# the standard-library modules it must not load.
+@pytest.mark.parametrize("argv, layers, unloaded", [
+    (("mixed", "--bimatrix", "table6.bmx"), SOLVERS, JSON),
+    (("mixed", "--bimatrix", "table6.bmx", "--format", "json"), SOLVERS,
+     set()),
+    (("nash", "--bimatrix", "table5.bmx"), ["equilibrium"], JSON),
+    (TABLE6_MIX, ["equilibrium"], JSON),
+    (TABLE6_MIX + ("--format", "json"), ["equilibrium"], set()),
+    (("validate", "--game", "oa.game"), GAME, JSON | EXACT),
+    (("enumerate", "--game", "oa.game"), GAME + ["engine"], JSON | EXACT),
+    (("enumerate", "--game", "oa.game", "--dump"), GAME + ["engine"],
+     JSON | EXACT),
+    (("top", "--game", "oa.game"), GAME + ["engine"], JSON | EXACT),
+    (("payoffs", "--game", "oa.game"), GAME + ["engine"], JSON | EXACT),
+    (("project", "--game", "oa.game", "--row-player", "Academics",
+      "--col-player", "Editors"), GAME + ["engine", "equilibrium"], JSON),
+    (("nash", "--game", "oa.game", "--format", "json"),
+     GAME + ["engine", "equilibrium"], set()),
+    (("reproduce",), GAME + ["engine", "equilibrium"], JSON),
+], ids=["mixed", "mixed-json", "nash-bimatrix", "expected", "expected-json",
+        "validate", "enumerate", "enumerate-dump", "top", "payoffs",
+        "project", "nash-game-json", "reproduce"])
+def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
+    code, stderr, loaded, added = _run_loaded(*argv)
+    assert (code, stderr) == (0, "")
+    assert loaded == sorted(FRONT + [f"oagame.commands.{argv[0]}"]
+                            + [f"oagame.{m}" for m in layers])
     assert (UNWANTED | unloaded).isdisjoint(added)
+
+
+@pytest.mark.parametrize("argv, status", [
+    ((), 2), (("--help",), 0), (("bogus",), 2), (("nash", "--help"), 0),
+    (("mixed",), 2)])
+def test_parsing_alone_loads_no_handler(argv, status):
+    """Help, a missing or unknown command and a usage error stop in the
+    parser, before any handler module is imported."""
+    code, _, loaded, _ = _run_loaded(*argv)
+    assert (code, loaded) == (status, FRONT)
+
+
+# Error paths of every kind of handler: an unreadable input, a malformed
+# option value, a mixture of the wrong length, a policy missing its player,
+# and a game that does not parse.
+_ERROR_PATHS = [
+    (("validate", "--game", "no-such.game"), 2),
+    (("payoffs", "--game", "oa.game", "--policy", "fixed", "--fix",
+      "Editors"), 2),
+    (("expected", "--bimatrix", "table6.bmx", "--row-mix", "1",
+      "--col-mix", "1/2,1/2"), 2),
+    (("payoffs", "--game", "oa.game", "--policy", "optimistic"), 2),
+    (("enumerate", "--game", "bad.game"), 1),
+]
+
+
+@pytest.mark.parametrize("argv, status", _ERROR_PATHS,
+                         ids=["missing-file", "fix-without-equals",
+                              "row-mix-count", "policy-without-player",
+                              "parse-error"])
+def test_module_run_reports_errors_as_run_cli_does(tmp_path, monkeypatch,
+                                                   capsys, argv, status):
+    """``python -m oagame.cli`` runs ``cli.py`` as ``__main__``: its
+    errors are those of ``run_cli``, and no module imports ``oagame.cli``,
+    which would compile a second copy of it."""
+    (tmp_path / "bad.game").write_text('game "b"\nplayer A actions: "x"\n'
+                                       'utility A = \n')
+    monkeypatch.chdir(tmp_path)
+    from oagame.cli import run_cli
+    assert run_cli(list(argv)) == status
+    captured = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "oagame.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60)
+    lines = proc.stderr.splitlines(keepends=True)
+    imported = [ln.rsplit("|", 1)[1].strip() for ln in lines
+                if ln.startswith("import time:")]
+    assert "oagame.commands" in imported
+    assert "oagame.cli" not in imported
+    assert proc.returncode == status
+    assert (proc.stdout, "".join(ln for ln in lines
+                                 if not ln.startswith("import time:"))) == (
+        captured.out, captured.err)
+
+
+def _traced() -> tuple[tuple[str, str], ...]:
+    """``TRACED`` of the benchmark's span recorder, read without importing
+    it."""
+    tree = ast.parse((SRC.parent / "perfbench" / "spans.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TRACED"])
+
+
+# Each traced function and the commands whose handlers call it.  No
+# command reaches ``engine.rows_as_records``.
+_PROJECT = ("project", "--game", "oa.game", "--row-player", "Academics",
+            "--col-player", "Editors")
+_REACHED_BY = {
+    "parse_game_spec": [("validate", "--game", "oa.game")],
+    "validate_game": [("validate", "--game", "oa.game")],
+    "admissible_rows": [("enumerate", "--game", "oa.game", "--dump")],
+    "top_gu_rows": [("top", "--game", "oa.game")],
+    "derive_payoff_table": [("payoffs", "--game", "oa.game"),
+                            ("nash", "--game", "oa.game")],
+    "parse_bimatrix": [("nash", "--bimatrix", "table5.bmx")],
+    "project_bimatrix": [_PROJECT, ("reproduce",)],
+    "pure_nash": [("nash", "--bimatrix", "table5.bmx"), ("reproduce",)],
+    "mixed_nash_2p": [("mixed", "--bimatrix", "table6.bmx")],
+    "dominance_analysis": [("mixed", "--bimatrix", "table6.bmx",
+                            "--dominance", "weak")],
+    "expected_utility": [TABLE6_MIX],
+    "emit_report": [("mixed", "--bimatrix", "table6.bmx")],
+}
+
+
+def test_every_traced_function_resolves_where_the_benchmark_looks():
+    traced = _traced()
+    for module, func in traced:
+        assert callable(getattr(importlib.import_module(f"oagame.{module}"),
+                                func)), (module, func)
+    assert sorted(_REACHED_BY) == sorted(
+        func for _, func in traced if func != "rows_as_records")
+
+
+@pytest.mark.parametrize("module, func, argv", [
+    (module, func, argv) for module, func in _traced()
+    for argv in _REACHED_BY.get(func, ())],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_a_wrapper_on_the_module_attribute_sees_every_call(
+        monkeypatch, capsys, module, func, argv):
+    """The benchmark wraps each traced function at its module's attribute
+    and runs each command both with and without the wrappers in one
+    process.  The handlers import what they call inside their functions,
+    so a wrapper installed after a first run still sees the calls."""
+    from oagame.cli import run_cli
+    assert run_cli(list(argv)) == 0
+    mod = importlib.import_module(f"oagame.{module}")
+    original, calls = getattr(mod, func), []
+
+    def counting(*args, **kwargs):
+        calls.append(func)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mod, func, counting)
+    assert run_cli(list(argv)) == 0
+    capsys.readouterr()
+    assert calls, f"{' '.join(argv)} called {module}.{func} unseen"
