@@ -1,6 +1,6 @@
 """The solvers only the ``mixed`` command runs: iterated elimination of
 dominated actions on any ``PayoffTable``, and every equilibrium of a
-bimatrix by support enumeration.
+two-player one by support enumeration.
 
 Programs read the public names here through ``oagame.equilibrium`` (and
 ``oagame``), which loads this module on first access.  Support enumeration
@@ -16,8 +16,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .equilibrium import (Bimatrix, EquilibriumCertificate, MixedStrategy,
-                          _strides)
+from .equilibrium import EquilibriumCertificate, MixedStrategy, _strides
 from .model import PayoffTable
 
 SUPPORT_LIMIT = 8  # support enumeration is exponential past this
@@ -90,7 +89,7 @@ def dominance_analysis(
 
 
 def _integer_scaled(
-    matrix: list[list[Fraction]]
+    matrix: list[list[Fraction | int]]
 ) -> tuple[list[list[int]], int]:
     """The matrix times the LCM of its denominators, as ints, and that
     LCM.  Indifference mixes do not change under positive scaling; common
@@ -133,23 +132,26 @@ def _indifference(
     return mix, value, sign * prev
 
 
-def mixed_nash_2p(bm: Bimatrix) -> tuple[list[EquilibriumCertificate], bool]:
-    """All equilibria found by equal-size support enumeration, plus a
-    degeneracy flag (singular indifference systems or off-support ties).
+def mixed_nash_2p(
+    table: PayoffTable
+) -> tuple[list[EquilibriumCertificate], bool]:
+    """Equilibria of a two-player table by equal-size support enumeration,
+    plus a degeneracy flag (singular indifference systems or off-support ties).
 
     Both players' payoffs are scaled to ints once; signs and off-support
     deviations are tested on integer numerators, and ``Fraction``s are
     built only for the equilibria found."""
-    if not bm.feasible():
+    if None in table.cells:
         raise ValueError("mixed analysis requires a fully feasible bimatrix")
-    m, n = len(bm.row_actions), len(bm.col_actions)
+    row_actions, col_actions = table.actions
+    m, n = len(row_actions), len(col_actions)
     if m > SUPPORT_LIMIT or n > SUPPORT_LIMIT:
         raise ValueError(f"support enumeration limited to {SUPPORT_LIMIT} "
                          f"actions per side")
-    a, scale_a = _integer_scaled(
-        [[Fraction(bm.payoffs[i][j][0]) for j in range(n)] for i in range(m)])
-    b_t, scale_b = _integer_scaled(
-        [[Fraction(bm.payoffs[i][j][1]) for i in range(m)] for j in range(n)])
+    rows = [table.cells[i * n:i * n + n] for i in range(m)]
+    a, scale_a = _integer_scaled([[u for u, _ in row] for row in rows])
+    b_t, scale_b = _integer_scaled([[v for _, v in col]
+                                    for col in zip(*rows)])
 
     certs: list[EquilibriumCertificate] = []
     degenerate = False
@@ -187,19 +189,19 @@ def mixed_nash_2p(bm: Bimatrix) -> tuple[list[EquilibriumCertificate], bool]:
                 tie = 0 in off_r or 0 in off_c
                 degenerate = degenerate or tie
                 row_den, col_den = den_y * scale_a, den_x * scale_b
-                row_strategy = MixedStrategy(bm.row_player, tuple(
-                    (bm.row_actions[i], Fraction(w, den_x))
+                row_strategy = MixedStrategy(table.players[0], tuple(
+                    (row_actions[i], Fraction(w, den_x))
                     for i, w in zip(sup_r, x)))
-                col_strategy = MixedStrategy(bm.col_player, tuple(
-                    (bm.col_actions[j], Fraction(w, den_y))
+                col_strategy = MixedStrategy(table.players[1], tuple(
+                    (col_actions[j], Fraction(w, den_y))
                     for j, w in zip(sup_c, y)))
                 certs.append(EquilibriumCertificate(
                     "pure" if k == 1 else "mixed",
                     (row_strategy, col_strategy),
                     (Fraction(v_row, row_den), Fraction(v_col, col_den)),
                     (tuple((act, Fraction(u, row_den))
-                           for act, u in zip(bm.row_actions, row_alts)),
+                           for act, u in zip(row_actions, row_alts)),
                      tuple((act, Fraction(u, col_den))
-                           for act, u in zip(bm.col_actions, col_alts))),
+                           for act, u in zip(col_actions, col_alts))),
                     degenerate=tie))
     return certs, degenerate

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from .. import fixtures, report as rp
 
 if TYPE_CHECKING:
-    from ..equilibrium import Bimatrix
+    from ..model import PayoffTable
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1
@@ -58,7 +58,7 @@ def _read_input(path: str) -> tuple[str, str]:
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_bimatrix(path: str) -> tuple[Bimatrix, str]:
+def _load_bimatrix(path: str) -> tuple[PayoffTable, str]:
     from ..equilibrium import BimatrixFormatError, parse_bimatrix
     text, digest = _read_input(path)
     try:

@@ -34,17 +34,16 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
 
 def run(args) -> int:
     from ..equilibrium import expected_utility
-    bm, digest = _load_bimatrix(args.bimatrix)
-    mix_row = _mix_from_arg(bm.row_player, bm.row_actions, args.row_mix,
-                            "--row-mix")
-    mix_col = _mix_from_arg(bm.col_player, bm.col_actions, args.col_mix,
-                            "--col-mix")
-    eu_row, eu_col = expected_utility(bm, mix_row, mix_col)
+    table, digest = _load_bimatrix(args.bimatrix)
+    (row, col), (row_actions, col_actions) = table.players, table.actions
+    mix_row = _mix_from_arg(row, row_actions, args.row_mix, "--row-mix")
+    mix_col = _mix_from_arg(col, col_actions, args.col_mix, "--col-mix")
+    eu_row, eu_col = expected_utility(table, mix_row, mix_col)
     out = rp.base_report({args.bimatrix: digest})
     out["row_mix"] = {a: rp.number(p) for a, p in mix_row.probs}
     out["col_mix"] = {a: rp.number(p) for a, p in mix_col.probs}
-    out["expected_utilities"] = {bm.row_player: rp.number(eu_row),
-                                 bm.col_player: rp.number(eu_col)}
+    out["expected_utilities"] = {row: rp.number(eu_row),
+                                 col: rp.number(eu_col)}
     if _is_bundled(digest, "table6.bmx"):
         out["note"] = rp.TABLE6_EU_NOTE
     _emit(args, out)

@@ -9,14 +9,14 @@ from . import _emit, _is_bundled, _load_bimatrix
 
 def run(args) -> int:
     from ..equilibrium import dominance_analysis, mixed_nash_2p
-    bm, digest = _load_bimatrix(args.bimatrix)
-    certs, degenerate = mixed_nash_2p(bm)
+    table, digest = _load_bimatrix(args.bimatrix)
+    certs, degenerate = mixed_nash_2p(table)
     out = rp.base_report({args.bimatrix: digest})
     out["degenerate"] = degenerate
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
     if args.dominance:
-        result = dominance_analysis(bm.to_payoff_table(), args.dominance)
+        result = dominance_analysis(table, args.dominance)
         out["dominance_trace"] = [
             {"player": e.player, "eliminated": e.action,
              "dominator": e.dominator, "notion": e.notion}

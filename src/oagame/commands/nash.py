@@ -16,9 +16,8 @@ def run(args) -> int:
             if getattr(args, flag):
                 raise _CliError(f"--bimatrix takes no "
                                 f"--{flag.replace('_', '-')}", USAGE_ERROR)
-        bm, digest = _load_bimatrix(args.bimatrix)
+        table, digest = _load_bimatrix(args.bimatrix)
         out["inputs"] = {args.bimatrix: digest}
-        table = bm.to_payoff_table()
     else:
         from ..engine import derive_payoff_table
         from ._game import _game_or_fail, _policy

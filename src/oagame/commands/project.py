@@ -9,18 +9,18 @@ from . import USAGE_ERROR, _CliError, _emit, _output
 from ._game import _declared_player, _game_or_fail, _policy
 
 if TYPE_CHECKING:
-    from ..equilibrium import Bimatrix
+    from ..model import PayoffTable
 
 
-def _bimatrix_records(bm: Bimatrix) -> list[dict]:
+def _bimatrix_records(table: PayoffTable) -> list[dict]:
     from ..equilibrium import payoff_pair
-    if bm.row_player in bm.col_actions:  # that key holds the row action
+    (row, _), (row_actions, col_actions) = table.players, table.actions
+    if row in col_actions:  # that key holds the row action
         raise ValueError(f"cannot write the matrix records: column action "
-                         f"{bm.row_player!r} is also the row player's name")
-    return [{bm.row_player: ra,
-             **{ca: payoff_pair(cell) or "infeasible"
-                for ca, cell in zip(bm.col_actions, row)}}
-            for ra, row in zip(bm.row_actions, bm.payoffs)]
+                         f"{row!r} is also the row player's name")
+    cells = iter(table.cells)  # row-major: each row reads the next cells
+    return [{row: ra, **{ca: payoff_pair(next(cells)) or "infeasible"
+                         for ca in col_actions}} for ra in row_actions]
 
 
 def run(args) -> int:
@@ -32,16 +32,15 @@ def run(args) -> int:
     if row == col:
         raise _CliError(f"--row-player and --col-player both name {row!r}",
                         USAGE_ERROR)
-    bm = project_bimatrix(game, policy, row, col)
+    table = project_bimatrix(game, policy, row, col)
     if args.format == "bmx":
-        text = serialize_bimatrix(bm)  # a name it refuses writes no file
+        text = serialize_bimatrix(table)  # a name it refuses writes no file
         with _output(args) as out:
             out.write(text)
         return 0
     out = rp.base_report({args.game: digest})
-    out["provenance"] = bm.provenance
-    out["row_player"] = bm.row_player
-    out["col_player"] = bm.col_player
-    out["matrix"] = _bimatrix_records(bm)
+    out["provenance"] = "projected-from-game"
+    out["row_player"], out["col_player"] = table.players
+    out["matrix"] = _bimatrix_records(table)
     _emit(args, out)
     return 0

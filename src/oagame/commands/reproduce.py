@@ -13,17 +13,16 @@ def run(args) -> int:
     from ..equilibrium import payoff_pair, project_bimatrix, pure_nash
     game, game_digest = _game_or_fail(args)
     enum = enumeration_report(game)
-    bm5, bm5_digest = _load_bimatrix(args.bimatrix)
-    certs = pure_nash(bm5.to_payoff_table())
+    table5, digest5 = _load_bimatrix(args.bimatrix)
+    certs = pure_nash(table5)
     try:
         projected = project_bimatrix(game, CompletionPolicy(), "Academics",
                                      "Editors")
     except ValueError:  # without both players, Table 5's cell is absent
         cells = {}
     else:
-        cells = {(ra, ca): payoff_pair(cell) or "infeasible"
-                 for ra, row in zip(projected.row_actions, projected.payoffs)
-                 for ca, cell in zip(projected.col_actions, row)}
+        cells = {pair: payoff_pair(cell) or "infeasible"
+                 for pair, cell in zip(projected.profiles(), projected.cells)}
 
     computed = {
         **_census_figures(enum),
@@ -33,7 +32,7 @@ def run(args) -> int:
         "table5_publish_ta_grant_ta":
             cells.get(("Publish TA", "Grant TA"), "absent"),
     }
-    out = rp.base_report({args.game: game_digest, args.bimatrix: bm5_digest})
+    out = rp.base_report({args.game: game_digest, args.bimatrix: digest5})
     out["paper_comparison"] = rp.paper_comparison(computed)
     out["golden_check"] = rp.golden_check(computed)
     ok = all(c["matches"] for c in out["golden_check"])

@@ -45,32 +45,27 @@ class BimatrixFormatError(Exception):
     """Malformed bimatrix file."""
 
 
-class _BimatrixFields(NamedTuple):
-    row_player: str
-    row_actions: tuple[str, ...]
-    col_player: str
-    col_actions: tuple[str, ...]
-    payoffs: tuple[tuple[tuple[Fraction, Fraction] | None, ...], ...]
-    provenance: str = "loaded-from-file"
+class Bimatrix(PayoffTable):
+    """A two-player ``PayoffTable`` built from its rows of cells; its side
+    names read the table's ``players`` and ``actions``."""
 
-
-class Bimatrix(_BimatrixFields):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    # A copy or pickle is the plain table, as ``_replace`` gives.
+    __reduce__ = lambda self: (PayoffTable, tuple(self))
 
-    def __init__(self, *fields, **named):
-        if len(self.payoffs) != len(self.row_actions) or any(
-                len(r) != len(self.col_actions) for r in self.payoffs):
+    def __new__(cls, row_player, row_actions, col_player, col_actions, rows):
+        if len(rows) != len(row_actions) or any(
+                len(r) != len(col_actions) for r in rows):
             raise BimatrixFormatError("payoff matrix shape does not match "
                                       "the action lists")
+        return super().__new__(cls, (row_player, col_player),
+                               (row_actions, col_actions),
+                               tuple(itertools.chain.from_iterable(rows)))
 
-    def feasible(self) -> bool:
-        return all(cell is not None for row in self.payoffs for cell in row)
-
-    def to_payoff_table(self) -> PayoffTable:
-        return PayoffTable((self.row_player, self.col_player),
-                           (self.row_actions, self.col_actions),
-                           tuple(itertools.chain.from_iterable(self.payoffs)))
+    row_player = property(lambda self: self.players[0])
+    col_player = property(lambda self: self.players[1])
+    row_actions = property(lambda self: self.actions[0])
+    col_actions = property(lambda self: self.actions[1])
 
 
 class _MixFields(NamedTuple):
@@ -203,8 +198,8 @@ def project_bimatrix(
     policy: CompletionPolicy,
     row_player: str,
     col_player: str,
-) -> Bimatrix:
-    """Two-player view: complete the other players and the outcome per the
+) -> PayoffTable:
+    """Two-player table: complete the other players and the outcome per the
     policy for each action pair and record the pair's utilities.  A pair's
     completion is the first profile's pick with the greatest policy key,
     which is the policy applied to all of the pair's completions at once."""
@@ -221,45 +216,31 @@ def project_bimatrix(
         if completion is not None and (pair not in picks
                                        or key > picks[pair][0]):
             picks[pair] = (key, completion)
-    rows = []
-    for i in range(len(rp.actions)):
-        cells = []
-        for j in range(len(cp.actions)):
-            _, chosen = picks.get((i, j), (None, None))
-            cells.append(None if chosen is None else
-                         (Fraction(cg.utility(rp.name, chosen)),
-                          Fraction(cg.utility(cp.name, chosen))))
-        rows.append(tuple(cells))
-    return Bimatrix(rp.name, rp.actions, cp.name, cp.actions,
-                    tuple(rows), provenance="projected-from-game")
+    pairs = itertools.product(range(len(rp.actions)), range(len(cp.actions)))
+    chosen = [picks.get(pair, (None, None))[1] for pair in pairs]
+    return PayoffTable((rp.name, cp.name), (rp.actions, cp.actions), tuple(
+        None if c is None else (Fraction(cg.utility(rp.name, c)),
+                                Fraction(cg.utility(cp.name, c)))
+        for c in chosen))
 
 
 def expected_utility(
-    bm: Bimatrix, mix_row: MixedStrategy, mix_col: MixedStrategy
+    table: PayoffTable, mix_row: MixedStrategy, mix_col: MixedStrategy
 ) -> tuple[Fraction, Fraction]:
-    """Bilinear expectation of both players' payoffs under the two mixes."""
-    for a, _ in mix_row.probs:
-        if a not in bm.row_actions:
-            raise ValueError(f"unknown row action {a!r}")
-    for a, _ in mix_col.probs:
-        if a not in bm.col_actions:
-            raise ValueError(f"unknown column action {a!r}")
-    if not bm.feasible():
+    """Bilinear expectation of a two-player table's payoffs under two mixes."""
+    for mix, actions, side in ((mix_row, table.actions[0], "row"),
+                               (mix_col, table.actions[1], "column")):
+        for a, _ in mix.probs:
+            if a not in actions:
+                raise ValueError(f"unknown {side} action {a!r}")
+    if None in table.cells:
         raise ValueError("expected utility requires a fully feasible "
                          "bimatrix")
-    eu_r = Fraction(0)
-    eu_c = Fraction(0)
-    for i, ra in enumerate(bm.row_actions):
-        pr = mix_row.prob(ra)
-        if pr == 0:
-            continue
-        for j, ca in enumerate(bm.col_actions):
-            pc = mix_col.prob(ca)
-            if pc == 0:
-                continue
-            ur, uc = bm.payoffs[i][j]
-            eu_r += pr * pc * ur
-            eu_c += pr * pc * uc
+    eu_r = eu_c = Fraction(0)
+    for (ra, ca), (ur, uc) in zip(table.profiles(), table.cells):
+        weight = mix_row.prob(ra) * mix_col.prob(ca)
+        eu_r += weight * ur
+        eu_c += weight * uc
     return eu_r, eu_c
 
 
@@ -325,19 +306,22 @@ def payoff_pair(cell: tuple[Fraction, Fraction] | None) -> str | None:
     return None if cell is None else "(%s,%s)" % cell
 
 
-def serialize_bimatrix(bm: Bimatrix) -> str:
-    """``.bmx`` text that ``parse_bimatrix`` reads back as ``bm`` (up to
-    provenance); ValueError when it would not."""
-    lines = [f"rows: {bm.row_player}: {','.join(bm.row_actions)}",
-             f"cols: {bm.col_player}: {','.join(bm.col_actions)}"]
-    for row in bm.payoffs:
-        lines.append(" ".join(payoff_pair(cell) or "(-,-)" for cell in row))
+def serialize_bimatrix(table: PayoffTable) -> str:
+    """``.bmx`` text that ``parse_bimatrix`` reads back as the two-player
+    ``table``; ValueError when it would not."""
+    (row, col), (row_actions, col_actions) = table.players, table.actions
+    n = len(col_actions)
+    cells = [payoff_pair(cell) or "(-,-)" for cell in table.cells]
+    lines = [f"rows: {row}: {','.join(row_actions)}",
+             f"cols: {col}: {','.join(col_actions)}",
+             *(" ".join(cells[i * n:i * n + n])
+               for i in range(len(row_actions)))]
     text = "\n".join(lines) + "\n"
     try:
-        if parse_bimatrix(text)[:5] == bm[:5]:
+        if parse_bimatrix(text) == table:
             return text
         reason = "the text would read back as a different bimatrix"
     except BimatrixFormatError as exc:
         reason = str(exc)
-    raise ValueError(f"cannot write the bimatrix of {bm.row_player!r} and "
-                     f"{bm.col_player!r} as .bmx text: {reason}")
+    raise ValueError(f"cannot write the bimatrix of {row!r} and {col!r} as "
+                     f".bmx text: {reason}")

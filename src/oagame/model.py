@@ -16,6 +16,7 @@ instance dict, which, unlike the fields, takes new attributes.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 ACTION = "action"
@@ -180,13 +181,29 @@ def _named(decls, name: str):
     return None
 
 
-class PayoffTable(NamedTuple):
-    """Per-action-profile utility vectors in ``profiles()`` order, the last
-    player's action varying fastest; None marks an infeasible cell."""
-
+class _PayoffFields(NamedTuple):
     players: tuple[str, ...]
     actions: tuple[tuple[str, ...], ...]
     cells: tuple[tuple[int, ...] | None, ...]
+
+
+class PayoffTable(_PayoffFields):
+    """Per-action-profile utility vectors in ``profiles()`` order, the last
+    player's action varying fastest; None marks an infeasible cell.
+    ValueError unless there is one action list per player and one cell per
+    profile."""
+
+    __slots__ = ()
+    # ``PayoffTable``, not ``cls``: a subclass may take other arguments.
+    _make = classmethod(lambda cls, fields: PayoffTable(*fields))
+
+    def __init__(self, *fields, **named):
+        if len(self.actions) != len(self.players):
+            raise ValueError(f"{len(self.players)} players but "
+                             f"{len(self.actions)} action lists")
+        if len(self.cells) != (size := math.prod(map(len, self.actions))):
+            raise ValueError(f"{len(self.cells)} cells for {size} action "
+                             f"profiles")
 
     def profiles(self):
         return itertools.product(*self.actions)

@@ -33,9 +33,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from oagame.equilibrium import (SUPPORT_LIMIT, Bimatrix, DominanceResult,
-                                Elimination, EquilibriumCertificate,
-                                MixedStrategy)
+from oagame.equilibrium import (SUPPORT_LIMIT, DominanceResult, Elimination,
+                                EquilibriumCertificate, MixedStrategy)
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
                           PayoffTable, PlayerDef, Rule, UtilityDef)
 
@@ -360,18 +359,23 @@ def _indifference_mix(
 
 
 def support_enumeration(
-    bm: Bimatrix
+    table: PayoffTable
 ) -> tuple[list[EquilibriumCertificate], bool]:
-    """All equilibria found by equal-size support enumeration, plus a
-    degeneracy flag (singular indifference systems or off-support ties)."""
-    if not bm.feasible():
+    """All equilibria of a two-player table found by equal-size support
+    enumeration, plus a degeneracy flag (singular indifference systems or
+    off-support ties)."""
+    if None in table.cells:
         raise ValueError("mixed analysis requires a fully feasible bimatrix")
-    m, n = len(bm.row_actions), len(bm.col_actions)
+    (row_player, col_player), (row_actions, col_actions) = (table.players,
+                                                            table.actions)
+    m, n = len(row_actions), len(col_actions)
     if m > SUPPORT_LIMIT or n > SUPPORT_LIMIT:
         raise ValueError(f"support enumeration limited to {SUPPORT_LIMIT} "
                          f"actions per side")
-    a = [[Fraction(bm.payoffs[i][j][0]) for j in range(n)] for i in range(m)]
-    b = [[Fraction(bm.payoffs[i][j][1]) for j in range(n)] for i in range(m)]
+    a = [[Fraction(table.payoff((r, c))[0]) for c in col_actions]
+         for r in row_actions]
+    b = [[Fraction(table.payoff((r, c))[1]) for c in col_actions]
+         for r in row_actions]
     b_t = [[b[i][j] for i in range(m)] for j in range(n)]
 
     certs: list[EquilibriumCertificate] = []
@@ -408,18 +412,18 @@ def support_enumeration(
                        or any(col_alts[j] == v_col for j in range(n)
                               if j not in sup_c))
                 degenerate = degenerate or tie
-                row_strategy = MixedStrategy(bm.row_player, tuple(
-                    (bm.row_actions[i], x[ii])
+                row_strategy = MixedStrategy(row_player, tuple(
+                    (row_actions[i], x[ii])
                     for ii, i in enumerate(sup_r)))
-                col_strategy = MixedStrategy(bm.col_player, tuple(
-                    (bm.col_actions[j], y[jj])
+                col_strategy = MixedStrategy(col_player, tuple(
+                    (col_actions[j], y[jj])
                     for jj, j in enumerate(sup_c)))
                 certs.append(EquilibriumCertificate(
                     "pure" if k == 1 else "mixed",
                     (row_strategy, col_strategy),
                     (v_row, v_col),
-                    (tuple(zip(bm.row_actions, row_alts)),
-                     tuple(zip(bm.col_actions, col_alts))),
+                    (tuple(zip(row_actions, row_alts)),
+                     tuple(zip(col_actions, col_alts))),
                     degenerate=tie))
     return certs, degenerate
 

@@ -99,7 +99,7 @@ def test_criterion_4_utility_identity(oa_game):
 
 
 def test_criterion_5_equilibrium_on_printed_bimatrix(table5):
-    certs = pure_nash(table5.to_payoff_table())
+    certs = pure_nash(table5)
     assert {c.pure_profile() for c in certs} == {
         ("Publish TA", "Grant big deals"), ("Publish TA", "Grant TA"),
         ("Publish OA", "Grant big deals"), ("Publish OA", "Grant TA"),
@@ -108,11 +108,10 @@ def test_criterion_5_equilibrium_on_printed_bimatrix(table5):
 
 
 def test_criterion_6_mixed_and_dominance_on_collapse(table6):
-    table = table6.to_payoff_table()
     # The first removal is judged against both Academics rows.
-    assert dominance_analysis(table, notion="strict").trace[0] == \
+    assert dominance_analysis(table6, notion="strict").trace[0] == \
         Elimination("Editors", "OA", "TA", "strict")
-    result = dominance_analysis(table, notion="weak")
+    result = dominance_analysis(table6, notion="weak")
     assert result.surviving == (("Publish OA",), ("TA",))
     certs, _ = mixed_nash_2p(table6)
     for cert in certs:
@@ -153,7 +152,7 @@ def test_criterion_8_certificate_soundness(oa_game, table5, table6):
     for bm in (table5, table6):
         certs, _ = mixed_nash_2p(bm)
         all_certs.extend(certs)
-        all_certs.extend(pure_nash(bm.to_payoff_table()))
+        all_certs.extend(pure_nash(bm))
     table = derive_payoff_table(oa_game, CompletionPolicy())
     all_certs.extend(pure_nash(table))
     assert all_certs

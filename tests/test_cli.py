@@ -418,8 +418,48 @@ def test_project_bmx_output(tmp_path, capsys):
                      "--format", "bmx", "--output", str(out_path))
     assert code == 0
     from oagame import parse_bimatrix
-    bm = parse_bimatrix(out_path.read_text())
-    assert bm.payoffs[0][0] == (2, 1)  # (Publish TA, Grant TA)
+    table = parse_bimatrix(out_path.read_text())
+    assert table.payoff(("Publish TA", "Grant TA")) == (2, 1)
+
+
+# Battle of the sexes with a third, safe row: its cells are fixed by rules
+# alone, so every completion policy gives the same table.
+BATTLE_GAME = """game "battle"
+player R actions: "o", "f", "s"
+player C actions: "o", "f"
+variable V owner: R values: Hi=2, Lo=1, No=0
+variable W owner: C values: Hi=2, Lo=1, No=0
+utility R = V
+utility C = W
+rule if R="o" and C="o" then V="Hi" and W="Lo"
+rule if R="f" and C="f" then V="Lo" and W="Hi"
+rule if R="o" and C="f" then V="No" and W="No"
+rule if R="f" and C="o" then V="No" and W="No"
+rule if R="s" then V="Lo" and W="No"
+"""
+
+
+def test_mixed_on_a_game_table_matches_mixed_on_its_projection(tmp_path,
+                                                               capsys):
+    from oagame import (CompletionPolicy, derive_payoff_table,
+                        mixed_nash_2p, parse_game_spec)
+    from oagame.report import certificate_to_obj
+    (tmp_path / "battle.game").write_text(BATTLE_GAME, encoding="utf-8")
+    bmx = tmp_path / "battle.bmx"
+    assert run(capsys, "project", "--game", str(tmp_path / "battle.game"),
+               "--row-player", "R", "--col-player", "C", "--format", "bmx",
+               "--output", str(bmx))[0] == 0
+    code, out, _ = run(capsys, "mixed", "--bimatrix", str(bmx),
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    table = derive_payoff_table(parse_game_spec(BATTLE_GAME).game,
+                                CompletionPolicy())
+    certs, degenerate = mixed_nash_2p(table)
+    assert (report["count"], report["degenerate"]) == (len(certs), degenerate)
+    assert report["equilibria"] == json.loads(json.dumps(
+        [certificate_to_obj(c) for c in certs]))
+    assert report["count"] == 3  # the two pure points and the mixed one
 
 
 def test_project_bmx_refuses_a_header_that_does_not_read_back(tmp_path,
@@ -733,6 +773,18 @@ GOLDEN_STDOUT = {
     ("project", "--game", "oa.game", "--row-player", "Academics",
      "--col-player", "Editors", "--format", "delimited"):
         "5d970e62f9f77d231b1b551cc6eb77998401ef30d31523a90bc11199043b079a",
+    # The next three were taken before a bimatrix became a two-player
+    # payoff table: a mix over both actions, one that puts zero on an
+    # action, and fractional payoffs.
+    ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/5,4/5",
+     "--col-mix", "1/3,2/3"):
+        "1e4df66c6ab3c5109063432af112b21b257bcacde80ce5d777dc8c2db0cd3a04",
+    ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1,0",
+     "--col-mix", "0,1"):
+        "f42e76120a78a5db4c7fccb9a9d24f00053ff38456d0b17245b8d7c32e7b3fd4",
+    ("expected", "--bimatrix", "six.bmx", "--row-mix",
+     "1/6,1/6,1/6,1/6,1/6,1/6", "--col-mix", "1/2,0,1/4,0,1/8,1/8"):
+        "b740788b2ad14ebdc0b1c8cd7fad77d7a88b0187f59cd5d2b617de75ac8ec05e",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and

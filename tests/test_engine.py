@@ -402,13 +402,12 @@ def test_payoffs_and_projection_match_pooled_oracle():
             for row, col in itertools.permutations(players, 2):
                 bm = project_bimatrix(game, policy, row, col)
                 expected = brute_force_projection(game, policy, row, col)
-                for i, ra in enumerate(bm.row_actions):
-                    for j, ca in enumerate(bm.col_actions):
-                        chosen = expected[(ra, ca)]
-                        assert bm.payoffs[i][j] == (
-                            None if chosen is None else
-                            (utility(game, chosen, row),
-                             utility(game, chosen, col)))
+                for pair, cell in zip(bm.profiles(), bm.cells):
+                    chosen = expected[pair]
+                    assert cell == (
+                        None if chosen is None else
+                        (utility(game, chosen, row),
+                         utility(game, chosen, col)))
 
 
 def test_compiled_form_is_built_once_and_only_on_use():
@@ -500,13 +499,12 @@ def test_compiled_path_matches_oracle_on_rich_games():
                                       col.name)
                 expected = brute_force_projection(game, policy, row.name,
                                                   col.name)
-                for i, ra in enumerate(bm.row_actions):
-                    for j, ca in enumerate(bm.col_actions):
-                        chosen = expected[(ra, ca)]
-                        assert bm.payoffs[i][j] == (
-                            None if chosen is None else
-                            (utility(game, chosen, row.name),
-                             utility(game, chosen, col.name)))
+                for pair, cell in zip(bm.profiles(), bm.cells):
+                    chosen = expected[pair]
+                    assert cell == (
+                        None if chosen is None else
+                        (utility(game, chosen, row.name),
+                         utility(game, chosen, col.name)))
     assert unmatched > 20
 
 

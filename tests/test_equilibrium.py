@@ -1,6 +1,11 @@
+import copy
 import hashlib
 import math
+import pickle
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -52,33 +57,29 @@ BATTLE = bimatrix(
 
 
 def test_best_response_against_grant_oa(table5):
-    table = table5.to_payoff_table()
-    assert best_responses(table, "Academics", {"Editors": "Grant OA"}) == \
+    assert best_responses(table5, "Academics", {"Editors": "Grant OA"}) == \
         ("Publish OA",)
 
 
 def test_best_response_singleton():
-    bm = bimatrix(["only"], ["x", "y"], [[(5, 1), (2, 3)]])
-    table = bm.to_payoff_table()
+    table = bimatrix(["only"], ["x", "y"], [[(5, 1), (2, 3)]])
     assert best_responses(table, "Row", {"Col": "y"}) == ("only",)
 
 
 def test_best_response_ties(table5):
-    table = table5.to_payoff_table()
-    assert best_responses(table, "Editors",
+    assert best_responses(table5, "Editors",
                           {"Academics": "Publish OA"}) == \
         ("Grant big deals", "Grant TA")
 
 
 def test_best_response_infeasible_slice():
-    bm = Bimatrix("Row", ("a",), "Col", ("x",), ((None,),))
-    table = bm.to_payoff_table()
+    table = Bimatrix("Row", ("a",), "Col", ("x",), ((None,),))
     with pytest.raises(InfeasibleSliceError):
         best_responses(table, "Row", {"Col": "x"})
 
 
 def test_pure_nash_table5(table5):
-    certs = pure_nash(table5.to_payoff_table())
+    certs = pure_nash(table5)
     profiles = {c.pure_profile() for c in certs}
     assert profiles == {
         ("Publish TA", "Grant big deals"), ("Publish TA", "Grant TA"),
@@ -88,12 +89,12 @@ def test_pure_nash_table5(table5):
 
 
 def test_pure_nash_matching_pennies_empty():
-    assert pure_nash(MATCHING_PENNIES.to_payoff_table()) == []
+    assert pure_nash(MATCHING_PENNIES) == []
 
 
 def test_pure_nash_1x1():
     bm = bimatrix(["a"], ["x"], [[(0, 0)]])
-    certs = pure_nash(bm.to_payoff_table())
+    certs = pure_nash(bm)
     assert [c.pure_profile() for c in certs] == [("a", "x")]
 
 
@@ -133,8 +134,7 @@ def test_pure_nash_and_best_responses_match_the_name_oracle(table):
         payoffs = [table.cells[i:i + len(table.actions[1])]
                    for i in range(0, len(table.cells), len(table.actions[1]))]
         assert Bimatrix(table.players[0], table.actions[0], table.players[1],
-                        table.actions[1], tuple(payoffs)).to_payoff_table() \
-            == table
+                        table.actions[1], tuple(payoffs)) == table
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +142,13 @@ def test_pure_nash_and_best_responses_match_the_name_oracle(table):
 
 
 def test_projection_matches_hand_evaluation(oa_game):
-    bm = project_bimatrix(oa_game, CompletionPolicy(), "Academics",
-                          "Editors")
-    assert bm.provenance == "projected-from-game"
-    cell = bm.payoffs[bm.row_actions.index("Publish OA")][
-        bm.col_actions.index("Grant OA")]
-    assert cell == (4, 0)
+    table = project_bimatrix(oa_game, CompletionPolicy(), "Academics",
+                             "Editors")
+    assert table.players == ("Academics", "Editors")
+    assert table.payoff(("Publish OA", "Grant OA")) == (4, 0)
     # Documented divergence: the printed table shows (3,1) here, but the
     # first rule pins Opportunity and Visibility to Less.
-    cell = bm.payoffs[bm.row_actions.index("Publish TA")][
-        bm.col_actions.index("Grant TA")]
-    assert cell == (2, 1)
+    assert table.payoff(("Publish TA", "Grant TA")) == (2, 1)
 
 
 def test_projection_identity_on_two_player_game():
@@ -167,8 +163,8 @@ def test_projection_identity_on_two_player_game():
     game = result.game
     policy = CompletionPolicy("fixed",
                               fixed_outcomes=(("V", "More"), ("W", "More")))
-    bm = project_bimatrix(game, policy, "R", "C")
-    assert all(cell == (1, 1) for row in bm.payoffs for cell in row)
+    table = project_bimatrix(game, policy, "R", "C")
+    assert all(cell == (1, 1) for cell in table.cells)
 
 
 def test_projection_requires_distinct_players(oa_game):
@@ -183,19 +179,17 @@ def test_projection_requires_distinct_players(oa_game):
 
 def test_table6_iterated_elimination(table6):
     # Editors' TA strictly dominates OA on its own.
-    table = table6.to_payoff_table()
-    strict = dominance_analysis(table, notion="strict")
+    strict = dominance_analysis(table6, notion="strict")
     editor_elims = [e for e in strict.trace if e.player == "Editors"]
     assert editor_elims and editor_elims[0].action == "OA" \
         and editor_elims[0].dominator == "TA"
     # Weak iterated elimination collapses to the single OA/TA profile.
-    result = dominance_analysis(table, notion="weak")
+    result = dominance_analysis(table6, notion="weak")
     assert result.surviving == (("Publish OA",), ("TA",))
 
 
 def test_matching_pennies_no_elimination():
-    result = dominance_analysis(MATCHING_PENNIES.to_payoff_table(),
-                                notion="weak")
+    result = dominance_analysis(MATCHING_PENNIES, notion="weak")
     assert result.trace == ()
     assert result.surviving == (("H", "T"), ("H", "T"))
 
@@ -204,8 +198,7 @@ def test_identical_rows_weakly_dominate_but_not_strictly():
     # Each row weakly dominates the other: whichever comes first goes.
     for first, second in (("a", "b"), ("b", "a")):
         table = bimatrix([first, second], ["x", "y"],
-                         [[(1, 0), (2, 0)], [(1, 0), (2, 0)]]
-                         ).to_payoff_table()
+                         [[(1, 0), (2, 0)], [(1, 0), (2, 0)]])
         assert dominance_analysis(table, notion="weak").trace[0] == \
             Elimination("Row", first, second, "weak")
         assert dominance_analysis(table, notion="strict").trace == ()
@@ -294,8 +287,7 @@ def test_table6_editors_never_mix(table6):
 
 def test_pure_equilibria_found_by_both_paths(table5, table6):
     for bm in (table5, table6, BATTLE):
-        pure_profiles = {c.pure_profile()
-                         for c in pure_nash(bm.to_payoff_table())}
+        pure_profiles = {c.pure_profile() for c in pure_nash(bm)}
         mixed_profiles = {c.pure_profile()
                           for c in mixed_nash_2p(bm)[0]
                           if c.pure_profile()}
@@ -316,7 +308,7 @@ def test_certificates_verify(table5, table6):
         certs, _ = mixed_nash_2p(bm)
         for cert in certs:
             assert cert.verify()
-        for cert in pure_nash(bm.to_payoff_table()):
+        for cert in pure_nash(bm):
             assert cert.verify()
 
 
@@ -353,15 +345,66 @@ def test_mixed_nash_matches_support_enumeration_oracle(bm):
     assert all(cert.verify() for cert in certs)
 
 
+@st.composite
+def mixes(draw, player, actions):
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(actions),
+                            max_size=len(actions)).filter(any))
+    return MixedStrategy(player, tuple(
+        (a, F(w, sum(weights))) for a, w in zip(actions, weights)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bimatrices(), st.data())
+def test_library_reads_only_the_table(bm, data):
+    """A ``Bimatrix`` and the plain ``PayoffTable`` of its fields, which has
+    no side names, get the same answers."""
+    table = PayoffTable(*bm)
+    assert type(table) is PayoffTable and table == bm
+    assert pure_nash(table) == pure_nash(bm)
+    for notion in ("strict", "weak"):
+        assert dominance_analysis(table, notion) == \
+            dominance_analysis(bm, notion)
+    assert mixed_nash_2p(table) == mixed_nash_2p(bm)
+    mix_row, mix_col = (data.draw(mixes(player, actions))
+                        for player, actions in zip(bm.players, bm.actions))
+    assert expected_utility(table, mix_row, mix_col) == \
+        expected_utility(bm, mix_row, mix_col)
+    assert serialize_bimatrix(table) == serialize_bimatrix(bm)
+
+
+def test_a_bimatrix_copies_and_pickles_as_its_table(table6):
+    for again in (copy.deepcopy(table6), pickle.loads(pickle.dumps(table6))):
+        assert type(again) is PayoffTable and again == table6
+
+
+def test_benchmark_reads_a_bimatrix_by_its_side_names(monkeypatch):
+    """The benchmark in ``perfbench/`` writes its matrices with
+    ``serialize_bimatrix(Bimatrix(<five arguments>))``, and its tracer
+    counts the support pairs of ``mixed_nash_2p`` from ``.row_actions``
+    and ``.col_actions`` of the table that ``mixed`` passes in.  So
+    ``Bimatrix`` keeps its rows constructor and its side names, and
+    ``parse_bimatrix`` returns one, for as long as the benchmark reads
+    them."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import spans
+    import workloads
+    bm = workloads.random_bimatrix(random.Random(1), 3, 4, tied=True)
+    table = parse_bimatrix(workloads.bmx_text(bm))
+    result = mixed_nash_2p(table)
+    counters = Counter()
+    spans._count(counters, "mixed_nash_2p", (table,), result)
+    assert counters == {"equilibrium.support_pairs": 3 * 4 + 3 * 6 + 1 * 4,
+                        "equilibrium.equilibria": len(result[0])}
+
+
 def test_scaling_payoffs_preserves_structure(table6):
-    scaled = Bimatrix(
-        table6.row_player, table6.row_actions,
-        table6.col_player, table6.col_actions,
-        tuple(tuple((u * 7, v) for u, v in row) for row in table6.payoffs))
-    assert {c.pure_profile() for c in pure_nash(scaled.to_payoff_table())} \
-        == {c.pure_profile() for c in pure_nash(table6.to_payoff_table())}
-    base = dominance_analysis(table6.to_payoff_table(), "weak")
-    after = dominance_analysis(scaled.to_payoff_table(), "weak")
+    scaled = table6._replace(
+        cells=tuple((u * 7, v) for u, v in table6.cells))
+    assert {c.pure_profile() for c in pure_nash(scaled)} \
+        == {c.pure_profile() for c in pure_nash(table6)}
+    base = dominance_analysis(table6, "weak")
+    after = dominance_analysis(scaled, "weak")
     assert [(e.player, e.action) for e in base.trace] == \
         [(e.player, e.action) for e in after.trace]
 
@@ -460,9 +503,7 @@ def test_serialized_bimatrix_bytes(name, digest):
 def test_bimatrix_round_trip(table5):
     text = serialize_bimatrix(table5)
     again = parse_bimatrix(text)
-    assert again == Bimatrix(table5.row_player, table5.row_actions,
-                             table5.col_player, table5.col_actions,
-                             table5.payoffs, again.provenance)
+    assert again == PayoffTable(table5.players, table5.actions, table5.cells)
 
 
 def test_bimatrix_round_trip_keeps_infeasible_cells():
@@ -471,8 +512,8 @@ def test_bimatrix_round_trip_keeps_infeasible_cells():
     text = serialize_bimatrix(bm)
     assert "(-,-) (3,-1/2)" in text
     again = parse_bimatrix(text)
-    assert again.payoffs == bm.payoffs
-    assert not again.feasible()
+    assert again.cells == bm.cells
+    assert None in again.cells
 
 
 # Names drawn from what a .bmx header is made of: its separators, the
@@ -494,13 +535,12 @@ def named_bimatrices(draw):
 @given(named_bimatrices())
 @example(bimatrix(["a"], ["x, y", "z"], [[(1, 1), (0, 1)]], "R", "C"))
 def test_bimatrix_writer_refuses_or_reads_back(bm):
-    """The writer raises ValueError, or its text parses back to ``bm`` in
-    every field but provenance."""
+    """The writer raises ValueError, or its text parses back to ``bm``."""
     try:
         text = serialize_bimatrix(bm)
     except ValueError:
         return
-    assert parse_bimatrix(text)._replace(provenance=bm.provenance) == bm
+    assert parse_bimatrix(text) == bm
 
 
 def test_bimatrix_rejects_bad_shapes():

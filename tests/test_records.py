@@ -1,6 +1,7 @@
 """The public record types: construction, defaults, value equality,
 immutability, validation and repr."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +41,8 @@ RULE = Rule((ATOM,), (Atom(OUTCOME, "Income", "More"),))
 UTILITY = UtilityDef("Editors", ("Income",))
 GAME = GameSpec("g", (PLAYER,), (VARIABLE,), (RULE,), (UTILITY,))
 BIMATRIX = Bimatrix("A", ("x",), "B", ("y",), (((F(1), F(2)),),))
+TABLE = PayoffTable(("A", "B"), (("x", "y"), ("u", "v")),
+                    ((1, 2), (2, 1), (0, 0), (1, 1)))
 MIX = MixedStrategy.pure("A", "x")
 ELIMINATION = Elimination("A", "x", "y", "strict")
 
@@ -76,8 +79,7 @@ RECORDS = [
                          "max_global_utility": 30,
                          "max_global_utility_count": 2}, {}),
     (Bimatrix, {"row_player": "A", "row_actions": ("x",), "col_player": "B",
-                "col_actions": ("y",), "payoffs": (((F(1), F(2)),),)},
-     {"provenance": "loaded-from-file"}),
+                "col_actions": ("y",), "rows": (((F(1), F(2)),),)}, {}),
     (MixedStrategy, {"player": "A", "probs": (("x", F(1, 3)),
                                               ("y", F(2, 3)))}, {}),
     (EquilibriumCertificate, {"kind": "pure", "strategies": (MIX, MIX),
@@ -100,8 +102,10 @@ def test_record_construction_equality_and_immutability(cls, required,
     record = cls(*required.values())
     assert record == cls(**required)
     assert record == cls(*fields.values()) == cls(**fields)
-    assert {name: getattr(record, name) for name in fields} == fields
     assert hash(record) == hash(cls(**fields))
+    if cls is Bimatrix:  # its rows are kept as the table's cells
+        assert record.cells == tuple(itertools.chain(*fields.pop("rows")))
+    assert {name: getattr(record, name) for name in fields} == fields
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(record, name, value)
@@ -122,15 +126,27 @@ def test_record_construction_equality_and_immutability(cls, required,
      ValueError, "pessimistic policy requires a player"),
     (lambda: CompletionPolicy("optimistic", None),
      ValueError, "optimistic policy requires a player"),
-    (lambda: BIMATRIX._replace(col_actions=("y", "z")),
-     BimatrixFormatError, "payoff matrix shape does not match"),
+    (lambda: BIMATRIX._replace(actions=(("x",), ("y", "z"))),
+     ValueError, "1 cells for 2 action profiles"),
+    (lambda: PayoffTable(("A", "B"), (("x", "y"),), ((1, 2), (2, 1))),
+     ValueError, "2 players but 1 action lists"),
+    (lambda: PayoffTable(*TABLE[:2], TABLE.cells[:3]),
+     ValueError, "3 cells for 4 action profiles"),
+    (lambda: PayoffTable(*TABLE[:2], TABLE.cells + ((0, 0),)),
+     ValueError, "5 cells for 4 action profiles"),
+    (lambda: TABLE._replace(players=("A",)),
+     ValueError, "1 players but 2 action lists"),
+    (lambda: TABLE._replace(cells=TABLE.cells[:3]),
+     ValueError, "3 cells for 4 action profiles"),
     (lambda: MIX._replace(probs=(("x", F(1, 2)),)),
      ValueError, "probabilities sum to 1/2, not 1"),
     (lambda: CompletionPolicy()._replace(kind="bogus"),
      ValueError, "unknown completion policy 'bogus'"),
 ], ids=["bimatrix-rows", "bimatrix-cols", "mix-negative", "mix-sum",
         "policy-kind", "policy-player-keyword", "policy-player",
-        "bimatrix-replace", "mix-replace", "policy-replace"])
+        "bimatrix-replace", "table-players", "table-three-cells",
+        "table-five-cells", "table-replace-players", "table-replace-cells",
+        "mix-replace", "policy-replace"])
 def test_record_validation_still_fires(make, error, message):
     with pytest.raises(error, match=message):
         make()
