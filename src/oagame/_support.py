@@ -4,8 +4,9 @@ two-player one by support enumeration.
 
 Programs read the public names here through ``oagame.equilibrium`` (and
 ``oagame``), which loads this module on first access.  Support enumeration
-solves its indifference systems over ints; ``Fraction``s are built only for
-the equilibria found.
+solves its indifference systems over ints, by Cramer's rule from minors
+that each support builds once from its prefix's and shares with every
+pair it is in; ``Fraction``s are built only for the equilibria found.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .equilibrium import EquilibriumCertificate, MixedStrategy, _strides
+from .equilibrium import (EquilibriumCertificate, MixedStrategy,
+                          _check_two_players, _strides)
 from .model import PayoffTable
 
 SUPPORT_LIMIT = 8  # support enumeration is exponential past this
@@ -99,37 +101,59 @@ def _integer_scaled(
             for row in matrix], scale
 
 
-def _indifference(
-    payoffs: list[list[int]], support_own: tuple[int, ...],
-    support_opp: tuple[int, ...]
-) -> tuple[list[int], int, int] | None:
-    """Opponent mix over ``support_opp`` equalizing our payoff on
-    ``support_own``, by fraction-free (Bareiss) Gauss-Jordan elimination.
+def _cramer(payoffs: list[list[int]], width: int):
+    """Solver of the indifference systems of ``payoffs`` (rows of ints over
+    ``width`` opponent actions).  ``solve(own, opp)``, for equal-size
+    supports, is the opponent mix over ``opp`` that equalizes our payoff on
+    ``own``: the numerators of the mix and of the common value over one
+    positive denominator, or None when the system is singular.
 
-    Returns the numerators of the mix and of the common value over one
-    positive denominator, or None when the system is singular.  Each step
-    divides exactly by the previous pivot, so every entry stays an int and
-    the last pivot is the determinant up to sign (Bareiss 1968)."""
-    k = len(support_opp)
-    rows = [[payoffs[i][j] for j in support_opp] + [-1, 0]
-            for i in support_own]
-    rows.append([1] * k + [0, 1])
-    prev = 1
-    for col in range(k + 1):
-        pivot = next((r for r in range(col, k + 1) if rows[r][col]), None)
-        if pivot is None:
+    Let D hold the rows ``payoffs[i] - payoffs[own[0]]`` for ``i`` in
+    ``own[1:]``, last first.  By Cramer's rule the mix is proportional to
+    ``c_p = (-1)**p * det D[:, opp without opp[p]]``, and the system is
+    singular exactly when the ``c_p`` sum to 0.  The minors of D on every
+    ``len(own) - 1`` columns are built once per ``own``, by Laplace
+    expansion along its first row from the minors of the prefix
+    ``own[:-1]``, and kept by their column bitmask."""
+    subsets = {}  # column tuple -> expansion terms (sign, column, rest mask)
+    by_size = [[] for _ in range(width + 1)]  # (mask, terms) per size
+    for size in range(width + 1):
+        for cols in itertools.combinations(range(width), size):
+            mask = sum(1 << j for j in cols)
+            terms = tuple(((-1) ** p, j, mask ^ 1 << j)
+                          for p, j in enumerate(cols))
+            subsets[cols] = terms
+            by_size[size].append((mask, terms))
+    memo: dict[tuple[int, ...], dict[int, int]] = {}  # own -> minors by mask
+
+    def minors(own: tuple[int, ...]) -> dict[int, int]:
+        table = memo.get(own)
+        if table is None:
+            if len(own) == 1:
+                table = {0: 1}  # the empty minor
+            else:
+                prefix = minors(own[:-1])
+                row = [x - y for x, y in zip(payoffs[own[-1]],
+                                             payoffs[own[0]])]
+                table = {mask: sum(sign * row[j] * prefix[rest]
+                                   for sign, j, rest in terms)
+                         for mask, terms in by_size[len(own) - 1]}
+            memo[own] = table
+        return table
+
+    def solve(own: tuple[int, ...], opp: tuple[int, ...]
+              ) -> tuple[list[int], int, int] | None:
+        table, terms = minors(own), subsets[opp]
+        mix = [sign * table[rest] for sign, _, rest in terms]
+        total = sum(mix)
+        if not total:
             return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        p = top[col]
-        for r, row in enumerate(rows):
-            if r != col:
-                f = row[col]
-                rows[r] = [(p * x - f * t) // prev for x, t in zip(row, top)]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    *mix, value = (sign * row[-1] for row in rows)
-    return mix, value, sign * prev
+        if total < 0:
+            mix, total = [-w for w in mix], -total
+        first = payoffs[own[0]]
+        return mix, sum(first[j] * w for j, w in zip(opp, mix)), total
+
+    return solve
 
 
 def mixed_nash_2p(
@@ -141,6 +165,7 @@ def mixed_nash_2p(
     Both players' payoffs are scaled to ints once; signs and off-support
     deviations are tested on integer numerators, and ``Fraction``s are
     built only for the equilibria found."""
+    _check_two_players(table)
     if None in table.cells:
         raise ValueError("mixed analysis requires a fully feasible bimatrix")
     row_actions, col_actions = table.actions
@@ -153,12 +178,13 @@ def mixed_nash_2p(
     b_t, scale_b = _integer_scaled([[v for _, v in col]
                                     for col in zip(*rows)])
 
+    col_mix_of, row_mix_of = _cramer(a, n), _cramer(b_t, m)
     certs: list[EquilibriumCertificate] = []
     degenerate = False
     for k in range(1, min(m, n) + 1):
         for sup_r in itertools.combinations(range(m), k):
             for sup_c in itertools.combinations(range(n), k):
-                col_mix = _indifference(a, sup_r, sup_c)
+                col_mix = col_mix_of(sup_r, sup_c)
                 if col_mix is None or 0 in col_mix[0]:
                     degenerate = True
                     continue
@@ -167,7 +193,7 @@ def mixed_nash_2p(
                 # could only set the flag, so skip it once the flag is set.
                 if degenerate and min(y) < 0:
                     continue
-                row_mix = _indifference(b_t, sup_c, sup_r)
+                row_mix = row_mix_of(sup_c, sup_r)
                 if row_mix is None or 0 in row_mix[0]:
                     degenerate = True
                     continue

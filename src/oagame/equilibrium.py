@@ -128,6 +128,14 @@ class EquilibriumCertificate(NamedTuple):
         return True
 
 
+def _check_two_players(table: PayoffTable) -> None:
+    """ValueError unless ``table`` is a two-player one, as the bimatrix
+    functions need."""
+    if len(table.players) != 2:
+        raise ValueError(f"the table has {len(table.players)} players, "
+                         f"not 2")
+
+
 # ---------------------------------------------------------------------------
 # Pure analysis on n-player payoff tables
 
@@ -228,6 +236,7 @@ def expected_utility(
     table: PayoffTable, mix_row: MixedStrategy, mix_col: MixedStrategy
 ) -> tuple[Fraction, Fraction]:
     """Bilinear expectation of a two-player table's payoffs under two mixes."""
+    _check_two_players(table)
     for mix, actions, side in ((mix_row, table.actions[0], "row"),
                                (mix_col, table.actions[1], "column")):
         for a, _ in mix.probs:
@@ -309,6 +318,7 @@ def payoff_pair(cell: tuple[Fraction, Fraction] | None) -> str | None:
 def serialize_bimatrix(table: PayoffTable) -> str:
     """``.bmx`` text that ``parse_bimatrix`` reads back as the two-player
     ``table``; ValueError when it would not."""
+    _check_two_players(table)
     (row, col), (row_actions, col_actions) = table.players, table.actions
     n = len(col_actions)
     cells = [payoff_pair(cell) or "(-,-)" for cell in table.cells]

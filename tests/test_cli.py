@@ -785,6 +785,13 @@ GOLDEN_STDOUT = {
     ("expected", "--bimatrix", "six.bmx", "--row-mix",
      "1/6,1/6,1/6,1/6,1/6,1/6", "--col-mix", "1/2,0,1/4,0,1/8,1/8"):
         "b740788b2ad14ebdc0b1c8cd7fad77d7a88b0187f59cd5d2b617de75ac8ec05e",
+    # The next two were taken before support enumeration read its
+    # indifference systems off minors shared between support pairs.
+    ("mixed", "--bimatrix", "seven.bmx", "--dominance", "weak",
+     "--format", "json"):
+        "39ae163027577c0432e4777b23835421ae07604ff0743e99175a926fe9336007",
+    ("mixed", "--bimatrix", "eight.bmx", "--format", "json"):
+        "f4f4026eb3ccc6d8b5d95f5de8cdc1d8c8c46bdc143bdeeba445e098572c1009",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and
@@ -813,11 +820,40 @@ cols: Col: c1, c2, c3, c4, c5, c6
 (-1/3,0) (2,1/2) (-2,0) (1,1) (0,1) (3,3)
 """
 
+# Payoffs 0, 1 and 2 only: twelve equilibria with supports of up to four
+# actions, all degenerate, and six weak eliminations.
+SEVEN_BMX = """rows: Row: r1, r2, r3, r4, r5, r6, r7
+cols: Col: c1, c2, c3, c4, c5, c6, c7
+(0,1) (0,1) (0,2) (2,2) (1,0) (0,1) (2,0)
+(0,1) (2,2) (2,0) (1,1) (0,1) (0,2) (1,1)
+(0,2) (1,1) (2,1) (0,2) (2,0) (2,1) (2,2)
+(1,1) (2,1) (0,2) (2,0) (0,1) (2,2) (1,2)
+(1,2) (1,2) (0,2) (0,1) (0,2) (2,2) (2,1)
+(2,0) (2,0) (0,1) (2,1) (1,0) (2,1) (1,1)
+(1,0) (0,0) (1,2) (1,0) (2,1) (2,0) (0,0)
+"""
+
+# At the support limit, with negative and fractional payoffs: nine
+# equilibria with supports of two to five actions, one of them degenerate.
+EIGHT_BMX = """rows: Row: r1, r2, r3, r4, r5, r6, r7, r8
+cols: Col: c1, c2, c3, c4, c5, c6, c7, c8
+(1/2,3) (3/2,7) (2,5) (0,3) (1/2,1) (7,4) (-2,3/2) (-1,2)
+(0,0) (1/2,0) (4,5) (1/2,-1) (2,4) (6,7) (-2,3/2) (3,7)
+(3,3/2) (3,6) (2,3) (3,4) (5,5) (1/2,1/2) (2,1) (-1,0)
+(3,3/2) (1/2,4) (-2,1) (7,4) (1,6) (4,-1) (2,4) (3,7)
+(2,4) (7,1/2) (-1,3/2) (6,1/2) (1,-2) (-1,1) (-1,3/2) (2,1/2)
+(5,1) (2,-2) (-1,2) (6,1) (-2,2) (3/2,1) (1/2,7) (7,2)
+(-1,0) (3,6) (6,2) (4,-1) (1/2,0) (5,6) (0,-2) (5,1/2)
+(-1,0) (4,1) (-2,-1) (3,-2) (7,2) (1/2,3/2) (0,0) (5,5)
+"""
+
 
 @pytest.mark.parametrize("args", list(GOLDEN_STDOUT))
 def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
     (tmp_path / "alias.game").write_text(ALIAS_GAME, encoding="utf-8")
-    (tmp_path / "six.bmx").write_text(SIX_BMX, encoding="utf-8")
+    for name, text in (("six.bmx", SIX_BMX), ("seven.bmx", SEVEN_BMX),
+                       ("eight.bmx", EIGHT_BMX)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # the report names its input path
     code, out, _ = run(capsys, *args)
     assert code == 0

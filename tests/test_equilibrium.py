@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -27,7 +28,7 @@ from oagame import (
     pure_nash,
     serialize_bimatrix,
 )
-from oagame._support import _eliminations
+from oagame._support import _cramer, _eliminations, _integer_scaled
 from oagame.equilibrium import Elimination
 
 from . import oracle
@@ -303,6 +304,27 @@ def test_support_limit_guard():
         mixed_nash_2p(bm)
 
 
+# Three players, one of them with two actions; every cell is feasible.
+THREE_PLAYERS = PayoffTable(("A", "B", "C"), (("a",), ("b",), ("c", "d")),
+                            ((1, 1, 1), (0, 0, 0)))
+
+
+def test_mixed_nash_needs_two_players():
+    with pytest.raises(ValueError, match="has 3 players, not 2"):
+        mixed_nash_2p(THREE_PLAYERS)
+
+
+def test_expected_utility_needs_two_players():
+    with pytest.raises(ValueError, match="has 3 players, not 2"):
+        expected_utility(THREE_PLAYERS, MixedStrategy.pure("A", "a"),
+                         MixedStrategy.pure("B", "b"))
+
+
+def test_serialize_bimatrix_needs_two_players():
+    with pytest.raises(ValueError, match="has 3 players, not 2"):
+        serialize_bimatrix(THREE_PLAYERS)
+
+
 def test_certificates_verify(table5, table6):
     for bm in (table5, table6, MATCHING_PENNIES, BATTLE):
         certs, _ = mixed_nash_2p(bm)
@@ -343,6 +365,36 @@ def test_mixed_nash_matches_support_enumeration_oracle(bm):
     certs, degenerate = mixed_nash_2p(bm)
     assert (certs, degenerate) == support_enumeration(bm)
     assert all(cert.verify() for cert in certs)
+
+
+@st.composite
+def payoff_matrices(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    value = draw(st.sampled_from(PAYOFF_KINDS))
+    return draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(payoff_matrices())
+def test_cofactor_solve_matches_the_fraction_solve(matrix):
+    """Every equal-size support pair, read off one solver whose minor
+    tables the pairs share, against Gaussian elimination over
+    ``Fraction``."""
+    payoffs, scale = _integer_scaled(matrix)
+    m, n = len(matrix), len(matrix[0])
+    solve = _cramer(payoffs, n)
+    for k in range(1, min(m, n) + 1):
+        for own in itertools.combinations(range(m), k):
+            for opp in itertools.combinations(range(n), k):
+                got = solve(own, opp)
+                want = oracle._indifference_mix(matrix, own, opp)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    mix, value, den = got
+                    assert den > 0
+                    assert [F(w, den) for w in mix] == want[0]
+                    assert F(value, den * scale) == want[1]
 
 
 @st.composite
