@@ -24,9 +24,8 @@ _EXPORTS = {
     ), "dsl"),
     **dict.fromkeys((
         "CompiledGame", "CompletionPolicy", "EnumerationReport",
-        "RowBudgetError", "admissible_rows", "chosen_completions",
-        "compile_game", "derive_payoff_table", "enumeration_report",
-        "top_gu_rows",
+        "RowBudgetError", "admissible_rows", "compile_game",
+        "derive_payoff_table", "enumeration_report", "top_gu_rows",
     ), "engine"),
     **dict.fromkeys((
         "Bimatrix", "DominanceResult", "EquilibriumCertificate",

@@ -394,7 +394,7 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     utilities: list[UtilityDef] = []
     # Declaring line of the game (line 1 when it has none) and of each
     # player, variable and utility, by position.
-    lines: dict[str, list[int]] = {"game": [1], "player": [], "variable": [],
+    lines: dict[str, list[int]] = {"game": [], "player": [], "variable": [],
                                    "utility": []}
     rule_lines: list[tuple[int, str]] = []
 
@@ -416,10 +416,13 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
                                      f"malformed {head} line", line))
             continue
         if head == "game":
+            if lines["game"]:
+                errors.append(ParseError(
+                    _span(lineno), "syntax", f"second game line (the game "
+                    f"is declared on line {lines['game'][0]})", line))
+                continue
             name = _unquote(m.group("name"))
-            lines["game"] = [lineno]
-            continue
-        if head == "player":
+        elif head == "player":
             players.append(PlayerDef(m.group("name"),
                                      _names(m.group("actions")),
                                      _names(m.group("aliases"))))
@@ -442,8 +445,8 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
 
     partial = GameSpec(name, tuple(players), tuple(variables), (),
                        tuple(utilities))
-    errors.extend(ParseError(_span(lines[kind][index]), "resolution",
-                             message, token)
+    errors.extend(ParseError(_span((lines[kind] or [1])[index]),
+                             "resolution", message, token)
                   for (kind, index), message, token
                   in _structural_errors(partial))
 
@@ -533,11 +536,18 @@ def _structural_errors(game: GameSpec):
             yield (where, f"variable {v.name!r} owned by undeclared player "
                           f"{v.owner!r}", v.owner)
 
+    seen = set()
     for i, u in enumerate(game.utilities):
         where = ("utility", i)
-        if game.player(u.player) is None:
+        player = game.player(u.player)
+        if player is None:
             yield (where, f"utility for undeclared player {u.player!r}",
                    u.player)
+        elif player.name in seen:
+            yield (where, f"utility for player {player.name!r} declared "
+                          f"more than once", u.player)
+        else:
+            seen.add(player.name)
         for term in u.terms:
             if game.variable(term) is None:
                 yield (where, f"utility of {u.player!r} sums undeclared "

@@ -200,9 +200,6 @@ class CompiledGame:
                 for k, scores in zip(counts, self.scores))
         return weights
 
-    def utility(self, player: str, completion) -> int:
-        return sum(map(getitem, self._utility_weights(player), completion))
-
 
 def compile_game(game: GameSpec) -> CompiledGame:
     """The game's compiled form, built on first use and kept in the
@@ -393,25 +390,21 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
                          in census if high == best)
 
 
-def chosen_completions(
-    game: GameSpec, policy: CompletionPolicy = CompletionPolicy()
-):
-    """The completion the policy picks for each action profile.
-
-    Yields ``(profile, completion, key)`` in canonical profile order, as
-    index tuples of ``compile_game(game)``: ``completion`` is the first
-    admissible completion with the greatest policy key, or None when no
-    completion qualifies (then ``key`` is None too).  Under the fixed
-    policy only completions matching the fragment qualify and every key is
-    0.  Picking over several profiles at once therefore means keeping the
-    first profile's completion with the strictly greatest key.
-
-    Each block's ``_optimum`` gives its pick.  Under the fixed policy a
-    value that a fixed outcome pair rules out weighs -1, so the matching
-    completions have key 0; naming anything undeclared matches nothing.
-    """
+def _payoff_table(game: GameSpec, policy: CompletionPolicy,
+                  players) -> PayoffTable:
+    """The payoff table of ``players`` (declared names, in the table's
+    order) under the completion policy.  A game profile's pick is its first
+    admissible completion of greatest policy key; under the fixed policy
+    only completions matching the fragment qualify, at key 0, as a value
+    that a fixed outcome pair rules out weighs -1 (naming anything
+    undeclared matches nothing).  A cell holds the utilities at the first
+    pick of strictly greatest key over the game profiles extending it, the
+    policy applied to all of their completions at once, or None when they
+    have no pick.  Each block's ``_optimum`` gives its pick, and the pick's
+    utilities are one tuple shared by every profile in the block."""
     cg = compile_game(game)
-    acts, weights = (), None
+    kept = [cg.players.index(p) for p in players]
+    acts, weights, utilities = (), None, None
     if policy.kind == "fixed":
         acts = [cg._pair(ACTION, s, x) for s, x in policy.fixed_actions]
         outs = [cg._pair(OUTCOME, s, x) for s, x in policy.fixed_outcomes]
@@ -419,25 +412,36 @@ def chosen_completions(
         weights = tuple(tuple(-sum(w == v and y != x
                                    for w, y in filter(None, outs))
                               for x in r) for v, r in enumerate(cg.ranges))
-    picks = {}  # id(block) -> (completion, key)
+    picks = {}  # id(block) -> (key, cell), or None when it has no pick
+    best = {}  # profile of ``players`` -> (key, cell) of its first best pick
     for profile in cg.profiles():
         block = (None if acts is None or not _holds(acts, profile)
                  else _profile_block(cg, profile))
         if block is None or not block.count:
-            yield profile, None, None
             continue
         if weights is None:  # no admissible row, no utility needed
             weights = cg.scores if policy.kind == "max-global-utility" else [
                 [w if policy.kind == "optimistic" else -w for w in ws]
                 for ws in cg._utility_weights(policy.player)]
         if id(block) not in picks:
-            best, _, argmax, top = _optimum(block, weights)
-            first = [domain[0] for domain in top]
-            for v, x in zip(block.coupled, block.passing[min(argmax)]):
-                first[v] = x
-            picks[id(block)] = ((None, None) if policy.kind == "fixed"
-                                and best else (tuple(first), best))
-        yield profile, *picks[id(block)]
+            key, _, argmax, top = _optimum(block, weights)
+            pick = None
+            if policy.kind != "fixed" or not key:
+                first = [domain[0] for domain in top]
+                for v, x in zip(block.coupled, block.passing[min(argmax)]):
+                    first[v] = x
+                if utilities is None:
+                    utilities = [cg._utility_weights(p) for p in players]
+                pick = key, tuple(sum(map(getitem, w, first))
+                                  for w in utilities)
+            picks[id(block)] = pick
+        pick, own = picks[id(block)], tuple(map(profile.__getitem__, kept))
+        if pick is not None and (own not in best or pick[0] > best[own][0]):
+            best[own] = pick
+    actions = tuple(cg.actions[i] for i in kept)
+    return PayoffTable(tuple(players), actions, tuple(
+        best[own][1] if own in best else None
+        for own in itertools.product(*map(range, map(len, actions)))))
 
 
 def derive_payoff_table(
@@ -447,12 +451,7 @@ def derive_payoff_table(
     """One utility vector per action profile under the completion policy,
     in canonical profile order (``PayoffTable.profiles()``); profiles
     without an admissible completion are marked infeasible."""
-    cg = compile_game(game)
-    cells = tuple(
-        None if completion is None
-        else tuple(cg.utility(p, completion) for p in cg.players)
-        for _, completion, _ in chosen_completions(game, policy))
-    return PayoffTable(cg.players, cg.actions, cells)
+    return _payoff_table(game, policy, compile_game(game).players)
 
 
 def record_cells(game: GameSpec, rows) -> tuple[tuple[str, ...], dict, dict]:

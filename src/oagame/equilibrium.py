@@ -7,8 +7,8 @@ Support-enumeration mixed equilibria and iterated dominance, which only the
 are read through this module on first access (PEP 562), so the other
 commands never compile them.
 
-Every figure is exact, a ``fractions.Fraction``; decimals appear only at
-the reporting boundary.
+Every figure is exact, an int or a ``fractions.Fraction``; decimals appear
+only at the reporting boundary.
 """
 
 from __future__ import annotations
@@ -208,28 +208,16 @@ def project_bimatrix(
     col_player: str,
 ) -> PayoffTable:
     """Two-player table: complete the other players and the outcome per the
-    policy for each action pair and record the pair's utilities.  A pair's
-    completion is the first profile's pick with the greatest policy key,
-    which is the policy applied to all of the pair's completions at once."""
+    policy for each action pair and record the pair's utilities, as ints.
+    A pair's completion is the first profile's pick with the greatest
+    policy key, which is the policy applied to all of the pair's
+    completions at once."""
     rp = game.player(row_player)
     cp = game.player(col_player)
     if rp is None or cp is None or rp.name == cp.name:
         raise ValueError("projection needs two distinct declared players")
-    from .engine import chosen_completions, compile_game
-    cg = compile_game(game)
-    ri, ci = cg.players.index(rp.name), cg.players.index(cp.name)
-    picks: dict[tuple[int, int], tuple] = {}  # action pair -> (key, pick)
-    for profile, completion, key in chosen_completions(game, policy):
-        pair = (profile[ri], profile[ci])
-        if completion is not None and (pair not in picks
-                                       or key > picks[pair][0]):
-            picks[pair] = (key, completion)
-    pairs = itertools.product(range(len(rp.actions)), range(len(cp.actions)))
-    chosen = [picks.get(pair, (None, None))[1] for pair in pairs]
-    return PayoffTable((rp.name, cp.name), (rp.actions, cp.actions), tuple(
-        None if c is None else (Fraction(cg.utility(rp.name, c)),
-                                Fraction(cg.utility(cp.name, c)))
-        for c in chosen))
+    from .engine import _payoff_table
+    return _payoff_table(game, policy, (rp.name, cp.name))
 
 
 def expected_utility(

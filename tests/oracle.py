@@ -136,15 +136,16 @@ def brute_force_pick(game: GameSpec, policy, rows: list[ScenarioRow]):
     return best
 
 
-def brute_force_projection(game: GameSpec, policy, row: str, col: str):
-    """{(row action, col action): chosen row or None}, the policy applied to
-    every brute-force admissible row of each action pair at once."""
-    pools = {(ra, ca): [] for ra in game.player(row).actions
-             for ca in game.player(col).actions}
+def brute_force_projection(game: GameSpec, policy, players):
+    """{profile of ``players`` (their actions, in that order): chosen row or
+    None}, the policy applied to every brute-force admissible row of each
+    of their profiles at once."""
+    pools = {own: [] for own in itertools.product(
+        *(game.player(p).actions for p in players))}
     for r in brute_force_admissible(game):
-        pools[(r.actions[row], r.actions[col])].append(r)
-    return {pair: brute_force_pick(game, policy, rows)
-            for pair, rows in pools.items()}
+        pools[tuple(r.actions[p] for p in players)].append(r)
+    return {own: brute_force_pick(game, policy, rows)
+            for own, rows in pools.items()}
 
 
 def row_key(row: ScenarioRow) -> tuple:

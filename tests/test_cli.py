@@ -344,6 +344,30 @@ def test_structural_error_names_its_line(tmp_path, capsys):
                    f"oagame: {path}: 1 parse error(s)\n")
 
 
+@pytest.mark.parametrize("repeated, message", [
+    ('game "second"',
+     "syntax: second game line (the game is declared on line 1)"),
+    ("utility Editors = V",
+     "resolution: utility for player 'Editors' declared more than once"),
+], ids=["game", "utility"])
+def test_a_second_declaration_is_a_diagnostic(tmp_path, capsys, repeated,
+                                              message):
+    """A second game line or a second utility of one player, here named
+    by its alias first, is reported at the repeated line; before, the
+    second game line renamed the game and the second utility was ignored."""
+    path = tmp_path / "again.game"
+    path.write_text('game "first"\n'
+                    'player Editors alias Editor actions: "TA", "OA"\n'
+                    'variable W owner: Editors values: Hi=2, Lo=1\n'
+                    'variable V owner: Editors values: Hi=5, Lo=0\n'
+                    f'utility Editor = W\n{repeated}\n')
+    for command in ("validate", "payoffs"):
+        code, out, err = run(capsys, command, "--game", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"line 6:1: {message}\n"
+                       f"oagame: {path}: 1 parse error(s)\n")
+
+
 # Every declaration-line diagnostic, an unknown value as an alias target,
 # and an undeclared utility term left by a malformed variable line.
 DECLARATION_ERRORS = """game
@@ -792,6 +816,21 @@ GOLDEN_STDOUT = {
         "39ae163027577c0432e4777b23835421ae07604ff0743e99175a926fe9336007",
     ("mixed", "--bimatrix", "eight.bmx", "--format", "json"):
         "f4f4026eb3ccc6d8b5d95f5de8cdc1d8c8c46bdc143bdeeba445e098572c1009",
+    # The next three were taken before projection reduced the payoff
+    # table's per-block picks: the players in reverse declaration order, a
+    # pair without Academics under a policy named by alias, and a fixed
+    # policy.
+    ("project", "--game", "oa.game", "--row-player", "Editors",
+     "--col-player", "Academics", "--format", "json"):
+        "9aef0dc011de2079ea182462cbab7c06db448e2970299fd34f03fa7f97f29a9c",
+    ("project", "--game", "oa.game", "--row-player", "Funders",
+     "--col-player", "Politicians", "--policy", "optimistic",
+     "--policy-player", "Funder", "--format", "json"):
+        "455f743fdbd7ce9a31f3582fe55cd12b9fa5074331dffa9a7ef40961fe8333a6",
+    ("project", "--game", "oa.game", "--row-player", "Politicians",
+     "--col-player", "Academics", "--policy", "fixed",
+     "--fix", "Editors=Grant OA", "--format", "json"):
+        "f0401389984e964022eb842e20e2993ca39780ede9751f7d9e67f4226b5bf86b",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and

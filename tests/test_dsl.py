@@ -117,6 +117,8 @@ STRUCTURE_CASES = [
      "utility for undeclared player 'C'"),
     (7, 'utility B = X', ("utilities", 1), {"terms": ("X",)},
      "utility of 'B' sums undeclared variable 'X'"),
+    (7, 'utility Aye = W', ("utilities", 1), {"player": "Aye"},
+     "utility for player 'A' declared more than once"),
     # Names that would bind a rule atom to the wrong declaration or repeat
     # a row-dump or payoffs column.
     (5, 'variable W alias aye owner: B values: Hi=2, Lo=0', ("variables", 1),

@@ -19,7 +19,7 @@ from oagame import (
     top_gu_rows,
     validate_game,
 )
-from oagame import engine
+from oagame import engine, fixtures
 from oagame.engine import rows_as_records
 
 from .oracle import (
@@ -384,7 +384,8 @@ def _random_policies(game, rng):
 
 def test_payoffs_and_projection_match_pooled_oracle():
     """Per-profile picks reduced by first strictly-greatest key equal the
-    policy applied to each cell's pooled completions."""
+    policy applied to each cell's pooled completions, for the tables of
+    one, two (the projection) and three players in any order."""
     rng = random.Random(31)
     for _ in range(80):
         game = random_small_game(rng)
@@ -399,15 +400,34 @@ def test_payoffs_and_projection_match_pooled_oracle():
                 assert table.payoff(profile) == (
                     None if chosen is None else
                     tuple(utility(game, chosen, p) for p in players))
-            for row, col in itertools.permutations(players, 2):
-                bm = project_bimatrix(game, policy, row, col)
-                expected = brute_force_projection(game, policy, row, col)
-                for pair, cell in zip(bm.profiles(), bm.cells):
-                    chosen = expected[pair]
-                    assert cell == (
-                        None if chosen is None else
-                        (utility(game, chosen, row),
-                         utility(game, chosen, col)))
+            for kept in (*itertools.permutations(players, 1),
+                         *itertools.permutations(players, 2),
+                         *itertools.permutations(players, 3)):
+                expected = brute_force_projection(game, policy, kept)
+                tables = [engine._payoff_table(game, policy, kept)]
+                if len(kept) == 2:
+                    tables.append(project_bimatrix(game, policy, *kept))
+                for table in tables:
+                    assert table.players == kept
+                    for own, cell in zip(table.profiles(), table.cells):
+                        chosen = expected[own]
+                        assert cell == (
+                            None if chosen is None else
+                            tuple(utility(game, chosen, p) for p in kept))
+
+
+@pytest.mark.parametrize("policy", [
+    CompletionPolicy(),
+    CompletionPolicy("optimistic", "Editors"),
+    CompletionPolicy("pessimistic", "Editor"),
+    CompletionPolicy("fixed", fixed_actions=(("Editors", "Grant OA"),)),
+], ids=lambda policy: policy.kind)
+def test_payoff_cells_are_shared_per_block(policy):
+    """Every profile in a block shares its pick's one utility tuple."""
+    game = parse_game_spec(fixtures.fixture_text("oa.game")).game
+    table = derive_payoff_table(game, policy)
+    cells = {id(cell) for cell in table.cells if cell is not None}
+    assert 0 < len(cells) <= len(compile_game(game)._blocks)
 
 
 def test_compiled_form_is_built_once_and_only_on_use():
@@ -497,8 +517,8 @@ def test_compiled_path_matches_oracle_on_rich_games():
                 bm = project_bimatrix(game, policy,
                                       (row.aliases or (row.name,))[0],
                                       col.name)
-                expected = brute_force_projection(game, policy, row.name,
-                                                  col.name)
+                expected = brute_force_projection(game, policy,
+                                                  (row.name, col.name))
                 for pair, cell in zip(bm.profiles(), bm.cells):
                     chosen = expected[pair]
                     assert cell == (

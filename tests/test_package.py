@@ -25,9 +25,8 @@ EXPORTED = {
         "validate_game"),
     "engine": (
         "CompiledGame", "CompletionPolicy", "EnumerationReport",
-        "RowBudgetError", "admissible_rows", "chosen_completions",
-        "compile_game", "derive_payoff_table", "enumeration_report",
-        "top_gu_rows"),
+        "RowBudgetError", "admissible_rows", "compile_game",
+        "derive_payoff_table", "enumeration_report", "top_gu_rows"),
     "equilibrium": (
         "Bimatrix", "DominanceResult", "EquilibriumCertificate",
         "InfeasibleSliceError", "MixedStrategy", "best_responses",
