@@ -20,7 +20,7 @@ from .model import GameError
 # parser of the invoked subcommand alone, then imports that subcommand's
 # handler module, ``oagame.commands.<name>``, which imports the layers it
 # calls (dsl and engine for a game, equilibrium for a bimatrix) inside its
-# functions; table and delimited output never load ``json``, and the game
+# functions; no command loads ``json`` or ``hashlib``, and the game
 # commands never load ``fractions``.
 
 

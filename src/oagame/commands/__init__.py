@@ -18,7 +18,6 @@ handler module, so code here cannot call the builtin of that name.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -55,7 +54,7 @@ def _read_input(path: str) -> tuple[str, str]:
         text = fixtures.fixture_text(path)
     else:
         raise _CliError(f"cannot read {path!r}: no such file", USAGE_ERROR)
-    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text, fixtures.sha256(text)
 
 
 def _load_bimatrix(path: str) -> tuple[PayoffTable, str]:

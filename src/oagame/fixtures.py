@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 
+try:  # not ``hashlib``, which loads OpenSSL at a cost of milliseconds
+    from _sha256 import sha256 as _sha256  # through Python 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # from Python 3.12
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 BUNDLED = ("oa.game", "table5.bmx", "table6.bmx")
+
+
+def sha256(text: str) -> str:
+    """The hex sha256 of ``text`` encoded as UTF-8."""
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 def fixture_text(name: str) -> str:
@@ -17,4 +29,4 @@ def fixture_text(name: str) -> str:
 
 
 def fixture_digest(name: str) -> str:
-    return hashlib.sha256(fixture_text(name).encode("utf-8")).hexdigest()
+    return sha256(fixture_text(name))

@@ -14,6 +14,11 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 
+try:  # ``json``'s C string encoder, without the ``json`` package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
+
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumCertificate
 
@@ -107,8 +112,7 @@ class RowDump:
     row ``(h, t)`` of ``rows`` has the record
     ``dict(zip(keys, heads[h] + tails[t]))``.  The renderers render each
     distinct head and tail once and write the rows a chunk at a time.
-    (A plain class, not a named tuple: ``json`` would write a tuple as
-    the list of its four fields.)"""
+    (A plain class: ``_json`` would write a named tuple as a list.)"""
 
     def __init__(self, keys: tuple[str, ...], heads: dict, tails: dict,
                  rows: list):
@@ -210,22 +214,37 @@ def _delimited_chunks(report: dict):
             yield "\n".join(lines) + "\n"
 
 
-def _json_cells(keys, cells) -> str:
-    """The ``"key": value`` lines of a flat record, as ``indent=2`` writes
-    them at row depth, by the C encoder."""
-    import json
-    return json.dumps(dict(zip(keys, cells)),
-                      separators=(",\n      ", ": "))[1:-1]
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` at ``indent``, for a report's types."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = f",\n{inner}".join([_json(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{indent}]" if value else "[]"
+    if isinstance(value, dict):
+        items = _json_cells(value, value.values(), inner)
+        return f"{{\n{inner}{items}\n{indent}}}" if value else "{}"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def _json_cells(keys, cells, indent: str = "      ") -> str:
+    """A record's ``"key": value`` lines at ``indent`` (default: row depth)."""
+    return f",\n{indent}".join(
+        [f"{_quote(k)}: {_json(c, indent)}" for k, c in zip(keys, cells)])
 
 
 def _json_chunks(report: dict):
     """``json.dumps(report, indent=2)``, one top-level item at a time."""
-    import json
     sep = "{\n"
     for key, value in report.items():
         if isinstance(value, RowDump):
             head_keys, tail_keys = value.key_split()
-            yield f"{sep}  {json.dumps(key)}: [\n"
+            yield f"{sep}  {_quote(key)}: [\n"
             yield from _row_chunks(
                 value,
                 lambda cells: "    {\n      " + (
@@ -235,7 +254,7 @@ def _json_chunks(report: dict):
                 ",\n")
             yield "\n  ]"
         else:
-            yield sep + json.dumps({key: value}, indent=2)[2:-2]
+            yield f"{sep}  {_quote(key)}: {_json(value, '  ')}"
         sep = ",\n"
     yield "\n}\n" if report else "{}\n"
 

@@ -1,3 +1,4 @@
+import ast
 import gzip
 import hashlib
 import json
@@ -8,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oagame.cli import run_cli
 from oagame import fixtures
@@ -655,6 +657,41 @@ def test_fixture_digests_stable():
     # The bundled-fixture detection depends on content digests.
     for name in fixtures.BUNDLED:
         assert len(fixtures.fixture_digest(name)) == 64
+
+
+# Text with non-ASCII and non-BMP characters among the rest.
+_DIGEST_TEXT = st.text(st.characters()
+                       | st.sampled_from("\x00é€\u2028\U0001f600"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIGEST_TEXT)
+def test_sha256_is_hashlib_sha256(text):
+    assert fixtures._sha256.__module__ in ("_sha256", "_sha2")
+    assert fixtures.sha256(text) == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
+
+
+# Prints ``fixtures.sha256`` of each text given on stdin, with the
+# interpreter's own sha256 modules hidden, so that it takes ``hashlib``'s.
+_HASHLIB_SHA256 = """
+import ast, hashlib, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from oagame import fixtures
+assert fixtures._sha256 is hashlib.sha256
+print([fixtures.sha256(t) for t in ast.literal_eval(sys.stdin.read())])
+"""
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(_DIGEST_TEXT, min_size=20, max_size=20))
+def test_sha256_falls_back_to_hashlib(texts):
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASHLIB_SHA256], input=ascii(texts),
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60, check=True)
+    assert ast.literal_eval(proc.stdout) == [
+        hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
 
 
 # sha256 of stdout, taken before rows became index pairs in the engine.

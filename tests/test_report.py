@@ -1,8 +1,15 @@
 """The report writers against the oracle writers of plain records, and the
 streamed row dump against rendering of per-row records."""
 
+import ast
 import io
+import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,10 +22,12 @@ from oagame.engine import record_cells, rows_as_records
 
 from .oracle import delimited_report, random_rich_game, table_report
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 # The reference writer of each format: the oracle's for the two that render
-# a list of records as a row dump, and the JSON writer's own list path.
+# a list of records as a row dump, and ``json`` for JSON.
 REFERENCE = {"table": table_report, "delimited": delimited_report,
-             "json": lambda report: rp.emit_report(report, "json")}
+             "json": lambda report: json.dumps(report, indent=2) + "\n"}
 
 # Player V shares its name with variable V, and player GU with the GU
 # column, so a row's record would repeat those keys.  Parsing and
@@ -101,7 +110,61 @@ def test_record_lists_match_the_oracle_writers(records, scalars):
     None, booleans and non-ASCII text, between other report items."""
     report = {"head": 1, "records": records, "tail": scalars}
     with mock.patch.object(rp, "CHUNK_ROWS", 2):
-        for fmt in ("table", "delimited"):
+        for fmt in rp.FORMATS:
             out = io.StringIO()
             rp.emit_report(report, fmt, out)
             assert out.getvalue() == REFERENCE[fmt](report), fmt
+
+
+# Text with what JSON escapes: quotes, backslashes, control characters,
+# non-BMP characters and lone surrogates.
+_TEXT = st.text(st.characters(exclude_categories=())
+                | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\U0001f600'))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _TEXT
+    | st.integers() | st.integers(-2 ** 200, 2 ** 200),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert rp._json(value) == json.dumps(value, indent=2)
+    assert rp.emit_report({"v": value}, "json") == REFERENCE["json"](
+        {"v": value})
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, [{"a": {3}}]])
+def test_json_writer_refuses_what_json_cannot_write(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        rp._json(value)
+    with pytest.raises(TypeError):
+        rp.emit_report({"v": value}, "json")
+
+
+# Prints the JSON writer's text of each value given on stdin, with the C
+# string encoder hidden, so that the writer takes ``json.encoder``'s.
+_PURE_ENCODER = """
+import ast, sys
+sys.modules["_json"] = None
+import json.encoder
+from oagame import report
+assert report._quote is json.encoder.py_encode_basestring_ascii
+print(ascii([report._json(v) for v in ast.literal_eval(sys.stdin.read())]))
+"""
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(_JSON_VALUES, min_size=20, max_size=20))
+def test_json_writer_without_the_c_encoder_writes_the_same_bytes(values):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PURE_ENCODER], input=ascii(values),
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60, check=True)
+    assert ast.literal_eval(proc.stdout) == [
+        json.dumps(v, indent=2) for v in values]
