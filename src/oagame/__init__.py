@@ -13,10 +13,11 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
-        "ACTION", "OUTCOME", "Atom", "GameError", "GameSpec",
-        "MissingUtilityError", "NameResolutionError", "OutcomeVarDef",
-        "PayoffTable", "PlayerDef", "Rule", "UtilityDef",
+        "ACTION", "OUTCOME", "Atom", "GameSpec", "MissingUtilityError",
+        "NameResolutionError", "OutcomeVarDef", "PlayerDef", "Rule",
+        "UtilityDef",
     ), "model"),
+    **dict.fromkeys(("GameError", "PayoffTable"), "_table"),
     **dict.fromkeys((
         "Diagnostic", "ParseError", "ParseResult", "SourceSpan",
         "ValidatedGame", "parse_game_spec", "parse_rule", "serialize_game",

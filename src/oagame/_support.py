@@ -17,9 +17,9 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._table import PayoffTable
 from .equilibrium import (EquilibriumCertificate, MixedStrategy,
                           _check_two_players, _strides)
-from .model import PayoffTable
 
 SUPPORT_LIMIT = 8  # support enumeration is exponential past this
 

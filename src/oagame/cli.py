@@ -8,134 +8,146 @@ Output is deterministic: no timestamps, stable key order.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import report as rp
+from ._table import GameError
 from .commands import DIAG_ERROR, USAGE_ERROR, _CliError
-from .model import GameError
 
-# Each command compiles and runs only its own code.  ``run_cli`` builds the
-# parser of the invoked subcommand alone, then imports that subcommand's
-# handler module, ``oagame.commands.<name>``, which imports the layers it
-# calls (dsl and engine for a game, equilibrium for a bimatrix) inside its
-# functions; no command loads ``json`` or ``hashlib``, and the game
-# commands never load ``fractions``.
+# Each command compiles and runs only its own code.  ``_SUBCOMMANDS``
+# defines the command line once.  ``_read_args`` reads a well-formed one
+# straight off it; anything else (help, usage errors, abbreviations,
+# ``--opt=value``, ``-o``, ``--``) goes to the argparse parser that
+# ``build_parser`` makes of it, so only those load argparse.  ``run_cli``
+# then imports the handler ``oagame.commands.<name>``, which imports the
+# layers it calls inside its functions.
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Argument definitions
 
-def _add_game_arg(p):
-    p.add_argument("--game", required=True, help="path to a .game file "
-                   "(the bundled name 'oa.game' also resolves)")
-    p.add_argument("--mode", choices=["strict", "lenient"], default="strict",
-                   help="rule-binding mode (default: strict)")
+_MODES = ["strict", "lenient"]
+_GAME = [
+    (("--game",), {"required": True, "help": "path to a .game file (the "
+                   "bundled name 'oa.game' also resolves)"}),
+    (("--mode",), {"choices": _MODES, "default": "strict",
+                   "help": "rule-binding mode (default: strict)"}),
+]
+_POLICY = [
+    (("--policy",), {"choices": ["max-gu", "max-global-utility",
+                                 "optimistic", "pessimistic", "fixed"],
+                     "default": None,
+                     "help": "completion policy (default: max-gu)"}),
+    (("--policy-player",), {"default": None, "help": "player for "
+                            "optimistic/pessimistic policies"}),
+    (("--fix",), {"action": "append", "default": [], "metavar": "NAME=VALUE",
+                  "help": "fixed-policy fragment (repeatable)"}),
+]
+_REQUIRED = {"required": True}
 
-
-def _add_policy_args(p):
-    p.add_argument("--policy",
-                   choices=["max-gu", "max-global-utility", "optimistic",
-                            "pessimistic", "fixed"],
-                   default=None, help="completion policy (default: max-gu)")
-    p.add_argument("--policy-player", default=None,
-                   help="player for optimistic/pessimistic policies")
-    p.add_argument("--fix", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="fixed-policy fragment (repeatable)")
-
-
-def _add_common(p, formats=rp.FORMATS):
-    p.add_argument("--format", choices=formats,
-                   default=os.environ.get("OAGAME_FORMAT", "table"),
-                   help="output format (default from $OAGAME_FORMAT "
-                        "or 'table')")
-    p.add_argument("--output", "-o", default=None, help="output path "
-                   "(default: stdout)")
-    p.set_defaults(formats=formats)
-
-
-def _game_args(p):
-    _add_game_arg(p)
-    _add_common(p)
-
-
-def _enumerate_args(p):
-    _add_game_arg(p)
-    p.add_argument("--dump", action="store_true", help="include the rows")
-    _add_common(p)
-
-
-def _payoffs_args(p):
-    _add_game_arg(p)
-    _add_policy_args(p)
-    _add_common(p)
-
-
-def _project_args(p):
-    _add_game_arg(p)
-    p.add_argument("--row-player", required=True)
-    p.add_argument("--col-player", required=True)
-    _add_policy_args(p)
-    _add_common(p, rp.FORMATS + ("bmx",))
-
-
-def _nash_args(p):
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--game")
-    group.add_argument("--bimatrix", help="path to a .bmx file (bundled "
-                       "names 'table5.bmx'/'table6.bmx' also resolve)")
-    p.add_argument("--mode", choices=["strict", "lenient"], default=None,
-                   help="rule-binding mode for --game (default: strict)")
-    _add_policy_args(p)
-    _add_common(p)
-
-
-def _mixed_args(p):
-    p.add_argument("--bimatrix", required=True)
-    p.add_argument("--dominance", choices=["strict", "weak"], default=None,
-                   help="also run iterated dominance elimination")
-    _add_common(p)
-
-
-def _expected_args(p):
-    p.add_argument("--bimatrix", required=True)
-    p.add_argument("--row-mix", required=True,
-                   help="comma-separated probabilities, row actions in "
-                        "order")
-    p.add_argument("--col-mix", required=True)
-    _add_common(p)
-
-
-def _reproduce_args(p):
-    p.add_argument("--game", default="oa.game")
-    p.add_argument("--bimatrix", default="table5.bmx")
-    p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
-    _add_common(p)
-
-
-# Subcommand -> (help, the function adding its arguments); its handler
-# is ``oagame.commands.<subcommand>.run``.
+# Subcommand -> (help, options, formats); its handler is
+# ``oagame.commands.<subcommand>.run``.  Each option is (flags,
+# ``add_argument`` keyword arguments), in order; every subcommand then
+# takes --format, among its formats, and --output.
 _SUBCOMMANDS = {
-    "validate": ("parse and validate a game file", _game_args),
+    "validate": ("parse and validate a game file", _GAME, rp.FORMATS),
     "enumerate": ("admissible-row counts and optional row dump",
-                  _enumerate_args),
-    "top": ("rows attaining the maximum global utility", _game_args),
-    "payoffs": ("derive the full payoff table", _payoffs_args),
-    "project": ("project a two-player bimatrix", _project_args),
+                  [*_GAME, (("--dump",), {"action": "store_true",
+                                          "default": False,
+                                          "help": "include the rows"})],
+                  rp.FORMATS),
+    "top": ("rows attaining the maximum global utility", _GAME, rp.FORMATS),
+    "payoffs": ("derive the full payoff table", _GAME + _POLICY, rp.FORMATS),
+    "project": ("project a two-player bimatrix",
+                [*_GAME, (("--row-player",), _REQUIRED),
+                 (("--col-player",), _REQUIRED), *_POLICY],
+                rp.FORMATS + ("bmx",)),
     "nash": ("pure Nash equilibria of a game table or a bimatrix file",
-             _nash_args),
-    "mixed": ("all 2-player equilibria by support enumeration", _mixed_args),
-    "expected": ("expected utilities under given mixtures", _expected_args),
+             [(("--game",), {}),
+              (("--bimatrix",), {"help": "path to a .bmx file (bundled "
+                                 "names 'table5.bmx'/'table6.bmx' also "
+                                 "resolve)"}),
+              (("--mode",), {"choices": _MODES, "default": None,
+                             "help": "rule-binding mode for --game "
+                                     "(default: strict)"}),
+              *_POLICY], rp.FORMATS),
+    "mixed": ("all 2-player equilibria by support enumeration",
+              [(("--bimatrix",), _REQUIRED),
+               (("--dominance",), {"choices": ["strict", "weak"],
+                                   "default": None, "help": "also run "
+                                   "iterated dominance elimination"})],
+              rp.FORMATS),
+    "expected": ("expected utilities under given mixtures",
+                 [(("--bimatrix",), _REQUIRED),
+                  (("--row-mix",), {"required": True, "help": "comma-"
+                                    "separated probabilities, row actions "
+                                    "in order"}),
+                  (("--col-mix",), _REQUIRED)], rp.FORMATS),
     "reproduce": ("full pipeline on the bundled fixtures with a "
-                  "paper-vs-computed comparison", _reproduce_args),
+                  "paper-vs-computed comparison",
+                  [(("--game",), {"default": "oa.game"}),
+                   (("--bimatrix",), {"default": "table5.bmx"}),
+                   (("--mode",), {"choices": _MODES, "default": "strict"})],
+                  rp.FORMATS),
 }
+# The required mutually exclusive group of a subcommand: exactly one given.
+_ONE_OF = {"nash": ("--game", "--bimatrix")}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand or, when ``command`` names one, of
-    that one alone; its usage line lists all of them either way."""
+def _options(command: str):
+    """(help, formats, options) of a subcommand, its options ending with
+    --format, its default read from $OAGAME_FORMAT now, and --output."""
+    help_text, options, formats = _SUBCOMMANDS[command]
+    return help_text, formats, [
+        *options,
+        (("--format",), {"choices": formats,
+                         "default": os.environ.get("OAGAME_FORMAT", "table"),
+                         "help": "output format (default from "
+                                 "$OAGAME_FORMAT or 'table')"}),
+        (("--output", "-o"), {"default": None,
+                              "help": "output path (default: stdout)"})]
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for ``argv``, read without it, or
+    None unless ``argv`` is a subcommand then exact long flags, each but
+    --dump followed by a value that does not start with ``-``, with every
+    value among its choices, every required option given, and a format,
+    given or from $OAGAME_FORMAT, among the subcommand's."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, formats, options = _options(argv[0])
+    by_flag = {flags[0]: (flags[0][2:].replace("-", "_"), kwargs)
+               for flags, kwargs in options}
+    args = {dest: kwargs.get("default") for dest, kwargs in by_flag.values()}
+    given, rest = set(), iter(argv[1:])
+    for flag in rest:
+        if flag not in by_flag:
+            return None
+        dest, kwargs = by_flag[flag]
+        given.add(flag)
+        action = kwargs.get("action")
+        # A flag with no value left reads "-", and is refused.
+        value = True if action == "store_true" else next(rest, "-")
+        if value is not True and (value.startswith("-") or (
+                "choices" in kwargs and value not in kwargs["choices"])):
+            return None
+        # A new list: the default one is the table's own.
+        args[dest] = [*args[dest], value] if action == "append" else value
+    required = {f for f, (_, kw) in by_flag.items() if kw.get("required")}
+    one_of = _ONE_OF.get(argv[0])
+    if (not required <= given or args["format"] not in formats
+            or one_of and len(given.intersection(one_of)) != 1):
+        return None
+    return SimpleNamespace(command=argv[0], formats=formats, **args)
+
+
+def build_parser(command: str | None = None):
+    """The argparse parser of every subcommand or, when ``command`` names
+    one, of that one alone; its usage line lists all of them either way."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="oagame",
         description="Declarative stakeholder-game workbench: scenario "
@@ -148,24 +160,31 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=metavar)
     for name in names:
-        help_text, add_args = _SUBCOMMANDS[name]
-        add_args(sub.add_parser(name, help=help_text))
+        help_text, formats, options = _options(name)
+        p = sub.add_parser(name, help=help_text)
+        one_of = _ONE_OF.get(name, ())
+        group = p.add_mutually_exclusive_group(required=True) if one_of else p
+        for flags, kwargs in options:
+            (group if flags[0] in one_of else p).add_argument(*flags, **kwargs)
+        p.set_defaults(formats=formats)
     return parser
 
 
 def run_cli(argv: list[str]) -> int:
-    # Only the named subcommand's parser is built; a first argument that
-    # names none (no arguments, -h, an unknown command) gets all of them.
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.format not in args.formats:  # a default from $OAGAME_FORMAT
-        print(f"oagame: {args.command} takes no format {args.format!r} "
-              f"(from $OAGAME_FORMAT); choose from "
-              f"{', '.join(args.formats)}", file=sys.stderr)
-        return USAGE_ERROR
+    args = _read_args(argv)
+    if args is None:
+        # Only the named subcommand's parser is built; a first argument
+        # that names none (no arguments, -h, an unknown command) gets all.
+        parser = build_parser(argv[0] if argv else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        if args.format not in args.formats:  # a default from $OAGAME_FORMAT
+            print(f"oagame: {args.command} takes no format {args.format!r} "
+                  f"(from $OAGAME_FORMAT); choose from "
+                  f"{', '.join(args.formats)}", file=sys.stderr)
+            return USAGE_ERROR
     # ``__import__``, unlike ``importlib.import_module``, shows in the
     # import times that ``python -X importtime`` reports.
     handler = __import__(f"{__package__}.commands.{args.command}",

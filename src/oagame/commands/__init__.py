@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .. import fixtures, report as rp
 
 if TYPE_CHECKING:
-    from ..model import PayoffTable
+    from .._table import PayoffTable
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1

@@ -16,11 +16,16 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
                   flag: str) -> MixedStrategy:
     from fractions import Fraction
 
+    from .._table import number_literal
     from ..equilibrium import MixedStrategy
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != len(actions):
         raise _CliError(f"{flag} needs {len(actions)} probabilities "
                         f"(one per action, in order)", USAGE_ERROR)
+    try:
+        parts = [number_literal(p) for p in parts]
+    except ValueError as exc:
+        raise _CliError(f"{flag}: {exc}", USAGE_ERROR)
     try:
         probs = tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError):

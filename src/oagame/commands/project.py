@@ -9,7 +9,7 @@ from . import USAGE_ERROR, _CliError, _emit, _output
 from ._game import _declared_player, _game_or_fail, _policy
 
 if TYPE_CHECKING:
-    from ..model import PayoffTable
+    from .._table import PayoffTable
 
 
 def _bimatrix_records(table: PayoffTable) -> list[dict]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from ._table import number_literal
 from .model import (
     ACTION,
     OUTCOME,
@@ -427,16 +428,22 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
                                      _names(m.group("actions")),
                                      _names(m.group("aliases"))))
         elif head == "variable":
+            var = re.sub(r"\s+", " ", m.group("name").strip())
             values = _list_items(m.group("values"), _VALUE_PAIR_RE, "value",
                                  "Name=int", lineno, errors)
             valias = _list_items(m.group("valias"), _VALIAS_RE,
                                  "value alias", "A->B", lineno, errors)
             if values is None or valias is None:
                 continue
+            try:
+                scores = tuple((n, int(number_literal(s))) for n, s in values)
+            except ValueError as exc:
+                errors.append(ParseError(_span(lineno), "syntax", f"a score "
+                                         f"of variable {var!r} is {exc}", var))
+                continue
             variables.append(OutcomeVarDef(
-                re.sub(r"\s+", " ", m.group("name").strip()),
-                m.group("owner"), tuple((n, int(s)) for n, s in values),
-                _names(m.group("aliases")), tuple(valias)))
+                var, m.group("owner"), scores, _names(m.group("aliases")),
+                tuple(valias)))
         else:
             terms = tuple(t.strip() for t in m.group("terms").split("+")
                           if t.strip())

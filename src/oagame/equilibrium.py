@@ -19,10 +19,11 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import GameSpec, PayoffTable
+from ._table import PayoffTable, number_literal
 
 if TYPE_CHECKING:
     from .engine import CompletionPolicy
+    from .model import GameSpec
 
 # Public names defined in ``_support``.
 _SUPPORT_NAMES = ("SUPPORT_LIMIT", "mixed_nash_2p", "dominance_analysis",
@@ -252,7 +253,7 @@ def _parse_cell(u: str, v: str) -> tuple[Fraction, Fraction] | None:
     """A payoff pair, or None for the ``(-,-)`` of an infeasible cell."""
     if u == v == "-":
         return None
-    return Fraction(u), Fraction(v)
+    return tuple(Fraction(number_literal(t)) for t in (u, v))
 
 
 def parse_bimatrix(text: str) -> Bimatrix:

@@ -2,11 +2,10 @@
 
 A game is a set of players with finite action lists, a set of integer-scored
 outcome variables, implication rules linking actions to outcomes, and additive
-per-player utilities.  All arithmetic is exact integer arithmetic.  The
-bimatrix layer, which builds a ``PayoffTable`` from a matrix, does not import
-the engine, which derives one from a game, so ``PayoffTable`` lives here.
-Its cells are a tuple in canonical profile order; ``payoff`` looks one up
-by action names.
+per-player utilities.  All arithmetic is exact integer arithmetic.  Only
+the game commands load this module.  ``GameError`` and ``PayoffTable``,
+which the bimatrix layer also needs, live in ``oagame._table`` and are
+re-exported here.
 The records are immutable named tuples; one that does work when created is a
 subclass of its fields' ``NamedTuple`` whose ``__init__`` (and ``_make``, for
 ``_replace``) does it.  ``OutcomeVarDef`` and ``GameSpec`` cache in an
@@ -15,16 +14,12 @@ instance dict, which, unlike the fields, takes new attributes.
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import NamedTuple
+
+from ._table import GameError, PayoffTable  # both re-exported
 
 ACTION = "action"
 OUTCOME = "outcome"
-
-
-class GameError(Exception):
-    """Base class for game-model errors."""
 
 
 class NameResolutionError(GameError):
@@ -179,41 +174,3 @@ def _named(decls, name: str):
         if any(name_key(n) == low for n in (d.name, *d.aliases)):
             return d
     return None
-
-
-class _PayoffFields(NamedTuple):
-    players: tuple[str, ...]
-    actions: tuple[tuple[str, ...], ...]
-    cells: tuple[tuple[int, ...] | None, ...]
-
-
-class PayoffTable(_PayoffFields):
-    """Per-action-profile utility vectors in ``profiles()`` order, the last
-    player's action varying fastest; None marks an infeasible cell.
-    ValueError unless there is one action list per player and one cell per
-    profile."""
-
-    __slots__ = ()
-    # ``PayoffTable``, not ``cls``: a subclass may take other arguments.
-    _make = classmethod(lambda cls, fields: PayoffTable(*fields))
-
-    def __init__(self, *fields, **named):
-        if len(self.actions) != len(self.players):
-            raise ValueError(f"{len(self.players)} players but "
-                             f"{len(self.actions)} action lists")
-        if len(self.cells) != (size := math.prod(map(len, self.actions))):
-            raise ValueError(f"{len(self.cells)} cells for {size} action "
-                             f"profiles")
-
-    def profiles(self):
-        return itertools.product(*self.actions)
-
-    def _index(self, profile: tuple[str, ...]) -> int:
-        """Position in ``cells`` of a profile of action names."""
-        index = 0
-        for names, action in zip(self.actions, profile, strict=True):
-            index = index * len(names) + names.index(action)
-        return index
-
-    def payoff(self, profile: tuple[str, ...]) -> tuple[int, ...] | None:
-        return self.cells[self._index(profile)]

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oagame.cli import run_cli
 from oagame import fixtures
@@ -323,6 +323,55 @@ def test_unreadable_mix_is_a_usage_error(capsys, mix):
     assert (code, out) == (2, "")
     assert err == ("oagame: --row-mix: probabilities must be rationals or "
                    "decimals\n")
+
+
+def _game_scored(score: str) -> str:
+    return ('game "g"\nplayer A actions: "a"\n'
+            f'variable V owner: A values: Hi={score}, Lo=0\nutility A = V\n')
+
+
+_TOO_LONG = "oagame: {}a number of more than 4300 digits\n"
+
+
+# A number whose digits plus exponent pass 4300 would build an int too
+# long to print, and ``Fraction("1e40000000")`` would take minutes.
+@pytest.mark.parametrize("files, argv, status, err", [
+    ({"big.bmx": "rows: R: a\ncols: C: b\n(1e40000000,1)\n"},
+     ("nash", "--bimatrix", "big.bmx"), 1,
+     _TOO_LONG.format("big.bmx: bad payoff in line '(1e40000000,1)': ")),
+    ({"big.bmx": "rows: R: a\ncols: C: b\n(1,1e" + "9" * 5000 + ")\n"},
+     ("mixed", "--bimatrix", "big.bmx"), 1, None),
+    ({}, ("expected", "--bimatrix", "table6.bmx", "--row-mix",
+          "1e-4000000,1", "--col-mix", "1/2,1/2"), 2,
+     _TOO_LONG.format("--row-mix: ")),
+    ({"big.game": _game_scored("7" * 5000)},
+     ("validate", "--game", "big.game"), 1,
+     "line 3:1: syntax: a score of variable 'V' is a number of more than "
+     "4300 digits\n"),
+], ids=["bmx-exponent", "bmx-exponent-digits", "mix", "game-score"])
+def test_a_number_past_the_digit_limit_is_refused_at_once(
+        tmp_path, monkeypatch, capsys, files, argv, status, err):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, stderr = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (status, "")
+    if err is not None:
+        assert stderr.startswith(err)
+    assert "4300 digits\n" in stderr
+
+
+def test_a_number_at_the_digit_limit_reads(tmp_path, monkeypatch, capsys):
+    (tmp_path / "edge.bmx").write_text("rows: R: a\ncols: C: b\n(1e4299,1)\n",
+                                       encoding="utf-8")
+    (tmp_path / "edge.game").write_text(_game_scored("7" * 4300),
+                                        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "nash", "--bimatrix", "edge.bmx")
+    assert (code, str(10 ** 4299) in out) == (0, True)
+    assert run(capsys, "validate", "--game", "edge.game")[0] == 0
 
 
 def test_mix_summing_near_one_is_a_usage_error(capsys):
@@ -659,8 +708,10 @@ def test_fixture_digests_stable():
         assert len(fixtures.fixture_digest(name)) == 64
 
 
-# Text with non-ASCII and non-BMP characters among the rest.
-_DIGEST_TEXT = st.text(st.characters()
+# Text with non-ASCII and non-BMP characters among the rest.  No lone
+# surrogates: text read as UTF-8 holds none, and neither sha256 encodes
+# them.
+_DIGEST_TEXT = st.text(st.characters(exclude_categories=("Cs",))
                        | st.sampled_from("\x00é€\u2028\U0001f600"))
 
 
@@ -1000,6 +1051,213 @@ def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys,
         "the following arguments are required: command\n")
     assert "argument command: invalid choice: 'bogus'" in _parsed(
         capsys, cli.build_parser(), ("bogus",))[2]
+
+
+# Every subcommand's parser as argparse holds it, with $OAGAME_FORMAT unset:
+# each action as (option strings, dest, default, required, choices, help,
+# metavar, action class), in order.  Read off the objects rather than the
+# rendered help, which differs between Python versions.
+_HELP = (["-h", "--help"], "help", "==SUPPRESS==", False, None,
+         "show this help message and exit", None, "_HelpAction")
+_GAME = (["--game"], "game", None, True, None, "path to a .game file (the "
+         "bundled name 'oa.game' also resolves)", None, "_StoreAction")
+_MODE = (["--mode"], "mode", "strict", False, ["strict", "lenient"],
+         "rule-binding mode (default: strict)", None, "_StoreAction")
+_POLICY = [
+    (["--policy"], "policy", None, False,
+     ["max-gu", "max-global-utility", "optimistic", "pessimistic", "fixed"],
+     "completion policy (default: max-gu)", None, "_StoreAction"),
+    (["--policy-player"], "policy_player", None, False, None,
+     "player for optimistic/pessimistic policies", None, "_StoreAction"),
+    (["--fix"], "fix", [], False, None, "fixed-policy fragment (repeatable)",
+     "NAME=VALUE", "_AppendAction"),
+]
+_FORMATS = ("table", "delimited", "json")
+
+
+def _common(formats=_FORMATS):
+    return [(["--format"], "format", "table", False, formats,
+             "output format (default from $OAGAME_FORMAT or 'table')", None,
+             "_StoreAction"),
+            (["--output", "-o"], "output", None, False, None,
+             "output path (default: stdout)", None, "_StoreAction")]
+
+
+def _plain(*flags, required=True, default=None):
+    return [([f], f[2:].replace("-", "_"), default, required, None, None,
+             None, "_StoreAction") for f in flags]
+
+
+# Subcommand -> (its help, its defaults, its actions, its mutually
+# exclusive groups as (dests, required)).
+PARSER_DEFINITION = {
+    "validate": ("parse and validate a game file", {"formats": _FORMATS},
+                 [_HELP, _GAME, _MODE, *_common()], []),
+    "enumerate": ("admissible-row counts and optional row dump",
+                  {"formats": _FORMATS},
+                  [_HELP, _GAME, _MODE,
+                   (["--dump"], "dump", False, False, None,
+                    "include the rows", None, "_StoreTrueAction"),
+                   *_common()], []),
+    "top": ("rows attaining the maximum global utility",
+            {"formats": _FORMATS}, [_HELP, _GAME, _MODE, *_common()], []),
+    "payoffs": ("derive the full payoff table", {"formats": _FORMATS},
+                [_HELP, _GAME, _MODE, *_POLICY, *_common()], []),
+    "project": ("project a two-player bimatrix",
+                {"formats": _FORMATS + ("bmx",)},
+                [_HELP, _GAME, _MODE,
+                 *_plain("--row-player", "--col-player"), *_POLICY,
+                 *_common(_FORMATS + ("bmx",))], []),
+    "nash": ("pure Nash equilibria of a game table or a bimatrix file",
+             {"formats": _FORMATS},
+             [_HELP, *_plain("--game", required=False),
+              (["--bimatrix"], "bimatrix", None, False, None,
+               "path to a .bmx file (bundled names "
+               "'table5.bmx'/'table6.bmx' also resolve)", None,
+               "_StoreAction"),
+              (["--mode"], "mode", None, False, ["strict", "lenient"],
+               "rule-binding mode for --game (default: strict)", None,
+               "_StoreAction"),
+              *_POLICY, *_common()],
+             [(["game", "bimatrix"], True)]),
+    "mixed": ("all 2-player equilibria by support enumeration",
+              {"formats": _FORMATS},
+              [_HELP, *_plain("--bimatrix"),
+               (["--dominance"], "dominance", None, False, ["strict", "weak"],
+                "also run iterated dominance elimination", None,
+                "_StoreAction"),
+               *_common()], []),
+    "expected": ("expected utilities under given mixtures",
+                 {"formats": _FORMATS},
+                 [_HELP, *_plain("--bimatrix"),
+                  (["--row-mix"], "row_mix", None, True, None,
+                   "comma-separated probabilities, row actions in order",
+                   None, "_StoreAction"),
+                  *_plain("--col-mix"), *_common()], []),
+    "reproduce": ("full pipeline on the bundled fixtures with a "
+                  "paper-vs-computed comparison", {"formats": _FORMATS},
+                  [_HELP, *_plain("--game", required=False, default="oa.game"),
+                   *_plain("--bimatrix", required=False,
+                           default="table5.bmx"),
+                   (["--mode"], "mode", "strict", False, ["strict", "lenient"],
+                    None, None, "_StoreAction"),
+                   *_common()], []),
+}
+
+
+def test_every_subcommand_parser_keeps_its_definition(monkeypatch):
+    """Each subcommand's parser, built alone, holds the options, defaults,
+    help texts and groups pinned above, and lists all nine subcommands in
+    its usage; the full parser names its subcommand argument "command"."""
+    from oagame import cli
+    monkeypatch.delenv("OAGAME_FORMAT", raising=False)
+    assert list(cli._SUBCOMMANDS) == list(PARSER_DEFINITION)
+    for name, (help_text, defaults, actions, groups) in \
+            PARSER_DEFINITION.items():
+        top, = cli.build_parser(name)._subparsers._group_actions
+        assert top.metavar == "{" + ",".join(PARSER_DEFINITION) + "}"
+        assert [(a.dest, a.help) for a in top._choices_actions] == \
+            [(name, help_text)]
+        sub = top.choices[name]
+        assert sub._defaults == defaults, name
+        assert [(a.option_strings, a.dest, a.default, a.required, a.choices,
+                 a.help, a.metavar, type(a).__name__)
+                for a in sub._actions] == actions, name
+        assert [([a.dest for a in g._group_actions], g.required)
+                for g in sub._mutually_exclusive_groups] == groups, name
+    top, = cli.build_parser()._subparsers._group_actions
+    assert (top.metavar, list(top.choices)) == (None, list(PARSER_DEFINITION))
+
+
+# The vocabulary of the differential test below, from the pinned
+# definition: every flag, exact, abbreviated, joined to a value with "=" or
+# in short form, and values that are choices, free text or start with "-".
+_ACTIONS = [a for _, _, actions, _ in PARSER_DEFINITION.values()
+            for a in actions]
+_LONG_FLAGS = sorted({f for a in _ACTIONS for f in a[0] if f[1] == "-"})
+_CHOICES = sorted({c for a in _ACTIONS for c in a[4] or ()})
+_VALUE = st.one_of(
+    st.sampled_from(_CHOICES + ["oa.game", "table6.bmx", "", "nash"]),
+    st.text(max_size=4),
+    st.text(max_size=4).map("-".__add__))
+_TOKEN = st.one_of(
+    st.sampled_from(sorted({f for a in _ACTIONS for f in a[0]})
+                    + ["--", "-"]),
+    st.sampled_from(_LONG_FLAGS).flatmap(
+        lambda flag: st.integers(3, len(flag) - 1).map(
+            lambda k: flag[:k])),
+    st.builds("{}={}".format, st.sampled_from(_LONG_FLAGS), _VALUE),
+    _VALUE)
+
+
+def _part(action):
+    """One option of a subcommand: its flag or short form, and a value,
+    among its choices or any option's when it has them."""
+    flags, _, _, _, choices, _, _, kind = action
+    if kind == "_StoreTrueAction":
+        return st.tuples(st.sampled_from(flags))
+    return st.tuples(st.sampled_from(flags), st.sampled_from(
+        choices or ["oa.game", "table6.bmx", "1/2,1/2", "a b", ""])
+        | st.sampled_from(_CHOICES if choices else ["x"]))
+
+
+def _command_line(name, parts, loose):
+    """``name`` then the parts' tokens, each loose (index, token) inserted
+    at its index."""
+    tokens = [t for part in parts for t in part]
+    for index, token in loose:
+        tokens.insert(index, token)
+    return [name, *tokens]
+
+
+# A subcommand's own options, each with a value, with up to two loose
+# tokens among them; or loose tokens after an unknown subcommand.
+_ARGV = st.one_of(
+    *(st.builds(_command_line, st.just(name),
+                st.lists(st.one_of(*map(_part, actions[1:])), max_size=7),
+                st.lists(st.tuples(st.integers(0, 14), _TOKEN), max_size=2))
+      for name, (_, _, actions, _) in PARSER_DEFINITION.items()),
+    st.lists(_TOKEN, max_size=4).map(lambda tokens: ["bogus", *tokens]))
+
+
+@pytest.mark.parametrize("env", [None, "json", "bmx"])
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+def test_the_direct_reader_agrees_with_argparse(monkeypatch, env, argv):
+    """Whenever ``_read_args`` reads a command line, the argparse parser
+    built from the same table parses it into the same fields."""
+    from oagame import cli
+    if env is None:
+        monkeypatch.delenv("OAGAME_FORMAT", raising=False)
+    else:
+        monkeypatch.setenv("OAGAME_FORMAT", env)
+    args = cli._read_args(argv)
+    if args is not None:
+        parsed = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(args) == vars(parsed)
+        assert args.format in args.formats
+
+
+@pytest.mark.parametrize("env", [None, "json", "bmx"])
+def test_the_direct_reader_reads_every_well_formed_corpus_line(
+        monkeypatch, capsys, env):
+    """``_read_args`` reads each corpus line that argparse parses with a
+    format the subcommand takes, and no other; every golden command line,
+    with $OAGAME_FORMAT unset, is read without argparse."""
+    from oagame import cli
+    monkeypatch.delenv("OAGAME_FORMAT", raising=False)
+    assert all(cli._read_args(list(argv)) for argv in GOLDEN_STDOUT)
+    if env is not None:
+        monkeypatch.setenv("OAGAME_FORMAT", env)
+    for argv in PARSER_CORPUS:
+        fields = _parsed(capsys, cli.build_parser(argv[0] if argv else None),
+                         argv)[0]
+        if isinstance(fields, int) or fields["format"] not in \
+                fields["formats"]:
+            fields = None
+        args = cli._read_args(list(argv))
+        assert (args and vars(args)) == fields, argv
 
 
 def test_empty_dump_bytes(tmp_path, capsys):

@@ -52,6 +52,8 @@ def test_public_api_keeps_its_names():
     assert sorted(oagame.__all__) == sorted(
         name for names in EXPORTED.values() for name in names)
     assert oagame.PayoffTable is oagame.engine.PayoffTable
+    assert (oagame.GameError is oagame.model.GameError
+            is oagame._table.GameError)
     with pytest.raises(AttributeError, match="no_such_name"):
         oagame.no_such_name
 
@@ -74,22 +76,25 @@ print(repr([code, sorted(m for m in sys.modules
 
 # Standard-library modules no command needs: ``dataclasses`` alone costs
 # a few milliseconds at every start, most of it in ``inspect``; ``hashlib``
-# as much in OpenSSL's ``_hashlib``, for the input digest; and ``json``,
-# whose writing ``report`` does itself, in every output format.
-UNWANTED = {"dataclasses", "inspect", "hashlib", "_hashlib", "json"}
+# as much in OpenSSL's ``_hashlib``, for the input digest; ``json``, whose
+# writing ``report`` does itself, in every output format; and ``argparse``
+# and its ``gettext``, which only help and usage errors need.
+UNWANTED = {"dataclasses", "inspect", "hashlib", "_hashlib", "json",
+            "argparse", "gettext"}
 
 # Modules for exact numbers, which no command of the game alone builds.
 EXACT = {"fractions", "decimal"}
 
 # What every command loads: the CLI, the handlers' shared helpers, its
-# report writer, the bundled-fixture lookup and the model types.
-FRONT = ["oagame", "oagame.cli", "oagame.commands", "oagame.fixtures",
-         "oagame.model", "oagame.report"]
+# report writer, the bundled-fixture lookup and ``GameError`` with the
+# payoff table.
+FRONT = ["oagame", "oagame._table", "oagame.cli", "oagame.commands",
+         "oagame.fixtures", "oagame.report"]
 
 # What every command that reads a game loads beyond its own handler: the
-# game commands' helpers and the parser.  ``_support`` holds the solvers
-# only ``mixed`` runs.
-GAME = ["commands._game", "dsl"]
+# game commands' helpers, the parser and the game model.  ``_support``
+# holds the solvers only ``mixed`` runs.
+GAME = ["commands._game", "dsl", "model"]
 SOLVERS = ["equilibrium", "_support"]
 TABLE6_MIX = ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/2,1/2",
               "--col-mix", "1/3,2/3")
@@ -141,9 +146,10 @@ def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
     (("mixed",), 2)])
 def test_parsing_alone_loads_no_handler(argv, status):
     """Help, a missing or unknown command and a usage error stop in the
-    parser, before any handler module is imported."""
-    code, _, loaded, _ = _run_loaded(*argv)
+    argparse parser, before any handler module is imported."""
+    code, _, loaded, added = _run_loaded(*argv)
     assert (code, loaded) == (status, FRONT)
+    assert "argparse" in added
 
 
 # Error paths of every kind of handler: an unreadable input, a malformed
