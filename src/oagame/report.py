@@ -13,11 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import __version__
-
-try:  # ``json``'s C string encoder, without the ``json`` package
-    from _json import encode_basestring_ascii as _quote
-except ImportError:
-    from json.encoder import encode_basestring_ascii as _quote
+from ._table import MAX_DIGITS, GameError
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumCertificate
@@ -54,7 +50,12 @@ FORMATS = ("table", "delimited", "json")
 
 def number(x) -> int | str:
     """JSON-native scalar for an exact number (an int or a ``Fraction``):
-    int when integral, else 'a/b'."""
+    int when integral, else 'a/b'.  GameError when a part has more than
+    ``MAX_DIGITS`` digits, which Python would refuse to write as text."""
+    part = max(abs(x.numerator), x.denominator)
+    # An int of at most 3 * MAX_DIGITS bits is below 8 ** MAX_DIGITS.
+    if part.bit_length() > 3 * MAX_DIGITS and part >= 10 ** MAX_DIGITS:
+        raise GameError(f"a figure of more than {MAX_DIGITS} digits")
     if x.denominator == 1:
         return x.numerator
     return f"{x.numerator}/{x.denominator}"
@@ -212,6 +213,19 @@ def _delimited_chunks(report: dict):
             lines = [f"{key}\t{value}"]
         if lines:
             yield "\n".join(lines) + "\n"
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string, by ``json``'s C string encoder, or
+    ``json.encoder``'s where there is none.  The first call binds
+    ``_quote`` to that encoder, so table and delimited output never load
+    it."""
+    global _quote
+    try:
+        from _json import encode_basestring_ascii as _quote
+    except ImportError:
+        from json.encoder import encode_basestring_ascii as _quote
+    return _quote(text)
 
 
 def _json(value, indent: str = "") -> str:

@@ -176,6 +176,55 @@ def test_closed_stdout_ends_without_a_traceback():
     assert b"Traceback" not in err, err.decode()
 
 
+# Runs ``oagame.cli`` as ``python -m`` does, with its arguments, after
+# registering an ``atexit`` handler that writes to stderr whether the heap
+# was frozen when it ran.
+_MAIN_WITH_ATEXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(
+    f"atexit: frozen {gc.get_freeze_count() > 0}\\n"))
+runpy.run_module("oagame.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("validate", "--game", "oa.game"), 0),
+    (("validate", "--game", "bad.game"), 1),
+    (("validate", "--game"), 2),
+], ids=["success", "diagnostic", "usage-error"])
+def test_exit_freezes_the_heap_and_keeps_the_exit_contract(
+        tmp_path, monkeypatch, capsys, argv, status):
+    """The interpreter's exit status, stdout, stderr and ``--output``
+    bytes are those of ``run_cli`` in process; ``atexit`` handlers still
+    run, after ``main`` froze the heap."""
+    runs = {}
+    for side in ("in-process", "interpreter"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "bad.game").write_text(
+            'game "b"\nplayer A actions: "x"\n'
+            'variable V owner: Z values: More=1, Less=0\n')
+        monkeypatch.chdir(tmp_path / side)
+        command = [*argv, "--output", "out.txt"]
+        if side == "in-process":
+            code = run_cli(command)
+            captured = capsys.readouterr()
+            out, err = captured.out, captured.err
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-c", _MAIN_WITH_ATEXIT, *command],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True, text=True, timeout=60)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        output = Path("out.txt")
+        runs[side] = (code, out, err,
+                      output.read_bytes() if output.exists() else None)
+    code, out, err, output = runs["in-process"]
+    assert code == status
+    assert (output is not None) == (status == 0)
+    assert runs["interpreter"] == (code, out, err + "atexit: frozen True\n",
+                                   output)
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "definitely-not-a-command")[0] == 2
     assert run(capsys, "enumerate")[0] == 2  # --game is required
@@ -333,8 +382,12 @@ def _game_scored(score: str) -> str:
 _TOO_LONG = "oagame: {}a number of more than 4300 digits\n"
 
 
+_BIG, _OTHER = "1" * 4300, "7" * 4299 + "3"
+
+
 # A number whose digits plus exponent pass 4300 would build an int too
-# long to print, and ``Fraction("1e40000000")`` would take minutes.
+# long to print, and ``Fraction("1e40000000")`` would take minutes.  Payoffs
+# of 4300 digits read, but their expected utilities have about 8600.
 @pytest.mark.parametrize("files, argv, status, err", [
     ({"big.bmx": "rows: R: a\ncols: C: b\n(1e40000000,1)\n"},
      ("nash", "--bimatrix", "big.bmx"), 1,
@@ -348,7 +401,13 @@ _TOO_LONG = "oagame: {}a number of more than 4300 digits\n"
      ("validate", "--game", "big.game"), 1,
      "line 3:1: syntax: a score of variable 'V' is a number of more than "
      "4300 digits\n"),
-], ids=["bmx-exponent", "bmx-exponent-digits", "mix", "game-score"])
+    ({"big.bmx": f"rows: R: r1, r2\ncols: C: c1, c2\n({_BIG},{_OTHER}) "
+                 f"({_OTHER},{_BIG})\n({_OTHER},{_BIG}) ({_BIG},{_OTHER})\n"},
+     ("expected", "--bimatrix", "big.bmx", "--row-mix", "1/3,2/3",
+      "--col-mix", "1/7,6/7"), 1,
+     "oagame: a figure of more than 4300 digits\n"),
+], ids=["bmx-exponent", "bmx-exponent-digits", "mix", "game-score",
+        "expected-figure"])
 def test_a_number_past_the_digit_limit_is_refused_at_once(
         tmp_path, monkeypatch, capsys, files, argv, status, err):
     for name, text in files.items():

@@ -139,6 +139,8 @@ def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
     assert loaded == sorted(FRONT + [f"oagame.commands.{argv[0]}"]
                             + [f"oagame.{m}" for m in layers])
     assert (UNWANTED | unloaded).isdisjoint(added)
+    # ``report`` loads json's C string encoder on its first JSON string.
+    assert ("_json" in added) == ("json" in argv)
 
 
 @pytest.mark.parametrize("argv, status", [

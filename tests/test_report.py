@@ -15,8 +15,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oagame import (GameSpec, OutcomeVarDef, PlayerDef, UtilityDef,
-                    admissible_rows, top_gu_rows)
+from oagame import (GameError, GameSpec, OutcomeVarDef, PlayerDef,
+                    UtilityDef, admissible_rows, top_gu_rows)
 from oagame import report as rp
 from oagame.engine import record_cells, rows_as_records
 
@@ -148,14 +148,17 @@ def test_json_writer_refuses_what_json_cannot_write(value):
 
 
 # Prints the JSON writer's text of each value given on stdin, with the C
-# string encoder hidden, so that the writer takes ``json.encoder``'s.
+# string encoder hidden, so that the writer binds ``json.encoder``'s on its
+# first string.
 _PURE_ENCODER = """
 import ast, sys
 sys.modules["_json"] = None
 import json.encoder
 from oagame import report
+texts = [report._json(v) for v in ast.literal_eval(sys.stdin.read())]
+assert report._json("") == '""'  # bound even if no value held a string
 assert report._quote is json.encoder.py_encode_basestring_ascii
-print(ascii([report._json(v) for v in ast.literal_eval(sys.stdin.read())]))
+print(ascii(texts))
 """
 
 
@@ -168,3 +171,15 @@ def test_json_writer_without_the_c_encoder_writes_the_same_bytes(values):
         capture_output=True, text=True, timeout=60, check=True)
     assert ast.literal_eval(proc.stdout) == [
         json.dumps(v, indent=2) for v in values]
+
+
+def test_number_refuses_a_part_past_the_digit_limit():
+    """Python writes an int of at most 4300 digits as text, and
+    ``number`` refuses a figure with a longer part at once."""
+    edge = 10 ** 4300 - 1
+    assert rp.number(Fraction(-edge, edge - 1)) == f"{-edge}/{edge - 1}"
+    assert rp.number(Fraction(edge)) == edge
+    for figure in (Fraction(10 ** 4300), Fraction(-10 ** 4300, 7),
+                   Fraction(1, 10 ** 4300)):
+        with pytest.raises(GameError, match="more than 4300 digits"):
+            rp.number(figure)
