@@ -145,22 +145,15 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], formats=formats, **args)
 
 
-def build_parser(command: str | None = None):
-    """The argparse parser of every subcommand or, when ``command`` names
-    one, of that one alone; its usage line lists all of them either way."""
+def build_parser():
+    """The argparse parser of every subcommand."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="oagame",
         description="Declarative stakeholder-game workbench: scenario "
                     "enumeration, payoff derivation, equilibrium analysis.")
-    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
-    # argparse's usage lists the choices built, so one built alone gets all
-    # nine as its metavar.  The full parser has none: a metavar would also
-    # replace the name "command" in its errors.
-    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _SUBCOMMANDS:
         help_text, formats, options = _options(name)
         p = sub.add_parser(name, help=help_text)
         one_of = _ONE_OF.get(name, ())
@@ -174,11 +167,8 @@ def build_parser(command: str | None = None):
 def run_cli(argv: list[str]) -> int:
     args = _read_args(argv)
     if args is None:
-        # Only the named subcommand's parser is built; a first argument
-        # that names none (no arguments, -h, an unknown command) gets all.
-        parser = build_parser(argv[0] if argv else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else USAGE_ERROR
         if args.format not in args.formats:  # a default from $OAGAME_FORMAT

@@ -94,8 +94,8 @@ class ValidatedGame(NamedTuple):
         return not self.errors
 
 
-def _span(line: int, start: int = 1, end: int | None = None) -> SourceSpan:
-    return SourceSpan(line, start, end if end is not None else start)
+def _span(line: int, start: int = 1) -> SourceSpan:
+    return SourceSpan(line, start, start)
 
 
 def _strip_comment(line: str) -> str:
@@ -115,14 +115,14 @@ def _unquote(text: str) -> str:
     return text
 
 
-def _split_list(text: str, sep: str = ",") -> list[str]:
-    """Split on ``sep`` outside double quotes; items stripped, empties dropped."""
+def _split_list(text: str) -> list[str]:
+    """Split on ',' outside double quotes; items stripped, empties dropped."""
     items, buf, quoted = [], [], False
     for ch in text:
         if ch == '"':
             quoted = not quoted
             buf.append(ch)
-        elif ch == sep and not quoted:
+        elif ch == "," and not quoted:
             items.append("".join(buf))
             buf = []
         else:
@@ -187,32 +187,19 @@ def _parse_atom_list(
     atoms: list[tuple[str, str]] = []
     errors: list[ParseError] = []
     while True:
-        i = _skip_ws(s, i)
-        if i >= len(s):
-            return atoms, i, None, errors
+        i = start = _skip_ws(s, i)
         w, j = _peek_word(s, i)
+        # After an atom, its separators: ',' (where no word starts) and
+        # the word 'and', each followed by any whitespace.
+        while atoms and (w.lower() == "and" or s.startswith(",", i)):
+            i = _skip_ws(s, j if w else i + 1)
+            w, j = _peek_word(s, i)
         if w.lower() in stops:
             return atoms, j, w.lower(), errors
-        if atoms:
-            # A separator is required between atoms.
-            seen_sep = False
-            while True:
-                i = _skip_ws(s, i)
-                if i < len(s) and s[i] == ",":
-                    i += 1
-                    seen_sep = True
-                    continue
-                w, j = _peek_word(s, i)
-                if w.lower() == "and":
-                    i = j
-                    seen_sep = True
-                    continue
-                break
-            i = _skip_ws(s, i)
-            w, j = _peek_word(s, i)
-            if w.lower() in stops:
-                return atoms, j, w.lower(), errors
-            if not seen_sep:
+        if i == start:  # no separator
+            if i >= len(s):
+                return atoms, i, None, errors
+            if atoms:
                 errors.append(ParseError(_span(line, i + 1), "syntax",
                                          "expected ',' or 'and' between atoms",
                                          w))

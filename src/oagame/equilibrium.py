@@ -122,9 +122,9 @@ class EquilibriumCertificate(NamedTuple):
             return tuple(s.support()[0] for s in self.strategies)
         return None
 
-    def verify(self, tolerance: Fraction = Fraction(0)) -> bool:
+    def verify(self) -> bool:
         for eq_u, record in zip(self.expected_utilities, self.verification):
-            if any(alt_u > eq_u + tolerance for _, alt_u in record):
+            if any(alt_u > eq_u for _, alt_u in record):
                 return False
         return True
 

@@ -38,7 +38,7 @@ FIGURES = {
 }
 
 TABLE6_EU_NOTE = (
-    "note: the printed 2x2 collapse lists expected utilities '3q' (row TA) "
+    "the printed 2x2 collapse lists expected utilities '3q' (row TA) "
     "and 'p' (Editors' TA column) that do not follow from the standard "
     "bilinear expectation over its own cells; this tool reports the "
     "standard expectation (row TA gives the constant 3, Editors' TA "
@@ -277,14 +277,9 @@ _RENDERERS = {"table": _table_chunks, "delimited": _delimited_chunks,
               "json": _json_chunks}
 
 
-def emit_report(report: dict, fmt: str, out=None) -> str | None:
-    """Render ``report`` in ``fmt``: returned as one string, or, given a
-    text stream ``out``, written to it chunk by chunk (``RowDump`` rows
-    ``CHUNK_ROWS`` at a time) and None returned."""
+def emit_report(report: dict, fmt: str, out) -> None:
+    """Write ``report`` in ``fmt`` to the text stream ``out``, chunk by
+    chunk (``RowDump`` rows ``CHUNK_ROWS`` at a time)."""
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}")
-    chunks = _RENDERERS[fmt]({k: _plain(v) for k, v in report.items()})
-    if out is None:
-        return "".join(chunks)
-    out.writelines(chunks)
-    return None
+    out.writelines(_RENDERERS[fmt]({k: _plain(v) for k, v in report.items()}))

@@ -113,6 +113,13 @@ def test_fix_giving_one_subject_two_values_is_a_usage_error(capsys):
     assert once == twice and once[0] == 0
 
 
+def test_fix_naming_an_unknown_subject_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "payoffs", "--game", "oa.game", "--policy",
+                         "fixed", "--fix", "Nobody=x")
+    assert (code, out) == (2, "")
+    assert err == "oagame: --fix names unknown player or variable 'Nobody'\n"
+
+
 def test_fix_under_another_policy_is_a_usage_error(capsys):
     for policy in (("max-gu",), ("optimistic", "--policy-player", "Editors"),
                    ("pessimistic", "--policy-player", "Editors")):
@@ -323,7 +330,10 @@ def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
     ("rows:  : r1, r2\ncols: C: c1, c2",
      "header line 'rows:  : r1, r2' needs a player and distinct, non-empty "
      "actions"),
-], ids=["same-player", "repeated-action", "empty-action", "empty-player"])
+    ("rows: R: r1, r2\nrows: C: c1, c2",
+     "need one rows: and one cols: header"),
+], ids=["same-player", "repeated-action", "empty-action", "empty-player",
+        "two-rows"])
 def test_malformed_bimatrix_header_is_a_diagnostic(tmp_path, capsys, header,
                                                    message):
     """Repeated names would collapse into one key and give wrong answers
@@ -454,6 +464,18 @@ def test_structural_error_names_its_line(tmp_path, capsys):
                    f"oagame: {path}: 1 parse error(s)\n")
 
 
+def test_a_rule_assigning_a_player_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "assign.game"
+    path.write_text('game "a"\nplayer A actions: "x", "y"\n'
+                    'variable V owner: A values: More=1, Less=0\n'
+                    'utility A = V\nrule if A="x" then A="y"\n')
+    code, out, err = run(capsys, "validate", "--game", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("line 5:1: resolution: rule assignments must set outcome "
+                   "variables, not player 'A'\n"
+                   f"oagame: {path}: 1 parse error(s)\n")
+
+
 @pytest.mark.parametrize("repeated, message", [
     ('game "second"',
      "syntax: second game line (the game is declared on line 1)"),
@@ -533,7 +555,7 @@ def test_mixed_on_table6(capsys):
     assert report["degenerate"] is True
     assert report["surviving_rows"] == ["Publish OA"]
     assert report["surviving_cols"] == ["TA"]
-    assert "note" in report
+    assert report["note"].startswith("the printed 2x2 collapse lists ")
 
 
 def test_expected_population_split(capsys):
@@ -702,6 +724,25 @@ def test_reproduce_drifts_without_the_first_rule(tmp_path, capsys):
                      "projected payoff at (Publish TA, Grant TA)": "(4,1)"}
 
 
+def test_reproduce_drifts_when_the_bimatrix_lacks_the_equilibrium(tmp_path,
+                                                                 capsys):
+    """A coordination game whose (Publish OA, Grant TA) cell is off the
+    diagonal, so not an equilibrium."""
+    path = tmp_path / "coordination.bmx"
+    path.write_text("rows: Academics: Publish OA, Publish TA\n"
+                    "cols: Editors: Grant OA, Grant TA\n"
+                    "(1,1) (0,0)\n(0,0) (1,1)\n")
+    code, out, err = run(capsys, "reproduce", "--bimatrix", str(path))
+    assert (code, err) == (1, "")
+    # The same line in the paper comparison and in the golden check.
+    row = ("  pure Nash equilibrium" + " " * 23 + "(Publish OA, Grant TA)  "
+           "not an equilibrium  False\n")
+    assert out.count(row) == 2
+    assert out.endswith(f"{row}  projected payoff at (Publish TA, Grant TA)"
+                        f"  (2,1)                   (2,1)               "
+                        f"True\nstatus: drift-from-golden\n")
+
+
 def test_env_var_sets_default_format(capsys, monkeypatch):
     monkeypatch.setenv("OAGAME_FORMAT", "json")
     code, out, _ = run(capsys, "validate", "--game", "oa.game")
@@ -844,7 +885,7 @@ GOLDEN_STDOUT = {
         "333e964e959ec8c8bed99044561fe7687303e6b6f641252a75b2d775ce5469cf",
     ("mixed", "--bimatrix", "table6.bmx", "--dominance", "weak",
      "--format", "json"):
-        "934fef61bfcda0485aadda837ddd29babd5ac8da4a565484c00c95ce669e9e4c",
+        "45fa74ef9960f34f052272f93119570f02ac67445ccaac16386defed84c0aac4",
     ("mixed", "--bimatrix", "six.bmx", "--format", "json"):
         "e58f43442ef58de14977a6c7a1852137d88d9b27215f376df8562718854b868d",
     # The next nine were taken before the counting commands read their
@@ -909,7 +950,7 @@ GOLDEN_STDOUT = {
         "e28d95a4616af1bfdb27bd2b4cb0eb4335f85118f5ad97f984b1efcb4e6ffc79",
     ("mixed", "--bimatrix", "table6.bmx", "--dominance", "strict",
      "--format", "json"):
-        "6b8581ee74b9e09fecc5965d1752e3c0c0849a44e131047aaf6c4d69c62b8ac2",
+        "032fc54fef8810ba8b650496c64662f934d48f8f4fb0b2d5dec5eabe64003359",
     ("mixed", "--bimatrix", "six.bmx", "--dominance", "strict",
      "--format", "json"):
         "1cf7660ec6be5df40f600df94110f589cfefd01127ee6c1da6d140eb25106e7e",
@@ -949,10 +990,10 @@ GOLDEN_STDOUT = {
     # action, and fractional payoffs.
     ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/5,4/5",
      "--col-mix", "1/3,2/3"):
-        "1e4df66c6ab3c5109063432af112b21b257bcacde80ce5d777dc8c2db0cd3a04",
+        "d5f6bc0658d0121f1b47ff3f632082341164d9a76375942dd123bc1c1b58be35",
     ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1,0",
      "--col-mix", "0,1"):
-        "f42e76120a78a5db4c7fccb9a9d24f00053ff38456d0b17245b8d7c32e7b3fd4",
+        "5a9c60d8f4b38e5c5b4bfcd653916cc3dd0bd4e8674e8ad093e087e71d521807",
     ("expected", "--bimatrix", "six.bmx", "--row-mix",
      "1/6,1/6,1/6,1/6,1/6,1/6", "--col-mix", "1/2,0,1/4,0,1/8,1/8"):
         "b740788b2ad14ebdc0b1c8cd7fad77d7a88b0187f59cd5d2b617de75ac8ec05e",
@@ -1089,23 +1130,8 @@ def _parsed(capsys, parser, argv):
     return result, captured.out, captured.err
 
 
-@pytest.mark.parametrize("env", [None, "bmx"])
-def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys,
-                                                      env):
-    """``run_cli`` builds only the parser of the subcommand its first
-    argument names.  Each argv parses with it as with all nine built:
-    the same fields, or the same exit code, stdout and stderr.  The
-    default format comes from $OAGAME_FORMAT, and argparse does not check
-    it against the choices (``run_cli`` does, after parsing)."""
+def test_the_parser_names_its_subcommand_argument_command(capsys):
     from oagame import cli
-    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at this width
-    if env is not None:
-        monkeypatch.setenv("OAGAME_FORMAT", env)
-    for argv in PARSER_CORPUS:
-        lean = cli.build_parser(argv[0] if argv else None)
-        assert _parsed(capsys, lean, argv) == \
-            _parsed(capsys, cli.build_parser(), argv), argv
-    # The oracle names the subcommand argument "command" in its errors.
     assert _parsed(capsys, cli.build_parser(), ())[2].endswith(
         "the following arguments are required: command\n")
     assert "argument command: invalid choice: 'bogus'" in _parsed(
@@ -1205,18 +1231,18 @@ PARSER_DEFINITION = {
 
 
 def test_every_subcommand_parser_keeps_its_definition(monkeypatch):
-    """Each subcommand's parser, built alone, holds the options, defaults,
-    help texts and groups pinned above, and lists all nine subcommands in
-    its usage; the full parser names its subcommand argument "command"."""
+    """The parser holds the nine subcommands in order, each with the help
+    text, options, defaults and groups pinned above, and no metavar: one
+    would replace the name "command" in its errors."""
     from oagame import cli
     monkeypatch.delenv("OAGAME_FORMAT", raising=False)
     assert list(cli._SUBCOMMANDS) == list(PARSER_DEFINITION)
-    for name, (help_text, defaults, actions, groups) in \
-            PARSER_DEFINITION.items():
-        top, = cli.build_parser(name)._subparsers._group_actions
-        assert top.metavar == "{" + ",".join(PARSER_DEFINITION) + "}"
-        assert [(a.dest, a.help) for a in top._choices_actions] == \
-            [(name, help_text)]
+    top, = cli.build_parser()._subparsers._group_actions
+    assert (top.metavar, list(top.choices)) == (None, list(PARSER_DEFINITION))
+    assert [(a.dest, a.help) for a in top._choices_actions] == [
+        (name, help_text)
+        for name, (help_text, _, _, _) in PARSER_DEFINITION.items()]
+    for name, (_, defaults, actions, groups) in PARSER_DEFINITION.items():
         sub = top.choices[name]
         assert sub._defaults == defaults, name
         assert [(a.option_strings, a.dest, a.default, a.required, a.choices,
@@ -1224,8 +1250,6 @@ def test_every_subcommand_parser_keeps_its_definition(monkeypatch):
                 for a in sub._actions] == actions, name
         assert [([a.dest for a in g._group_actions], g.required)
                 for g in sub._mutually_exclusive_groups] == groups, name
-    top, = cli.build_parser()._subparsers._group_actions
-    assert (top.metavar, list(top.choices)) == (None, list(PARSER_DEFINITION))
 
 
 # The vocabulary of the differential test below, from the pinned
@@ -1293,7 +1317,7 @@ def test_the_direct_reader_agrees_with_argparse(monkeypatch, env, argv):
         monkeypatch.setenv("OAGAME_FORMAT", env)
     args = cli._read_args(argv)
     if args is not None:
-        parsed = cli.build_parser(argv[0]).parse_args(argv)
+        parsed = cli.build_parser().parse_args(argv)
         assert vars(args) == vars(parsed)
         assert args.format in args.formats
 
@@ -1310,8 +1334,7 @@ def test_the_direct_reader_reads_every_well_formed_corpus_line(
     if env is not None:
         monkeypatch.setenv("OAGAME_FORMAT", env)
     for argv in PARSER_CORPUS:
-        fields = _parsed(capsys, cli.build_parser(argv[0] if argv else None),
-                         argv)[0]
+        fields = _parsed(capsys, cli.build_parser(), argv)[0]
         if isinstance(fields, int) or fields["format"] not in \
                 fields["formats"]:
             fields = None

@@ -255,6 +255,43 @@ def test_rule_empty_parts_are_syntax_errors(oa_game):
         assert all(e.kind == "syntax" for e in errors)
 
 
+SEPARATOR_GAME = parse_game_spec(
+    'game "g"\nplayer A actions: "x"\n'
+    'variable V owner: A values: Hi=1, Lo=0\n'
+    'variable W owner: A values: Hi=1, Lo=0\n').game
+_NO_SEPARATOR = "expected ',' or 'and' between atoms"
+_NO_THEN = ("line 7:10: syntax: expected 'then' after the rule condition", "")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('if A="x", then V="Hi"', ([("A", "x")], [("V", "Hi")], [])),
+    ('if A="x" and, AND V="Hi" then W="Lo"',
+     ([("A", "x"), ("V", "Hi")], [("W", "Lo")], [])),
+    ('if A="x" then V="Hi" and otherwise V="Lo"',
+     ([("A", "x")], [("V", "Hi")], [("V", "Lo")])),
+    ("if A=x and then V=Hi", ([("A", "x")], [("V", "Hi")], [])),
+    ('if A="x" andy V="Hi" then W="Lo"',
+     [(f"line 7:10: syntax: {_NO_SEPARATOR}", "andy"), _NO_THEN]),
+    ('if A="x" V="Hi" then W="Lo"',
+     [(f"line 7:10: syntax: {_NO_SEPARATOR}", "V"), _NO_THEN]),
+    ("if A = x = y then V=Hi",
+     [(f"line 7:10: syntax: {_NO_SEPARATOR}", ""), _NO_THEN]),
+    ('if A="x" then V="Hi",', [("line 7:22: syntax: expected '=' in atom",
+                                "")]),
+])
+def test_rule_atoms_are_separated_by_commas_and_the_word_and(text, expected):
+    """Separators (',' and 'and', in any number and case) may stand before
+    a stop word; a word that only starts with 'and', another atom or a
+    second '=' is a missing separator, and a trailing one wants an atom."""
+    rule, errors = parse_rule(text, SEPARATOR_GAME, line=7)
+    if rule is None:
+        assert [(str(e), e.token) for e in errors] == expected
+    else:
+        assert not errors
+        assert tuple([(a.subject, a.value) for a in part] for part in (
+            rule.condition, rule.consequence, rule.otherwise)) == expected
+
+
 def test_validation_counts(oa_validated):
     assert oa_validated.ok
     assert oa_validated.action_profile_count == 432

@@ -20,6 +20,8 @@ from oagame import (
     validate_game,
 )
 from oagame import engine, fixtures
+from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, NameResolutionError,
+                          OutcomeVarDef, PlayerDef, Rule, UtilityDef)
 from oagame.engine import rows_as_records
 
 from .oracle import (
@@ -449,6 +451,26 @@ def test_player_without_utility_enumerates_but_has_no_payoffs():
     assert top_gu_rows(game)[0] == 1
     with pytest.raises(MissingUtilityError):
         derive_payoff_table(game)
+
+
+def test_names_that_bypassed_validation_are_refused_on_use():
+    """A hand-built game that was never validated: an assignment to an
+    undeclared value, and a utility summing an undeclared variable."""
+    players = (PlayerDef("A", ("x",)),)
+    variables = (OutcomeVarDef("V", "A", (("Hi", 1), ("Lo", 0))),)
+    rule = Rule((Atom(ACTION, "A", "x"),), (Atom(OUTCOME, "V", "Bogus"),),
+                source="r")
+    with pytest.raises(NameResolutionError) as exc:
+        enumeration_report(GameSpec("g", players, variables, (rule,), ()))
+    assert str(exc.value) == "unknown name 'V=Bogus' in assignment of rule 'r'"
+    assert (exc.value.context, exc.value.token) == (
+        "assignment of rule 'r'", "V=Bogus")
+    game = GameSpec("g", players, variables, (),
+                    (UtilityDef("A", ("V", "W")),))
+    with pytest.raises(NameResolutionError) as exc:
+        derive_payoff_table(game)
+    assert str(exc.value) == "unknown name 'W' in utility of 'A'"
+    assert (exc.value.context, exc.value.token) == ("utility of 'A'", "W")
 
 
 def _rich_policies(game, rng):

@@ -189,6 +189,11 @@ def test_table6_iterated_elimination(table6):
     assert result.surviving == (("Publish OA",), ("TA",))
 
 
+def test_dominance_refuses_an_unknown_notion(table6):
+    with pytest.raises(ValueError, match="^unknown dominance notion 'bogus'$"):
+        dominance_analysis(table6, "bogus")
+
+
 def test_matching_pennies_no_elimination():
     result = dominance_analysis(MATCHING_PENNIES, notion="weak")
     assert result.trace == ()
@@ -332,6 +337,15 @@ def test_certificates_verify(table5, table6):
             assert cert.verify()
         for cert in pure_nash(bm):
             assert cert.verify()
+
+
+def test_a_certificate_below_an_alternative_does_not_verify(table5):
+    cert = pure_nash(table5)[0]
+    assert cert.kind == "pure" and cert.verify()
+    row_u, col_u = cert.expected_utilities
+    assert max(u for _, u in cert.verification[0]) == row_u
+    assert not cert._replace(expected_utilities=(row_u - F(1, 2),
+                                                 col_u)).verify()
 
 
 # Payoff kinds for the differential test: integers and fractions with
