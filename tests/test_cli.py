@@ -1130,8 +1130,48 @@ def _parsed(capsys, parser, argv):
     return result, captured.out, captured.err
 
 
-def test_the_parser_names_its_subcommand_argument_command(capsys):
+def _parsed_by_one(capsys, parser, argv):
+    """(the fields or the exit code, the arguments left unrecognized,
+    stdout, stderr) of the rest of ``argv`` parsed by the subparser of
+    ``argv[0]`` that ``parser`` holds."""
+    top, = parser._subparsers._group_actions
+    try:
+        namespace, extras = top.choices[argv[0]].parse_known_args(
+            list(argv[1:]))
+        result = {"command": argv[0], **vars(namespace)}
+    except SystemExit as exc:
+        result, extras = exc.code, []
+    captured = capsys.readouterr()
+    return result, extras, captured.out, captured.err
+
+
+@pytest.mark.parametrize("env", [None, "bmx"])
+def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys,
+                                                      env):
+    """The parser of one subcommand, as ``build_parser`` holds it, parses
+    the rest of each corpus line as the full parser parses the whole line:
+    the same fields (the full one adds ``command``), or the same exit
+    code, stdout and stderr.  Arguments it does not know it leaves to the
+    full parser, which names them in its own usage error.  The default
+    format comes from $OAGAME_FORMAT, and argparse does not check it
+    against the choices (``run_cli`` does, after parsing)."""
     from oagame import cli
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at this width
+    if env is not None:
+        monkeypatch.setenv("OAGAME_FORMAT", env)
+    for argv in PARSER_CORPUS:
+        if not argv or argv[0] not in cli._SUBCOMMANDS:
+            continue
+        full = _parsed(capsys, cli.build_parser(), argv)
+        fields, extras, out, err = _parsed_by_one(capsys, cli.build_parser(),
+                                                  argv)
+        if extras:
+            assert full[0] == 2 and full[2].endswith(
+                f"oagame: error: unrecognized arguments: "
+                f"{' '.join(extras)}\n"), argv
+        else:
+            assert (fields, out, err) == full, argv
+    # The full parser names the subcommand argument "command" in its errors.
     assert _parsed(capsys, cli.build_parser(), ())[2].endswith(
         "the following arguments are required: command\n")
     assert "argument command: invalid choice: 'bogus'" in _parsed(
