@@ -167,8 +167,13 @@ def build_parser():
 def run_cli(argv: list[str]) -> int:
     args = _read_args(argv)
     if args is None:
+        parser = build_parser()
         try:
-            args = build_parser().parse_args(argv)
+            args, extras = parser.parse_known_args(argv)
+            if extras:  # argparse would show the top-level usage
+                top, = parser._subparsers._group_actions
+                top.choices.get(argv[0], parser).error(
+                    f"unrecognized arguments: {' '.join(extras)}")
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else USAGE_ERROR
         if args.format not in args.formats:  # a default from $OAGAME_FORMAT

@@ -199,10 +199,12 @@ def _parse_atom_list(
         if i == start:  # no separator
             if i >= len(s):
                 return atoms, i, None, errors
-            if atoms:
-                errors.append(ParseError(_span(line, i + 1), "syntax",
-                                         "expected ',' or 'and' between atoms",
-                                         w))
+            if atoms:  # a second '=' in the last atom, or no separator
+                second = s.startswith("=", i)
+                errors.append(ParseError(_span(line, i + 1), "syntax", (
+                    f"unexpected '=' after the value of {atoms[-1][0]!r}"
+                    if second else "expected ',' or 'and' between atoms"),
+                    "=" if second else w))
                 return atoms, i, None, errors
         eq = s.find("=", i)
         if eq < 0:

@@ -24,13 +24,14 @@ that sums per-value weights, follow in closed form: ``enumeration_report``
 counts without building a row, ``top_gu_rows`` generates only the rows at
 the greatest global utility, and policy picks (and through them payoff
 tables and projections) are the first completions of greatest key.
-Both row lists (``admissible_rows`` and ``top_gu_rows``) expand the census
-they read, enumerating each block's completions once.  A row is a
-``(profile, completion)`` pair of index tuples; names come back only in
-``record_cells``, which names each distinct profile and each distinct
-completion of a row list once, so a row dump is rendered from those cells
-without building one record per row; ``rows_as_records`` expands them into
-per-row dicts.
+The census is the engine's one walk over the profiles: the counts, the
+payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
+read it, and the row lists expand it, enumerating each block's completions
+once.  A row is a ``(profile, completion)`` pair of index tuples; names
+come back only in ``record_cells``, which names each distinct profile and
+each distinct completion of a row list once, so a row dump is rendered from
+those cells without building one record per row; ``rows_as_records``
+expands them into per-row dicts.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class CompiledGame:
 
 def compile_game(game: GameSpec) -> CompiledGame:
     """The game's compiled form, built on first use and kept in the
-    instance dict, like ``OutcomeVarDef``'s lookup table."""
+    ``GameSpec``'s instance dict."""
     compiled = game.__dict__.get("_compiled")
     if compiled is None:
         compiled = game._compiled = CompiledGame(game)
@@ -233,6 +234,7 @@ class _Block(NamedTuple):
     select: object  # getter of the coupled values; None when none are
     passing: dict  # ``select`` value -> values, of each passing assignment
     count: int  # admissible completions
+    gu: tuple | None  # ``_optimum`` of the global utility; None if no count
 
 
 def _profile_block(cg: CompiledGame, profile) -> _Block | None:
@@ -276,8 +278,9 @@ def _block(cg: CompiledGame, deferred, forced) -> _Block:
             passing[sub if len(coupled) != 1 else sub[0]] = sub
     count = len(passing) * math.prod(
         len(d) for v, d in enumerate(domains) if v not in coupled)
-    return _Block(domains, coupled,
-                  itemgetter(*coupled) if coupled else None, passing, count)
+    block = _Block(domains, coupled, itemgetter(*coupled) if coupled else None,
+                   passing, count, None)
+    return block._replace(gu=_optimum(block, cg.scores)) if count else block
 
 
 def _optimum(block: _Block, weights):
@@ -311,16 +314,13 @@ def _filtered(select, domains, keep):
         map(keep.__contains__, map(select, itertools.product(*domains))))
 
 
-def _census(cg: CompiledGame, weights):
-    """``(profile, block, optimum)`` of each profile with an admissible
-    completion, canonical order; ``_optimum`` runs once per block."""
-    optima = {}
-    for profile in cg.profiles():
+def _census(cg: CompiledGame, profiles=None):
+    """``(profile, block)`` of each of ``profiles`` (default: all) with an
+    admissible completion, in order: the engine's one walk over profiles."""
+    for profile in cg.profiles() if profiles is None else profiles:
         block = _profile_block(cg, profile)
         if block is not None and block.count:
-            if id(block) not in optima:
-                optima[id(block)] = _optimum(block, weights)
-            yield profile, block, optima[id(block)]
+            yield profile, block
 
 
 def _within_budget(count: int, what: str) -> None:
@@ -331,7 +331,8 @@ def _within_budget(count: int, what: str) -> None:
 
 def _report(cg: CompiledGame, census) -> EnumerationReport:
     count, best, at_best = 0, None, 0
-    for _, block, (high, at_high, _, _) in census:
+    for _, block in census:
+        high, at_high, _, _ = block.gu
         count += block.count
         if best is None or high > best:
             best, at_best = high, 0
@@ -347,7 +348,7 @@ def enumeration_report(game: GameSpec) -> EnumerationReport:
     """The counts of the admissible set, summed over the profiles' blocks
     without building a row."""
     cg = compile_game(game)
-    return _report(cg, _census(cg, cg.scores))
+    return _report(cg, _census(cg))
 
 
 def _expand(entries) -> list[tuple]:
@@ -369,10 +370,10 @@ def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
     rows with equal completions share one completion tuple.  Raises
     ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
     cg = compile_game(game)
-    census = list(_census(cg, cg.scores))
+    census = list(_census(cg))
     report = _report(cg, census)
     _within_budget(report.admissible_count, "admissible rows")
-    return _expand((p, b, b.domains, b.passing) for p, b, _ in census), report
+    return _expand((p, b, b.domains, b.passing) for p, b in census), report
 
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
@@ -381,13 +382,13 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     completion)`` pairs in canonical order, or (None, []) when the set is
     empty.  Raises ``RowBudgetError``, building no row, above the budget."""
     cg = compile_game(game)
-    census = list(_census(cg, cg.scores))
+    census = list(_census(cg))
     report = _report(cg, census)
     best = report.max_global_utility
     _within_budget(report.max_global_utility_count,
                    "rows at max global utility")
-    return best, _expand((p, b, top, argmax) for p, b, (high, _, argmax, top)
-                         in census if high == best)
+    return best, _expand((p, b, b.gu[3], b.gu[2]) for p, b in census
+                         if b.gu[0] == best)
 
 
 def _payoff_table(game: GameSpec, policy: CompletionPolicy,
@@ -400,31 +401,31 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
     undeclared matches nothing).  A cell holds the utilities at the first
     pick of strictly greatest key over the game profiles extending it, the
     policy applied to all of their completions at once, or None when they
-    have no pick.  Each block's ``_optimum`` gives its pick, and the pick's
-    utilities are one tuple shared by every profile in the block."""
+    have no pick.  Each census block's optimum (``gu`` under max-GU) gives
+    its pick, and the pick's utilities are one tuple shared by every
+    profile in the block."""
     cg = compile_game(game)
     kept = [cg.players.index(p) for p in players]
-    acts, weights, utilities = (), None, None
+    profiles, weights, utilities = None, None, None
     if policy.kind == "fixed":
         acts = [cg._pair(ACTION, s, x) for s, x in policy.fixed_actions]
         outs = [cg._pair(OUTCOME, s, x) for s, x in policy.fixed_outcomes]
-        acts = None if None in acts + outs else acts
+        profiles = () if None in acts + outs else (
+            p for p in cg.profiles() if _holds(acts, p))
         weights = tuple(tuple(-sum(w == v and y != x
                                    for w, y in filter(None, outs))
                               for x in r) for v, r in enumerate(cg.ranges))
     picks = {}  # id(block) -> (key, cell), or None when it has no pick
     best = {}  # profile of ``players`` -> (key, cell) of its first best pick
-    for profile in cg.profiles():
-        block = (None if acts is None or not _holds(acts, profile)
-                 else _profile_block(cg, profile))
-        if block is None or not block.count:
-            continue
-        if weights is None:  # no admissible row, no utility needed
-            weights = cg.scores if policy.kind == "max-global-utility" else [
-                [w if policy.kind == "optimistic" else -w for w in ws]
-                for ws in cg._utility_weights(policy.player)]
+    for profile, block in _census(cg, profiles):
         if id(block) not in picks:
-            key, _, argmax, top = _optimum(block, weights)
+            # Resolved here, so a game with no admissible row needs no utility.
+            if weights is None and policy.kind != "max-global-utility":
+                weights = [[w if policy.kind == "optimistic" else -w
+                            for w in ws]
+                           for ws in cg._utility_weights(policy.player)]
+            key, _, argmax, top = (block.gu if weights is None
+                                   else _optimum(block, weights))
             pick = None
             if policy.kind != "fixed" or not key:
                 first = [domain[0] for domain in top]

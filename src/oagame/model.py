@@ -6,10 +6,9 @@ per-player utilities.  All arithmetic is exact integer arithmetic.  Only
 the game commands load this module.  ``GameError`` and ``PayoffTable``,
 which the bimatrix layer also needs, live in ``oagame._table`` and are
 re-exported here.
-The records are immutable named tuples; one that does work when created is a
-subclass of its fields' ``NamedTuple`` whose ``__init__`` (and ``_make``, for
-``_replace``) does it.  ``OutcomeVarDef`` and ``GameSpec`` cache in an
-instance dict, which, unlike the fields, takes new attributes.
+The records are immutable named tuples.  ``GameSpec`` subclasses its
+fields' ``NamedTuple`` to keep its compiled form in an instance dict, which,
+unlike the fields, takes new attributes.
 """
 
 from __future__ import annotations
@@ -53,25 +52,12 @@ class PlayerDef(NamedTuple):
         return None
 
 
-class _OutcomeVarFields(NamedTuple):
+class OutcomeVarDef(NamedTuple):
     name: str
     owner: str
     values: tuple[tuple[str, int], ...]  # (value name, integer score), ordered
     aliases: tuple[str, ...] = ()
     value_aliases: tuple[tuple[str, str], ...] = ()  # alternate -> canonical
-
-
-class OutcomeVarDef(_OutcomeVarFields):
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __init__(self, *fields, **named):
-        # The lookup table, kept in the instance dict rather than in fields,
-        # so equality, hashing and repr ignore it: each value name and
-        # value alias, by ``name_key``, maps to its canonical value.
-        self._entries = entries = {name_key(v): v for v, _ in self.values}
-        for alias, target in self.value_aliases:
-            if name_key(target) in entries:
-                entries[name_key(alias)] = entries[name_key(target)]
 
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)
@@ -79,7 +65,11 @@ class OutcomeVarDef(_OutcomeVarFields):
     def canonical_value(self, name: str) -> str | None:
         """Canonical value for ``name`` (a value or value alias), by
         ``name_key``, or None."""
-        return self._entries.get(name_key(name))
+        entries = {name_key(v): v for v, _ in self.values}
+        for alias, target in self.value_aliases:
+            if name_key(target) in entries:
+                entries[name_key(alias)] = entries[name_key(target)]
+        return entries.get(name_key(name))
 
 
 class UtilityDef(NamedTuple):

@@ -1145,6 +1145,27 @@ def _parsed_by_one(capsys, parser, argv):
     return result, extras, captured.out, captured.err
 
 
+def test_unknown_option_is_reported_with_its_subcommands_usage(
+        monkeypatch, capsys):
+    """Arguments left over after a subcommand are reported by that
+    subcommand's parser, usage included; before any subcommand, by the
+    full parser.  The usage is read off the parser, since its rendering
+    differs between Python versions."""
+    from oagame import cli
+    monkeypatch.setenv("COLUMNS", "80")
+    top, = cli.build_parser()._subparsers._group_actions
+    code, out, err = run(capsys, "enumerate", "--game", "oa.game", "--bogus",
+                         "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: oagame enumerate [-h] --game GAME ")
+    assert err == top.choices["enumerate"].format_usage() + (
+        "oagame enumerate: error: unrecognized arguments: --bogus x\n")
+    code, out, err = run(capsys, "--bogus", "enumerate", "--game", "oa.game")
+    assert (code, out) == (2, "")
+    assert err == cli.build_parser().format_usage() + (
+        "oagame: error: unrecognized arguments: --bogus\n")
+
+
 @pytest.mark.parametrize("env", [None, "bmx"])
 def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys,
                                                       env):

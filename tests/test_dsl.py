@@ -275,14 +275,20 @@ _NO_THEN = ("line 7:10: syntax: expected 'then' after the rule condition", "")
     ('if A="x" V="Hi" then W="Lo"',
      [(f"line 7:10: syntax: {_NO_SEPARATOR}", "V"), _NO_THEN]),
     ("if A = x = y then V=Hi",
-     [(f"line 7:10: syntax: {_NO_SEPARATOR}", ""), _NO_THEN]),
+     [("line 7:10: syntax: unexpected '=' after the value of 'A'", "="),
+      _NO_THEN]),
+    ('if A="x" then V="Hi" = "Lo"',
+     [("line 7:22: syntax: unexpected '=' after the value of 'V'", "=")]),
+    ('if A="x" then V="Hi" otherwise W = Lo = Hi',
+     [("line 7:39: syntax: unexpected '=' after the value of 'W'", "=")]),
     ('if A="x" then V="Hi",', [("line 7:22: syntax: expected '=' in atom",
                                 "")]),
 ])
 def test_rule_atoms_are_separated_by_commas_and_the_word_and(text, expected):
     """Separators (',' and 'and', in any number and case) may stand before
-    a stop word; a word that only starts with 'and', another atom or a
-    second '=' is a missing separator, and a trailing one wants an atom."""
+    a stop word; a word that only starts with 'and' or another atom is a
+    missing separator, a second '=' in an atom is reported as one, naming
+    the atom, and a trailing separator wants an atom."""
     rule, errors = parse_rule(text, SEPARATOR_GAME, line=7)
     if rule is None:
         assert [(str(e), e.token) for e in errors] == expected

@@ -260,13 +260,10 @@ def test_row_lists_refuse_more_rows_than_the_budget(oa_game, monkeypatch):
     assert len(top_gu_rows(oa_game)[1]) == 30
 
 
-def test_row_lists_walk_the_profiles_once_and_each_block_once(
-        oa_game, monkeypatch):
-    """Both row lists expand the census: ``admissible_rows`` looks up the
-    432 profiles' blocks once and enumerates each of the 14 distinct blocks'
-    completions once, ``top_gu_rows`` each of the 2 blocks at the maximum
-    (30 profiles) once.  Rows with equal completions share one tuple."""
-    calls = {"_profile_block": 0, "_filtered": 0}
+def _counted(monkeypatch, *names):
+    """A dict of how many times each of the ``engine`` functions ``names``
+    is called from now on."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         inner = getattr(engine, name)
@@ -276,19 +273,143 @@ def test_row_lists_walk_the_profiles_once_and_each_block_once(
             return inner(*args)
         monkeypatch.setattr(engine, name, wrapper)
 
-    counted("_profile_block")
-    counted("_filtered")
+    for name in names:
+        counted(name)
+    return calls
+
+
+def test_row_lists_walk_the_profiles_once_and_each_block_once(
+        oa_game, monkeypatch):
+    """Both row lists expand the census: ``admissible_rows`` looks up the
+    432 profiles' blocks once and enumerates each of the 14 distinct blocks'
+    completions once, ``top_gu_rows`` each of the 2 blocks at the maximum
+    (30 profiles) once.  Rows with equal completions share one tuple."""
+    calls = _counted(monkeypatch, "_profile_block", "_filtered")
     rows, _ = admissible_rows(oa_game)
     assert len(rows) == 17640
     assert calls == {"_profile_block": 432, "_filtered": 14}
     assert len({id(c) for _, c in rows}) == len({c for _, c in rows}) == 160
 
     cg = compile_game(oa_game)
-    census = list(engine._census(cg, cg.scores))
-    at_best = {id(b) for _, b, (high, *_) in census if high == 8}
+    at_best = {id(b) for _, b in engine._census(cg) if b.gu[0] == 8}
     calls["_filtered"] = 0
     assert top_gu_rows(oa_game)[0] == 8
     assert calls["_filtered"] <= len(at_best) == 2
+
+
+def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
+        monkeypatch):
+    """On a freshly parsed ``oa.game`` the census, the max-GU payoff table
+    and the max-GU projection each look up the 432 profiles' blocks once,
+    and the 14 blocks' global-utility optima are worked out once in all;
+    under the fixed policy only the 108 profiles with ``Editors=Grant OA``
+    are looked up."""
+    calls = _counted(monkeypatch, "_profile_block", "_optimum")
+    game = parse_game_spec(fixtures.fixture_text("oa.game")).game
+    walks = []
+    for run in (lambda: enumeration_report(game),
+                lambda: derive_payoff_table(game),
+                lambda: project_bimatrix(game, CompletionPolicy(),
+                                         "Academics", "Editors")):
+        run()
+        walks.append(calls["_profile_block"])
+        calls["_profile_block"] = 0
+    assert walks == [432, 432, 432]
+    assert calls["_optimum"] == len(compile_game(game)._blocks) == 14
+    derive_payoff_table(game, CompletionPolicy(
+        "fixed", fixed_actions=(("Editors", "Grant OA"),)))
+    assert calls["_profile_block"] == 108
+
+
+def _with_action_copy(game, player, action, copy):
+    """``game`` with ``copy`` appended to ``player``'s actions, and a map
+    from its profiles (action names) to the profiles of ``game`` they
+    copy."""
+    d = game.player_names().index(player)
+    players = list(game.players)
+    players[d] = players[d]._replace(actions=(*players[d].actions, copy))
+    return game._replace(players=tuple(players)), lambda profile: tuple(
+        action if i == d and a == copy else a for i, a in enumerate(profile))
+
+
+def _unnamed_actions(game):
+    """(player, action) of each action that no rule atom names."""
+    named = {(a.subject, a.value) for r in game.rules
+             for a in (*r.condition, *r.consequence, *r.otherwise)
+             if a.kind == ACTION}
+    return [(p.name, a) for p in game.players for a in p.actions
+            if (p.name, a) not in named]
+
+
+def _check_action_copy(game, player, action, policies, copy="copy"):
+    """The duplicate-action relation: a copy of an action that no rule atom
+    names adds the original's admissible rows and its rows at the (same)
+    maximum global utility; under every policy each profile's cell is its
+    original's, and a projection that drops the player is unchanged."""
+    twin, original = _with_action_copy(game, player, action, copy)
+    rows = brute_force_admissible(game)
+    gus = [utility(game, r) for r in rows]
+    best = max(gus, default=None)
+    own = [r.actions[player] == action for r in rows]
+    before, after = enumeration_report(game), enumeration_report(twin)
+    assert after.admissible_count == before.admissible_count + sum(own)
+    assert after.max_global_utility == before.max_global_utility == best
+    assert after.max_global_utility_count == (
+        before.max_global_utility_count
+        + sum(o and g == best for o, g in zip(own, gus)))
+    others = tuple(p for p in game.player_names() if p != player)
+    for policy in policies:
+        table = derive_payoff_table(game, policy)
+        twin_table = derive_payoff_table(twin, policy)
+        assert [twin_table.payoff(p) for p in twin_table.profiles()] == [
+            table.payoff(original(p)) for p in twin_table.profiles()]
+        assert engine._payoff_table(twin, policy, others) == \
+            engine._payoff_table(game, policy, others)
+        for pair in itertools.permutations(others, 2):
+            assert project_bimatrix(twin, policy, *pair) == \
+                project_bimatrix(game, policy, *pair)
+    return before, after
+
+
+def test_a_copied_action_adds_its_original_rows_and_cells(oa_game):
+    """``Support Neither`` copies Administrators' ``Support TA``, which no
+    rule names: 432 -> 576 profiles and 17640 -> 23520 admissible rows, and
+    the maximum 8 and its 30 rows are unchanged.  The same relation holds
+    on random games, under all four policies."""
+    assert ("Administrators", "Support TA") in _unnamed_actions(oa_game)
+    policies = [CompletionPolicy(),
+                CompletionPolicy("optimistic", "Editors"),
+                CompletionPolicy("pessimistic", "Administrators"),
+                CompletionPolicy("fixed",
+                                 fixed_actions=(("Editors", "Grant OA"),),
+                                 fixed_outcomes=(("Income", "Less"),))]
+    before, after = _check_action_copy(oa_game, "Administrators",
+                                       "Support TA", policies,
+                                       "Support Neither")
+    assert (before.action_profile_count, before.admissible_count) == (
+        432, 17640)
+    assert (after.action_profile_count, after.admissible_count) == (
+        576, 23520)
+    assert after[3:] == before[3:] == (8, 30)
+    rng, checked = random.Random(32), 0
+    for draw in [random_small_game] * 60 + [random_rich_game] * 60:
+        game = draw(rng)
+        unnamed = _unnamed_actions(game)
+        if not unnamed:
+            continue
+        player, action = rng.choice(unnamed)
+        q = rng.choice(game.players).name
+        fixed = [(p.name, rng.choice(p.actions)) for p in game.players
+                 if p.name != player][:1]
+        v = rng.choice(game.variables)
+        _check_action_copy(game, player, action, [
+            CompletionPolicy(), CompletionPolicy("optimistic", q),
+            CompletionPolicy("pessimistic", q),
+            CompletionPolicy("fixed", fixed_actions=tuple(fixed),
+                             fixed_outcomes=((v.name,
+                                              v.value_names()[-1]),))])
+        checked += 1
+    assert checked > 60
 
 
 def test_payoff_table_no_rules_all_more():
