@@ -1,6 +1,7 @@
 """What the game model and the bimatrix layer share, so that a bimatrix
 command does not load ``oagame.model`` (which re-exports both names):
-``GameError``, ``PayoffTable`` and the size check on numeric literals.
+``GameError``, ``PayoffTable`` and the size checks on numeric literals and
+figures.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ def number_literal(text: str) -> str:
     if size > MAX_DIGITS:
         raise ValueError(f"a number of more than {MAX_DIGITS} digits")
     return text
+
+
+def too_many_digits(n: int) -> bool:
+    """Has ``abs(n)`` more than ``MAX_DIGITS`` digits, too many for Python
+    to write as text?"""
+    n = abs(n)
+    # An int of at most 3 * MAX_DIGITS bits is below 8 ** MAX_DIGITS.
+    return n.bit_length() > 3 * MAX_DIGITS and n >= 10 ** MAX_DIGITS
 
 
 class _PayoffFields(NamedTuple):

@@ -23,7 +23,9 @@ from .commands import DIAG_ERROR, USAGE_ERROR, _CliError
 # ``--opt=value``, ``-o``, ``--``) goes to the argparse parser that
 # ``build_parser`` makes of it, so only those load argparse.  ``run_cli``
 # then imports the handler ``oagame.commands.<name>``, which imports the
-# layers it calls inside its functions.
+# layers it calls inside its functions and returns (status, report) having
+# written nothing.  ``run_cli`` alone opens --output and writes the report,
+# so a command that fails leaves an existing file alone.
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +188,31 @@ def run_cli(argv: list[str]) -> int:
     handler = __import__(f"{__package__}.commands.{args.command}",
                          fromlist=["run"])
     try:
-        return handler.run(args)
+        status, report = handler.run(args)
+        out = sys.stdout
+        if args.output:
+            try:
+                out = open(args.output, "w", encoding="utf-8")
+            except OSError as exc:
+                raise _CliError(f"cannot write {args.output}: "
+                                f"{exc.strerror}", USAGE_ERROR)
+        try:
+            if isinstance(report, str):  # ``project --format bmx``
+                out.write(report)
+            else:
+                rp.emit_report(report, args.format, out)
+        finally:
+            if args.output:
+                out.close()
+        return status
     except _CliError as exc:
         print(f"oagame: {exc}", file=sys.stderr)
         return exc.status
     except (GameError, ValueError) as exc:
         print(f"oagame: {exc}", file=sys.stderr)
+        return DIAG_ERROR
+    except MemoryError:
+        print("oagame: out of memory", file=sys.stderr)
         return DIAG_ERROR
 
 

@@ -2,7 +2,9 @@
 
 ``oagame.cli`` parses the arguments, then imports only the invoked
 subcommand's module, ``oagame.commands.<name>``, and calls its
-``run(args)``, which returns the exit status.  Two rules keep this sound:
+``run(args)``, which returns ``(exit status, report)`` and writes nothing
+to stdout or --output; ``run_cli`` writes the report.  Two rules keep
+this sound:
 
 - No module imports ``oagame.cli``.  Under ``python -m oagame.cli`` that
   file runs as ``__main__``, so an import would compile and run a second
@@ -17,12 +19,10 @@ handler module, so code here cannot call the builtin of that name.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import sys
 from typing import TYPE_CHECKING
 
-from .. import fixtures, report as rp
+from .. import fixtures
 
 if TYPE_CHECKING:
     from .._table import PayoffTable
@@ -64,27 +64,6 @@ def _load_bimatrix(path: str) -> tuple[PayoffTable, str]:
         return parse_bimatrix(text), digest
     except BimatrixFormatError as exc:
         raise _CliError(f"{path}: {exc}", DIAG_ERROR)
-
-
-def _emit(args, report: dict) -> None:
-    with _output(args) as out:
-        rp.emit_report(report, args.format, out)
-
-
-@contextlib.contextmanager
-def _output(args):
-    """--output opened for writing, or stdout when none is given; a path
-    that cannot be opened is a usage error."""
-    if args.output:
-        try:
-            fh = open(args.output, "w", encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(f"cannot write {args.output}: {exc.strerror}",
-                            USAGE_ERROR)
-        with fh:
-            yield fh
-    else:
-        yield sys.stdout
 
 
 def _is_bundled(digest: str, name: str) -> bool:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from .. import report as rp
-from . import _emit, _is_bundled
+from . import _is_bundled
 from ._game import _census_figures, _game_or_fail, _row_dump
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..engine import admissible_rows, enumeration_report
     game, digest = _game_or_fail(args)
     if args.dump:
@@ -23,5 +23,4 @@ def run(args) -> int:
         out["paper_comparison"] = rp.paper_comparison(figures)
     if args.dump:
         out["rows"] = _row_dump(game, rows)
-    _emit(args, out)
-    return 0
+    return 0, out

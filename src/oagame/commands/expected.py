@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .. import report as rp
-from . import USAGE_ERROR, _CliError, _emit, _is_bundled, _load_bimatrix
+from . import USAGE_ERROR, _CliError, _is_bundled, _load_bimatrix
 
 if TYPE_CHECKING:
     from ..equilibrium import MixedStrategy
@@ -37,7 +37,7 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
         raise _CliError(f"{flag}: {exc}", USAGE_ERROR)
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..equilibrium import expected_utility
     table, digest = _load_bimatrix(args.bimatrix)
     (row, col), (row_actions, col_actions) = table.players, table.actions
@@ -51,5 +51,4 @@ def run(args) -> int:
                                  col: rp.number(eu_col)}
     if _is_bundled(digest, "table6.bmx"):
         out["note"] = rp.TABLE6_EU_NOTE
-    _emit(args, out)
-    return 0
+    return 0, out

@@ -4,10 +4,10 @@ enumeration, and optionally iterated dominance."""
 from __future__ import annotations
 
 from .. import report as rp
-from . import _emit, _is_bundled, _load_bimatrix
+from . import _is_bundled, _load_bimatrix
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..equilibrium import dominance_analysis, mixed_nash_2p
     table, digest = _load_bimatrix(args.bimatrix)
     certs, degenerate = mixed_nash_2p(table)
@@ -26,5 +26,4 @@ def run(args) -> int:
             list, result.surviving)
     if _is_bundled(digest, "table6.bmx"):
         out["note"] = rp.TABLE6_EU_NOTE
-    _emit(args, out)
-    return 0
+    return 0, out

@@ -4,11 +4,11 @@ bimatrix file."""
 from __future__ import annotations
 
 from .. import report as rp
-from . import (USAGE_ERROR, _CliError, _emit, _has_publish_oa_grant_ta,
+from . import (USAGE_ERROR, _CliError, _has_publish_oa_grant_ta,
                _is_bundled, _load_bimatrix)
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..equilibrium import pure_nash
     out = rp.base_report({})
     if args.bimatrix:
@@ -31,5 +31,4 @@ def run(args) -> int:
                 "present" if _has_publish_oa_grant_ta(certs) else "absent"})
     out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
-    _emit(args, out)
-    return 0
+    return 0, out

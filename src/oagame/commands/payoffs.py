@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .. import report as rp
-from . import _emit
 from ._game import _game_or_fail, _policy
 
 
@@ -13,7 +12,7 @@ def _payoff_records(game, table) -> list[dict]:
             for profile, cell in zip(table.profiles(), table.cells)]
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..engine import derive_payoff_table
     game, digest = _game_or_fail(args)
     policy = _policy(args, game)
@@ -21,5 +20,4 @@ def run(args) -> int:
     out = rp.base_report({args.game: digest})
     out["policy"] = policy.kind
     out["cells"] = _payoff_records(game, table)
-    _emit(args, out)
-    return 0
+    return 0, out

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .. import report as rp
-from . import USAGE_ERROR, _CliError, _emit, _output
+from . import USAGE_ERROR, _CliError
 from ._game import _declared_player, _game_or_fail, _policy
 
 if TYPE_CHECKING:
@@ -23,7 +23,7 @@ def _bimatrix_records(table: PayoffTable) -> list[dict]:
                          for ca in col_actions}} for ra in row_actions]
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict | str]:
     from ..equilibrium import project_bimatrix, serialize_bimatrix
     game, digest = _game_or_fail(args)
     policy = _policy(args, game)
@@ -34,13 +34,9 @@ def run(args) -> int:
                         USAGE_ERROR)
     table = project_bimatrix(game, policy, row, col)
     if args.format == "bmx":
-        text = serialize_bimatrix(table)  # a name it refuses writes no file
-        with _output(args) as out:
-            out.write(text)
-        return 0
+        return 0, serialize_bimatrix(table)
     out = rp.base_report({args.game: digest})
     out["provenance"] = "projected-from-game"
     out["row_player"], out["col_player"] = table.players
     out["matrix"] = _bimatrix_records(table)
-    _emit(args, out)
-    return 0
+    return 0, out

@@ -4,11 +4,11 @@ the paper-vs-computed comparison and the golden check."""
 from __future__ import annotations
 
 from .. import report as rp
-from . import DIAG_ERROR, _emit, _has_publish_oa_grant_ta, _load_bimatrix
+from . import DIAG_ERROR, _has_publish_oa_grant_ta, _load_bimatrix
 from ._game import _census_figures, _game_or_fail
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..engine import CompletionPolicy, enumeration_report
     from ..equilibrium import payoff_pair, project_bimatrix, pure_nash
     game, game_digest = _game_or_fail(args)
@@ -37,5 +37,4 @@ def run(args) -> int:
     out["golden_check"] = rp.golden_check(computed)
     ok = all(c["matches"] for c in out["golden_check"])
     out["status"] = "ok" if ok else "drift-from-golden"
-    _emit(args, out)
-    return 0 if ok else DIAG_ERROR
+    return (0 if ok else DIAG_ERROR), out

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from .. import report as rp
-from . import _emit, _is_bundled
+from . import _is_bundled
 from ._game import _game_or_fail, _row_dump
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..engine import top_gu_rows
     game, digest = _game_or_fail(args)
     best, rows = top_gu_rows(game)
@@ -18,5 +18,4 @@ def run(args) -> int:
     if _is_bundled(digest, "oa.game"):
         out["paper_comparison"] = rp.paper_comparison({
             "max_global_utility": best, "top_gu_rows": len(rows)})
-    _emit(args, out)
-    return 0
+    return 0, out

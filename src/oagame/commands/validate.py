@@ -5,11 +5,11 @@ from __future__ import annotations
 import sys
 
 from .. import report as rp
-from . import DIAG_ERROR, _CliError, _emit, _is_bundled
+from . import DIAG_ERROR, _CliError, _is_bundled
 from ._game import _game_or_fail
 
 
-def run(args) -> int:
+def run(args) -> tuple[int, dict]:
     from ..dsl import validate_game
     game, digest = _game_or_fail(args)
     validated = validate_game(game)
@@ -31,5 +31,4 @@ def run(args) -> int:
             "action_profiles": validated.action_profile_count,
             "row_space": validated.row_space_count,
         })
-    _emit(args, out)
-    return 0
+    return 0, out

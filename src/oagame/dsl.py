@@ -18,10 +18,11 @@ malformed constructs become diagnostics, never exceptions.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
-from ._table import number_literal
+from ._table import MAX_DIGITS, number_literal, too_many_digits
 from .model import (
     ACTION,
     OUTCOME,
@@ -475,6 +476,14 @@ def _structural_errors(game: GameSpec):
     among them."""
     if not game.players:
         yield ("game", 0), "a game declares at least one player", ""
+    # Each figure a report prints fits in MAX_DIGITS digits: the global
+    # utility and the row space here, each utility below.
+    if too_many_digits(sum(map(_largest_score, game.variables))):
+        yield (("game", 0), f"the global utility can be a figure of more "
+                            f"than {MAX_DIGITS} digits", "")
+    if too_many_digits(_sizes(game)[1]):
+        yield (("game", 0), f"the row space is a figure of more than "
+                            f"{MAX_DIGITS} digits", "")
     # A row dump and a payoffs cell have one column per record key.  A name
     # declared twice is reported as such; a key repeated more often than it
     # is declared is a name that is also GU, feasible or U_<player>, whose
@@ -544,10 +553,28 @@ def _structural_errors(game: GameSpec):
                           f"more than once", u.player)
         else:
             seen.add(player.name)
+        largest = 0
         for term in u.terms:
-            if game.variable(term) is None:
+            var = game.variable(term)
+            if var is None:
                 yield (where, f"utility of {u.player!r} sums undeclared "
                               f"variable {term!r}", term)
+            else:
+                largest += _largest_score(var)
+        if too_many_digits(largest):
+            yield (where, f"utility of {u.player!r} can be a figure of more "
+                          f"than {MAX_DIGITS} digits", u.player)
+
+
+def _largest_score(var: OutcomeVarDef) -> int:
+    return max((abs(score) for _, score in var.values), default=0)
+
+
+def _sizes(game: GameSpec) -> tuple[int, int]:
+    """The action-profile count and the row space of ``game``."""
+    profiles = math.prod(max(len(p.actions), 1) for p in game.players)
+    return profiles, profiles * math.prod(max(len(v.values), 1)
+                                          for v in game.variables)
 
 
 def validate_game(game: GameSpec) -> ValidatedGame:
@@ -596,13 +623,7 @@ def validate_game(game: GameSpec) -> ValidatedGame:
                                            f"duplicate rule: {a.source!r}"))
                 break
 
-    profile_count = 1
-    for p in game.players:
-        profile_count *= max(len(p.actions), 1)
-    row_space = profile_count
-    for v in game.variables:
-        row_space *= max(len(v.values), 1)
-
+    profile_count, row_space = _sizes(game)
     return ValidatedGame(game, profile_count, row_space,
                          tuple(errors), tuple(warnings))
 

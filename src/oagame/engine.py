@@ -107,7 +107,7 @@ class CompiledGame:
     ``(action test, outcome tests, consequence, otherwise)``: the action
     test is a ``_selector`` of the condition's action pairs, or None when
     the condition can never hold, and the rest are index pairs.
-    Utility terms are resolved the first time a player's utility is asked
+    A player's utility terms are resolved each time its utility is asked
     for, so a player without a utility definition is an error only for
     the consumers that need one.  Profile blocks (``_Block``) are kept per
     (deferred rules, forced values), at most one per profile.
@@ -129,7 +129,6 @@ class CompiledGame:
         self.rules = tuple(self._rule(r) for r in game.rules)
         # (deferred rule indices, forced values) -> _block(...)
         self._blocks: dict[tuple, _Block] = {}
-        self._weights: dict[str, tuple[tuple[int, ...], ...]] = {}
 
     def _pair(self, kind: str, subject: str,
               value: str) -> tuple[int, int] | None:
@@ -187,19 +186,15 @@ class CompiledGame:
     def _utility_weights(self, player: str) -> tuple[tuple[int, ...], ...]:
         """Per variable, what each value adds to ``player``'s utility (its
         score times the utility terms naming the variable); ``player`` may
-        be an alias.  Resolved on first use."""
-        weights = self._weights.get(player)
-        if weights is None:
-            counts = [0] * len(self.variables)
-            for term in self.game.utility_for(player).terms:
-                var = self.game.variable(term)
-                if var is None:
-                    raise NameResolutionError(f"utility of {player!r}", term)
-                counts[self._variable_index[var.name]] += 1
-            weights = self._weights[player] = tuple(
-                tuple(k * s for s in scores)
-                for k, scores in zip(counts, self.scores))
-        return weights
+        be an alias.  Resolved at each call."""
+        counts = [0] * len(self.variables)
+        for term in self.game.utility_for(player).terms:
+            var = self.game.variable(term)
+            if var is None:
+                raise NameResolutionError(f"utility of {player!r}", term)
+            counts[self._variable_index[var.name]] += 1
+        return tuple(tuple(k * s for s in scores)
+                     for k, scores in zip(counts, self.scores))
 
 
 def compile_game(game: GameSpec) -> CompiledGame:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._table import MAX_DIGITS, GameError
+from ._table import MAX_DIGITS, GameError, too_many_digits
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumCertificate
@@ -52,9 +52,7 @@ def number(x) -> int | str:
     """JSON-native scalar for an exact number (an int or a ``Fraction``):
     int when integral, else 'a/b'.  GameError when a part has more than
     ``MAX_DIGITS`` digits, which Python would refuse to write as text."""
-    part = max(abs(x.numerator), x.denominator)
-    # An int of at most 3 * MAX_DIGITS bits is below 8 ** MAX_DIGITS.
-    if part.bit_length() > 3 * MAX_DIGITS and part >= 10 ** MAX_DIGITS:
+    if too_many_digits(max(abs(x.numerator), x.denominator)):
         raise GameError(f"a figure of more than {MAX_DIGITS} digits")
     if x.denominator == 1:
         return x.numerator

@@ -304,6 +304,7 @@ def test_nash_bimatrix_rejects_game_options(capsys, extra):
     ("(1,2) (x,4)", "bad payoff in line '(1,2) (x,4)'"),
     ("(1/0,2) (3,4)", "bad payoff in line '(1/0,2) (3,4)'"),
     ("(-,2) (3,4)", "bad payoff in line '(-,2) (3,4)'"),
+    ("(1,2) (3,4)\n(1,2) (3,4)", "expected 2 payoff lines, got 3"),
 ])
 def test_malformed_bimatrix_is_a_diagnostic(tmp_path, capsys, cells,
                                             message):
@@ -441,6 +442,54 @@ def test_a_number_at_the_digit_limit_reads(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "nash", "--bimatrix", "edge.bmx")
     assert (code, str(10 ** 4299) in out) == (0, True)
     assert run(capsys, "validate", "--game", "edge.game")[0] == 0
+
+
+def _two_scores(digits: int) -> str:
+    """A game whose global utility and one utility sum two scores of
+    ``digits`` nines."""
+    score = "9" * digits
+    return ('player A actions: "x", "y"\n'
+            f'variable V owner: A values: Hi={score}, Lo=0\n'
+            f'variable W owner: A values: Hi={score}, Lo=0\n'
+            'utility A = V + W\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("enumerate",), ("enumerate", "--format", "json"),
+    ("top",), ("payoffs", "--format", "json")])
+def test_a_game_whose_figures_pass_the_digit_limit_prints_nothing(
+        tmp_path, monkeypatch, capsys, argv):
+    """Each score has 4300 digits, but their sum has 4301: the game is
+    refused before any byte of a report is written."""
+    (tmp_path / "big.game").write_text(_two_scores(4300), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, "--game", "big.game") == (1, "", (
+        "line 1:1: resolution: the global utility can be a figure of more "
+        "than 4300 digits\n"
+        "line 4:1: resolution: utility of 'A' can be a figure of more than "
+        "4300 digits\n"
+        "oagame: big.game: 2 parse error(s)\n"))
+
+
+def test_a_game_whose_figures_reach_the_digit_limit_prints_them(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "edge.game").write_text(_two_scores(4299), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "enumerate", "--game", "edge.game")
+    top = 2 * (10 ** 4299 - 1)
+    assert (code, f"max_global_utility: {top}\n" in out) == (0, True)
+
+
+@pytest.mark.parametrize("target", ["oagame.engine.derive_payoff_table",
+                                    "oagame.report.emit_report"])
+def test_out_of_memory_is_a_one_line_diagnostic(monkeypatch, capsys, target):
+    """A ``MemoryError`` in a handler or while the report is written ends
+    the command with one line on stderr, not a traceback."""
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(target, exhausted)
+    code, _, err = run(capsys, "payoffs", "--game", "oa.game")
+    assert (code, err) == (1, "oagame: out of memory\n")
 
 
 def test_mix_summing_near_one_is_a_usage_error(capsys):

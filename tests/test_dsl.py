@@ -170,6 +170,50 @@ def test_structural_rule_is_checked_once_for_both_paths(line, text, where,
         Diagnostic("error", message),)
 
 
+_NINES, _HALF = "9" * 4300, "5" + "0" * 4299  # 4300 digits each
+_PAST = "can be a figure of more than 4300 digits"
+
+
+@pytest.mark.parametrize("lines, values, terms, errors", [
+    # GU reaches 1 + 99...9 = 10 ** 4300; B's utility stays in the limit.
+    ({5: f"variable W owner: B values: Hi={_NINES}, Lo=0"},
+     (("Hi", int(_NINES)), ("Lo", 0)), ("W",),
+     [(1, f"the global utility {_PAST}")]),
+    # GU stays in the limit, but B's utility counts W twice: 10 ** 4300.
+    ({5: f"variable W owner: B values: Hi={_HALF}, Lo=0",
+      7: "utility B = W + W"},
+     (("Hi", int(_HALF)), ("Lo", 0)), ("W", "W"),
+     [(7, f"utility of 'B' {_PAST}")]),
+], ids=["global-utility", "utility"])
+def test_a_figure_past_the_digit_limit_is_refused_on_both_paths(
+        lines, values, terms, errors):
+    """Every figure a report prints must be writable as text: the largest
+    global utility and each utility's largest value, summed over the
+    variables' largest scores (a repeated term counted each time)."""
+    text = [lines.get(i, line) for i, line in enumerate(STRUCTURE_BASE, 1)]
+    result = parse_game_spec("\n".join(text))
+    assert result.game is None
+    assert [(e.span.line, e.kind, e.message) for e in result.errors] == [
+        (line, "resolution", message) for line, message in errors]
+    base = parse_game_spec("\n".join(STRUCTURE_BASE)).game
+    game = _replaced(_replaced(base, "variables", 1, values=values),
+                     "utilities", 1, terms=terms)
+    assert validate_game(game).errors == tuple(
+        Diagnostic("error", message) for _, message in errors)
+
+
+def test_a_row_space_past_the_digit_limit_is_refused(monkeypatch):
+    """The row space of ``STRUCTURE_BASE`` is 16: past a one-digit limit,
+    reported at the game line; its other figures have one digit."""
+    base = parse_game_spec("\n".join(STRUCTURE_BASE)).game
+    monkeypatch.setattr("oagame._table.MAX_DIGITS", 1)
+    monkeypatch.setattr("oagame.dsl.MAX_DIGITS", 1)
+    message = "the row space is a figure of more than 1 digits"
+    result = parse_game_spec("\n".join(STRUCTURE_BASE))
+    assert [(e.span.line, e.message) for e in result.errors] == [(1, message)]
+    assert validate_game(base).errors == (Diagnostic("error", message),)
+
+
 @pytest.mark.parametrize("text, line", [
     ("", 1), ("# nothing yet\n", 1),
     ('\ngame "g"\nvariable V owner: A values: More=1, Less=0\n', 2),

@@ -33,7 +33,7 @@ from oagame.equilibrium import Elimination
 
 from . import oracle
 from .oracle import support_enumeration
-from .test_cli import SIX_BMX
+from .test_cli import EIGHT_BMX, SEVEN_BMX, SIX_BMX
 
 F = Fraction
 
@@ -473,6 +473,75 @@ def test_scaling_payoffs_preserves_structure(table6):
     after = dominance_analysis(scaled, "weak")
     assert [(e.player, e.action) for e in base.trace] == \
         [(e.player, e.action) for e in after.trace]
+
+
+# Metamorphic relations: a known change to the bimatrix and its known
+# effect on every equilibrium, checked past the sizes the oracle reaches.
+
+NAMED = {name: parse_bimatrix(text) for name, text in (
+    ("six", SIX_BMX), ("seven", SEVEN_BMX), ("eight", EIGHT_BMX))}
+
+
+def _affine(table, player, a, b):
+    """``table`` with ``player``'s payoffs mapped by ``u -> a * u + b``."""
+    return table._replace(cells=tuple(
+        tuple(a * u + b if i == player else u for i, u in enumerate(cell))
+        for cell in table.cells))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bimatrices(), st.integers(0, 1),
+       st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+       st.fractions(min_value=-9, max_value=9, max_denominator=9))
+@example(NAMED["six"], 0, F(3, 2), F(-7, 3))
+@example(NAMED["seven"], 1, F(1, 3), F(5))
+@example(NAMED["eight"], 0, F(7), F(1, 2))
+@example(NAMED["eight"], 1, F(2, 9), F(-4))
+def test_an_affine_map_of_one_players_payoffs_maps_only_their_figures(
+        table, player, a, b):
+    """With ``a > 0`` each player's best responses are unchanged, so the
+    same equilibria come out in the same order, and only that player's
+    expected utilities and verification entries move, by the same map."""
+    def mapped(i, u):
+        return a * u + b if i == player else u
+    certs, degenerate = mixed_nash_2p(table)
+    assert mixed_nash_2p(_affine(table, player, a, b)) == ([
+        cert._replace(
+            expected_utilities=tuple(map(mapped, (0, 1),
+                                         cert.expected_utilities)),
+            verification=tuple(tuple((act, mapped(i, u)) for act, u in record)
+                               for i, record in enumerate(cert.verification)))
+        for cert in certs], degenerate)
+    assert dominance_analysis(_affine(table, player, a, b), "strict") == \
+        dominance_analysis(table, "strict")
+
+
+def _transposed(table):
+    """``table`` with its players swapped: the column player now picks
+    the row."""
+    m, n = map(len, table.actions)
+    return PayoffTable(table.players[::-1], table.actions[::-1], tuple(
+        table.cells[i * n + j][::-1] for j in range(n) for i in range(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bimatrices())
+@example(NAMED["six"])
+@example(NAMED["seven"])
+@example(NAMED["eight"])
+def test_transposing_a_bimatrix_swaps_its_equilibria(table):
+    """The equilibria of the transposed table are those of ``table`` with
+    the two players' parts swapped; they come out in another order."""
+    certs, degenerate = mixed_nash_2p(table)
+    swapped, swapped_degenerate = mixed_nash_2p(_transposed(table))
+    assert swapped_degenerate == degenerate
+    assert len(swapped) == len(certs)
+    assert set(swapped) == {cert._replace(
+        strategies=cert.strategies[::-1],
+        expected_utilities=cert.expected_utilities[::-1],
+        verification=cert.verification[::-1]) for cert in certs}
+    assert dominance_analysis(_transposed(table), "strict").surviving == \
+        dominance_analysis(table, "strict").surviving[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,9 @@ def _traced() -> tuple[tuple[str, str], ...]:
                 and [t.id for t in node.targets] == ["TRACED"])
 
 
-# Each traced function and the commands whose handlers call it.  No
-# command reaches ``engine.rows_as_records``.
+# Each traced function and the commands whose handlers call it;
+# ``run_cli`` calls ``emit_report`` for every command.  No command reaches
+# ``engine.rows_as_records``.
 _PROJECT = ("project", "--game", "oa.game", "--row-player", "Academics",
             "--col-player", "Editors")
 _REACHED_BY = {
@@ -247,7 +248,8 @@ def test_a_wrapper_on_the_module_attribute_sees_every_call(
     """The benchmark wraps each traced function at its module's attribute
     and runs each command both with and without the wrappers in one
     process.  The handlers import what they call inside their functions,
-    so a wrapper installed after a first run still sees the calls."""
+    and ``run_cli`` reads ``emit_report`` off ``oagame.report`` at each
+    call, so a wrapper installed after a first run still sees the calls."""
     from oagame.cli import run_cli
     assert run_cli(list(argv)) == 0
     mod = importlib.import_module(f"oagame.{module}")
