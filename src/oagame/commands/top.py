@@ -13,9 +13,9 @@ def run(args) -> tuple[int, dict]:
     best, rows = top_gu_rows(game)
     out = rp.base_report({args.game: digest})
     out["max_global_utility"] = best
-    out["row_count"] = len(rows)
+    out["row_count"] = sum(len(completions) for _, completions in rows)
     out["rows"] = _row_dump(game, rows)
     if _is_bundled(digest, "oa.game"):
         out["paper_comparison"] = rp.paper_comparison({
-            "max_global_utility": best, "top_gu_rows": len(rows)})
+            "max_global_utility": best, "top_gu_rows": out["row_count"]})
     return 0, out

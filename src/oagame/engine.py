@@ -27,11 +27,12 @@ tables and projections) are the first completions of greatest key.
 The census is the engine's one walk over the profiles: the counts, the
 payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
 read it, and the row lists expand it, enumerating each block's completions
-once.  A row is a ``(profile, completion)`` pair of index tuples; names
-come back only in ``record_cells``, which names each distinct profile and
-each distinct completion of a row list once, so a row dump is rendered from
-those cells without building one record per row; ``rows_as_records``
-expands them into per-row dicts.
+once.  A row list holds one ``(profile, completions)`` group of index
+tuples per profile, a block's profiles sharing one completions tuple;
+names come back only in ``record_cells``, which names each profile and
+each distinct completion once, so a row dump is rendered from those cells
+a group at a time without building one record per row;
+``rows_as_records`` flattens the groups into per-row dicts.
 """
 
 from __future__ import annotations
@@ -347,22 +348,23 @@ def enumeration_report(game: GameSpec) -> EnumerationReport:
 
 
 def _expand(entries) -> list[tuple]:
-    """The rows of ``(profile, block, domains, keep)`` entries, in order;
-    each block's ``_filtered`` completions are enumerated once."""
-    shared, done, rows = {}, {}, []  # done: id(block) -> its completions
+    """The ``(profile, completions)`` group of each ``(profile, block,
+    domains, keep)`` entry, in order; each block's ``_filtered`` completions
+    are enumerated once, into one tuple that its profiles share."""
+    shared, done, groups = {}, {}, []  # done: id(block) -> its completions
     for p, b, domains, keep in entries:
         if id(b) not in done:
             done[id(b)] = tuple(shared.setdefault(c, c)
                                 for c in _filtered(b.select, domains, keep))
-        rows += zip(itertools.repeat(p), done[id(b)])
-    return rows
+        groups.append((p, done[id(b)]))
+    return groups
 
 
 def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
-    """All admissible rows in canonical order, as ``(profile, completion)``
-    index pairs of ``compile_game(game)``, plus the count report.  The rows
-    expand the census: each block's completions are enumerated once, and
-    rows with equal completions share one completion tuple.  Raises
+    """All admissible rows in canonical order, as ``(profile, completions)``
+    groups of ``compile_game(game)`` index tuples, one per profile with a
+    row, plus the count report.  A block's profiles share its completions
+    tuple, and equal completions are one tuple.  Raises
     ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
     cg = compile_game(game)
     census = list(_census(cg))
@@ -373,8 +375,8 @@ def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     """Maximum global utility over the admissible set and the rows attaining
-    it, expanded from the census like ``admissible_rows``: ``(profile,
-    completion)`` pairs in canonical order, or (None, []) when the set is
+    it, grouped by profile like ``admissible_rows``: ``(profile,
+    completions)`` groups in canonical order, or (None, []) when the set is
     empty.  Raises ``RowBudgetError``, building no row, above the budget."""
     cg = compile_game(game)
     census = list(_census(cg))
@@ -450,15 +452,16 @@ def derive_payoff_table(
     return _payoff_table(game, policy, compile_game(game).players)
 
 
-def record_cells(game: GameSpec, rows) -> tuple[tuple[str, ...], dict, dict]:
-    """Row dump record keys and cells of ``(profile, completion)`` rows.
+def record_cells(game: GameSpec, groups) -> tuple[tuple[str, ...], dict, dict]:
+    """Row dump record keys and cells of ``(profile, completions)`` groups.
 
-    Returns ``(keys, heads, tails)``: ``heads`` maps each profile in
-    ``rows`` to its action names and ``tails`` maps each completion to its
+    Returns ``(keys, heads, tails)``: ``heads`` maps each profile of
+    ``groups`` to its action names and ``tails`` maps each completion to its
     value names, GU and per-player utilities, so that a row's record is
-    ``dict(zip(keys, heads[profile] + tails[completion]))``.  Every
-    player's utility is resolved, even when ``rows`` is empty.  Raises
-    ValueError when a key repeats, which parsing and validation refuse.
+    ``dict(zip(keys, heads[profile] + tails[completion]))``.  A completions
+    tuple that several groups share is read once.  Every player's utility
+    is resolved, even when ``groups`` is empty.  Raises ValueError when a
+    key repeats, which parsing and validation refuse.
     """
     keys = game.record_keys()
     if len(set(keys)) < len(keys):
@@ -466,17 +469,18 @@ def record_cells(game: GameSpec, rows) -> tuple[tuple[str, ...], dict, dict]:
                          f"{game.name!r}: their keys {list(keys)!r} repeat")
     cg = compile_game(game)
     weights = [cg._utility_weights(p) for p in cg.players]
-    heads = {p: cg.action_names(p)
-             for p in dict.fromkeys(map(itemgetter(0), rows))}
+    heads = {p: cg.action_names(p) for p, _ in groups}
+    blocks = {id(cs): cs for _, cs in groups}.values()
     tails = {c: (*cg.value_names(c), cg.global_utility(c),
                  *[sum(map(getitem, w, c)) for w in weights])
-             for c in dict.fromkeys(map(itemgetter(1), rows))}
+             for c in dict.fromkeys(itertools.chain.from_iterable(blocks))}
     return keys, heads, tails
 
 
-def rows_as_records(game: GameSpec, rows) -> list[dict]:
-    """Row dump records of ``(profile, completion)`` pairs, one dict per
+def rows_as_records(game: GameSpec, groups) -> list[dict]:
+    """Row dump records of ``(profile, completions)`` groups, one dict per
     row: players, variables, GU, per-agent utilities.  The reference
     expansion of ``record_cells``; the CLI renders the cells directly."""
-    keys, heads, tails = record_cells(game, rows)
-    return [dict(zip(keys, heads[p] + tails[c])) for p, c in rows]
+    keys, heads, tails = record_cells(game, groups)
+    return [dict(zip(keys, heads[p] + tails[c])) for p, cs in groups
+            for c in cs]

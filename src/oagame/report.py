@@ -102,15 +102,15 @@ def golden_check(computed: dict) -> list[dict]:
 # Rendering
 
 
-# Rows of a ``RowDump`` rendered and written per chunk.
+# The most rows of one profile that a ``RowDump`` renders into one piece.
 CHUNK_ROWS = 2000
 
 
 class RowDump:
     """A report's rows section kept as the cells of ``engine.record_cells``:
-    row ``(h, t)`` of ``rows`` has the record
+    group ``(h, ts)`` of ``rows`` holds, per ``t`` of ``ts``, the record
     ``dict(zip(keys, heads[h] + tails[t]))``.  The renderers render each
-    distinct head and tail once and write the rows a chunk at a time.
+    distinct head and tail once and write the rows a group at a time.
     (A plain class: ``_json`` would write a named tuple as a list.)"""
 
     def __init__(self, keys: tuple[str, ...], heads: dict, tails: dict,
@@ -130,26 +130,30 @@ def _plain(value):
 
 def _as_dump(value):
     """``value``, except that a non-empty list of records becomes a
-    ``RowDump`` with no head cells, keyed as its first record."""
+    ``RowDump`` of one headless group, keyed as its first record."""
     if not (isinstance(value, list) and value and isinstance(value[0], dict)):
         return value
     keys = tuple(value[0])
     return RowDump(keys, {0: ()},
                    {i: tuple(r.get(k, "") for k in keys)
                     for i, r in enumerate(value)},
-                   [(0, i) for i in range(len(value))])
+                   [(0, range(len(value)))])
 
 
 def _row_chunks(dump: RowDump, head_text, tail_text, sep: str):
-    """The rows of ``dump`` joined by ``sep``, ``CHUNK_ROWS`` rows per
-    chunk; row ``(h, t)`` is ``head_text(heads[h]) + tail_text(tails[t])``,
-    each text made once per distinct head or tail."""
+    """The rows of ``dump`` joined by ``sep``, a piece per group of at most
+    ``CHUNK_ROWS`` rows, ``head + (sep + head).join(tail texts)``; each
+    text, and each shared ``ts``'s list of tail texts, is made once."""
     heads = {h: head_text(cells) for h, cells in dump.heads.items()}
     tails = {t: tail_text(cells) for t, cells in dump.tails.items()}
-    rows = dump.rows
-    for i in range(0, len(rows), CHUNK_ROWS):
-        yield (sep if i else "") + sep.join(
-            [heads[h] + tails[t] for h, t in rows[i:i + CHUNK_ROWS]])
+    texts, lead = {}, ""  # texts: id(ts) -> the tail texts of ts
+    for h, ts in dump.rows:
+        if id(ts) not in texts:
+            texts[id(ts)] = [tails[t] for t in ts]
+        head, block = heads[h], texts[id(ts)]
+        for i in range(0, len(block), CHUNK_ROWS):
+            yield lead + head + (sep + head).join(block[i:i + CHUNK_ROWS])
+            lead = sep
 
 
 def _table_dump(dump: RowDump):
@@ -277,7 +281,7 @@ _RENDERERS = {"table": _table_chunks, "delimited": _delimited_chunks,
 
 def emit_report(report: dict, fmt: str, out) -> None:
     """Write ``report`` in ``fmt`` to the text stream ``out``, chunk by
-    chunk (``RowDump`` rows ``CHUNK_ROWS`` at a time)."""
+    chunk (``RowDump`` rows a group, at most ``CHUNK_ROWS``, at a time)."""
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}")
     out.writelines(_RENDERERS[fmt]({k: _plain(v) for k, v in report.items()}))

@@ -5,8 +5,9 @@ support-enumeration mixed equilibria.
 Rows: plain nested loops over the full profile x assignment space,
 re-checking every rule with its own atom evaluation.  Deliberately
 independent of the engine's pruning path; the two must agree as sets.
-A row here is a ``ScenarioRow`` of names, and ``named_row`` names an
-engine row for the comparison.
+A row here is a ``ScenarioRow`` of names; ``flat_rows`` flattens the
+engine's row groups into ``(profile, completion)`` rows, and ``named_row``
+names one for the comparison.
 
 Pure equilibria and best responses: every unilateral deviation checked on
 action names, in a dict from each name profile to its cell, the way
@@ -52,6 +53,12 @@ def named_row(cg, profile, completion) -> ScenarioRow:
     by name."""
     return ScenarioRow(dict(zip(cg.players, cg.action_names(profile))),
                        dict(zip(cg.variables, cg.value_names(completion))))
+
+
+def flat_rows(groups) -> list[tuple]:
+    """The ``(profile, completion)`` rows of the engine's ``(profile,
+    completions)`` groups, in order."""
+    return [(p, c) for p, completions in groups for c in completions]
 
 
 def _atom_true(atom, actions, outcomes):

@@ -30,8 +30,8 @@ from oagame.cli import run_cli
 from oagame.engine import rows_as_records
 from oagame.equilibrium import Bimatrix, Elimination
 
-from .oracle import (brute_force_admissible, named_row, random_small_game,
-                     row_key, utility)
+from .oracle import (brute_force_admissible, flat_rows, named_row,
+                     random_small_game, row_key, utility)
 
 F = Fraction
 
@@ -53,14 +53,14 @@ def test_criterion_1_counting_exact(oa_validated):
 def test_criterion_2_oracle_equivalence(oa_game, oa_oracle_rows):
     cg = compile_game(oa_game)
     engine_rows, _ = admissible_rows(oa_game)
-    assert {row_key(named_row(cg, *r)) for r in engine_rows} == \
+    assert {row_key(named_row(cg, *r)) for r in flat_rows(engine_rows)} == \
         {row_key(r) for r in oa_oracle_rows}
     rng = random.Random(20260823)
     for _ in range(100):
         game = random_small_game(rng)
         cg = compile_game(game)
         engine_set = {row_key(named_row(cg, *r))
-                      for r in admissible_rows(game)[0]}
+                      for r in flat_rows(admissible_rows(game)[0])}
         oracle_set = {row_key(r) for r in brute_force_admissible(game)}
         assert engine_set == oracle_set
     ok(2, "oracle-equivalence")

@@ -1068,6 +1068,10 @@ GOLDEN_STDOUT = {
      "--col-player", "Academics", "--policy", "fixed",
      "--fix", "Editors=Grant OA", "--format", "json"):
         "f0401389984e964022eb842e20e2993ca39780ede9751f7d9e67f4226b5bf86b",
+    # Taken before row lists were grouped by profile: 2048 rows of one
+    # profile, more than one chunk of them.
+    ("enumerate", "--game", "wide.game", "--dump", "--format", "delimited"):
+        "3684c8a68938eb34f41fe13c312afead95056bb97dc0aa6b99bc94c40985110d",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and
@@ -1083,6 +1087,12 @@ rule if Doc="Caf\u00e9" then V="Top"
 rule if B="b3" then W="No", otherwise W="Yes"
 """
 
+# One player of one action and 11 two-valued variables: every one of the
+# 2048 rows belongs to the one profile.
+WIDE_GAME = "".join(
+    ['game "wide"\n', 'player A actions: "x"\n',
+     *(f"variable V{i} owner: A values: Hi=1, Lo=0\n" for i in range(11)),
+     "utility A = " + " + ".join(f"V{i}" for i in range(11)) + "\n"])
 
 # Ties, negative and fractional payoffs: four pure and six mixed
 # equilibria, one of them degenerate.
@@ -1126,8 +1136,8 @@ cols: Col: c1, c2, c3, c4, c5, c6, c7, c8
 
 @pytest.mark.parametrize("args", list(GOLDEN_STDOUT))
 def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
-    (tmp_path / "alias.game").write_text(ALIAS_GAME, encoding="utf-8")
-    for name, text in (("six.bmx", SIX_BMX), ("seven.bmx", SEVEN_BMX),
+    for name, text in (("alias.game", ALIAS_GAME), ("wide.game", WIDE_GAME),
+                       ("six.bmx", SIX_BMX), ("seven.bmx", SEVEN_BMX),
                        ("eight.bmx", EIGHT_BMX)):
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # the report names its input path

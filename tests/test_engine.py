@@ -29,6 +29,7 @@ from .oracle import (
     brute_force_admissible,
     brute_force_pick,
     brute_force_projection,
+    flat_rows,
     named_row,
     random_rich_game,
     random_small_game,
@@ -118,7 +119,7 @@ def test_no_rules_means_everything_admissible():
     game = _parse(TOY)
     rows, report = admissible_rows(game)
     assert report.admissible_count == report.row_space_count == 24
-    assert len(rows) == 24
+    assert len(flat_rows(rows)) == 24
 
 
 def test_single_forced_variable_halves_the_space():
@@ -126,7 +127,7 @@ def test_single_forced_variable_halves_the_space():
     rows, report = admissible_rows(game)
     assert report.row_space_count == 2
     assert report.admissible_count == 1
-    assert _named(game, rows)[0].outcomes["V"] == "More"
+    assert _named(game, flat_rows(rows))[0].outcomes["V"] == "More"
 
 
 def test_bundled_game_golden_counts(oa_game):
@@ -140,7 +141,7 @@ def test_bundled_game_golden_counts(oa_game):
 
 def test_engine_matches_oracle_on_bundled_game(oa_game, oa_oracle_rows):
     rows, _ = admissible_rows(oa_game)
-    assert {row_key(r) for r in _named(oa_game, rows)} == \
+    assert {row_key(r) for r in _named(oa_game, flat_rows(rows))} == \
         {row_key(r) for r in oa_oracle_rows}
 
 
@@ -150,14 +151,14 @@ def test_engine_matches_oracle_on_random_games():
         game = random_small_game(rng)
         rows, _ = admissible_rows(game)
         oracle_rows = brute_force_admissible(game)
-        assert {row_key(r) for r in _named(game, rows)} == \
+        assert {row_key(r) for r in _named(game, flat_rows(rows))} == \
             {row_key(r) for r in oracle_rows}, game
 
 
 def test_every_emitted_row_satisfies_every_rule(oa_game):
     rows, _ = admissible_rows(oa_game)
     # stride keeps this quick; full check in oracle
-    for row in _named(oa_game, rows[::97]):
+    for row in _named(oa_game, flat_rows(rows)[::97]):
         assert all(rule_ok(r, row.actions, row.outcomes)
                    for r in oa_game.rules)
 
@@ -172,20 +173,20 @@ def test_adding_a_rule_never_enlarges_the_set():
                             game.rules[:-1], game.utilities)
         full, _ = admissible_rows(game)
         partial, _ = admissible_rows(weaker)
-        assert {row_key(r) for r in _named(game, full)} <= \
-            {row_key(r) for r in _named(weaker, partial)}
+        assert {row_key(r) for r in _named(game, flat_rows(full))} <= \
+            {row_key(r) for r in _named(weaker, flat_rows(partial))}
 
 
 def test_top_gu_bundled(oa_game):
     best, rows = top_gu_rows(oa_game)
     assert best == 8
-    assert len(rows) == 30
+    assert len(flat_rows(rows)) == 30
     target = {"Academics": "Publish OA", "Administrators": "Support OA",
               "Funders": "Demand publications", "Editors": "Grant TA",
               "Politicians": "Permit TA"}
     assert any(dict(r.actions) == target
                and all(v == "More" for v in r.outcomes.values())
-               for r in _named(oa_game, rows))
+               for r in _named(oa_game, flat_rows(rows)))
 
 
 def test_top_gu_no_rules(oa_game):
@@ -193,7 +194,7 @@ def test_top_gu_no_rules(oa_game):
                            (), oa_game.utilities)
     best, rows = top_gu_rows(unruly)
     assert best == 8
-    assert len(rows) == 432
+    assert len(flat_rows(rows)) == 432
 
 
 def test_top_gu_income_pinned_down(oa_game):
@@ -243,8 +244,36 @@ def test_census_matches_oracle_and_row_lists(draw_game, seed):
     rows, rows_report = admissible_rows(game)
     assert rows_report == report
     cg = compile_game(game)
-    assert top_gu_rows(game) == (
-        best, [r for r in rows if cg.global_utility(r[1]) == best])
+    top, top_rows = top_gu_rows(game)
+    assert (top, flat_rows(top_rows)) == (
+        best, [r for r in flat_rows(rows) if cg.global_utility(r[1]) == best])
+
+
+def _check_groups(game, oracle_rows):
+    """The row groups of ``admissible_rows``: one per admissible profile,
+    in canonical order, none empty, the profiles of one block sharing one
+    completions tuple, and the flattened rows the oracle's rows."""
+    groups, _ = admissible_rows(game)
+    cg = compile_game(game)
+    profiles = dict.fromkeys(tuple(r.actions.values()) for r in oracle_rows)
+    assert [cg.action_names(p) for p, _ in groups] == list(profiles)
+    assert all(completions for _, completions in groups)
+    shared = {}  # id(block) -> the completions tuple of its first profile
+    for p, completions in groups:
+        block = engine._profile_block(cg, p)
+        assert shared.setdefault(id(block), completions) is completions
+    assert _named(game, flat_rows(groups)) == oracle_rows
+    return len(groups), len(shared)
+
+
+def test_row_groups_are_one_per_admissible_profile(oa_game, oa_oracle_rows):
+    """``oa.game``'s 423 admissible profiles (of 432) in 14 blocks, and
+    100 seeded small and rich games."""
+    assert _check_groups(oa_game, oa_oracle_rows) == (423, 14)
+    rng = random.Random(34)
+    for draw in [random_small_game, random_rich_game] * 50:
+        game = draw(rng)
+        _check_groups(game, brute_force_admissible(game))
 
 
 def test_row_lists_refuse_more_rows_than_the_budget(oa_game, monkeypatch):
@@ -257,7 +286,7 @@ def test_row_lists_refuse_more_rows_than_the_budget(oa_game, monkeypatch):
     with pytest.raises(RowBudgetError, match="^30 rows at max global "):
         top_gu_rows(oa_game)
     monkeypatch.setattr(engine, "ROW_BUDGET", 30)
-    assert len(top_gu_rows(oa_game)[1]) == 30
+    assert len(flat_rows(top_gu_rows(oa_game)[1])) == 30
 
 
 def _counted(monkeypatch, *names):
@@ -285,7 +314,7 @@ def test_row_lists_walk_the_profiles_once_and_each_block_once(
     completions once, ``top_gu_rows`` each of the 2 blocks at the maximum
     (30 profiles) once.  Rows with equal completions share one tuple."""
     calls = _counted(monkeypatch, "_profile_block", "_filtered")
-    rows, _ = admissible_rows(oa_game)
+    rows = flat_rows(admissible_rows(oa_game)[0])
     assert len(rows) == 17640
     assert calls == {"_profile_block": 432, "_filtered": 14}
     assert len({id(c) for _, c in rows}) == len({c for _, c in rows}) == 160
@@ -480,7 +509,7 @@ def test_optimistic_vs_pessimistic(oa_game):
 def test_enumeration_is_deterministic(oa_game):
     first, _ = admissible_rows(oa_game)
     second, _ = admissible_rows(oa_game)
-    assert first == second
+    assert flat_rows(first) == flat_rows(second)
 
 
 def test_bad_semantics_rejected():
@@ -568,7 +597,7 @@ def test_player_without_utility_enumerates_but_has_no_payoffs():
                   'variable V owner: A values: More=1, Less=0\n'
                   'rule if A="a1" then V="More"\n')
     rows, report = admissible_rows(game)
-    assert report.admissible_count == len(rows) == 3
+    assert report.admissible_count == len(flat_rows(rows)) == 3
     assert top_gu_rows(game)[0] == 1
     with pytest.raises(MissingUtilityError):
         derive_payoff_table(game)
@@ -630,7 +659,7 @@ def test_compiled_path_matches_oracle_on_rich_games():
         players = game.player_names()
         oracle_rows = brute_force_admissible(game)
         rows, report = admissible_rows(game)
-        assert [row_key(r) for r in _named(game, rows)] == \
+        assert [row_key(r) for r in _named(game, flat_rows(rows))] == \
             [row_key(r) for r in oracle_rows], game
         gus = [utility(game, r) for r in oracle_rows]
         best = max(gus, default=None)
@@ -638,7 +667,7 @@ def test_compiled_path_matches_oracle_on_rich_games():
             == (best, gus.count(best))
         top, top_rows = top_gu_rows(game)
         assert top == best
-        assert [row_key(r) for r in _named(game, top_rows)] == [
+        assert [row_key(r) for r in _named(game, flat_rows(top_rows))] == [
             row_key(r) for r, g in zip(oracle_rows, gus) if g == best]
         for policy in _rich_policies(game, rng):
             table = derive_payoff_table(game, policy)

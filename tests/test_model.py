@@ -44,7 +44,7 @@ def _record(game, actions, outcomes):
         vals.index(game.variable(v).canonical_value(outcomes[v]))
         for v, vals in zip(cg.variables, cg.values))
     assert named_row(cg, profile, completion).actions == actions
-    return rows_as_records(game, [(profile, completion)])[0]
+    return rows_as_records(game, [(profile, (completion,))])[0]
 
 
 def test_value_scores(oa_game):

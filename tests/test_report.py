@@ -20,7 +20,8 @@ from oagame import (GameError, GameSpec, OutcomeVarDef, PlayerDef,
 from oagame import report as rp
 from oagame.engine import record_cells, rows_as_records
 
-from .oracle import delimited_report, random_rich_game, table_report
+from .oracle import (delimited_report, flat_rows, random_rich_game,
+                     table_report)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,8 +44,8 @@ COLLIDING = GameSpec(
 
 
 def _reports(game, rows, head: dict, tail: dict):
-    """(streamed, reference): the report with its rows as a ``RowDump`` and
-    with them as ``rows_as_records``."""
+    """(streamed, reference): the report with its row groups as a
+    ``RowDump`` and with them as ``rows_as_records``."""
     dump = rp.RowDump(*record_cells(game, rows), rows)
     return ({**head, "rows": dump, **tail},
             {**head, "rows": rows_as_records(game, rows), **tail})
@@ -68,25 +69,45 @@ def _check(game) -> int:
          "admissible_rows": enum.admissible_count,
          "max_global_utility": enum.max_global_utility}, {}))
     best, top = top_gu_rows(game)
+    count = len(flat_rows(top))
     # As for the bundled game, a block follows the rows.
     _assert_same_bytes(*_reports(
-        game, top, {"max_global_utility": best, "row_count": len(top)},
-        {"paper_comparison": rp.paper_comparison({"top_gu_rows": len(top)})}))
-    return len(rows)
+        game, top, {"max_global_utility": best, "row_count": count},
+        {"paper_comparison": rp.paper_comparison({"top_gu_rows": count})}))
+    return len(flat_rows(rows))
 
 
 def test_streamed_dump_matches_records_on_rich_games(monkeypatch):
-    # Small chunks, so that most dumps are written in several.
-    monkeypatch.setattr(rp, "CHUNK_ROWS", 3)
-    rng = random.Random(2024)
-    sizes = [_check(random_rich_game(rng)) for _ in range(150)]
-    assert sizes.count(0) >= 5
-    assert sum(n > 3 for n in sizes) >= 50
+    # Small chunks, so that most dumps are written in several and many
+    # profiles' rows are split between chunks.
+    for chunk_rows in (1, 3):
+        monkeypatch.setattr(rp, "CHUNK_ROWS", chunk_rows)
+        rng = random.Random(2024)
+        sizes = [_check(random_rich_game(rng)) for _ in range(150)]
+        assert sizes.count(0) >= 5
+        assert sum(n > 3 for n in sizes) >= 50
+
+
+def test_a_profile_of_more_rows_than_a_chunk_is_split():
+    """One player of one action and 11 two-valued variables: 2048 rows of
+    one profile, written as a piece of ``CHUNK_ROWS`` rows and one of the
+    rest."""
+    names = [f"V{i}" for i in range(11)]
+    game = GameSpec("wide", (PlayerDef("A", ("x",)),),
+                    tuple(OutcomeVarDef(v, "A", (("Hi", 1), ("Lo", 0)))
+                          for v in names),
+                    (), (UtilityDef("A", tuple(names)),))
+    rows, _ = admissible_rows(game)
+    assert [len(completions) for _, completions in rows] == [2048]
+    assert _check(game) == 2048
+    dump = rp.RowDump(*record_cells(game, rows), rows)
+    pieces = rp._row_chunks(dump, lambda cells: "", lambda cells: "r", "\n")
+    assert [piece.count("r") for piece in pieces] == [2000, 48]
 
 
 def test_record_cells_refuses_repeated_keys():
     rows, _ = admissible_rows(COLLIDING)
-    assert len(rows) == 8
+    assert len(flat_rows(rows)) == 8
     with pytest.raises(ValueError, match="repeat"):
         record_cells(COLLIDING, rows)
 
