@@ -86,7 +86,7 @@ def _row_dump(game, rows) -> rp.RowDump:
     """The rows section of a report; every name and utility is resolved
     here, before any output is written."""
     from ..engine import record_cells
-    return rp.RowDump(*record_cells(game, rows), rows)
+    return rp.RowDump(*record_cells(game, rows))
 
 
 def _census_figures(enum) -> dict:

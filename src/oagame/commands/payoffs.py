@@ -6,12 +6,6 @@ from .. import report as rp
 from ._game import _game_or_fail, _policy
 
 
-def _payoff_records(game, table) -> list[dict]:
-    keys, blank = game.payoff_keys(), ("",) * len(table.players)
-    return [dict(zip(keys, (*profile, cell is not None, *(cell or blank))))
-            for profile, cell in zip(table.profiles(), table.cells)]
-
-
 def run(args) -> tuple[int, dict]:
     from ..engine import derive_payoff_table
     game, digest = _game_or_fail(args)
@@ -19,5 +13,8 @@ def run(args) -> tuple[int, dict]:
     table = derive_payoff_table(game, policy)
     out = rp.base_report({args.game: digest})
     out["policy"] = policy.kind
-    out["cells"] = _payoff_records(game, table)
+    blank = ("",) * len(table.players)
+    out["cells"] = rp.RowDump(game.payoff_keys(), [((), [
+        (*profile, cell is not None, *(cell or blank))
+        for profile, cell in zip(table.profiles(), table.cells)])])
     return 0, out

@@ -29,10 +29,11 @@ payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
 read it, and the row lists expand it, enumerating each block's completions
 once.  A row list holds one ``(profile, completions)`` group of index
 tuples per profile, a block's profiles sharing one completions tuple;
-names come back only in ``record_cells``, which names each profile and
-each distinct completion once, so a row dump is rendered from those cells
-a group at a time without building one record per row;
-``rows_as_records`` flattens the groups into per-row dicts.
+names come back only in ``record_cells``, which turns each group into
+``(head, tails)`` cells, naming each profile and each distinct completion
+once, a block's profiles sharing one ``tails`` tuple, so a row dump is
+rendered from those cells a group at a time without building one record
+per row; ``rows_as_records`` flattens the groups into per-row dicts.
 """
 
 from __future__ import annotations
@@ -452,16 +453,17 @@ def derive_payoff_table(
     return _payoff_table(game, policy, compile_game(game).players)
 
 
-def record_cells(game: GameSpec, groups) -> tuple[tuple[str, ...], dict, dict]:
+def record_cells(game: GameSpec, groups) -> tuple[tuple[str, ...], list]:
     """Row dump record keys and cells of ``(profile, completions)`` groups.
 
-    Returns ``(keys, heads, tails)``: ``heads`` maps each profile of
-    ``groups`` to its action names and ``tails`` maps each completion to its
-    value names, GU and per-player utilities, so that a row's record is
-    ``dict(zip(keys, heads[profile] + tails[completion]))``.  A completions
-    tuple that several groups share is read once.  Every player's utility
-    is resolved, even when ``groups`` is empty.  Raises ValueError when a
-    key repeats, which parsing and validation refuse.
+    Returns ``(keys, cell groups)``: one ``(head, tails)`` per group, where
+    ``head`` is the profile's action names and ``tails`` holds, per
+    completion, its value names, GU and per-player utilities, so that a
+    row's record is ``dict(zip(keys, head + tail))``.  Groups that share a
+    completions tuple share one ``tails`` tuple, and equal completions one
+    tail.  Every player's utility is resolved, even when ``groups`` is
+    empty.  Raises ValueError when a key repeats, which parsing and
+    validation refuse.
     """
     keys = game.record_keys()
     if len(set(keys)) < len(keys):
@@ -469,18 +471,18 @@ def record_cells(game: GameSpec, groups) -> tuple[tuple[str, ...], dict, dict]:
                          f"{game.name!r}: their keys {list(keys)!r} repeat")
     cg = compile_game(game)
     weights = [cg._utility_weights(p) for p in cg.players]
-    heads = {p: cg.action_names(p) for p, _ in groups}
     blocks = {id(cs): cs for _, cs in groups}.values()
-    tails = {c: (*cg.value_names(c), cg.global_utility(c),
+    cells = {c: (*cg.value_names(c), cg.global_utility(c),
                  *[sum(map(getitem, w, c)) for w in weights])
              for c in dict.fromkeys(itertools.chain.from_iterable(blocks))}
-    return keys, heads, tails
+    tails = {id(cs): tuple(map(cells.__getitem__, cs)) for cs in blocks}
+    return keys, [(cg.action_names(p), tails[id(cs)]) for p, cs in groups]
 
 
 def rows_as_records(game: GameSpec, groups) -> list[dict]:
     """Row dump records of ``(profile, completions)`` groups, one dict per
     row: players, variables, GU, per-agent utilities.  The reference
-    expansion of ``record_cells``; the CLI renders the cells directly."""
-    keys, heads, tails = record_cells(game, groups)
-    return [dict(zip(keys, heads[p] + tails[c])) for p, cs in groups
-            for c in cs]
+    flattening of ``record_cells``; the CLI renders the cells directly."""
+    keys, cells = record_cells(game, groups)
+    return [dict(zip(keys, head + tail)) for head, tails in cells
+            for tail in tails]

@@ -108,24 +108,24 @@ CHUNK_ROWS = 2000
 
 class RowDump:
     """A report's rows section kept as the cells of ``engine.record_cells``:
-    group ``(h, ts)`` of ``rows`` holds, per ``t`` of ``ts``, the record
-    ``dict(zip(keys, heads[h] + tails[t]))``.  The renderers render each
-    distinct head and tail once and write the rows a group at a time.
-    (A plain class: ``_json`` would write a named tuple as a list.)"""
+    each group ``(head, tails)`` of ``groups`` holds, per ``tail`` of
+    ``tails``, the record ``dict(zip(keys, head + tail))``.  The renderers
+    render each group's head once and each distinct tail (by identity)
+    once, and write the rows a group at a time.  (A plain class: ``_json``
+    would write a named tuple as a list.)"""
 
-    def __init__(self, keys: tuple[str, ...], heads: dict, tails: dict,
-                 rows: list):
-        self.keys, self.heads, self.tails, self.rows = keys, heads, tails, rows
+    def __init__(self, keys: tuple[str, ...], groups: list):
+        self.keys, self.groups = keys, groups
 
     def key_split(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """(head keys, tail keys); needs at least one row."""
-        n = len(next(iter(self.heads.values())))
+        """(head keys, tail keys); needs at least one group."""
+        n = len(self.groups[0][0])
         return self.keys[:n], self.keys[n:]
 
 
 def _plain(value):
     """``value``, except that a ``RowDump`` without rows becomes ``[]``."""
-    return [] if isinstance(value, RowDump) and not value.rows else value
+    return [] if isinstance(value, RowDump) and not value.groups else value
 
 
 def _as_dump(value):
@@ -134,23 +134,22 @@ def _as_dump(value):
     if not (isinstance(value, list) and value and isinstance(value[0], dict)):
         return value
     keys = tuple(value[0])
-    return RowDump(keys, {0: ()},
-                   {i: tuple(r.get(k, "") for k in keys)
-                    for i, r in enumerate(value)},
-                   [(0, range(len(value)))])
+    return RowDump(keys, [((), [tuple(r.get(k, "") for k in keys)
+                                for r in value])])
 
 
 def _row_chunks(dump: RowDump, head_text, tail_text, sep: str):
     """The rows of ``dump`` joined by ``sep``, a piece per group of at most
     ``CHUNK_ROWS`` rows, ``head + (sep + head).join(tail texts)``; each
-    text, and each shared ``ts``'s list of tail texts, is made once."""
-    heads = {h: head_text(cells) for h, cells in dump.heads.items()}
-    tails = {t: tail_text(cells) for t, cells in dump.tails.items()}
-    texts, lead = {}, ""  # texts: id(ts) -> the tail texts of ts
-    for h, ts in dump.rows:
-        if id(ts) not in texts:
-            texts[id(ts)] = [tails[t] for t in ts]
-        head, block = heads[h], texts[id(ts)]
+    distinct tail's text, and each shared ``tails``' list of texts, is made
+    once."""
+    texts, blocks, lead = {}, {}, ""  # id(tail) -> text; id(tails) -> texts
+    for cells, tails in dump.groups:
+        if id(tails) not in blocks:
+            blocks[id(tails)] = [texts[id(t)] if id(t) in texts
+                                 else texts.setdefault(id(t), tail_text(t))
+                                 for t in tails]
+        head, block = head_text(cells), blocks[id(tails)]
         for i in range(0, len(block), CHUNK_ROWS):
             yield lead + head + (sep + head).join(block[i:i + CHUNK_ROWS])
             lead = sep
@@ -158,15 +157,16 @@ def _row_chunks(dump: RowDump, head_text, tail_text, sep: str):
 
 def _table_dump(dump: RowDump):
     """The dump as an indented fixed-width table, with the widths taken
-    over the distinct heads and tails."""
+    over the heads and the distinct tails."""
     head_keys, tail_keys = dump.key_split()
 
     def widths(keys, cells):
         return [max(len(k), *(len(str(c[i])) for c in cells))
                 for i, k in enumerate(keys)]
 
-    hw = widths(head_keys, dump.heads.values())
-    tw = widths(tail_keys, dump.tails.values())
+    blocks = {id(ts): ts for _, ts in dump.groups}.values()
+    hw = widths(head_keys, [cells for cells, _ in dump.groups])
+    tw = widths(tail_keys, {id(t): t for ts in blocks for t in ts}.values())
     header = "  ".join(k.ljust(w) for k, w in zip(dump.keys, hw + tw))
     rule = "  ".join("-" * w for w in hw + tw)
     yield f"  {header.rstrip()}\n  {rule}\n"

@@ -1072,6 +1072,14 @@ GOLDEN_STDOUT = {
     # profile, more than one chunk of them.
     ("enumerate", "--game", "wide.game", "--dump", "--format", "delimited"):
         "3684c8a68938eb34f41fe13c312afead95056bb97dc0aa6b99bc94c40985110d",
+    # The next three were taken before payoff cells became a row dump: a
+    # table of 3125 profiles, more than one chunk of cells.
+    ("payoffs", "--game", "many.game", "--format", "json"):
+        "221a7e262ee92dfd42ee09cff4d48e11e7d9198c6e9d53e1cfad4ff4b8690ef4",
+    ("payoffs", "--game", "many.game", "--format", "table"):
+        "99123aa7fa9061e11eb000c6fa91ff9015880602de6a58eecd96ca71ad1ddd62",
+    ("payoffs", "--game", "many.game", "--format", "delimited"):
+        "b82d948bb63154f59df2790d7a162779094d65058dafb64607e14c5f5e4eea21",
 }
 
 # A value alias, negative scores, a non-ASCII player and action name, and
@@ -1093,6 +1101,18 @@ WIDE_GAME = "".join(
     ['game "wide"\n', 'player A actions: "x"\n',
      *(f"variable V{i} owner: A values: Hi=1, Lo=0\n" for i in range(11)),
      "utility A = " + " + ".join(f"V{i}" for i in range(11)) + "\n"])
+
+# Five players of five actions: 3125 profiles, 500 of them infeasible.
+MANY_GAME = "".join(
+    ['game "many"\n',
+     *(f'player P{i} actions: "a0", "a1", "a2", "a3", "a4"\n'
+       for i in range(5)),
+     "variable V owner: P0 values: Hi=1, Lo=0\n",
+     "variable W owner: P1 values: Hi=2, Lo=-1\n",
+     *(f"utility P{i} = {'VW'[i % 2 == 0]}\n" for i in range(5)),
+     'rule if P0="a0" then V="Hi" otherwise V="Lo".\n',
+     'rule if P1="a1" then V="Hi".\n',
+     'rule if P2="a2" and V="Lo" then W="Hi".\n'])
 
 # Ties, negative and fractional payoffs: four pure and six mixed
 # equilibria, one of them degenerate.
@@ -1137,8 +1157,8 @@ cols: Col: c1, c2, c3, c4, c5, c6, c7, c8
 @pytest.mark.parametrize("args", list(GOLDEN_STDOUT))
 def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
     for name, text in (("alias.game", ALIAS_GAME), ("wide.game", WIDE_GAME),
-                       ("six.bmx", SIX_BMX), ("seven.bmx", SEVEN_BMX),
-                       ("eight.bmx", EIGHT_BMX)):
+                       ("many.game", MANY_GAME), ("six.bmx", SIX_BMX),
+                       ("seven.bmx", SEVEN_BMX), ("eight.bmx", EIGHT_BMX)):
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # the report names its input path
     code, out, _ = run(capsys, *args)
@@ -1515,6 +1535,31 @@ def test_dump_memory_stays_near_the_plain_run():
     plain = peak_kib()
     dump = peak_kib("--dump", "--format", "json")
     assert dump - plain <= 16 * 1024, (plain, dump)
+
+
+def test_payoff_cells_stay_near_the_plain_run(tmp_path):
+    """Six players of six actions and one variable: the 46656 cells of
+    the JSON payoff table are written as a row dump, not as a dict per
+    profile, so its peak RSS stays within 36 MiB of ``enumerate``."""
+    lines = ['game "six"']
+    lines += [f"player P{i} actions: " + ", ".join(f'"a{j}"' for j in range(6))
+              for i in range(6)]
+    lines += ["variable V owner: P0 values: Hi=1, Lo=0"]
+    lines += [f"utility P{i} = V" for i in range(6)]
+    lines += ['rule if P0="a0" then V="Hi" otherwise V="Lo"']
+    game = tmp_path / "six.game"
+    game.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def peak_kib(*args):
+        cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+               "oagame.cli", *args, "--game", str(game)]
+        return int(subprocess.run(cmd, env=env, capture_output=True,
+                                  check=True).stdout)
+
+    plain = peak_kib("enumerate")
+    cells = peak_kib("payoffs", "--format", "json")
+    assert cells - plain <= 36 * 1024, (plain, cells)
 
 
 def _wide_game(score: int) -> str:

@@ -46,7 +46,7 @@ COLLIDING = GameSpec(
 def _reports(game, rows, head: dict, tail: dict):
     """(streamed, reference): the report with its row groups as a
     ``RowDump`` and with them as ``rows_as_records``."""
-    dump = rp.RowDump(*record_cells(game, rows), rows)
+    dump = rp.RowDump(*record_cells(game, rows))
     return ({**head, "rows": dump, **tail},
             {**head, "rows": rows_as_records(game, rows), **tail})
 
@@ -100,9 +100,30 @@ def test_a_profile_of_more_rows_than_a_chunk_is_split():
     rows, _ = admissible_rows(game)
     assert [len(completions) for _, completions in rows] == [2048]
     assert _check(game) == 2048
-    dump = rp.RowDump(*record_cells(game, rows), rows)
+    dump = rp.RowDump(*record_cells(game, rows))
     pieces = rp._row_chunks(dump, lambda cells: "", lambda cells: "r", "\n")
     assert [piece.count("r") for piece in pieces] == [2000, 48]
+
+
+def test_each_head_and_distinct_tail_is_written_once(oa_game):
+    """oa.game's 17640 rows fall in 423 profiles, whose blocks hold 456
+    completions, 160 of them distinct: the head writer runs once a group
+    and the tail writer once a distinct completion."""
+    rows, _ = admissible_rows(oa_game)
+    calls = {"head": 0, "tail": 0}
+
+    def writer(kind):
+        def write(cells):
+            calls[kind] += 1
+            return kind
+        return write
+
+    dump = rp.RowDump(*record_cells(oa_game, rows))
+    blocks = {id(completions): completions for _, completions in rows}
+    assert sum(map(len, blocks.values())) == 456
+    pieces = list(rp._row_chunks(dump, writer("head"), writer("tail"), "\n"))
+    assert sum(piece.count("tail") for piece in pieces) == 17640
+    assert calls == {"head": 423, "tail": 160}
 
 
 def test_record_cells_refuses_repeated_keys():
