@@ -14,8 +14,10 @@ if TYPE_CHECKING:
 
 
 def _game_or_fail(args) -> tuple:
-    """The parsed game and the input's digest.  A game that parses also
-    validates, so only ``validate`` runs ``validate_game``."""
+    """The parsed game and the input's digest.  The parser makes
+    ``validate_game``'s structural checks and resolves each rule atom to
+    declared names or an inert atom, so a game that parses validates with
+    no error, and ``validate`` runs ``validate_game`` for its counts."""
     from ..dsl import parse_game_spec
     text, digest = _read_input(args.game)
     result = parse_game_spec(text, mode=args.mode or "strict")

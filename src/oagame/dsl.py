@@ -596,9 +596,8 @@ def validate_game(game: GameSpec) -> ValidatedGame:
                                        f"{count} utility definitions"))
 
     # Rule atoms must name declared players, variables, actions and values
-    # exactly, as the engine looks them up; inert atoms are exempt.
-    actions = {p.name: p.actions for p in game.players}
-    values = {v.name: v.value_names() for v in game.variables}
+    # exactly (``GameSpec.atom_index``, as the engine compiles them); inert
+    # atoms are exempt.
     for rule in game.rules:
         for part, atoms in (("condition", rule.condition),
                             ("consequence", rule.consequence),
@@ -610,8 +609,7 @@ def validate_game(game: GameSpec) -> ValidatedGame:
                     errors.append(Diagnostic(
                         "error", f"{part} of rule {rule.source!r} sets "
                                  f"player {atom.subject!r}"))
-                elif atom.value not in (actions if atom.kind == ACTION
-                                        else values).get(atom.subject, ()):
+                elif game.atom_index(*atom[:3]) is None:
                     errors.append(Diagnostic(
                         "error", f"{part} of rule {rule.source!r} names "
                                  f"undeclared {atom.subject}={atom.value}"))

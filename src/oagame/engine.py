@@ -13,7 +13,9 @@ per ``GameSpec`` and kept on it.  Players, actions, variables and values
 become indices, each variable has a score tuple, and each rule atom is a
 ``(player or variable index, action or value index)`` pair with inert atoms
 folded in, so a rule with an inert condition atom keeps only its
-otherwise-branch and inert assignment atoms are gone.  For each
+otherwise-branch and inert assignment atoms are gone.  Every other atom
+must resolve by ``GameSpec.atom_index``, as ``validate_game`` requires, or
+compiling raises ``NameResolutionError``.  For each
 action profile, the rules decided by the profile alone force variable
 values up front; the rules that test outcome variables are checked once per
 assignment of the variables they mention (the coupled block), and the
@@ -46,7 +48,6 @@ from typing import NamedTuple
 from .model import (
     ACTION,
     OUTCOME,
-    Atom,
     GameError,
     GameSpec,
     NameResolutionError,
@@ -97,10 +98,6 @@ def _selector(pairs):
     return itemgetter(*indices), wanted if len(pairs) > 1 else wanted[0]
 
 
-def _index(names) -> dict[str, int]:
-    return {name: i for i, name in enumerate(names)}
-
-
 class CompiledGame:
     """Index form of a ``GameSpec``; get it with ``compile_game``.
 
@@ -108,7 +105,8 @@ class CompiledGame:
     indices, one per player or variable in declaration order.  Each rule is
     ``(action test, outcome tests, consequence, otherwise)``: the action
     test is a ``_selector`` of the condition's action pairs, or None when
-    the condition can never hold, and the rest are index pairs.
+    the condition has an inert atom and can never hold, and the rest are
+    index pairs.  Every non-inert atom must resolve; see ``_pairs``.
     A player's utility terms are resolved each time its utility is asked
     for, so a player without a utility definition is an error only for
     the consumers that need one.  Profile blocks (``_Block``) are kept per
@@ -123,54 +121,35 @@ class CompiledGame:
         self.values = tuple(v.value_names() for v in game.variables)
         self.scores = tuple(tuple(s for _, s in v.values)
                             for v in game.variables)
-        self._player_index = _index(self.players)
-        self._action_index = tuple(map(_index, self.actions))
-        self._variable_index = _index(self.variables)
-        self._value_index = tuple(map(_index, self.values))
         self.ranges = tuple(range(len(v)) for v in self.values)
         self.rules = tuple(self._rule(r) for r in game.rules)
         # (deferred rule indices, forced values) -> _block(...)
         self._blocks: dict[tuple, _Block] = {}
 
-    def _pair(self, kind: str, subject: str,
-              value: str) -> tuple[int, int] | None:
-        """(subject index, value index) of an action or outcome test, or
-        None when its names are not declared exactly (then it never holds)."""
-        if kind == ACTION:
-            i = self._player_index.get(subject)
-            index = self._action_index
-        else:
-            i = self._variable_index.get(subject)
-            index = self._value_index
-        j = None if i is None else index[i].get(value)
-        return None if j is None else (i, j)
-
-    def _assignments(self, rule: Rule, atoms: tuple[Atom, ...]):
+    def _pairs(self, rule: Rule, part: str, atoms) -> tuple:
+        """The ``atom_index`` pair of each atom of ``atoms``, the ``part``
+        (``condition`` or ``assignment``) of ``rule``, inert atoms skipped;
+        an atom naming anything undeclared, or assigning a player, raises."""
         pairs = []
         for atom in atoms:
             if atom.inert:
                 continue
-            pair = (None if atom.kind == ACTION
-                    else self._pair(OUTCOME, atom.subject, atom.value))
+            pair = (None if atom.kind == ACTION and part == "assignment"
+                    else self.game.atom_index(*atom[:3]))
             if pair is None:
-                raise NameResolutionError(
-                    f"assignment of rule {rule.source!r}",
-                    f"{atom.subject}={atom.value}")
+                raise NameResolutionError(f"{part} of rule {rule.source!r}",
+                                          f"{atom.subject}={atom.value}")
             pairs.append(pair)
         return tuple(pairs)
 
     def _rule(self, rule: Rule):
-        acts, tests = [], []
-        for atom in rule.condition:
-            pair = (None if atom.inert
-                    else self._pair(atom.kind, atom.subject, atom.value))
-            if pair is None:
-                acts = None
-                break
-            (acts if atom.kind == ACTION else tests).append(pair)
-        return (None if acts is None else _selector(acts), tuple(tests),
-                self._assignments(rule, rule.consequence),
-                self._assignments(rule, rule.otherwise))
+        acts, tests = (self._pairs(rule, "condition",
+                                   [a for a in rule.condition if a.kind == k])
+                       for k in (ACTION, OUTCOME))
+        never = any(a.inert for a in rule.condition)
+        return (None if never else _selector(acts), tests,
+                self._pairs(rule, "assignment", rule.consequence),
+                self._pairs(rule, "assignment", rule.otherwise))
 
     def profiles(self):
         """Every profile, in canonical order."""
@@ -194,7 +173,7 @@ class CompiledGame:
             var = self.game.variable(term)
             if var is None:
                 raise NameResolutionError(f"utility of {player!r}", term)
-            counts[self._variable_index[var.name]] += 1
+            counts[self.variables.index(var.name)] += 1
         return tuple(tuple(k * s for s in scores)
                      for k, scores in zip(counts, self.scores))
 
@@ -213,11 +192,13 @@ def _holds(pairs, values) -> bool:
 
 
 class RowBudgetError(GameError):
-    """A row list would hold more than ``ROW_BUDGET`` rows."""
+    """A row list would hold more than ``ROW_BUDGET`` rows, or a payoff
+    table more than ``ROW_BUDGET`` cells."""
 
 
-# The most rows ``admissible_rows`` or ``top_gu_rows`` builds; above it they
-# raise ``RowBudgetError`` before building any row.
+# The most rows ``admissible_rows`` or ``top_gu_rows`` builds, and the most
+# cells of a payoff table; above it they raise ``RowBudgetError`` before
+# building any row or cell.
 ROW_BUDGET = 10**6
 
 
@@ -401,13 +382,15 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
     policy applied to all of their completions at once, or None when they
     have no pick.  Each census block's optimum (``gu`` under max-GU) gives
     its pick, and the pick's utilities are one tuple shared by every
-    profile in the block."""
+    profile in the block.  Raises ``RowBudgetError``, building no cell,
+    above ``ROW_BUDGET`` cells."""
     cg = compile_game(game)
     kept = [cg.players.index(p) for p in players]
+    _within_budget(math.prod(len(cg.actions[i]) for i in kept), "payoff cells")
     profiles, weights, utilities = None, None, None
     if policy.kind == "fixed":
-        acts = [cg._pair(ACTION, s, x) for s, x in policy.fixed_actions]
-        outs = [cg._pair(OUTCOME, s, x) for s, x in policy.fixed_outcomes]
+        acts = [game.atom_index(ACTION, *f) for f in policy.fixed_actions]
+        outs = [game.atom_index(OUTCOME, *f) for f in policy.fixed_outcomes]
         profiles = () if None in acts + outs else (
             p for p in cg.profiles() if _holds(acts, p))
         weights = tuple(tuple(-sum(w == v and y != x

@@ -123,6 +123,19 @@ class GameSpec(_GameFields):
     def variable(self, name: str) -> OutcomeVarDef | None:
         return _named(self.variables, name)
 
+    def atom_index(self, kind: str, subject: str,
+                   value: str) -> tuple[int, int] | None:
+        """``(i, j)`` of a rule atom by exact declared names: the ``i``-th
+        player and its ``j``-th action (ACTION) or the ``i``-th variable
+        and its ``j``-th value (OUTCOME); None when it names anything
+        undeclared.  The one lookup of validation and the engine."""
+        decls = self.players if kind == ACTION else self.variables
+        for i, d in enumerate(decls):
+            if d.name == subject:
+                names = d.actions if kind == ACTION else d.value_names()
+                return (i, names.index(value)) if value in names else None
+        return None
+
     def utility_for(self, player: str) -> UtilityDef:
         p = self.player(player)
         target = p.name if p else player

@@ -62,6 +62,8 @@ def flat_rows(groups) -> list[tuple]:
 
 
 def _atom_true(atom, actions, outcomes):
+    # A non-inert atom naming nothing declared reads False here, but the
+    # engine refuses any game with one, so no comparison meets it.
     if atom.inert:
         return None  # caller decides by position
     mapping = actions if atom.kind == ACTION else outcomes

@@ -1537,18 +1537,26 @@ def test_dump_memory_stays_near_the_plain_run():
     assert dump - plain <= 16 * 1024, (plain, dump)
 
 
+def _one_rule_game(players: int, actions: int) -> str:
+    """``players`` players of ``actions`` actions each and one variable
+    ``V`` owned by ``P0``, which one rule sets by ``P0``'s action; every
+    utility is ``V``."""
+    lines = [f'game "{players}x{actions}"']
+    lines += [f"player P{i} actions: " + ", ".join(f'"a{j}"'
+                                                  for j in range(actions))
+              for i in range(players)]
+    lines += ["variable V owner: P0 values: Hi=1, Lo=0"]
+    lines += [f"utility P{i} = V" for i in range(players)]
+    lines += ['rule if P0="a0" then V="Hi" otherwise V="Lo"']
+    return "\n".join(lines) + "\n"
+
+
 def test_payoff_cells_stay_near_the_plain_run(tmp_path):
     """Six players of six actions and one variable: the 46656 cells of
     the JSON payoff table are written as a row dump, not as a dict per
     profile, so its peak RSS stays within 36 MiB of ``enumerate``."""
-    lines = ['game "six"']
-    lines += [f"player P{i} actions: " + ", ".join(f'"a{j}"' for j in range(6))
-              for i in range(6)]
-    lines += ["variable V owner: P0 values: Hi=1, Lo=0"]
-    lines += [f"utility P{i} = V" for i in range(6)]
-    lines += ['rule if P0="a0" then V="Hi" otherwise V="Lo"']
     game = tmp_path / "six.game"
-    game.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    game.write_text(_one_rule_game(6, 6), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
 
     def peak_kib(*args):
@@ -1618,6 +1626,24 @@ def test_top_beyond_the_row_budget_is_refused(tmp_path, capsys):
     count = 2**14 * 3 * (64 * 3 + 192 * 4)  # as in the test above
     assert err == (f"oagame: {count} rows at max global utility exceed the "
                    f"row budget of 1000000\n")
+
+
+@pytest.mark.parametrize("command", ["payoffs", "nash"])
+def test_payoff_tables_beyond_the_row_budget_are_refused(tmp_path, command):
+    """Eight players of eight actions: a payoff table of 16777216 cells is
+    refused before any cell is built, at once and with nothing on stdout,
+    where it used to run out of memory after tens of seconds."""
+    (tmp_path / "big.game").write_text(_one_rule_game(8, 8),
+                                       encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagame.cli", command, "--game", "big.game"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=5)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "oagame: 16777216 payoff cells exceed the row budget of "
+               "1000000\n")
 
 
 def _cli_json(cwd, *argv):

@@ -605,16 +605,24 @@ def test_player_without_utility_enumerates_but_has_no_payoffs():
 
 def test_names_that_bypassed_validation_are_refused_on_use():
     """A hand-built game that was never validated: an assignment to an
-    undeclared value, and a utility summing an undeclared variable."""
+    undeclared value, a condition naming an undeclared action, value or
+    variable, and a utility summing an undeclared variable."""
     players = (PlayerDef("A", ("x",)),)
     variables = (OutcomeVarDef("V", "A", (("Hi", 1), ("Lo", 0))),)
-    rule = Rule((Atom(ACTION, "A", "x"),), (Atom(OUTCOME, "V", "Bogus"),),
-                source="r")
-    with pytest.raises(NameResolutionError) as exc:
-        enumeration_report(GameSpec("g", players, variables, (rule,), ()))
-    assert str(exc.value) == "unknown name 'V=Bogus' in assignment of rule 'r'"
-    assert (exc.value.context, exc.value.token) == (
-        "assignment of rule 'r'", "V=Bogus")
+    hi = Atom(OUTCOME, "V", "Hi")
+    for part, condition, consequence in (
+            ("assignment", Atom(ACTION, "A", "x"),
+             Atom(OUTCOME, "V", "Bogus")),
+            ("condition", Atom(ACTION, "A", "Bogus"), hi),
+            ("condition", Atom(OUTCOME, "V", "Bogus"), hi),
+            ("condition", Atom(OUTCOME, "W", "Hi"), hi)):
+        rule = Rule((condition,), (consequence,), source="r")
+        with pytest.raises(NameResolutionError) as exc:
+            enumeration_report(GameSpec("g", players, variables, (rule,), ()))
+        bad = condition if part == "condition" else consequence
+        token, context = f"{bad.subject}={bad.value}", f"{part} of rule 'r'"
+        assert str(exc.value) == f"unknown name {token!r} in {context}"
+        assert (exc.value.context, exc.value.token) == (context, token)
     game = GameSpec("g", players, variables, (),
                     (UtilityDef("A", ("V", "W")),))
     with pytest.raises(NameResolutionError) as exc:

@@ -1,16 +1,21 @@
-"""Metamorphic relations of the engine: changes to a game's rules that must
-leave its admissible rows, its top rows, its census, its payoff tables and
-its projections as they are.  They check the engine without a reference
-answer, so they hold where the brute-force oracle is too slow to run.
-(The copied-action relation is in ``test_engine``.)"""
+"""Metamorphic relations of the engine: changes to a game's rules, names
+or declaration order that must leave its admissible rows, its top rows,
+its census, its payoff tables and its projections as they are, names
+aside.  They check the engine without a reference answer, so they hold
+where the brute-force oracle is too slow to run.  (The copied-action
+relation is in ``test_engine``.)"""
 
 import random
 
-from oagame import (CompletionPolicy, GameError, admissible_rows,
-                    derive_payoff_table, enumeration_report,
-                    parse_game_spec, project_bimatrix, top_gu_rows)
+from oagame import (CompletionPolicy, GameError, PayoffTable,
+                    admissible_rows, compile_game, derive_payoff_table,
+                    enumeration_report, parse_game_spec, project_bimatrix,
+                    serialize_game, top_gu_rows)
+from oagame.dsl import LENIENT
+from oagame.model import GameSpec, OutcomeVarDef, PlayerDef, Rule, UtilityDef
 
-from .oracle import flat_rows, random_rich_game, random_small_game
+from .oracle import (flat_rows, named_row, random_rich_game,
+                     random_small_game, row_key)
 
 
 def _outcome(derive, *args):
@@ -90,3 +95,76 @@ def test_repeating_a_rule_changes_nothing(oa_game):
         assert _figures(game._replace(rules=rules)) == _figures(game), game
         repeated += 1
     assert repeated > 40
+
+
+def _renamed(game, s: str):
+    """``game`` with ``s`` appended to every name: players, aliases,
+    actions, variables, values and value aliases, wherever they appear."""
+    def names(items):
+        return tuple(n + s for n in items)
+
+    def atoms(part):
+        return tuple(a._replace(subject=a.subject + s, value=a.value + s)
+                     for a in part)
+
+    return GameSpec(
+        game.name,
+        tuple(PlayerDef(p.name + s, names(p.actions), names(p.aliases))
+              for p in game.players),
+        tuple(OutcomeVarDef(v.name + s, v.owner + s,
+                            tuple((n + s, k) for n, k in v.values),
+                            names(v.aliases), tuple(
+                                (a + s, c + s) for a, c in v.value_aliases))
+              for v in game.variables),
+        tuple(Rule(*map(atoms, r[:3])) for r in game.rules),
+        tuple(UtilityDef(u.player + s, names(u.terms))
+              for u in game.utilities))
+
+
+def _unsuffixed(outcome, s: str):
+    """A payoff table, or a ``GameError``'s type and message, with ``s``
+    taken off every name in it."""
+    if isinstance(outcome, PayoffTable):
+        return outcome._replace(
+            players=tuple(p.removesuffix(s) for p in outcome.players),
+            actions=tuple(tuple(a.removesuffix(s) for a in actions)
+                          for actions in outcome.actions))
+    kind, message = outcome
+    return kind, message.replace(s, "")
+
+
+def test_renaming_changes_only_the_names(oa_game):
+    """Names are looked up, never read: a game whose every name gains a
+    suffix, written as text and read back, has the same rows, census and
+    payoff tables under all four policies, names aside."""
+    written = 0
+    for game in _games(oa_game, 8):
+        try:
+            text = serialize_game(_renamed(game, "_r"))
+        except ValueError:  # as the game itself would be, such as ''
+            continue
+        *same, payoffs, fewer = _figures(parse_game_spec(text, LENIENT).game)
+        assert (*same, *([_unsuffixed(x, "_r") for x in table]
+                         for table in (payoffs, fewer))) == _figures(game)
+        written += 1
+    assert written > 30
+
+
+def _named_rows(game) -> set:
+    cg = compile_game(game)
+    return {row_key(named_row(cg, *row))
+            for row in flat_rows(admissible_rows(game)[0])}
+
+
+def test_declaration_order_changes_no_count_or_row(oa_game):
+    """Players and variables are named, not numbered: reversing either
+    list leaves the census and the set of named admissible rows as they
+    are.  Payoff tables are not compared, since picks break ties in
+    declaration order."""
+    for game in _games(oa_game, 9):
+        figures = enumeration_report(game), _named_rows(game)
+        for section in ("players", "variables"):
+            reordered = game._replace(
+                **{section: getattr(game, section)[::-1]})
+            assert (enumeration_report(reordered),
+                    _named_rows(reordered)) == figures, (section, game)
