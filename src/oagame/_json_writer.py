@@ -1,0 +1,64 @@
+"""The JSON writer of ``oagame.report``, which ``emit_report`` imports
+only for that format."""
+
+from __future__ import annotations
+
+from .report import RowDump, _row_chunks
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string, by ``json``'s C string encoder, or
+    ``json.encoder``'s where there is none.  The first call binds
+    ``_quote`` to that encoder, so table and delimited output never load
+    it."""
+    global _quote
+    try:
+        from _json import encode_basestring_ascii as _quote
+    except ImportError:
+        from json.encoder import encode_basestring_ascii as _quote
+    return _quote(text)
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` at ``indent``, for a report's types."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = f",\n{inner}".join([_json(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{indent}]" if value else "[]"
+    if isinstance(value, dict):
+        items = _json_cells(value, value.values(), inner)
+        return f"{{\n{inner}{items}\n{indent}}}" if value else "{}"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def _json_cells(keys, cells, indent: str = "      ") -> str:
+    """A record's ``"key": value`` lines at ``indent`` (default: row depth)."""
+    return f",\n{indent}".join(
+        [f"{_quote(k)}: {_json(c, indent)}" for k, c in zip(keys, cells)])
+
+
+def _json_chunks(report: dict):
+    """``json.dumps(report, indent=2)``, one top-level item at a time."""
+    sep = "{\n"
+    for key, value in report.items():
+        if isinstance(value, RowDump):
+            head_keys, tail_keys = value.key_split()
+            yield f"{sep}  {_quote(key)}: [\n"
+            yield from _row_chunks(
+                value,
+                lambda cells: "    {\n      " + (
+                    _json_cells(head_keys, cells) + ",\n      "
+                    if head_keys else ""),
+                lambda cells: _json_cells(tail_keys, cells) + "\n    }",
+                ",\n")
+            yield "\n  ]"
+        else:
+            yield f"{sep}  {_quote(key)}: {_json(value, '  ')}"
+        sep = ",\n"
+    yield "\n}\n" if report else "{}\n"

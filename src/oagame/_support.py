@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from ._table import PayoffTable
 from .equilibrium import (EquilibriumCertificate, MixedStrategy,
@@ -30,16 +30,13 @@ SUPPORT_LIMIT = 8  # support enumeration is exponential past this
 _BEATS = {"strict": operator.gt, "weak": operator.ge}  # payoff tests by notion
 
 
-class Elimination(NamedTuple):
-    player: str
-    action: str
-    dominator: str
-    notion: str
+class Elimination(namedtuple("Elimination", ("player", "action",
+                                             "dominator", "notion"))):
+    __slots__ = ()
 
 
-class DominanceResult(NamedTuple):
-    trace: tuple[Elimination, ...]
-    surviving: tuple[tuple[str, ...], ...]  # live actions, per player
+class DominanceResult(namedtuple("DominanceResult", ("trace", "surviving"))):
+    __slots__ = ()  # surviving: the live actions, per player
 
 
 def _eliminations(table: PayoffTable, live: list[list[int]], notion: str):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 # Most digits, plus the exponent, of a number read from text: Python's
 # default limit on converting an int to text and back.
@@ -41,13 +41,8 @@ def too_many_digits(n: int) -> bool:
     return n.bit_length() > 3 * MAX_DIGITS and n >= 10 ** MAX_DIGITS
 
 
-class _PayoffFields(NamedTuple):
-    players: tuple[str, ...]
-    actions: tuple[tuple[str, ...], ...]
-    cells: tuple[tuple[int, ...] | None, ...]
-
-
-class PayoffTable(_PayoffFields):
+class PayoffTable(namedtuple("PayoffTable", ("players", "actions",
+                                             "cells"))):
     """Per-action-profile utility vectors in ``profiles()`` order, the last
     player's action varying fastest; None marks an infeasible cell.
     ValueError unless there is one action list per player and one cell per

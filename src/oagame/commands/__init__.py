@@ -13,6 +13,11 @@ this sound:
   never at module level, so that each call reads the module attribute as
   it is then (a wrapper installed from outside included).
 
+What only some handlers share has a module of its own, so that no
+command compiles code it never runs: ``_game`` for the commands that read
+a ``.game`` file, ``_policy`` for those that take --policy, and
+``_bimatrix`` for those that read a ``.bmx`` file or report equilibria.
+
 Once ``enumerate`` has run, this package's global ``enumerate`` is that
 handler module, so code here cannot call the builtin of that name.
 """
@@ -20,12 +25,8 @@ handler module, so code here cannot call the builtin of that name.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
 from .. import fixtures
-
-if TYPE_CHECKING:
-    from .._table import PayoffTable
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1
@@ -57,19 +58,5 @@ def _read_input(path: str) -> tuple[str, str]:
     return text, fixtures.sha256(text)
 
 
-def _load_bimatrix(path: str) -> tuple[PayoffTable, str]:
-    from ..equilibrium import BimatrixFormatError, parse_bimatrix
-    text, digest = _read_input(path)
-    try:
-        return parse_bimatrix(text), digest
-    except BimatrixFormatError as exc:
-        raise _CliError(f"{path}: {exc}", DIAG_ERROR)
-
-
 def _is_bundled(digest: str, name: str) -> bool:
     return digest == fixtures.fixture_digest(name)
-
-
-def _has_publish_oa_grant_ta(certs) -> bool:
-    """Is (Publish OA, Grant TA) among the pure equilibria ``certs``?"""
-    return ("Publish OA", "Grant TA") in [c.pure_profile() for c in certs]

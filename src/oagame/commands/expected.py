@@ -3,11 +3,11 @@ mixtures."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .. import report as rp
-from . import USAGE_ERROR, _CliError, _is_bundled, _load_bimatrix
+from . import USAGE_ERROR, _CliError, _is_bundled
+from ._bimatrix import TABLE6_EU_NOTE, _load_bimatrix, number
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from ..equilibrium import MixedStrategy
 
@@ -45,10 +45,9 @@ def run(args) -> tuple[int, dict]:
     mix_col = _mix_from_arg(col, col_actions, args.col_mix, "--col-mix")
     eu_row, eu_col = expected_utility(table, mix_row, mix_col)
     out = rp.base_report({args.bimatrix: digest})
-    out["row_mix"] = {a: rp.number(p) for a, p in mix_row.probs}
-    out["col_mix"] = {a: rp.number(p) for a, p in mix_col.probs}
-    out["expected_utilities"] = {row: rp.number(eu_row),
-                                 col: rp.number(eu_col)}
+    out["row_mix"] = {a: number(p) for a, p in mix_row.probs}
+    out["col_mix"] = {a: number(p) for a, p in mix_col.probs}
+    out["expected_utilities"] = {row: number(eu_row), col: number(eu_col)}
     if _is_bundled(digest, "table6.bmx"):
-        out["note"] = rp.TABLE6_EU_NOTE
+        out["note"] = TABLE6_EU_NOTE
     return 0, out

@@ -4,7 +4,8 @@ enumeration, and optionally iterated dominance."""
 from __future__ import annotations
 
 from .. import report as rp
-from . import _is_bundled, _load_bimatrix
+from . import _is_bundled
+from ._bimatrix import TABLE6_EU_NOTE, _load_bimatrix, certificate_to_obj
 
 
 def run(args) -> tuple[int, dict]:
@@ -13,7 +14,7 @@ def run(args) -> tuple[int, dict]:
     certs, degenerate = mixed_nash_2p(table)
     out = rp.base_report({args.bimatrix: digest})
     out["degenerate"] = degenerate
-    out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
+    out["equilibria"] = [certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
     if args.dominance:
         result = dominance_analysis(table, args.dominance)
@@ -25,5 +26,5 @@ def run(args) -> tuple[int, dict]:
         out["surviving_rows"], out["surviving_cols"] = map(
             list, result.surviving)
     if _is_bundled(digest, "table6.bmx"):
-        out["note"] = rp.TABLE6_EU_NOTE
+        out["note"] = TABLE6_EU_NOTE
     return 0, out

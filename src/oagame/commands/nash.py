@@ -4,8 +4,9 @@ bimatrix file."""
 from __future__ import annotations
 
 from .. import report as rp
-from . import (USAGE_ERROR, _CliError, _has_publish_oa_grant_ta,
-               _is_bundled, _load_bimatrix)
+from . import USAGE_ERROR, _CliError, _is_bundled
+from ._bimatrix import (_has_publish_oa_grant_ta, _load_bimatrix,
+                        certificate_to_obj)
 
 
 def run(args) -> tuple[int, dict]:
@@ -20,7 +21,8 @@ def run(args) -> tuple[int, dict]:
         out["inputs"] = {args.bimatrix: digest}
     else:
         from ..engine import derive_payoff_table
-        from ._game import _game_or_fail, _policy
+        from ._game import _game_or_fail
+        from ._policy import _policy
         game, digest = _game_or_fail(args)
         out["inputs"] = {args.game: digest}
         table = derive_payoff_table(game, _policy(args, game))
@@ -29,6 +31,6 @@ def run(args) -> tuple[int, dict]:
         out["paper_comparison"] = rp.paper_comparison({
             "table5_publish_oa_grant_ta":
                 "present" if _has_publish_oa_grant_ta(certs) else "absent"})
-    out["equilibria"] = [rp.certificate_to_obj(c) for c in certs]
+    out["equilibria"] = [certificate_to_obj(c) for c in certs]
     out["count"] = len(certs)
     return 0, out

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .. import report as rp
-from ._game import _game_or_fail, _policy
+from ._game import _game_or_fail
+from ._policy import _policy
 
 
 def run(args) -> tuple[int, dict]:

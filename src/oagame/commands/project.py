@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .. import report as rp
 from . import USAGE_ERROR, _CliError
-from ._game import _declared_player, _game_or_fail, _policy
+from ._game import _game_or_fail
+from ._policy import _declared_player, _policy
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .._table import PayoffTable
 

@@ -4,8 +4,17 @@ the paper-vs-computed comparison and the golden check."""
 from __future__ import annotations
 
 from .. import report as rp
-from . import DIAG_ERROR, _has_publish_oa_grant_ta, _load_bimatrix
+from . import DIAG_ERROR
+from ._bimatrix import _has_publish_oa_grant_ta, _load_bimatrix
 from ._game import _census_figures, _game_or_fail
+
+
+def _golden_check(computed: dict) -> list[dict]:
+    """Golden-vs-computed entries for the ``rp.FIGURES`` keyed in
+    ``computed``, in its order."""
+    return [{"figure": rp.FIGURES[k][0], "golden": rp.FIGURES[k][2],
+             "computed": v, "matches": v == rp.FIGURES[k][2]}
+            for k, v in computed.items()]
 
 
 def run(args) -> tuple[int, dict]:
@@ -34,7 +43,7 @@ def run(args) -> tuple[int, dict]:
     }
     out = rp.base_report({args.game: game_digest, args.bimatrix: digest5})
     out["paper_comparison"] = rp.paper_comparison(computed)
-    out["golden_check"] = rp.golden_check(computed)
+    out["golden_check"] = _golden_check(computed)
     ok = all(c["matches"] for c in out["golden_check"])
     out["status"] = "ok" if ok else "drift-from-golden"
     return (0 if ok else DIAG_ERROR), out

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._table import MAX_DIGITS, number_literal, too_many_digits
 from .model import (
@@ -49,46 +49,41 @@ _QUOTE_CLOSERS = {
 }
 
 
-class SourceSpan(NamedTuple):
-    line: int
-    col_start: int
-    col_end: int
+class SourceSpan(namedtuple("SourceSpan", ("line", "col_start",
+                                           "col_end"))):
+    __slots__ = ()
 
 
-class ParseError(NamedTuple):
-    span: SourceSpan
-    kind: str  # lex | syntax | resolution | domain-mismatch
-    message: str
-    token: str = ""
+class ParseError(namedtuple("ParseError", (
+        "span",
+        "kind",  # lex | syntax | resolution | domain-mismatch
+        "message", "token"), defaults=("",))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (f"line {self.span.line}:{self.span.col_start}: "
                 f"{self.kind}: {self.message}")
 
 
-class Diagnostic(NamedTuple):
-    severity: str  # error | warning
-    message: str
+class Diagnostic(namedtuple("Diagnostic", ("severity", "message"))):
+    __slots__ = ()  # severity: error | warning
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.message}"
 
 
-class ParseResult(NamedTuple):
-    game: GameSpec | None
-    errors: tuple[ParseError, ...]
+class ParseResult(namedtuple("ParseResult", ("game", "errors"))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.game is not None and not self.errors
 
 
-class ValidatedGame(NamedTuple):
-    game: GameSpec
-    action_profile_count: int
-    row_space_count: int
-    errors: tuple[Diagnostic, ...] = ()
-    warnings: tuple[Diagnostic, ...] = ()
+class ValidatedGame(namedtuple("ValidatedGame", (
+        "game", "action_profile_count", "row_space_count", "errors",
+        "warnings"), defaults=((), ()))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

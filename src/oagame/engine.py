@@ -25,7 +25,9 @@ count, and its greatest key and the completions attaining it for any key
 that sums per-value weights, follow in closed form: ``enumeration_report``
 counts without building a row, ``top_gu_rows`` generates only the rows at
 the greatest global utility, and policy picks (and through them payoff
-tables and projections) are the first completions of greatest key.
+tables and projections) are the first completions of greatest key; the
+tables are built in ``oagame._payoffs``, which only the commands that
+build one compile.
 The census is the engine's one walk over the profiles: the counts, the
 payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
 read it, and the row lists expand it, enumerating each block's completions
@@ -42,8 +44,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from operator import getitem, itemgetter
-from typing import NamedTuple
 
 from .model import (
     ACTION,
@@ -56,14 +58,9 @@ from .model import (
 )
 
 
-class _PolicyFields(NamedTuple):
-    kind: str = "max-global-utility"  # | optimistic | pessimistic | fixed
-    player: str | None = None
-    fixed_actions: tuple[tuple[str, str], ...] = ()
-    fixed_outcomes: tuple[tuple[str, str], ...] = ()
-
-
-class CompletionPolicy(_PolicyFields):
+class CompletionPolicy(namedtuple("CompletionPolicy", (
+        "kind", "player", "fixed_actions", "fixed_outcomes"),
+        defaults=("max-global-utility", None, (), ()))):
     """How a set of admissible completions collapses to one payoff vector.
 
     Ties break lexicographically in declaration order (players then
@@ -81,12 +78,10 @@ class CompletionPolicy(_PolicyFields):
             raise ValueError(f"{self.kind} policy requires a player")
 
 
-class EnumerationReport(NamedTuple):
-    action_profile_count: int
-    row_space_count: int
-    admissible_count: int
-    max_global_utility: int | None
-    max_global_utility_count: int
+class EnumerationReport(namedtuple("EnumerationReport", (
+        "action_profile_count", "row_space_count", "admissible_count",
+        "max_global_utility", "max_global_utility_count"))):
+    __slots__ = ()
 
 
 def _selector(pairs):
@@ -202,17 +197,18 @@ class RowBudgetError(GameError):
 ROW_BUDGET = 10**6
 
 
-class _Block(NamedTuple):
+class _Block(namedtuple("_Block", (
+        "domains",  # per variable, its forced value or its range
+        "coupled",  # the coupled variables, ascending
+        "select",  # getter of the coupled values; None when none are
+        "passing",  # ``select`` value -> values, of each passing assignment
+        "count",  # admissible completions
+        "gu"))):  # ``_optimum`` of the global utility; None if no count
     """What every profile with the same (deferred rules, forced values)
     shares.  The variables the deferred rules mention are coupled; the
     others are free, each independent of the rest."""
 
-    domains: list  # per variable, its forced value or its range
-    coupled: list  # the coupled variables, ascending
-    select: object  # getter of the coupled values; None when none are
-    passing: dict  # ``select`` value -> values, of each passing assignment
-    count: int  # admissible completions
-    gu: tuple | None  # ``_optimum`` of the global utility; None if no count
+    __slots__ = ()
 
 
 def _profile_block(cg: CompiledGame, profile) -> _Block | None:
@@ -370,62 +366,6 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
                          if b.gu[0] == best)
 
 
-def _payoff_table(game: GameSpec, policy: CompletionPolicy,
-                  players) -> PayoffTable:
-    """The payoff table of ``players`` (declared names, in the table's
-    order) under the completion policy.  A game profile's pick is its first
-    admissible completion of greatest policy key; under the fixed policy
-    only completions matching the fragment qualify, at key 0, as a value
-    that a fixed outcome pair rules out weighs -1 (naming anything
-    undeclared matches nothing).  A cell holds the utilities at the first
-    pick of strictly greatest key over the game profiles extending it, the
-    policy applied to all of their completions at once, or None when they
-    have no pick.  Each census block's optimum (``gu`` under max-GU) gives
-    its pick, and the pick's utilities are one tuple shared by every
-    profile in the block.  Raises ``RowBudgetError``, building no cell,
-    above ``ROW_BUDGET`` cells."""
-    cg = compile_game(game)
-    kept = [cg.players.index(p) for p in players]
-    _within_budget(math.prod(len(cg.actions[i]) for i in kept), "payoff cells")
-    profiles, weights, utilities = None, None, None
-    if policy.kind == "fixed":
-        acts = [game.atom_index(ACTION, *f) for f in policy.fixed_actions]
-        outs = [game.atom_index(OUTCOME, *f) for f in policy.fixed_outcomes]
-        profiles = () if None in acts + outs else (
-            p for p in cg.profiles() if _holds(acts, p))
-        weights = tuple(tuple(-sum(w == v and y != x
-                                   for w, y in filter(None, outs))
-                              for x in r) for v, r in enumerate(cg.ranges))
-    picks = {}  # id(block) -> (key, cell), or None when it has no pick
-    best = {}  # profile of ``players`` -> (key, cell) of its first best pick
-    for profile, block in _census(cg, profiles):
-        if id(block) not in picks:
-            # Resolved here, so a game with no admissible row needs no utility.
-            if weights is None and policy.kind != "max-global-utility":
-                weights = [[w if policy.kind == "optimistic" else -w
-                            for w in ws]
-                           for ws in cg._utility_weights(policy.player)]
-            key, _, argmax, top = (block.gu if weights is None
-                                   else _optimum(block, weights))
-            pick = None
-            if policy.kind != "fixed" or not key:
-                first = [domain[0] for domain in top]
-                for v, x in zip(block.coupled, block.passing[min(argmax)]):
-                    first[v] = x
-                if utilities is None:
-                    utilities = [cg._utility_weights(p) for p in players]
-                pick = key, tuple(sum(map(getitem, w, first))
-                                  for w in utilities)
-            picks[id(block)] = pick
-        pick, own = picks[id(block)], tuple(map(profile.__getitem__, kept))
-        if pick is not None and (own not in best or pick[0] > best[own][0]):
-            best[own] = pick
-    actions = tuple(cg.actions[i] for i in kept)
-    return PayoffTable(tuple(players), actions, tuple(
-        best[own][1] if own in best else None
-        for own in itertools.product(*map(range, map(len, actions)))))
-
-
 def derive_payoff_table(
     game: GameSpec,
     policy: CompletionPolicy = CompletionPolicy(),
@@ -433,6 +373,7 @@ def derive_payoff_table(
     """One utility vector per action profile under the completion policy,
     in canonical profile order (``PayoffTable.profiles()``); profiles
     without an admissible completion are marked infeasible."""
+    from ._payoffs import _payoff_table
     return _payoff_table(game, policy, compile_game(game).players)
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
 from ._table import PayoffTable, number_literal
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .engine import CompletionPolicy
     from .model import GameSpec
@@ -69,12 +70,8 @@ class Bimatrix(PayoffTable):
     col_actions = property(lambda self: self.actions[1])
 
 
-class _MixFields(NamedTuple):
-    player: str
-    probs: tuple[tuple[str, Fraction], ...]
-
-
-class MixedStrategy(_MixFields):
+class MixedStrategy(namedtuple("MixedStrategy", ("player", "probs"))):
+    # ``probs``: ((action, Fraction), ...)
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -103,7 +100,10 @@ class MixedStrategy(_MixFields):
         return cls(player, ((action, Fraction(1)),))
 
 
-class EquilibriumCertificate(NamedTuple):
+class EquilibriumCertificate(namedtuple("EquilibriumCertificate", (
+        "kind",  # pure | mixed
+        "strategies", "expected_utilities", "verification", "degenerate"),
+        defaults=(False,))):
     """A (pure or mixed) equilibrium plus its re-checkable evidence.
 
     ``verification`` lists, per player, every pure action's expected utility
@@ -111,11 +111,7 @@ class EquilibriumCertificate(NamedTuple):
     player's equilibrium utility.
     """
 
-    kind: str  # pure | mixed
-    strategies: tuple[MixedStrategy, ...]
-    expected_utilities: tuple[Fraction, ...]
-    verification: tuple[tuple[tuple[str, Fraction], ...], ...]
-    degenerate: bool = False
+    __slots__ = ()
 
     def pure_profile(self) -> tuple[str, ...] | None:
         if all(s.is_pure() for s in self.strategies):
@@ -217,7 +213,7 @@ def project_bimatrix(
     cp = game.player(col_player)
     if rp is None or cp is None or rp.name == cp.name:
         raise ValueError("projection needs two distinct declared players")
-    from .engine import _payoff_table
+    from ._payoffs import _payoff_table
     return _payoff_table(game, policy, (rp.name, cp.name))
 
 

@@ -6,14 +6,15 @@ per-player utilities.  All arithmetic is exact integer arithmetic.  Only
 the game commands load this module.  ``GameError`` and ``PayoffTable``,
 which the bimatrix layer also needs, live in ``oagame._table`` and are
 re-exported here.
-The records are immutable named tuples.  ``GameSpec`` subclasses its
-fields' ``NamedTuple`` to keep its compiled form in an instance dict, which,
-unlike the fields, takes new attributes.
+The records are immutable named tuples, each a ``collections.namedtuple``
+subclass with ``__slots__ = ()``, so that no command loads ``typing``.
+``GameSpec`` alone has no ``__slots__``: it keeps its compiled form in an
+instance dict, which, unlike the fields, takes new attributes.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._table import GameError, PayoffTable  # both re-exported
 
@@ -38,10 +39,9 @@ class MissingUtilityError(GameError):
         super().__init__(f"no utility definition for player {player!r}")
 
 
-class PlayerDef(NamedTuple):
-    name: str
-    actions: tuple[str, ...]
-    aliases: tuple[str, ...] = ()
+class PlayerDef(namedtuple("PlayerDef", ("name", "actions", "aliases"),
+                           defaults=((),))):
+    __slots__ = ()
 
     def action(self, name: str) -> str | None:
         """Canonical action name for ``name``, by ``name_key``, or None."""
@@ -52,12 +52,12 @@ class PlayerDef(NamedTuple):
         return None
 
 
-class OutcomeVarDef(NamedTuple):
-    name: str
-    owner: str
-    values: tuple[tuple[str, int], ...]  # (value name, integer score), ordered
-    aliases: tuple[str, ...] = ()
-    value_aliases: tuple[tuple[str, str], ...] = ()  # alternate -> canonical
+class OutcomeVarDef(namedtuple("OutcomeVarDef", (
+        "name", "owner", "values", "aliases", "value_aliases"),
+        defaults=((), ()))):
+    # ``values``: ((value name, integer score), ...), ordered;
+    # ``value_aliases``: ((alternate, canonical), ...).
+    __slots__ = ()
 
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)
@@ -72,12 +72,12 @@ class OutcomeVarDef(NamedTuple):
         return entries.get(name_key(name))
 
 
-class UtilityDef(NamedTuple):
-    player: str
-    terms: tuple[str, ...]  # canonical outcome-variable names, unit weights
+class UtilityDef(namedtuple("UtilityDef", ("player", "terms"))):
+    __slots__ = ()  # terms: canonical outcome-variable names, unit weights
 
 
-class Atom(NamedTuple):
+class Atom(namedtuple("Atom", ("kind", "subject", "value", "inert"),
+                      defaults=(False,))):
     """One ``subject = value`` test or assignment inside a rule.
 
     ``kind`` is ACTION (subject is a player, value an action) or OUTCOME
@@ -86,17 +86,12 @@ class Atom(NamedTuple):
     always satisfied as an assignment.
     """
 
-    kind: str
-    subject: str
-    value: str
-    inert: bool = False
+    __slots__ = ()
 
 
-class Rule(NamedTuple):
-    condition: tuple[Atom, ...]
-    consequence: tuple[Atom, ...]
-    otherwise: tuple[Atom, ...] = ()
-    source: str = ""
+class Rule(namedtuple("Rule", ("condition", "consequence", "otherwise",
+                               "source"), defaults=((), ""))):
+    __slots__ = ()
 
     def same_logic(self, other: "Rule") -> bool:
         """True if both rules have identical atoms (source text ignored)."""
@@ -105,15 +100,8 @@ class Rule(NamedTuple):
                 and self.otherwise == other.otherwise)
 
 
-class _GameFields(NamedTuple):
-    name: str
-    players: tuple[PlayerDef, ...]
-    variables: tuple[OutcomeVarDef, ...]
-    rules: tuple[Rule, ...]
-    utilities: tuple[UtilityDef, ...]
-
-
-class GameSpec(_GameFields):
+class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
+                                       "rules", "utilities"))):
     # No ``__slots__``: the instance dict holds ``engine.compile_game``'s
     # compiled form.
 

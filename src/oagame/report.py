@@ -1,4 +1,5 @@
-"""Report construction and rendering (fixed-width table, delimited, JSON).
+"""Report construction and rendering (fixed-width table, delimited, JSON;
+the last two in ``oagame._delimited_writer`` and ``oagame._json_writer``).
 
 Reports are plain JSON-native dictionaries so the structured-object output
 round-trips exactly.  Whenever the bundled fixtures are analyzed, a
@@ -10,13 +11,9 @@ either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import Counter
 
 from . import __version__
-from ._table import MAX_DIGITS, GameError, too_many_digits
-
-if TYPE_CHECKING:
-    from .equilibrium import EquilibriumCertificate
 
 # Each figure the reports compare: its label, its value as printed in the
 # source material, and its golden value, recorded for the bundled fixtures
@@ -37,51 +34,11 @@ FIGURES = {
         "pure Nash equilibrium (Publish OA, Grant TA)", "present", "present"),
 }
 
-TABLE6_EU_NOTE = (
-    "the printed 2x2 collapse lists expected utilities '3q' (row TA) "
-    "and 'p' (Editors' TA column) that do not follow from the standard "
-    "bilinear expectation over its own cells; this tool reports the "
-    "standard expectation (row TA gives the constant 3, Editors' TA "
-    "column gives the constant 1)."
-)
-
 FORMATS = ("table", "delimited", "json")
-
-
-def number(x) -> int | str:
-    """JSON-native scalar for an exact number (an int or a ``Fraction``):
-    int when integral, else 'a/b'.  GameError when a part has more than
-    ``MAX_DIGITS`` digits, which Python would refuse to write as text."""
-    if too_many_digits(max(abs(x.numerator), x.denominator)):
-        raise GameError(f"a figure of more than {MAX_DIGITS} digits")
-    if x.denominator == 1:
-        return x.numerator
-    return f"{x.numerator}/{x.denominator}"
 
 
 def base_report(inputs: dict[str, str]) -> dict:
     return {"tool": "oagame", "version": __version__, "inputs": inputs}
-
-
-def certificate_to_obj(cert: EquilibriumCertificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "degenerate": cert.degenerate,
-        "strategies": [
-            {"player": s.player,
-             "probabilities": {a: number(p) for a, p in s.probs}}
-            for s in cert.strategies
-        ],
-        "expected_utilities": {
-            s.player: number(u)
-            for s, u in zip(cert.strategies, cert.expected_utilities)
-        },
-        "verification": [
-            {"player": s.player,
-             "alternatives": {a: number(u) for a, u in record}}
-            for s, record in zip(cert.strategies, cert.verification)
-        ],
-    }
 
 
 def paper_comparison(computed: dict) -> list[dict]:
@@ -89,13 +46,6 @@ def paper_comparison(computed: dict) -> list[dict]:
     ``computed``, in its order."""
     return [{"claim": FIGURES[k][0], "paper": FIGURES[k][1], "computed": v,
              "matches": v == FIGURES[k][1]} for k, v in computed.items()]
-
-
-def golden_check(computed: dict) -> list[dict]:
-    """Golden-vs-computed entries for the ``FIGURES`` keyed in
-    ``computed``, in its order."""
-    return [{"figure": FIGURES[k][0], "golden": FIGURES[k][2], "computed": v,
-             "matches": v == FIGURES[k][2]} for k, v in computed.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +90,26 @@ def _as_dump(value):
 
 def _row_chunks(dump: RowDump, head_text, tail_text, sep: str):
     """The rows of ``dump`` joined by ``sep``, a piece per group of at most
-    ``CHUNK_ROWS`` rows, ``head + (sep + head).join(tail texts)``; each
-    distinct tail's text, and each shared ``tails``' list of texts, is made
-    once."""
-    texts, blocks, lead = {}, {}, ""  # id(tail) -> text; id(tails) -> texts
-    for cells, tails in dump.groups:
-        if id(tails) not in blocks:
+    ``CHUNK_ROWS`` rows, ``head + (sep + head).join(tail texts)``.  The
+    texts of each ``tails`` that several groups share are made first, each
+    distinct tail's once, and kept; a ``tails`` of one group has its texts
+    made a piece at a time, a kept text reused, so that what is kept does
+    not grow with it."""
+    uses = Counter(id(tails) for _, tails in dump.groups)
+    texts, blocks = {}, {}  # id(tail) -> text; id(tails) -> texts
+    for _, tails in dump.groups:
+        if uses[id(tails)] > 1 and id(tails) not in blocks:
             blocks[id(tails)] = [texts[id(t)] if id(t) in texts
                                  else texts.setdefault(id(t), tail_text(t))
                                  for t in tails]
-        head, block = head_text(cells), blocks[id(tails)]
-        for i in range(0, len(block), CHUNK_ROWS):
-            yield lead + head + (sep + head).join(block[i:i + CHUNK_ROWS])
+    lead = ""
+    for cells, tails in dump.groups:
+        head, block = head_text(cells), blocks.get(id(tails))
+        for i in range(0, len(tails), CHUNK_ROWS):
+            piece = block[i:i + CHUNK_ROWS] if block is not None else [
+                texts[id(t)] if id(t) in texts else tail_text(t)
+                for t in tails[i:i + CHUNK_ROWS]]
+            yield lead + head + (sep + head).join(piece)
             lead = sep
 
 
@@ -199,89 +157,16 @@ def _table_chunks(report: dict):
         yield "\n".join(lines) + "\n"
 
 
-def _delimited_chunks(report: dict):
-    for key, value in report.items():
-        value = _as_dump(value)
-        if isinstance(value, RowDump):
-            yield "\t".join(value.keys) + "\n"
-            yield from _row_chunks(
-                value, lambda cells: "".join(f"{c}\t" for c in cells),
-                lambda cells: "\t".join(map(str, cells)), "\n")
-            yield "\n"
-            continue
-        if isinstance(value, dict):
-            lines = [f"{key}.{k}\t{v}" for k, v in value.items()]
-        else:
-            lines = [f"{key}\t{value}"]
-        if lines:
-            yield "\n".join(lines) + "\n"
-
-
-def _quote(text: str) -> str:
-    """``text`` as a JSON string, by ``json``'s C string encoder, or
-    ``json.encoder``'s where there is none.  The first call binds
-    ``_quote`` to that encoder, so table and delimited output never load
-    it."""
-    global _quote
-    try:
-        from _json import encode_basestring_ascii as _quote
-    except ImportError:
-        from json.encoder import encode_basestring_ascii as _quote
-    return _quote(text)
-
-
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` at ``indent``, for a report's types."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        items = f",\n{inner}".join([_json(v, inner) for v in value])
-        return f"[\n{inner}{items}\n{indent}]" if value else "[]"
-    if isinstance(value, dict):
-        items = _json_cells(value, value.values(), inner)
-        return f"{{\n{inner}{items}\n{indent}}}" if value else "{}"
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
-def _json_cells(keys, cells, indent: str = "      ") -> str:
-    """A record's ``"key": value`` lines at ``indent`` (default: row depth)."""
-    return f",\n{indent}".join(
-        [f"{_quote(k)}: {_json(c, indent)}" for k, c in zip(keys, cells)])
-
-
-def _json_chunks(report: dict):
-    """``json.dumps(report, indent=2)``, one top-level item at a time."""
-    sep = "{\n"
-    for key, value in report.items():
-        if isinstance(value, RowDump):
-            head_keys, tail_keys = value.key_split()
-            yield f"{sep}  {_quote(key)}: [\n"
-            yield from _row_chunks(
-                value,
-                lambda cells: "    {\n      " + (
-                    _json_cells(head_keys, cells) + ",\n      "
-                    if head_keys else ""),
-                lambda cells: _json_cells(tail_keys, cells) + "\n    }",
-                ",\n")
-            yield "\n  ]"
-        else:
-            yield f"{sep}  {_quote(key)}: {_json(value, '  ')}"
-        sep = ",\n"
-    yield "\n}\n" if report else "{}\n"
-
-
-_RENDERERS = {"table": _table_chunks, "delimited": _delimited_chunks,
-              "json": _json_chunks}
-
-
 def emit_report(report: dict, fmt: str, out) -> None:
     """Write ``report`` in ``fmt`` to the text stream ``out``, chunk by
-    chunk (``RowDump`` rows a group, at most ``CHUNK_ROWS``, at a time)."""
-    if fmt not in _RENDERERS:
+    chunk (``RowDump`` rows a group, at most ``CHUNK_ROWS``, at a time).
+    Only its own format loads the JSON or the delimited writer."""
+    if fmt == "table":
+        chunks = _table_chunks
+    elif fmt == "json":
+        from ._json_writer import _json_chunks as chunks
+    elif fmt == "delimited":
+        from ._delimited_writer import _delimited_chunks as chunks
+    else:
         raise ValueError(f"unknown format {fmt!r}")
-    out.writelines(_RENDERERS[fmt]({k: _plain(v) for k, v in report.items()}))
+    out.writelines(chunks({k: _plain(v) for k, v in report.items()}))

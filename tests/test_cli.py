@@ -648,7 +648,7 @@ def test_mixed_on_a_game_table_matches_mixed_on_its_projection(tmp_path,
                                                                capsys):
     from oagame import (CompletionPolicy, derive_payoff_table,
                         mixed_nash_2p, parse_game_spec)
-    from oagame.report import certificate_to_obj
+    from oagame.commands._bimatrix import certificate_to_obj
     (tmp_path / "battle.game").write_text(BATTLE_GAME, encoding="utf-8")
     bmx = tmp_path / "battle.bmx"
     assert run(capsys, "project", "--game", str(tmp_path / "battle.game"),
@@ -1535,6 +1535,31 @@ def test_dump_memory_stays_near_the_plain_run():
     plain = peak_kib()
     dump = peak_kib("--dump", "--format", "json")
     assert dump - plain <= 16 * 1024, (plain, dump)
+
+
+def test_one_profile_dump_keeps_no_text_per_row(tmp_path):
+    """One player of one action and 16 two-valued variables: 65536 rows in
+    one group, whose tails no other group shares.  The JSON writer makes
+    their texts a piece at a time rather than keeping one per row (45 MiB
+    over the plain run when it did), so the dump's peak RSS stays within
+    36 MiB of ``enumerate``'s, the rows themselves included."""
+    game = tmp_path / "flat.game"
+    game.write_text("\n".join(
+        ['game "flat"', 'player A actions: "x"',
+         *(f"variable V{v} owner: A values: Hi=1, Lo=0" for v in range(16)),
+         "utility A = " + " + ".join(f"V{v}" for v in range(16))]) + "\n",
+        encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def peak_kib(*args):
+        cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+               "oagame.cli", "enumerate", "--game", str(game), *args]
+        return int(subprocess.run(cmd, env=env, capture_output=True,
+                                  check=True).stdout)
+
+    plain = peak_kib()
+    dump = peak_kib("--dump", "--format", "json")
+    assert dump - plain <= 36 * 1024, (plain, dump)
 
 
 def _one_rule_game(players: int, actions: int) -> str:

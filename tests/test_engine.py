@@ -19,7 +19,7 @@ from oagame import (
     top_gu_rows,
     validate_game,
 )
-from oagame import engine, fixtures
+from oagame import _payoffs, engine, fixtures
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, NameResolutionError,
                           OutcomeVarDef, PlayerDef, Rule, UtilityDef)
 from oagame.engine import rows_as_records
@@ -392,8 +392,8 @@ def _check_action_copy(game, player, action, policies, copy="copy"):
         twin_table = derive_payoff_table(twin, policy)
         assert [twin_table.payoff(p) for p in twin_table.profiles()] == [
             table.payoff(original(p)) for p in twin_table.profiles()]
-        assert engine._payoff_table(twin, policy, others) == \
-            engine._payoff_table(game, policy, others)
+        assert _payoffs._payoff_table(twin, policy, others) == \
+            _payoffs._payoff_table(game, policy, others)
         for pair in itertools.permutations(others, 2):
             assert project_bimatrix(twin, policy, *pair) == \
                 project_bimatrix(game, policy, *pair)
@@ -556,7 +556,7 @@ def test_payoffs_and_projection_match_pooled_oracle():
                          *itertools.permutations(players, 2),
                          *itertools.permutations(players, 3)):
                 expected = brute_force_projection(game, policy, kept)
-                tables = [engine._payoff_table(game, policy, kept)]
+                tables = [_payoffs._payoff_table(game, policy, kept)]
                 if len(kept) == 2:
                     tables.append(project_bimatrix(game, policy, *kept))
                 for table in tables:

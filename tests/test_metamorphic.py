@@ -7,6 +7,8 @@ relation is in ``test_engine``.)"""
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from oagame import (CompletionPolicy, GameError, PayoffTable,
                     admissible_rows, compile_game, derive_payoff_table,
                     enumeration_report, parse_game_spec, project_bimatrix,
@@ -168,3 +170,17 @@ def test_declaration_order_changes_no_count_or_row(oa_game):
                 **{section: getattr(game, section)[::-1]})
             assert (enumeration_report(reordered),
                     _named_rows(reordered)) == figures, (section, game)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_any_declaration_order_leaves_the_census(seed, shuffler):
+    """Players, variables and utilities in any order, each list permuted
+    on its own through ``_replace``: the census is the same."""
+    game = random_rich_game(random.Random(seed))
+    sections = {name: list(getattr(game, name))
+                for name in ("players", "variables", "utilities")}
+    for items in sections.values():
+        shuffler.shuffle(items)
+    permuted = game._replace(**{k: tuple(v) for k, v in sections.items()})
+    assert enumeration_report(permuted) == enumeration_report(game)

@@ -85,17 +85,23 @@ UNWANTED = {"dataclasses", "inspect", "hashlib", "_hashlib", "json",
 # Modules for exact numbers, which no command of the game alone builds.
 EXACT = {"fractions", "decimal"}
 
-# What every command loads: the CLI, the handlers' shared helpers, its
-# report writer, the bundled-fixture lookup and ``GameError`` with the
-# payoff table.
+# What every command loads: the CLI, the handlers' shared helpers, the
+# report builder with its table writer, the bundled-fixture lookup and
+# ``GameError`` with the payoff table.
 FRONT = ["oagame", "oagame._table", "oagame.cli", "oagame.commands",
          "oagame.fixtures", "oagame.report"]
 
 # What every command that reads a game loads beyond its own handler: the
-# game commands' helpers, the parser and the game model.  ``_support``
-# holds the solvers only ``mixed`` runs.
+# game commands' helpers, the parser and the game model.  Each module below
+# is loaded only by the commands that run it: the --policy options with
+# the engine and its payoff tables; the ``.bmx`` loader and certificate
+# writer with the bimatrix layer; ``_support``, the solvers only ``mixed``
+# runs; and the JSON and the delimited writers.
 GAME = ["commands._game", "dsl", "model"]
-SOLVERS = ["equilibrium", "_support"]
+POLICY = ["commands._policy", "engine", "_payoffs"]
+BIMATRIX = ["commands._bimatrix", "equilibrium"]
+SOLVERS = BIMATRIX + ["_support"]
+JSON = ["_json_writer"]
 TABLE6_MIX = ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/2,1/2",
               "--col-mix", "1/3,2/3")
 
@@ -111,36 +117,93 @@ def _run_loaded(*argv):
 
 # Each command in its default table format unless named otherwise: the
 # package modules it loads beyond ``FRONT`` and its own handler module, and
-# the standard-library modules it must not load.
+# the standard-library modules it must not load.  The bimatrix commands
+# load no game layer, and the table-format game commands that take no
+# policy load none of the modules above but the engine.
 @pytest.mark.parametrize("argv, layers, unloaded", [
     (("mixed", "--bimatrix", "table6.bmx"), SOLVERS, set()),
-    (("mixed", "--bimatrix", "table6.bmx", "--format", "json"), SOLVERS,
-     set()),
-    (("nash", "--bimatrix", "table5.bmx"), ["equilibrium"], set()),
-    (TABLE6_MIX, ["equilibrium"], set()),
-    (TABLE6_MIX + ("--format", "json"), ["equilibrium"], set()),
+    (("mixed", "--bimatrix", "table6.bmx", "--format", "json"),
+     SOLVERS + JSON, set()),
+    (("nash", "--bimatrix", "table5.bmx"), BIMATRIX, set()),
+    (TABLE6_MIX, BIMATRIX, set()),
+    (TABLE6_MIX + ("--format", "json"), BIMATRIX + JSON, set()),
     (("validate", "--game", "oa.game"), GAME, EXACT),
     (("enumerate", "--game", "oa.game"), GAME + ["engine"], EXACT),
     (("enumerate", "--game", "oa.game", "--dump"), GAME + ["engine"],
      EXACT),
+    (("enumerate", "--game", "oa.game", "--dump", "--format", "delimited"),
+     GAME + ["engine", "_delimited_writer"], EXACT),
     (("top", "--game", "oa.game"), GAME + ["engine"], EXACT),
-    (("payoffs", "--game", "oa.game"), GAME + ["engine"], EXACT),
+    (("payoffs", "--game", "oa.game"), GAME + POLICY, EXACT),
+    (("payoffs", "--game", "oa.game", "--format", "json"),
+     GAME + POLICY + JSON, EXACT),
     (("project", "--game", "oa.game", "--row-player", "Academics",
-      "--col-player", "Editors"), GAME + ["engine", "equilibrium"], set()),
+      "--col-player", "Editors"), GAME + POLICY + ["equilibrium"], set()),
     (("nash", "--game", "oa.game", "--format", "json"),
-     GAME + ["engine", "equilibrium"], set()),
-    (("reproduce",), GAME + ["engine", "equilibrium"], set()),
+     GAME + POLICY + BIMATRIX + JSON, set()),
+    (("reproduce",), GAME + ["engine", "_payoffs"] + BIMATRIX, set()),
 ], ids=["mixed", "mixed-json", "nash-bimatrix", "expected", "expected-json",
-        "validate", "enumerate", "enumerate-dump", "top", "payoffs",
-        "project", "nash-game-json", "reproduce"])
+        "validate", "enumerate", "enumerate-dump", "enumerate-dump-delimited",
+        "top", "payoffs", "payoffs-json", "project", "nash-game-json",
+        "reproduce"])
 def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
     code, stderr, loaded, added = _run_loaded(*argv)
     assert (code, stderr) == (0, "")
     assert loaded == sorted(FRONT + [f"oagame.commands.{argv[0]}"]
                             + [f"oagame.{m}" for m in layers])
     assert (UNWANTED | unloaded).isdisjoint(added)
-    # ``report`` loads json's C string encoder on its first JSON string.
+    # The JSON writer loads json's C string encoder on its first string.
     assert ("_json" in added) == ("json" in argv)
+
+
+# One command line of each subcommand, and a help text, with the modules
+# each loads: --policy, --dump, every format and both --dominance notions.
+_EVERY_SUBCOMMAND = [
+    ("validate", "--game", "oa.game", "--format", "json"),
+    ("enumerate", "--game", "oa.game", "--dump", "--format", "delimited"),
+    ("top", "--game", "oa.game"),
+    ("payoffs", "--game", "oa.game", "--policy", "optimistic",
+     "--policy-player", "Editors"),
+    ("project", "--game", "oa.game", "--row-player", "Academics",
+     "--col-player", "Editors", "--format", "bmx"),
+    ("nash", "--game", "oa.game", "--policy", "fixed", "--fix",
+     "Savings=More"),
+    ("nash", "--bimatrix", "table5.bmx", "--format", "json"),
+    ("mixed", "--bimatrix", "table6.bmx", "--dominance", "weak"),
+    ("mixed", "--bimatrix", "table6.bmx", "--dominance", "strict"),
+    TABLE6_MIX,
+    ("reproduce", "--format", "json"),
+    ("enumerate", "--help"),
+]
+
+# Runs every command line of ``_EVERY_SUBCOMMAND`` in turn in one
+# interpreter, output discarded, and prints their exit statuses and
+# whether ``typing`` was loaded before the package, and after.
+_TYPING = """
+import sys
+typing_first = "typing" in sys.modules
+import contextlib, io
+from oagame import cli
+codes = []
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run_cli(list(argv)))
+print(repr([codes, typing_first, "typing" in sys.modules]))
+"""
+
+
+def test_no_command_loads_typing():
+    """Under ``python -S``, since ``site`` may load ``typing`` itself (a
+    ``.pth`` file that imports a package which uses it): no subcommand,
+    nor the argparse path, loads ``typing``."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _TYPING % (_EVERY_SUBCOMMAND,)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    codes, typing_first, typing_after = ast.literal_eval(proc.stdout)
+    assert codes == [0] * len(_EVERY_SUBCOMMAND)
+    assert (typing_first, typing_after) == (False, False)
 
 
 @pytest.mark.parametrize("argv, status", [

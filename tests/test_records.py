@@ -13,7 +13,7 @@ from oagame.dsl import (
     SourceSpan,
     ValidatedGame,
 )
-from oagame.engine import CompletionPolicy, EnumerationReport
+from oagame.engine import CompletionPolicy, EnumerationReport, _Block
 from oagame.equilibrium import (
     Bimatrix,
     BimatrixFormatError,
@@ -142,14 +142,54 @@ def test_record_construction_equality_and_immutability(cls, required,
      ValueError, "probabilities sum to 1/2, not 1"),
     (lambda: CompletionPolicy()._replace(kind="bogus"),
      ValueError, "unknown completion policy 'bogus'"),
+    (lambda: PayoffTable._make((*TABLE[:2], TABLE.cells[:3])),
+     ValueError, "3 cells for 4 action profiles"),
+    (lambda: MixedStrategy._make(("A", (("x", F(1, 2)),))),
+     ValueError, "probabilities sum to 1/2, not 1"),
+    (lambda: CompletionPolicy._make(("optimistic", None, (), ())),
+     ValueError, "optimistic policy requires a player"),
 ], ids=["bimatrix-rows", "bimatrix-cols", "mix-negative", "mix-sum",
         "policy-kind", "policy-player-keyword", "policy-player",
         "bimatrix-replace", "table-players", "table-three-cells",
         "table-five-cells", "table-replace-players", "table-replace-cells",
-        "mix-replace", "policy-replace"])
+        "mix-replace", "policy-replace", "table-make", "mix-make",
+        "policy-make"])
 def test_record_validation_still_fires(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+# Every record type with a sample: the public ones of ``RECORDS``, and the
+# engine's profile block (its lists and dict as tuples, to hash it).
+SAMPLES = [cls(*required.values()) for cls, required, _ in RECORDS] + [
+    _Block(((0, 1),), (0,), None, ((0, (0,)),), 1, None)]
+
+
+@pytest.mark.parametrize("record", SAMPLES,
+                         ids=[type(r).__name__ for r in SAMPLES])
+def test_record_keeps_the_named_tuple_contract(record):
+    """Each record, a ``collections.namedtuple`` subclass, keeps its
+    fields and their defaults, ``_make`` and ``_replace``, a repr by its
+    own name, value equality and hash with its plain tuple, and no
+    instance dict, except ``GameSpec``, which keeps its compiled form in
+    one.  A ``Bimatrix`` is a table whose copies are the plain table."""
+    cls, plain = type(record), tuple(record)
+    assert record == plain and hash(record) == hash(plain)
+    assert record._make(plain) == record._replace() == record
+    assert type(record._replace()) is (PayoffTable if cls is Bimatrix
+                                       else cls)
+    assert record._asdict() == dict(zip(cls._fields, plain))
+    assert set(cls._field_defaults) <= set(cls._fields)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{k}={v!r}" for k, v in record._asdict().items()) + ")"
+    assert hasattr(record, "__dict__") == (cls is GameSpec)
+
+
+def test_record_fields_and_defaults_are_declared_in_order():
+    for cls, required, defaults in RECORDS:
+        if cls is not Bimatrix:  # built from rows; its fields are a table's
+            assert cls._fields == (*required, *defaults), cls
+            assert cls._field_defaults == defaults, cls
 
 
 def test_replace_rebuilds_outcome_variable_lookups():

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from oagame import (GameError, GameSpec, OutcomeVarDef, PlayerDef,
                     UtilityDef, admissible_rows, top_gu_rows)
-from oagame import report as rp
+from oagame import _json_writer, report as rp
+from oagame.commands._bimatrix import number
 from oagame.engine import record_cells, rows_as_records
 
 from .oracle import (delimited_report, flat_rows, random_rich_game,
@@ -173,7 +174,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(_JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
-    assert rp._json(value) == json.dumps(value, indent=2)
+    assert _json_writer._json(value) == json.dumps(value, indent=2)
     out = io.StringIO()
     rp.emit_report({"v": value}, "json", out)
     assert out.getvalue() == REFERENCE["json"]({"v": value})
@@ -184,7 +185,7 @@ def test_json_writer_refuses_what_json_cannot_write(value):
     with pytest.raises(TypeError):
         json.dumps(value)
     with pytest.raises(TypeError):
-        rp._json(value)
+        _json_writer._json(value)
     with pytest.raises(TypeError):
         rp.emit_report({"v": value}, "json", io.StringIO())
 
@@ -196,10 +197,10 @@ _PURE_ENCODER = """
 import ast, sys
 sys.modules["_json"] = None
 import json.encoder
-from oagame import report
-texts = [report._json(v) for v in ast.literal_eval(sys.stdin.read())]
-assert report._json("") == '""'  # bound even if no value held a string
-assert report._quote is json.encoder.py_encode_basestring_ascii
+from oagame import _json_writer
+texts = [_json_writer._json(v) for v in ast.literal_eval(sys.stdin.read())]
+assert _json_writer._json("") == '""'  # bound even if no value held a string
+assert _json_writer._quote is json.encoder.py_encode_basestring_ascii
 print(ascii(texts))
 """
 
@@ -226,9 +227,9 @@ def test_number_refuses_a_part_past_the_digit_limit():
     """Python writes an int of at most 4300 digits as text, and
     ``number`` refuses a figure with a longer part at once."""
     edge = 10 ** 4300 - 1
-    assert rp.number(Fraction(-edge, edge - 1)) == f"{-edge}/{edge - 1}"
-    assert rp.number(Fraction(edge)) == edge
+    assert number(Fraction(-edge, edge - 1)) == f"{-edge}/{edge - 1}"
+    assert number(Fraction(edge)) == edge
     for figure in (Fraction(10 ** 4300), Fraction(-10 ** 4300, 7),
                    Fraction(1, 10 ** 4300)):
         with pytest.raises(GameError, match="more than 4300 digits"):
-            rp.number(figure)
+            number(figure)
