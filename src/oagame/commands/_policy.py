@@ -43,22 +43,19 @@ def _policy(args, game) -> CompletionPolicy:
                         USAGE_ERROR)
     if kind != "fixed":
         return CompletionPolicy(kind)
-    actions, outcomes = {}, {}  # canonical name -> canonical value
+    from ..model import ACTION, OUTCOME
+    fixed = {ACTION: {}, OUTCOME: {}}  # canonical name -> canonical value
     for name, value in fixes:
-        player = game.player(name)
-        if player is not None:
-            fixed, subject, canon = actions, player.name, player.action(value)
-        elif (var := game.variable(name)) is not None:
-            fixed, subject = outcomes, var.name
-            canon = var.canonical_value(value)
-        else:
+        kind, subject, canon = game.bind(name, value)
+        if kind is None:
             raise _CliError(f"--fix names unknown player or variable "
                             f"{name!r}", USAGE_ERROR)
         if canon is None:
             raise _CliError(f"unknown value {value!r} for {name!r}",
                             USAGE_ERROR)
-        if fixed.setdefault(subject, canon) != canon:
+        if fixed[kind].setdefault(subject, canon) != canon:
             raise _CliError(f"--fix gives {subject!r} two values: "
-                            f"{fixed[subject]!r} and {canon!r}", USAGE_ERROR)
-    return CompletionPolicy("fixed", None, tuple(actions.items()),
-                            tuple(outcomes.items()))
+                            f"{fixed[kind][subject]!r} and {canon!r}",
+                            USAGE_ERROR)
+    return CompletionPolicy("fixed", None, tuple(fixed[ACTION].items()),
+                            tuple(fixed[OUTCOME].items()))

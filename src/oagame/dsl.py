@@ -220,6 +220,13 @@ def _parse_atom_list(
 
 
 _POSSESSIVE_RE = re.compile(r"^(\S+?)(?:['’]s|['’])\s+(.+)$")
+# Strict mode's error kind and message for an atom, by its name's kind
+# (``GameSpec.bind``): its token is the value, or an unbound name.
+_UNBOUND = {
+    ACTION: ("resolution", "unknown action {value!r} for player {subject!r}"),
+    OUTCOME: ("domain-mismatch",
+              "value {value!r} is not in the domain of variable {subject!r}"),
+    None: ("resolution", "unknown player or variable {subject!r}")}
 
 
 def _resolve_atom(
@@ -230,38 +237,27 @@ def _resolve_atom(
     mode: str,
     line: int,
 ) -> tuple[Atom | None, ParseError | None]:
-    phrase = name
-    m = _POSSESSIVE_RE.match(phrase)
-    if m and game.player(m.group(1)) is not None:
-        phrase = m.group(2).strip()
-    player = game.player(phrase)
-    if player is not None and role == "assignment":
+    # The whole phrase first; a possessive prefix naming a player is
+    # stripped only when the whole phrase names nothing.
+    kind, subject, canon = game.bind(name, value)
+    m = _POSSESSIVE_RE.match(name)
+    if kind is None and m and game.player(m.group(1)) is not None:
+        name = m.group(2)
+        kind, subject, canon = game.bind(name, value)
+    if kind == ACTION and role == "assignment":
         return None, ParseError(
             _span(line), "resolution",
             f"rule assignments must set outcome variables, not player "
-            f"{player.name!r}", phrase)
-    # Each branch names its error kind, message template and token; the
-    # message is only formatted for an atom that fails in strict mode.
-    if player is not None:
-        kind, subject, canon = ACTION, player.name, player.action(value)
-        error = ("resolution", "unknown action {value!r} for player "
-                               "{subject!r}", value)
-    elif (var := game.variable(phrase)) is not None:
-        kind, subject, canon = OUTCOME, var.name, var.canonical_value(value)
-        error = ("domain-mismatch", "value {value!r} is not in the domain of "
-                                    "variable {subject!r}", value)
-    else:
-        kind, subject, canon = OUTCOME, phrase, None
-        error = ("resolution", "unknown player or variable {subject!r}",
-                 phrase)
+            f"{subject!r}", name)
     if canon is not None:
         return Atom(kind, subject, canon), None
     if mode == LENIENT:
-        return Atom(kind, subject, value, inert=True), None
-    error_kind, template, token = error
+        return Atom(kind or OUTCOME, subject, value, inert=True), None
+    # The message is only formatted for an atom that fails in strict mode.
+    error_kind, template = _UNBOUND[kind]
     return None, ParseError(_span(line), error_kind,
                             template.format(value=value, subject=subject),
-                            token)
+                            value if kind else name)
 
 
 def parse_rule(
@@ -590,24 +586,15 @@ def validate_game(game: GameSpec) -> ValidatedGame:
                                        f"variable {vname!r} appears in "
                                        f"{count} utility definitions"))
 
-    # Rule atoms must name declared players, variables, actions and values
-    # exactly (``GameSpec.atom_index``, as the engine compiles them); inert
-    # atoms are exempt.
+    # Rule atoms the game cannot hold, as the engine refuses them; a faulted
+    # atom that resolves sets a player.
     for rule in game.rules:
-        for part, atoms in (("condition", rule.condition),
-                            ("consequence", rule.consequence),
-                            ("otherwise-branch", rule.otherwise)):
-            for atom in atoms:
-                if atom.inert:
-                    continue
-                if atom.kind == ACTION and part != "condition":
-                    errors.append(Diagnostic(
-                        "error", f"{part} of rule {rule.source!r} sets "
-                                 f"player {atom.subject!r}"))
-                elif game.atom_index(*atom[:3]) is None:
-                    errors.append(Diagnostic(
-                        "error", f"{part} of rule {rule.source!r} names "
-                                 f"undeclared {atom.subject}={atom.value}"))
+        for part, atom in game.rule_faults(rule):
+            fault = (f"names undeclared {atom.subject}={atom.value}"
+                     if game.atom_index(*atom[:3]) is None
+                     else f"sets player {atom.subject!r}")
+            errors.append(Diagnostic(
+                "error", f"{part} of rule {rule.source!r} {fault}"))
 
     for i, a in enumerate(game.rules):
         for b in game.rules[i + 1:]:

@@ -13,9 +13,10 @@ per ``GameSpec`` and kept on it.  Players, actions, variables and values
 become indices, each variable has a score tuple, and each rule atom is a
 ``(player or variable index, action or value index)`` pair with inert atoms
 folded in, so a rule with an inert condition atom keeps only its
-otherwise-branch and inert assignment atoms are gone.  Every other atom
-must resolve by ``GameSpec.atom_index``, as ``validate_game`` requires, or
-compiling raises ``NameResolutionError``.  For each
+otherwise-branch and inert assignment atoms are gone.  Compiling raises
+``NameResolutionError`` for an atom of ``GameSpec.rule_faults``, naming its
+part as ``validate_game`` does, such as ``consequence of rule '...'``.
+For each
 action profile, the rules decided by the profile alone force variable
 values up front; the rules that test outcome variables are checked once per
 assignment of the variables they mention (the coupled block), and the
@@ -101,7 +102,8 @@ class CompiledGame:
     ``(action test, outcome tests, consequence, otherwise)``: the action
     test is a ``_selector`` of the condition's action pairs, or None when
     the condition has an inert atom and can never hold, and the rest are
-    index pairs.  Every non-inert atom must resolve; see ``_pairs``.
+    ``atom_index`` pairs.  A rule with a ``GameSpec.rule_faults`` fault
+    raises ``NameResolutionError`` for its first.
     A player's utility terms are resolved each time its utility is asked
     for, so a player without a utility definition is an error only for
     the consumers that need one.  Profile blocks (``_Block``) are kept per
@@ -121,30 +123,18 @@ class CompiledGame:
         # (deferred rule indices, forced values) -> _block(...)
         self._blocks: dict[tuple, _Block] = {}
 
-    def _pairs(self, rule: Rule, part: str, atoms) -> tuple:
-        """The ``atom_index`` pair of each atom of ``atoms``, the ``part``
-        (``condition`` or ``assignment``) of ``rule``, inert atoms skipped;
-        an atom naming anything undeclared, or assigning a player, raises."""
-        pairs = []
-        for atom in atoms:
-            if atom.inert:
-                continue
-            pair = (None if atom.kind == ACTION and part == "assignment"
-                    else self.game.atom_index(*atom[:3]))
-            if pair is None:
-                raise NameResolutionError(f"{part} of rule {rule.source!r}",
-                                          f"{atom.subject}={atom.value}")
-            pairs.append(pair)
-        return tuple(pairs)
-
     def _rule(self, rule: Rule):
-        acts, tests = (self._pairs(rule, "condition",
-                                   [a for a in rule.condition if a.kind == k])
-                       for k in (ACTION, OUTCOME))
+        for part, atom in self.game.rule_faults(rule):
+            raise NameResolutionError(f"{part} of rule {rule.source!r}",
+                                      f"{atom.subject}={atom.value}")
+
+        def pairs(atoms, kind=None):
+            return tuple(self.game.atom_index(*a[:3]) for a in atoms
+                         if not a.inert and kind in (None, a.kind))
         never = any(a.inert for a in rule.condition)
-        return (None if never else _selector(acts), tests,
-                self._pairs(rule, "assignment", rule.consequence),
-                self._pairs(rule, "assignment", rule.otherwise))
+        return (None if never else _selector(pairs(rule.condition, ACTION)),
+                pairs(rule.condition, OUTCOME), pairs(rule.consequence),
+                pairs(rule.otherwise))
 
     def profiles(self):
         """Every profile, in canonical order."""

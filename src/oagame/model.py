@@ -111,18 +111,42 @@ class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
     def variable(self, name: str) -> OutcomeVarDef | None:
         return _named(self.variables, name)
 
+    def bind(self, name: str, value: str) -> tuple:
+        """``(kind, subject, canonical value)`` of a written ``name = value``
+        pair, by ``name_key`` and aliases: ACTION and a player's declared
+        name, else OUTCOME and a variable's, else None and ``name``; the
+        value is None when ``value`` names nothing of the subject."""
+        if (player := self.player(name)) is not None:
+            return ACTION, player.name, player.action(value)
+        if (var := self.variable(name)) is not None:
+            return OUTCOME, var.name, var.canonical_value(value)
+        return None, name, None
+
     def atom_index(self, kind: str, subject: str,
                    value: str) -> tuple[int, int] | None:
         """``(i, j)`` of a rule atom by exact declared names: the ``i``-th
         player and its ``j``-th action (ACTION) or the ``i``-th variable
         and its ``j``-th value (OUTCOME); None when it names anything
-        undeclared.  The one lookup of validation and the engine."""
+        undeclared."""
         decls = self.players if kind == ACTION else self.variables
         for i, d in enumerate(decls):
             if d.name == subject:
                 names = d.actions if kind == ACTION else d.value_names()
                 return (i, names.index(value)) if value in names else None
         return None
+
+    def rule_faults(self, rule: Rule):
+        """Yield ``(part, atom)`` for each non-inert atom of ``rule`` that
+        sets a player in the ``consequence`` or the ``otherwise-branch``, or
+        that ``atom_index`` does not resolve: what the game cannot hold."""
+        for part, atoms in (("condition", rule.condition),
+                            ("consequence", rule.consequence),
+                            ("otherwise-branch", rule.otherwise)):
+            for atom in atoms:
+                if not atom.inert and (
+                        atom.kind == ACTION and part != "condition"
+                        or self.atom_index(*atom[:3]) is None):
+                    yield part, atom
 
     def utility_for(self, player: str) -> UtilityDef:
         p = self.player(player)

@@ -857,6 +857,11 @@ def test_fixture_digests_stable():
         assert len(fixtures.fixture_digest(name)) == 64
 
 
+def test_an_unknown_fixture_name_is_a_key_error():
+    with pytest.raises(KeyError, match="no bundled fixture 'no-such.game'"):
+        fixtures.fixture_text("no-such.game")
+
+
 # Text with non-ASCII and non-BMP characters among the rest.  No lone
 # surrogates: text read as UTF-8 holds none, and neither sha256 encodes
 # them.

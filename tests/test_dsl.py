@@ -262,6 +262,31 @@ def test_rule_possessive_prefixes(oa_game):
     assert rule.consequence[0].subject == "Income"
 
 
+def test_rule_binds_the_whole_phrase_before_a_possessive_prefix():
+    luck = parse_game_spec(
+        'game "g"\nplayer A actions: "x", "y"\n'
+        "variable A's Luck owner: A values: Hi=1, Lo=0\n"
+        "utility A = A's Luck\n"
+        'rule if A="x" then A\'s Luck="Hi".\n')
+    assert luck.ok, [str(e) for e in luck.errors]
+    assert luck.game.rules[0].consequence == (Atom(OUTCOME, "A's Luck", "Hi"),)
+    both = parse_game_spec(
+        'game "g"\nplayer A actions: "x", "y"\n'
+        "variable A's V owner: A values: Hi=1, Lo=0\n"
+        "variable V owner: A values: Hi=1, Lo=0\n"
+        "utility A = A's V + V\n").game
+    for text, subject in (("if A='x' then A's V='Hi'.", "A's V"),
+                          ("if A='x' then A’ V='Hi'.", "V"),
+                          ("if A='x' then V='Hi'.", "V")):
+        rule, errors = parse_rule(text, both)
+        assert not errors, (text, [str(e) for e in errors])
+        assert rule.consequence == (Atom(OUTCOME, subject, "Hi"),)
+    # An error still names the phrase as written, prefix stripped.
+    rule, errors = parse_rule("if A='x' then A's W='Hi'.", both)
+    assert (rule, errors[0].message, errors[0].token) == (
+        None, "unknown player or variable 'W'", "W")
+
+
 def test_rule_accepts_mixed_quote_glyphs(oa_game):
     for text in (
         "if Editors='Grant OA' then Income='Less'.",
@@ -398,31 +423,40 @@ _RULE_ATOM_ERROR = re.compile(r"(condition|consequence|otherwise-branch) "
                               r"of rule ")
 
 
-def _refused(game) -> tuple[bool, bool]:
-    """Whether ``validate_game`` reports a rule-atom error, and whether
-    ``compile_game`` raises ``NameResolutionError``."""
-    reported = any(_RULE_ATOM_ERROR.match(d.message)
-                   for d in validate_game(game).errors)
+def _refusals(game) -> tuple[list[str], str | None]:
+    """The rule-atom errors ``validate_game`` reports, and the context of
+    the ``NameResolutionError`` that ``compile_game`` raises, or None."""
+    reported = [d.message for d in validate_game(game).errors
+                if _RULE_ATOM_ERROR.match(d.message)]
     try:
         compile_game(game)
-    except NameResolutionError:
-        return reported, True
-    return reported, False
+    except NameResolutionError as exc:
+        return reported, exc.context
+    return reported, None
+
+
+def _agree(reported, context) -> bool:
+    """Whether validation and compilation refuse the same rule part: no
+    error and no exception, or one error that starts with the context."""
+    if context is None:
+        return not reported
+    return len(reported) == 1 and reported[0].startswith(context + " ")
 
 
 def test_valid_game_compiles_after_any_one_atom_change(oa_game):
     """Whatever one rule atom is changed to, ``validate_game`` reports a
-    rule-atom error exactly when ``compile_game`` refuses the game: on the
-    198 changes of ``oa.game`` and on those of 100 rich random games."""
-    verdicts = [_refused(game) for game in _one_atom_changes(oa_game)]
+    rule-atom error exactly when ``compile_game`` refuses the game, and
+    both name the same part of the same rule: on the 198 changes of
+    ``oa.game`` and on those of 100 rich random games."""
+    verdicts = [_refusals(game) for game in _one_atom_changes(oa_game)]
     assert len(verdicts) == 198
-    assert sum(reported for reported, _ in verdicts) == 132
-    assert all(reported == raised for reported, raised in verdicts)
+    assert sum(bool(reported) for reported, _ in verdicts) == 132
+    assert all(_agree(*verdict) for verdict in verdicts)
     rng, changes = random.Random(36), 0
     for _ in range(100):
         for game in _one_atom_changes(random_rich_game(rng)):
-            reported, raised = _refused(game)
-            assert reported == raised, game.rules
+            verdict = _refusals(game)
+            assert _agree(*verdict), (game.rules, verdict)
             changes += 1
     assert changes == 4956
 
@@ -653,16 +687,17 @@ def test_serialize_refuses_a_name_whose_quotes_would_be_read(section, change):
         serialize_game(game)
 
 
-def test_serialize_refuses_a_possessive_variable_name_in_a_rule():
-    # The rule's atom A's V=Hi would read back as the inert atom V=Hi.
+def test_serialize_writes_a_possessive_variable_name_in_a_rule():
+    # The atom A's V=Hi reads back whole, its A's not stripped as a possessive.
     game = parse_game_spec(
         'game "g"\nplayer A actions: "x"\n'
         "variable A's V owner: A values: Hi=1, Lo=0\n"
         "utility A = A's V\n").game
     game = game._replace(rules=(Rule((Atom(ACTION, "A", "x"),),
                                      (Atom(OUTCOME, "A's V", "Hi"),)),))
-    with pytest.raises(ValueError, match=re.escape(DIFFERENT_GAME)):
-        serialize_game(game)
+    result = parse_game_spec(serialize_game(game))
+    assert result.ok, [str(e) for e in result.errors]
+    assert _logic(result.game) == _logic(game)
 
 
 @pytest.mark.parametrize("terms, reason", [

@@ -605,21 +605,23 @@ def test_player_without_utility_enumerates_but_has_no_payoffs():
 
 def test_names_that_bypassed_validation_are_refused_on_use():
     """A hand-built game that was never validated: an assignment to an
-    undeclared value, a condition naming an undeclared action, value or
-    variable, and a utility summing an undeclared variable."""
+    undeclared value, in the consequence or the otherwise-branch, a
+    condition naming an undeclared action, value or variable, and a utility
+    summing an undeclared variable.  The context names the rule part as
+    ``validate_game`` does."""
     players = (PlayerDef("A", ("x",)),)
     variables = (OutcomeVarDef("V", "A", (("Hi", 1), ("Lo", 0))),)
-    hi = Atom(OUTCOME, "V", "Hi")
-    for part, condition, consequence in (
-            ("assignment", Atom(ACTION, "A", "x"),
-             Atom(OUTCOME, "V", "Bogus")),
-            ("condition", Atom(ACTION, "A", "Bogus"), hi),
-            ("condition", Atom(OUTCOME, "V", "Bogus"), hi),
-            ("condition", Atom(OUTCOME, "W", "Hi"), hi)):
-        rule = Rule((condition,), (consequence,), source="r")
+    x, hi, bogus = (Atom(ACTION, "A", "x"), Atom(OUTCOME, "V", "Hi"),
+                    Atom(OUTCOME, "V", "Bogus"))
+    for part, bad, rule in (
+            ("consequence", bogus, Rule((x,), (bogus,))),
+            ("otherwise-branch", bogus, Rule((x,), (hi,), (bogus,))),
+            ("condition", Atom(ACTION, "A", "Bogus"), None),
+            ("condition", Atom(OUTCOME, "V", "Bogus"), None),
+            ("condition", Atom(OUTCOME, "W", "Hi"), None)):
+        rule = (rule or Rule((bad,), (hi,)))._replace(source="r")
         with pytest.raises(NameResolutionError) as exc:
             enumeration_report(GameSpec("g", players, variables, (rule,), ()))
-        bad = condition if part == "condition" else consequence
         token, context = f"{bad.subject}={bad.value}", f"{part} of rule 'r'"
         assert str(exc.value) == f"unknown name {token!r} in {context}"
         assert (exc.value.context, exc.value.token) == (context, token)

@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from oagame import (
+    ACTION,
+    OUTCOME,
     MissingUtilityError,
     compile_game,
 )
@@ -68,6 +70,37 @@ def test_value_lookup_answers_none_for_an_unknown_name(oa_game):
         assert opp.canonical_value(f" {alias.upper()} ") == canon
     assert opp.canonical_value("more") == "More"
     assert opp.canonical_value("Medium") is None
+
+
+def _respelled(name):
+    """``name`` in the other case, with outer whitespace."""
+    return f" {name.swapcase()}\t"
+
+
+def test_bind_resolves_names_aliases_and_values(oa_game):
+    bound = []
+    for p in oa_game.players:
+        for name in (p.name, *p.aliases):
+            bound += [(oa_game.bind(_respelled(name), _respelled(a)),
+                       (ACTION, p.name, a)) for a in p.actions]
+    for v in oa_game.variables:
+        for name in (v.name, *v.aliases):
+            bound += [(oa_game.bind(_respelled(name), _respelled(value)),
+                       (OUTCOME, v.name, canon))
+                      for value, canon in (*zip(v.value_names(),
+                                                v.value_names()),
+                                           *v.value_aliases)]
+    # 28 (player name or alias, action) pairs: 3 + 3 + 2 * 3 + 2 * 4 + 2 * 4;
+    # 22 (variable name or alias, value or value alias) pairs: Opportunity
+    # has 4 values and value aliases, the two aliased variables 2 * 2 each,
+    # the five others 2 each.
+    assert len(bound) == 28 + 22
+    assert all(got == want for got, want in bound)
+    assert oa_game.bind("Opportunity", "Maximal") == (
+        OUTCOME, "Opportunity", "More")
+    assert oa_game.bind("Editor", "Grant nothing") == (ACTION, "Editors", None)
+    assert oa_game.bind("Income", "Medium") == (OUTCOME, "Income", None)
+    assert oa_game.bind(" Nobody ", "More") == (None, " Nobody ", None)
 
 
 def test_agent_utilities_on_ideal_row(oa_game):
