@@ -19,21 +19,23 @@ _EXPORTS = {
     ), "model"),
     **dict.fromkeys(("GameError", "PayoffTable"), "_table"),
     **dict.fromkeys((
-        "Diagnostic", "ParseError", "ParseResult", "SourceSpan",
-        "ValidatedGame", "parse_game_spec", "parse_rule", "serialize_game",
-        "validate_game",
+        "ParseError", "ParseResult", "SourceSpan", "parse_game_spec",
+        "parse_rule",
     ), "dsl"),
+    **dict.fromkeys((
+        "Diagnostic", "ValidatedGame", "serialize_game", "validate_game",
+    ), "_validator_writer"),
     **dict.fromkeys((
         "CompiledGame", "CompletionPolicy", "EnumerationReport",
         "RowBudgetError", "admissible_rows", "compile_game",
-        "derive_payoff_table", "enumeration_report", "top_gu_rows",
+        "derive_payoff_table", "enumeration_report", "project_bimatrix",
+        "top_gu_rows",
     ), "engine"),
     **dict.fromkeys((
         "Bimatrix", "DominanceResult", "EquilibriumCertificate",
         "InfeasibleSliceError", "MixedStrategy", "best_responses",
         "dominance_analysis", "expected_utility", "mixed_nash_2p",
-        "parse_bimatrix", "project_bimatrix", "pure_nash",
-        "serialize_bimatrix",
+        "parse_bimatrix", "pure_nash", "serialize_bimatrix",
     ), "equilibrium"),
 }
 

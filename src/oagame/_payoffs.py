@@ -1,6 +1,6 @@
 """The payoff tables of ``oagame.engine``: ``derive_payoff_table`` and
-``equilibrium.project_bimatrix`` import this module inside the call, so
-only the commands that build a table compile it."""
+``project_bimatrix`` import this module inside the call, so only the
+commands that build a table compile it."""
 
 from __future__ import annotations
 

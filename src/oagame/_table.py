@@ -1,7 +1,7 @@
 """What the game model and the bimatrix layer share, so that a bimatrix
 command does not load ``oagame.model`` (which re-exports both names):
-``GameError``, ``PayoffTable`` and the size checks on numeric literals and
-figures.
+``GameError``, ``PayoffTable``, the ``(u,v)`` text of a payoff cell and the
+size checks on numeric literals and figures.
 """
 
 from __future__ import annotations
@@ -72,3 +72,9 @@ class PayoffTable(namedtuple("PayoffTable", ("players", "actions",
 
     def payoff(self, profile: tuple[str, ...]) -> tuple[int, ...] | None:
         return self.cells[self._index(profile)]
+
+
+def payoff_pair(cell: tuple | None) -> str | None:
+    """The exact ``(u,v)`` text of a payoff cell, or None when it is
+    infeasible."""
+    return None if cell is None else "(%s,%s)" % cell

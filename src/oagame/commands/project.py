@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 from .. import report as rp
 from . import USAGE_ERROR, _CliError
 from ._game import _game_or_fail
@@ -13,7 +15,7 @@ if TYPE_CHECKING:
 
 
 def _bimatrix_records(table: PayoffTable) -> list[dict]:
-    from ..equilibrium import payoff_pair
+    from .._table import payoff_pair
     (row, _), (row_actions, col_actions) = table.players, table.actions
     if row in col_actions:  # that key holds the row action
         raise ValueError(f"cannot write the matrix records: column action "
@@ -24,7 +26,13 @@ def _bimatrix_records(table: PayoffTable) -> list[dict]:
 
 
 def run(args) -> tuple[int, dict | str]:
-    from ..equilibrium import project_bimatrix, serialize_bimatrix
+    from .. import engine
+    # ``oagame.equilibrium`` serves ``engine.project_bimatrix`` too.  Read
+    # it there when that module is loaded, so that a wrapper installed on
+    # that attribute sees the call; only --format bmx loads it, for its
+    # writer.
+    project_bimatrix = getattr(sys.modules.get("oagame.equilibrium", engine),
+                               "project_bimatrix")
     game, digest = _game_or_fail(args)
     policy = _policy(args, game)
     row, col = (_declared_player(game, name)
@@ -34,6 +42,7 @@ def run(args) -> tuple[int, dict | str]:
                         USAGE_ERROR)
     table = project_bimatrix(game, policy, row, col)
     if args.format == "bmx":
+        from ..equilibrium import serialize_bimatrix
         return 0, serialize_bimatrix(table)
     out = rp.base_report({args.game: digest})
     out["provenance"] = "projected-from-game"

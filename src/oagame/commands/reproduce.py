@@ -19,7 +19,8 @@ def _golden_check(computed: dict) -> list[dict]:
 
 def run(args) -> tuple[int, dict]:
     from ..engine import CompletionPolicy, enumeration_report
-    from ..equilibrium import payoff_pair, project_bimatrix, pure_nash
+    from .._table import payoff_pair
+    from ..equilibrium import project_bimatrix, pure_nash
     game, game_digest = _game_or_fail(args)
     enum = enumeration_report(game)
     table5, digest5 = _load_bimatrix(args.bimatrix)

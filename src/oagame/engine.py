@@ -26,7 +26,8 @@ count, and its greatest key and the completions attaining it for any key
 that sums per-value weights, follow in closed form: ``enumeration_report``
 counts without building a row, ``top_gu_rows`` generates only the rows at
 the greatest global utility, and policy picks (and through them payoff
-tables and projections) are the first completions of greatest key; the
+tables, ``derive_payoff_table``, and projections onto two players,
+``project_bimatrix``) are the first completions of greatest key; both
 tables are built in ``oagame._payoffs``, which only the commands that
 build one compile.
 The census is the engine's one walk over the profiles: the counts, the
@@ -365,6 +366,26 @@ def derive_payoff_table(
     without an admissible completion are marked infeasible."""
     from ._payoffs import _payoff_table
     return _payoff_table(game, policy, compile_game(game).players)
+
+
+def project_bimatrix(
+    game: GameSpec,
+    policy: CompletionPolicy,
+    row_player: str,
+    col_player: str,
+) -> PayoffTable:
+    """Two-player table: complete the other players and the outcome per the
+    policy for each action pair and record the pair's utilities, as ints.
+    A pair's completion is the first profile's pick with the greatest
+    policy key, which is the policy applied to all of the pair's
+    completions at once.  ``oagame.equilibrium`` serves this function
+    too."""
+    rp = game.player(row_player)
+    cp = game.player(col_player)
+    if rp is None or cp is None or rp.name == cp.name:
+        raise ValueError("projection needs two distinct declared players")
+    from ._payoffs import _payoff_table
+    return _payoff_table(game, policy, (rp.name, cp.name))
 
 
 def record_cells(game: GameSpec, groups) -> tuple[tuple[str, ...], list]:

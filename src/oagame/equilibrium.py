@@ -1,14 +1,19 @@
 """Bimatrices, mixed strategies and equilibrium certificates; best
-responses, pure Nash equilibria, the projection of a game onto two players,
-expected utilities, and the ``.bmx`` file format.
+responses, pure Nash equilibria, expected utilities, and the ``.bmx`` file
+format.
 
 Support-enumeration mixed equilibria and iterated dominance, which only the
-``mixed`` command runs, live in ``oagame._support``.  Their public names
-are read through this module on first access (PEP 562), so the other
-commands never compile them.
+``mixed`` command runs, live in ``oagame._support``, and the projection of a
+game onto two players, ``project_bimatrix``, in ``oagame.engine``.  Their
+public names are read through this module on first access (PEP 562), so a
+command compiles only the ones it runs.
 
 Every figure is exact, an int or a ``fractions.Fraction``; decimals appear
-only at the reporting boundary.
+only at the reporting boundary.  A table keeps its own numbers: a game's
+payoff table and projection hold ints, and their pure equilibria are
+certified in ints, so that no command on a game's table loads
+``fractions``; a ``.bmx`` table holds ``Fraction``s, and only its reader
+and ``expected_utility`` build one.
 """
 
 from __future__ import annotations
@@ -17,14 +22,12 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from fractions import Fraction
 
-from ._table import PayoffTable, number_literal
+from ._table import PayoffTable, number_literal, payoff_pair
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .engine import CompletionPolicy
-    from .model import GameSpec
+    from fractions import Fraction
 
 # Public names defined in ``_support``.
 _SUPPORT_NAMES = ("SUPPORT_LIMIT", "mixed_nash_2p", "dominance_analysis",
@@ -32,10 +35,13 @@ _SUPPORT_NAMES = ("SUPPORT_LIMIT", "mixed_nash_2p", "dominance_analysis",
 
 
 def __getattr__(name: str):
-    if name not in _SUPPORT_NAMES:
+    if name in _SUPPORT_NAMES:
+        from . import _support as module
+    elif name == "project_bimatrix":
+        from . import engine as module
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _support
-    value = globals()[name] = getattr(_support, name)  # skip this hook next
+    value = globals()[name] = getattr(module, name)  # skip this hook next
     return value
 
 
@@ -71,7 +77,7 @@ class Bimatrix(PayoffTable):
 
 
 class MixedStrategy(namedtuple("MixedStrategy", ("player", "probs"))):
-    # ``probs``: ((action, Fraction), ...)
+    # ``probs``: ((action, probability), ...), each an int or a Fraction
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -83,11 +89,11 @@ class MixedStrategy(namedtuple("MixedStrategy", ("player", "probs"))):
         if (total := sum(p for _, p in self.probs)) != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
-    def prob(self, action: str) -> Fraction:
+    def prob(self, action: str) -> int | Fraction:
         for a, p in self.probs:
             if a == action:
                 return p
-        return Fraction(0)
+        return 0
 
     def support(self) -> tuple[str, ...]:
         return tuple(a for a, p in self.probs if p > 0)
@@ -97,7 +103,7 @@ class MixedStrategy(namedtuple("MixedStrategy", ("player", "probs"))):
 
     @classmethod
     def pure(cls, player: str, action: str) -> "MixedStrategy":
-        return cls(player, ((action, Fraction(1)),))
+        return cls(player, ((action, 1),))
 
 
 class EquilibriumCertificate(namedtuple("EquilibriumCertificate", (
@@ -173,7 +179,9 @@ def best_responses(
 def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
     """All pure equilibria in canonical profile order: the feasible cells
     that no feasible cell of any player's slice beats for that player.
-    Names and ``Fraction``s are built only for the equilibria."""
+    Names are looked up only for the equilibria, and each figure is the
+    cell's own number (an int in a game's table, a ``Fraction`` in a
+    ``.bmx`` one)."""
     cells, certs, strides = table.cells, [], _strides(table)
     for index, cell in enumerate(cells):
         if cell is None:
@@ -187,40 +195,19 @@ def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
             "pure",
             tuple(MixedStrategy.pure(p, actions[at.index(index)])
                   for p, actions, at in sides),
-            tuple(map(Fraction, cell)),
-            tuple(tuple((a, Fraction(cells[j][i]))
+            tuple(cell),
+            tuple(tuple((a, cells[j][i])
                         for a, j in zip(actions, at) if cells[j] is not None)
                   for i, (_, actions, at) in enumerate(sides))))
     return certs
 
 
-# ---------------------------------------------------------------------------
-# Projection
-
-
-def project_bimatrix(
-    game: GameSpec,
-    policy: CompletionPolicy,
-    row_player: str,
-    col_player: str,
-) -> PayoffTable:
-    """Two-player table: complete the other players and the outcome per the
-    policy for each action pair and record the pair's utilities, as ints.
-    A pair's completion is the first profile's pick with the greatest
-    policy key, which is the policy applied to all of the pair's
-    completions at once."""
-    rp = game.player(row_player)
-    cp = game.player(col_player)
-    if rp is None or cp is None or rp.name == cp.name:
-        raise ValueError("projection needs two distinct declared players")
-    from ._payoffs import _payoff_table
-    return _payoff_table(game, policy, (rp.name, cp.name))
-
-
 def expected_utility(
     table: PayoffTable, mix_row: MixedStrategy, mix_col: MixedStrategy
 ) -> tuple[Fraction, Fraction]:
-    """Bilinear expectation of a two-player table's payoffs under two mixes."""
+    """Bilinear expectation of a two-player table's payoffs under two mixes,
+    as ``Fraction``s."""
+    from fractions import Fraction
     _check_two_players(table)
     for mix, actions, side in ((mix_row, table.actions[0], "row"),
                                (mix_col, table.actions[1], "column")):
@@ -247,6 +234,7 @@ _CELL_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 
 def _parse_cell(u: str, v: str) -> tuple[Fraction, Fraction] | None:
     """A payoff pair, or None for the ``(-,-)`` of an infeasible cell."""
+    from fractions import Fraction
     if u == v == "-":
         return None
     return tuple(Fraction(number_literal(t)) for t in (u, v))
@@ -292,12 +280,6 @@ def parse_bimatrix(text: str) -> Bimatrix:
             raise BimatrixFormatError(f"bad payoff in line {ln!r}: {exc}")
     return Bimatrix(row_player, row_actions, col_player, col_actions,
                     tuple(rows))
-
-
-def payoff_pair(cell: tuple[Fraction, Fraction] | None) -> str | None:
-    """The exact ``(u,v)`` text of a payoff cell, or None when it is
-    infeasible."""
-    return None if cell is None else "(%s,%s)" % cell
 
 
 def serialize_bimatrix(table: PayoffTable) -> str:

@@ -8,8 +8,9 @@ which the bimatrix layer also needs, live in ``oagame._table`` and are
 re-exported here.
 The records are immutable named tuples, each a ``collections.namedtuple``
 subclass with ``__slots__ = ()``, so that no command loads ``typing``.
-``GameSpec`` alone has no ``__slots__``: it keeps its compiled form in an
-instance dict, which, unlike the fields, takes new attributes.
+``GameSpec`` alone has no ``__slots__``: it keeps its compiled form and
+its name tables in an instance dict, which, unlike the fields, takes new
+attributes.
 """
 
 from __future__ import annotations
@@ -103,13 +104,29 @@ class Rule(namedtuple("Rule", ("condition", "consequence", "otherwise",
 class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
                                        "rules", "utilities"))):
     # No ``__slots__``: the instance dict holds ``engine.compile_game``'s
-    # compiled form.
+    # compiled form and the name tables of ``_named``.
 
     def player(self, name: str) -> PlayerDef | None:
-        return _named(self.players, name)
+        """The player named or aliased ``name``, by ``name_key``, or
+        None."""
+        return self._named()[0].get(name_key(name))
 
     def variable(self, name: str) -> OutcomeVarDef | None:
-        return _named(self.variables, name)
+        """The variable named or aliased ``name``, by ``name_key``, or
+        None."""
+        return self._named()[1].get(name_key(name))
+
+    def _named(self) -> tuple[dict, dict]:
+        """Per ``name_key`` of each name and alias, its player and its
+        variable, the first declaration winning; built on first use and
+        kept in the instance dict."""
+        tables = self.__dict__.get("_names")
+        if tables is None:
+            tables = self._names = tuple(
+                {key: d for d in reversed(decls)
+                 for key in map(name_key, (d.name, *d.aliases))}
+                for decls in (self.players, self.variables))
+        return tables
 
     def bind(self, name: str, value: str) -> tuple:
         """``(kind, subject, canonical value)`` of a written ``name = value``
@@ -179,13 +196,3 @@ class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
 def name_key(name: str) -> str:
     """What a name is looked up by: outer whitespace and case aside."""
     return name.strip().lower()
-
-
-def _named(decls, name: str):
-    """The one of ``decls`` named or aliased ``name``, by ``name_key``, or
-    None."""
-    low = name_key(name)
-    for d in decls:
-        if any(name_key(n) == low for n in (d.name, *d.aliases)):
-            return d
-    return None

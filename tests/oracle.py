@@ -270,7 +270,8 @@ def best_responses(table: PayoffTable, player: str,
 
 def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
     """Every feasible profile that no unilateral deviation to a feasible
-    cell improves for the deviating player, in canonical profile order."""
+    cell improves for the deviating player, in canonical profile order,
+    each figure the table's own number (an int or a ``Fraction``)."""
     cells = dict(zip(table.profiles(), table.cells))
     certs = []
     for profile, cell in cells.items():
@@ -281,7 +282,7 @@ def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
         for idx in range(len(table.players)):
             record = []
             for action, alt in _deviations(table, cells, profile, idx):
-                record.append((action, Fraction(alt[idx])))
+                record.append((action, alt[idx]))
                 is_eq = is_eq and alt[idx] <= cell[idx]
             verification.append(tuple(record))
         if is_eq:
@@ -289,7 +290,7 @@ def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
                 "pure",
                 tuple(MixedStrategy.pure(p, a)
                       for p, a in zip(table.players, profile)),
-                tuple(Fraction(u) for u in cell),
+                tuple(cell),
                 tuple(verification)))
     return certs
 

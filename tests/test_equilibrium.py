@@ -120,7 +120,7 @@ def payoff_tables(draw):
                      ((1, 0), None, (0, 1), None)))
 def test_pure_nash_and_best_responses_match_the_name_oracle(table):
     certs, expected = pure_nash(table), oracle.pure_nash(table)
-    assert certs == expected and repr(certs) == repr(expected)  # Fractions
+    assert certs == expected and repr(certs) == repr(expected)  # types
     for profile, cell in zip(table.profiles(), table.cells):
         assert table.payoff(profile) == cell
         others = dict(zip(table.players, profile))
@@ -136,6 +136,28 @@ def test_pure_nash_and_best_responses_match_the_name_oracle(table):
                    for i in range(0, len(table.cells), len(table.actions[1]))]
         assert Bimatrix(table.players[0], table.actions[0], table.players[1],
                         table.actions[1], tuple(payoffs)) == table
+
+
+def test_pure_certificates_keep_the_table_s_own_numbers(oa_game, table5):
+    """A game's payoff table and projection certify their pure equilibria
+    in ints, so no command on them needs ``fractions``; a parsed ``.bmx``
+    table in ``Fraction``s.  A pure probability is the int 1 either way."""
+    for table, kind in (
+            (derive_payoff_table(oa_game), int),
+            (project_bimatrix(oa_game, CompletionPolicy(), "Academics",
+                              "Editors"), int),
+            (table5, Fraction)):
+        certs = pure_nash(table)
+        assert certs
+        for cert in certs:
+            assert cert.verify()
+            figures = [*cert.expected_utilities,
+                       *(u for record in cert.verification for _, u in record)]
+            assert {type(x) for x in figures} == {kind}
+            assert [s.probs for s in cert.strategies] == [
+                ((a, 1),) for a in cert.pure_profile()]
+            assert {type(p) for s in cert.strategies
+                    for _, p in s.probs} == {int}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ from oagame import (
     ACTION,
     OUTCOME,
     MissingUtilityError,
+    OutcomeVarDef,
+    PlayerDef,
     compile_game,
+    fixtures,
+    parse_game_spec,
 )
 from oagame.engine import rows_as_records
 
@@ -101,6 +105,38 @@ def test_bind_resolves_names_aliases_and_values(oa_game):
     assert oa_game.bind("Editor", "Grant nothing") == (ACTION, "Editors", None)
     assert oa_game.bind("Income", "Medium") == (OUTCOME, "Income", None)
     assert oa_game.bind(" Nobody ", "More") == (None, " Nobody ", None)
+    # Two declarations whose names share a ``name_key``, which only the
+    # constructors allow: the first declared answers, in either order.
+    twin = PlayerDef("Twin", ("Grant TA", "x"), (" EDITORS",))
+    late = OutcomeVarDef("income", "Twin", (("Hi", 1), ("More", 0)))
+    after = oa_game._replace(players=(*oa_game.players, twin),
+                             variables=(*oa_game.variables, late))
+    assert after.bind("editors", "x") == (ACTION, "Editors", None)
+    assert after.bind("Twin", "x") == (ACTION, "Twin", "x")
+    assert after.bind("INCOME", "Hi") == (OUTCOME, "Income", None)
+    before = oa_game._replace(players=(twin, *oa_game.players),
+                              variables=(late, *oa_game.variables))
+    assert before.bind("editors", "x") == (ACTION, "Twin", "x")
+    assert before.bind("Income", "more") == (OUTCOME, "income", "More")
+
+
+def test_a_name_lookup_is_one_probe(monkeypatch):
+    """Each ``GameSpec`` keys its names and aliases once, so parsing the
+    bundled game calls ``name_key`` 350 times, not once per declared name
+    per lookup (1031 times)."""
+    import oagame.dsl
+    import oagame.model
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return original(name)
+
+    original = oagame.model.name_key
+    for module in (oagame.model, oagame.dsl):
+        monkeypatch.setattr(module, "name_key", counting)
+    assert parse_game_spec(fixtures.fixture_text("oa.game")).ok
+    assert len(calls) == 350
 
 
 def test_agent_utilities_on_ideal_row(oa_game):

@@ -58,6 +58,18 @@ def test_public_api_keeps_its_names():
         oagame.no_such_name
 
 
+def test_the_parser_module_serves_the_validator_and_writers():
+    """``oagame.dsl`` reads the names it moved out on first access, and
+    refuses any other unknown name."""
+    import oagame.dsl
+    from oagame import _validator_writer
+    from oagame.dsl import serialize_game, validate_game
+    assert serialize_game is _validator_writer.serialize_game
+    assert validate_game is _validator_writer.validate_game
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oagame.dsl.no_such_name
+
+
 # Runs the CLI on its arguments in a fresh interpreter, output discarded,
 # and prints the exit status, the package modules it loaded and the
 # modules it added to those the interpreter had already loaded at start-up.
@@ -93,11 +105,13 @@ FRONT = ["oagame", "oagame._table", "oagame.cli", "oagame.commands",
 
 # What every command that reads a game loads beyond its own handler: the
 # game commands' helpers, the parser and the game model.  Each module below
-# is loaded only by the commands that run it: the --policy options with
+# is loaded only by the commands that run it: the validator and the
+# ``.game`` writers, which only ``validate`` runs; the --policy options with
 # the engine and its payoff tables; the ``.bmx`` loader and certificate
 # writer with the bimatrix layer; ``_support``, the solvers only ``mixed``
 # runs; and the JSON and the delimited writers.
 GAME = ["commands._game", "dsl", "model"]
+VALIDATOR = ["_validator_writer"]
 POLICY = ["commands._policy", "engine", "_payoffs"]
 BIMATRIX = ["commands._bimatrix", "equilibrium"]
 SOLVERS = BIMATRIX + ["_support"]
@@ -119,7 +133,9 @@ def _run_loaded(*argv):
 # package modules it loads beyond ``FRONT`` and its own handler module, and
 # the standard-library modules it must not load.  The bimatrix commands
 # load no game layer, and the table-format game commands that take no
-# policy load none of the modules above but the engine.
+# policy load none of the modules above but the engine.  The commands on
+# a game's integer tables load no exact numbers, and ``project`` loads the
+# bimatrix layer only for its ``.bmx`` writer.
 @pytest.mark.parametrize("argv, layers, unloaded", [
     (("mixed", "--bimatrix", "table6.bmx"), SOLVERS, set()),
     (("mixed", "--bimatrix", "table6.bmx", "--format", "json"),
@@ -127,7 +143,7 @@ def _run_loaded(*argv):
     (("nash", "--bimatrix", "table5.bmx"), BIMATRIX, set()),
     (TABLE6_MIX, BIMATRIX, set()),
     (TABLE6_MIX + ("--format", "json"), BIMATRIX + JSON, set()),
-    (("validate", "--game", "oa.game"), GAME, EXACT),
+    (("validate", "--game", "oa.game"), GAME + VALIDATOR, EXACT),
     (("enumerate", "--game", "oa.game"), GAME + ["engine"], EXACT),
     (("enumerate", "--game", "oa.game", "--dump"), GAME + ["engine"],
      EXACT),
@@ -138,14 +154,17 @@ def _run_loaded(*argv):
     (("payoffs", "--game", "oa.game", "--format", "json"),
      GAME + POLICY + JSON, EXACT),
     (("project", "--game", "oa.game", "--row-player", "Academics",
-      "--col-player", "Editors"), GAME + POLICY + ["equilibrium"], set()),
+      "--col-player", "Editors"), GAME + POLICY, EXACT),
+    (("project", "--game", "oa.game", "--row-player", "Academics",
+      "--col-player", "Editors", "--format", "bmx"),
+     GAME + POLICY + ["equilibrium"], set()),
     (("nash", "--game", "oa.game", "--format", "json"),
-     GAME + POLICY + BIMATRIX + JSON, set()),
+     GAME + POLICY + BIMATRIX + JSON, EXACT),
     (("reproduce",), GAME + ["engine", "_payoffs"] + BIMATRIX, set()),
 ], ids=["mixed", "mixed-json", "nash-bimatrix", "expected", "expected-json",
         "validate", "enumerate", "enumerate-dump", "enumerate-dump-delimited",
-        "top", "payoffs", "payoffs-json", "project", "nash-game-json",
-        "reproduce"])
+        "top", "payoffs", "payoffs-json", "project", "project-bmx",
+        "nash-game-json", "reproduce"])
 def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
     code, stderr, loaded, added = _run_loaded(*argv)
     assert (code, stderr) == (0, "")

@@ -212,8 +212,7 @@ def test_replace_rebuilds_outcome_variable_lookups():
      "CompletionPolicy(kind='max-global-utility', player=None, "
      "fixed_actions=(), fixed_outcomes=())"),
     (MixedStrategy.pure("Editors", "Grant TA"),
-     "MixedStrategy(player='Editors', probs=(('Grant TA', "
-     "Fraction(1, 1)),))"),
+     "MixedStrategy(player='Editors', probs=(('Grant TA', 1),))"),
     (EnumerationReport(64, 17640, 8, 30, 2),
      "EnumerationReport(action_profile_count=64, row_space_count=17640, "
      "admissible_count=8, max_global_utility=30, "
