@@ -32,11 +32,14 @@ _EXPORTS = {
         "top_gu_rows",
     ), "engine"),
     **dict.fromkeys((
-        "Bimatrix", "DominanceResult", "EquilibriumCertificate",
-        "InfeasibleSliceError", "MixedStrategy", "best_responses",
-        "dominance_analysis", "expected_utility", "mixed_nash_2p",
-        "parse_bimatrix", "pure_nash", "serialize_bimatrix",
+        "Bimatrix", "EquilibriumCertificate", "MixedStrategy",
+        "expected_utility", "parse_bimatrix",
     ), "equilibrium"),
+    **dict.fromkeys(("InfeasibleSliceError", "best_responses", "pure_nash"),
+                    "_pure"),
+    **dict.fromkeys(("DominanceResult", "dominance_analysis",
+                     "mixed_nash_2p"), "_support"),
+    "serialize_bimatrix": "_bmx_writer",
 }
 
 __all__ = list(_EXPORTS)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dsl import (LENIENT, _canonical, _sizes, _structural_errors,
+from .dsl import (LENIENT, _canonical_utilities, _sizes, _structural_errors,
                   parse_game_spec)
 from .model import Atom, GameSpec, Rule
 
@@ -110,7 +110,8 @@ def serialize_game(game: GameSpec) -> str:
     back = parse_game_spec(text, LENIENT)
 
     def logic(g):  # what the text must keep: all but rule sources
-        return _canonical(g)._replace(rules=[r[:3] for r in g.rules])
+        return g._replace(rules=[r[:3] for r in g.rules],
+                          utilities=_canonical_utilities(g))
     # A quoted '#' reads back here, but a reader that cuts each line at its
     # first '#', as earlier versions of this one did, would read another
     # game; so a name holding '#' is still refused.

@@ -15,102 +15,19 @@ from types import SimpleNamespace
 
 from . import report as rp
 from ._table import GameError
-from .commands import DIAG_ERROR, USAGE_ERROR, _CliError
+from .commands import (_ONE_OF, _SUBCOMMANDS, DIAG_ERROR, USAGE_ERROR,
+                       _CliError, _options)
 
-# Each command compiles and runs only its own code.  ``_SUBCOMMANDS``
-# defines the command line once.  ``_read_args`` reads a well-formed one
-# straight off it; anything else (help, usage errors, abbreviations,
-# ``--opt=value``, ``-o``, ``--``) goes to the argparse parser that
-# ``build_parser`` makes of it, so only those load argparse.  ``run_cli``
-# then imports the handler ``oagame.commands.<name>``, which imports the
-# layers it calls inside its functions and returns (status, report) having
-# written nothing.  ``run_cli`` alone opens --output and writes the report,
-# so a command that fails leaves an existing file alone.
-
-
-# ---------------------------------------------------------------------------
-# Argument definitions
-
-_MODES = ["strict", "lenient"]
-_GAME = [
-    (("--game",), {"required": True, "help": "path to a .game file (the "
-                   "bundled name 'oa.game' also resolves)"}),
-    (("--mode",), {"choices": _MODES, "default": "strict",
-                   "help": "rule-binding mode (default: strict)"}),
-]
-_POLICY = [
-    (("--policy",), {"choices": ["max-gu", "max-global-utility",
-                                 "optimistic", "pessimistic", "fixed"],
-                     "default": None,
-                     "help": "completion policy (default: max-gu)"}),
-    (("--policy-player",), {"default": None, "help": "player for "
-                            "optimistic/pessimistic policies"}),
-    (("--fix",), {"action": "append", "default": [], "metavar": "NAME=VALUE",
-                  "help": "fixed-policy fragment (repeatable)"}),
-]
-_REQUIRED = {"required": True}
-
-# Subcommand -> (help, options, formats); its handler is
-# ``oagame.commands.<subcommand>.run``.  Each option is (flags,
-# ``add_argument`` keyword arguments), in order; every subcommand then
-# takes --format, among its formats, and --output.
-_SUBCOMMANDS = {
-    "validate": ("parse and validate a game file", _GAME, rp.FORMATS),
-    "enumerate": ("admissible-row counts and optional row dump",
-                  [*_GAME, (("--dump",), {"action": "store_true",
-                                          "default": False,
-                                          "help": "include the rows"})],
-                  rp.FORMATS),
-    "top": ("rows attaining the maximum global utility", _GAME, rp.FORMATS),
-    "payoffs": ("derive the full payoff table", _GAME + _POLICY, rp.FORMATS),
-    "project": ("project a two-player bimatrix",
-                [*_GAME, (("--row-player",), _REQUIRED),
-                 (("--col-player",), _REQUIRED), *_POLICY],
-                rp.FORMATS + ("bmx",)),
-    "nash": ("pure Nash equilibria of a game table or a bimatrix file",
-             [(("--game",), {}),
-              (("--bimatrix",), {"help": "path to a .bmx file (bundled "
-                                 "names 'table5.bmx'/'table6.bmx' also "
-                                 "resolve)"}),
-              (("--mode",), {"choices": _MODES, "default": None,
-                             "help": "rule-binding mode for --game "
-                                     "(default: strict)"}),
-              *_POLICY], rp.FORMATS),
-    "mixed": ("all 2-player equilibria by support enumeration",
-              [(("--bimatrix",), _REQUIRED),
-               (("--dominance",), {"choices": ["strict", "weak"],
-                                   "default": None, "help": "also run "
-                                   "iterated dominance elimination"})],
-              rp.FORMATS),
-    "expected": ("expected utilities under given mixtures",
-                 [(("--bimatrix",), _REQUIRED),
-                  (("--row-mix",), {"required": True, "help": "comma-"
-                                    "separated probabilities, row actions "
-                                    "in order"}),
-                  (("--col-mix",), _REQUIRED)], rp.FORMATS),
-    "reproduce": ("full pipeline on the bundled fixtures with a "
-                  "paper-vs-computed comparison",
-                  [(("--game",), {"default": "oa.game"}),
-                   (("--bimatrix",), {"default": "table5.bmx"}),
-                   (("--mode",), {"choices": _MODES, "default": "strict"})],
-                  rp.FORMATS),
-}
-# The required mutually exclusive group of a subcommand: exactly one given.
-_ONE_OF = {"nash": ("--game", "--bimatrix")}
-
-
-def _options(command: str):
-    """(help, formats, options) of a subcommand, its options ending with
-    --format, its default read from $OAGAME_FORMAT now, and --output."""
-    help_text, options, formats = _SUBCOMMANDS[command]
-    return help_text, formats, [
-        *options,
-        (("--format",), {"choices": formats,
-                         "default": os.environ.get("OAGAME_FORMAT", "table"),
-                         "help": "output format (default from "
-                                 "$OAGAME_FORMAT or 'table')"}),
-        (("--output", "-o"), {"default": None,
-                              "help": "output path (default: stdout)"})]
+# Each command compiles and runs only its own code.
+# ``oagame.commands._SUBCOMMANDS`` defines the command line once.
+# ``_read_args`` reads a well-formed one straight off it; anything else
+# (help, usage errors, abbreviations, ``--opt=value``, ``-o``, ``--``) goes
+# to the argparse parser that ``oagame._argparser`` makes of it, so only
+# those load that module and argparse.  ``run_cli`` then imports the
+# handler ``oagame.commands.<name>``, which imports the layers it calls
+# inside its functions and returns (status, report) having written nothing.
+# ``run_cli`` alone opens --output and writes the report, so a command that
+# fails leaves an existing file alone.
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
@@ -147,42 +64,13 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], formats=formats, **args)
 
 
-def build_parser():
-    """The argparse parser of every subcommand."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="oagame",
-        description="Declarative stakeholder-game workbench: scenario "
-                    "enumeration, payoff derivation, equilibrium analysis.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        help_text, formats, options = _options(name)
-        p = sub.add_parser(name, help=help_text)
-        one_of = _ONE_OF.get(name, ())
-        group = p.add_mutually_exclusive_group(required=True) if one_of else p
-        for flags, kwargs in options:
-            (group if flags[0] in one_of else p).add_argument(*flags, **kwargs)
-        p.set_defaults(formats=formats)
-    return parser
-
-
 def run_cli(argv: list[str]) -> int:
     args = _read_args(argv)
     if args is None:
-        parser = build_parser()
-        try:
-            args, extras = parser.parse_known_args(argv)
-            if extras:  # argparse would show the top-level usage
-                top, = parser._subparsers._group_actions
-                top.choices.get(argv[0], parser).error(
-                    f"unrecognized arguments: {' '.join(extras)}")
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-        if args.format not in args.formats:  # a default from $OAGAME_FORMAT
-            print(f"oagame: {args.command} takes no format {args.format!r} "
-                  f"(from $OAGAME_FORMAT); choose from "
-                  f"{', '.join(args.formats)}", file=sys.stderr)
-            return USAGE_ERROR
+        from ._argparser import parse_args
+        args = parse_args(argv)
+        if isinstance(args, int):  # help shown or a usage error reported
+            return args
     # ``__import__``, unlike ``importlib.import_module``, shows in the
     # import times that ``python -X importtime`` reports.
     handler = __import__(f"{__package__}.commands.{args.command}",

@@ -1,10 +1,10 @@
 """The subcommands' handlers, one module each, and what several share.
 
-``oagame.cli`` parses the arguments, then imports only the invoked
-subcommand's module, ``oagame.commands.<name>``, and calls its
-``run(args)``, which returns ``(exit status, report)`` and writes nothing
-to stdout or --output; ``run_cli`` writes the report.  Two rules keep
-this sound:
+``_SUBCOMMANDS`` below defines the command line.  ``oagame.cli`` reads
+the arguments off it, then imports only the invoked subcommand's module,
+``oagame.commands.<name>``, and calls its ``run(args)``, which returns
+``(exit status, report)`` and writes nothing to stdout or --output;
+``run_cli`` writes the report.  Two rules keep this sound:
 
 - No module imports ``oagame.cli``.  Under ``python -m oagame.cli`` that
   file runs as ``__main__``, so an import would compile and run a second
@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 
 from .. import fixtures
+from ..report import FORMATS
 
 USAGE_ERROR = 2
 DIAG_ERROR = 1
@@ -60,3 +61,89 @@ def _read_input(path: str) -> tuple[str, str]:
 
 def _is_bundled(digest: str, name: str) -> bool:
     return digest == fixtures.fixture_digest(name)
+
+
+# ---------------------------------------------------------------------------
+# The command line, which ``oagame.cli._read_args`` and the argparse parser
+# of ``oagame._argparser`` both read
+
+_MODES = ["strict", "lenient"]
+_GAME = [
+    (("--game",), {"required": True, "help": "path to a .game file (the "
+                   "bundled name 'oa.game' also resolves)"}),
+    (("--mode",), {"choices": _MODES, "default": "strict",
+                   "help": "rule-binding mode (default: strict)"}),
+]
+_POLICY = [
+    (("--policy",), {"choices": ["max-gu", "max-global-utility",
+                                 "optimistic", "pessimistic", "fixed"],
+                     "default": None,
+                     "help": "completion policy (default: max-gu)"}),
+    (("--policy-player",), {"default": None, "help": "player for "
+                            "optimistic/pessimistic policies"}),
+    (("--fix",), {"action": "append", "default": [], "metavar": "NAME=VALUE",
+                  "help": "fixed-policy fragment (repeatable)"}),
+]
+_REQUIRED = {"required": True}
+
+# Subcommand -> (help, options, formats); its handler is
+# ``oagame.commands.<subcommand>.run``.  Each option is (flags,
+# ``add_argument`` keyword arguments), in order; every subcommand then
+# takes --format, among its formats, and --output.
+_SUBCOMMANDS = {
+    "validate": ("parse and validate a game file", _GAME, FORMATS),
+    "enumerate": ("admissible-row counts and optional row dump",
+                  [*_GAME, (("--dump",), {"action": "store_true",
+                                          "default": False,
+                                          "help": "include the rows"})],
+                  FORMATS),
+    "top": ("rows attaining the maximum global utility", _GAME, FORMATS),
+    "payoffs": ("derive the full payoff table", _GAME + _POLICY, FORMATS),
+    "project": ("project a two-player bimatrix",
+                [*_GAME, (("--row-player",), _REQUIRED),
+                 (("--col-player",), _REQUIRED), *_POLICY],
+                FORMATS + ("bmx",)),
+    "nash": ("pure Nash equilibria of a game table or a bimatrix file",
+             [(("--game",), {}),
+              (("--bimatrix",), {"help": "path to a .bmx file (bundled "
+                                 "names 'table5.bmx'/'table6.bmx' also "
+                                 "resolve)"}),
+              (("--mode",), {"choices": _MODES, "default": None,
+                             "help": "rule-binding mode for --game "
+                                     "(default: strict)"}),
+              *_POLICY], FORMATS),
+    "mixed": ("all 2-player equilibria by support enumeration",
+              [(("--bimatrix",), _REQUIRED),
+               (("--dominance",), {"choices": ["strict", "weak"],
+                                   "default": None, "help": "also run "
+                                   "iterated dominance elimination"})],
+              FORMATS),
+    "expected": ("expected utilities under given mixtures",
+                 [(("--bimatrix",), _REQUIRED),
+                  (("--row-mix",), {"required": True, "help": "comma-"
+                                    "separated probabilities, row actions "
+                                    "in order"}),
+                  (("--col-mix",), _REQUIRED)], FORMATS),
+    "reproduce": ("full pipeline on the bundled fixtures with a "
+                  "paper-vs-computed comparison",
+                  [(("--game",), {"default": "oa.game"}),
+                   (("--bimatrix",), {"default": "table5.bmx"}),
+                   (("--mode",), {"choices": _MODES, "default": "strict"})],
+                  FORMATS),
+}
+# The required mutually exclusive group of a subcommand: exactly one given.
+_ONE_OF = {"nash": ("--game", "--bimatrix")}
+
+
+def _options(command: str):
+    """(help, formats, options) of a subcommand, its options ending with
+    --format, its default read from $OAGAME_FORMAT now, and --output."""
+    help_text, options, formats = _SUBCOMMANDS[command]
+    return help_text, formats, [
+        *options,
+        (("--format",), {"choices": formats,
+                         "default": os.environ.get("OAGAME_FORMAT", "table"),
+                         "help": "output format (default from "
+                                 "$OAGAME_FORMAT or 'table')"}),
+        (("--output", "-o"), {"default": None,
+                              "help": "output path (default: stdout)"})]

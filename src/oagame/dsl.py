@@ -448,17 +448,19 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     if errors:
         return ParseResult(None, tuple(errors))
 
-    return ParseResult(_canonical(partial._replace(rules=tuple(rules))), ())
+    # One new game, its utilities read through ``partial``'s name tables.
+    return ParseResult(partial._replace(
+        rules=tuple(rules), utilities=_canonical_utilities(partial)), ())
 
 
-def _canonical(game: GameSpec) -> GameSpec:
-    """``game`` with each utility naming its player and variables by their
+def _canonical_utilities(game: GameSpec) -> tuple[UtilityDef, ...]:
+    """``game``'s utilities, each naming its player and variables by their
     declared names; a name that declares nothing is kept."""
-    return game._replace(utilities=tuple(
+    return tuple(
         UtilityDef(getattr(game.player(u.player), "name", u.player),
                    tuple(getattr(game.variable(t), "name", t)
                          for t in u.terms))
-        for u in game.utilities))
+        for u in game.utilities)
 
 
 def _structural_errors(game: GameSpec):

@@ -1,19 +1,23 @@
-"""Bimatrices, mixed strategies and equilibrium certificates; best
-responses, pure Nash equilibria, expected utilities, and the ``.bmx`` file
-format.
+"""Bimatrices, mixed strategies and equilibrium certificates, expected
+utilities and the ``.bmx`` reader: what every bimatrix command runs.
 
-Support-enumeration mixed equilibria and iterated dominance, which only the
-``mixed`` command runs, live in ``oagame._support``, and the projection of a
-game onto two players, ``project_bimatrix``, in ``oagame.engine``.  Their
-public names are read through this module on first access (PEP 562), so a
-command compiles only the ones it runs.
+What only some commands run lives in a module of its own: best responses
+and pure Nash equilibria (``nash``, ``reproduce``) in ``oagame._pure``,
+support enumeration and iterated dominance (``mixed``) in
+``oagame._support``, the ``.bmx`` writer (``project --format bmx``) in
+``oagame._bmx_writer``, and the projection of a game onto two players,
+``project_bimatrix``, in ``oagame.engine``.  Their public names are read
+through this module on first access (PEP 562), so a command compiles only
+the ones it runs.
 
 Every figure is exact, an int or a ``fractions.Fraction``; decimals appear
 only at the reporting boundary.  A table keeps its own numbers: a game's
-payoff table and projection hold ints, and their pure equilibria are
-certified in ints, so that no command on a game's table loads
-``fractions``; a ``.bmx`` table holds ``Fraction``s, and only its reader
-and ``expected_utility`` build one.
+payoff table and projection hold ints, and each cell of a ``.bmx`` table
+keeps its own number, an int where it is written as one and a
+``Fraction`` otherwise.  Pure equilibria are certified in the table's own
+numbers, so that no command on an integer table loads ``fractions``; only
+the ``.bmx`` reader, for a cell that is not an int, and
+``expected_utility`` build a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -23,30 +27,30 @@ import math
 import re
 from collections import namedtuple
 
-from ._table import PayoffTable, number_literal, payoff_pair
+from ._table import PayoffTable, number_literal
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Public names defined in ``_support``.
-_SUPPORT_NAMES = ("SUPPORT_LIMIT", "mixed_nash_2p", "dominance_analysis",
-                  "Elimination", "DominanceResult")
+# Public name defined elsewhere -> the module that defines it.
+_SERVED = {
+    **dict.fromkeys(("InfeasibleSliceError", "best_responses", "pure_nash"),
+                    "_pure"),
+    **dict.fromkeys(("SUPPORT_LIMIT", "mixed_nash_2p", "dominance_analysis",
+                     "Elimination", "DominanceResult"), "_support"),
+    "serialize_bimatrix": "_bmx_writer",
+    "project_bimatrix": "engine",
+}
 
 
 def __getattr__(name: str):
-    if name in _SUPPORT_NAMES:
-        from . import _support as module
-    elif name == "project_bimatrix":
-        from . import engine as module
-    else:
+    module = _SERVED.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__package__}.{module}", fromlist=[name])
     value = globals()[name] = getattr(module, name)  # skip this hook next
     return value
-
-
-class InfeasibleSliceError(Exception):
-    """Every cell of the best-response slice is infeasible."""
 
 
 class BimatrixFormatError(Exception):
@@ -139,67 +143,11 @@ def _check_two_players(table: PayoffTable) -> None:
                          f"not 2")
 
 
-# ---------------------------------------------------------------------------
-# Pure analysis on n-player payoff tables
-
-
 def _strides(table: PayoffTable) -> list[tuple[int, int]]:
     """Per player, ``(action count, stride)``: profiles that differ only in
     that player's action lie ``stride`` apart in ``table.cells``."""
     counts = [len(actions) for actions in table.actions]
     return [(n, math.prod(counts[i + 1:])) for i, n in enumerate(counts)]
-
-
-def _slice(index: int, count: int, stride: int) -> range:
-    """Positions in ``table.cells`` of the profiles that differ from the
-    one at ``index`` only in the action of the player with ``count``
-    actions and ``stride`` (from ``_strides``), in action order."""
-    start = index - index // stride % count * stride
-    return range(start, start + count * stride, stride)
-
-
-def best_responses(
-    table: PayoffTable, player: str, others: dict[str, str]
-) -> tuple[str, ...]:
-    """Argmax set of the player's actions with every other player fixed."""
-    i = table.players.index(player)
-    actions, cells = table.actions[i], table.cells
-    at = _slice(table._index(tuple(
-        actions[0] if p == player else others[p] for p in table.players)),
-        *_strides(table)[i])
-    utilities = [cells[j][i] for j in at if cells[j] is not None]
-    if not utilities:
-        raise InfeasibleSliceError(
-            f"no feasible response for {player!r} against {others!r}")
-    best = max(utilities)
-    return tuple(a for a, j in zip(actions, at)
-                 if cells[j] is not None and cells[j][i] == best)
-
-
-def pure_nash(table: PayoffTable) -> list[EquilibriumCertificate]:
-    """All pure equilibria in canonical profile order: the feasible cells
-    that no feasible cell of any player's slice beats for that player.
-    Names are looked up only for the equilibria, and each figure is the
-    cell's own number (an int in a game's table, a ``Fraction`` in a
-    ``.bmx`` one)."""
-    cells, certs, strides = table.cells, [], _strides(table)
-    for index, cell in enumerate(cells):
-        if cell is None:
-            continue
-        slices = [_slice(index, *side) for side in strides]
-        if any(cells[j] is not None and cells[j][i] > cell[i]
-               for i, at in enumerate(slices) for j in at):
-            continue
-        sides = list(zip(table.players, table.actions, slices))
-        certs.append(EquilibriumCertificate(
-            "pure",
-            tuple(MixedStrategy.pure(p, actions[at.index(index)])
-                  for p, actions, at in sides),
-            tuple(cell),
-            tuple(tuple((a, cells[j][i])
-                        for a, j in zip(actions, at) if cells[j] is not None)
-                  for i, (_, actions, at) in enumerate(sides))))
-    return certs
 
 
 def expected_utility(
@@ -232,12 +180,27 @@ _HEADER_RE = re.compile(r"^(rows|cols):\s*(?P<player>[^:]+):\s*(?P<actions>.+)$"
 _CELL_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 
 
-def _parse_cell(u: str, v: str) -> tuple[Fraction, Fraction] | None:
+def _number(literal: str) -> int | Fraction:
+    """The number a cell writes: an int where ``int`` reads it, else a
+    ``Fraction``; ValueError or ZeroDivisionError where ``Fraction`` does
+    not read it."""
+    literal = number_literal(literal)
+    try:
+        value = int(literal)
+    except ValueError:
+        from fractions import Fraction
+        return Fraction(literal)
+    if "_" in literal:  # ``Fraction`` refuses separators before Python 3.11
+        from fractions import Fraction
+        Fraction(literal)
+    return value
+
+
+def _parse_cell(u: str, v: str) -> tuple | None:
     """A payoff pair, or None for the ``(-,-)`` of an infeasible cell."""
-    from fractions import Fraction
     if u == v == "-":
         return None
-    return tuple(Fraction(number_literal(t)) for t in (u, v))
+    return _number(u), _number(v)
 
 
 def parse_bimatrix(text: str) -> Bimatrix:
@@ -280,25 +243,3 @@ def parse_bimatrix(text: str) -> Bimatrix:
             raise BimatrixFormatError(f"bad payoff in line {ln!r}: {exc}")
     return Bimatrix(row_player, row_actions, col_player, col_actions,
                     tuple(rows))
-
-
-def serialize_bimatrix(table: PayoffTable) -> str:
-    """``.bmx`` text that ``parse_bimatrix`` reads back as the two-player
-    ``table``; ValueError when it would not."""
-    _check_two_players(table)
-    (row, col), (row_actions, col_actions) = table.players, table.actions
-    n = len(col_actions)
-    cells = [payoff_pair(cell) or "(-,-)" for cell in table.cells]
-    lines = [f"rows: {row}: {','.join(row_actions)}",
-             f"cols: {col}: {','.join(col_actions)}",
-             *(" ".join(cells[i * n:i * n + n])
-               for i in range(len(row_actions)))]
-    text = "\n".join(lines) + "\n"
-    try:
-        if parse_bimatrix(text) == table:
-            return text
-        reason = "the text would read back as a different bimatrix"
-    except BimatrixFormatError as exc:
-        reason = str(exc)
-    raise ValueError(f"cannot write the bimatrix of {row!r} and {col!r} as "
-                     f".bmx text: {reason}")

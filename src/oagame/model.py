@@ -8,9 +8,9 @@ which the bimatrix layer also needs, live in ``oagame._table`` and are
 re-exported here.
 The records are immutable named tuples, each a ``collections.namedtuple``
 subclass with ``__slots__ = ()``, so that no command loads ``typing``.
-``GameSpec`` alone has no ``__slots__``: it keeps its compiled form and
-its name tables in an instance dict, which, unlike the fields, takes new
-attributes.
+``GameSpec`` alone has no ``__slots__``: it keeps its compiled form, its
+name tables and its variables' value tables in an instance dict, which,
+unlike the fields, takes new attributes.
 """
 
 from __future__ import annotations
@@ -66,11 +66,17 @@ class OutcomeVarDef(namedtuple("OutcomeVarDef", (
     def canonical_value(self, name: str) -> str | None:
         """Canonical value for ``name`` (a value or value alias), by
         ``name_key``, or None."""
+        return self._value_table().get(name_key(name))
+
+    def _value_table(self) -> dict[str, str]:
+        """The canonical value per ``name_key`` of each value and value
+        alias.  Built on each call: a record has no instance dict to keep
+        it in, so ``GameSpec.bind`` keeps one per variable."""
         entries = {name_key(v): v for v, _ in self.values}
         for alias, target in self.value_aliases:
             if name_key(target) in entries:
                 entries[name_key(alias)] = entries[name_key(target)]
-        return entries.get(name_key(name))
+        return entries
 
 
 class UtilityDef(namedtuple("UtilityDef", ("player", "terms"))):
@@ -104,7 +110,8 @@ class Rule(namedtuple("Rule", ("condition", "consequence", "otherwise",
 class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
                                        "rules", "utilities"))):
     # No ``__slots__``: the instance dict holds ``engine.compile_game``'s
-    # compiled form and the name tables of ``_named``.
+    # compiled form, the name tables of ``_named`` and the value tables of
+    # ``bind``.
 
     def player(self, name: str) -> PlayerDef | None:
         """The player named or aliased ``name``, by ``name_key``, or
@@ -136,7 +143,11 @@ class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
         if (player := self.player(name)) is not None:
             return ACTION, player.name, player.action(value)
         if (var := self.variable(name)) is not None:
-            return OUTCOME, var.name, var.canonical_value(value)
+            tables = self.__dict__.setdefault("_values", {})  # by id(var)
+            table = tables.get(id(var))
+            if table is None:
+                table = tables[id(var)] = var._value_table()
+            return OUTCOME, var.name, table.get(name_key(value))
         return None, name, None
 
     def atom_index(self, kind: str, subject: str,

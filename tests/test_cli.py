@@ -1235,9 +1235,9 @@ def test_unknown_option_is_reported_with_its_subcommands_usage(
     subcommand's parser, usage included; before any subcommand, by the
     full parser.  The usage is read off the parser, since its rendering
     differs between Python versions."""
-    from oagame import cli
+    from oagame._argparser import build_parser
     monkeypatch.setenv("COLUMNS", "80")
-    top, = cli.build_parser()._subparsers._group_actions
+    top, = build_parser()._subparsers._group_actions
     code, out, err = run(capsys, "enumerate", "--game", "oa.game", "--bogus",
                          "x")
     assert (code, out) == (2, "")
@@ -1246,7 +1246,7 @@ def test_unknown_option_is_reported_with_its_subcommands_usage(
         "oagame enumerate: error: unrecognized arguments: --bogus x\n")
     code, out, err = run(capsys, "--bogus", "enumerate", "--game", "oa.game")
     assert (code, out) == (2, "")
-    assert err == cli.build_parser().format_usage() + (
+    assert err == build_parser().format_usage() + (
         "oagame: error: unrecognized arguments: --bogus\n")
 
 
@@ -1260,16 +1260,17 @@ def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys,
     full parser, which names them in its own usage error.  The default
     format comes from $OAGAME_FORMAT, and argparse does not check it
     against the choices (``run_cli`` does, after parsing)."""
-    from oagame import cli
+    from oagame._argparser import build_parser
+    from oagame.commands import _SUBCOMMANDS
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at this width
     if env is not None:
         monkeypatch.setenv("OAGAME_FORMAT", env)
     for argv in PARSER_CORPUS:
-        if not argv or argv[0] not in cli._SUBCOMMANDS:
+        if not argv or argv[0] not in _SUBCOMMANDS:
             continue
-        full = _parsed(capsys, cli.build_parser(), argv)
-        fields, extras, out, err = _parsed_by_one(capsys, cli.build_parser(),
-                                                  argv)
+        full = _parsed(capsys, build_parser(), argv)
+        fields, extras, out, err = _parsed_by_one(capsys, build_parser(),
+                                                 argv)
         if extras:
             assert full[0] == 2 and full[2].endswith(
                 f"oagame: error: unrecognized arguments: "
@@ -1277,10 +1278,10 @@ def test_one_subcommand_parser_parses_as_the_full_one(monkeypatch, capsys,
         else:
             assert (fields, out, err) == full, argv
     # The full parser names the subcommand argument "command" in its errors.
-    assert _parsed(capsys, cli.build_parser(), ())[2].endswith(
+    assert _parsed(capsys, build_parser(), ())[2].endswith(
         "the following arguments are required: command\n")
     assert "argument command: invalid choice: 'bogus'" in _parsed(
-        capsys, cli.build_parser(), ("bogus",))[2]
+        capsys, build_parser(), ("bogus",))[2]
 
 
 # Every subcommand's parser as argparse holds it, with $OAGAME_FORMAT unset:
@@ -1379,10 +1380,11 @@ def test_every_subcommand_parser_keeps_its_definition(monkeypatch):
     """The parser holds the nine subcommands in order, each with the help
     text, options, defaults and groups pinned above, and no metavar: one
     would replace the name "command" in its errors."""
-    from oagame import cli
+    from oagame._argparser import build_parser
+    from oagame.commands import _SUBCOMMANDS
     monkeypatch.delenv("OAGAME_FORMAT", raising=False)
-    assert list(cli._SUBCOMMANDS) == list(PARSER_DEFINITION)
-    top, = cli.build_parser()._subparsers._group_actions
+    assert list(_SUBCOMMANDS) == list(PARSER_DEFINITION)
+    top, = build_parser()._subparsers._group_actions
     assert (top.metavar, list(top.choices)) == (None, list(PARSER_DEFINITION))
     assert [(a.dest, a.help) for a in top._choices_actions] == [
         (name, help_text)
@@ -1456,13 +1458,14 @@ def test_the_direct_reader_agrees_with_argparse(monkeypatch, env, argv):
     """Whenever ``_read_args`` reads a command line, the argparse parser
     built from the same table parses it into the same fields."""
     from oagame import cli
+    from oagame._argparser import build_parser
     if env is None:
         monkeypatch.delenv("OAGAME_FORMAT", raising=False)
     else:
         monkeypatch.setenv("OAGAME_FORMAT", env)
     args = cli._read_args(argv)
     if args is not None:
-        parsed = cli.build_parser().parse_args(argv)
+        parsed = build_parser().parse_args(argv)
         assert vars(args) == vars(parsed)
         assert args.format in args.formats
 
@@ -1474,12 +1477,13 @@ def test_the_direct_reader_reads_every_well_formed_corpus_line(
     format the subcommand takes, and no other; every golden command line,
     with $OAGAME_FORMAT unset, is read without argparse."""
     from oagame import cli
+    from oagame._argparser import build_parser
     monkeypatch.delenv("OAGAME_FORMAT", raising=False)
     assert all(cli._read_args(list(argv)) for argv in GOLDEN_STDOUT)
     if env is not None:
         monkeypatch.setenv("OAGAME_FORMAT", env)
     for argv in PARSER_CORPUS:
-        fields = _parsed(capsys, cli.build_parser(), argv)[0]
+        fields = _parsed(capsys, build_parser(), argv)[0]
         if isinstance(fields, int) or fields["format"] not in \
                 fields["formats"]:
             fields = None

@@ -139,14 +139,18 @@ def test_pure_nash_and_best_responses_match_the_name_oracle(table):
 
 
 def test_pure_certificates_keep_the_table_s_own_numbers(oa_game, table5):
-    """A game's payoff table and projection certify their pure equilibria
-    in ints, so no command on them needs ``fractions``; a parsed ``.bmx``
-    table in ``Fraction``s.  A pure probability is the int 1 either way."""
+    """A game's payoff table and projection, and a ``.bmx`` table of
+    integer cells, certify their pure equilibria in ints, so no command on
+    them needs ``fractions``; a ``.bmx`` table of other numbers in
+    ``Fraction``s.  A pure probability is the int 1 either way."""
+    halves = parse_bimatrix("rows: R: a, b\ncols: C: x, y\n"
+                            "(1/2,3/2) (0.5,-1/4)\n(1e-1,2.5) (3/4,1.25)\n")
     for table, kind in (
             (derive_payoff_table(oa_game), int),
             (project_bimatrix(oa_game, CompletionPolicy(), "Academics",
                               "Editors"), int),
-            (table5, Fraction)):
+            (table5, int),
+            (halves, Fraction)):
         certs = pure_nash(table)
         assert certs
         for cert in certs:
@@ -698,6 +702,60 @@ def test_bimatrix_writer_refuses_or_reads_back(bm):
     except ValueError:
         return
     assert parse_bimatrix(text) == bm
+
+
+# Cell literals: ints, signed, with ``_`` separators, with surrounding
+# whitespace or in non-ASCII digits; decimals, exponents and ``p/q``,
+# ``1/0`` among them; and malformed text.  Exponents stay small, within
+# the reader's limit on digits.
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+_SIGN = st.sampled_from(["", "-", "+"])
+_CELL_LITERAL = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.builds("{}{}_{}".format, _SIGN, _DIGITS, _DIGITS),
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t "]),
+              st.integers(-99, 99).map(str), st.sampled_from(["", " \t"])),
+    st.builds("{}{}".format, _SIGN,
+              st.text(alphabet="0\u0663\u0967\uff15", min_size=1,
+                      max_size=3)),
+    st.builds("{}{}.{}".format, _SIGN, _DIGITS, _DIGITS | st.just("")),
+    st.builds("{}e{}".format, _DIGITS, st.integers(-3, 3)),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(0, 20)),
+    st.text(alphabet="01_+-./eEx ", max_size=5),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(literal=_CELL_LITERAL)
+@example(literal="1_000")
+@example(literal=" -7 ")
+@example(literal="\u0661\u0662")
+@example(literal="2.50")
+@example(literal="1/0")
+@example(literal="1__0")
+@example(literal="-")
+def test_a_cell_keeps_its_own_number(literal):
+    """``parse_bimatrix`` reads a cell exactly when ``Fraction`` reads its
+    literal, as the same value, and as an int exactly when ``int`` reads
+    the literal too (else a ``Fraction``)."""
+    from oagame.equilibrium import BimatrixFormatError
+    text = f"rows: R: a, b\ncols: C: x, y\n({literal},0) (0,0)\n" \
+           f"(0,0) (0,{literal})\n"
+    try:
+        value = Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(BimatrixFormatError):
+            parse_bimatrix(text)
+        return
+    cells = parse_bimatrix(text).cells
+    try:
+        kind = type(int(literal))
+    except ValueError:
+        kind = Fraction
+    read = [cells[0][0], cells[3][1]]
+    assert read == [value, value]
+    assert [type(x) for x in read] == [kind, kind]
+    assert [type(x) for x in cells[1] + cells[2]] == [int] * 4
 
 
 def test_bimatrix_rejects_bad_shapes():

@@ -121,9 +121,10 @@ def test_bind_resolves_names_aliases_and_values(oa_game):
 
 
 def test_a_name_lookup_is_one_probe(monkeypatch):
-    """Each ``GameSpec`` keys its names and aliases once, so parsing the
-    bundled game calls ``name_key`` 350 times, not once per declared name
-    per lookup (1031 times)."""
+    """Each ``GameSpec`` keys its names and aliases once, and the values
+    of each variable it binds, and a parse builds the tables of one game
+    only, so parsing the bundled game calls ``name_key`` 306 times, not
+    once per declared name per lookup (1031 times)."""
     import oagame.dsl
     import oagame.model
     calls = []
@@ -136,7 +137,7 @@ def test_a_name_lookup_is_one_probe(monkeypatch):
     for module in (oagame.model, oagame.dsl):
         monkeypatch.setattr(module, "name_key", counting)
     assert parse_game_spec(fixtures.fixture_text("oa.game")).ok
-    assert len(calls) == 350
+    assert len(calls) == 306
 
 
 def test_agent_utilities_on_ideal_row(oa_game):

@@ -13,7 +13,7 @@ import oagame
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every name the package exports, by defining module.
+# Every name the package exports, by the public module that serves it.
 EXPORTED = {
     "model": (
         "ACTION", "OUTCOME", "Atom", "GameError", "GameSpec",
@@ -70,6 +70,19 @@ def test_the_parser_module_serves_the_validator_and_writers():
         oagame.dsl.no_such_name
 
 
+def test_the_bimatrix_module_serves_the_names_defined_elsewhere():
+    """``oagame.equilibrium`` reads each public name that another module
+    defines on first access, from the module ``oagame`` names for it, and
+    refuses any other unknown name."""
+    import oagame.equilibrium
+    for name, module in oagame.equilibrium._SERVED.items():
+        defining = importlib.import_module(f"oagame.{module}")
+        assert getattr(oagame.equilibrium, name) is getattr(defining, name)
+        assert oagame._EXPORTS.get(name, module) == module
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oagame.equilibrium.no_such_name
+
+
 # Runs the CLI on its arguments in a fresh interpreter, output discarded,
 # and prints the exit status, the package modules it loaded and the
 # modules it added to those the interpreter had already loaded at start-up.
@@ -90,16 +103,17 @@ print(repr([code, sorted(m for m in sys.modules
 # a few milliseconds at every start, most of it in ``inspect``; ``hashlib``
 # as much in OpenSSL's ``_hashlib``, for the input digest; ``json``, whose
 # writing ``report`` does itself, in every output format; and ``argparse``
-# and its ``gettext``, which only help and usage errors need.
+# and its ``gettext``, which only help, usage errors and unusual spellings
+# need, with the package's parser built on it.
 UNWANTED = {"dataclasses", "inspect", "hashlib", "_hashlib", "json",
-            "argparse", "gettext"}
+            "argparse", "gettext", "oagame._argparser"}
 
-# Modules for exact numbers, which no command of the game alone builds.
+# Modules for exact numbers, which no command on an integer table builds.
 EXACT = {"fractions", "decimal"}
 
-# What every command loads: the CLI, the handlers' shared helpers, the
-# report builder with its table writer, the bundled-fixture lookup and
-# ``GameError`` with the payoff table.
+# What every command loads: the CLI, the handlers' shared helpers with the
+# command line's definition, the report builder, the bundled-fixture
+# lookup and ``GameError`` with the payoff table.
 FRONT = ["oagame", "oagame._table", "oagame.cli", "oagame.commands",
          "oagame.fixtures", "oagame.report"]
 
@@ -108,13 +122,16 @@ FRONT = ["oagame", "oagame._table", "oagame.cli", "oagame.commands",
 # is loaded only by the commands that run it: the validator and the
 # ``.game`` writers, which only ``validate`` runs; the --policy options with
 # the engine and its payoff tables; the ``.bmx`` loader and certificate
-# writer with the bimatrix layer; ``_support``, the solvers only ``mixed``
-# runs; and the JSON and the delimited writers.
+# writer with the bimatrix layer; ``_pure``, the pure equilibria only
+# ``nash`` and ``reproduce`` run; ``_support``, the solvers only ``mixed``
+# runs; and each format's writer.
 GAME = ["commands._game", "dsl", "model"]
 VALIDATOR = ["_validator_writer"]
 POLICY = ["commands._policy", "engine", "_payoffs"]
 BIMATRIX = ["commands._bimatrix", "equilibrium"]
+PURE = BIMATRIX + ["_pure"]
 SOLVERS = BIMATRIX + ["_support"]
+TABLE = ["_table_writer"]
 JSON = ["_json_writer"]
 TABLE6_MIX = ("expected", "--bimatrix", "table6.bmx", "--row-mix", "1/2,1/2",
               "--col-mix", "1/3,2/3")
@@ -131,40 +148,46 @@ def _run_loaded(*argv):
 
 # Each command in its default table format unless named otherwise: the
 # package modules it loads beyond ``FRONT`` and its own handler module, and
-# the standard-library modules it must not load.  The bimatrix commands
-# load no game layer, and the table-format game commands that take no
-# policy load none of the modules above but the engine.  The commands on
-# a game's integer tables load no exact numbers, and ``project`` loads the
-# bimatrix layer only for its ``.bmx`` writer.
+# the modules it must not load.  The bimatrix commands load no game layer,
+# and the table-format game commands that take no policy load none of the
+# modules above but the engine and the table writer.  Each command loads
+# its own format's writer alone (``project --format bmx`` writes its text
+# without one), and ``mixed`` and ``expected`` no pure equilibria.  The
+# commands on integer tables (a game's, and the bundled ``table5.bmx``)
+# load no exact numbers, and ``project`` loads the bimatrix layer only for
+# its ``.bmx`` writer.
 @pytest.mark.parametrize("argv, layers, unloaded", [
-    (("mixed", "--bimatrix", "table6.bmx"), SOLVERS, set()),
+    (("mixed", "--bimatrix", "table6.bmx"), SOLVERS + TABLE, set()),
     (("mixed", "--bimatrix", "table6.bmx", "--format", "json"),
      SOLVERS + JSON, set()),
-    (("nash", "--bimatrix", "table5.bmx"), BIMATRIX, set()),
-    (TABLE6_MIX, BIMATRIX, set()),
+    (("nash", "--bimatrix", "table5.bmx"), PURE + TABLE, EXACT),
+    (("nash", "--bimatrix", "table5.bmx", "--format", "json"),
+     PURE + JSON, EXACT),
+    (TABLE6_MIX, BIMATRIX + TABLE, set()),
     (TABLE6_MIX + ("--format", "json"), BIMATRIX + JSON, set()),
-    (("validate", "--game", "oa.game"), GAME + VALIDATOR, EXACT),
-    (("enumerate", "--game", "oa.game"), GAME + ["engine"], EXACT),
-    (("enumerate", "--game", "oa.game", "--dump"), GAME + ["engine"],
-     EXACT),
+    (("validate", "--game", "oa.game"), GAME + VALIDATOR + TABLE, EXACT),
+    (("enumerate", "--game", "oa.game"), GAME + ["engine"] + TABLE, EXACT),
+    (("enumerate", "--game", "oa.game", "--dump"),
+     GAME + ["engine"] + TABLE, EXACT),
     (("enumerate", "--game", "oa.game", "--dump", "--format", "delimited"),
      GAME + ["engine", "_delimited_writer"], EXACT),
-    (("top", "--game", "oa.game"), GAME + ["engine"], EXACT),
-    (("payoffs", "--game", "oa.game"), GAME + POLICY, EXACT),
+    (("top", "--game", "oa.game"), GAME + ["engine"] + TABLE, EXACT),
+    (("payoffs", "--game", "oa.game"), GAME + POLICY + TABLE, EXACT),
     (("payoffs", "--game", "oa.game", "--format", "json"),
      GAME + POLICY + JSON, EXACT),
     (("project", "--game", "oa.game", "--row-player", "Academics",
-      "--col-player", "Editors"), GAME + POLICY, EXACT),
+      "--col-player", "Editors"), GAME + POLICY + TABLE, EXACT),
     (("project", "--game", "oa.game", "--row-player", "Academics",
       "--col-player", "Editors", "--format", "bmx"),
-     GAME + POLICY + ["equilibrium"], set()),
+     GAME + POLICY + ["equilibrium", "_bmx_writer"], EXACT),
     (("nash", "--game", "oa.game", "--format", "json"),
-     GAME + POLICY + BIMATRIX + JSON, EXACT),
-    (("reproduce",), GAME + ["engine", "_payoffs"] + BIMATRIX, set()),
-], ids=["mixed", "mixed-json", "nash-bimatrix", "expected", "expected-json",
-        "validate", "enumerate", "enumerate-dump", "enumerate-dump-delimited",
-        "top", "payoffs", "payoffs-json", "project", "project-bmx",
-        "nash-game-json", "reproduce"])
+     GAME + POLICY + PURE + JSON, EXACT),
+    (("reproduce",), GAME + ["engine", "_payoffs"] + PURE + TABLE, EXACT),
+], ids=["mixed", "mixed-json", "nash-bimatrix", "nash-bimatrix-json",
+        "expected", "expected-json", "validate", "enumerate",
+        "enumerate-dump", "enumerate-dump-delimited", "top", "payoffs",
+        "payoffs-json", "project", "project-bmx", "nash-game-json",
+        "reproduce"])
 def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
     code, stderr, loaded, added = _run_loaded(*argv)
     assert (code, stderr) == (0, "")
@@ -232,7 +255,7 @@ def test_parsing_alone_loads_no_handler(argv, status):
     """Help, a missing or unknown command and a usage error stop in the
     argparse parser, before any handler module is imported."""
     code, _, loaded, added = _run_loaded(*argv)
-    assert (code, loaded) == (status, FRONT)
+    assert (code, loaded) == (status, sorted(FRONT + ["oagame._argparser"]))
     assert "argparse" in added
 
 
