@@ -23,7 +23,8 @@ _EXPORTS = {
         "parse_rule",
     ), "dsl"),
     **dict.fromkeys((
-        "Diagnostic", "ValidatedGame", "serialize_game", "validate_game",
+        "Diagnostic", "ValidatedGame", "serialize_game", "serialize_rule",
+        "validate_game",
     ), "_validator_writer"),
     **dict.fromkeys((
         "CompiledGame", "CompletionPolicy", "EnumerationReport",
@@ -37,8 +38,8 @@ _EXPORTS = {
     ), "equilibrium"),
     **dict.fromkeys(("InfeasibleSliceError", "best_responses", "pure_nash"),
                     "_pure"),
-    **dict.fromkeys(("DominanceResult", "dominance_analysis",
-                     "mixed_nash_2p"), "_support"),
+    **dict.fromkeys(("SUPPORT_LIMIT", "DominanceResult", "Elimination",
+                     "dominance_analysis", "mixed_nash_2p"), "_support"),
     "serialize_bimatrix": "_bmx_writer",
 }
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import getitem
 
 from .engine import (CompletionPolicy, _census, _holds, _optimum,
                      _within_budget, compile_game)
@@ -24,9 +23,9 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
     pick of strictly greatest key over the game profiles extending it, the
     policy applied to all of their completions at once, or None when they
     have no pick.  Each census block's optimum (``gu`` under max-GU) gives
-    its pick, and the pick's utilities are one tuple shared by every
-    profile in the block.  Raises ``RowBudgetError``, building no cell,
-    above ``ROW_BUDGET`` cells."""
+    its pick, the first best assignment of each factor, and the pick's
+    utilities are one tuple shared by every profile in the block.  Raises
+    ``RowBudgetError``, building no cell, above ``ROW_BUDGET`` cells."""
     cg = compile_game(game)
     kept = [cg.players.index(p) for p in players]
     _within_budget(math.prod(len(cg.actions[i]) for i in kept), "payoff cells")
@@ -48,16 +47,14 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
                 weights = [[w if policy.kind == "optimistic" else -w
                             for w in ws]
                            for ws in cg._utility_weights(policy.player)]
-            key, _, argmax, top = (block.gu if weights is None
-                                   else _optimum(block, weights))
+            key, _, top = (block.gu if weights is None
+                           else _optimum(block.factors, weights))
             pick = None
             if policy.kind != "fixed" or not key:
-                first = [domain[0] for domain in top]
-                for v, x in zip(block.coupled, block.passing[min(argmax)]):
-                    first[v] = x
                 if utilities is None:
                     utilities = [cg._utility_weights(p) for p in players]
-                pick = key, tuple(sum(map(getitem, w, first))
+                pick = key, tuple(sum(w[v][x] for variables, subs in top
+                                      for v, x in zip(variables, subs[0]))
                                   for w in utilities)
             picks[id(block)] = pick
         pick, own = picks[id(block)], tuple(map(profile.__getitem__, kept))

@@ -448,9 +448,11 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
     if errors:
         return ParseResult(None, tuple(errors))
 
-    # One new game, its utilities read through ``partial``'s name tables.
-    return ParseResult(partial._replace(
+    # One new game, on the same declarations: it keeps their name tables.
+    result = ParseResult(partial._replace(
         rules=tuple(rules), utilities=_canonical_utilities(partial)), ())
+    result.game._names = partial._named()
+    return result
 
 
 def _canonical_utilities(game: GameSpec) -> tuple[UtilityDef, ...]:
@@ -486,14 +488,15 @@ def _structural_errors(game: GameSpec):
     repeated = {k: what for what, keys in (("payoffs", game.payoff_keys()),
                                            ("row-dump", game.record_keys()))
                 for k in keys if keys.count(k) > names.count(k) > 0}
+    players, _, keys = game._named()
     seen: set[str] = set()
     for i, p in enumerate(game.players):
         where = ("player", i)
         for n in (p.name, *p.aliases):
-            if name_key(n) in seen:
+            if keys[n] in seen:
                 yield (where, f"player name or alias {n!r} declared more "
                               f"than once", n)
-            seen.add(name_key(n))
+            seen.add(keys[n])
         if not p.actions:
             yield where, f"player {p.name!r} has no actions", p.name
         if len(set(map(name_key, p.actions))) != len(p.actions):
@@ -506,14 +509,14 @@ def _structural_errors(game: GameSpec):
     for i, v in enumerate(game.variables):
         where = ("variable", i)
         for n in (v.name, *v.aliases):
-            if name_key(n) in seen:
+            if keys[n] in seen:
                 yield (where, f"variable name or alias {n!r} declared more "
                               f"than once", n)
-            elif game.player(n) is not None:
+            elif keys[n] in players:
                 # A rule atom would bind the name to the player.
                 yield (where, f"variable name or alias {n!r} is also a "
                               f"player name or alias", n)
-            seen.add(name_key(n))
+            seen.add(keys[n])
         if v.name in repeated:
             yield (where, f"variable {v.name!r} has the name of a "
                           f"{repeated[v.name]} column", v.name)

@@ -16,20 +16,18 @@ folded in, so a rule with an inert condition atom keeps only its
 otherwise-branch and inert assignment atoms are gone.  Compiling raises
 ``NameResolutionError`` for an atom of ``GameSpec.rule_faults``, naming its
 part as ``validate_game`` does, such as ``consequence of rule '...'``.
-For each
-action profile, the rules decided by the profile alone force variable
-values up front; the rules that test outcome variables are checked once per
-assignment of the variables they mention (the coupled block), and the
-candidates are filtered by the admissible assignments found.  Every other
-variable is free, independent of the rest, so a profile's admissible
-count, and its greatest key and the completions attaining it for any key
-that sums per-value weights, follow in closed form: ``enumeration_report``
-counts without building a row, ``top_gu_rows`` generates only the rows at
-the greatest global utility, and policy picks (and through them payoff
-tables, ``derive_payoff_table``, and projections onto two players,
-``project_bimatrix``) are the first completions of greatest key; both
-tables are built in ``oagame._payoffs``, which only the commands that
-build one compile.
+For each action profile, the rules decided by the profile alone force
+variable values up front, and the rules that test outcome variables are
+deferred.  A profile's block is a product of independent factors: each
+group of variables that deferred rules link, with its assignments that
+pass its own rules, and each variable that none mentions.  So the
+admissible count, and the greatest key of any per-value weighting with
+the completions reaching it, follow from the factors' own (bucket
+elimination): ``enumeration_report`` counts without building a row,
+``top_gu_rows`` builds only the rows at the greatest global utility, and
+policy picks, the first completions of greatest key, make the payoff
+tables (``derive_payoff_table``, ``project_bimatrix``) in
+``oagame._payoffs``, which only the commands that build one compile.
 The census is the engine's one walk over the profiles: the counts, the
 payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
 read it, and the row lists expand it, enumerating each block's completions
@@ -189,15 +187,12 @@ ROW_BUDGET = 10**6
 
 
 class _Block(namedtuple("_Block", (
-        "domains",  # per variable, its forced value or its range
-        "coupled",  # the coupled variables, ascending
-        "select",  # getter of the coupled values; None when none are
-        "passing",  # ``select`` value -> values, of each passing assignment
+        "factors",  # (variables, passing assignments) of each factor
         "count",  # admissible completions
         "gu"))):  # ``_optimum`` of the global utility; None if no count
     """What every profile with the same (deferred rules, forced values)
-    shares.  The variables the deferred rules mention are coupled; the
-    others are free, each independent of the rest."""
+    shares: its completions are one passing assignment (a value tuple) of
+    each factor, in canonical order; factors go by first variable."""
 
     __slots__ = ()
 
@@ -229,54 +224,56 @@ def _profile_block(cg: CompiledGame, profile) -> _Block | None:
 
 
 def _block(cg: CompiledGame, deferred, forced) -> _Block:
-    """Checks every assignment of the coupled variables once against the
-    deferred rules; a completion is a passing one times any free values."""
+    """Joins the factors of each deferred rule's variables, every variable
+    starting as a factor alone, and checks every assignment of a factor
+    once against its own rules."""
     domains = [r if f is None else (f,) for f, r in zip(forced, cg.ranges)]
-    rules = [cg.rules[r][1:] for r in deferred]
-    coupled = sorted({v for rule in rules for pairs in rule
-                      for v, _ in pairs})
-    passing = {}
-    for sub in itertools.product(*(domains[v] for v in coupled)):
-        values = dict(zip(coupled, sub))
-        if all(_holds(then if _holds(tests, values) else otherwise, values)
-               for tests, then, otherwise in rules):
-            passing[sub if len(coupled) != 1 else sub[0]] = sub
-    count = len(passing) * math.prod(
-        len(d) for v, d in enumerate(domains) if v not in coupled)
-    block = _Block(domains, coupled, itemgetter(*coupled) if coupled else None,
-                   passing, count, None)
-    return block._replace(gu=_optimum(block, cg.scores)) if count else block
+    factor = {v: ((v,), ()) for v in range(len(domains))}  # (variables, rules)
+    for rule in (cg.rules[r][1:] for r in deferred):
+        variables, own = zip(*{factor[v] for pairs in rule for v, _ in pairs})
+        joined = tuple(sorted(sum(variables, ()))), sum(own, (rule,))
+        factor.update(dict.fromkeys(joined[0], joined))
+    factors = tuple((variables, tuple(
+        sub for sub in itertools.product(*map(domains.__getitem__, variables))
+        if not own or all(  # a free variable passes as it is
+            _holds(then if _holds(tests, values) else otherwise, values)
+            for values in [dict(zip(variables, sub))]
+            for tests, then, otherwise in own)))
+        for variables, own in dict.fromkeys(factor.values()))
+    count = math.prod(len(passing) for _, passing in factors)
+    return _Block(factors, count,
+                  _optimum(factors, cg.scores) if count else None)
 
 
-def _optimum(block: _Block, weights):
-    """``(best, at_best, argmax, top)`` of the key adding ``weights[v][x]``
-    for value ``x`` of each variable ``v``: the greatest key over the
-    block's (one or more) completions, how many reach it, the ``passing``
-    keys that do, and ``domains`` with free variables cut to their values
-    of greatest weight; the free maxima add (bucket elimination)."""
-    gains = {k: sum(weights[v][x] for v, x in zip(block.coupled, sub))
-             for k, sub in block.passing.items()}
-    best = max(gains.values())
-    argmax = {k for k, gain in gains.items() if gain == best}
-    at_best, top = len(argmax), list(block.domains)
-    for v, domain in enumerate(block.domains):
-        if v not in block.coupled:
-            gains = [weights[v][x] for x in domain]
-            high = max(gains)
-            best += high
-            at_best *= gains.count(high)
-            top[v] = [x for x, gain in zip(domain, gains) if gain == high]
-    return best, at_best, argmax, top
+def _optimum(factors, weights):
+    """``(best, at_best, picks)`` of the key adding ``weights[v][x]`` for
+    value ``x`` of each variable ``v``: the greatest key over the
+    completions of ``factors``, how many reach it, and each factor cut to
+    its assignments of greatest key; the factors' maxima add, and their
+    counts at the maxima multiply (bucket elimination)."""
+    best, at_best, picks = 0, 1, []
+    for variables, passing in factors:
+        w = [weights[v] for v in variables]
+        gains = [sum(map(getitem, w, sub)) for sub in passing]
+        high = max(gains)
+        top = tuple(sub for sub, gain in zip(passing, gains) if gain == high)
+        best, at_best = best + high, at_best * len(top)
+        picks.append((variables, top))
+    return best, at_best, tuple(picks)
 
 
-def _filtered(select, domains, keep):
-    """The completions over ``domains`` whose coupled values are in
-    ``keep`` (every one when nothing is coupled), canonical order."""
-    if select is None:
-        return itertools.product(*domains)
-    return itertools.compress(
-        itertools.product(*domains),
-        map(keep.__contains__, map(select, itertools.product(*domains))))
+def _filtered(factors):
+    """The completions made of one assignment of each of ``factors``, in
+    canonical order: the product of each variable's values, kept where
+    each factor of several variables holds one of its assignments."""
+    allowed = {v: sorted(set(values)) for variables, kept in factors
+               for v, values in zip(variables, zip(*kept))}
+    rows = itertools.product(*map(allowed.__getitem__, sorted(allowed)))
+    for variables, kept in (f for f in factors if len(f[0]) > 1):
+        rows, copy = itertools.tee(rows)
+        rows = itertools.compress(rows, map(
+            set(kept).__contains__, map(itemgetter(*variables), copy)))
+    return rows
 
 
 def _census(cg: CompiledGame, profiles=None):
@@ -297,7 +294,7 @@ def _within_budget(count: int, what: str) -> None:
 def _report(cg: CompiledGame, census) -> EnumerationReport:
     count, best, at_best = 0, None, 0
     for _, block in census:
-        high, at_high, _, _ = block.gu
+        high, at_high, _ = block.gu
         count += block.count
         if best is None or high > best:
             best, at_best = high, 0
@@ -318,13 +315,13 @@ def enumeration_report(game: GameSpec) -> EnumerationReport:
 
 def _expand(entries) -> list[tuple]:
     """The ``(profile, completions)`` group of each ``(profile, block,
-    domains, keep)`` entry, in order; each block's ``_filtered`` completions
-    are enumerated once, into one tuple that its profiles share."""
+    factors)`` entry, in order; each block's ``_filtered`` completions are
+    enumerated once, into one tuple that its profiles share."""
     shared, done, groups = {}, {}, []  # done: id(block) -> its completions
-    for p, b, domains, keep in entries:
+    for p, b, factors in entries:
         if id(b) not in done:
             done[id(b)] = tuple(shared.setdefault(c, c)
-                                for c in _filtered(b.select, domains, keep))
+                                for c in _filtered(factors))
         groups.append((p, done[id(b)]))
     return groups
 
@@ -339,7 +336,7 @@ def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
     census = list(_census(cg))
     report = _report(cg, census)
     _within_budget(report.admissible_count, "admissible rows")
-    return _expand((p, b, b.domains, b.passing) for p, b in census), report
+    return _expand((p, b, b.factors) for p, b in census), report
 
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
@@ -353,7 +350,7 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     best = report.max_global_utility
     _within_budget(report.max_global_utility_count,
                    "rows at max global utility")
-    return best, _expand((p, b, b.gu[3], b.gu[2]) for p, b in census
+    return best, _expand((p, b, b.gu[2]) for p, b in census
                          if b.gu[0] == best)
 
 

@@ -123,16 +123,18 @@ class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
         None."""
         return self._named()[1].get(name_key(name))
 
-    def _named(self) -> tuple[dict, dict]:
+    def _named(self) -> tuple[dict, dict, dict]:
         """Per ``name_key`` of each name and alias, its player and its
-        variable, the first declaration winning; built on first use and
-        kept in the instance dict."""
+        variable, the first declaration winning, and each written name's
+        key; built on first use and kept in the instance dict."""
         tables = self.__dict__.get("_names")
         if tables is None:
-            tables = self._names = tuple(
-                {key: d for d in reversed(decls)
-                 for key in map(name_key, (d.name, *d.aliases))}
-                for decls in (self.players, self.variables))
+            keys = {n: name_key(n) for d in (*self.players, *self.variables)
+                    for n in (d.name, *d.aliases)}
+            tables = self._names = (*(
+                {keys[n]: d for d in reversed(decls)
+                 for n in (d.name, *d.aliases)}
+                for decls in (self.players, self.variables)), keys)
         return tables
 
     def bind(self, name: str, value: str) -> tuple:

@@ -350,6 +350,32 @@ def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
     assert calls["_profile_block"] == 108
 
 
+# Ten pairs of linked variables: ``Wi`` must be Lo when ``Vi`` is Hi.
+LINKED_PAIRS_GAME = "\n".join([
+    'game "pairs"', 'player A actions: "x"',
+    *(f"variable {n}{i} owner: A values: Hi=1, Lo=0"
+      for n in "VW" for i in range(10)),
+    "utility A = " + " + ".join(f"{n}{i}" for n in "VW" for i in range(10)),
+    *(f'rule if V{i}="Hi" then W{i}="Lo".' for i in range(10))]) + "\n"
+
+
+def test_each_deferred_rule_is_checked_against_its_own_factor(monkeypatch):
+    """A block is a product of independent factors, each group of
+    variables that deferred rules link: the ten pairs' census checks each
+    of the 4 assignments of each pair against its one rule (80 ``_holds``
+    calls, not one pass over the 2**20 assignments), and ``oa.game``'s
+    census checks its deferred rules 160 times."""
+    calls = _counted(monkeypatch, "_holds")
+    assert enumeration_report(parse_game_spec(LINKED_PAIRS_GAME).game) == \
+        EnumerationReport(1, 1048576, 59049, 10, 1024)
+    assert calls["_holds"] == 80
+    calls["_holds"] = 0
+    game = parse_game_spec(fixtures.fixture_text("oa.game")).game
+    assert enumeration_report(game) == \
+        EnumerationReport(432, 110592, 17640, 8, 30)
+    assert calls["_holds"] == 160
+
+
 def _with_action_copy(game, player, action, copy):
     """``game`` with ``copy`` appended to ``player``'s actions, and a map
     from its profiles (action names) to the profiles of ``game`` they

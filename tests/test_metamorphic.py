@@ -3,21 +3,32 @@ or declaration order that must leave its admissible rows, its top rows,
 its census, its payoff tables and its projections as they are, names
 aside.  They check the engine without a reference answer, so they hold
 where the brute-force oracle is too slow to run.  (The copied-action
-relation is in ``test_engine``.)"""
+relation is in ``test_engine``.)
 
+The join relation composes: a game made of two games with disjoint names
+has their census multiplied and its best rows, payoff cells, pure
+equilibria and projections made of theirs.  The engine splits each profile
+block into independent factors, so on a join it works the census out of
+the parts' own factors, and the relation then checks the engine's own
+arithmetic and the order it interleaves the factors in; the independent
+check stays the brute-force oracle, run here on each part.
+"""
+
+import math
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
 from oagame import (CompletionPolicy, GameError, PayoffTable,
                     admissible_rows, compile_game, derive_payoff_table,
                     enumeration_report, parse_game_spec, project_bimatrix,
-                    serialize_game, top_gu_rows)
+                    pure_nash, serialize_game, top_gu_rows)
 from oagame.dsl import LENIENT
 from oagame.model import GameSpec, OutcomeVarDef, PlayerDef, Rule, UtilityDef
 
-from .oracle import (flat_rows, named_row, random_rich_game,
-                     random_small_game, row_key)
+from .oracle import (brute_force_admissible, flat_rows, named_row,
+                     random_rich_game, random_small_game, row_key, utility)
 
 
 def _outcome(derive, *args):
@@ -29,17 +40,22 @@ def _outcome(derive, *args):
         return type(err), str(err)
 
 
+def _policies(game):
+    """Max-GU, fixed on the first player's first action, and optimistic
+    and pessimistic for the first player."""
+    first = game.players[0]
+    return (CompletionPolicy(),
+            CompletionPolicy("fixed", None, ((first.name, first.actions[0]),)),
+            CompletionPolicy("optimistic", first.name),
+            CompletionPolicy("pessimistic", first.name))
+
+
 def _payoffs(game):
-    """Under max-GU, fixed on the first player's first action, and
-    optimistic and pessimistic for the first player: the payoff table and
-    the projection on the first two players (when there are two)."""
+    """Under each of ``_policies(game)``: the payoff table and the
+    projection on the first two players (when there are two)."""
     first = game.players[0]
     out = []
-    for policy in (CompletionPolicy(),
-                   CompletionPolicy("fixed", None,
-                                    ((first.name, first.actions[0]),)),
-                   CompletionPolicy("optimistic", first.name),
-                   CompletionPolicy("pessimistic", first.name)):
+    for policy in _policies(game):
         out.append(_outcome(derive_payoff_table, game, policy))
         if len(game.players) > 1:
             out.append(_outcome(project_bimatrix, game, policy, first.name,
@@ -184,3 +200,106 @@ def test_any_declaration_order_leaves_the_census(seed, shuffler):
         shuffler.shuffle(items)
     permuted = game._replace(**{k: tuple(v) for k, v in sections.items()})
     assert enumeration_report(permuted) == enumeration_report(game)
+
+
+def join(a, b, s="_b"):
+    """A ⊕ B: the players, variables, rules and utilities of ``a``, then
+    those of ``b`` with every name suffixed by ``s``, written as text and
+    read back.  Raises ValueError for a part that cannot be written."""
+    b = _renamed(b, s)
+    return parse_game_spec(serialize_game(a._replace(
+        name=f"{a.name} and {b.name}", players=a.players + b.players,
+        variables=a.variables + b.variables, rules=a.rules + b.rules,
+        utilities=a.utilities + b.utilities)), LENIENT).game
+
+
+def _writable(game):
+    """``game`` with each utility that sums nothing summing the first
+    variable, since a utility line names at least one term."""
+    return game._replace(utilities=tuple(
+        u if u.terms else u._replace(terms=(game.variables[0].name,))
+        for u in game.utilities))
+
+
+def _census_by_oracle(game):
+    """``game``'s admissible count, maximum global utility and rows at it,
+    from the brute-force rows; the part's census must equal it."""
+    gus = [utility(game, r) for r in brute_force_admissible(game)]
+    best = max(gus, default=None)
+    report = enumeration_report(game)
+    assert (report.admissible_count, report.max_global_utility,
+            report.max_global_utility_count) == (len(gus), best,
+                                                 gus.count(best)), game
+    return report
+
+
+def _joined_rows(a_rows, b_rows):
+    """The rows of a join made of the parts' flattened rows, in canonical
+    order: profiles first, then completions, ``a``'s part first in each."""
+    return sorted((pa + pb, ca + cb) for pa, ca in a_rows for pb, cb in b_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.sampled_from([random_small_game, random_rich_game]),
+       st.sampled_from([random_small_game, random_rich_game]))
+def test_a_join_is_made_of_its_parts(seed_a, seed_b, draw_a, draw_b):
+    """Each part is checked against the brute-force oracle, and the join
+    against the parts: profiles, row space and admissible rows multiply,
+    maximum global utilities add and the rows at it multiply, the max-GU
+    payoff cell is the parts' cells joined, the pure equilibria are the
+    product of the parts' sets, and a projection onto two of A's players,
+    under each policy, is A's when B has an admissible row."""
+    a = _writable(draw_a(random.Random(seed_a)))
+    b = _writable(draw_b(random.Random(seed_b)))
+    ab, b = join(a, b), _renamed(b, "_b")
+    ra, rb, rab = _census_by_oracle(a), _census_by_oracle(b), \
+        enumeration_report(ab)
+    assert rab[:3] == tuple(x * y for x, y in zip(ra[:3], rb[:3]))
+    if rab.admissible_count:
+        assert rab[3:] == (ra.max_global_utility + rb.max_global_utility,
+                           ra.max_global_utility_count
+                           * rb.max_global_utility_count)
+        tops = [flat_rows(top_gu_rows(g)[1]) for g in (a, b, ab)]
+        assert tops[2] == _joined_rows(*tops[:2])
+    else:
+        assert rab[3:] == (None, 0)
+    if rab.admissible_count <= 5000:
+        assert flat_rows(admissible_rows(ab)[0]) == _joined_rows(
+            flat_rows(admissible_rows(a)[0]), flat_rows(admissible_rows(b)[0]))
+
+    ta, tb, tab = map(derive_payoff_table, (a, b, ab))
+    assert tab.cells == tuple(None if x is None or y is None else x + y
+                              for x in ta.cells for y in tb.cells)
+    assert [e.pure_profile() for e in pure_nash(tab)] == [
+        x.pure_profile() + y.pure_profile()
+        for x in pure_nash(ta) for y in pure_nash(tb)]
+
+    if len(a.players) > 1:
+        for policy, outcome in zip(_policies(a), _payoffs(a)[1::2]):
+            projected = _outcome(project_bimatrix, ab, policy,
+                                 a.players[0].name, a.players[1].name)
+            if rb.admissible_count or not isinstance(outcome, PayoffTable):
+                assert projected == outcome, policy
+            else:
+                assert projected == outcome._replace(
+                    cells=(None,) * len(outcome.cells)), policy
+
+
+def test_a_join_above_a_hundred_thousand_profiles(oa_game):
+    """``oa.game`` joined with two small draws of 18 profiles each, 139968
+    profiles: the census is the product of the parts' (the draws' checked
+    by brute force), worked out within two seconds."""
+    rng = random.Random(0)
+    draws = [_writable(d) for d in (random_small_game(rng) for _ in range(40))
+             if math.prod(len(p.actions) for p in d.players) == 18][:2]
+    start = time.perf_counter()
+    game = join(join(oa_game, draws[0], "_c"), draws[1], "_d")
+    parts = [enumeration_report(oa_game), *map(_census_by_oracle, draws)]
+    report = enumeration_report(game)
+    assert report.action_profile_count == 139968
+    assert report[:3] == tuple(math.prod(p[i] for p in parts)
+                               for i in range(3))
+    assert report[3:] == (sum(p.max_global_utility for p in parts),
+                          math.prod(p.max_global_utility_count for p in parts))
+    assert time.perf_counter() - start < 2

@@ -123,8 +123,9 @@ def test_bind_resolves_names_aliases_and_values(oa_game):
 def test_a_name_lookup_is_one_probe(monkeypatch):
     """Each ``GameSpec`` keys its names and aliases once, and the values
     of each variable it binds, and a parse builds the tables of one game
-    only, so parsing the bundled game calls ``name_key`` 306 times, not
-    once per declared name per lookup (1031 times)."""
+    only, which its checks of repeated names read, so parsing the bundled
+    game calls ``name_key`` 260 times, not once per declared name per
+    lookup (1031 times)."""
     import oagame.dsl
     import oagame.model
     calls = []
@@ -137,7 +138,26 @@ def test_a_name_lookup_is_one_probe(monkeypatch):
     for module in (oagame.model, oagame.dsl):
         monkeypatch.setattr(module, "name_key", counting)
     assert parse_game_spec(fixtures.fixture_text("oa.game")).ok
-    assert len(calls) == 306
+    assert len(calls) == 260
+
+
+def test_validate_builds_the_name_tables_once(monkeypatch, capsys):
+    """The parsed game keeps the parser's name tables, so the ``validate``
+    command keys the bundled game's names once."""
+    from oagame.cli import run_cli
+    from oagame.model import GameSpec
+    built = []
+    original = GameSpec._named
+
+    def counting(game):
+        if "_names" not in game.__dict__:
+            built.append(game)
+        return original(game)
+
+    monkeypatch.setattr(GameSpec, "_named", counting)
+    assert run_cli(["validate", "--game", "oa.game"]) == 0
+    assert "row_space: 110592" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_agent_utilities_on_ideal_row(oa_game):

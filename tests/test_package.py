@@ -22,16 +22,16 @@ EXPORTED = {
     "dsl": (
         "Diagnostic", "ParseError", "ParseResult", "SourceSpan",
         "ValidatedGame", "parse_game_spec", "parse_rule", "serialize_game",
-        "validate_game"),
+        "serialize_rule", "validate_game"),
     "engine": (
         "CompiledGame", "CompletionPolicy", "EnumerationReport",
         "RowBudgetError", "admissible_rows", "compile_game",
         "derive_payoff_table", "enumeration_report", "top_gu_rows"),
     "equilibrium": (
-        "Bimatrix", "DominanceResult", "EquilibriumCertificate",
-        "InfeasibleSliceError", "MixedStrategy", "best_responses",
-        "dominance_analysis", "expected_utility", "mixed_nash_2p",
-        "parse_bimatrix", "project_bimatrix", "pure_nash",
+        "SUPPORT_LIMIT", "Bimatrix", "DominanceResult", "Elimination",
+        "EquilibriumCertificate", "InfeasibleSliceError", "MixedStrategy",
+        "best_responses", "dominance_analysis", "expected_utility",
+        "mixed_nash_2p", "parse_bimatrix", "project_bimatrix", "pure_nash",
         "serialize_bimatrix"),
 }
 

@@ -160,9 +160,9 @@ def test_record_validation_still_fires(make, error, message):
 
 
 # Every record type with a sample: the public ones of ``RECORDS``, and the
-# engine's profile block (its lists and dict as tuples, to hash it).
+# engine's profile block: one factor, a variable with two passing values.
 SAMPLES = [cls(*required.values()) for cls, required, _ in RECORDS] + [
-    _Block(((0, 1),), (0,), None, ((0, (0,)),), 1, None)]
+    _Block((((0,), ((0,), (1,))),), 2, None)]
 
 
 @pytest.mark.parametrize("record", SAMPLES,
