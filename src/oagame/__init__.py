@@ -3,10 +3,10 @@ scenario enumeration, payoff derivation, and Nash equilibrium certification.
 
 Every public name is exported here and imported from its submodule on first
 access (PEP 562), so a program that uses only bimatrix analysis never loads
-the game parser or the enumeration engine.
+the game parser or the enumeration engine.  ``_EXPORTS`` is the one table
+of where each public name lives; ``oagame.equilibrium`` and ``oagame.dsl``
+serve the names they moved out through it.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -46,10 +46,20 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
-def __getattr__(name: str):
+def _serve(namespace: dict, name: str, served=None):
+    """``name`` from the module that ``_EXPORTS`` names for it, bound in
+    ``namespace`` so that later lookups skip its PEP 562 hook; refused
+    unless ``served``, where given, holds the name or that module."""
     module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
+    if module is None or served is not None and not {module, name} & served:
+        raise AttributeError(f"module {namespace['__name__']!r} has no "
+                             f"attribute {name!r}")
+    # ``__import__``, unlike ``importlib.import_module``, shows in the
+    # import times that ``python -X importtime`` reports.
+    module = __import__(f"{__name__}.{module}", fromlist=[name])
+    value = namespace[name] = getattr(module, name)
     return value
+
+
+def __getattr__(name: str):
+    return _serve(globals(), name)

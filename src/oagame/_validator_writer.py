@@ -103,7 +103,7 @@ def serialize_game(game: GameSpec) -> str:
         lines.append(f"variable {v.name}{alias} owner: {v.owner} "
                      f"values: {vals}{valias}")
     for u in game.utilities:
-        lines.append(f"utility {u.player} = {' + '.join(u.terms)}")
+        lines.append(f"utility {u.player} = {' + '.join(u.terms)}".rstrip())
     for r in game.rules:
         lines.append("rule " + serialize_rule(r))
     text = "\n".join(lines) + "\n"

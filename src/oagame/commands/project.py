@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-
 from .. import report as rp
 from . import USAGE_ERROR, _CliError
 from ._game import _game_or_fail
@@ -27,12 +25,6 @@ def _bimatrix_records(table: PayoffTable) -> list[dict]:
 
 def run(args) -> tuple[int, dict | str]:
     from .. import engine
-    # ``oagame.equilibrium`` serves ``engine.project_bimatrix`` too.  Read
-    # it there when that module is loaded, so that a wrapper installed on
-    # that attribute sees the call; only --format bmx loads it, for its
-    # writer.
-    project_bimatrix = getattr(sys.modules.get("oagame.equilibrium", engine),
-                               "project_bimatrix")
     game, digest = _game_or_fail(args)
     policy = _policy(args, game)
     row, col = (_declared_player(game, name)
@@ -40,7 +32,7 @@ def run(args) -> tuple[int, dict | str]:
     if row == col:
         raise _CliError(f"--row-player and --col-player both name {row!r}",
                         USAGE_ERROR)
-    table = project_bimatrix(game, policy, row, col)
+    table = engine.project_bimatrix(game, policy, row, col)
     if args.format == "bmx":
         from ..equilibrium import serialize_bimatrix
         return 0, serialize_bimatrix(table)

@@ -12,12 +12,14 @@ The format is line oriented with ``#`` comments:
 Rule sentences accept the loose prose conventions found in published rule
 blocks: possessive prefixes ("Academics' Opportunity", "Editor's Income"),
 multiword variable names containing the word "and", straight or typographic
-quotes, and either "and" or "," as conjunction separators.  Parsing is total:
-malformed constructs become diagnostics, never exceptions.
+quotes, and either "and" or "," as conjunction separators.  A utility
+with nothing after ``=`` sums nothing.  Parsing is total: malformed
+constructs become diagnostics, never exceptions.
 
 The validator and the writers, which no command but ``validate`` runs, are
 in ``oagame._validator_writer``; this module serves their names on first
-access (PEP 562), so the other game commands compile only the reader.
+access (PEP 562), read through the top-level package's table
+``oagame._EXPORTS``, so the other game commands compile only the reader.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import re
 from collections import namedtuple
 
+from . import _serve
 from ._table import MAX_DIGITS, number_literal, too_many_digits
 from .model import (
     ACTION,
@@ -42,18 +45,9 @@ from .model import (
 STRICT = "strict"
 LENIENT = "lenient"
 
-# Public names defined in ``_validator_writer``.
-_VALIDATOR_WRITER = ("Diagnostic", "ValidatedGame", "validate_game",
-                     "serialize_game", "serialize_rule")
-
 
 def __getattr__(name: str):
-    if name not in _VALIDATOR_WRITER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _validator_writer
-    value = getattr(_validator_writer, name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+    return _serve(globals(), name, {"_validator_writer"})
 
 
 # Opening quote characters mapped to their accepted closers.
@@ -329,7 +323,7 @@ _VARIABLE_RE = re.compile(
     r"\s+owner:\s*(?P<owner>\S+)"
     r"\s+values:\s*(?P<values>.+?)"
     r"(?:\s+valias\s+(?P<valias>.+))?$")
-_UTILITY_RE = re.compile(r"^utility\s+(?P<player>\S+)\s*=\s*(?P<terms>.+)$")
+_UTILITY_RE = re.compile(r"^utility\s+(?P<player>\S+)\s*=\s*(?P<terms>.*)$")
 _GAME_RE = re.compile(r"^game\s+(?P<name>.+)$")
 # The pattern of each declaration line, by its first word.
 _DECLARATIONS = {"game": _GAME_RE, "player": _PLAYER_RE,

@@ -291,15 +291,25 @@ def _within_budget(count: int, what: str) -> None:
                              f"{ROW_BUDGET}")
 
 
-def _report(cg: CompiledGame, census) -> EnumerationReport:
+def _report(cg: CompiledGame, census, rows=None,
+            tops=None) -> EnumerationReport:
+    """The counts of ``census``, walked to its end, and the entries a row
+    list expands while their rows are within ``ROW_BUDGET``: to ``rows``
+    each entry, to ``tops`` each at the running max, emptied as it rises."""
     count, best, at_best = 0, None, 0
-    for _, block in census:
-        high, at_high, _ = block.gu
-        count += block.count
+    for entry in census:
+        high, at_high, _ = entry[1].gu
+        count += entry[1].count
+        if rows is not None and count <= ROW_BUDGET:
+            rows.append(entry)
         if best is None or high > best:
             best, at_best = high, 0
+            if tops is not None:
+                tops.clear()
         if high == best:
             at_best += at_high
+            if tops is not None and at_best <= ROW_BUDGET:
+                tops.append(entry)
     profile_count = math.prod(map(len, cg.actions))
     return EnumerationReport(profile_count,
                              profile_count * math.prod(map(len, cg.values)),
@@ -332,9 +342,8 @@ def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
     row, plus the count report.  A block's profiles share its completions
     tuple, and equal completions are one tuple.  Raises
     ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
-    cg = compile_game(game)
-    census = list(_census(cg))
-    report = _report(cg, census)
+    cg, census = compile_game(game), []
+    report = _report(cg, _census(cg), rows=census)
     _within_budget(report.admissible_count, "admissible rows")
     return _expand((p, b, b.factors) for p, b in census), report
 
@@ -344,14 +353,12 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     it, grouped by profile like ``admissible_rows``: ``(profile,
     completions)`` groups in canonical order, or (None, []) when the set is
     empty.  Raises ``RowBudgetError``, building no row, above the budget."""
-    cg = compile_game(game)
-    census = list(_census(cg))
-    report = _report(cg, census)
-    best = report.max_global_utility
+    cg, census = compile_game(game), []
+    report = _report(cg, _census(cg), tops=census)
     _within_budget(report.max_global_utility_count,
                    "rows at max global utility")
-    return best, _expand((p, b, b.gu[2]) for p, b in census
-                         if b.gu[0] == best)
+    return report.max_global_utility, _expand((p, b, b.gu[2])
+                                              for p, b in census)
 
 
 def derive_payoff_table(

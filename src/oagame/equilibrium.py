@@ -6,9 +6,10 @@ and pure Nash equilibria (``nash``, ``reproduce``) in ``oagame._pure``,
 support enumeration and iterated dominance (``mixed``) in
 ``oagame._support``, the ``.bmx`` writer (``project --format bmx``) in
 ``oagame._bmx_writer``, and the projection of a game onto two players,
-``project_bimatrix``, in ``oagame.engine``.  Their public names are read
-through this module on first access (PEP 562), so a command compiles only
-the ones it runs.
+``project_bimatrix``, in ``oagame.engine``.  This module serves their
+public names on first access (PEP 562), read through the top-level
+package's table ``oagame._EXPORTS``, so a command compiles only the ones
+it runs.
 
 Every figure is exact, an int or a ``fractions.Fraction``; decimals appear
 only at the reporting boundary.  A table keeps its own numbers: a game's
@@ -27,30 +28,17 @@ import math
 import re
 from collections import namedtuple
 
+from . import _serve
 from ._table import PayoffTable, number_literal
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Public name defined elsewhere -> the module that defines it.
-_SERVED = {
-    **dict.fromkeys(("InfeasibleSliceError", "best_responses", "pure_nash"),
-                    "_pure"),
-    **dict.fromkeys(("SUPPORT_LIMIT", "mixed_nash_2p", "dominance_analysis",
-                     "Elimination", "DominanceResult"), "_support"),
-    "serialize_bimatrix": "_bmx_writer",
-    "project_bimatrix": "engine",
-}
-
 
 def __getattr__(name: str):
-    module = _SERVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = __import__(f"{__package__}.{module}", fromlist=[name])
-    value = globals()[name] = getattr(module, name)  # skip this hook next
-    return value
+    return _serve(globals(), name, {"_pure", "_support", "_bmx_writer",
+                                    "project_bimatrix"})
 
 
 class BimatrixFormatError(Exception):

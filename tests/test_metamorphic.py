@@ -213,14 +213,6 @@ def join(a, b, s="_b"):
         utilities=a.utilities + b.utilities)), LENIENT).game
 
 
-def _writable(game):
-    """``game`` with each utility that sums nothing summing the first
-    variable, since a utility line names at least one term."""
-    return game._replace(utilities=tuple(
-        u if u.terms else u._replace(terms=(game.variables[0].name,))
-        for u in game.utilities))
-
-
 def _census_by_oracle(game):
     """``game``'s admissible count, maximum global utility and rows at it,
     from the brute-force rows; the part's census must equal it."""
@@ -250,8 +242,8 @@ def test_a_join_is_made_of_its_parts(seed_a, seed_b, draw_a, draw_b):
     payoff cell is the parts' cells joined, the pure equilibria are the
     product of the parts' sets, and a projection onto two of A's players,
     under each policy, is A's when B has an admissible row."""
-    a = _writable(draw_a(random.Random(seed_a)))
-    b = _writable(draw_b(random.Random(seed_b)))
+    a = draw_a(random.Random(seed_a))
+    b = draw_b(random.Random(seed_b))
     ab, b = join(a, b), _renamed(b, "_b")
     ra, rb, rab = _census_by_oracle(a), _census_by_oracle(b), \
         enumeration_report(ab)
@@ -291,7 +283,7 @@ def test_a_join_above_a_hundred_thousand_profiles(oa_game):
     profiles: the census is the product of the parts' (the draws' checked
     by brute force), worked out within two seconds."""
     rng = random.Random(0)
-    draws = [_writable(d) for d in (random_small_game(rng) for _ in range(40))
+    draws = [d for d in (random_small_game(rng) for _ in range(40))
              if math.prod(len(p.actions) for p in d.players) == 18][:2]
     start = time.perf_counter()
     game = join(join(oa_game, draws[0], "_c"), draws[1], "_d")

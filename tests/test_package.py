@@ -71,16 +71,54 @@ def test_the_parser_module_serves_the_validator_and_writers():
 
 
 def test_the_bimatrix_module_serves_the_names_defined_elsewhere():
-    """``oagame.equilibrium`` reads each public name that another module
-    defines on first access, from the module ``oagame`` names for it, and
-    refuses any other unknown name."""
+    """``oagame.equilibrium`` reads each public name that ``oagame._EXPORTS``
+    places in ``_pure``, ``_support`` or ``_bmx_writer``, and
+    ``project_bimatrix``, on first access from the module that defines it,
+    and refuses any other unknown name."""
     import oagame.equilibrium
-    for name, module in oagame.equilibrium._SERVED.items():
-        defining = importlib.import_module(f"oagame.{module}")
+    served = [name for name, module in oagame._EXPORTS.items()
+              if module in ("_pure", "_support", "_bmx_writer")
+              or name == "project_bimatrix"]
+    assert len(served) == 10
+    for name in served:
+        defining = importlib.import_module(f"oagame.{oagame._EXPORTS[name]}")
         assert getattr(oagame.equilibrium, name) is getattr(defining, name)
-        assert oagame._EXPORTS.get(name, module) == module
     with pytest.raises(AttributeError, match="no_such_name"):
         oagame.equilibrium.no_such_name
+
+
+# The names that each submodule's PEP 562 hook serves, and one name that
+# another layer defines, which it refuses.
+_HOOKS = {
+    "equilibrium": (
+        ("InfeasibleSliceError", "best_responses", "pure_nash",
+         "SUPPORT_LIMIT", "DominanceResult", "Elimination",
+         "dominance_analysis", "mixed_nash_2p", "serialize_bimatrix",
+         "project_bimatrix"), "compile_game"),
+    "dsl": (
+        ("Diagnostic", "ValidatedGame", "serialize_game", "serialize_rule",
+         "validate_game"), "pure_nash"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(_HOOKS))
+def test_each_hook_serves_exactly_its_names(module):
+    """A submodule's hook gives each of its names as ``oagame`` exports it,
+    and refuses every other name of ``oagame._EXPORTS`` that the submodule
+    does not define, naming the submodule."""
+    mod = importlib.import_module(f"oagame.{module}")
+    served, refused = _HOOKS[module]
+    for name, defining in oagame._EXPORTS.items():
+        if name in served:
+            assert mod.__getattr__(name) is getattr(oagame, name)
+        elif defining != module:
+            with pytest.raises(AttributeError, match=(
+                    rf"^module 'oagame\.{module}' has no attribute '{name}'$")):
+                mod.__getattr__(name)
+    assert oagame._EXPORTS[refused] != module
+    with pytest.raises(AttributeError, match=f"'oagame.{module}' has no "
+                                             f"attribute '{refused}'"):
+        getattr(mod, refused)
 
 
 # Runs the CLI on its arguments in a fresh interpreter, output discarded,
@@ -283,7 +321,7 @@ def test_module_run_reports_errors_as_run_cli_does(tmp_path, monkeypatch,
     errors are those of ``run_cli``, and no module imports ``oagame.cli``,
     which would compile a second copy of it."""
     (tmp_path / "bad.game").write_text('game "b"\nplayer A actions: "x"\n'
-                                       'utility A = \n')
+                                       'utility A V\n')
     monkeypatch.chdir(tmp_path)
     from oagame.cli import run_cli
     assert run_cli(list(argv)) == status
@@ -303,13 +341,13 @@ def test_module_run_reports_errors_as_run_cli_does(tmp_path, monkeypatch,
         captured.out, captured.err)
 
 
-def _traced() -> tuple[tuple[str, str], ...]:
-    """``TRACED`` of the benchmark's span recorder, read without importing
-    it."""
+def _spans(name: str):
+    """The constant ``name`` (``TRACED`` or ``MODULES``) of the benchmark's
+    span recorder, read without importing it."""
     tree = ast.parse((SRC.parent / "perfbench" / "spans.py").read_text())
     return next(ast.literal_eval(node.value) for node in tree.body
                 if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["TRACED"])
+                and [t.id for t in node.targets] == [name])
 
 
 # Each traced function and the commands whose handlers call it;
@@ -336,7 +374,7 @@ _REACHED_BY = {
 
 
 def test_every_traced_function_resolves_where_the_benchmark_looks():
-    traced = _traced()
+    traced = _spans("TRACED")
     for module, func in traced:
         assert callable(getattr(importlib.import_module(f"oagame.{module}"),
                                 func)), (module, func)
@@ -345,26 +383,30 @@ def test_every_traced_function_resolves_where_the_benchmark_looks():
 
 
 @pytest.mark.parametrize("module, func, argv", [
-    (module, func, argv) for module, func in _traced()
+    (module, func, argv) for module, func in _spans("TRACED")
     for argv in _REACHED_BY.get(func, ())],
     ids=lambda v: v[0] if isinstance(v, tuple) else v)
 def test_a_wrapper_on_the_module_attribute_sees_every_call(
         monkeypatch, capsys, module, func, argv):
-    """The benchmark wraps each traced function at its module's attribute
-    and runs each command both with and without the wrappers in one
-    process.  The handlers import what they call inside their functions,
-    and ``run_cli`` reads ``emit_report`` off ``oagame.report`` at each
-    call, so a wrapper installed after a first run still sees the calls."""
+    """The benchmark wraps each traced function, as ``Tracer.install``
+    does, at every module of its ``MODULES`` that holds it, and runs each
+    command both with and without the wrappers in one process.  The
+    handlers import what they call inside their functions, and ``run_cli``
+    reads ``emit_report`` off ``oagame.report`` at each call, so a wrapper
+    installed after a first run still sees the calls."""
     from oagame.cli import run_cli
     assert run_cli(list(argv)) == 0
-    mod = importlib.import_module(f"oagame.{module}")
-    original, calls = getattr(mod, func), []
+    original = getattr(importlib.import_module(f"oagame.{module}"), func)
+    calls = []
 
     def counting(*args, **kwargs):
         calls.append(func)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(mod, func, counting)
+    for name in _spans("MODULES"):
+        mod = importlib.import_module(f"oagame.{name}")
+        if getattr(mod, func, None) is original:
+            monkeypatch.setattr(mod, func, counting)
     assert run_cli(list(argv)) == 0
     capsys.readouterr()
     assert calls, f"{' '.join(argv)} called {module}.{func} unseen"
