@@ -482,7 +482,7 @@ def _structural_errors(game: GameSpec):
     repeated = {k: what for what, keys in (("payoffs", game.payoff_keys()),
                                            ("row-dump", game.record_keys()))
                 for k in keys if keys.count(k) > names.count(k) > 0}
-    players, _, keys = game._named()
+    players, _, keys, actions, values = game._named()
     seen: set[str] = set()
     for i, p in enumerate(game.players):
         where = ("player", i)
@@ -493,7 +493,7 @@ def _structural_errors(game: GameSpec):
             seen.add(keys[n])
         if not p.actions:
             yield where, f"player {p.name!r} has no actions", p.name
-        if len(set(map(name_key, p.actions))) != len(p.actions):
+        if len(actions[i]) != len(p.actions):
             yield where, f"player {p.name!r} has duplicate actions", p.name
         if p.name in repeated:
             yield (where, f"player {p.name!r} has the name of a "
@@ -525,7 +525,7 @@ def _structural_errors(game: GameSpec):
             if name_key(alt) in names:
                 yield (where, f"value alias {alt!r} of {v.name!r} shadows a "
                               f"value", alt)
-            if v.canonical_value(canon) is None:
+            if name_key(canon) not in values[i]:
                 yield (where, f"value alias {alt!r} of {v.name!r} targets "
                               f"unknown value {canon!r}", canon)
         if game.player(v.owner) is None:

@@ -24,10 +24,12 @@ pass its own rules, and each variable that none mentions.  So the
 admissible count, and the greatest key of any per-value weighting with
 the completions reaching it, follow from the factors' own (bucket
 elimination): ``enumeration_report`` counts without building a row,
-``top_gu_rows`` builds only the rows at the greatest global utility, and
-policy picks, the first completions of greatest key, make the payoff
-tables (``derive_payoff_table``, ``project_bimatrix``) in
-``oagame._payoffs``, which only the commands that build one compile.
+``top_gu_rows`` takes the product of each variable's values at the
+greatest global utility, kept where each linked group holds one of its
+best assignments, and policy picks, the first completions of greatest
+key, make the payoff tables (``derive_payoff_table``,
+``project_bimatrix``) in ``oagame._payoffs``, which only the commands
+that build one compile.
 The census is the engine's one walk over the profiles: the counts, the
 payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
 read it, and the row lists expand it, enumerating each block's completions

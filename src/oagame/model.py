@@ -8,9 +8,9 @@ which the bimatrix layer also needs, live in ``oagame._table`` and are
 re-exported here.
 The records are immutable named tuples, each a ``collections.namedtuple``
 subclass with ``__slots__ = ()``, so that no command loads ``typing``.
-``GameSpec`` alone has no ``__slots__``: it keeps its compiled form, its
-name tables and its variables' value tables in an instance dict, which,
-unlike the fields, takes new attributes.
+``GameSpec`` alone has no ``__slots__``: it keeps its compiled form and
+its name tables in an instance dict, which, unlike the fields, takes new
+attributes.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ class PlayerDef(namedtuple("PlayerDef", ("name", "actions", "aliases"),
                            defaults=((),))):
     __slots__ = ()
 
-    def action(self, name: str) -> str | None:
-        """Canonical action name for ``name``, by ``name_key``, or None."""
-        low = name_key(name)
-        for a in self.actions:
-            if name_key(a) == low:
-                return a
-        return None
-
 
 class OutcomeVarDef(namedtuple("OutcomeVarDef", (
         "name", "owner", "values", "aliases", "value_aliases"),
@@ -71,7 +63,7 @@ class OutcomeVarDef(namedtuple("OutcomeVarDef", (
     def _value_table(self) -> dict[str, str]:
         """The canonical value per ``name_key`` of each value and value
         alias.  Built on each call: a record has no instance dict to keep
-        it in, so ``GameSpec.bind`` keeps one per variable."""
+        it in, so ``GameSpec._named`` keeps one per variable."""
         entries = {name_key(v): v for v, _ in self.values}
         for alias, target in self.value_aliases:
             if name_key(target) in entries:
@@ -110,31 +102,38 @@ class Rule(namedtuple("Rule", ("condition", "consequence", "otherwise",
 class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
                                        "rules", "utilities"))):
     # No ``__slots__``: the instance dict holds ``engine.compile_game``'s
-    # compiled form, the name tables of ``_named`` and the value tables of
-    # ``bind``.
+    # compiled form and the name tables of ``_named``.
 
     def player(self, name: str) -> PlayerDef | None:
         """The player named or aliased ``name``, by ``name_key``, or
         None."""
-        return self._named()[0].get(name_key(name))
+        return self._named()[0].get(name_key(name), (None,))[0]
 
     def variable(self, name: str) -> OutcomeVarDef | None:
         """The variable named or aliased ``name``, by ``name_key``, or
         None."""
-        return self._named()[1].get(name_key(name))
+        return self._named()[1].get(name_key(name), (None,))[0]
 
-    def _named(self) -> tuple[dict, dict, dict]:
-        """Per ``name_key`` of each name and alias, its player and its
-        variable, the first declaration winning, and each written name's
-        key; built on first use and kept in the instance dict."""
+    def _named(self) -> tuple[dict, dict, dict, tuple, tuple]:
+        """Five tables, which key each written name once per game: per
+        ``name_key`` of each name and alias, ``(player, actions)`` and
+        ``(variable, values)``, the first declaration winning; each
+        declared name's key; and each player's ``actions`` (each action by
+        its ``name_key``) and each variable's ``values`` (its
+        ``_value_table``), in order.  Built on first use and kept in the
+        instance dict."""
         tables = self.__dict__.get("_names")
         if tables is None:
             keys = {n: name_key(n) for d in (*self.players, *self.variables)
                     for n in (d.name, *d.aliases)}
+            members = (tuple({name_key(a): a for a in reversed(p.actions)}
+                             for p in self.players),
+                       tuple(v._value_table() for v in self.variables))
             tables = self._names = (*(
-                {keys[n]: d for d in reversed(decls)
+                {keys[n]: (d, m) for d, m in zip(reversed(decls), reversed(ms))
                  for n in (d.name, *d.aliases)}
-                for decls in (self.players, self.variables)), keys)
+                for decls, ms in zip((self.players, self.variables), members)),
+                keys, *members)
         return tables
 
     def bind(self, name: str, value: str) -> tuple:
@@ -142,14 +141,11 @@ class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
         pair, by ``name_key`` and aliases: ACTION and a player's declared
         name, else OUTCOME and a variable's, else None and ``name``; the
         value is None when ``value`` names nothing of the subject."""
-        if (player := self.player(name)) is not None:
-            return ACTION, player.name, player.action(value)
-        if (var := self.variable(name)) is not None:
-            tables = self.__dict__.setdefault("_values", {})  # by id(var)
-            table = tables.get(id(var))
-            if table is None:
-                table = tables[id(var)] = var._value_table()
-            return OUTCOME, var.name, table.get(name_key(value))
+        key = name_key(name)
+        for kind, table in zip((ACTION, OUTCOME), self._named()):
+            if key in table:
+                decl, members = table[key]
+                return kind, decl.name, members.get(name_key(value))
         return None, name, None
 
     def atom_index(self, kind: str, subject: str,

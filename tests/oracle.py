@@ -34,8 +34,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from oagame.equilibrium import (SUPPORT_LIMIT, DominanceResult, Elimination,
-                                EquilibriumCertificate, MixedStrategy)
+from oagame import SUPPORT_LIMIT, DominanceResult, Elimination
+from oagame.equilibrium import EquilibriumCertificate, MixedStrategy
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
                           PayoffTable, PlayerDef, Rule, UtilityDef)
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from oagame import (
     CompletionPolicy,
+    Elimination,
     MixedStrategy,
     admissible_rows,
     compile_game,
@@ -28,7 +29,7 @@ from oagame import (
 )
 from oagame.cli import run_cli
 from oagame.engine import rows_as_records
-from oagame.equilibrium import Bimatrix, Elimination
+from oagame.equilibrium import Bimatrix
 
 from .oracle import (brute_force_admissible, flat_rows, named_row,
                      random_small_game, row_key, utility)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from oagame import (
     Bimatrix,
     CompletionPolicy,
+    Elimination,
     InfeasibleSliceError,
     MixedStrategy,
     PayoffTable,
@@ -29,7 +30,6 @@ from oagame import (
     serialize_bimatrix,
 )
 from oagame._support import _cramer, _eliminations, _integer_scaled
-from oagame.equilibrium import Elimination
 
 from . import oracle
 from .oracle import support_enumeration

@@ -11,6 +11,7 @@ from oagame import (
     compile_game,
     fixtures,
     parse_game_spec,
+    validate_game,
 )
 from oagame.engine import rows_as_records
 
@@ -120,12 +121,9 @@ def test_bind_resolves_names_aliases_and_values(oa_game):
     assert before.bind("Income", "more") == (OUTCOME, "income", "More")
 
 
-def test_a_name_lookup_is_one_probe(monkeypatch):
-    """Each ``GameSpec`` keys its names and aliases once, and the values
-    of each variable it binds, and a parse builds the tables of one game
-    only, which its checks of repeated names read, so parsing the bundled
-    game calls ``name_key`` 260 times, not once per declared name per
-    lookup (1031 times)."""
+def _counted_name_keys(monkeypatch) -> list:
+    """The names that ``name_key`` is called on from here on, by the model
+    and the parser."""
     import oagame.dsl
     import oagame.model
     calls = []
@@ -137,8 +135,34 @@ def test_a_name_lookup_is_one_probe(monkeypatch):
     original = oagame.model.name_key
     for module in (oagame.model, oagame.dsl):
         monkeypatch.setattr(module, "name_key", counting)
+    return calls
+
+
+def test_a_name_lookup_is_one_probe(monkeypatch):
+    """Each ``GameSpec`` keys its names and aliases, each player's actions
+    and each variable's values once, and a parse builds the tables of one
+    game only, which its checks of repeated names and actions read, so
+    parsing the bundled game calls ``name_key`` 195 times, not once per
+    declared name per lookup (1031 times)."""
+    calls = _counted_name_keys(monkeypatch)
     assert parse_game_spec(fixtures.fixture_text("oa.game")).ok
-    assert len(calls) == 260
+    assert len(calls) == 195
+
+
+def test_the_parsed_game_binds_and_validates_on_the_parsers_tables(
+        monkeypatch):
+    """The parsed game keeps every member table of the parse, so a bind
+    keys only the written name and value, and ``validate_game`` keys only
+    what its checks read apart from the tables."""
+    game = parse_game_spec(fixtures.fixture_text("oa.game")).game
+    calls = _counted_name_keys(monkeypatch)
+    for v in game.variables:
+        assert game.bind(v.name, v.values[0][0]) == (OUTCOME, v.name,
+                                                     v.values[0][0])
+    assert len(calls) == 2 * len(game.variables) == 16
+    calls.clear()
+    assert validate_game(game).ok
+    assert len(calls) == 49
 
 
 def test_validate_builds_the_name_tables_once(monkeypatch, capsys):

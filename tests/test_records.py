@@ -6,19 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from oagame.dsl import (
-    Diagnostic,
-    ParseError,
-    ParseResult,
-    SourceSpan,
-    ValidatedGame,
-)
+from oagame import Diagnostic, DominanceResult, Elimination, ValidatedGame
+from oagame.dsl import ParseError, ParseResult, SourceSpan
 from oagame.engine import CompletionPolicy, EnumerationReport, _Block
 from oagame.equilibrium import (
     Bimatrix,
     BimatrixFormatError,
-    DominanceResult,
-    Elimination,
     EquilibriumCertificate,
     MixedStrategy,
 )
