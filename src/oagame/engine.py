@@ -16,20 +16,20 @@ folded in, so a rule with an inert condition atom keeps only its
 otherwise-branch and inert assignment atoms are gone.  Compiling raises
 ``NameResolutionError`` for an atom of ``GameSpec.rule_faults``, naming its
 part as ``validate_game`` does, such as ``consequence of rule '...'``.
-For each action profile, the rules decided by the profile alone force
-variable values up front, and the rules that test outcome variables are
-deferred.  A profile's block is a product of independent factors: each
-group of variables that deferred rules link, with its assignments that
-pass its own rules, and each variable that none mentions.  So the
-admissible count, and the greatest key of any per-value weighting with
-the completions reaching it, follow from the factors' own (bucket
-elimination): ``enumeration_report`` counts without building a row,
-``top_gu_rows`` takes the product of each variable's values at the
+A profile fires the rules whose action tests its actions all pass; the
+fired rules that test outcome variables are deferred, and every other rule
+forces its consequence if fired, else its otherwise-branch.  Each fired
+set is scanned once, on its first profile.  A profile's block is a product
+of independent factors: each group of variables that deferred rules link,
+with its assignments that pass its own rules, and each variable that none
+mentions.  So the admissible count, and the greatest key of any per-value
+weighting with the completions reaching it, follow from the factors' own
+(bucket elimination): ``enumeration_report`` counts without building a
+row, ``top_gu_rows`` takes the product of each variable's values at the
 greatest global utility, kept where each linked group holds one of its
-best assignments, and policy picks, the first completions of greatest
-key, make the payoff tables (``derive_payoff_table``,
-``project_bimatrix``) in ``oagame._payoffs``, which only the commands
-that build one compile.
+best assignments, and policy picks, the first completions of greatest key,
+make the payoff tables (``derive_payoff_table``, ``project_bimatrix``) in
+``oagame._payoffs``, which only the commands that build one compile.
 The census is the engine's one walk over the profiles: the counts, the
 payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
 read it, and the row lists expand it, enumerating each block's completions
@@ -47,7 +47,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from operator import getitem, itemgetter
+from functools import reduce
+from operator import and_, getitem, itemgetter
 
 from .model import (
     ACTION,
@@ -86,29 +87,21 @@ class EnumerationReport(namedtuple("EnumerationReport", (
     __slots__ = ()
 
 
-def _selector(pairs):
-    """(getter, wanted) such that ``getter(t) == wanted`` exactly when
-    ``t[i] == j`` for every ``(i, j)`` in ``pairs``."""
-    if not pairs:
-        return (lambda t: ()), ()
-    indices, wanted = zip(*pairs)
-    return itemgetter(*indices), wanted if len(pairs) > 1 else wanted[0]
-
-
 class CompiledGame:
     """Index form of a ``GameSpec``; get it with ``compile_game``.
 
     A profile is a tuple of action indices and a completion a tuple of value
-    indices, one per player or variable in declaration order.  Each rule is
-    ``(action test, outcome tests, consequence, otherwise)``: the action
-    test is a ``_selector`` of the condition's action pairs, or None when
-    the condition has an inert atom and can never hold, and the rest are
-    ``atom_index`` pairs.  A rule with a ``GameSpec.rule_faults`` fault
-    raises ``NameResolutionError`` for its first.
-    A player's utility terms are resolved each time its utility is asked
-    for, so a player without a utility definition is an error only for
-    the consumers that need one.  Profile blocks (``_Block``) are kept per
-    (deferred rules, forced values), at most one per profile.
+    indices, one per player or variable in declaration order.  Each rule
+    ``r`` is ``(outcome tests, consequence, otherwise)``, ``atom_index``
+    pairs, and its action test is bit ``r`` of ``live`` (no inert condition
+    atom) and of ``masks[i][a]`` (action ``a`` passes the condition's atoms
+    on player ``i``), so a player's distinct masks are its classes of
+    actions.  A rule with a ``GameSpec.rule_faults`` fault raises
+    ``NameResolutionError`` for its first.  A player's utility terms are
+    resolved each time its utility is asked for, so a player without a
+    utility definition is an error only for the consumers that need one.
+    Profile blocks (``_Block``) are kept per fired set and shared per
+    (deferred rules, forced values).
     """
 
     def __init__(self, game: GameSpec):
@@ -120,9 +113,15 @@ class CompiledGame:
         self.scores = tuple(tuple(s for _, s in v.values)
                             for v in game.variables)
         self.ranges = tuple(range(len(v)) for v in self.values)
-        self.rules = tuple(self._rule(r) for r in game.rules)
-        # (deferred rule indices, forced values) -> _block(...)
-        self._blocks: dict[tuple, _Block] = {}
+        rules = [self._rule(r) for r in game.rules]
+        self.rules = tuple(r[1:] for r in rules)
+        self.live = sum(1 << r for r, rule in enumerate(game.rules)
+                        if not any(a.inert for a in rule.condition))
+        self.masks = tuple(tuple(
+            sum(1 << r for r, (acts, *_) in enumerate(rules)
+                if all(j == a for k, j in acts if k == i))
+            for a in range(len(names))) for i, names in enumerate(self.actions))
+        self._fired, self._blocks = {}, {}
 
     def _rule(self, rule: Rule):
         for part, atom in self.game.rule_faults(rule):
@@ -132,10 +131,8 @@ class CompiledGame:
         def pairs(atoms, kind=None):
             return tuple(self.game.atom_index(*a[:3]) for a in atoms
                          if not a.inert and kind in (None, a.kind))
-        never = any(a.inert for a in rule.condition)
-        return (None if never else _selector(pairs(rule.condition, ACTION)),
-                pairs(rule.condition, OUTCOME), pairs(rule.consequence),
-                pairs(rule.otherwise))
+        return (pairs(rule.condition, ACTION), pairs(rule.condition, OUTCOME),
+                pairs(rule.consequence), pairs(rule.otherwise))
 
     def profiles(self):
         """Every profile, in canonical order."""
@@ -200,29 +197,31 @@ class _Block(namedtuple("_Block", (
 
 
 def _profile_block(cg: CompiledGame, profile) -> _Block | None:
-    """The block of one profile, or None when its forced values conflict.
-    Rules whose conditions are decided by the profile alone force variable
-    values; rules that test outcome variables are deferred."""
-    forced = [None] * len(cg.values)
-    deferred = []
-    for r, (acts, tests, then, otherwise) in enumerate(cg.rules):
-        if acts is None or acts[0](profile) != acts[1]:
-            assigns = otherwise
-        elif tests:
+    """``_fired_block`` of the rules that ``profile`` fires, kept per game."""
+    fired = reduce(and_, map(getitem, cg.masks, profile), cg.live)
+    if fired not in cg._fired:
+        cg._fired[fired] = _fired_block(cg, fired)
+    return cg._fired[fired]
+
+
+def _fired_block(cg: CompiledGame, fired: int) -> _Block | None:
+    """The block of the profiles that fire the rules of ``fired``, or None
+    when forced values conflict: a fired rule that tests outcome variables
+    is deferred, other rules force their consequence if fired, else their
+    otherwise-branch."""
+    forced, deferred = {}, []
+    for r, (tests, then, otherwise) in enumerate(cg.rules):
+        fires = fired >> r & 1
+        if fires and tests:
             deferred.append(r)
             continue
-        else:
-            assigns = then
-        for v, x in assigns:
-            if forced[v] is None:
-                forced[v] = x
-            elif forced[v] != x:
+        for v, x in then if fires else otherwise:
+            if forced.setdefault(v, x) != x:
                 return None
-    key = (tuple(deferred), tuple(forced))
-    block = cg._blocks.get(key)
-    if block is None:
-        block = cg._blocks[key] = _block(cg, *key)
-    return block
+    key = (tuple(deferred), tuple(map(forced.get, range(len(cg.values)))))
+    if key not in cg._blocks:
+        cg._blocks[key] = _block(cg, *key)
+    return cg._blocks[key]
 
 
 def _block(cg: CompiledGame, deferred, forced) -> _Block:
@@ -231,7 +230,7 @@ def _block(cg: CompiledGame, deferred, forced) -> _Block:
     once against its own rules."""
     domains = [r if f is None else (f,) for f, r in zip(forced, cg.ranges)]
     factor = {v: ((v,), ()) for v in range(len(domains))}  # (variables, rules)
-    for rule in (cg.rules[r][1:] for r in deferred):
+    for rule in map(cg.rules.__getitem__, deferred):
         variables, own = zip(*{factor[v] for pairs in rule for v, _ in pairs})
         joined = tuple(sorted(sum(variables, ()))), sum(own, (rule,))
         factor.update(dict.fromkeys(joined[0], joined))

@@ -55,11 +55,6 @@ class OutcomeVarDef(namedtuple("OutcomeVarDef", (
     def value_names(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.values)
 
-    def canonical_value(self, name: str) -> str | None:
-        """Canonical value for ``name`` (a value or value alias), by
-        ``name_key``, or None."""
-        return self._value_table().get(name_key(name))
-
     def _value_table(self) -> dict[str, str]:
         """The canonical value per ``name_key`` of each value and value
         alias.  Built on each call: a record has no instance dict to keep

@@ -512,7 +512,7 @@ def test_round_trip_quotes_items_holding_a_comma():
         'utility A = V\n').game
     assert game.players[0].aliases == ("Doc, MD", "Aye")
     assert game.variables[0].values == (("Hi, there", 1), ("Lo", 0))
-    assert game.variables[0].canonical_value("top, HAT") == "Hi, there"
+    assert game.bind("V", "top, HAT")[2] == "Hi, there"
     text = serialize_game(game)
     assert ('alias "Doc, MD", Aye actions:' in text
             and 'values: "Hi, there"=1, Lo=0 valias "Top, hat"->"Hi, there"'
@@ -759,8 +759,9 @@ def test_alias_resolution_idempotent(oa_game):
             assert oa_game.player(alias).name == p.name
     for v in oa_game.variables:
         assert oa_game.variable(v.name).name == v.name
-        assert v.canonical_value(v.canonical_value(v.values[0][0])) == \
-            v.values[0][0]
+        first = v.values[0][0]
+        assert oa_game.bind(v.name, oa_game.bind(v.name, first)[2])[2] == \
+            first
 
 
 def test_mutation_fuzz_never_crashes():

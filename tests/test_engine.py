@@ -380,6 +380,80 @@ def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
     assert calls["_profile_block"] == 108
 
 
+def test_each_fired_set_is_scanned_once(monkeypatch):
+    """A profile's block is looked up by the rules it fires, the AND of
+    its actions' masks: a freshly parsed ``oa.game``'s census scans the
+    rules once for each of its 48 fired sets and builds 14 blocks, and a
+    second census and a max-GU payoff table scan nothing."""
+    calls = _counted(monkeypatch, "_fired_block", "_block")
+    game = parse_game_spec(fixtures.fixture_text("oa.game")).game
+    enumeration_report(game)
+    assert calls == {"_fired_block": 48, "_block": 14}
+    assert len(compile_game(game)._blocks) == 14
+    enumeration_report(game)
+    derive_payoff_table(game)
+    assert calls == {"_fired_block": 48, "_block": 14}
+
+
+def _class_profiles(game):
+    """How many profiles of action classes ``game`` has: per player, the
+    actions with equal rule masks are one class."""
+    return math.prod(len(set(masks)) for masks in compile_game(game).masks)
+
+
+def test_the_distinct_masks_are_the_action_classes(oa_game):
+    """No rule condition tells apart two actions of a class: ``oa.game``
+    has 3 x 2 x 3 x 4 x 3 class profiles, and the 8 x 8 one-rule game 2,
+    ``P0``'s ``a0`` and the rest (compiled, not walked)."""
+    assert _class_profiles(oa_game) == 216
+    assert _class_profiles(parse_game_spec(_one_rule_game(8, 8)).game) == 2
+
+
+EDGE_GAME = """
+game "edge"
+player A actions: "x", "y"
+variable V owner: A values: Hi=1, Lo=0
+variable W owner: A values: Hi=1, Lo=0
+utility A = V + W
+"""
+
+
+def _agrees_with_oracle(game) -> int:
+    """The count of ``enumeration_report`` and the rows of
+    ``admissible_rows`` checked against the oracle's rows; their count."""
+    oracle_rows = brute_force_admissible(game)
+    groups, report = admissible_rows(game)
+    assert enumeration_report(game) == report
+    assert report.admissible_count == len(oracle_rows)
+    assert _named(game, flat_rows(groups)) == oracle_rows
+    return len(oracle_rows)
+
+
+@pytest.mark.parametrize("rule, count", [
+    # ``B`` names nothing, so lenient parsing keeps an inert atom: the rule
+    # never fires, and ``V`` is Lo on both profiles.
+    ('if A="x" and B="z" then V="Hi" otherwise V="Lo".', 4),
+    # No profile plays both actions of ``A``: the rule never fires.
+    ('if A="x" and A="y" then V="Hi" otherwise V="Lo".', 4),
+    # Outcomes only: the rule fires, and is deferred, on every profile.
+    ('if V="Hi" then W="Lo".', 6),
+], ids=["inert-atom", "two-actions", "outcomes-only"])
+def test_rule_firing_edges_agree_with_oracle(rule, count):
+    game = parse_game_spec(f"{EDGE_GAME}rule {rule}\n", mode="lenient").game
+    assert any(a.inert for a in game.rules[0].condition) == ("B=" in rule)
+    assert _agrees_with_oracle(game) == count
+
+
+def test_a_game_with_no_players_fires_its_outcome_rules():
+    """The one empty profile of a game with no players fires every rule
+    that tests only outcomes: ``V="Hi"`` forbids ``W="Hi"``, 3 rows of 4."""
+    variables = tuple(OutcomeVarDef(n, "A", (("Hi", 1), ("Lo", 0)))
+                      for n in "VW")
+    rule = Rule((Atom(OUTCOME, "V", "Hi"),), (Atom(OUTCOME, "W", "Lo"),))
+    game = GameSpec("none", (), variables, (rule,), ())
+    assert _agrees_with_oracle(game) == 3
+
+
 # Ten pairs of linked variables: ``Wi`` must be Lo when ``Vi`` is Hi.
 LINKED_PAIRS_GAME = "\n".join([
     'game "pairs"', 'player A actions: "x"',

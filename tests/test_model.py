@@ -48,7 +48,7 @@ def _record(game, actions, outcomes):
     profile = tuple(a.index(actions[p]) for p, a in zip(cg.players,
                                                         cg.actions))
     completion = tuple(
-        vals.index(game.variable(v).canonical_value(outcomes[v]))
+        vals.index(game.bind(v, outcomes[v])[2])
         for v, vals in zip(cg.variables, cg.values))
     assert named_row(cg, profile, completion).actions == actions
     return rows_as_records(game, [(profile, (completion,))])[0]
@@ -58,23 +58,30 @@ def test_value_scores(oa_game):
     assert oa_game.variable("Visibility").values == (("More", 1), ("Less", 0))
 
 
+def _canonical(game, variable, value):
+    """The canonical value that ``game`` binds ``variable = value`` to."""
+    return game.bind(variable, value)[2]
+
+
 def test_value_alias_resolves_to_canonical_score(oa_game):
     opp = oa_game.variable("Opportunity")
     scores = dict(opp.values)
-    assert scores[opp.canonical_value("Maximal")] == 1
-    assert scores[opp.canonical_value("Minimal")] == 0
+    assert scores[_canonical(oa_game, "Opportunity", "Maximal")] == 1
+    assert scores[_canonical(oa_game, "Opportunity", "Minimal")] == 0
     # Alias and canonical value always score the same.
     for alias, canon in opp.value_aliases:
-        assert scores[opp.canonical_value(alias)] == scores[canon]
+        assert scores[_canonical(oa_game, "Opportunity", alias)] == \
+            scores[canon]
 
 
 def test_value_lookup_answers_none_for_an_unknown_name(oa_game):
     opp = oa_game.variable("Opportunity")
     for alias, canon in opp.value_aliases:
-        assert opp.canonical_value(alias) == canon
-        assert opp.canonical_value(f" {alias.upper()} ") == canon
-    assert opp.canonical_value("more") == "More"
-    assert opp.canonical_value("Medium") is None
+        assert _canonical(oa_game, "Opportunity", alias) == canon
+        assert _canonical(oa_game, "Opportunity", f" {alias.upper()} ") == \
+            canon
+    assert _canonical(oa_game, "Opportunity", "more") == "More"
+    assert _canonical(oa_game, "Opportunity", "Medium") is None
 
 
 def _respelled(name):

@@ -186,12 +186,16 @@ def test_record_fields_and_defaults_are_declared_in_order():
 
 
 def test_replace_rebuilds_outcome_variable_lookups():
-    renamed = VARIABLE._replace(values=(("Low", 0), ("High", 2)),
-                                value_aliases=(("Up", "High"),))
-    assert renamed.canonical_value("up") == "High"
-    assert renamed.canonical_value("low") == "Low"
-    assert VARIABLE.canonical_value("more") == "More"
-    assert renamed.canonical_value("More") is None
+    """A game ``_replace``d with a changed variable binds its values
+    through fresh name tables, and the original keeps its own."""
+    game = GameSpec("g", (PLAYER,), (VARIABLE,), (), ())
+    assert game.bind("Income", "more") == (OUTCOME, "Income", "More")
+    renamed = game._replace(variables=(VARIABLE._replace(
+        values=(("Low", 0), ("High", 2)), value_aliases=(("Up", "High"),)),))
+    assert renamed.bind("income", "up")[2] == "High"
+    assert renamed.bind("Income", "low")[2] == "Low"
+    assert game.bind("Income", "more")[2] == "More"
+    assert renamed.bind("Income", "More")[2] is None
 
 
 @pytest.mark.parametrize("record, text", [
