@@ -4,9 +4,9 @@ two-player one by support enumeration.
 
 Programs read the public names here through ``oagame.equilibrium`` (and
 ``oagame``), which loads this module on first access.  Support enumeration
-solves its indifference systems over ints, by Cramer's rule from minors
-that each support builds once from its prefix's and shares with every
-pair it is in; ``Fraction``s are built only for the equilibria found.
+runs one indifference solve, deviation check and strategy per player, over
+ints, from minors that each support builds once and shares with every pair
+it is in; ``Fraction``s are built only for the equilibria found.
 """
 
 from __future__ import annotations
@@ -159,72 +159,67 @@ def mixed_nash_2p(
     """Equilibria of a two-player table by equal-size support enumeration,
     plus a degeneracy flag (singular indifference systems or off-support ties).
 
-    Both players' payoffs are scaled to ints once; signs and off-support
-    deviations are tested on integer numerators, and ``Fraction``s are
-    built only for the equilibria found."""
+    For each pair of supports, player ``p``'s system, over ``p``'s payoffs
+    scaled to ints once, gives the other's mix that makes ``p`` indifferent
+    on ``p``'s support; ``p``'s off-support gains are checked against that
+    mix, and ``p``'s strategy is the mix the other's system gives."""
     _check_two_players(table)
     if None in table.cells:
         raise ValueError("mixed analysis requires a fully feasible bimatrix")
-    row_actions, col_actions = table.actions
-    m, n = len(row_actions), len(col_actions)
+    m, n = map(len, table.actions)
     if m > SUPPORT_LIMIT or n > SUPPORT_LIMIT:
         raise ValueError(f"support enumeration limited to {SUPPORT_LIMIT} "
                          f"actions per side")
     rows = [table.cells[i * n:i * n + n] for i in range(m)]
-    a, scale_a = _integer_scaled([[u for u, _ in row] for row in rows])
-    b_t, scale_b = _integer_scaled([[v for _, v in col]
-                                    for col in zip(*rows)])
-
-    col_mix_of, row_mix_of = _cramer(a, n), _cramer(b_t, m)
-    certs: list[EquilibriumCertificate] = []
-    degenerate = False
+    sides = []  # per player: (int payoffs, their scale, their solver)
+    for p, lines in enumerate((rows, zip(*rows))):
+        payoffs, scale = _integer_scaled([[cell[p] for cell in line]
+                                          for line in lines])
+        sides.append((payoffs, scale, _cramer(payoffs, (n, m)[p])))
+    certs, degenerate = [], False
     for k in range(1, min(m, n) + 1):
-        for sup_r in itertools.combinations(range(m), k):
-            for sup_c in itertools.combinations(range(n), k):
-                col_mix = col_mix_of(sup_r, sup_c)
-                if col_mix is None or 0 in col_mix[0]:
+        for supports in itertools.product(itertools.combinations(range(m), k),
+                                          itertools.combinations(range(n), k)):
+            mixes = []  # per player p: the other's weights, p's value, den
+            for p, (_, _, solve) in enumerate(sides):
+                mix = solve(supports[p], supports[1 - p])
+                if mix is None or 0 in mix[0]:
                     degenerate = True
-                    continue
-                y, v_row, den_y = col_mix
-                # A negative weight rules the pair out; the row system
+                    break
+                # A negative weight rules the pair out; the other system
                 # could only set the flag, so skip it once the flag is set.
-                if degenerate and min(y) < 0:
-                    continue
-                row_mix = row_mix_of(sup_c, sup_r)
-                if row_mix is None or 0 in row_mix[0]:
-                    degenerate = True
-                    continue
-                x, v_col, den_x = row_mix
-                if min(y) < 0 or min(x) < 0:
-                    continue
-                # Off-support pure deviations must not be profitable; both
-                # sides of each comparison are over den * scale.
-                row_alts = [sum(w * a[i][j] for w, j in zip(y, sup_c))
-                            for i in range(m)]
-                col_alts = [sum(w * b_t[j][i] for w, i in zip(x, sup_r))
-                            for j in range(n)]
-                off_r = [row_alts[i] - v_row for i in range(m)
-                         if i not in sup_r]
-                off_c = [col_alts[j] - v_col for j in range(n)
-                         if j not in sup_c]
-                if max(off_r, default=-1) > 0 or max(off_c, default=-1) > 0:
-                    continue
-                tie = 0 in off_r or 0 in off_c
-                degenerate = degenerate or tie
-                row_den, col_den = den_y * scale_a, den_x * scale_b
-                row_strategy = MixedStrategy(table.players[0], tuple(
-                    (row_actions[i], Fraction(w, den_x))
-                    for i, w in zip(sup_r, x)))
-                col_strategy = MixedStrategy(table.players[1], tuple(
-                    (col_actions[j], Fraction(w, den_y))
-                    for j, w in zip(sup_c, y)))
-                certs.append(EquilibriumCertificate(
-                    "pure" if k == 1 else "mixed",
-                    (row_strategy, col_strategy),
-                    (Fraction(v_row, row_den), Fraction(v_col, col_den)),
-                    (tuple((act, Fraction(u, row_den))
-                           for act, u in zip(row_actions, row_alts)),
-                     tuple((act, Fraction(u, col_den))
-                           for act, u in zip(col_actions, col_alts))),
-                    degenerate=tie))
+                if degenerate and min(mix[0]) < 0:
+                    break
+                mixes.append(mix)
+            if len(mixes) < 2 or min(min(w) for w, _, _ in mixes) < 0:
+                continue
+            # Off-support pure deviations must not pay more (over den * scale).
+            gains, off = [], []
+            for p, ((payoffs, _, _), (weights, value, _)) in enumerate(
+                    zip(sides, mixes)):
+                alts = [sum(w * row[j]
+                            for w, j in zip(weights, supports[1 - p]))
+                        for row in payoffs]
+                off += [u - value for i, u in enumerate(alts)
+                        if i not in supports[p]]
+                if max(off, default=-1) > 0:
+                    break
+                gains.append(alts)
+            if len(gains) < 2:
+                continue
+            tie = 0 in off
+            degenerate = degenerate or tie
+            strategies, values, checks = [], [], []
+            for p, ((_, scale, _), (_, value, den)) in enumerate(
+                    zip(sides, mixes)):
+                weights, _, own_den = mixes[1 - p]  # the other's system
+                strategies.append(MixedStrategy(table.players[p], tuple(
+                    (table.actions[p][i], Fraction(w, own_den))
+                    for i, w in zip(supports[p], weights))))
+                values.append(Fraction(value, den * scale))
+                checks.append(tuple((act, Fraction(u, den * scale)) for act, u
+                                    in zip(table.actions[p], gains[p])))
+            certs.append(EquilibriumCertificate(
+                "pure" if k == 1 else "mixed", tuple(strategies),
+                tuple(values), tuple(checks), degenerate=tie))
     return certs, degenerate

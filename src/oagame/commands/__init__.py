@@ -40,12 +40,13 @@ class _CliError(Exception):
 
 
 def _read_input(path: str) -> tuple[str, str]:
-    """Return (text, sha256).  Bundled fixture names resolve when the file
+    """Return (text, sha256), a leading byte-order mark dropped from the
+    text before it is hashed.  Bundled fixture names resolve when the file
     does not exist on disk."""
     if os.path.exists(path):
         try:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read().removeprefix("\ufeff")
         except OSError as exc:
             raise _CliError(f"cannot read {path!r}: {exc.strerror}",
                             USAGE_ERROR)

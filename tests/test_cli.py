@@ -834,6 +834,29 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
         assert err == f"oagame: cannot read {str(path)!r}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("enumerate", "--format", "json", "--game"), "oa.game"),
+    (("mixed", "--format", "json", "--bimatrix"), "table6.bmx"),
+])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, monkeypatch, capsys,
+                                              argv, name):
+    """A file saved with a UTF-8 byte-order mark gives the report of the
+    same text without the mark, its ``inputs`` digest included; so a
+    bundled fixture saved that way is still recognised as bundled."""
+    reports = []
+    for folder, mark in (("plain", ""), ("marked", "\ufeff")):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / name
+        path.write_text(mark + fixtures.fixture_text(name), encoding="utf-8")
+        monkeypatch.chdir(tmp_path / folder)
+        reports.append(run(capsys, *argv, name))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
+    assert json.loads(reports[1][1])["inputs"] == {
+        name: fixtures.fixture_digest(name)}
+
+
 @pytest.mark.parametrize("args", [
     ("enumerate", "--game", "oa.game"),
     ("nash", "--bimatrix", "table5.bmx"),

@@ -29,7 +29,8 @@ from oagame import (
     pure_nash,
     serialize_bimatrix,
 )
-from oagame._support import _cramer, _eliminations, _integer_scaled
+from oagame._support import (SUPPORT_LIMIT, _cramer, _eliminations,
+                             _integer_scaled)
 
 from . import oracle
 from .oracle import support_enumeration
@@ -568,6 +569,47 @@ def test_transposing_a_bimatrix_swaps_its_equilibria(table):
         verification=cert.verification[::-1]) for cert in certs}
     assert dominance_analysis(_transposed(table), "strict").surviving == \
         dominance_analysis(table, "strict").surviving[::-1]
+
+
+def _permuted(table, row_order, col_order):
+    """``table`` with each player's actions, and their cells, reordered."""
+    (rows, cols), n = table.actions, len(table.actions[1])
+    return PayoffTable(table.players, (
+        tuple(rows[i] for i in row_order), tuple(cols[j] for j in col_order)),
+        tuple(table.cells[i * n + j] for i in row_order for j in col_order))
+
+
+def _by_name(cert):
+    """``cert`` with each strategy's and each verification record's pairs
+    as a set, so that the order of the actions does not count."""
+    return (cert.kind,
+            tuple((s.player, frozenset(s.probs)) for s in cert.strategies),
+            cert.expected_utilities, tuple(map(frozenset, cert.verification)),
+            cert.degenerate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bimatrices(), st.permutations(range(SUPPORT_LIMIT)),
+       st.permutations(range(SUPPORT_LIMIT)))
+@example(NAMED["six"], (5, 4, 3, 2, 1, 0, 6, 7), (1, 3, 5, 0, 2, 4, 6, 7))
+@example(NAMED["seven"], (6, 0, 5, 1, 4, 2, 3, 7), (0, 1, 2, 3, 4, 5, 6, 7))
+@example(NAMED["eight"], (7, 6, 5, 4, 3, 2, 1, 0), (2, 0, 1, 5, 3, 4, 7, 6))
+def test_permuting_each_players_actions_keeps_the_equilibria(
+        table, row_shuffle, col_shuffle):
+    """Which support indices stand for which actions is bookkeeping: with
+    each player's actions reordered, the same equilibria come out, compared
+    by action name, in another order, and the degeneracy flag holds."""
+    m, n = map(len, table.actions)
+    # The indices below m of a shuffle of range(SUPPORT_LIMIT) come in a
+    # uniformly random order.
+    row_order = [i for i in row_shuffle if i < m]
+    col_order = [j for j in col_shuffle if j < n]
+    certs, degenerate = mixed_nash_2p(table)
+    permuted, permuted_degenerate = mixed_nash_2p(
+        _permuted(table, row_order, col_order))
+    assert permuted_degenerate == degenerate
+    assert len(permuted) == len(certs)
+    assert set(map(_by_name, permuted)) == set(map(_by_name, certs))
 
 
 # ---------------------------------------------------------------------------
