@@ -5,18 +5,12 @@ from __future__ import annotations
 
 from .report import RowDump, _row_chunks
 
-
-def _quote(text: str) -> str:
-    """``text`` as a JSON string, by ``json``'s C string encoder, or
-    ``json.encoder``'s where there is none.  The first call binds
-    ``_quote`` to that encoder, so table and delimited output never load
-    it."""
-    global _quote
-    try:
-        from _json import encode_basestring_ascii as _quote
-    except ImportError:
-        from json.encoder import encode_basestring_ascii as _quote
-    return _quote(text)
+# ``_quote(text)`` is ``text`` as a JSON string: ``json``'s C string
+# encoder, or ``json.encoder``'s where there is none.
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def _json(value, indent: str = "") -> str:

@@ -89,13 +89,16 @@ def _span(line: int, start: int = 1) -> SourceSpan:
     return SourceSpan(line, start, start)
 
 
+# A quoted stretch: a '"' and what follows it up to the next '"', or to the
+# end of the line.  A '#' or ',' inside one is part of a name.
+_QUOTED = r'"[^"]*"?'
+_UNCOMMENTED_RE = re.compile(rf'(?:[^"#]+|{_QUOTED})*')
+_ITEM_RE = re.compile(rf'(?:[^",]+|{_QUOTED})+')
+
+
 def _strip_comment(line: str) -> str:
-    """``line`` up to its first '#' outside double quotes, by the quote rule
-    of ``_split_list``: a '#' after an odd number of '"' is quoted."""
-    idx = line.find("#")
-    while idx >= 0 and line.count('"', 0, idx) % 2:
-        idx = line.find("#", idx + 1)
-    return line if idx < 0 else line[:idx]
+    """``line`` up to its first '#' outside a quoted stretch."""
+    return _UNCOMMENTED_RE.match(line).group()
 
 
 def _unquote(text: str) -> str:
@@ -107,23 +110,28 @@ def _unquote(text: str) -> str:
 
 
 def _split_list(text: str) -> list[str]:
-    """Split on ',' outside double quotes; items stripped, empties dropped."""
-    items, buf, quoted = [], [], False
-    for ch in text:
-        if ch == '"':
-            quoted = not quoted
-            buf.append(ch)
-        elif ch == "," and not quoted:
-            items.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    items.append("".join(buf))
-    return [s.strip() for s in items if s.strip()]
+    """The items between the ','s outside quoted stretches of ``text``,
+    stripped, empties dropped."""
+    return [s.strip() for s in _ITEM_RE.findall(text) if s.strip()]
 
 
 # ---------------------------------------------------------------------------
 # Rule sentence parsing
+
+# A word: a run of characters other than whitespace, '=' and ','.
+_WORD = r"[^\s=,]+"
+_WORD_RE = re.compile(_WORD)
+# A keyword: the whole word 'if', 'and', 'then' or 'otherwise', its ASCII
+# letters in either case ('otherwiſe' is a name, as ``str.lower`` has it).
+# Each but 'if' ends a bare value.
+_VALUE_END = rf"(?ai:and|then|otherwise)(?!{_WORD})"
+_KEYWORD_RE = re.compile(rf"(?ai:if)(?!{_WORD})|{_VALUE_END}")
+# The separators after an atom: ',' and the word 'and', each followed by
+# any whitespace.
+_SEPARATORS_RE = re.compile(rf"(?:(?:,|(?ai:and)(?!{_WORD}))\s*)*")
+# A bare value: the words up to a ',' or a keyword but 'if', each with the
+# whitespace after it.
+_BARE_VALUE_RE = re.compile(rf"(?:(?!{_VALUE_END}){_WORD}\s*)*")
 
 
 def _skip_ws(s: str, i: int) -> int:
@@ -132,40 +140,22 @@ def _skip_ws(s: str, i: int) -> int:
     return i
 
 
-_WORD_RE = re.compile(r"[^\s=,]+")
-
-
-def _peek_word(s: str, i: int) -> tuple[str, int]:
-    m = _WORD_RE.match(s, i)
-    return (m.group(0), m.end()) if m else ("", i)
-
-
 def _parse_value(s: str, i: int, line: int) -> tuple[str | None, int, ParseError | None]:
     """Parse a quoted or bare value starting at ``i``."""
     i = _skip_ws(s, i)
-    if i < len(s) and s[i] in _QUOTE_CLOSERS:
+    if s[i:i + 1] in _QUOTE_CLOSERS:
         closers = _QUOTE_CLOSERS[s[i]]
         positions = [p for p in (s.find(c, i + 1) for c in closers) if p >= 0]
         if not positions:
-            err = ParseError(_span(line, i + 1), "lex", "unterminated quote",
-                             s[i])
-            return None, len(s), err
+            return None, len(s), ParseError(_span(line, i + 1), "lex",
+                                            "unterminated quote", s[i])
         j = min(positions)
         return s[i + 1:j], j + 1, None
-    # Bare value: words up to a separator or keyword.
-    words = []
-    while i < len(s):
-        if s[i] == ",":
-            break
-        w, j = _peek_word(s, i)
-        if not w or w.lower() in ("and", "then", "otherwise"):
-            break
-        words.append(w)
-        i = _skip_ws(s, j)
-    if not words:
+    bare = _BARE_VALUE_RE.match(s, i)
+    if bare.end() == i:
         return None, i, ParseError(_span(line, i + 1), "syntax",
                                    "expected a value after '='")
-    return " ".join(words), i, None
+    return " ".join(bare.group().split()), bare.end(), None
 
 
 def _parse_atom_list(
@@ -179,14 +169,11 @@ def _parse_atom_list(
     errors: list[ParseError] = []
     while True:
         i = start = _skip_ws(s, i)
-        w, j = _peek_word(s, i)
-        # After an atom, its separators: ',' (where no word starts) and
-        # the word 'and', each followed by any whitespace.
-        while atoms and (w.lower() == "and" or s.startswith(",", i)):
-            i = _skip_ws(s, j if w else i + 1)
-            w, j = _peek_word(s, i)
-        if w.lower() in stops:
-            return atoms, j, w.lower(), errors
+        if atoms:
+            i = _SEPARATORS_RE.match(s, i).end()
+        stop = _KEYWORD_RE.match(s, i)
+        if stop and stop.group().lower() in stops:
+            return atoms, stop.end(), stop.group().lower(), errors
         if i == start:  # no separator
             if i >= len(s):
                 return atoms, i, None, errors
@@ -195,14 +182,14 @@ def _parse_atom_list(
                 errors.append(ParseError(_span(line, i + 1), "syntax", (
                     f"unexpected '=' after the value of {atoms[-1][0]!r}"
                     if second else "expected ',' or 'and' between atoms"),
-                    "=" if second else w))
+                    "=" if second else _WORD_RE.match(s, i).group()))
                 return atoms, i, None, errors
         eq = s.find("=", i)
         if eq < 0:
             errors.append(ParseError(_span(line, i + 1), "syntax",
                                      "expected '=' in atom", s[i:i + 20]))
             return atoms, len(s), None, errors
-        name = s[i:eq].strip()
+        name = " ".join(s[i:eq].split())
         if not name:
             errors.append(ParseError(_span(line, i + 1), "syntax",
                                      "empty name before '='"))
@@ -211,7 +198,7 @@ def _parse_atom_list(
         if err:
             errors.append(err)
             return atoms, i, None, errors
-        atoms.append((re.sub(r"\s+", " ", name), value))
+        atoms.append((name, value))
 
 
 _POSSESSIVE_RE = re.compile(r"^(\S+?)(?:['’]s|['’])\s+(.+)$")
@@ -265,13 +252,14 @@ def parse_rule(
     body = text.strip()
     if body.endswith("."):
         body = body[:-1].rstrip()
-    i = _skip_ws(body, 0)
-    w, j = _peek_word(body, i)
-    if w.lower() != "if":
-        return None, [ParseError(_span(line, i + 1), "syntax",
-                                 "rule must start with 'if'", w)]
-    raw_cond, i, stop, errors = _parse_atom_list(body, j, frozenset({"then"}),
-                                                 line)
+    first = _KEYWORD_RE.match(body)
+    if first is None or first.group().lower() != "if":
+        word = _WORD_RE.match(body)
+        return None, [ParseError(_span(line), "syntax",
+                                 "rule must start with 'if'",
+                                 word.group() if word else "")]
+    raw_cond, i, stop, errors = _parse_atom_list(body, first.end(),
+                                                 frozenset({"then"}), line)
     if stop != "then":
         errors.append(ParseError(_span(line, i + 1), "syntax",
                                  "expected 'then' after the rule condition"))
@@ -404,7 +392,7 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
                                      _names(m.group("actions")),
                                      _names(m.group("aliases"))))
         elif head == "variable":
-            var = re.sub(r"\s+", " ", m.group("name").strip())
+            var = " ".join(m.group("name").split())
             values = _list_items(m.group("values"), _VALUE_PAIR_RE, "value",
                                  "Name=int", lineno, errors)
             valias = _list_items(m.group("valias"), _VALIAS_RE,
@@ -474,6 +462,7 @@ def _structural_errors(game: GameSpec):
     if too_many_digits(_sizes(game)[1]):
         yield (("game", 0), f"the row space is a figure of more than "
                             f"{MAX_DIGITS} digits", "")
+    yield from _tabbed(("game", 0), (game.name,))
     # A row dump and a payoffs cell have one column per record key.  A name
     # declared twice is reported as such; a key repeated more often than it
     # is declared is a name that is also GU, feasible or U_<player>, whose
@@ -498,6 +487,7 @@ def _structural_errors(game: GameSpec):
         if p.name in repeated:
             yield (where, f"player {p.name!r} has the name of a "
                           f"{repeated[p.name]} column", p.name)
+        yield from _tabbed(where, (p.name, *p.aliases, *p.actions))
 
     seen = set()
     for i, v in enumerate(game.variables):
@@ -531,6 +521,8 @@ def _structural_errors(game: GameSpec):
         if game.player(v.owner) is None:
             yield (where, f"variable {v.name!r} owned by undeclared player "
                           f"{v.owner!r}", v.owner)
+        yield from _tabbed(where, (v.name, *v.aliases, *v.value_names(),
+                                   *(alt for alt, _ in v.value_aliases)))
 
     seen = set()
     for i, u in enumerate(game.utilities):
@@ -555,6 +547,12 @@ def _structural_errors(game: GameSpec):
         if too_many_digits(largest):
             yield (where, f"utility of {u.player!r} can be a figure of more "
                           f"than {MAX_DIGITS} digits", u.player)
+
+
+def _tabbed(where: tuple[str, int], names):
+    """An error at ``where`` for each of ``names`` that holds a tab, which
+    would split a column of delimited output."""
+    return ((where, f"name {n!r} holds a tab", n) for n in names if "\t" in n)
 
 
 def _largest_score(var: OutcomeVarDef) -> int:

@@ -206,6 +206,11 @@ def parse_bimatrix(text: str) -> Bimatrix:
         if not player or "" in actions or len(set(actions)) < len(actions):
             raise BimatrixFormatError(f"header line {ln!r} needs a player "
                                       f"and distinct, non-empty actions")
+        # A tab in a name would split a column of delimited output.
+        for name in (player, *actions):
+            if "\t" in name:
+                raise BimatrixFormatError(f"name {name!r} in header line "
+                                          f"{ln!r} holds a tab")
         header[ln.split(":", 1)[0]] = (player, actions)
     if set(header) != {"rows", "cols"}:
         raise BimatrixFormatError("need one rows: and one cols: header")

@@ -24,6 +24,11 @@ way ``mixed_nash_2p`` did before it solved them over integers.
 Report writers: the table and delimited layouts of a report of plain
 values, each list of records written record by record, the way
 ``emit_report`` wrote them before it rendered such a list as a row dump.
+
+The ``.game`` reader's lexical rules: comments and list items found by
+counting and toggling on '"', and rule words read one at a time and
+compared lower-cased, the way ``oagame.dsl`` read them before it wrote
+each rule as one pattern.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from oagame import SUPPORT_LIMIT, DominanceResult, Elimination
+from oagame.dsl import _QUOTE_CLOSERS, ParseError, SourceSpan
 from oagame.equilibrium import EquilibriumCertificate, MixedStrategy
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
                           PayoffTable, PlayerDef, Rule, UtilityDef)
@@ -491,3 +498,110 @@ def delimited_report(report: dict) -> str:
         if lines:
             out.append("\n".join(lines) + "\n")
     return "".join(out)
+
+
+def strip_comment(line: str) -> str:
+    """``line`` up to its first '#' after an even number of '"'."""
+    idx = line.find("#")
+    while idx >= 0 and line.count('"', 0, idx) % 2:
+        idx = line.find("#", idx + 1)
+    return line if idx < 0 else line[:idx]
+
+
+def split_list(text: str) -> list[str]:
+    """Split on ',' outside double quotes; items stripped, empties dropped."""
+    items, buf, quoted = [], [], False
+    for ch in text:
+        if ch == '"':
+            quoted = not quoted
+            buf.append(ch)
+        elif ch == "," and not quoted:
+            items.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    items.append("".join(buf))
+    return [s.strip() for s in items if s.strip()]
+
+
+def _skip_ws(s: str, i: int) -> int:
+    while i < len(s) and s[i].isspace():
+        i += 1
+    return i
+
+
+_WORD_RE = re.compile(r"[^\s=,]+")
+
+
+def _peek_word(s: str, i: int) -> tuple[str, int]:
+    m = _WORD_RE.match(s, i)
+    return (m.group(0), m.end()) if m else ("", i)
+
+
+def _error(line: int, col: int, kind: str, message: str, token: str = ""):
+    return ParseError(SourceSpan(line, col, col), kind, message, token)
+
+
+def parse_value(s: str, i: int, line: int):
+    """A quoted or bare value starting at ``i``: (value, index, error)."""
+    i = _skip_ws(s, i)
+    if i < len(s) and s[i] in _QUOTE_CLOSERS:
+        positions = [p for p in (s.find(c, i + 1)
+                                 for c in _QUOTE_CLOSERS[s[i]]) if p >= 0]
+        if not positions:
+            return None, len(s), _error(line, i + 1, "lex",
+                                        "unterminated quote", s[i])
+        j = min(positions)
+        return s[i + 1:j], j + 1, None
+    words = []
+    while i < len(s):
+        if s[i] == ",":
+            break
+        w, j = _peek_word(s, i)
+        if not w or w.lower() in ("and", "then", "otherwise"):
+            break
+        words.append(w)
+        i = _skip_ws(s, j)
+    if not words:
+        return None, i, _error(line, i + 1, "syntax",
+                               "expected a value after '='")
+    return " ".join(words), i, None
+
+
+def parse_atom_list(s: str, i: int, stops: frozenset, line: int):
+    """``name = value`` atoms separated by ',' / 'and' until a stop word:
+    (raw atoms, index, stop word consumed or None, errors)."""
+    atoms, errors = [], []
+    while True:
+        i = start = _skip_ws(s, i)
+        w, j = _peek_word(s, i)
+        while atoms and (w.lower() == "and" or s.startswith(",", i)):
+            i = _skip_ws(s, j if w else i + 1)
+            w, j = _peek_word(s, i)
+        if w.lower() in stops:
+            return atoms, j, w.lower(), errors
+        if i == start:
+            if i >= len(s):
+                return atoms, i, None, errors
+            if atoms:
+                second = s.startswith("=", i)
+                errors.append(_error(line, i + 1, "syntax", (
+                    f"unexpected '=' after the value of {atoms[-1][0]!r}"
+                    if second else "expected ',' or 'and' between atoms"),
+                    "=" if second else w))
+                return atoms, i, None, errors
+        eq = s.find("=", i)
+        if eq < 0:
+            errors.append(_error(line, i + 1, "syntax",
+                                 "expected '=' in atom", s[i:i + 20]))
+            return atoms, len(s), None, errors
+        name = s[i:eq].strip()
+        if not name:
+            errors.append(_error(line, i + 1, "syntax",
+                                 "empty name before '='"))
+            return atoms, len(s), None, errors
+        value, i, err = parse_value(s, eq + 1, line)
+        if err:
+            errors.append(err)
+            return atoms, i, None, errors
+        atoms.append((re.sub(r"\s+", " ", name), value))

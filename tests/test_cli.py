@@ -348,6 +348,40 @@ def test_malformed_bimatrix_header_is_a_diagnostic(tmp_path, capsys, header,
         assert err == f"oagame: {path}: {message}\n"
 
 
+# A tab in a name would split a column of delimited output, so each reader
+# refuses it, before ``--output`` is opened: a value of a game in ``top``,
+# a game's name in ``validate``, and an action of a ``.bmx`` in ``expected``.
+_TABBED_GAME = ('game "g"\nplayer A actions: "x"\n'
+                'variable V owner: A values: {value}=1, Lo=0\n'
+                'utility A = V\n')
+
+
+@pytest.mark.parametrize("file, text, argv, message", [
+    ("v.game", _TABBED_GAME.format(value='"H\ti"'), ("top", "--game"),
+     "line 3:1: resolution: name 'H\\ti' holds a tab\n"
+     "oagame: {path}: 1 parse error(s)\n"),
+    ("g.game", _TABBED_GAME.format(value="Hi").replace('"g"', '"g\th"'),
+     ("validate", "--game"),
+     "line 1:1: resolution: name 'g\\th' holds a tab\n"
+     "oagame: {path}: 1 parse error(s)\n"),
+    ("t.bmx", "rows: R: a\tb, c\ncols: C: x, y\n(1,0) (0,1)\n(0,1) (1,0)\n",
+     ("expected", "--row-mix", "1/2,1/2", "--col-mix", "1/2,1/2",
+      "--bimatrix"),
+     "oagame: {path}: name 'a\\tb' in header line 'rows: R: a\\tb, c' "
+     "holds a tab\n"),
+], ids=["value", "game", "bmx-action"])
+def test_a_name_holding_a_tab_is_refused(tmp_path, capsys, file, text, argv,
+                                         message):
+    path, output = tmp_path / file, tmp_path / "out.tsv"
+    path.write_text(text)
+    output.write_text("kept\n")
+    code, out, err = run(capsys, *argv, str(path), "--format", "delimited",
+                         "--output", str(output))
+    assert (code, out) == (1, "")
+    assert err == message.format(path=path)
+    assert output.read_text() == "kept\n"
+
+
 def test_directory_as_input_is_a_usage_error(tmp_path, capsys):
     for argv in (("validate", "--game"), ("mixed", "--bimatrix")):
         code, out, err = run(capsys, *argv, str(tmp_path))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oagame import (
     Diagnostic,
+    dsl,
     compile_game,
     fixtures,
     parse_game_spec,
@@ -27,6 +28,7 @@ from oagame.model import (
     UtilityDef,
 )
 
+from . import oracle
 from .oracle import random_rich_game, random_small_game
 
 MINIMAL = """
@@ -144,6 +146,20 @@ STRUCTURE_CASES = [
     (2, 'player feasible alias A actions: "x", "y"', ("players", 0),
      {"name": "feasible", "aliases": ("A",)},
      "player 'feasible' has the name of a payoffs column"),
+    # A tab in a name would split a column of delimited output.
+    (3, 'player B actions: "p", "q\tr"', ("players", 1),
+     {"actions": ("p", "q\tr")}, "name 'q\\tr' holds a tab"),
+    (2, 'player A alias "A\tye" actions: "x", "y"', ("players", 0),
+     {"aliases": ("A\tye",)}, "name 'A\\tye' holds a tab"),
+    (4, 'variable V alias "V\tee" owner: A values: More=1, Less=0 '
+        'valias Plus->More', ("variables", 0),
+     {"aliases": ("V\tee",)}, "name 'V\\tee' holds a tab"),
+    (5, 'variable W owner: B values: "H\ti"=2, Lo=0', ("variables", 1),
+     {"values": (("H\ti", 2), ("Lo", 0))}, "name 'H\\ti' holds a tab"),
+    (4, 'variable V alias Vee owner: A values: More=1, Less=0 '
+        'valias "Pl\tus"->More', ("variables", 0),
+     {"value_aliases": (("Pl\tus", "More"),)},
+     "name 'Pl\\tus' holds a tab"),
 ]
 
 
@@ -169,6 +185,18 @@ def test_structural_rule_is_checked_once_for_both_paths(line, text, where,
         (line, "resolution", message)]
     assert validate_game(_replaced(base.game, *where, **change)).errors == (
         Diagnostic("error", message),)
+
+
+def test_a_game_name_holding_a_tab_is_refused_on_both_paths():
+    lines = ['game "g\th"', *STRUCTURE_BASE[1:]]
+    result = parse_game_spec("\n".join(lines))
+    assert result.game is None
+    assert [(e.span.line, e.kind, e.message, e.token)
+            for e in result.errors] == [
+        (1, "resolution", "name 'g\\th' holds a tab", "g\th")]
+    game = parse_game_spec("\n".join(STRUCTURE_BASE)).game
+    assert validate_game(game._replace(name="g\th")).errors == (
+        Diagnostic("error", "name 'g\\th' holds a tab"),)
 
 
 _NINES, _HALF = "9" * 4300, "5" + "0" * 4299  # 4300 digits each
@@ -542,6 +570,52 @@ def test_a_comment_after_a_quoted_name_is_stripped():
     assert result.ok, [str(e) for e in result.errors]
     assert result.game.name == "g"
     assert result.game.players[0].actions == ("Publish", "OA")
+
+
+# Text made of what the reader's lexical rules turn on: straight and
+# typographic quotes, '#', ',', '=', the keywords in mixed case, Unicode
+# whitespace, and letters that case-fold to a keyword's ASCII letters
+# (U+017F to 's', U+212A to 'k', U+0130 to 'i'), alone and within a keyword.
+READER_TEXT = st.lists(st.sampled_from([
+    '"', "'", "`", "\u2018", "\u2019", "\u201c", "\u201d", "#", ",", "=",
+    "if", "IF", "iF", "and", "AnD", "aND", "then", "tHEN", "otherwise",
+    "OTHERWISE", " ", "\t", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+    "\u017f", "\u212a", "\u0130", "otherwi\u017fe", "\u0130f", "x", "Hi"]),
+    max_size=14).map("".join)
+STOP_SETS = (frozenset({"then"}), frozenset({"otherwise"}), frozenset())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(READER_TEXT, st.integers(0, 40))
+@example('A=Hi otherwi\u017fe V=x', 0)
+@example('V=Hi AND x=Hi then', 0)
+@example('V= "a # b", "c" # note', 2)
+def test_the_reader_reads_as_its_reference(text, start):
+    """Comments, list items, values and atom lists read as the reference
+    reader in ``tests.oracle`` reads them: the same values, indices, stop
+    words and ``ParseError``s, for each stop set a rule passes."""
+    start = min(start, len(text))
+    assert dsl._strip_comment(text) == oracle.strip_comment(text)
+    assert dsl._split_list(text) == oracle.split_list(text)
+    assert dsl._parse_value(text, start, 3) == oracle.parse_value(
+        text, start, 3)
+    for stops in STOP_SETS:
+        assert dsl._parse_atom_list(text, start, stops, 3) == \
+            oracle.parse_atom_list(text, start, stops, 3), stops
+
+
+@pytest.mark.parametrize("rule, message", [
+    ('\u0130f A="x" then V="More".', "rule must start with 'if'"),
+    ('if A="x" then V=More otherwi\u017fe V=Less.',
+     "unexpected '=' after the value of 'V'"),
+])
+def test_a_keyword_is_spelled_in_ascii_letters(rule, message):
+    """'İf' and 'otherwiſe' are names, not keywords, as ``str.lower``
+    reads them."""
+    game = parse_game_spec(MINIMAL).game
+    rule, errors = parse_rule(rule, game)
+    assert rule is None
+    assert [e.message for e in errors] == [message]
 
 
 def test_serialize_refuses_a_name_holding_a_comment_sign():

@@ -800,6 +800,20 @@ def test_a_cell_keeps_its_own_number(literal):
     assert [type(x) for x in cells[1] + cells[2]] == [int] * 4
 
 
+@pytest.mark.parametrize("header", ["rows: R\tS: a, b\ncols: C: x, y",
+                                    "rows: R: a, b\ncols: C: x, y\tz"],
+                         ids=["player", "action"])
+def test_bimatrix_refuses_a_name_holding_a_tab(header):
+    """A tab in a name would split a column of delimited output; a tab
+    around a name is whitespace, stripped."""
+    from oagame.equilibrium import BimatrixFormatError
+    cells = "(1,0) (0,1)\n(0,1) (1,0)\n"
+    with pytest.raises(BimatrixFormatError, match="holds a tab$"):
+        parse_bimatrix(f"{header}\n{cells}")
+    bm = parse_bimatrix(f"rows:\tR\t:\ta,\tb\ncols: C: x ,y\t\n{cells}")
+    assert (bm.row_player, bm.row_actions) == ("R", ("a", "b"))
+
+
 def test_bimatrix_rejects_bad_shapes():
     from oagame.equilibrium import BimatrixFormatError
     with pytest.raises(BimatrixFormatError):

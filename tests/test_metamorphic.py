@@ -3,7 +3,10 @@ or declaration order that must leave its admissible rows, its top rows,
 its census, its payoff tables and its projections as they are, names
 aside.  They check the engine without a reference answer, so they hold
 where the brute-force oracle is too slow to run.  (The copied-action
-relation is in ``test_engine``.)
+relation, a copy appended and its projections checked, is in
+``test_engine``; the duplicate-action relation here puts the copy beside
+its original, and pins the actions of ``oa.game`` that no rule condition
+tells apart.)
 
 The join relation composes: a game made of two games with disjoint names
 has their census multiplied and its best rows, payoff cells, pure
@@ -23,9 +26,10 @@ from hypothesis import given, settings, strategies as st
 from oagame import (CompletionPolicy, GameError, PayoffTable,
                     admissible_rows, compile_game, derive_payoff_table,
                     enumeration_report, parse_game_spec, project_bimatrix,
-                    pure_nash, serialize_game, top_gu_rows)
+                    pure_nash, serialize_game, top_gu_rows, validate_game)
 from oagame.dsl import LENIENT
-from oagame.model import GameSpec, OutcomeVarDef, PlayerDef, Rule, UtilityDef
+from oagame.model import (ACTION, GameSpec, OutcomeVarDef, PlayerDef, Rule,
+                          UtilityDef)
 
 from .oracle import (brute_force_admissible, flat_rows, named_row,
                      random_rich_game, random_small_game, row_key, utility)
@@ -295,3 +299,71 @@ def test_a_join_above_a_hundred_thousand_profiles(oa_game):
     assert report[3:] == (sum(p.max_global_utility for p in parts),
                           math.prod(p.max_global_utility_count for p in parts))
     assert time.perf_counter() - start < 2
+
+
+def _with_twin(game, player, action, twin):
+    """``game`` with ``twin`` declared right after ``player``'s ``action``,
+    and a map from its profiles (action names) to those of ``game``, the
+    twin read as ``action``."""
+    d = game.player_names().index(player)
+    players = list(game.players)
+    actions = players[d].actions
+    k = actions.index(action) + 1
+    players[d] = players[d]._replace(
+        actions=(*actions[:k], twin, *actions[k:]))
+    return game._replace(players=tuple(players)), lambda profile: tuple(
+        action if i == d and a == twin else a for i, a in enumerate(profile))
+
+
+def test_a_duplicate_action_has_its_twin_cells(oa_game):
+    """A player given one more action beside one that no rule condition
+    names: the census still equals the brute-force oracle's, and under all
+    four policies each profile of the old actions keeps its cell and each
+    profile of the new one has its twin's.  (The fixed policy's fragment
+    would tell them apart, so the action it names is not copied.)"""
+    rng, copied = random.Random(47), 0
+    for game in _games(oa_game, 10):
+        named = {(a.subject, a.value) for r in game.rules
+                 for a in r.condition if a.kind == ACTION}
+        fixed = (game.players[0].name, game.players[0].actions[0])
+        unnamed = [(p.name, a) for p in game.players for a in p.actions
+                   if (p.name, a) not in named | {fixed}]
+        if not unnamed:
+            continue
+        player, action = rng.choice(unnamed)
+        bigger, original = _with_twin(game, player, action, action + " twin")
+        assert validate_game(bigger).ok
+        _census_by_oracle(bigger)
+        for policy in _policies(game):
+            table, twin = (_outcome(derive_payoff_table, g, policy)
+                           for g in (game, bigger))
+            if not isinstance(table, PayoffTable):
+                assert twin == table
+                continue
+            assert [twin.payoff(p) for p in twin.profiles()] == [
+                table.payoff(original(p)) for p in twin.profiles()], policy
+        copied += 1
+    assert copied > 40
+
+
+# The actions of ``oa.game`` that no rule condition tells apart.
+OA_TWINS = {"Administrators": ("Support TA", "Support Both"),
+            "Politicians": ("Demand gold OA", "Demand some OA")}
+
+
+def test_oa_actions_no_condition_tells_apart_have_equal_cells(oa_game):
+    """Under max-GU, fixed, optimistic and pessimistic, a profile of
+    ``oa.game`` keeps its payoff cell when one action of an ``OA_TWINS``
+    pair takes the place of the other."""
+    for policy in _policies(oa_game):
+        table = derive_payoff_table(oa_game, policy)
+        swapped = 0
+        for player, (a, b) in OA_TWINS.items():
+            d = table.players.index(player)
+            for profile in table.profiles():
+                if profile[d] == a:
+                    twin = (*profile[:d], b, *profile[d + 1:])
+                    assert table.payoff(profile) == table.payoff(twin), (
+                        policy, profile)
+                    swapped += table.payoff(profile) is not None
+        assert swapped > 20, policy

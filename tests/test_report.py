@@ -191,15 +191,15 @@ def test_json_writer_refuses_what_json_cannot_write(value):
 
 
 # Prints the JSON writer's text of each value given on stdin, with the C
-# string encoder hidden, so that the writer binds ``json.encoder``'s on its
-# first string.
+# string encoder hidden, so that the writer binds ``json.encoder``'s when it
+# is imported.
 _PURE_ENCODER = """
 import ast, sys
 sys.modules["_json"] = None
 import json.encoder
 from oagame import _json_writer
 texts = [_json_writer._json(v) for v in ast.literal_eval(sys.stdin.read())]
-assert _json_writer._json("") == '""'  # bound even if no value held a string
+assert _json_writer._json("") == '""'
 assert _json_writer._quote is json.encoder.py_encode_basestring_ascii
 print(ascii(texts))
 """
