@@ -42,7 +42,11 @@ class _CliError(Exception):
 def _read_input(path: str) -> tuple[str, str]:
     """Return (text, sha256), a leading byte-order mark dropped from the
     text before it is hashed.  Bundled fixture names resolve when the file
-    does not exist on disk."""
+    does not exist on disk.  A path holding a tab or a line break, which
+    would split the report line that names the input, is refused."""
+    if any(c in path for c in "\t\n\r"):
+        raise _CliError(f"cannot read {path!r}: the path holds a tab or a "
+                        "line break", USAGE_ERROR)
     if os.path.exists(path):
         try:
             with open(path, encoding="utf-8") as fh:

@@ -30,23 +30,25 @@ greatest global utility, kept where each linked group holds one of its
 best assignments, and policy picks, the first completions of greatest key,
 make the payoff tables (``derive_payoff_table``, ``project_bimatrix``) in
 ``oagame._payoffs``, which only the commands that build one compile.
-The census is the engine's one walk over the profiles: the counts, the
-payoff tables and both row lists (``admissible_rows`` and ``top_gu_rows``)
-read it, and the row lists expand it, enumerating each block's completions
-once.  A row list holds one ``(profile, completions)`` group of index
-tuples per profile, a block's profiles sharing one completions tuple;
+Actions with equal masks fire the same rules against every profile, so the
+counts walk the profiles of action classes, weighted, and a row list checks
+``ROW_BUDGET`` before it walks a profile.  The census is the one walk over
+the profiles: the payoff tables read it, and the row lists
+(``admissible_rows``, ``top_gu_rows``) expand it, enumerating each block's
+completions once.  A row list holds one ``(profile, completions)`` group of
+index tuples per profile, a block's profiles sharing one completions tuple;
 names come back only in ``record_cells``, which turns each group into
 ``(head, tails)`` cells, naming each profile and each distinct completion
 once, a block's profiles sharing one ``tails`` tuple, so a row dump is
-rendered from those cells a group at a time without building one record
-per row; ``rows_as_records`` flattens the groups into per-row dicts.
+rendered from those cells a group at a time without building one record per
+row; ``rows_as_records`` flattens the groups into per-row dicts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import reduce
 from operator import and_, getitem, itemgetter
 
@@ -96,12 +98,12 @@ class CompiledGame:
     pairs, and its action test is bit ``r`` of ``live`` (no inert condition
     atom) and of ``masks[i][a]`` (action ``a`` passes the condition's atoms
     on player ``i``), so a player's distinct masks are its classes of
-    actions.  A rule with a ``GameSpec.rule_faults`` fault raises
-    ``NameResolutionError`` for its first.  A player's utility terms are
-    resolved each time its utility is asked for, so a player without a
-    utility definition is an error only for the consumers that need one.
-    Profile blocks (``_Block``) are kept per fired set and shared per
-    (deferred rules, forced values).
+    actions, ``classes[i]`` (mask -> its number of actions).  A rule with a
+    ``GameSpec.rule_faults`` fault raises ``NameResolutionError`` for its
+    first.  A player's utility terms are resolved each time its utility is
+    asked for, so a player without a utility definition is an error only
+    for the consumers that need one.  Profile blocks (``_Block``) are kept
+    per fired set and shared per (deferred rules, forced values).
     """
 
     def __init__(self, game: GameSpec):
@@ -121,6 +123,7 @@ class CompiledGame:
             sum(1 << r for r, (acts, *_) in enumerate(rules)
                 if all(j == a for k, j in acts if k == i))
             for a in range(len(names))) for i, names in enumerate(self.actions))
+        self.classes = tuple(map(Counter, self.masks))
         self._fired, self._blocks = {}, {}
 
     def _rule(self, rule: Rule):
@@ -196,9 +199,10 @@ class _Block(namedtuple("_Block", (
     __slots__ = ()
 
 
-def _profile_block(cg: CompiledGame, profile) -> _Block | None:
-    """``_fired_block`` of the rules that ``profile`` fires, kept per game."""
-    fired = reduce(and_, map(getitem, cg.masks, profile), cg.live)
+def _profile_block(cg: CompiledGame, masks) -> _Block | None:
+    """``_fired_block`` of the rules that a profile whose actions have
+    ``masks`` fires, kept per game."""
+    fired = reduce(and_, masks, cg.live)
     if fired not in cg._fired:
         cg._fired[fired] = _fired_block(cg, fired)
     return cg._fired[fired]
@@ -281,7 +285,7 @@ def _census(cg: CompiledGame, profiles=None):
     """``(profile, block)`` of each of ``profiles`` (default: all) with an
     admissible completion, in order: the engine's one walk over profiles."""
     for profile in cg.profiles() if profiles is None else profiles:
-        block = _profile_block(cg, profile)
+        block = _profile_block(cg, map(getitem, cg.masks, profile))
         if block is not None and block.count:
             yield profile, block
 
@@ -292,25 +296,23 @@ def _within_budget(count: int, what: str) -> None:
                              f"{ROW_BUDGET}")
 
 
-def _report(cg: CompiledGame, census, rows=None,
-            tops=None) -> EnumerationReport:
-    """The counts of ``census``, walked to its end, and the entries a row
-    list expands while their rows are within ``ROW_BUDGET``: to ``rows``
-    each entry, to ``tops`` each at the running max, emptied as it rises."""
+def _report(cg: CompiledGame) -> EnumerationReport:
+    """The counts of the admissible set, from one walk over the profiles of
+    action classes: each class profile stands for the product of its class
+    sizes in profiles, which share its block."""
     count, best, at_best = 0, None, 0
-    for entry in census:
-        high, at_high, _ = entry[1].gu
-        count += entry[1].count
-        if rows is not None and count <= ROW_BUDGET:
-            rows.append(entry)
+    classes = cg.classes
+    for masks, sizes in zip(itertools.product(*classes),
+                            itertools.product(*map(Counter.values, classes))):
+        block = _profile_block(cg, masks)
+        if block is None or not block.count:
+            continue
+        weight, (high, at_high, _) = math.prod(sizes), block.gu
+        count += block.count * weight
         if best is None or high > best:
             best, at_best = high, 0
-            if tops is not None:
-                tops.clear()
         if high == best:
-            at_best += at_high
-            if tops is not None and at_best <= ROW_BUDGET:
-                tops.append(entry)
+            at_best += at_high * weight
     profile_count = math.prod(map(len, cg.actions))
     return EnumerationReport(profile_count,
                              profile_count * math.prod(map(len, cg.values)),
@@ -318,10 +320,9 @@ def _report(cg: CompiledGame, census, rows=None,
 
 
 def enumeration_report(game: GameSpec) -> EnumerationReport:
-    """The counts of the admissible set, summed over the profiles' blocks
-    without building a row."""
-    cg = compile_game(game)
-    return _report(cg, _census(cg))
+    """The counts of the admissible set, summed over the blocks of the
+    profiles of action classes without building a row."""
+    return _report(compile_game(game))
 
 
 def _expand(entries) -> list[tuple]:
@@ -343,10 +344,10 @@ def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
     row, plus the count report.  A block's profiles share its completions
     tuple, and equal completions are one tuple.  Raises
     ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
-    cg, census = compile_game(game), []
-    report = _report(cg, _census(cg), rows=census)
+    cg = compile_game(game)
+    report = _report(cg)
     _within_budget(report.admissible_count, "admissible rows")
-    return _expand((p, b, b.factors) for p, b in census), report
+    return _expand((p, b, b.factors) for p, b in _census(cg)), report
 
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
@@ -354,12 +355,11 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     it, grouped by profile like ``admissible_rows``: ``(profile,
     completions)`` groups in canonical order, or (None, []) when the set is
     empty.  Raises ``RowBudgetError``, building no row, above the budget."""
-    cg, census = compile_game(game), []
-    report = _report(cg, _census(cg), tops=census)
-    _within_budget(report.max_global_utility_count,
-                   "rows at max global utility")
-    return report.max_global_utility, _expand((p, b, b.gu[2])
-                                              for p, b in census)
+    cg = compile_game(game)
+    best, count = _report(cg)[3:]
+    _within_budget(count, "rows at max global utility")
+    return best, _expand((p, b, b.gu[2]) for p, b in _census(cg)
+                         if b.gu[0] == best)
 
 
 def derive_payoff_table(

@@ -9,6 +9,10 @@ A row here is a ``ScenarioRow`` of names; ``flat_rows`` flattens the
 engine's row groups into ``(profile, completion)`` rows, and ``named_row``
 names one for the comparison.
 
+Counts: ``profile_walk_report`` sums every profile's block, the way
+``enumeration_report`` counted before it walked the profiles of action
+classes.
+
 Pure equilibria and best responses: every unilateral deviation checked on
 action names, in a dict from each name profile to its cell, the way
 ``pure_nash`` and ``best_responses`` worked before they read slices of the
@@ -35,12 +39,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from oagame import SUPPORT_LIMIT, DominanceResult, Elimination
+from oagame import (SUPPORT_LIMIT, DominanceResult, Elimination,
+                    EnumerationReport, compile_game, engine)
 from oagame.dsl import _QUOTE_CLOSERS, ParseError, SourceSpan
 from oagame.equilibrium import EquilibriumCertificate, MixedStrategy
 from oagame.model import (ACTION, OUTCOME, Atom, GameSpec, OutcomeVarDef,
@@ -114,6 +120,24 @@ def brute_force_admissible(game: GameSpec) -> list[ScenarioRow]:
     return rows
 
 
+def profile_walk_report(game: GameSpec) -> EnumerationReport:
+    """The counts of ``enumeration_report`` from the census, one block per
+    profile."""
+    cg = compile_game(game)
+    count, best, at_best = 0, None, 0
+    for _, block in engine._census(cg):
+        high, at_high, _ = block.gu
+        count += block.count
+        if best is None or high > best:
+            best, at_best = high, 0
+        if high == best:
+            at_best += at_high
+    profiles = math.prod(map(len, cg.actions))
+    return EnumerationReport(profiles,
+                             profiles * math.prod(map(len, cg.values)),
+                             count, best, at_best)
+
+
 @functools.cache
 def _scores(variable: OutcomeVarDef) -> dict[str, int]:
     """Each declared value of ``variable`` -> its score."""
@@ -169,9 +193,25 @@ def row_key(row: ScenarioRow) -> tuple:
             tuple(sorted(row.outcomes.items())))
 
 
-def random_small_game(rng: random.Random) -> GameSpec:
+def _naming(rng: random.Random, named, players, variables, rules) -> tuple:
+    """``rules``, and for ``named`` "all" one more rule for each action
+    that no condition names, setting a random variable when it is played.
+    Under "none" the rules were drawn with no action in any condition."""
+    if named != "all":
+        return tuple(rules)
+    seen = {(a.subject, a.value) for r in rules for a in r.condition
+            if a.kind == ACTION and not a.inert}
+    return tuple(rules) + tuple(
+        Rule((Atom(ACTION, p.name, x),), (Atom(OUTCOME, v.name, rng.choice(
+            v.value_names())),))
+        for p in players for x in p.actions if (p.name, x) not in seen
+        for v in [rng.choice(variables)])
+
+
+def random_small_game(rng: random.Random, named=None) -> GameSpec:
     """A random game with <=3 players x <=3 actions, <=3 binary variables
-    and <=4 random implication rules."""
+    and <=4 random implication rules; ``named`` "all" or "none" makes
+    every action, or none, named by a rule condition (``_naming``)."""
     n_players = rng.randint(1, 3)
     players = tuple(
         PlayerDef(f"P{i}", tuple(f"a{i}{j}"
@@ -191,7 +231,8 @@ def random_small_game(rng: random.Random) -> GameSpec:
 
     rules = []
     for _ in range(rng.randint(0, 4)):
-        condition = tuple(random_atom(("action", "outcome"))
+        condition = tuple(random_atom(("outcome",) if named == "none"
+                                      else ("action", "outcome"))
                           for _ in range(rng.randint(1, 2)))
         consequence = tuple(random_atom(("outcome",))
                             for _ in range(rng.randint(1, 2)))
@@ -203,15 +244,16 @@ def random_small_game(rng: random.Random) -> GameSpec:
                                  tuple(v.name for v in variables
                                        if v.owner == p.name))
                       for p in players)
-    return GameSpec("random", players, variables, tuple(rules), utilities)
+    return GameSpec("random", players, variables,
+                    _naming(rng, named, players, variables, rules), utilities)
 
 
-def random_rich_game(rng: random.Random) -> GameSpec:
+def random_rich_game(rng: random.Random, named=None) -> GameSpec:
     """A random game with what ``random_small_game`` never draws: player
     and variable aliases, two- and three-valued variables with negative
     scores and a value alias, utilities naming variables by alias, and
     lenient-mode inert atoms in conditions, consequences and
-    otherwise-branches."""
+    otherwise-branches; ``named`` as in ``random_small_game``."""
     players = tuple(
         PlayerDef(f"P{i}", tuple(f"a{i}{j}"
                                  for j in range(rng.randint(1, 3))),
@@ -242,10 +284,10 @@ def random_rich_game(rng: random.Random) -> GameSpec:
         return tuple(random_atom(with_actions)
                      for _ in range(rng.randint(1, 2)))
 
-    rules = tuple(
-        Rule(atoms(True), atoms(False),
+    rules = _naming(rng, named, players, variables, [
+        Rule(atoms(named != "none"), atoms(False),
              atoms(False) if rng.random() < 0.4 else ())
-        for _ in range(rng.randint(0, 5)))
+        for _ in range(rng.randint(0, 5))])
     utilities = tuple(
         UtilityDef(p.name, tuple(rng.choice((v.name, v.aliases[0]))
                                  for v in variables if v.owner == p.name))

@@ -382,6 +382,24 @@ def test_a_name_holding_a_tab_is_refused(tmp_path, capsys, file, text, argv,
     assert output.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("name", ["a\tb.game", "a\nb.game", "a\rb.game"],
+                         ids=["tab", "newline", "carriage-return"])
+def test_a_path_holding_a_tab_or_a_line_break_is_refused(tmp_path, capsys,
+                                                         name):
+    """The report keys each input by its path, so such a path would split
+    the delimited ``inputs.<path>`` line or a table line; the file exists,
+    is refused all the same, and --output is left as it was."""
+    path, output = tmp_path / name, tmp_path / "out.tsv"
+    path.write_text(fixtures.fixture_text("oa.game"), encoding="utf-8")
+    output.write_text("kept\n")
+    code, out, err = run(capsys, "validate", "--game", str(path), "--format",
+                         "delimited", "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err == (f"oagame: cannot read {str(path)!r}: the path holds a "
+                   f"tab or a line break\n")
+    assert output.read_text() == "kept\n"
+
+
 def test_directory_as_input_is_a_usage_error(tmp_path, capsys):
     for argv in (("validate", "--game"), ("mixed", "--bimatrix")):
         code, out, err = run(capsys, *argv, str(tmp_path))
@@ -1735,6 +1753,51 @@ def test_payoff_tables_beyond_the_row_budget_are_refused(tmp_path, command):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "oagame: 16777216 payoff cells exceed the row budget of "
                "1000000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--dump"), "16777216 admissible rows"),
+    (("top",), "2097152 rows at max global utility"),
+], ids=["enumerate-dump", "top"])
+def test_row_lists_beyond_the_row_budget_are_refused_at_once(tmp_path, argv,
+                                                             message):
+    """Eight players of eight actions: a row list is refused from the
+    counts, which walk the game's 2 profiles of action classes, before any
+    of the 16777216 profiles is walked; walking them all took about 20 s
+    and 190 MiB."""
+    (tmp_path / "big.game").write_text(_one_rule_game(8, 8),
+                                       encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagame.cli", *argv, "--game", "big.game"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"oagame: {message} exceed the row budget of 1000000\n")
+
+
+@pytest.mark.parametrize("players, actions", [(8, 8), (12, 12)])
+def test_one_rule_games_count_in_closed_form(tmp_path, players, actions):
+    """k players of a actions, ``V`` set by ``P0``'s action: a^k profiles,
+    2 a^k row space, one admissible row per profile, and max GU 1 where
+    ``P0`` plays ``a0``, a^(k-1) rows; 12 x 12 has about 8.9e12 profiles,
+    counted over its 2 profiles of action classes."""
+    (tmp_path / "k.game").write_text(_one_rule_game(players, actions),
+                                     encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "oagame.cli", "enumerate", "--game", "k.game",
+         "--format", "json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report, profiles = json.loads(proc.stdout), actions ** players
+    assert (report["action_profiles"], report["row_space"],
+            report["admissible_rows"], report["max_global_utility"],
+            report["max_global_utility_rows"]) == (
+        profiles, 2 * profiles, profiles, 1, profiles // actions)
 
 
 def _cli_json(cwd, *argv):

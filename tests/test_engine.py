@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from .oracle import (
     brute_force_projection,
     flat_rows,
     named_row,
+    profile_walk_report,
     random_rich_game,
     random_small_game,
     row_key,
@@ -251,6 +253,31 @@ def test_census_matches_oracle_and_row_lists(draw_game, seed):
         best, [r for r in flat_rows(rows) if cg.global_utility(r[1]) == best])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_small_game, random_rich_game]),
+       st.sampled_from([None, "all", "none"]), st.integers(0, 2**32 - 1))
+def test_class_census_matches_the_profile_walk_and_oracle(draw_game, named,
+                                                          seed):
+    """The counts over the profiles of action classes equal the census's,
+    summed profile by profile, and a count over the oracle's rows, on games
+    whose rule conditions name some actions, every action ("all": the
+    classes are finest) or none ("none": one class per player)."""
+    game = draw_game(random.Random(seed), named)
+    named_actions = {(a.subject, a.value) for r in game.rules
+                     for a in r.condition if a.kind == ACTION and not a.inert}
+    if named == "all":
+        assert named_actions == {(p.name, a) for p in game.players
+                                 for a in p.actions}
+    if named == "none":
+        assert not named_actions
+        assert all(len(c) == 1 for c in compile_game(game).classes)
+    report = enumeration_report(game)
+    assert report == profile_walk_report(game)
+    gus = [utility(game, r) for r in brute_force_admissible(game)]
+    best = max(gus, default=None)
+    assert report[2:] == (len(gus), best, gus.count(best))
+
+
 def _check_groups(game, oracle_rows):
     """The row groups of ``admissible_rows``: one per admissible profile,
     in canonical order, none empty, the profiles of one block sharing one
@@ -262,7 +289,7 @@ def _check_groups(game, oracle_rows):
     assert all(completions for _, completions in groups)
     shared = {}  # id(block) -> the completions tuple of its first profile
     for p, completions in groups:
-        block = engine._profile_block(cg, p)
+        block = engine._profile_block(cg, map(getitem, cg.masks, p))
         assert shared.setdefault(id(block), completions) is completions
     assert _named(game, flat_rows(groups)) == oracle_rows
     return len(groups), len(shared)
@@ -339,14 +366,17 @@ def _counted(monkeypatch, *names):
 
 def test_row_lists_walk_the_profiles_once_and_each_block_once(
         oa_game, monkeypatch):
-    """Both row lists expand the census: ``admissible_rows`` looks up the
-    432 profiles' blocks once and enumerates each of the 14 distinct blocks'
-    completions once, ``top_gu_rows`` each of the 2 blocks at the maximum
-    (30 profiles) once.  Rows with equal completions share one tuple."""
-    calls = _counted(monkeypatch, "_profile_block", "_filtered")
+    """Both row lists count first, over the 216 class profiles, then
+    expand the census: ``admissible_rows`` looks up the 432 profiles'
+    blocks once and enumerates each of the 14 distinct blocks' completions
+    once, ``top_gu_rows`` each of the 2 blocks at the maximum (30
+    profiles) once.  Rows with equal completions share one tuple."""
+    calls = _counted(monkeypatch, "_report", "_census", "_profile_block",
+                     "_filtered")
     rows = flat_rows(admissible_rows(oa_game)[0])
     assert len(rows) == 17640
-    assert calls == {"_profile_block": 432, "_filtered": 14}
+    assert calls == {"_report": 1, "_census": 1,
+                     "_profile_block": 216 + 432, "_filtered": 14}
     assert len({id(c) for _, c in rows}) == len({c for _, c in rows}) == 160
 
     cg = compile_game(oa_game)
@@ -358,11 +388,12 @@ def test_row_lists_walk_the_profiles_once_and_each_block_once(
 
 def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
         monkeypatch):
-    """On a freshly parsed ``oa.game`` the census, the max-GU payoff table
-    and the max-GU projection each look up the 432 profiles' blocks once,
-    and the 14 blocks' global-utility optima are worked out once in all;
-    under the fixed policy only the 108 profiles with ``Editors=Grant OA``
-    are looked up."""
+    """On a freshly parsed ``oa.game`` the counts look up the blocks of
+    its 216 class profiles once, the max-GU payoff table and the max-GU
+    projection each the 432 profiles' blocks once (the census), and the 14
+    blocks' global-utility optima are worked out once in all; under the
+    fixed policy only the 108 profiles with ``Editors=Grant OA`` are
+    looked up."""
     calls = _counted(monkeypatch, "_profile_block", "_optimum")
     game = parse_game_spec(fixtures.fixture_text("oa.game")).game
     walks = []
@@ -373,7 +404,7 @@ def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
         run()
         walks.append(calls["_profile_block"])
         calls["_profile_block"] = 0
-    assert walks == [432, 432, 432]
+    assert walks == [216, 432, 432]
     assert calls["_optimum"] == len(compile_game(game)._blocks) == 14
     derive_payoff_table(game, CompletionPolicy(
         "fixed", fixed_actions=(("Editors", "Grant OA"),)))
@@ -395,18 +426,27 @@ def test_each_fired_set_is_scanned_once(monkeypatch):
     assert calls == {"_fired_block": 48, "_block": 14}
 
 
-def _class_profiles(game):
-    """How many profiles of action classes ``game`` has: per player, the
-    actions with equal rule masks are one class."""
-    return math.prod(len(set(masks)) for masks in compile_game(game).masks)
+def _class_sizes(game):
+    """Per player, the sizes of its action classes, in order of each
+    class's first action, checked against its distinct masks."""
+    cg = compile_game(game)
+    for masks, classes in zip(cg.masks, cg.classes):
+        assert list(classes) == list(dict.fromkeys(masks))
+        assert all(classes[m] == masks.count(m) for m in classes)
+    return [list(classes.values()) for classes in cg.classes]
 
 
 def test_the_distinct_masks_are_the_action_classes(oa_game):
-    """No rule condition tells apart two actions of a class: ``oa.game``
-    has 3 x 2 x 3 x 4 x 3 class profiles, and the 8 x 8 one-rule game 2,
-    ``P0``'s ``a0`` and the rest (compiled, not walked)."""
-    assert _class_profiles(oa_game) == 216
-    assert _class_profiles(parse_game_spec(_one_rule_game(8, 8)).game) == 2
+    """No rule condition tells apart two actions of a class: ``oa.game``'s
+    Administrators have {Support TA, Support Both} and {Support OA}, its
+    Politicians {Permit TA}, {Demand green OA} and {Demand gold OA, Demand
+    some OA}, so 3 x 2 x 3 x 4 x 3 class profiles; the 8 x 8 one-rule
+    game has 2, ``P0``'s ``a0`` and the rest, and 1 x 1 for each other
+    player (compiled, not walked)."""
+    assert _class_sizes(oa_game) == [[1, 1, 1], [2, 1], [1, 1, 1],
+                                     [1, 1, 1, 1], [1, 1, 2]]
+    assert _class_sizes(parse_game_spec(_one_rule_game(8, 8)).game) == [
+        [1, 7]] + [[8]] * 7
 
 
 EDGE_GAME = """
@@ -452,6 +492,7 @@ def test_a_game_with_no_players_fires_its_outcome_rules():
     rule = Rule((Atom(OUTCOME, "V", "Hi"),), (Atom(OUTCOME, "W", "Lo"),))
     game = GameSpec("none", (), variables, (rule,), ())
     assert _agrees_with_oracle(game) == 3
+    assert enumeration_report(game) == profile_walk_report(game)
 
 
 # Ten pairs of linked variables: ``Wi`` must be Lo when ``Vi`` is Hi.
