@@ -7,8 +7,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .engine import (CompletionPolicy, _census, _holds, _optimum,
-                     _within_budget, compile_game)
+from .engine import (CompletionPolicy, _census, _optimum, _within_budget,
+                     compile_game)
 from .model import ACTION, OUTCOME, GameSpec, PayoffTable
 
 
@@ -22,25 +22,28 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
     undeclared matches nothing).  A cell holds the utilities at the first
     pick of strictly greatest key over the game profiles extending it, the
     policy applied to all of their completions at once, or None when they
-    have no pick.  Each census block's optimum (``gu`` under max-GU) gives
-    its pick, the first best assignment of each factor, and the pick's
-    utilities are one tuple shared by every profile in the block.  Raises
+    have no pick.  The census splits ``players``' classes into actions.
+    Each census block's optimum (``gu`` under max-GU) gives its pick, the
+    first best assignment of each factor, and the pick's utilities are one
+    tuple shared by every profile in the block.  Raises
     ``RowBudgetError``, building no cell, above ``ROW_BUDGET`` cells."""
     cg = compile_game(game)
     kept = [cg.players.index(p) for p in players]
     _within_budget(math.prod(len(cg.actions[i]) for i in kept), "payoff cells")
-    profiles, weights, utilities = None, None, None
+    census, weights, utilities = _census(cg, kept), None, None
     if policy.kind == "fixed":
         acts = [game.atom_index(ACTION, *f) for f in policy.fixed_actions]
         outs = [game.atom_index(OUTCOME, *f) for f in policy.fixed_outcomes]
-        profiles = () if None in acts + outs else (
-            p for p in cg.profiles() if _holds(acts, p))
+        census = () if None in acts + outs else _census(cg, kept, [
+            [a for a in range(len(names)) if all(j == a for k, j in acts
+                                                 if k == i)]
+            for i, names in enumerate(cg.actions)])
         weights = tuple(tuple(-sum(w == v and y != x
                                    for w, y in filter(None, outs))
                               for x in r) for v, r in enumerate(cg.ranges))
     picks = {}  # id(block) -> (key, cell), or None when it has no pick
     best = {}  # profile of ``players`` -> (key, cell) of its first best pick
-    for profile, block in _census(cg, profiles):
+    for actions, _, block in census:
         if id(block) not in picks:
             # Resolved here, so a game with no admissible row needs no utility.
             if weights is None and policy.kind != "max-global-utility":
@@ -57,7 +60,7 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
                                       for v, x in zip(variables, subs[0]))
                                   for w in utilities)
             picks[id(block)] = pick
-        pick, own = picks[id(block)], tuple(map(profile.__getitem__, kept))
+        pick, own = picks[id(block)], tuple(actions[i][0] for i in kept)
         if pick is not None and (own not in best or pick[0] > best[own][0]):
             best[own] = pick
     actions = tuple(cg.actions[i] for i in kept)

@@ -31,24 +31,20 @@ best assignments, and policy picks, the first completions of greatest key,
 make the payoff tables (``derive_payoff_table``, ``project_bimatrix``) in
 ``oagame._payoffs``, which only the commands that build one compile.
 Actions with equal masks fire the same rules against every profile, so the
-counts walk the profiles of action classes, weighted, and a row list checks
-``ROW_BUDGET`` before it walks a profile.  The census is the one walk over
-the profiles: the payoff tables read it, and the row lists
-(``admissible_rows``, ``top_gu_rows``) expand it, enumerating each block's
-completions once.  A row list holds one ``(profile, completions)`` group of
-index tuples per profile, a block's profiles sharing one completions tuple;
-names come back only in ``record_cells``, which turns each group into
-``(head, tails)`` cells, naming each profile and each distinct completion
-once, a block's profiles sharing one ``tails`` tuple, so a row dump is
-rendered from those cells a group at a time without building one record per
-row; ``rows_as_records`` flattens the groups into per-row dicts.
+census, the engine's one walk, goes over profiles of action classes: the
+counts weight each by its size, and the row lists check ``ROW_BUDGET`` on
+them, then expand each into ``(profile, completions)`` groups of index
+tuples, a block's profiles sharing one tuple of its completions.  Names come
+back only in ``record_cells``, which names each profile and each distinct
+completion once, as ``(head, tails)`` cells, so a row dump is rendered a
+group at a time; ``rows_as_records`` flattens the groups into row dicts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import reduce
 from operator import and_, getitem, itemgetter
 
@@ -98,12 +94,12 @@ class CompiledGame:
     pairs, and its action test is bit ``r`` of ``live`` (no inert condition
     atom) and of ``masks[i][a]`` (action ``a`` passes the condition's atoms
     on player ``i``), so a player's distinct masks are its classes of
-    actions, ``classes[i]`` (mask -> its number of actions).  A rule with a
-    ``GameSpec.rule_faults`` fault raises ``NameResolutionError`` for its
-    first.  A player's utility terms are resolved each time its utility is
-    asked for, so a player without a utility definition is an error only
-    for the consumers that need one.  Profile blocks (``_Block``) are kept
-    per fired set and shared per (deferred rules, forced values).
+    actions.  A rule with a ``GameSpec.rule_faults`` fault raises
+    ``NameResolutionError`` for its first.  A player's utility terms are
+    resolved each time its utility is asked for, so a player without a
+    utility definition is an error only for the consumers that need one.
+    Profile blocks (``_Block``) are kept per fired set and shared per
+    (deferred rules, forced values).
     """
 
     def __init__(self, game: GameSpec):
@@ -123,7 +119,6 @@ class CompiledGame:
             sum(1 << r for r, (acts, *_) in enumerate(rules)
                 if all(j == a for k, j in acts if k == i))
             for a in range(len(names))) for i, names in enumerate(self.actions))
-        self.classes = tuple(map(Counter, self.masks))
         self._fired, self._blocks = {}, {}
 
     def _rule(self, rule: Rule):
@@ -136,10 +131,6 @@ class CompiledGame:
                          if not a.inert and kind in (None, a.kind))
         return (pairs(rule.condition, ACTION), pairs(rule.condition, OUTCOME),
                 pairs(rule.consequence), pairs(rule.otherwise))
-
-    def profiles(self):
-        """Every profile, in canonical order."""
-        return itertools.product(*(range(len(a)) for a in self.actions))
 
     def action_names(self, profile) -> tuple[str, ...]:
         return tuple(map(getitem, self.actions, profile))
@@ -203,9 +194,10 @@ def _profile_block(cg: CompiledGame, masks) -> _Block | None:
     """``_fired_block`` of the rules that a profile whose actions have
     ``masks`` fires, kept per game."""
     fired = reduce(and_, masks, cg.live)
-    if fired not in cg._fired:
-        cg._fired[fired] = _fired_block(cg, fired)
-    return cg._fired[fired]
+    try:
+        return cg._fired[fired]
+    except KeyError:
+        return cg._fired.setdefault(fired, _fired_block(cg, fired))
 
 
 def _fired_block(cg: CompiledGame, fired: int) -> _Block | None:
@@ -281,13 +273,25 @@ def _filtered(factors):
     return rows
 
 
-def _census(cg: CompiledGame, profiles=None):
-    """``(profile, block)`` of each of ``profiles`` (default: all) with an
-    admissible completion, in order: the engine's one walk over profiles."""
-    for profile in cg.profiles() if profiles is None else profiles:
-        block = _profile_block(cg, map(getitem, cg.masks, profile))
+def _census(cg: CompiledGame, kept=(), allowed=None):
+    """``(actions, size, block)`` of each profile of action classes with an
+    admissible completion, in product order: each player's class (its
+    actions of ``allowed[i]``, default all, of one mask, or one action for
+    a player of ``kept``; by least action), and its ``size`` profiles."""
+    classes = []
+    for i, masks in enumerate(cg.masks):
+        by_key = {}
+        for a in range(len(masks)) if allowed is None else allowed[i]:
+            by_key.setdefault(a if i in kept else masks[a], []).append(a)
+        classes.append(tuple(map(tuple, by_key.values())))
+    for masks, actions, size in zip(
+            itertools.product(*[[m[c[0]] for c in cs]
+                                for m, cs in zip(cg.masks, classes)]),
+            itertools.product(*classes), map(math.prod, itertools.product(
+                *[list(map(len, cs)) for cs in classes]))):
+        block = _profile_block(cg, masks)
         if block is not None and block.count:
-            yield profile, block
+            yield actions, size, block
 
 
 def _within_budget(count: int, what: str) -> None:
@@ -297,22 +301,15 @@ def _within_budget(count: int, what: str) -> None:
 
 
 def _report(cg: CompiledGame) -> EnumerationReport:
-    """The counts of the admissible set, from one walk over the profiles of
-    action classes: each class profile stands for the product of its class
-    sizes in profiles, which share its block."""
+    """The counts of the admissible set: each census block, by its size."""
     count, best, at_best = 0, None, 0
-    classes = cg.classes
-    for masks, sizes in zip(itertools.product(*classes),
-                            itertools.product(*map(Counter.values, classes))):
-        block = _profile_block(cg, masks)
-        if block is None or not block.count:
-            continue
-        weight, (high, at_high, _) = math.prod(sizes), block.gu
-        count += block.count * weight
+    for _, size, block in _census(cg):
+        high, at_high, _ = block.gu
+        count += block.count * size
         if best is None or high > best:
             best, at_best = high, 0
         if high == best:
-            at_best += at_high * weight
+            at_best += at_high * size
     profile_count = math.prod(map(len, cg.actions))
     return EnumerationReport(profile_count,
                              profile_count * math.prod(map(len, cg.values)),
@@ -320,34 +317,34 @@ def _report(cg: CompiledGame) -> EnumerationReport:
 
 
 def enumeration_report(game: GameSpec) -> EnumerationReport:
-    """The counts of the admissible set, summed over the blocks of the
-    profiles of action classes without building a row."""
+    """The counts of the admissible set, building no row."""
     return _report(compile_game(game))
 
 
 def _expand(entries) -> list[tuple]:
-    """The ``(profile, completions)`` group of each ``(profile, block,
-    factors)`` entry, in order; each block's ``_filtered`` completions are
-    enumerated once, into one tuple that its profiles share."""
+    """The ``(profile, completions)`` groups of the profiles of each
+    ``(actions, block, factors)`` census entry, in canonical order; a
+    block's ``_filtered`` completions are one tuple, enumerated once."""
     shared, done, groups = {}, {}, []  # done: id(block) -> its completions
-    for p, b, factors in entries:
+    for actions, b, factors in entries:
         if id(b) not in done:
             done[id(b)] = tuple(shared.setdefault(c, c)
                                 for c in _filtered(factors))
-        groups.append((p, done[id(b)]))
+        for profile in itertools.product(*actions):
+            groups.append((profile, done[id(b)]))
+    groups.sort()  # profiles are unique, so no completions are compared
     return groups
 
 
 def admissible_rows(game: GameSpec) -> tuple[list[tuple], EnumerationReport]:
-    """All admissible rows in canonical order, as ``(profile, completions)``
-    groups of ``compile_game(game)`` index tuples, one per profile with a
-    row, plus the count report.  A block's profiles share its completions
-    tuple, and equal completions are one tuple.  Raises
-    ``RowBudgetError``, building no row, above ``ROW_BUDGET`` rows."""
+    """All admissible rows, as the ``_expand`` groups of ``compile_game(game)``
+    index tuples, one per profile with a row, plus the count report; equal
+    completions are one tuple.  Raises ``RowBudgetError``, building no row,
+    above ``ROW_BUDGET`` rows."""
     cg = compile_game(game)
     report = _report(cg)
     _within_budget(report.admissible_count, "admissible rows")
-    return _expand((p, b, b.factors) for p, b in _census(cg)), report
+    return _expand((a, b, b.factors) for a, _, b in _census(cg)), report
 
 
 def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
@@ -358,7 +355,7 @@ def top_gu_rows(game: GameSpec) -> tuple[int | None, list[tuple]]:
     cg = compile_game(game)
     best, count = _report(cg)[3:]
     _within_budget(count, "rows at max global utility")
-    return best, _expand((p, b, b.gu[2]) for p, b in _census(cg)
+    return best, _expand((a, b, b.gu[2]) for a, _, b in _census(cg)
                          if b.gu[0] == best)
 
 

@@ -9,9 +9,10 @@ A row here is a ``ScenarioRow`` of names; ``flat_rows`` flattens the
 engine's row groups into ``(profile, completion)`` rows, and ``named_row``
 names one for the comparison.
 
-Counts: ``profile_walk_report`` sums every profile's block, the way
-``enumeration_report`` counted before it walked the profiles of action
-classes.
+Counts: ``profile_walk_report`` walks every profile itself and sums its
+block, the way ``enumeration_report`` counted before the census walked the
+profiles of action classes; it reads no census, so that it stays a
+reference for the census.
 
 Pure equilibria and best responses: every unilateral deviation checked on
 action names, in a dict from each name profile to its cell, the way
@@ -43,6 +44,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import getitem
 from typing import NamedTuple
 
 from oagame import (SUPPORT_LIMIT, DominanceResult, Elimination,
@@ -121,11 +123,15 @@ def brute_force_admissible(game: GameSpec) -> list[ScenarioRow]:
 
 
 def profile_walk_report(game: GameSpec) -> EnumerationReport:
-    """The counts of ``enumeration_report`` from the census, one block per
-    profile."""
+    """The counts of ``enumeration_report`` from a walk over every profile
+    in ``itertools.product`` order, each looked up alone by
+    ``engine._profile_block``."""
     cg = compile_game(game)
     count, best, at_best = 0, None, 0
-    for _, block in engine._census(cg):
+    for profile in itertools.product(*map(range, map(len, cg.actions))):
+        block = engine._profile_block(cg, map(getitem, cg.masks, profile))
+        if block is None or not block.count:
+            continue
         high, at_high, _ = block.gu
         count += block.count
         if best is None or high > best:

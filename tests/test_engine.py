@@ -67,12 +67,16 @@ def _parse(text):
 
 
 def test_enumerate_profiles_count(oa_game):
-    assert sum(1 for _ in compile_game(oa_game).profiles()) == 432
+    assert enumeration_report(oa_game).action_profile_count == 432
+    assert len(derive_payoff_table(oa_game).cells) == 432
 
 
 def test_enumerate_profiles_lexicographic_order():
-    cg = compile_game(_parse(TOY))
-    profiles = [cg.action_names(p) for p in cg.profiles()]
+    """With no rule, every profile is one class profile of its own, and
+    the row groups come in canonical order."""
+    game = _parse(TOY)
+    cg = compile_game(game)
+    profiles = [cg.action_names(p) for p, _ in admissible_rows(game)[0]]
     assert profiles == [("r1", "c1"), ("r1", "c2"), ("r1", "c3"),
                         ("r2", "c1"), ("r2", "c2"), ("r2", "c3")]
 
@@ -80,7 +84,8 @@ def test_enumerate_profiles_lexicographic_order():
 def test_enumerate_single_profile():
     game = _parse('game "s"\nplayer A actions: "x"\n'
                   'variable V owner: A values: More=1, Less=0\n')
-    assert len(list(compile_game(game).profiles())) == 1
+    assert enumeration_report(game).action_profile_count == 1
+    assert [p for p, _ in admissible_rows(game)[0]] == [(0,)]
 
 
 def _named(game, rows):
@@ -270,7 +275,7 @@ def test_class_census_matches_the_profile_walk_and_oracle(draw_game, named,
                                  for a in p.actions}
     if named == "none":
         assert not named_actions
-        assert all(len(c) == 1 for c in compile_game(game).classes)
+        assert all(len(set(m)) == 1 for m in compile_game(game).masks)
     report = enumeration_report(game)
     assert report == profile_walk_report(game)
     gus = [utility(game, r) for r in brute_force_admissible(game)]
@@ -297,11 +302,15 @@ def _check_groups(game, oracle_rows):
 
 def test_row_groups_are_one_per_admissible_profile(oa_game, oa_oracle_rows):
     """``oa.game``'s 423 admissible profiles (of 432) in 14 blocks, and
-    100 seeded small and rich games."""
+    100 seeded small and rich games, then 40 more whose rule conditions
+    name every action or none."""
     assert _check_groups(oa_game, oa_oracle_rows) == (423, 14)
     rng = random.Random(34)
-    for draw in [random_small_game, random_rich_game] * 50:
-        game = draw(rng)
+    draws = [(d, None) for d in [random_small_game, random_rich_game] * 50]
+    draws += list(itertools.product([random_small_game, random_rich_game],
+                                    ["all", "none"])) * 10
+    for draw, named in draws:
+        game = draw(rng, named)
         _check_groups(game, brute_force_admissible(game))
 
 
@@ -367,20 +376,21 @@ def _counted(monkeypatch, *names):
 def test_row_lists_walk_the_profiles_once_and_each_block_once(
         oa_game, monkeypatch):
     """Both row lists count first, over the 216 class profiles, then
-    expand the census: ``admissible_rows`` looks up the 432 profiles'
-    blocks once and enumerates each of the 14 distinct blocks' completions
-    once, ``top_gu_rows`` each of the 2 blocks at the maximum (30
-    profiles) once.  Rows with equal completions share one tuple."""
+    expand a second census walk's class profiles into their profiles:
+    ``admissible_rows`` looks up the 216 class profiles' blocks again and
+    enumerates each of the 14 distinct blocks' completions once,
+    ``top_gu_rows`` each of the 2 blocks at the maximum (30 profiles)
+    once.  Rows with equal completions share one tuple."""
     calls = _counted(monkeypatch, "_report", "_census", "_profile_block",
                      "_filtered")
     rows = flat_rows(admissible_rows(oa_game)[0])
     assert len(rows) == 17640
-    assert calls == {"_report": 1, "_census": 1,
-                     "_profile_block": 216 + 432, "_filtered": 14}
+    assert calls == {"_report": 1, "_census": 2,
+                     "_profile_block": 216 + 216, "_filtered": 14}
     assert len({id(c) for _, c in rows}) == len({c for _, c in rows}) == 160
 
     cg = compile_game(oa_game)
-    at_best = {id(b) for _, b in engine._census(cg) if b.gu[0] == 8}
+    at_best = {id(b) for _, _, b in engine._census(cg) if b.gu[0] == 8}
     calls["_filtered"] = 0
     assert top_gu_rows(oa_game)[0] == 8
     assert calls["_filtered"] <= len(at_best) == 2
@@ -389,11 +399,12 @@ def test_row_lists_walk_the_profiles_once_and_each_block_once(
 def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
         monkeypatch):
     """On a freshly parsed ``oa.game`` the counts look up the blocks of
-    its 216 class profiles once, the max-GU payoff table and the max-GU
-    projection each the 432 profiles' blocks once (the census), and the 14
-    blocks' global-utility optima are worked out once in all; under the
-    fixed policy only the 108 profiles with ``Editors=Grant OA`` are
-    looked up."""
+    its 216 class profiles once, the max-GU payoff table those of its 432
+    profiles (each action of a table's players is a class of its own),
+    the max-GU projection those of its 216 class profiles with Academics
+    and Editors split, and the 14 blocks' global-utility optima are
+    worked out once in all; under the fixed policy only the 108 profiles
+    with ``Editors=Grant OA`` are looked up."""
     calls = _counted(monkeypatch, "_profile_block", "_optimum")
     game = parse_game_spec(fixtures.fixture_text("oa.game")).game
     walks = []
@@ -404,7 +415,7 @@ def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
         run()
         walks.append(calls["_profile_block"])
         calls["_profile_block"] = 0
-    assert walks == [216, 432, 432]
+    assert walks == [216, 432, 216]
     assert calls["_optimum"] == len(compile_game(game)._blocks) == 14
     derive_payoff_table(game, CompletionPolicy(
         "fixed", fixed_actions=(("Editors", "Grant OA"),)))
@@ -427,13 +438,10 @@ def test_each_fired_set_is_scanned_once(monkeypatch):
 
 
 def _class_sizes(game):
-    """Per player, the sizes of its action classes, in order of each
-    class's first action, checked against its distinct masks."""
-    cg = compile_game(game)
-    for masks, classes in zip(cg.masks, cg.classes):
-        assert list(classes) == list(dict.fromkeys(masks))
-        assert all(classes[m] == masks.count(m) for m in classes)
-    return [list(classes.values()) for classes in cg.classes]
+    """Per player, the sizes of its action classes, its actions of equal
+    mask, in order of each class's first action."""
+    return [[masks.count(m) for m in dict.fromkeys(masks)]
+            for masks in compile_game(game).masks]
 
 
 def test_the_distinct_masks_are_the_action_classes(oa_game):
@@ -700,18 +708,23 @@ def _random_policies(game, rng):
         CompletionPolicy("optimistic", player=p.name),
         CompletionPolicy("pessimistic", player=p.name),
         CompletionPolicy("fixed", fixed_actions=fixed_actions,
-                         fixed_outcomes=((v.name, rng.choice(("More",
-                                                              "Less"))),)),
+                         fixed_outcomes=((v.name, rng.choice(
+                             v.value_names())),)),
     ]
 
 
 def test_payoffs_and_projection_match_pooled_oracle():
     """Per-profile picks reduced by first strictly-greatest key equal the
     policy applied to each cell's pooled completions, for the tables of
-    one, two (the projection) and three players in any order."""
+    one, two (the projection) and three players in any order, on small and
+    rich games whose rule conditions name some actions, every action or
+    none, so that classes of several actions lie outside a table's
+    players and the first pick of greatest key is told apart."""
     rng = random.Random(31)
-    for _ in range(80):
-        game = random_small_game(rng)
+    draws = [(random_small_game, None)] * 80 + list(itertools.product(
+        [random_small_game, random_rich_game], [None, "all", "none"]))[1:] * 20
+    for draw, named in draws:
+        game = draw(rng, named)
         players = game.player_names()
         rows = brute_force_admissible(game)
         for policy in _random_policies(game, rng):
