@@ -22,27 +22,30 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
     undeclared matches nothing).  A cell holds the utilities at the first
     pick of strictly greatest key over the game profiles extending it, the
     policy applied to all of their completions at once, or None when they
-    have no pick.  The census splits ``players``' classes into actions.
-    Each census block's optimum (``gu`` under max-GU) gives its pick, the
-    first best assignment of each factor, and the pick's utilities are one
-    tuple shared by every profile in the block.  Raises
-    ``RowBudgetError``, building no cell, above ``ROW_BUDGET`` cells."""
+    have no pick.  Actions of one class have equal cells, so the census
+    gives each profile of ``players``' classes its first best pick, keyed
+    by their least actions and copied to its member cells.  Each census
+    block's optimum (``gu`` under max-GU) gives its pick, the first best
+    assignment of each factor, and the pick's utilities are one tuple
+    shared by every profile in the block.  Raises ``RowBudgetError``,
+    building no cell, above ``ROW_BUDGET`` cells."""
     cg = compile_game(game)
     kept = [cg.players.index(p) for p in players]
     _within_budget(math.prod(len(cg.actions[i]) for i in kept), "payoff cells")
-    census, weights, utilities = _census(cg, kept), None, None
+    census, classes, weights, utilities = _census(cg), cg.classes, None, None
     if policy.kind == "fixed":
         acts = [game.atom_index(ACTION, *f) for f in policy.fixed_actions]
         outs = [game.atom_index(OUTCOME, *f) for f in policy.fixed_outcomes]
-        census = () if None in acts + outs else _census(cg, kept, [
-            [a for a in range(len(names)) if all(j == a for k, j in acts
-                                                 if k == i)]
-            for i, names in enumerate(cg.actions)])
+        # Classes keep the allowed actions: a fixed player's one (or none).
+        classes = [tuple(filter(None, (tuple(a for a in c if all(
+            j == a for k, j in filter(None, acts) if k == i)) for c in cs)))
+            for i, cs in enumerate(cg.classes)]
+        census = () if None in acts + outs else _census(cg, classes)
         weights = tuple(tuple(-sum(w == v and y != x
                                    for w, y in filter(None, outs))
                               for x in r) for v, r in enumerate(cg.ranges))
     picks = {}  # id(block) -> (key, cell), or None when it has no pick
-    best = {}  # profile of ``players`` -> (key, cell) of its first best pick
+    best = {}  # class profile, by least actions -> (key, cell) of best pick
     for actions, _, block in census:
         if id(block) not in picks:
             # Resolved here, so a game with no admissible row needs no utility.
@@ -63,7 +66,9 @@ def _payoff_table(game: GameSpec, policy: CompletionPolicy,
         pick, own = picks[id(block)], tuple(actions[i][0] for i in kept)
         if pick is not None and (own not in best or pick[0] > best[own][0]):
             best[own] = pick
+    of = [{a: c[0] for c in classes[i] for a in c} for i in kept]
     actions = tuple(cg.actions[i] for i in kept)
     return PayoffTable(tuple(players), actions, tuple(
         best[own][1] if own in best else None
-        for own in itertools.product(*map(range, map(len, actions)))))
+        for own in itertools.product(*[list(map(o.get, range(len(names))))
+                                       for o, names in zip(of, actions)])))

@@ -32,12 +32,13 @@ make the payoff tables (``derive_payoff_table``, ``project_bimatrix``) in
 ``oagame._payoffs``, which only the commands that build one compile.
 Actions with equal masks fire the same rules against every profile, so the
 census, the engine's one walk, goes over profiles of action classes: the
-counts weight each by its size, and the row lists check ``ROW_BUDGET`` on
-them, then expand each into ``(profile, completions)`` groups of index
-tuples, a block's profiles sharing one tuple of its completions.  Names come
-back only in ``record_cells``, which names each profile and each distinct
-completion once, as ``(head, tails)`` cells, so a row dump is rendered a
-group at a time; ``rows_as_records`` flattens the groups into row dicts.
+counts weight each by its size, a payoff table copies each pick to its class
+profile's cells, and the row lists check ``ROW_BUDGET`` on the counts, then
+expand each into ``(profile, completions)`` groups of index tuples, a block's
+profiles sharing one tuple of its completions.  Names come back only in
+``record_cells``, which names each profile and each distinct completion once,
+as ``(head, tails)`` cells, so a row dump is rendered a group at a time;
+``rows_as_records`` flattens the groups into row dicts.
 """
 
 from __future__ import annotations
@@ -94,12 +95,12 @@ class CompiledGame:
     pairs, and its action test is bit ``r`` of ``live`` (no inert condition
     atom) and of ``masks[i][a]`` (action ``a`` passes the condition's atoms
     on player ``i``), so a player's distinct masks are its classes of
-    actions.  A rule with a ``GameSpec.rule_faults`` fault raises
-    ``NameResolutionError`` for its first.  A player's utility terms are
-    resolved each time its utility is asked for, so a player without a
-    utility definition is an error only for the consumers that need one.
-    Profile blocks (``_Block``) are kept per fired set and shared per
-    (deferred rules, forced values).
+    actions, ``classes[i]``, each a tuple in order of least action.  A rule
+    with a ``GameSpec.rule_faults`` fault raises ``NameResolutionError`` for
+    its first.  A player's utility terms are resolved each time its utility
+    is asked for, so a player without a utility definition is an error only
+    for the consumers that need one.  Profile blocks (``_Block``) are kept
+    per fired set and shared per (deferred rules, forced values).
     """
 
     def __init__(self, game: GameSpec):
@@ -119,6 +120,10 @@ class CompiledGame:
             sum(1 << r for r, (acts, *_) in enumerate(rules)
                 if all(j == a for k, j in acts if k == i))
             for a in range(len(names))) for i, names in enumerate(self.actions))
+        self.classes = tuple(  # a stable sort by mask, then by least action
+            tuple(sorted(tuple(c) for _, c in itertools.groupby(
+                sorted(range(len(m)), key=m.__getitem__), m.__getitem__)))
+            for m in self.masks)
         self._fired, self._blocks = {}, {}
 
     def _rule(self, rule: Rule):
@@ -273,17 +278,11 @@ def _filtered(factors):
     return rows
 
 
-def _census(cg: CompiledGame, kept=(), allowed=None):
+def _census(cg: CompiledGame, classes=None):
     """``(actions, size, block)`` of each profile of action classes with an
-    admissible completion, in product order: each player's class (its
-    actions of ``allowed[i]``, default all, of one mask, or one action for
-    a player of ``kept``; by least action), and its ``size`` profiles."""
-    classes = []
-    for i, masks in enumerate(cg.masks):
-        by_key = {}
-        for a in range(len(masks)) if allowed is None else allowed[i]:
-            by_key.setdefault(a if i in kept else masks[a], []).append(a)
-        classes.append(tuple(map(tuple, by_key.values())))
+    admissible completion, in product order: each player's class (of
+    ``classes[i]``, default ``cg.classes[i]``) and its ``size`` profiles."""
+    classes = cg.classes if classes is None else classes
     for masks, actions, size in zip(
             itertools.product(*[[m[c[0]] for c in cs]
                                 for m, cs in zip(cg.masks, classes)]),

@@ -1826,9 +1826,10 @@ def _cli_json_within_2s(cwd, *argv):
 def test_projections_of_eight_by_eight_walk_its_action_classes(
         tmp_path, argv, a0_row, other_rows):
     """Eight players of eight actions, ``V`` set by ``P0``'s action: each
-    64-cell projection walks 64 class profiles, its two players' actions
-    split and ``P0`` fixed to ``a0`` under the fixed policy, where walking
-    the 16777216 (or 2097152) profiles took 12 to 29 s."""
+    64-cell projection walks at most 2 class profiles (``P0``'s ``a0``
+    and the rest; only ``a0`` under the fixed policy) and copies each
+    pick to its cells, where walking the 16777216 (or 2097152) profiles
+    took 12 to 29 s."""
     (tmp_path / "big.game").write_text(_one_rule_game(8, 8),
                                        encoding="utf-8")
     report = _cli_json_within_2s(tmp_path, "project", "--game", "big.game",

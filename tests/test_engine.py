@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from operator import getitem
 
@@ -329,9 +330,9 @@ def test_row_lists_refuse_more_rows_than_the_budget(oa_game, monkeypatch):
 
 def test_a_refused_row_list_holds_no_more_than_the_budget(monkeypatch):
     """Six players of six actions, one row per profile: a row list past a
-    budget of 100 rows keeps only the census entries of the rows within
-    it, yet walks on to give the full count.  Holding the whole census
-    (46656 entries) peaked at about 7 MiB here."""
+    budget of 100 rows is refused from the counts, before the census is
+    walked to list any row.  Holding the whole census (46656 entries)
+    peaked at about 7 MiB."""
     game = parse_game_spec(_one_rule_game(6, 6)).game
     compile_game(game)
     monkeypatch.setattr(engine, "ROW_BUDGET", 100)
@@ -345,8 +346,9 @@ def test_a_refused_row_list_holds_no_more_than_the_budget(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024, (rows.__name__, peak)
-    # Entries at a lower running best go when it rises, however many: the
-    # 38880 profiles of global utility 0 come before the 7776 of 6.
+    # Only the rows at the maximum count against the budget: exactly their
+    # 7776 lists them all, though the 38880 rows of global utility 0 come
+    # first in profile order.
     late = parse_game_spec(_one_rule_game(6, 6).replace('P0="a0"',
                                                         'P0="a5"')).game
     monkeypatch.setattr(engine, "ROW_BUDGET", 10**6)
@@ -398,13 +400,12 @@ def test_row_lists_walk_the_profiles_once_and_each_block_once(
 
 def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
         monkeypatch):
-    """On a freshly parsed ``oa.game`` the counts look up the blocks of
-    its 216 class profiles once, the max-GU payoff table those of its 432
-    profiles (each action of a table's players is a class of its own),
-    the max-GU projection those of its 216 class profiles with Academics
-    and Editors split, and the 14 blocks' global-utility optima are
-    worked out once in all; under the fixed policy only the 108 profiles
-    with ``Editors=Grant OA`` are looked up."""
+    """On a freshly parsed ``oa.game`` the counts, the max-GU payoff table
+    and the max-GU Academics x Editors projection each look up the blocks
+    of its 216 class profiles once, as no table splits its players'
+    classes into actions, and the 14 blocks' global-utility optima are
+    worked out once in all; under the fixed policy only the 54 class
+    profiles with ``Editors=Grant OA`` are looked up."""
     calls = _counted(monkeypatch, "_profile_block", "_optimum")
     game = parse_game_spec(fixtures.fixture_text("oa.game")).game
     walks = []
@@ -415,11 +416,39 @@ def test_census_is_the_one_walk_and_each_block_keeps_its_optimum(
         run()
         walks.append(calls["_profile_block"])
         calls["_profile_block"] = 0
-    assert walks == [216, 432, 216]
+    assert walks == [216, 216, 216]
     assert calls["_optimum"] == len(compile_game(game)._blocks) == 14
     derive_payoff_table(game, CompletionPolicy(
         "fixed", fixed_actions=(("Editors", "Grant OA"),)))
-    assert calls["_profile_block"] == 108
+    assert calls["_profile_block"] == 54
+
+
+def test_a_payoff_table_looks_up_each_class_profile_once(monkeypatch):
+    """Seven players of seven actions, ``V`` set by ``P0``'s action: the
+    823543-cell max-GU payoff table looks up the blocks of its 2 class
+    profiles (``P0``'s ``a0`` and the rest), 1s on every ``P0=a0`` cell
+    and 0s elsewhere, and with ``P3`` fixed to ``a2`` its 117649 feasible
+    cells come from the same 2 lookups.  Looking up each of the 823543
+    profiles took about 2 s."""
+    game = parse_game_spec(_one_rule_game(7, 7)).game
+    calls = _counted(monkeypatch, "_profile_block")
+    start = time.perf_counter()
+    table = derive_payoff_table(game)
+    walks = [calls["_profile_block"]]
+    fixed = derive_payoff_table(game, CompletionPolicy(
+        "fixed", fixed_actions=(("P3", "a2"),)))
+    seconds = time.perf_counter() - start
+    assert walks + [calls["_profile_block"] - walks[0]] == [2, 2]
+    hi, lo = (1,) * 7, (0,) * 7
+    assert len(table.cells) == len(fixed.cells) == 823543
+    assert table.cells == tuple(
+        hi if p[0] == 0 else lo
+        for p in itertools.product(range(7), repeat=7))
+    assert fixed.cells == tuple(
+        (hi if p[0] == 0 else lo) if p[3] == 2 else None
+        for p in itertools.product(range(7), repeat=7))
+    assert sum(c is not None for c in fixed.cells) == 117649
+    assert seconds < 2
 
 
 def test_each_fired_set_is_scanned_once(monkeypatch):
@@ -450,11 +479,15 @@ def test_the_distinct_masks_are_the_action_classes(oa_game):
     Politicians {Permit TA}, {Demand green OA} and {Demand gold OA, Demand
     some OA}, so 3 x 2 x 3 x 4 x 3 class profiles; the 8 x 8 one-rule
     game has 2, ``P0``'s ``a0`` and the rest, and 1 x 1 for each other
-    player (compiled, not walked)."""
+    player (compiled, not walked).  ``CompiledGame.classes`` holds them
+    as action tuples in order of least action."""
     assert _class_sizes(oa_game) == [[1, 1, 1], [2, 1], [1, 1, 1],
                                      [1, 1, 1, 1], [1, 1, 2]]
-    assert _class_sizes(parse_game_spec(_one_rule_game(8, 8)).game) == [
-        [1, 7]] + [[8]] * 7
+    eight = parse_game_spec(_one_rule_game(8, 8)).game
+    assert _class_sizes(eight) == [[1, 7]] + [[8]] * 7
+    assert compile_game(oa_game).classes[1] == ((0, 2), (1,))
+    assert compile_game(eight).classes == (
+        ((0,), tuple(range(1, 8))),) + ((tuple(range(8)),),) * 7
 
 
 EDGE_GAME = """
