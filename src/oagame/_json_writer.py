@@ -26,15 +26,17 @@ def _json(value, indent: str = "") -> str:
         items = f",\n{inner}".join([_json(v, inner) for v in value])
         return f"[\n{inner}{items}\n{indent}]" if value else "[]"
     if isinstance(value, dict):
-        items = _json_cells(value, value.values(), inner)
+        items = f",\n{inner}".join(
+            [f"{_quote(k)}: {_json(c, inner)}" for k, c in value.items()])
         return f"{{\n{inner}{items}\n{indent}}}" if value else "{}"
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
-def _json_cells(keys, cells, indent: str = "      ") -> str:
-    """A record's ``"key": value`` lines at ``indent`` (default: row depth)."""
-    return f",\n{indent}".join(
-        [f"{_quote(k)}: {_json(c, indent)}" for k, c in zip(keys, cells)])
+def _json_cells(keyed, cells) -> str:
+    """A row's ``"key": value`` lines at row depth, ``keyed`` holding each
+    key's ``'"key": '``, quoted once per section."""
+    return ",\n      ".join(
+        [k + _json(c, "      ") for k, c in zip(keyed, cells)])
 
 
 def _json_chunks(report: dict):
@@ -42,14 +44,14 @@ def _json_chunks(report: dict):
     sep = "{\n"
     for key, value in report.items():
         if isinstance(value, RowDump):
-            head_keys, tail_keys = value.key_split()
+            head, tail = ([f"{_quote(k)}: " for k in keys]
+                          for keys in value.key_split())
             yield f"{sep}  {_quote(key)}: [\n"
             yield from _row_chunks(
                 value,
                 lambda cells: "    {\n      " + (
-                    _json_cells(head_keys, cells) + ",\n      "
-                    if head_keys else ""),
-                lambda cells: _json_cells(tail_keys, cells) + "\n    }",
+                    _json_cells(head, cells) + ",\n      " if head else ""),
+                lambda cells: _json_cells(tail, cells) + "\n    }",
                 ",\n")
             yield "\n  ]"
         else:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dsl import (LENIENT, _canonical_utilities, _sizes, _structural_errors,
+from .dsl import (LENIENT, _canonical_utilities, _structural_errors,
                   parse_game_spec)
 from .model import Atom, GameSpec, Rule
 
@@ -65,9 +65,7 @@ def validate_game(game: GameSpec) -> ValidatedGame:
                                            f"duplicate rule: {a.source!r}"))
                 break
 
-    profile_count, row_space = _sizes(game)
-    return ValidatedGame(game, profile_count, row_space,
-                         tuple(errors), tuple(warnings))
+    return ValidatedGame(game, *game.sizes(), tuple(errors), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

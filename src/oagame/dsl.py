@@ -24,7 +24,6 @@ access (PEP 562), read through the top-level package's table
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 
@@ -459,7 +458,7 @@ def _structural_errors(game: GameSpec):
     if too_many_digits(sum(map(_largest_score, game.variables))):
         yield (("game", 0), f"the global utility can be a figure of more "
                             f"than {MAX_DIGITS} digits", "")
-    if too_many_digits(_sizes(game)[1]):
+    if too_many_digits(game.sizes()[1]):
         yield (("game", 0), f"the row space is a figure of more than "
                             f"{MAX_DIGITS} digits", "")
     yield from _tabbed(("game", 0), (game.name,))
@@ -558,9 +557,3 @@ def _tabbed(where: tuple[str, int], names):
 def _largest_score(var: OutcomeVarDef) -> int:
     return max((abs(score) for _, score in var.values), default=0)
 
-
-def _sizes(game: GameSpec) -> tuple[int, int]:
-    """The action-profile count and the row space of ``game``."""
-    profiles = math.prod(max(len(p.actions), 1) for p in game.players)
-    return profiles, profiles * math.prod(max(len(v.values), 1)
-                                          for v in game.variables)

@@ -19,7 +19,8 @@ part as ``validate_game`` does, such as ``consequence of rule '...'``.
 A profile fires the rules whose action tests its actions all pass; the
 fired rules that test outcome variables are deferred, and every other rule
 forces its consequence if fired, else its otherwise-branch.  Each fired
-set is scanned once, on its first profile.  A profile's block is a product
+set is scanned once, on its first profile, by ``_profile_block``, which
+keeps its block, or None for a conflict.  A profile's block is a product
 of independent factors: each group of variables that deferred rules link,
 with its assignments that pass its own rules, and each variable that none
 mentions.  So the admissible count, and the greatest key of any per-value
@@ -196,33 +197,29 @@ class _Block(namedtuple("_Block", (
 
 
 def _profile_block(cg: CompiledGame, masks) -> _Block | None:
-    """``_fired_block`` of the rules that a profile whose actions have
-    ``masks`` fires, kept per game."""
+    """The block of a profile whose actions have ``masks``, kept per game
+    by the rules it fires (the AND of its masks); a miss scans them once:
+    fired rules that test outcome variables are deferred, the rest force
+    values, and forced values that conflict make the block None."""
     fired = reduce(and_, masks, cg.live)
     try:
         return cg._fired[fired]
     except KeyError:
-        return cg._fired.setdefault(fired, _fired_block(cg, fired))
-
-
-def _fired_block(cg: CompiledGame, fired: int) -> _Block | None:
-    """The block of the profiles that fire the rules of ``fired``, or None
-    when forced values conflict: a fired rule that tests outcome variables
-    is deferred, other rules force their consequence if fired, else their
-    otherwise-branch."""
-    forced, deferred = {}, []
-    for r, (tests, then, otherwise) in enumerate(cg.rules):
-        fires = fired >> r & 1
-        if fires and tests:
-            deferred.append(r)
-            continue
-        for v, x in then if fires else otherwise:
-            if forced.setdefault(v, x) != x:
-                return None
-    key = (tuple(deferred), tuple(map(forced.get, range(len(cg.values)))))
-    if key not in cg._blocks:
-        cg._blocks[key] = _block(cg, *key)
-    return cg._blocks[key]
+        forced, deferred = {}, []
+        for r, (tests, then, otherwise) in enumerate(cg.rules):
+            fires = fired >> r & 1
+            if fires and tests:
+                deferred.append(r)
+                continue
+            for v, x in then if fires else otherwise:
+                if forced.setdefault(v, x) != x:
+                    cg._fired[fired] = None
+                    return None
+        key = (tuple(deferred), tuple(map(forced.get, range(len(cg.values)))))
+        if key not in cg._blocks:
+            cg._blocks[key] = _block(cg, *key)
+        block = cg._fired[fired] = cg._blocks[key]
+        return block
 
 
 def _block(cg: CompiledGame, deferred, forced) -> _Block:
@@ -309,10 +306,7 @@ def _report(cg: CompiledGame) -> EnumerationReport:
             best, at_best = high, 0
         if high == best:
             at_best += at_high * size
-    profile_count = math.prod(map(len, cg.actions))
-    return EnumerationReport(profile_count,
-                             profile_count * math.prod(map(len, cg.values)),
-                             count, best, at_best)
+    return EnumerationReport(*cg.game.sizes(), count, best, at_best)
 
 
 def enumeration_report(game: GameSpec) -> EnumerationReport:

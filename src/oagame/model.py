@@ -15,6 +15,7 @@ attributes.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from ._table import GameError, PayoffTable  # both re-exported
@@ -176,6 +177,13 @@ class GameSpec(namedtuple("GameSpec", ("name", "players", "variables",
             if u.player == target:
                 return u
         raise MissingUtilityError(player)
+
+    def sizes(self) -> tuple[int, int]:
+        """The action-profile count and the row space: the product of the
+        players' action counts, times that of the variables' value counts."""
+        profiles = math.prod(len(p.actions) for p in self.players)
+        return profiles, profiles * math.prod(len(v.values)
+                                              for v in self.variables)
 
     def player_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.players)

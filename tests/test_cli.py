@@ -1679,6 +1679,28 @@ def test_payoff_cells_stay_near_the_plain_run(tmp_path):
     assert cells - plain <= 36 * 1024, (plain, cells)
 
 
+def test_a_json_row_section_quotes_each_key_once(tmp_path, monkeypatch,
+                                                 capsys):
+    """The 46656 cells of a 6 x 6 game's JSON payoff table quote their 13
+    keys once for the section, not once per cell: what is left is each
+    cell's 6 action names and the report's own keys."""
+    from oagame import _json_writer
+    calls = [0]
+    quote = _json_writer._quote
+
+    def counted(text):
+        calls[0] += 1
+        return quote(text)
+    monkeypatch.setattr(_json_writer, "_quote", counted)
+    game = tmp_path / "six.game"
+    game.write_text(_one_rule_game(6, 6), encoding="utf-8")
+    code, out, _ = run(capsys, "payoffs", "--game", str(game),
+                       "--format", "json")
+    assert code == 0
+    assert calls[0] <= 6 * 46656 + 30, calls[0]
+    assert len(json.loads(out)["cells"]) == 46656
+
+
 def _wide_game(score: int) -> str:
     """Four players of four actions and 22 two-valued variables, a row
     space of 256 * 2**22 (over 10**9).  Four rules force one variable each

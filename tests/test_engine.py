@@ -453,17 +453,42 @@ def test_a_payoff_table_looks_up_each_class_profile_once(monkeypatch):
 
 def test_each_fired_set_is_scanned_once(monkeypatch):
     """A profile's block is looked up by the rules it fires, the AND of
-    its actions' masks: a freshly parsed ``oa.game``'s census scans the
-    rules once for each of its 48 fired sets and builds 14 blocks, and a
-    second census and a max-GU payoff table scan nothing."""
-    calls = _counted(monkeypatch, "_fired_block", "_block")
+    its actions' masks, and only a miss scans the rules, storing the block
+    or None: so the fired-set table's size is the number of scans.  A
+    freshly parsed ``oa.game``'s census scans its 48 fired sets and builds
+    14 blocks, and a second census and a max-GU payoff table scan and
+    build nothing."""
+    calls = _counted(monkeypatch, "_block")
     game = parse_game_spec(fixtures.fixture_text("oa.game")).game
     enumeration_report(game)
-    assert calls == {"_fired_block": 48, "_block": 14}
+    assert calls == {"_block": 14}
+    assert len(compile_game(game)._fired) == 48
     assert len(compile_game(game)._blocks) == 14
     enumeration_report(game)
     derive_payoff_table(game)
-    assert calls == {"_fired_block": 48, "_block": 14}
+    assert calls == {"_block": 14}
+    assert len(compile_game(game)._fired) == 48
+
+
+def test_a_games_sizes_are_counted_once(oa_game):
+    """``GameSpec.sizes()`` gives the action-profile count and the row
+    space that ``validate_game`` and ``enumeration_report`` report, on
+    ``oa.game``, on drawn games, and on a game with an action-less player,
+    where all three read no profile and no row."""
+    def sizes(game):
+        validated = validate_game(game)
+        return {game.sizes(), enumeration_report(game)[:2],
+                (validated.action_profile_count, validated.row_space_count)}
+
+    assert sizes(oa_game) == {(432, 110592)}
+    rng = random.Random(51)
+    for draw in [random_small_game] * 50 + [random_rich_game] * 50:
+        game = draw(rng)
+        assert len(sizes(game)) == 1, game
+    idle = GameSpec("g", (PlayerDef("A", ("x", "y")), PlayerDef("B", ())),
+                    (OutcomeVarDef("V", "A", (("Hi", 1), ("Lo", 0))),), (),
+                    (UtilityDef("A", ("V",)), UtilityDef("B", ("V",))))
+    assert sizes(idle) == {(0, 0)}
 
 
 def _class_sizes(game):
