@@ -5,8 +5,6 @@ spellings (abbreviations, ``--opt=value``, ``-o``, ``--``).  Like every
 module, it does not import ``oagame.cli``, which runs as ``__main__``
 under ``python -m``."""
 
-from __future__ import annotations
-
 import argparse
 import sys
 

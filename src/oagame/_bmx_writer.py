@@ -4,8 +4,6 @@ Programs read ``serialize_bimatrix`` through ``oagame.equilibrium`` (and
 ``oagame``), which loads this module on first access.
 """
 
-from __future__ import annotations
-
 from ._table import PayoffTable, payoff_pair
 from .equilibrium import (BimatrixFormatError, _check_two_players,
                           parse_bimatrix)

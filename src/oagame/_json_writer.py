@@ -1,8 +1,6 @@
 """The JSON writer of ``oagame.report``, which ``emit_report`` imports
 only for that format."""
 
-from __future__ import annotations
-
 from .report import RowDump, _row_chunks
 
 # ``_quote(text)`` is ``text`` as a JSON string: ``json``'s C string

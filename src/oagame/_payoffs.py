@@ -2,8 +2,6 @@
 ``project_bimatrix`` import this module inside the call, so only the
 commands that build a table compile it."""
 
-from __future__ import annotations
-
 import itertools
 import math
 

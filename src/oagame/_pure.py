@@ -5,8 +5,6 @@ Programs read the public names here through ``oagame.equilibrium`` (and
 ``oagame``), which loads this module on first access.
 """
 
-from __future__ import annotations
-
 from ._table import PayoffTable
 from .equilibrium import EquilibriumCertificate, MixedStrategy, _strides
 

@@ -9,8 +9,6 @@ ints, from minors that each support builds once and shares with every pair
 it is in; ``Fraction``s are built only for the equilibria found.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

@@ -4,8 +4,6 @@ command does not load ``oagame.model`` (which re-exports both names):
 size checks on numeric literals and figures.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -1,8 +1,6 @@
 """The fixed-width table writer of ``oagame.report``, which
 ``emit_report`` imports only for that format."""
 
-from __future__ import annotations
-
 from .report import RowDump, _as_dump, _row_chunks
 
 

@@ -4,8 +4,6 @@ records, and the writers ``serialize_game`` and ``serialize_rule``.
 ``oagame.dsl`` serves these public names on first access (PEP 562), so
 the other game commands compile only the reader."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .dsl import (LENIENT, _canonical_utilities, _structural_errors,

@@ -6,8 +6,6 @@ reproduce drift were reported, 2 on usage errors (including unreadable files).
 Output is deterministic: no timestamps, stable key order.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -64,6 +62,12 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], formats=formats, **args)
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at devnull after a failed write: Python
+    flushes stdout again at exit, and that flush must not fail too."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def run_cli(argv: list[str]) -> int:
     args = _read_args(argv)
     if args is None:
@@ -85,13 +89,22 @@ def run_cli(argv: list[str]) -> int:
                 raise _CliError(f"cannot write {args.output}: "
                                 f"{exc.strerror}", USAGE_ERROR)
         try:
-            if isinstance(report, str):  # ``project --format bmx``
-                out.write(report)
-            else:
-                rp.emit_report(report, args.format, out)
-        finally:
-            if args.output:
-                out.close()
+            try:
+                if isinstance(report, str):  # ``project --format bmx``
+                    out.write(report)
+                else:
+                    rp.emit_report(report, args.format, out)
+                out.flush()
+            finally:
+                if args.output:
+                    out.close()
+        except BrokenPipeError:
+            raise  # ``main`` ends a closed reader's run quietly
+        except OSError as exc:  # a full disk, say
+            if not args.output:
+                _stdout_to_devnull()
+            raise _CliError(f"cannot write {args.output or 'stdout'}: "
+                            f"{exc.strerror}", DIAG_ERROR)
         return status
     except _CliError as exc:
         print(f"oagame: {exc}", file=sys.stderr)
@@ -114,10 +127,8 @@ def main() -> None:
     try:
         status = run_cli(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early.  Python flushes stdout again at
-        # exit, so point it at devnull for that flush not to fail too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout early
+        _stdout_to_devnull()
         status = DIAG_ERROR
     gc.freeze()
     sys.exit(status)

@@ -11,7 +11,9 @@ the arguments off it, then imports only the invoked subcommand's module,
   copy of it.
 - Handlers import library functions inside the function that calls them,
   never at module level, so that each call reads the module attribute as
-  it is then (a wrapper installed from outside included).
+  it is then (a wrapper installed from outside included).  A class named
+  in an annotation may be imported at module level, where every command
+  that loads the handler loads the class's module anyway.
 
 What only some handlers share has a module of its own, so that no
 command compiles code it never runs: ``_game`` for the commands that read
@@ -21,8 +23,6 @@ a ``.game`` file, ``_policy`` for those that take --policy, and
 Once ``enumerate`` has run, this package's global ``enumerate`` is that
 handler module, so code here cannot call the builtin of that name.
 """
-
-from __future__ import annotations
 
 import os
 

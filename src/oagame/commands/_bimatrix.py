@@ -1,8 +1,6 @@
 """What the handlers that read a ``.bmx`` file or report equilibria share:
 the bimatrix loader and the writing of exact numbers and certificates."""
 
-from __future__ import annotations
-
 from .._table import MAX_DIGITS, GameError, PayoffTable, too_many_digits
 from . import DIAG_ERROR, _CliError, _read_input
 

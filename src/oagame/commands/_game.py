@@ -1,8 +1,6 @@
 """What the commands that read a ``.game`` file share; the bimatrix
 commands never load it, and the --policy options are in ``_policy``."""
 
-from __future__ import annotations
-
 import sys
 
 from .. import report as rp

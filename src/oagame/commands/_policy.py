@@ -1,12 +1,7 @@
 """The --policy options of ``payoffs``, ``project`` and ``nash --game``."""
 
-from __future__ import annotations
-
+from ..engine import CompletionPolicy
 from . import USAGE_ERROR, _CliError
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from ..engine import CompletionPolicy
 
 
 def _declared_player(game, name: str) -> str:
@@ -21,7 +16,6 @@ def _policy(args, game) -> CompletionPolicy:
     """The completion policy named by --policy, with each --fix NAME=VALUE
     resolved to a declared player action or variable value of ``game``;
     an option the policy does not take is a usage error."""
-    from ..engine import CompletionPolicy
     fixes = []
     for item in args.fix:
         if "=" not in item:

@@ -1,7 +1,5 @@
 """``oagame enumerate``: admissible-row counts and an optional row dump."""
 
-from __future__ import annotations
-
 from .. import report as rp
 from . import _is_bundled
 from ._game import _census_figures, _game_or_fail, _row_dump

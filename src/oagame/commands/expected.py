@@ -1,15 +1,10 @@
 """``oagame expected``: expected utilities of a bimatrix under given
 mixtures."""
 
-from __future__ import annotations
-
 from .. import report as rp
+from ..equilibrium import MixedStrategy
 from . import USAGE_ERROR, _CliError, _is_bundled
 from ._bimatrix import TABLE6_EU_NOTE, _load_bimatrix, number
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from ..equilibrium import MixedStrategy
 
 
 def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
@@ -17,7 +12,6 @@ def _mix_from_arg(player: str, actions: tuple[str, ...], text: str,
     from fractions import Fraction
 
     from .._table import number_literal
-    from ..equilibrium import MixedStrategy
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != len(actions):
         raise _CliError(f"{flag} needs {len(actions)} probabilities "

@@ -1,8 +1,6 @@
 """``oagame mixed``: every equilibrium of a bimatrix by support
 enumeration, and optionally iterated dominance."""
 
-from __future__ import annotations
-
 from .. import report as rp
 from . import _is_bundled
 from ._bimatrix import TABLE6_EU_NOTE, _load_bimatrix, certificate_to_obj

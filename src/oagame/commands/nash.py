@@ -1,8 +1,6 @@
 """``oagame nash``: pure Nash equilibria of a game's payoff table or of a
 bimatrix file."""
 
-from __future__ import annotations
-
 from .. import report as rp
 from . import USAGE_ERROR, _CliError, _is_bundled
 from ._bimatrix import (_has_publish_oa_grant_ta, _load_bimatrix,

@@ -1,7 +1,5 @@
 """``oagame payoffs``: the full payoff table of a game."""
 
-from __future__ import annotations
-
 from .. import report as rp
 from ._game import _game_or_fail
 from ._policy import _policy

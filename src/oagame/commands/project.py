@@ -1,15 +1,10 @@
 """``oagame project``: the two-player bimatrix of a game."""
 
-from __future__ import annotations
-
 from .. import report as rp
+from .._table import PayoffTable
 from . import USAGE_ERROR, _CliError
 from ._game import _game_or_fail
 from ._policy import _declared_player, _policy
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .._table import PayoffTable
 
 
 def _bimatrix_records(table: PayoffTable) -> list[dict]:

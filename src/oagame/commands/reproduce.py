@@ -1,8 +1,6 @@
 """``oagame reproduce``: the full pipeline on the bundled fixtures, with
 the paper-vs-computed comparison and the golden check."""
 
-from __future__ import annotations
-
 from .. import report as rp
 from . import DIAG_ERROR
 from ._bimatrix import _has_publish_oa_grant_ta, _load_bimatrix

@@ -1,7 +1,5 @@
 """``oagame top``: the rows attaining the maximum global utility."""
 
-from __future__ import annotations
-
 from .. import report as rp
 from . import _is_bundled
 from ._game import _game_or_fail, _row_dump

@@ -1,7 +1,5 @@
 """``oagame validate``: parse and validate a game file."""
 
-from __future__ import annotations
-
 from .. import report as rp
 from . import _is_bundled
 from ._game import _game_or_fail

@@ -22,8 +22,6 @@ access (PEP 562), read through the top-level package's table
 ``oagame._EXPORTS``, so the other game commands compile only the reader.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 

@@ -42,8 +42,6 @@ as ``(head, tails)`` cells, so a row dump is rendered a group at a time;
 ``rows_as_records`` flattens the groups into row dicts.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -21,8 +21,6 @@ the ``.bmx`` reader, for a cell that is not an int, and
 ``expected_utility`` build a ``Fraction``.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import re
@@ -31,6 +29,7 @@ from collections import namedtuple
 from . import _serve
 from ._table import PayoffTable, number_literal
 
+# Annotations only: a command on an integer table must not load ``fractions``.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -81,7 +80,7 @@ class MixedStrategy(namedtuple("MixedStrategy", ("player", "probs"))):
         if (total := sum(p for _, p in self.probs)) != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
-    def prob(self, action: str) -> int | Fraction:
+    def prob(self, action: str) -> "int | Fraction":
         for a, p in self.probs:
             if a == action:
                 return p
@@ -140,7 +139,7 @@ def _strides(table: PayoffTable) -> list[tuple[int, int]]:
 
 def expected_utility(
     table: PayoffTable, mix_row: MixedStrategy, mix_col: MixedStrategy
-) -> tuple[Fraction, Fraction]:
+) -> "tuple[Fraction, Fraction]":
     """Bilinear expectation of a two-player table's payoffs under two mixes,
     as ``Fraction``s."""
     from fractions import Fraction
@@ -168,7 +167,7 @@ _HEADER_RE = re.compile(r"^(rows|cols):\s*(?P<player>[^:]+):\s*(?P<actions>.+)$"
 _CELL_RE = re.compile(r"\(\s*([^,()]+?)\s*,\s*([^,()]+?)\s*\)")
 
 
-def _number(literal: str) -> int | Fraction:
+def _number(literal: str) -> "int | Fraction":
     """The number a cell writes: an int where ``int`` reads it, else a
     ``Fraction``; ValueError or ZeroDivisionError where ``Fraction`` does
     not read it."""

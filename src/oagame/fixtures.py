@@ -1,7 +1,5 @@
 """Access to the bundled game and bimatrix fixtures."""
 
-from __future__ import annotations
-
 import os
 
 try:  # not ``hashlib``, which loads OpenSSL at a cost of milliseconds

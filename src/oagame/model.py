@@ -13,8 +13,6 @@ its name tables in an instance dict, which, unlike the fields, takes new
 attributes.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

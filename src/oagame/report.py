@@ -10,8 +10,6 @@ printed rules, and the comparison records both sides instead of forcing
 either.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 
 from . import __version__

@@ -1,4 +1,5 @@
 import ast
+import errno
 import gzip
 import hashlib
 import json
@@ -181,6 +182,25 @@ def test_closed_stdout_ends_without_a_traceback():
         proc.kill()
     assert proc.returncode == 1
     assert b"Traceback" not in err, err.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, target", [
+    (("validate", "--game", "oa.game"), "stdout"),
+    (("nash", "--bimatrix", "table5.bmx"), "stdout"),
+    (("top", "--game", "oa.game", "--output", "/dev/full"), "/dev/full"),
+], ids=["stdout", "stdout-short", "output"])
+def test_a_failed_write_is_one_line_not_a_traceback(argv, target):
+    """A device that is full fails the write, whether the report fills
+    stdout's buffer or is only flushed at the end: the run says so on one
+    line and exits 1."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oagame.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (proc.returncode, proc.stderr) == (
+        1, f"oagame: cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
 
 
 # Runs ``oagame.cli`` as ``python -m`` does, with its arguments, after

@@ -335,6 +335,7 @@ def test_module_run_reports_errors_as_run_cli_does(tmp_path, monkeypatch,
                 if ln.startswith("import time:")]
     assert "oagame.commands" in imported
     assert "oagame.cli" not in imported
+    assert "__future__" not in imported
     assert proc.returncode == status
     assert (proc.stdout, "".join(ln for ln in lines
                                  if not ln.startswith("import time:"))) == (
