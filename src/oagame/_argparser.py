@@ -11,9 +11,16 @@ import sys
 from .commands import _ONE_OF, _SUBCOMMANDS, USAGE_ERROR, _options
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse's drops OSError
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)  # help that stdout cannot take fails the run
+
+
 def build_parser():
     """The argparse parser of every subcommand."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oagame",
         description="Declarative stakeholder-game workbench: scenario "
                     "enumeration, payoff derivation, equilibrium analysis.")

@@ -24,8 +24,8 @@ from .commands import (_ONE_OF, _SUBCOMMANDS, DIAG_ERROR, USAGE_ERROR,
 # those load that module and argparse.  ``run_cli`` then imports the
 # handler ``oagame.commands.<name>``, which imports the layers it calls
 # inside its functions and returns (status, report) having written nothing.
-# ``run_cli`` alone opens --output and writes the report, so a command that
-# fails leaves an existing file alone.
+# ``run_cli`` alone writes the report, so a failing command leaves --output
+# alone; it reports a failed write to --output, and ``main`` one to stdout.
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
@@ -62,12 +62,6 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], formats=formats, **args)
 
 
-def _stdout_to_devnull() -> None:
-    """Point stdout's descriptor at devnull after a failed write: Python
-    flushes stdout again at exit, and that flush must not fail too."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
 def run_cli(argv: list[str]) -> int:
     args = _read_args(argv)
     if args is None:
@@ -98,13 +92,11 @@ def run_cli(argv: list[str]) -> int:
             finally:
                 if args.output:
                     out.close()
-        except BrokenPipeError:
-            raise  # ``main`` ends a closed reader's run quietly
         except OSError as exc:  # a full disk, say
             if not args.output:
-                _stdout_to_devnull()
-            raise _CliError(f"cannot write {args.output or 'stdout'}: "
-                            f"{exc.strerror}", DIAG_ERROR)
+                raise  # ``main`` reports a failed write to stdout
+            raise _CliError(f"cannot write {args.output}: {exc.strerror}",
+                            DIAG_ERROR)
         return status
     except _CliError as exc:
         print(f"oagame: {exc}", file=sys.stderr)
@@ -127,8 +119,14 @@ def main() -> None:
     try:
         status = run_cli(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader closed stdout early
-        _stdout_to_devnull()
+    except OSError as exc:
+        if exc.filename is not None:  # a failed open, not a failed write
+            raise
+        # Python flushes stdout again at exit, and that flush must not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed reader is quiet
+            print(f"oagame: cannot write stdout: {exc.strerror}",
+                  file=sys.stderr)
         status = DIAG_ERROR
     gc.freeze()
     sys.exit(status)

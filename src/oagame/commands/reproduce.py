@@ -26,19 +26,16 @@ def run(args) -> tuple[int, dict]:
     try:
         projected = project_bimatrix(game, CompletionPolicy(), "Academics",
                                      "Editors")
-    except ValueError:  # without both players, Table 5's cell is absent
-        cells = {}
-    else:
-        cells = {pair: payoff_pair(cell) or "infeasible"
-                 for pair, cell in zip(projected.profiles(), projected.cells)}
+        cell = payoff_pair(projected.payoff(("Publish TA", "Grant TA")))
+    except ValueError:  # without both players or actions, the cell is absent
+        cell = "absent"
 
     computed = {
         **_census_figures(enum),
         "pure_nash_member": ("(Publish OA, Grant TA)"
                              if _has_publish_oa_grant_ta(certs)
                              else "not an equilibrium"),
-        "table5_publish_ta_grant_ta":
-            cells.get(("Publish TA", "Grant TA"), "absent"),
+        "table5_publish_ta_grant_ta": cell or "infeasible",
     }
     out = rp.base_report({args.game: game_digest, args.bimatrix: digest5})
     out["paper_comparison"] = rp.paper_comparison(computed)

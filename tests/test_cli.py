@@ -184,21 +184,34 @@ def test_closed_stdout_ends_without_a_traceback():
     assert b"Traceback" not in err, err.decode()
 
 
+_FAILED_WRITES = {
+    "stdout": (("validate", "--game", "oa.game"), "stdout"),
+    "stdout-short": (("nash", "--bimatrix", "table5.bmx"), "stdout"),
+    "output": (("top", "--game", "oa.game", "--output", "/dev/full"),
+               "/dev/full"),
+    "help": (("--help",), "stdout"),
+    "subcommand-help": (("enumerate", "--help"), "stdout"),
+}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv, target", [
-    (("validate", "--game", "oa.game"), "stdout"),
-    (("nash", "--bimatrix", "table5.bmx"), "stdout"),
-    (("top", "--game", "oa.game", "--output", "/dev/full"), "/dev/full"),
-], ids=["stdout", "stdout-short", "output"])
-def test_a_failed_write_is_one_line_not_a_traceback(argv, target):
-    """A device that is full fails the write, whether the report fills
-    stdout's buffer or is only flushed at the end: the run says so on one
-    line and exits 1."""
+@pytest.mark.parametrize("argv, target, unbuffered", [
+    pytest.param(argv, target, unbuffered, id=name + suffix)
+    for name, (argv, target) in _FAILED_WRITES.items()
+    for unbuffered, suffix in ((False, ""), (True, "-unbuffered"))])
+def test_a_failed_write_is_one_line_not_a_traceback(argv, target,
+                                                    unbuffered):
+    """A device that is full fails the write, whether the report or help
+    fills stdout's buffer, is only flushed at the end, or is written
+    through (``PYTHONUNBUFFERED``): the run says so on one line and exits
+    1."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": "1"}
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "oagame.cli", *argv], stdout=full,
-            stderr=subprocess.PIPE, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+            stderr=subprocess.PIPE, text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stderr) == (
         1, f"oagame: cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
 

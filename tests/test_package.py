@@ -318,8 +318,9 @@ _ERROR_PATHS = [
 def test_module_run_reports_errors_as_run_cli_does(tmp_path, monkeypatch,
                                                    capsys, argv, status):
     """``python -m oagame.cli`` runs ``cli.py`` as ``__main__``: its
-    errors are those of ``run_cli``, and no module imports ``oagame.cli``,
-    which would compile a second copy of it."""
+    errors are those of ``run_cli``, which reports a failed --output
+    (``main`` reports a failed write to stdout), and no module imports
+    ``oagame.cli``, which would compile a second copy of it."""
     (tmp_path / "bad.game").write_text('game "b"\nplayer A actions: "x"\n'
                                        'utility A V\n')
     monkeypatch.chdir(tmp_path)
