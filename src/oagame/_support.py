@@ -28,13 +28,10 @@ SUPPORT_LIMIT = 8  # support enumeration is exponential past this
 _BEATS = {"strict": operator.gt, "weak": operator.ge}  # payoff tests by notion
 
 
-class Elimination(namedtuple("Elimination", ("player", "action",
-                                             "dominator", "notion"))):
-    __slots__ = ()
-
-
-class DominanceResult(namedtuple("DominanceResult", ("trace", "surviving"))):
-    __slots__ = ()  # surviving: the live actions, per player
+Elimination = namedtuple("Elimination", ("player", "action", "dominator",
+                                         "notion"))
+# surviving: the live actions, per player
+DominanceResult = namedtuple("DominanceResult", ("trace", "surviving"))
 
 
 def _eliminations(table: PayoffTable, live: list[list[int]], notion: str):

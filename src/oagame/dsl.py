@@ -58,9 +58,7 @@ _QUOTE_CLOSERS = {
 }
 
 
-class SourceSpan(namedtuple("SourceSpan", ("line", "col_start",
-                                           "col_end"))):
-    __slots__ = ()
+SourceSpan = namedtuple("SourceSpan", ("line", "col_start"))
 
 
 class ParseError(namedtuple("ParseError", (
@@ -80,10 +78,6 @@ class ParseResult(namedtuple("ParseResult", ("game", "errors"))):
     @property
     def ok(self) -> bool:
         return self.game is not None and not self.errors
-
-
-def _span(line: int, start: int = 1) -> SourceSpan:
-    return SourceSpan(line, start, start)
 
 
 # A quoted stretch: a '"' and what follows it up to the next '"', or to the
@@ -144,13 +138,13 @@ def _parse_value(s: str, i: int, line: int) -> tuple[str | None, int, ParseError
         closers = _QUOTE_CLOSERS[s[i]]
         positions = [p for p in (s.find(c, i + 1) for c in closers) if p >= 0]
         if not positions:
-            return None, len(s), ParseError(_span(line, i + 1), "lex",
+            return None, len(s), ParseError(SourceSpan(line, i + 1), "lex",
                                             "unterminated quote", s[i])
         j = min(positions)
         return s[i + 1:j], j + 1, None
     bare = _BARE_VALUE_RE.match(s, i)
     if bare.end() == i:
-        return None, i, ParseError(_span(line, i + 1), "syntax",
+        return None, i, ParseError(SourceSpan(line, i + 1), "syntax",
                                    "expected a value after '='")
     return " ".join(bare.group().split()), bare.end(), None
 
@@ -176,19 +170,19 @@ def _parse_atom_list(
                 return atoms, i, None, errors
             if atoms:  # a second '=' in the last atom, or no separator
                 second = s.startswith("=", i)
-                errors.append(ParseError(_span(line, i + 1), "syntax", (
+                errors.append(ParseError(SourceSpan(line, i + 1), "syntax", (
                     f"unexpected '=' after the value of {atoms[-1][0]!r}"
                     if second else "expected ',' or 'and' between atoms"),
                     "=" if second else _WORD_RE.match(s, i).group()))
                 return atoms, i, None, errors
         eq = s.find("=", i)
         if eq < 0:
-            errors.append(ParseError(_span(line, i + 1), "syntax",
+            errors.append(ParseError(SourceSpan(line, i + 1), "syntax",
                                      "expected '=' in atom", s[i:i + 20]))
             return atoms, len(s), None, errors
         name = " ".join(s[i:eq].split())
         if not name:
-            errors.append(ParseError(_span(line, i + 1), "syntax",
+            errors.append(ParseError(SourceSpan(line, i + 1), "syntax",
                                      "empty name before '='"))
             return atoms, len(s), None, errors
         value, i, err = _parse_value(s, eq + 1, line)
@@ -225,7 +219,7 @@ def _resolve_atom(
         kind, subject, canon = game.bind(name, value)
     if kind == ACTION and role == "assignment":
         return None, ParseError(
-            _span(line), "resolution",
+            SourceSpan(line, 1), "resolution",
             f"rule assignments must set outcome variables, not player "
             f"{subject!r}", name)
     if canon is not None:
@@ -234,7 +228,7 @@ def _resolve_atom(
         return Atom(kind or OUTCOME, subject, value, inert=True), None
     # The message is only formatted for an atom that fails in strict mode.
     error_kind, template = _UNBOUND[kind]
-    return None, ParseError(_span(line), error_kind,
+    return None, ParseError(SourceSpan(line, 1), error_kind,
                             template.format(value=value, subject=subject),
                             value if kind else name)
 
@@ -252,13 +246,13 @@ def parse_rule(
     first = _KEYWORD_RE.match(body)
     if first is None or first.group().lower() != "if":
         word = _WORD_RE.match(body)
-        return None, [ParseError(_span(line), "syntax",
+        return None, [ParseError(SourceSpan(line, 1), "syntax",
                                  "rule must start with 'if'",
                                  word.group() if word else "")]
     raw_cond, i, stop, errors = _parse_atom_list(body, first.end(),
                                                  frozenset({"then"}), line)
     if stop != "then":
-        errors.append(ParseError(_span(line, i + 1), "syntax",
+        errors.append(ParseError(SourceSpan(line, i + 1), "syntax",
                                  "expected 'then' after the rule condition"))
         return None, errors
     raw_cons, i, stop, errs = _parse_atom_list(body, i,
@@ -271,10 +265,10 @@ def parse_rule(
     if errors:
         return None, errors
     if not raw_cond:
-        return None, [ParseError(_span(line), "syntax",
+        return None, [ParseError(SourceSpan(line, 1), "syntax",
                                  "rule condition is empty")]
     if not raw_cons:
-        return None, [ParseError(_span(line), "syntax",
+        return None, [ParseError(SourceSpan(line, 1), "syntax",
                                  "rule consequence is empty")]
 
     def resolve(raw: list[tuple[str, str]], role: str) -> tuple[Atom, ...]:
@@ -333,7 +327,7 @@ def _list_items(text: str | None, pattern: re.Pattern, what: str,
         m = pattern.match(item)
         if m is None:
             errors.append(ParseError(
-                _span(lineno), "syntax",
+                SourceSpan(lineno, 1), "syntax",
                 f"malformed {what} {item!r} (expected {form})", item))
             ok = False
         else:
@@ -369,19 +363,20 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
             rule_lines.append((lineno, line[len(head):].strip()))
             continue
         if head not in _DECLARATIONS:
-            errors.append(ParseError(_span(lineno), "syntax",
+            errors.append(ParseError(SourceSpan(lineno, 1), "syntax",
                                      f"unknown declaration {head!r}", head))
             continue
         m = _DECLARATIONS[head].match(line)
         if m is None:
-            errors.append(ParseError(_span(lineno), "syntax",
+            errors.append(ParseError(SourceSpan(lineno, 1), "syntax",
                                      f"malformed {head} line", line))
             continue
         if head == "game":
             if lines["game"]:
                 errors.append(ParseError(
-                    _span(lineno), "syntax", f"second game line (the game "
-                    f"is declared on line {lines['game'][0]})", line))
+                    SourceSpan(lineno, 1), "syntax", f"second game line "
+                    f"(the game is declared on line {lines['game'][0]})",
+                    line))
                 continue
             name = _unquote(m.group("name"))
         elif head == "player":
@@ -399,8 +394,9 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
             try:
                 scores = tuple((n, int(number_literal(s))) for n, s in values)
             except ValueError as exc:
-                errors.append(ParseError(_span(lineno), "syntax", f"a score "
-                                         f"of variable {var!r} is {exc}", var))
+                errors.append(ParseError(
+                    SourceSpan(lineno, 1), "syntax",
+                    f"a score of variable {var!r} is {exc}", var))
                 continue
             variables.append(OutcomeVarDef(
                 var, m.group("owner"), scores, _names(m.group("aliases")),
@@ -413,7 +409,7 @@ def parse_game_spec(text: str, mode: str = STRICT) -> ParseResult:
 
     partial = GameSpec(name, tuple(players), tuple(variables), (),
                        tuple(utilities))
-    errors.extend(ParseError(_span((lines[kind] or [1])[index]),
+    errors.extend(ParseError(SourceSpan((lines[kind] or [1])[index], 1),
                              "resolution", message, token)
                   for (kind, index), message, token
                   in _structural_errors(partial))

@@ -79,10 +79,9 @@ class CompletionPolicy(namedtuple("CompletionPolicy", (
             raise ValueError(f"{self.kind} policy requires a player")
 
 
-class EnumerationReport(namedtuple("EnumerationReport", (
-        "action_profile_count", "row_space_count", "admissible_count",
-        "max_global_utility", "max_global_utility_count"))):
-    __slots__ = ()
+EnumerationReport = namedtuple("EnumerationReport", (
+    "action_profile_count", "row_space_count", "admissible_count",
+    "max_global_utility", "max_global_utility_count"))
 
 
 class CompiledGame:
@@ -119,9 +118,9 @@ class CompiledGame:
             sum(1 << r for r, (acts, *_) in enumerate(rules)
                 if all(j == a for k, j in acts if k == i))
             for a in range(len(names))) for i, names in enumerate(self.actions))
-        self.classes = tuple(  # a stable sort by mask, then by least action
-            tuple(sorted(tuple(c) for _, c in itertools.groupby(
-                sorted(range(len(m)), key=m.__getitem__), m.__getitem__)))
+        self.classes = tuple(  # the distinct masks in order of least action
+            tuple(tuple(a for a in range(len(m)) if m[a] == x)
+                  for x in dict.fromkeys(m))
             for m in self.masks)
         self._fired, self._blocks = {}, {}
 

@@ -6,8 +6,9 @@ per-player utilities.  All arithmetic is exact integer arithmetic.  Only
 the game commands load this module.  ``GameError`` and ``PayoffTable``,
 which the bimatrix layer also needs, live in ``oagame._table`` and are
 re-exported here.
-The records are immutable named tuples, each a ``collections.namedtuple``
-subclass with ``__slots__ = ()``, so that no command loads ``typing``.
+The records are immutable ``collections.namedtuple``s, so that no command
+loads ``typing``; a record is a subclass, with ``__slots__ = ()``, only
+where it adds a method, property, validation or docstring.
 ``GameSpec`` alone has no ``__slots__``: it keeps its compiled form and
 its name tables in an instance dict, which, unlike the fields, takes new
 attributes.
@@ -39,9 +40,8 @@ class MissingUtilityError(GameError):
         super().__init__(f"no utility definition for player {player!r}")
 
 
-class PlayerDef(namedtuple("PlayerDef", ("name", "actions", "aliases"),
-                           defaults=((),))):
-    __slots__ = ()
+PlayerDef = namedtuple("PlayerDef", ("name", "actions", "aliases"),
+                       defaults=((),))
 
 
 class OutcomeVarDef(namedtuple("OutcomeVarDef", (
@@ -65,8 +65,8 @@ class OutcomeVarDef(namedtuple("OutcomeVarDef", (
         return entries
 
 
-class UtilityDef(namedtuple("UtilityDef", ("player", "terms"))):
-    __slots__ = ()  # terms: canonical outcome-variable names, unit weights
+# terms: canonical outcome-variable names, unit weights
+UtilityDef = namedtuple("UtilityDef", ("player", "terms"))
 
 
 class Atom(namedtuple("Atom", ("kind", "subject", "value", "inert"),

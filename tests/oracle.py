@@ -587,7 +587,7 @@ def _peek_word(s: str, i: int) -> tuple[str, int]:
 
 
 def _error(line: int, col: int, kind: str, message: str, token: str = ""):
-    return ParseError(SourceSpan(line, col, col), kind, message, token)
+    return ParseError(SourceSpan(line, col), kind, message, token)
 
 
 def parse_value(s: str, i: int, line: int):

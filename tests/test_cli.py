@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oagame.cli import run_cli
+from oagame.cli import main, run_cli
 from oagame import fixtures
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -214,6 +214,25 @@ def test_a_failed_write_is_one_line_not_a_traceback(argv, target,
             stderr=subprocess.PIPE, text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stderr) == (
         1, f"oagame: cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_failed_open_is_raised_from_main(tmp_path, monkeypatch, capsys):
+    """An ``OSError`` that names a file is a failed open that escaped every
+    handler, such as a bundled data file gone missing, not a failed write
+    to stdout: ``main`` raises it as it is and writes nothing to stderr."""
+    missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                "oa.game")
+
+    def lost(name):
+        raise missing
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fixtures, "fixture_text", lost)
+    monkeypatch.setattr(sys, "argv",
+                        ["oagame", "validate", "--game", "oa.game"])
+    with pytest.raises(FileNotFoundError) as raised:
+        main()
+    assert raised.value is missing
+    assert capsys.readouterr().err == ""
 
 
 # Runs ``oagame.cli`` as ``python -m`` does, with its arguments, after

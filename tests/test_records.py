@@ -56,8 +56,8 @@ RECORDS = [
                 "rules": (RULE,), "utilities": (UTILITY,)}, {}),
     (PayoffTable, {"players": ("Editors",), "actions": (("Grant TA",),),
                    "cells": ((1,),)}, {}),
-    (SourceSpan, {"line": 1, "col_start": 2, "col_end": 3}, {}),
-    (ParseError, {"span": SourceSpan(1, 2, 3), "kind": "syntax",
+    (SourceSpan, {"line": 1, "col_start": 2}, {}),
+    (ParseError, {"span": SourceSpan(1, 2), "kind": "syntax",
                   "message": "bad"}, {"token": ""}),
     (Diagnostic, {"severity": "warning", "message": "odd"}, {}),
     (ParseResult, {"game": GAME, "errors": ()}, {}),
@@ -161,9 +161,10 @@ SAMPLES = [cls(*required.values()) for cls, required, _ in RECORDS] + [
 @pytest.mark.parametrize("record", SAMPLES,
                          ids=[type(r).__name__ for r in SAMPLES])
 def test_record_keeps_the_named_tuple_contract(record):
-    """Each record, a ``collections.namedtuple`` subclass, keeps its
-    fields and their defaults, ``_make`` and ``_replace``, a repr by its
-    own name, value equality and hash with its plain tuple, and no
+    """Each record, a ``collections.namedtuple`` or, where it adds a
+    method, property, validation or docstring, a subclass of one, keeps
+    its fields and their defaults, ``_make`` and ``_replace``, a repr by
+    its own name, value equality and hash with its plain tuple, and no
     instance dict, except ``GameSpec``, which keeps its compiled form in
     one.  A ``Bimatrix`` is a table whose copies are the plain table."""
     cls, plain = type(record), tuple(record)
