@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -729,6 +730,8 @@ def test_project_bmx_output(tmp_path, capsys):
     from oagame import parse_bimatrix
     table = parse_bimatrix(out_path.read_text())
     assert table.payoff(("Publish TA", "Grant TA")) == (2, 1)
+    assert run(capsys, "nash", "--bimatrix", str(out_path),
+               "--format", "json")[0] == 0
 
 
 # Battle of the sexes with a third, safe row: its cells are fixed by rules
@@ -1026,7 +1029,8 @@ def test_sha256_falls_back_to_hashlib(texts):
         hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
 
 
-# sha256 of stdout, taken before rows became index pairs in the engine.
+# sha256 of each report, written to stdout and to --output; taken before
+# rows became index pairs in the engine.
 GOLDEN_STDOUT = {
     ("enumerate", "--game", "oa.game", "--dump", "--format", "json"):
         "39826eb05d6c5fa02134d741efa9c01ea2984f84dbea1a4247654915d41a11b9",
@@ -1295,8 +1299,24 @@ def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)  # the report names its input path
     code, out, _ = run(capsys, *args)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
-        GOLDEN_STDOUT[args]
+    assert run(capsys, *args, "--output", "report") == (0, "", "")
+    written = (tmp_path / "report").read_bytes()
+    assert [hashlib.sha256(text).hexdigest()
+            for text in (out.encode("utf-8"), written)] == \
+        [GOLDEN_STDOUT[args]] * 2
+
+
+def test_ci_pins_no_digest_that_a_test_pins():
+    """CI's shell steps pin only the reports they bound in time; a digest
+    pinned both there and in a test is one check written twice."""
+    digest = re.compile(r"\b[0-9a-f]{64}\b")
+    root = SRC.parent
+    ci = set(digest.findall(
+        (root / ".github" / "workflows" / "tests.yml").read_text()))
+    assert ci
+    for path in sorted((root / "tests").glob("*.py")):
+        assert not ci.intersection(digest.findall(path.read_text())), \
+            path.name
 
 
 # The command shapes the benchmark's workloads run (perfbench/workloads.py)
@@ -1634,16 +1654,6 @@ def test_empty_dump_bytes(tmp_path, capsys):
                                "--format", fmt)
             assert code == 0
             assert out.endswith(tail)
-
-
-def test_dump_to_output_file_matches_stdout(tmp_path, capsys):
-    for fmt in ("json", "table", "delimited"):
-        args = ("enumerate", "--game", "oa.game", "--dump", "--format", fmt)
-        path = tmp_path / f"dump.{fmt}"
-        code, out, _ = run(capsys, *args)
-        assert run(capsys, *args, "--output", str(path)) == (0, "", "")
-        assert code == 0
-        assert path.read_bytes() == out.encode("utf-8")
 
 
 # Runs the command given as its arguments as a child process, output

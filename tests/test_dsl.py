@@ -9,6 +9,7 @@ from oagame import (
     Diagnostic,
     dsl,
     compile_game,
+    enumeration_report,
     fixtures,
     parse_game_spec,
     parse_rule,
@@ -500,6 +501,8 @@ def test_round_trip_serialize_parse(oa_game):
     assert len(g.rules) == len(oa_game.rules)
     for a, b in zip(g.rules, oa_game.rules):
         assert a.same_logic(b)
+    # The game written back keeps the paper's figures.
+    assert enumeration_report(g)[2:] == (17640, 8, 30)
 
 
 def _sha256(text):

@@ -142,9 +142,10 @@ print(repr([code, sorted(m for m in sys.modules
 # as much in OpenSSL's ``_hashlib``, for the input digest; ``json``, whose
 # writing ``report`` does itself, in every output format; and ``argparse``
 # and its ``gettext``, which only help, usage errors and unusual spellings
-# need, with the package's parser built on it.
+# need, with the package's parser built on it; and ``__future__``, which
+# no module's annotations need.
 UNWANTED = {"dataclasses", "inspect", "hashlib", "_hashlib", "json",
-            "argparse", "gettext", "oagame._argparser"}
+            "argparse", "gettext", "oagame._argparser", "__future__"}
 
 # Modules for exact numbers, which no command on an integer table builds.
 EXACT = {"fractions", "decimal"}
@@ -216,6 +217,9 @@ def _run_loaded(*argv):
     (("project", "--game", "oa.game", "--row-player", "Academics",
       "--col-player", "Editors"), GAME + POLICY + TABLE, EXACT),
     (("project", "--game", "oa.game", "--row-player", "Academics",
+      "--col-player", "Editors", "--format", "delimited"),
+     GAME + POLICY + ["_delimited_writer"], EXACT),
+    (("project", "--game", "oa.game", "--row-player", "Academics",
       "--col-player", "Editors", "--format", "bmx"),
      GAME + POLICY + ["equilibrium", "_bmx_writer"], EXACT),
     (("nash", "--game", "oa.game", "--format", "json"),
@@ -224,8 +228,8 @@ def _run_loaded(*argv):
 ], ids=["mixed", "mixed-json", "nash-bimatrix", "nash-bimatrix-json",
         "expected", "expected-json", "validate", "enumerate",
         "enumerate-dump", "enumerate-dump-delimited", "top", "payoffs",
-        "payoffs-json", "project", "project-bmx", "nash-game-json",
-        "reproduce"])
+        "payoffs-json", "project", "project-delimited", "project-bmx",
+        "nash-game-json", "reproduce"])
 def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
     code, stderr, loaded, added = _run_loaded(*argv)
     assert (code, stderr) == (0, "")
@@ -237,9 +241,11 @@ def test_command_loads_only_the_layers_it_runs(argv, layers, unloaded):
 
 
 # One command line of each subcommand, and a help text, with the modules
-# each loads: --policy, --dump, every format and both --dominance notions.
+# each loads: --policy, --dump and the census, every format and both
+# --dominance notions.
 _EVERY_SUBCOMMAND = [
     ("validate", "--game", "oa.game", "--format", "json"),
+    ("enumerate", "--game", "oa.game"),
     ("enumerate", "--game", "oa.game", "--dump", "--format", "delimited"),
     ("top", "--game", "oa.game"),
     ("payoffs", "--game", "oa.game", "--policy", "optimistic",
@@ -299,8 +305,9 @@ def test_parsing_alone_loads_no_handler(argv, status):
 
 # Error paths of every kind of handler: an unreadable input, a malformed
 # option value, a mixture of the wrong length, a policy missing its player,
-# and a game that does not parse.
-_ERROR_PATHS = [
+# and a game that does not parse; then runs of the equilibrium commands
+# that succeed.
+_MODULE_RUNS = [
     (("validate", "--game", "no-such.game"), 2),
     (("payoffs", "--game", "oa.game", "--policy", "fixed", "--fix",
       "Editors"), 2),
@@ -308,19 +315,24 @@ _ERROR_PATHS = [
       "--col-mix", "1/2,1/2"), 2),
     (("payoffs", "--game", "oa.game", "--policy", "optimistic"), 2),
     (("enumerate", "--game", "bad.game"), 1),
+    (("mixed", "--bimatrix", "table6.bmx", "--format", "json"), 0),
+    (("nash", "--bimatrix", "table5.bmx", "--format", "json"), 0),
+    (("nash", "--game", "oa.game", "--format", "json"), 0),
 ]
 
 
-@pytest.mark.parametrize("argv, status", _ERROR_PATHS,
+@pytest.mark.parametrize("argv, status", _MODULE_RUNS,
                          ids=["missing-file", "fix-without-equals",
                               "row-mix-count", "policy-without-player",
-                              "parse-error"])
+                              "parse-error", "mixed-json",
+                              "nash-bimatrix-json", "nash-game-json"])
 def test_module_run_reports_errors_as_run_cli_does(tmp_path, monkeypatch,
                                                    capsys, argv, status):
     """``python -m oagame.cli`` runs ``cli.py`` as ``__main__``: its
-    errors are those of ``run_cli``, which reports a failed --output
-    (``main`` reports a failed write to stdout), and no module imports
-    ``oagame.cli``, which would compile a second copy of it."""
+    reports and errors are those of ``run_cli``, which reports a failed
+    --output (``main`` reports a failed write to stdout), and no module
+    imports ``oagame.cli``, which would compile a second copy of it, or
+    ``__future__``."""
     (tmp_path / "bad.game").write_text('game "b"\nplayer A actions: "x"\n'
                                        'utility A V\n')
     monkeypatch.chdir(tmp_path)
