@@ -4,7 +4,7 @@ import gzip
 import hashlib
 import json
 import os
-import re
+import resource
 import subprocess
 import sys
 import time
@@ -23,6 +23,16 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child(*argv, timeout, **kwargs):
+    """``python -m oagame.cli`` on ``argv`` in a child process with text
+    output captured, killed after ``timeout`` seconds so that a slow
+    command fails instead of hanging."""
+    return subprocess.run(
+        [sys.executable, "-m", "oagame.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=timeout, **kwargs)
 
 
 def test_validate_bundled(capsys):
@@ -1306,19 +1316,6 @@ def test_golden_stdout_bytes(tmp_path, monkeypatch, capsys, args):
         [GOLDEN_STDOUT[args]] * 2
 
 
-def test_ci_pins_no_digest_that_a_test_pins():
-    """CI's shell steps pin only the reports they bound in time; a digest
-    pinned both there and in a test is one check written twice."""
-    digest = re.compile(r"\b[0-9a-f]{64}\b")
-    root = SRC.parent
-    ci = set(digest.findall(
-        (root / ".github" / "workflows" / "tests.yml").read_text()))
-    assert ci
-    for path in sorted((root / "tests").glob("*.py")):
-        assert not ci.intersection(digest.findall(path.read_text())), \
-            path.name
-
-
 # The command shapes the benchmark's workloads run (perfbench/workloads.py)
 # that GOLDEN_STDOUT does not hold, then usage errors and help requests.
 PARSER_CORPUS = [
@@ -1667,19 +1664,20 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+def _peak_kib(*argv):
+    """Peak RSS in KiB of ``python -m oagame.cli`` on ``argv``."""
+    cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
+           "oagame.cli", *argv]
+    return int(subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, check=True).stdout)
+
+
 def test_dump_memory_stays_near_the_plain_run():
     """The JSON row dump of oa.game is written in chunks, so its peak RSS
     stays within 16 MiB of the run without --dump."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-
-    def peak_kib(*args):
-        cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
-               "oagame.cli", "enumerate", "--game", "oa.game", *args]
-        return int(subprocess.run(cmd, env=env, capture_output=True,
-                                  check=True).stdout)
-
-    plain = peak_kib()
-    dump = peak_kib("--dump", "--format", "json")
+    plain = _peak_kib("enumerate", "--game", "oa.game")
+    dump = _peak_kib("enumerate", "--game", "oa.game", "--dump", "--format",
+                     "json")
     assert dump - plain <= 16 * 1024, (plain, dump)
 
 
@@ -1695,16 +1693,9 @@ def test_one_profile_dump_keeps_no_text_per_row(tmp_path):
          *(f"variable V{v} owner: A values: Hi=1, Lo=0" for v in range(16)),
          "utility A = " + " + ".join(f"V{v}" for v in range(16))]) + "\n",
         encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-
-    def peak_kib(*args):
-        cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
-               "oagame.cli", "enumerate", "--game", str(game), *args]
-        return int(subprocess.run(cmd, env=env, capture_output=True,
-                                  check=True).stdout)
-
-    plain = peak_kib()
-    dump = peak_kib("--dump", "--format", "json")
+    plain = _peak_kib("enumerate", "--game", str(game))
+    dump = _peak_kib("enumerate", "--game", str(game), "--dump", "--format",
+                     "json")
     assert dump - plain <= 36 * 1024, (plain, dump)
 
 
@@ -1728,16 +1719,8 @@ def test_payoff_cells_stay_near_the_plain_run(tmp_path):
     profile, so its peak RSS stays within 36 MiB of ``enumerate``."""
     game = tmp_path / "six.game"
     game.write_text(_one_rule_game(6, 6), encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-
-    def peak_kib(*args):
-        cmd = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m",
-               "oagame.cli", *args, "--game", str(game)]
-        return int(subprocess.run(cmd, env=env, capture_output=True,
-                                  check=True).stdout)
-
-    plain = peak_kib("enumerate")
-    cells = peak_kib("payoffs", "--format", "json")
+    plain = _peak_kib("enumerate", "--game", str(game))
+    cells = _peak_kib("payoffs", "--game", str(game), "--format", "json")
     assert cells - plain <= 36 * 1024, (plain, cells)
 
 
@@ -1829,14 +1812,17 @@ def test_payoff_tables_beyond_the_row_budget_are_refused(tmp_path, command):
     (tmp_path / "big.game").write_text(_one_rule_game(8, 8),
                                        encoding="utf-8")
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "oagame.cli", command, "--game", "big.game"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=5)
+    proc = _child(command, "--game", "big.game", cwd=tmp_path, timeout=5)
     assert time.perf_counter() - start < 1.0
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "oagame: 16777216 payoff cells exceed the row budget of "
                "1000000\n")
+
+
+def _cap_address_space():
+    """Caps the address space of the child about to start at 512 MiB, as
+    ``ulimit -v 524288`` does."""
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1848,14 +1834,12 @@ def test_row_lists_beyond_the_row_budget_are_refused_at_once(tmp_path, argv,
     """Eight players of eight actions: a row list is refused from the
     counts, which walk the game's 2 profiles of action classes, before any
     of the 16777216 profiles is walked; walking them all took about 20 s
-    and 190 MiB."""
+    and 190 MiB.  The child runs in an address space of 512 MiB."""
     (tmp_path / "big.game").write_text(_one_rule_game(8, 8),
                                        encoding="utf-8")
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "oagame.cli", *argv, "--game", "big.game"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=10)
+    proc = _child(*argv, "--game", "big.game", cwd=tmp_path, timeout=10,
+                  preexec_fn=_cap_address_space)
     assert time.perf_counter() - start < 2.0
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", f"oagame: {message} exceed the row budget of 1000000\n")
@@ -1870,11 +1854,8 @@ def test_one_rule_games_count_in_closed_form(tmp_path, players, actions):
     (tmp_path / "k.game").write_text(_one_rule_game(players, actions),
                                      encoding="utf-8")
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "oagame.cli", "enumerate", "--game", "k.game",
-         "--format", "json"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=10)
+    proc = _child("enumerate", "--game", "k.game", "--format", "json",
+                  cwd=tmp_path, timeout=10)
     assert time.perf_counter() - start < 2.0
     assert (proc.returncode, proc.stderr) == (0, "")
     report, profiles = json.loads(proc.stdout), actions ** players
@@ -1887,10 +1868,7 @@ def test_one_rule_games_count_in_closed_form(tmp_path, players, actions):
 def _cli_json(cwd, *argv):
     """stdout of ``python -m oagame.cli`` as JSON, in a child process that
     is killed after 20 s so that a slow command fails instead of hanging."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "oagame.cli", *argv, "--format", "json"],
-        cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=20)
+    proc = _child(*argv, "--format", "json", cwd=cwd, timeout=20)
     assert (proc.returncode, proc.stderr) == (0, "")
     return json.loads(proc.stdout)
 
@@ -1925,24 +1903,91 @@ def test_projections_of_eight_by_eight_walk_its_action_classes(
         for r in range(8)]
 
 
+def _one_row_game() -> str:
+    """Eight players of eight actions, each one's ``a0`` setting ``V`` to
+    Hi and any other action to Lo, which a last rule forbids: only the
+    all-``a0`` profile has a row."""
+    lines = ['game "one-row"', *_one_rule_game(8, 8).splitlines()[1:-1]]
+    lines += [f'rule if P{i}="a0" then V="Hi" otherwise V="Lo"'
+              for i in range(8)]
+    lines += ['rule if V="Lo" then V="Hi"']
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("command", [("enumerate", "--dump"), ("top",)],
                          ids=["enumerate-dump", "top"])
 def test_row_lists_of_eight_by_eight_expand_its_action_classes(tmp_path,
                                                                command):
-    """Eight players of eight actions, each one's ``a0`` setting ``V`` to
-    Hi and any other action to Lo, which a last rule forbids: only the
-    all-``a0`` profile has a row, and the row lists walk the 256 class
-    profiles, where walking the 16777216 profiles took about 14 s."""
-    lines = _one_rule_game(8, 8).splitlines()[:-1]
-    lines += [f'rule if P{i}="a0" then V="Hi" otherwise V="Lo"'
-              for i in range(8)]
-    lines += ['rule if V="Lo" then V="Hi"']
-    (tmp_path / "one.game").write_text("\n".join(lines) + "\n",
-                                       encoding="utf-8")
-    report = _cli_json_within_2s(tmp_path, *command, "--game", "one.game")
+    """The row lists of the one-row game walk its 256 class profiles,
+    where walking the 16777216 profiles took about 14 s."""
+    (tmp_path / "one-row.game").write_text(_one_row_game(), encoding="utf-8")
+    report = _cli_json_within_2s(tmp_path, *command, "--game",
+                                 "one-row.game")
     assert report["rows"] == [{
         **{f"P{i}": "a0" for i in range(8)}, "V": "Hi", "GU": 1,
         **{f"U_P{i}": 1 for i in range(8)}}]
+
+
+# Reports of games of 46656 to 16777216 profiles, each pinned by the digest
+# of the file ``--output`` writes.  A report's ``inputs`` names its game
+# file, so each game is written under the name its pin was taken with.
+_SCALE_PINS = {
+    ("project", "--game", "budget.game", "--row-player", "P0",
+     "--col-player", "P1", "--format", "json"):
+        "1e28ff88d965e26dedb5bab25252e1dc439302020934885e5e72631919e13899",
+    ("enumerate", "--game", "one-row.game", "--dump", "--format", "json"):
+        "a39e1480a8754efaea29f1f2f5e369f68663205402b2334aaa21cb253e053cb6",
+    ("payoffs", "--game", "six.game", "--format", "delimited"):
+        "8beea867574029dccea7ad09a9f0edc6c64af747c5364521e3c0f9ff9d007634",
+    ("payoffs", "--game", "six.game", "--format", "json"):
+        "0c5572b2eed4317f5c3cbd476856bfe62342f5fe6075d6492fea7b08fb640288",
+    ("project", "--game", "six.game", "--row-player", "P0", "--col-player",
+     "P5", "--policy", "fixed", "--fix", "P2=a3", "--format", "json"):
+        "14467946c49f369de8b5461599fc95b67080200c154c061cbe11683a3834082d",
+}
+
+
+@pytest.mark.parametrize("args", list(_SCALE_PINS),
+                         ids=["project-8x8", "one-row-dump", "six-payoffs",
+                              "six-payoffs-json", "six-project-fixed"])
+def test_reports_at_scale_keep_their_digests(tmp_path, args):
+    """Each report is written by a child process within 10 s."""
+    for name, text in (("budget.game", _one_rule_game(8, 8)),
+                       ("one-row.game", _one_row_game()),
+                       ("six.game", _one_rule_game(6, 6))):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("one-row.game", "six.game")] == [
+        "8ba2b255f4f054de16660e055372329a6765cf12f9183beee8ff3bbe98ab0e64",
+        "02c27ee6a63f251ebea75b18459c36da86e7f29fe090cdda4178b20c97ba9cc4"]
+    proc = _child(*args, "--output", "report", cwd=tmp_path, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert hashlib.sha256((tmp_path / "report").read_bytes()).hexdigest() \
+        == _SCALE_PINS[args]
+
+
+# Ten pairs of linked variables: ``Wi`` must be Lo when ``Vi`` is Hi.
+LINKED_PAIRS_GAME = "\n".join([
+    'game "pairs"', 'player A actions: "x"',
+    *(f"variable {n}{i} owner: A values: Hi=1, Lo=0"
+      for n in "VW" for i in range(10)),
+    "utility A = " + " + ".join(f"{n}{i}" for n in "VW" for i in range(10)),
+    *(f'rule if V{i}="Hi" then W{i}="Lo".' for i in range(10))]) + "\n"
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("enumerate", ["admissible_rows: 59049", "max_global_utility_rows: 1024"]),
+    ("top", ["row_count: 1024"]),
+], ids=["enumerate", "top"])
+def test_linked_factors_are_counted_and_listed_within_20s(tmp_path, command,
+                                                          lines):
+    """The ten linked pairs have a row space of 2**20: ``enumerate``
+    counts its 59049 admissible rows and ``top`` lists the 1024 at the
+    max, each in a child killed after 20 s."""
+    (tmp_path / "pairs.game").write_text(LINKED_PAIRS_GAME, encoding="utf-8")
+    proc = _child(command, "--game", "pairs.game", cwd=tmp_path, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert set(lines) <= set(proc.stdout.splitlines())
 
 
 def test_policy_commands_on_the_wide_game(tmp_path):

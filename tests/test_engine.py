@@ -41,7 +41,7 @@ from .oracle import (
     rule_ok,
     utility,
 )
-from .test_cli import _one_rule_game
+from .test_cli import LINKED_PAIRS_GAME, _one_rule_game
 
 TOY = """
 game "toy"
@@ -559,15 +559,6 @@ def test_a_game_with_no_players_fires_its_outcome_rules():
     game = GameSpec("none", (), variables, (rule,), ())
     assert _agrees_with_oracle(game) == 3
     assert enumeration_report(game) == profile_walk_report(game)
-
-
-# Ten pairs of linked variables: ``Wi`` must be Lo when ``Vi`` is Hi.
-LINKED_PAIRS_GAME = "\n".join([
-    'game "pairs"', 'player A actions: "x"',
-    *(f"variable {n}{i} owner: A values: Hi=1, Lo=0"
-      for n in "VW" for i in range(10)),
-    "utility A = " + " + ".join(f"{n}{i}" for n in "VW" for i in range(10)),
-    *(f'rule if V{i}="Hi" then W{i}="Lo".' for i in range(10))]) + "\n"
 
 
 def test_each_deferred_rule_is_checked_against_its_own_factor(monkeypatch):

@@ -306,7 +306,8 @@ def test_parsing_alone_loads_no_handler(argv, status):
 # Error paths of every kind of handler: an unreadable input, a malformed
 # option value, a mixture of the wrong length, a policy missing its player,
 # and a game that does not parse; then runs of the equilibrium commands
-# that succeed.
+# that succeed; then the argparse path: a subcommand's help, no subcommand,
+# and an unknown option.
 _MODULE_RUNS = [
     (("validate", "--game", "no-such.game"), 2),
     (("payoffs", "--game", "oa.game", "--policy", "fixed", "--fix",
@@ -318,6 +319,9 @@ _MODULE_RUNS = [
     (("mixed", "--bimatrix", "table6.bmx", "--format", "json"), 0),
     (("nash", "--bimatrix", "table5.bmx", "--format", "json"), 0),
     (("nash", "--game", "oa.game", "--format", "json"), 0),
+    (("enumerate", "--help"), 0),
+    ((), 2),
+    (("enumerate", "--game", "oa.game", "--bogus"), 2),
 ]
 
 
@@ -325,14 +329,17 @@ _MODULE_RUNS = [
                          ids=["missing-file", "fix-without-equals",
                               "row-mix-count", "policy-without-player",
                               "parse-error", "mixed-json",
-                              "nash-bimatrix-json", "nash-game-json"])
+                              "nash-bimatrix-json", "nash-game-json",
+                              "subcommand-help", "no-command",
+                              "unknown-option"])
 def test_module_run_reports_errors_as_run_cli_does(tmp_path, monkeypatch,
                                                    capsys, argv, status):
     """``python -m oagame.cli`` runs ``cli.py`` as ``__main__``: its
     reports and errors are those of ``run_cli``, which reports a failed
     --output (``main`` reports a failed write to stdout), and no module
     imports ``oagame.cli``, which would compile a second copy of it, or
-    ``__future__``."""
+    ``__future__``.  Help and usage wrap at ``COLUMNS``."""
+    monkeypatch.setenv("COLUMNS", "80")
     (tmp_path / "bad.game").write_text('game "b"\nplayer A actions: "x"\n'
                                        'utility A V\n')
     monkeypatch.chdir(tmp_path)
